@@ -361,27 +361,29 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    // One drop counter per test: tests run in parallel, so a shared one
+    // would see (and reset) the other test's drops.
+    static DROPS_SINGLE: AtomicUsize = AtomicUsize::new(0);
+    static DROPS_STRESS: AtomicUsize = AtomicUsize::new(0);
 
-    struct Tracked(#[allow(dead_code)] u64);
+    struct Tracked(&'static AtomicUsize);
     impl Drop for Tracked {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::SeqCst);
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     #[test]
     fn retire_eventually_drops() {
-        DROPS.store(0, Ordering::SeqCst);
         let c = Collector::new(4);
         let mut p = c.register();
         p.pin();
-        for i in 0..10 {
-            p.retire(Box::new(Tracked(i)));
+        for _ in 0..10 {
+            p.retire(Box::new(Tracked(&DROPS_SINGLE)));
         }
         p.unpin();
         p.flush();
-        assert_eq!(DROPS.load(Ordering::SeqCst), 10);
+        assert_eq!(DROPS_SINGLE.load(Ordering::SeqCst), 10);
         assert_eq!(p.pending(), 0);
     }
 
@@ -431,7 +433,6 @@ mod tests {
 
     #[test]
     fn concurrent_retire_stress() {
-        DROPS.store(0, Ordering::SeqCst);
         const THREADS: usize = 4;
         const PER_THREAD: usize = 500;
         let c = Collector::new(THREADS);
@@ -440,9 +441,9 @@ mod tests {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 let mut p = c.register();
-                for i in 0..PER_THREAD {
+                for _ in 0..PER_THREAD {
                     p.pin();
-                    p.retire(Box::new(Tracked(i as u64)));
+                    p.retire(Box::new(Tracked(&DROPS_STRESS)));
                     p.unpin();
                 }
                 p.flush();
@@ -456,6 +457,6 @@ mod tests {
         let mut p = c.register();
         p.flush();
         drop(p);
-        assert_eq!(DROPS.load(Ordering::SeqCst), THREADS * PER_THREAD);
+        assert_eq!(DROPS_STRESS.load(Ordering::SeqCst), THREADS * PER_THREAD);
     }
 }

@@ -36,8 +36,8 @@
 //!   transaction machinery ([`ThreadHandle::run`] / [`ThreadHandle::begin`]
 //!   create `Txn` guards; `tx_begin`/`tx_end`/`nbtc_load`/`nbtc_cas` are the
 //!   primitive layer the contexts are built from) and the `Composable`
-//!   support surface (`add_to_read_set`, `add_cleanup`, `tnew`, `tdelete`,
-//!   `tretire`).
+//!   support surface (`add_read_with_counter`, `add_cleanup`, `tnew`,
+//!   `tdelete`, `tretire`).
 //! * [`ebr`] — epoch-based safe memory reclamation.
 //!
 //! ## Example

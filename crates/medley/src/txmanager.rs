@@ -12,9 +12,9 @@
 //! descriptor pointer, and the thread-local `cleanups` / `allocs` lists.
 //!
 //! The transactional memory accesses `nbtc_load` / `nbtc_cas` /
-//! `add_to_read_set` live here as methods on the handle: they need mutable
-//! access to per-thread state (speculation-interval flag, recent-load ring),
-//! which maps naturally onto `&mut self`.
+//! `add_read_with_counter` live here as methods on the handle: they need
+//! mutable access to per-thread state (speculation-interval flag, read and
+//! write buffers), which maps naturally onto `&mut self`.
 
 use crate::atomic128::{pack, unpack};
 use crate::casobj::CasWord;
@@ -29,13 +29,6 @@ use std::sync::Arc;
 /// Sentinel counter recorded for loads that returned one of the transaction's
 /// own speculative values; such loads never need read-set validation.
 const OWN_SPECULATIVE: u64 = u64::MAX;
-
-/// Size of the per-handle ring buffer remembering recent `nbtc_load`s so that
-/// `add_to_read_set` can recover the counter observed by the load.  Entries
-/// are tagged with the serial of the transaction that recorded them, so the
-/// ring never needs to be bulk-cleared at `tx_begin` (384 bytes of stores on
-/// the old layout) and stale entries of earlier transactions can never match.
-const RECENT_LOADS: usize = 16;
 
 /// How many commit/abort/help events a [`ThreadHandle`] accumulates locally
 /// before flushing them into the shared [`TxStats`] counters.  Batching keeps
@@ -246,14 +239,11 @@ impl TxManager {
                     serial: 0,
                     snapshot_epoch: 0,
                     capacity_exceeded: false,
-                    doomed: false,
                     fast_ok: true,
                     local_writes: Vec::new(),
                     write_filter: 0,
                     overflow_writes: Vec::new(),
                     local_reads: Vec::new(),
-                    recent: [(0, 0, 0, 0); RECENT_LOADS],
-                    recent_pos: 0,
                     cleanups: Vec::new(),
                     abort_actions: Vec::new(),
                     allocs: Vec::new(),
@@ -415,12 +405,10 @@ pub struct ThreadHandle {
     spec_interval: bool,
     serial: u64,
     snapshot_epoch: u64,
+    /// The read or write set overflowed: the commit is guaranteed to fail,
+    /// but operations keep executing normally so that glue-code retry loops
+    /// stay live.
     capacity_exceeded: bool,
-    /// The transaction already lost a conflict mid-flight (a buffered write
-    /// could not be materialized, or a read was observed to be stale); the
-    /// commit is guaranteed to fail, but operations keep executing normally
-    /// so that glue-code retry loops stay live.
-    doomed: bool,
     /// Whether the commit fast paths apply to the open transaction (sampled
     /// from the manager at `tx_begin`).
     fast_ok: bool,
@@ -450,10 +438,6 @@ pub struct ThreadHandle {
     /// single-CAS transactions validate this buffer directly and never pay
     /// the per-entry atomic-store protocol.
     local_reads: Vec<(usize, u64, u64)>,
-    /// Recent-load ring entries: `(addr, val, cnt, serial)`.  Only entries
-    /// tagged with the current transaction's serial are live.
-    recent: [(usize, u64, u64, u64); RECENT_LOADS],
-    recent_pos: usize,
     cleanups: Vec<Cleanup>,
     abort_actions: Vec<Cleanup>,
     allocs: Vec<(*mut u8, DropFn)>,
@@ -611,14 +595,11 @@ impl ThreadHandle {
         self.in_tx = true;
         self.spec_interval = false;
         self.capacity_exceeded = false;
-        self.doomed = false;
         self.fast_ok = self.mgr.fast_paths_enabled();
         self.local_writes.clear();
         self.write_filter = 0;
         self.overflow_writes.clear();
         self.local_reads.clear();
-        // The recent-load ring needs no clearing: entries are tagged with the
-        // serial that recorded them, and the serial just advanced.
         debug_assert!(self.cleanups.is_empty());
         debug_assert!(self.allocs.is_empty());
         self.participant.pin();
@@ -665,10 +646,6 @@ impl ThreadHandle {
         if self.capacity_exceeded {
             self.abort_with(AbortKind::Capacity);
             return Err(TxError::CapacityExceeded);
-        }
-        if self.doomed {
-            self.abort_with(AbortKind::Conflict);
-            return Err(TxError::Conflict);
         }
         if self.fast_ok {
             // Fast path 1: descriptor-free read-only commit.
@@ -895,13 +872,13 @@ impl ThreadHandle {
     /// Validates the read set of the open transaction (paper
     /// `validateReads`): optional opacity check for transactions whose glue
     /// code cannot tolerate inconsistent reads.  Also reports `false` once
-    /// the transaction is doomed (a buffered write lost its word, or a read
-    /// was observed stale during registration): the commit cannot succeed.
+    /// the transaction is doomed (its read or write set overflowed): the
+    /// commit cannot succeed.
     pub fn validate_reads(&self) -> bool {
         if !self.in_tx {
             return true;
         }
-        if self.doomed {
+        if self.capacity_exceeded {
             return false;
         }
         self.validate_local_reads()
@@ -1102,7 +1079,6 @@ impl ThreadHandle {
         // shared memory.
         self.local_writes.clear();
         self.overflow_writes.clear();
-        self.doomed = false;
         let desc = self.desc();
         let st = desc.abort_own(self.serial);
         let outcome = if st == Status::Committed {
@@ -1135,71 +1111,9 @@ impl ThreadHandle {
     // Composable support (paper `Composable` base class)
     // ------------------------------------------------------------------
 
-    /// Registers a read for commit-time validation.  `val` must be the value
-    /// returned by a preceding [`ThreadHandle::nbtc_load`] of `obj` (the
-    /// linearizing load of a read-only operation).
-    ///
-    /// ## The `RECENT_LOADS` ring and its invariant
-    ///
-    /// The counter observed by the linearizing load is recovered from a ring
-    /// remembering the last `RECENT_LOADS` (16) transactional loads.  The ring
-    /// is exact as long as no more than `RECENT_LOADS` loads separate the
-    /// linearizing load from its registration — true for every structure in
-    /// `nbds`, which registers immediately after its traversal (and, since
-    /// the counted-read API, without consulting the ring at all).  When the
-    /// ring *has* wrapped, registration degrades explicitly rather than
-    /// silently:
-    ///
-    /// * if the word still holds `val` (and no descriptor), the read is
-    ///   conservatively re-timestamped with the counter observed **now** —
-    ///   sound, because a read-only operation returning `val` may linearize
-    ///   at any point inside the transaction where `val` is current;
-    /// * otherwise the value is gone, the transaction can never validate,
-    ///   and it is marked *doomed* on the spot: `tx_end` fails with
-    ///   [`TxError::Conflict`] without doing any commit work, and
-    ///   [`ThreadHandle::validate_reads`] reports `false` immediately.
-    ///
-    /// Structures that track the observed counter themselves should prefer
-    /// [`ThreadHandle::nbtc_load_counted`] +
-    /// [`ThreadHandle::add_read_with_counter`], which bypass the ring
-    /// entirely.
-    #[inline]
-    pub fn add_to_read_set(&mut self, obj: &CasWord, val: u64) {
-        if !self.in_tx {
-            return;
-        }
-        let addr = obj as *const CasWord as usize;
-        let mut cnt = None;
-        for i in 0..RECENT_LOADS {
-            let (a, v, c, s) = self.recent[(self.recent_pos + RECENT_LOADS - 1 - i) % RECENT_LOADS];
-            if s == self.serial && a == addr && v == val {
-                cnt = Some(c);
-                break;
-            }
-        }
-        let cnt = match cnt {
-            Some(c) => c,
-            None => {
-                // Ring overflow: fall back to re-reading (see the doc
-                // comment above for why each arm is sound).
-                let (v, c) = obj.load_parts();
-                if v == val && !CasWord::counter_is_descriptor(c) {
-                    c
-                } else {
-                    self.doomed = true;
-                    return;
-                }
-            }
-        };
-        self.add_read_with_counter(obj, val, cnt);
-    }
-
-    /// Registers a read whose observed counter the caller tracked itself
-    /// (returned by [`ThreadHandle::nbtc_load_counted`]).  Skips the
-    /// `RECENT_LOADS` ring search of [`ThreadHandle::add_to_read_set`], and
-    /// is immune to its overflow fallback; this is the preferred way for a
-    /// data structure to register the linearizing load of a read-only
-    /// operation.
+    /// Registers a read for commit-time validation: `val` and `cnt` must be
+    /// the pair returned by a preceding [`ThreadHandle::nbtc_load_counted`]
+    /// of `obj` — the linearizing load of a read-only operation.
     #[inline]
     pub fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64) {
         if !self.in_tx || cnt == OWN_SPECULATIVE {
@@ -1318,12 +1232,6 @@ impl ThreadHandle {
     // Transactional memory accesses (paper `nbtcLoad` / `nbtcCAS`)
     // ------------------------------------------------------------------
 
-    #[inline]
-    fn record_recent(&mut self, addr: usize, val: u64, cnt: u64) {
-        self.recent[self.recent_pos % RECENT_LOADS] = (addr, val, cnt, self.serial);
-        self.recent_pos = self.recent_pos.wrapping_add(1);
-    }
-
     /// The Bloom-filter bit for a word address (Fibonacci hash of the
     /// pointer, top 6 bits select one of 64 positions).
     #[inline]
@@ -1351,8 +1259,7 @@ impl ThreadHandle {
     /// that it finalizes any descriptor it encounters (so non-transactional
     /// operations are never blocked by a stalled transaction).  Inside a
     /// transaction it additionally returns the transaction's own buffered
-    /// speculative value when one exists and remembers the observed counter
-    /// for [`ThreadHandle::add_to_read_set`].
+    /// speculative value when one exists.
     #[inline]
     pub fn nbtc_load(&mut self, obj: &CasWord) -> u64 {
         self.nbtc_load_counted(obj).0
@@ -1390,6 +1297,13 @@ impl ThreadHandle {
                     val != 0 && (val as usize).is_multiple_of(std::mem::align_of::<Desc>()),
                     "odd-counter word holds non-descriptor payload {val:#x} (cnt {cnt:#x})"
                 );
+                // Lazy publication: our own descriptor is only ever installed
+                // inside `tx_end`, after the execution phase, so a descriptor
+                // met by a transactional load is foreign.
+                debug_assert!(
+                    !self.in_tx || !std::ptr::eq(val as *const Desc, self.desc_ptr),
+                    "own descriptor installed during the execution phase"
+                );
                 // SAFETY: descriptors live inside their TxManager, which is
                 // kept alive by every structure and handle that can reach
                 // this word.
@@ -1404,16 +1318,13 @@ impl ThreadHandle {
 
     /// The transactional load (used by [`Txn`](crate::Txn)): additionally
     /// returns the transaction's own buffered value when one exists
-    /// (read-your-own-write visibility over the thread-local write buffer)
-    /// and remembers the observed counter for
-    /// [`ThreadHandle::add_to_read_set`].
+    /// (read-your-own-write visibility over the thread-local write buffer).
     #[inline]
     pub(crate) fn tx_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
         if self.capacity_exceeded {
             let addr = obj as *const CasWord as usize;
             if let Some(&(_, v)) = self.overflow_writes.iter().rev().find(|(a, _)| *a == addr) {
                 self.spec_interval = true;
-                self.record_recent(addr, v, OWN_SPECULATIVE);
                 return (v, OWN_SPECULATIVE);
             }
         }
@@ -1422,37 +1333,9 @@ impl ThreadHandle {
             // current operation starts here, exactly as when the paper's
             // protocol observes its own installed descriptor.
             self.spec_interval = true;
-            let v = self.local_writes[i].new_val;
-            let addr = obj as *const CasWord as usize;
-            self.record_recent(addr, v, OWN_SPECULATIVE);
-            return (v, OWN_SPECULATIVE);
+            return (self.local_writes[i].new_val, OWN_SPECULATIVE);
         }
-        loop {
-            let raw = obj.load_raw();
-            let (val, cnt) = unpack(raw);
-            if CasWord::counter_is_descriptor(cnt) {
-                debug_assert!(
-                    val != 0 && (val as usize).is_multiple_of(std::mem::align_of::<Desc>()),
-                    "odd-counter word holds non-descriptor payload {val:#x} (cnt {cnt:#x})"
-                );
-                let desc_ptr = val as *const Desc;
-                // Lazy publication: our own descriptor is only ever installed
-                // inside `tx_end`, after the execution phase, so any
-                // descriptor encountered here is foreign.
-                debug_assert!(
-                    !std::ptr::eq(desc_ptr, self.desc_ptr),
-                    "own descriptor installed during the execution phase"
-                );
-                // SAFETY: as in `untracked_load_counted`.
-                unsafe { (*desc_ptr).try_finalize(obj, raw) };
-                self.stat_helps += 1;
-                self.note_stat_event();
-                continue;
-            }
-            let addr = obj as *const CasWord as usize;
-            self.record_recent(addr, val, cnt);
-            return (val, cnt);
-        }
+        self.untracked_load_counted(obj)
     }
 
     /// Transactional CAS on a [`CasWord`] (paper `nbtcCAS`).
@@ -1577,10 +1460,9 @@ impl ThreadHandle {
                     // access runs against the local `overflow_writes` buffer
                     // and never touches shared memory, so execution stays
                     // consistent, every loop converges, and `tx_end` reports
-                    // the failure.  `doomed` makes `validate_reads` report
-                    // the inconsistency immediately.
+                    // the failure (and `validate_reads` reports the
+                    // inconsistency immediately).
                     self.capacity_exceeded = true;
-                    self.doomed = true;
                     self.overflow_writes
                         .push((obj as *const CasWord as usize, desired));
                     return true;
@@ -1716,8 +1598,8 @@ mod tests {
         let mut h = mgr.register();
         let w = CasWord::new(7);
         h.tx_begin();
-        let v = h.nbtc_load(&w);
-        h.add_to_read_set(&w, v);
+        let (v, c) = h.nbtc_load_counted(&w);
+        h.add_read_with_counter(&w, v, c);
         assert!(h.tx_end().is_ok());
         h.flush_stats();
         let snap = mgr.stats().snapshot();
@@ -1735,8 +1617,8 @@ mod tests {
         let mut other = mgr.register();
         let w = CasWord::new(1);
         h.tx_begin();
-        let v = h.nbtc_load(&w);
-        h.add_to_read_set(&w, v);
+        let (v, c) = h.nbtc_load_counted(&w);
+        h.add_read_with_counter(&w, v, c);
         assert!(other.nbtc_cas(&w, 1, 2, true, true));
         assert_eq!(h.tx_end(), Err(TxError::Conflict));
         h.flush_stats();
@@ -1834,12 +1716,12 @@ mod tests {
         let a = CasWord::new(10);
         let b = CasWord::new(20);
         h1.tx_begin();
-        let va = h1.nbtc_load(&a);
-        h1.add_to_read_set(&a, va);
+        let (va, c) = h1.nbtc_load_counted(&a);
+        h1.add_read_with_counter(&a, va, c);
         assert!(h1.nbtc_cas(&b, 20, 21, true, true));
         h2.tx_begin();
-        let vb = h2.nbtc_load(&b);
-        h2.add_to_read_set(&b, vb);
+        let (vb, c) = h2.nbtc_load_counted(&b);
+        h2.add_read_with_counter(&b, vb, c);
         assert!(h2.nbtc_cas(&a, 10, 11, true, true));
         let r1 = h1.tx_end();
         let r2 = h2.tx_end();
@@ -1867,8 +1749,8 @@ mod tests {
         let a = CasWord::new(1);
         let b = CasWord::new(2);
         h.tx_begin();
-        let v = h.nbtc_load(&a);
-        h.add_to_read_set(&a, v);
+        let (v, c) = h.nbtc_load_counted(&a);
+        h.add_read_with_counter(&a, v, c);
         assert!(h.nbtc_cas(&b, 2, 3, true, true));
         assert!(h.tx_end().is_ok());
         h.flush_stats();
@@ -1889,41 +1771,13 @@ mod tests {
         let mut h = mgr.register();
         let w = CasWord::new(5);
         h.tx_begin();
-        let v = h.nbtc_load(&w);
-        h.add_to_read_set(&w, v);
+        let (v, c) = h.nbtc_load_counted(&w);
+        h.add_read_with_counter(&w, v, c);
         assert!(h.nbtc_cas(&w, 5, 6, true, true));
         assert!(h.tx_end().is_ok());
         h.flush_stats();
         assert_eq!(mgr.stats().snapshot().fast_commits, 1);
         assert_eq!(w.try_load_value(), Some(6));
-    }
-
-    #[test]
-    fn recent_ring_overflow_falls_back_conservatively() {
-        let mgr = TxManager::new();
-        let mut h = mgr.register();
-        let target = CasWord::new(42);
-        let noise: Vec<CasWord> = (0..2 * RECENT_LOADS as u64).map(CasWord::new).collect();
-        // Unchanged word: registration after ring overflow re-timestamps and
-        // the transaction still commits read-only.
-        h.tx_begin();
-        let v = h.nbtc_load(&target);
-        for w in &noise {
-            h.nbtc_load(w);
-        }
-        h.add_to_read_set(&target, v);
-        assert!(h.tx_end().is_ok());
-        // Changed word: the stale registration dooms the transaction on the
-        // spot instead of silently passing validation.
-        h.tx_begin();
-        let v = h.nbtc_load(&target);
-        for w in &noise {
-            h.nbtc_load(w);
-        }
-        assert!(target.cas_value(42, 43), "simulate a conflicting writer");
-        h.add_to_read_set(&target, v);
-        assert!(!h.validate_reads());
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
     }
 
     #[test]
@@ -1947,8 +1801,8 @@ mod tests {
         let w = CasWord::new(1);
         let target = CasWord::new(10);
         h.tx_begin();
-        let v = h.nbtc_load(&w);
-        h.add_to_read_set(&w, v);
+        let (v, c) = h.nbtc_load_counted(&w);
+        h.add_read_with_counter(&w, v, c);
         // A conflicting non-transactional write invalidates the read.
         assert!(other.nbtc_cas(&w, 1, 5, true, true));
         assert!(h.nbtc_cas(&target, 10, 11, true, true));
@@ -1964,9 +1818,10 @@ mod tests {
         let w = CasWord::new(1);
         h.tx_begin();
         assert!(h.nbtc_cas(&w, 1, 2, true, true));
-        assert_eq!(h.nbtc_load(&w), 2, "same tx must see its own write");
+        let (v, c) = h.nbtc_load_counted(&w);
+        assert_eq!(v, 2, "same tx must see its own write");
         // Read of own speculative value does not poison the read set.
-        h.add_to_read_set(&w, 2);
+        h.add_read_with_counter(&w, v, c);
         assert!(h.nbtc_cas(&w, 2, 3, true, true));
         assert!(h.tx_end().is_ok());
         assert_eq!(w.try_load_value(), Some(3));

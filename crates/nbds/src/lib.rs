@@ -3,7 +3,8 @@
 //! This crate contains the concurrent data structures the paper composes with
 //! Medley, each transformed mechanically according to the NBTC methodology
 //! (replace critical loads/CASes with `nbtc_load`/`nbtc_cas`, register the
-//! linearizing loads of read-only outcomes with `add_to_read_set`, push
+//! linearizing load of every read-only outcome with the counter token it
+//! observed (`nbtc_load_counted` + `add_read_with_counter`), push
 //! post-linearization work to `add_cleanup`, and allocate through
 //! `tnew`/`tdelete`/`tretire`):
 //!
@@ -24,10 +25,37 @@
 //! [`medley::ThreadHandle::nontx`]) they monomorphize into exactly the
 //! original nonblocking algorithms — the standalone/transactional
 //! distinction is a compile-time fact, not a runtime branch.
+//!
+//! # Which word a read registers, and who writes it
+//!
+//! A composed transaction is exactly as serializable as each container's
+//! choice of the word a read-only outcome registers: the commit validates
+//! that word, so it must be the word every mutator that could falsify the
+//! outcome CASes at its linearization point.  The list-based maps share one
+//! traversal and one rule (`chain::try_find` and
+//! `chain::Position::register_read`, private to this crate), so one pair of
+//! rows covers them all.  `prev` is the link word the traversal arrived
+//! through (list head, bucket sentinel link or the predecessor node's link;
+//! level 0 in the skiplist), `curr` the node holding the key.
+//!
+//! | container | read-only outcome | registers | falsified by | which CASes |
+//! |---|---|---|---|---|
+//! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.next` | `remove`, `put`-replace | `curr.next` (mark; mark at the replacement) |
+//! | same | key absent (`get` miss, `contains` false, failed `remove`) | `prev` | `insert`, `put`-insert | `prev` (link) |
+//! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` of every live node in the window | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on, all registered |
+//! | [`MsQueue`] | `dequeue` → `None`, `is_empty` → `true` | `dummy.next` (the head node's link) | `enqueue` | the last node's `next`, which is `dummy.next` while the queue is empty |
+//! | [`MsQueue`] | `is_empty` → `false` | nothing | `dequeue` | `head` — **not covered**: a transaction must not rely on a bare `false` |
+//!
+//! An outcome can also be invalidated by a CAS that leaves it true — an
+//! unrelated insert after `prev`, a neighbour's removal marking `prev`, a
+//! helper unlinking a dead successor of `curr` — which costs a retry, never
+//! a wrong commit.  Reads of a transaction's own buffered writes register
+//! nothing: the write's pre-image is validated by the commit CAS instead.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod chain;
 pub mod counter;
 pub mod hashtable;
 pub mod list;

@@ -1,69 +1,32 @@
 //! NBTC-transformed version of Michael's lock-free ordered linked list
-//! (the building block of Michael's chained hash table, paper Fig. 2).
+//! (the building block of Michael's chained hash table, paper Fig. 2): the
+//! crate's ordered chain, started at `head` and keyed by `u64`.
 //!
-//! The transformation follows the paper mechanically:
-//!
-//! * every *critical* load/CAS goes through `nbtc_load` / `nbtc_cas`;
-//! * the linearizing load of a read-only outcome (`get`, failed `insert`,
-//!   failed `remove`) is registered with `add_to_read_set`;
-//! * physical unlinking and node retirement — the post-linearization
-//!   "cleanup" phase — is registered with `add_cleanup`, so inside a
-//!   transaction it runs only after commit;
-//! * node allocation goes through `tnew` so that aborted transactions free
-//!   their speculative nodes.
+//! The traversal, the linearizing CASes, the read-registration rule and the
+//! post-commit unlink all live in the shared chain module; the table in the
+//! [crate docs](crate) says which word each outcome registers.  `put` uses
+//! the paper's replace trick: marking the old node's `next` pointer *at* the
+//! replacement node removes the old node and splices in the new one with a
+//! single (critical) CAS.
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context:
 //! monomorphized for [`medley::NonTx`] it *is* the original uninstrumented
 //! algorithm, and monomorphized for [`medley::Txn`] its critical accesses
 //! run speculatively and commit atomically.
 //!
-//! `put` uses the paper's replace trick: marking the old node's `next`
-//! pointer *at* the replacement node simultaneously removes the old node and
-//! splices in the new one with a single (critical) CAS.
-//!
 //! ## Commit fast-path eligibility
 //!
-//! Every update here performs exactly **one** critical CAS, so a transaction
+//! Every update performs exactly **one** critical CAS, so a transaction
 //! consisting of a single `insert`/`put`/`remove` qualifies for the runtime's
 //! single-CAS direct commit (no descriptor is ever installed), and a
 //! transaction of lookups and failed updates commits descriptor-free through
-//! the read-only path.  The traversal marks its linearizing load for the
-//! runtime by registering the `(value, counter)` pair it tracked via
-//! `nbtc_load_counted`, which both pinpoints the critical access and keeps
-//! read-set registration exact regardless of traversal length.  With lazy
-//! publication the registration is pure thread-local bookkeeping: the
-//! counted read reaches the shared descriptor only if the enclosing
-//! transaction ends up publishing one at commit.
+//! the read-only path.  With lazy publication a registered read is pure
+//! thread-local bookkeeping: it reaches the shared descriptor only if the
+//! enclosing transaction ends up publishing one at commit.
 
-use crate::tag;
+use crate::chain::{self, Node};
 use medley::{CasWord, Ctx};
 use std::marker::PhantomData;
-use std::ptr;
-
-/// A node of the ordered list.  `next` carries the Harris/Michael deletion
-/// mark in its low bit.
-pub(crate) struct Node<V> {
-    pub(crate) key: u64,
-    pub(crate) val: V,
-    pub(crate) next: CasWord,
-}
-
-/// Result of a `find` traversal: the predecessor word, the value observed in
-/// it, and the candidate node (first node with `key >= target`).
-struct Position<V> {
-    prev: *const CasWord,
-    prev_val: u64,
-    /// Counter token observed by the load of `prev` that yielded `prev_val`
-    /// (see [`medley::ThreadHandle::nbtc_load_counted`]).  Passing it to
-    /// `add_read_with_counter` registers the linearizing load of a read-only
-    /// outcome exactly, without going through the recent-loads ring.
-    prev_cnt: u64,
-    curr: *mut Node<V>,
-    /// Unmarked successor bits of `curr`; only meaningful when `curr` is
-    /// non-null.
-    next: u64,
-    found: bool,
-}
 
 /// A sorted, lock-free, NBTC-composable linked-list map from `u64` keys to
 /// values of type `V`.
@@ -72,6 +35,7 @@ struct Position<V> {
 /// transaction the instrumentation is elided and the structure behaves like
 /// the original nonblocking list.
 pub struct MichaelList<V> {
+    /// Start of a chain of `Node<u64, V>`, linked only through `chain`.
     head: CasWord,
     _marker: PhantomData<V>,
 }
@@ -102,233 +66,36 @@ where
         }
     }
 
-    /// Michael's `find`: positions the caller just before the first node with
-    /// key ≥ `key`, helping to physically unlink any logically deleted node
-    /// encountered on the way.
-    fn find<C: Ctx>(&self, cx: &mut C, key: u64) -> Position<V> {
-        'retry: loop {
-            let mut prev: *const CasWord = &self.head;
-            // SAFETY: `prev` points either at the list head (owned by self)
-            // or at the `next` field of a node protected by the EBR pin the
-            // caller holds for the duration of the operation.
-            let (mut curr_bits, mut prev_cnt) = cx.nbtc_load_counted(unsafe { &*prev });
-            loop {
-                let curr = tag::as_ptr::<Node<V>>(curr_bits);
-                if curr.is_null() {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt,
-                        curr: ptr::null_mut(),
-                        next: 0,
-                        found: false,
-                    };
-                }
-                // SAFETY: `curr` was reachable from the list and cannot be
-                // freed while we are pinned.
-                let (next_bits, next_cnt) = cx.nbtc_load_counted(unsafe { &(*curr).next });
-                if tag::is_marked(next_bits) {
-                    // `curr` is logically deleted (by an operation that has
-                    // already linearized); help unlink it.  This CAS is not a
-                    // publication or linearization point of *our* operation,
-                    // but it becomes critical automatically if it follows a
-                    // speculative read within the same transaction.
-                    let succ = tag::unmarked(next_bits);
-                    if !cx.nbtc_cas(unsafe { &*prev }, tag::from_ptr(curr), succ, false, false) {
-                        continue 'retry;
-                    }
-                    // SAFETY: we won the unlink CAS, so we are the unique
-                    // retirer of `curr`.
-                    unsafe { cx.tretire(curr) };
-                    // The unlink advanced `prev`'s counter; re-load so the
-                    // counter token stays exact.
-                    // SAFETY: `prev` is valid while pinned (as above).
-                    let (nb, nc) = cx.nbtc_load_counted(unsafe { &*prev });
-                    curr_bits = nb;
-                    prev_cnt = nc;
-                    continue;
-                }
-                // SAFETY: as above.
-                let ckey = unsafe { (*curr).key };
-                if ckey >= key {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt,
-                        curr,
-                        next: next_bits,
-                        found: ckey == key,
-                    };
-                }
-                prev = unsafe { &(*curr).next as *const CasWord };
-                curr_bits = next_bits;
-                prev_cnt = next_cnt;
-            }
-        }
-    }
-
     /// Looks up `key`, returning a clone of its value.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        cx.with_op(|cx| {
-            let pos = self.find(cx, key);
-            // SAFETY: `pos.curr` is pinned; cloning the value does not race
-            // with reclamation.
-            let res = if pos.found {
-                Some(unsafe { (*pos.curr).val.clone() })
-            } else {
-                None
-            };
-            // The load of `prev` that yielded `curr` is the linearizing load
-            // of this read-only operation; its counter token was tracked by
-            // `find`, so registration bypasses the recent-loads ring.
-            // SAFETY: `pos.prev` is valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            res
-        })
+        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
+        cx.with_op(|cx| unsafe { Node::lookup(cx, &self.head, key, V::clone) })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`MichaelList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        cx.with_op(|cx| {
-            let pos = self.find(cx, key);
-            // SAFETY: `pos.prev` is valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            pos.found
-        })
+        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
+        cx.with_op(|cx| unsafe { Node::lookup(cx, &self.head, key, |_: &V| ()) }.is_some())
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on
     /// success; on failure the value is dropped.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        cx.with_op(|cx| {
-            let node = cx.tnew(Node {
-                key,
-                val,
-                next: CasWord::new(0),
-            });
-            loop {
-                let pos = self.find(cx, key);
-                if pos.found {
-                    // Failed insert is a read-only outcome.
-                    // SAFETY: `node` was just allocated by us and never
-                    // published; `pos.prev` is pinned.
-                    unsafe { cx.tdelete(node) };
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return false;
-                }
-                // SAFETY: `node` is still private.
-                unsafe { (*node).next.store_value(tag::from_ptr(pos.curr)) };
-                // Linearization (and publication) point of a successful insert.
-                // SAFETY: `pos.prev` is pinned.
-                if cx.nbtc_cas(
-                    unsafe { &*pos.prev },
-                    tag::from_ptr(pos.curr),
-                    tag::from_ptr(node),
-                    true,
-                    true,
-                ) {
-                    return true;
-                }
-            }
-        })
+        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
+        cx.with_op(|cx| unsafe { Node::insert(cx, &self.head, key, val) })
     }
 
     /// Inserts or replaces, returning the previous value if any.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        cx.with_op(|cx| {
-            let node = cx.tnew(Node {
-                key,
-                val,
-                next: CasWord::new(0),
-            });
-            loop {
-                let pos = self.find(cx, key);
-                if pos.found {
-                    let curr = pos.curr;
-                    // Replace: the new node adopts curr's successor, and a
-                    // single CAS marks curr while splicing the new node in
-                    // (its marked pointer *is* the new node).
-                    // SAFETY: `node` is private; `curr` is pinned.
-                    unsafe { (*node).next.store_value(pos.next) };
-                    if cx.nbtc_cas(
-                        unsafe { &(*curr).next },
-                        pos.next,
-                        tag::marked(tag::from_ptr(node)),
-                        true,
-                        true,
-                    ) {
-                        // SAFETY: `curr` is pinned; val cloned before retirement.
-                        let old = unsafe { (*curr).val.clone() };
-                        let prev_addr = pos.prev as usize;
-                        let curr_addr = curr as usize;
-                        let node_addr = node as usize;
-                        // Cleanup: physically unlink the replaced node.
-                        cx.add_cleanup(move |h| {
-                            let prev = prev_addr as *const CasWord;
-                            // SAFETY: the structure outlives the transaction
-                            // (caller contract); a successful unlink makes us
-                            // the unique retirer.
-                            if unsafe { &*prev }.cas_value(curr_addr as u64, node_addr as u64) {
-                                unsafe { h.retire_now(curr_addr as *mut Node<V>) };
-                            }
-                            // Otherwise a concurrent traversal already helped.
-                        });
-                        return Some(old);
-                    }
-                } else {
-                    // SAFETY: `node` is private; `pos.prev` is pinned.
-                    unsafe { (*node).next.store_value(tag::from_ptr(pos.curr)) };
-                    if cx.nbtc_cas(
-                        unsafe { &*pos.prev },
-                        tag::from_ptr(pos.curr),
-                        tag::from_ptr(node),
-                        true,
-                        true,
-                    ) {
-                        return None;
-                    }
-                }
-            }
-        })
+        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
+        cx.with_op(|cx| unsafe { Node::put(cx, &self.head, key, val) })
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        cx.with_op(|cx| {
-            loop {
-                let pos = self.find(cx, key);
-                if !pos.found {
-                    // SAFETY: `pos.prev` is pinned.
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return None;
-                }
-                let curr = pos.curr;
-                // Linearization point: marking curr's next pointer.
-                // SAFETY: `curr` is pinned.
-                if cx.nbtc_cas(
-                    unsafe { &(*curr).next },
-                    pos.next,
-                    tag::marked(pos.next),
-                    true,
-                    true,
-                ) {
-                    // SAFETY: `curr` is pinned.
-                    let old = unsafe { (*curr).val.clone() };
-                    let prev_addr = pos.prev as usize;
-                    let curr_addr = curr as usize;
-                    let next_bits = pos.next;
-                    cx.add_cleanup(move |h| {
-                        let prev = prev_addr as *const CasWord;
-                        // SAFETY: see `put`'s cleanup.
-                        if unsafe { &*prev }.cas_value(curr_addr as u64, next_bits) {
-                            unsafe { h.retire_now(curr_addr as *mut Node<V>) };
-                        }
-                    });
-                    return Some(old);
-                }
-            }
-        })
+        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
+        cx.with_op(|cx| unsafe { Node::remove(cx, &self.head, key) })
     }
 
     /// Quiescent snapshot of the live `(key, value)` pairs, in key order.
@@ -337,19 +104,14 @@ where
     /// it must not race with concurrent transactional updates.
     pub fn snapshot(&self) -> Vec<(u64, V)> {
         let mut out = Vec::new();
-        let mut bits = self.head.load_value_spin();
-        loop {
-            let node = tag::as_ptr::<Node<V>>(bits);
-            if node.is_null() {
-                break;
-            }
-            // SAFETY: quiescence is the caller's contract.
-            let next = unsafe { (*node).next.load_value_spin() };
-            if !tag::is_marked(next) {
-                unsafe { out.push(((*node).key, (*node).val.clone())) };
-            }
-            bits = tag::unmarked(next);
-        }
+        // SAFETY: quiescence is the caller's contract.
+        unsafe {
+            chain::walk(&self.head, |n: &Node<u64, V>, live| {
+                if live {
+                    out.push((n.key, n.val.clone()));
+                }
+            })
+        };
         out
     }
 
@@ -361,17 +123,8 @@ where
 
 impl<V> Drop for MichaelList<V> {
     fn drop(&mut self) {
-        // Exclusive access: free every node still reachable from the head.
-        // Nodes that were unlinked earlier are owned by the EBR limbo bags.
-        let mut bits = tag::unmarked(self.head.load_value_spin());
-        while !tag::as_ptr::<Node<V>>(bits).is_null() {
-            let node = tag::as_ptr::<Node<V>>(bits);
-            // SAFETY: `&mut self` gives exclusive access; each reachable node
-            // is freed exactly once.
-            let next = unsafe { (*node).next.load_value_spin() };
-            unsafe { drop(Box::from_raw(node)) };
-            bits = tag::unmarked(next);
-        }
+        // SAFETY: `&mut self` gives exclusive access.
+        unsafe { chain::free_all::<Node<u64, V>>(&self.head) };
     }
 }
 

@@ -74,47 +74,33 @@ pub trait TxQueue<V>: Send + Sync {
     fn is_empty<C: Ctx>(&self, cx: &mut C) -> bool;
 }
 
-impl<V> TxMap<V> for crate::MichaelHashMap<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::MichaelHashMap::get(self, cx, key)
-    }
-    fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        crate::MichaelHashMap::insert(self, cx, key, val)
-    }
-    fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        crate::MichaelHashMap::put(self, cx, key, val)
-    }
-    fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::MichaelHashMap::remove(self, cx, key)
-    }
-    fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        crate::MichaelHashMap::contains(self, cx, key)
-    }
+/// Implements [`TxMap`] by forwarding to the inherent operations of the
+/// same names.
+macro_rules! forward_tx_map {
+    ($($map:ident),+) => {$(
+        impl<V> TxMap<V> for crate::$map<V>
+        where
+            V: Clone + Send + Sync + 'static,
+        {
+            fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+                crate::$map::get(self, cx, key)
+            }
+            fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
+                crate::$map::insert(self, cx, key, val)
+            }
+            fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
+                crate::$map::put(self, cx, key, val)
+            }
+            fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+                crate::$map::remove(self, cx, key)
+            }
+            fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
+                crate::$map::contains(self, cx, key)
+            }
+        }
+    )+};
 }
-
-impl<V> TxMap<V> for crate::SkipList<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::SkipList::get(self, cx, key)
-    }
-    fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        crate::SkipList::insert(self, cx, key, val)
-    }
-    fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        crate::SkipList::put(self, cx, key, val)
-    }
-    fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::SkipList::remove(self, cx, key)
-    }
-    fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        crate::SkipList::contains(self, cx, key)
-    }
-}
+forward_tx_map!(MichaelHashMap, SkipList, MichaelList, SplitOrderedMap);
 
 impl<V> TxOrderedMap<V> for crate::SkipList<V>
 where
@@ -127,48 +113,6 @@ where
         limit: usize,
     ) -> Vec<(u64, V)> {
         crate::SkipList::range(self, cx, bounds, limit)
-    }
-}
-
-impl<V> TxMap<V> for crate::MichaelList<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::MichaelList::get(self, cx, key)
-    }
-    fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        crate::MichaelList::insert(self, cx, key, val)
-    }
-    fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        crate::MichaelList::put(self, cx, key, val)
-    }
-    fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::MichaelList::remove(self, cx, key)
-    }
-    fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        crate::MichaelList::contains(self, cx, key)
-    }
-}
-
-impl<V> TxMap<V> for crate::SplitOrderedMap<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::SplitOrderedMap::get(self, cx, key)
-    }
-    fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        crate::SplitOrderedMap::insert(self, cx, key, val)
-    }
-    fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        crate::SplitOrderedMap::put(self, cx, key, val)
-    }
-    fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        crate::SplitOrderedMap::remove(self, cx, key)
-    }
-    fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        crate::SplitOrderedMap::contains(self, cx, key)
     }
 }
 

@@ -1,12 +1,14 @@
 //! NBTC-transformed lock-free skiplist (in the style of Fraser's CAS-based
 //! skiplist, which the paper transforms for Medley and LFTT).
 //!
-//! Membership is defined entirely by the bottom-level list, which is a
-//! Harris/Michael ordered list: the linearization point of an insert is the
-//! level-0 link CAS, the linearization point of a remove (or of the removal
-//! half of a replace) is the level-0 marking CAS, and the linearizing load of
-//! a read-only outcome is the load of the level-0 predecessor.  Exactly **one
-//! critical CAS per update** therefore needs to be executed speculatively.
+//! Membership is defined entirely by the bottom-level list — the crate's
+//! ordered chain, entered at the predecessor the index found instead of at a
+//! head.  An insert linearizes at the level-0 link CAS, a remove (or the
+//! removal half of a replace) at the level-0 marking CAS, and a read-only
+//! outcome registers the found node's own level-0 link when the key is
+//! present and the level-0 predecessor when it is absent (the table in the
+//! [crate docs](crate)).  Exactly **one critical CAS per update** therefore
+//! needs to be executed speculatively.
 //!
 //! The upper levels are a probabilistic index (in nbMontage terms, they are
 //! "index", not "payload"): they are linked and unlinked in the
@@ -29,6 +31,7 @@
 //! exposed to a half-done transaction: other threads see the pre-image of
 //! every critical word until the commit-time install.
 
+use crate::chain::{self, Link, TRACKED};
 use crate::tag;
 use medley::{CasWord, Ctx, NonTx};
 use std::marker::PhantomData;
@@ -45,23 +48,22 @@ pub(crate) struct Node<V> {
     tower: [CasWord; MAX_HEIGHT],
 }
 
-impl<V> Node<V> {
-    fn new_tower() -> [CasWord; MAX_HEIGHT] {
-        std::array::from_fn(|_| CasWord::new(0))
+/// Level 0 is the membership chain.  Unlinking there does not retire: the
+/// tower may still be linked above, so the remover retires it after purging
+/// every level (see `finish_removal`).
+impl<V> Link for Node<V> {
+    type Key = u64;
+    const RETIRE_ON_UNLINK: bool = false;
+    fn key(&self) -> u64 {
+        self.key
+    }
+    fn next(&self) -> &CasWord {
+        &self.tower[0]
     }
 }
 
 /// Result of positioning at the bottom level.
-struct Level0Pos<V> {
-    prev: *const CasWord,
-    prev_val: u64,
-    /// Counter token observed by the load of `prev` (for exact read-set
-    /// registration of read-only outcomes; see `nbtc_load_counted`).
-    prev_cnt: u64,
-    curr: *mut Node<V>,
-    next: u64,
-    found: bool,
-}
+type Level0Pos<V> = chain::Position<Node<V>, TRACKED>;
 
 /// A lock-free, NBTC-composable skiplist map from `u64` keys to `V`.
 pub struct SkipList<V> {
@@ -111,9 +113,9 @@ where
     }
 
     /// Searches for `key`, filling `preds`/`succs` with the insertion point
-    /// at every level and returning the bottom-level position.  Marked nodes
-    /// encountered on the way are physically unlinked (helping), but never
-    /// retired here.
+    /// at every index level (`1..`) and returning the bottom-level position.
+    /// Marked nodes encountered on the way are physically unlinked (helping),
+    /// but never retired here.
     fn search<C: Ctx>(
         &self,
         cx: &mut C,
@@ -123,16 +125,14 @@ where
     ) -> Level0Pos<V> {
         'retry: loop {
             let mut pred_node: *mut Node<V> = ptr::null_mut();
-            for level in (0..MAX_HEIGHT).rev() {
+            for level in (1..MAX_HEIGHT).rev() {
                 loop {
                     let pred_word = self.word_at(pred_node, level);
                     // SAFETY: pred_word is valid while pinned.
-                    let (raw, raw_cnt) = cx.nbtc_load_counted(unsafe { &*pred_word });
+                    let raw = cx.nbtc_load(unsafe { &*pred_word });
                     if tag::is_marked(raw) && !pred_node.is_null() {
                         // The pred node picked up at a higher level has since
-                        // been deleted at this one (possibly speculatively by
-                        // our own transaction, in which case no helper can
-                        // unlink it until commit).  Restart this level from
+                        // been deleted at this one.  Restart this level from
                         // the head tower, where the marked node is
                         // encountered as `curr` and handled by the
                         // unlink-help branch below.
@@ -144,16 +144,6 @@ where
                     if curr.is_null() {
                         preds[level] = pred_node;
                         succs[level] = 0;
-                        if level == 0 {
-                            return Level0Pos {
-                                prev: pred_word,
-                                prev_val: raw,
-                                prev_cnt: raw_cnt,
-                                curr: ptr::null_mut(),
-                                next: 0,
-                                found: false,
-                            };
-                        }
                         break;
                     }
                     // SAFETY: curr reachable and pinned.
@@ -171,27 +161,34 @@ where
                         }
                         continue;
                     }
-                    let ckey = unsafe { (*curr).key };
-                    if ckey < key {
+                    if unsafe { (*curr).key } < key {
                         pred_node = curr;
                         continue;
                     }
                     preds[level] = pred_node;
                     succs[level] = curr_bits;
-                    if level == 0 {
-                        return Level0Pos {
-                            prev: pred_word,
-                            prev_val: raw,
-                            prev_cnt: raw_cnt,
-                            curr,
-                            next: next_raw,
-                            found: ckey == key,
-                        };
-                    }
                     break;
                 }
             }
-            unreachable!("level 0 always returns");
+            // Level 0: the shared chain traversal, entered at the index's
+            // predecessor.
+            loop {
+                // SAFETY: pinned by the caller's `with_op`; level-0 words only
+                // ever link `Node<V>`s, through `chain`.
+                let start = unsafe { &*self.word_at(pred_node, 0) };
+                if let Some(pos) = unsafe { chain::try_find(cx, start, key) } {
+                    return pos;
+                }
+                if pred_node.is_null() || !tag::is_marked(cx.nbtc_load(start)) {
+                    // Lost an unlink race.
+                    continue 'retry;
+                }
+                // The index led to a node that is deleted at level 0 —
+                // possibly by this very transaction, in which case nobody can
+                // unlink it before commit and a fresh descent would end here
+                // again.  Walk level 0 from the head instead.
+                pred_node = ptr::null_mut();
+            }
         }
     }
 
@@ -199,33 +196,21 @@ where
         ([ptr::null_mut(); MAX_HEIGHT], [0; MAX_HEIGHT])
     }
 
+    /// [`SkipList::search`] for callers that do not need the index levels.
+    fn locate<C: Ctx>(&self, cx: &mut C, key: u64) -> Level0Pos<V> {
+        let (mut preds, mut succs) = Self::empty_arrays();
+        self.search(cx, key, &mut preds, &mut succs)
+    }
+
     /// Looks up `key`.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        cx.with_op(|cx| {
-            let (mut preds, mut succs) = Self::empty_arrays();
-            let pos = self.search(cx, key, &mut preds, &mut succs);
-            // SAFETY: pos.curr pinned.
-            let res = if pos.found {
-                Some(unsafe { (*pos.curr).val.clone() })
-            } else {
-                None
-            };
-            // SAFETY: pos.prev valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            res
-        })
+        cx.with_op(|cx| self.locate(cx, key).read(cx, |n| n.val.clone()))
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SkipList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        cx.with_op(|cx| {
-            let (mut preds, mut succs) = Self::empty_arrays();
-            let pos = self.search(cx, key, &mut preds, &mut succs);
-            // SAFETY: pos.prev valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            pos.found
-        })
+        cx.with_op(|cx| self.locate(cx, key).read(cx, |_| ()).is_some())
     }
 
     /// Ordered range cursor: collects up to `limit` live `(key, value)`
@@ -258,11 +243,9 @@ where
             if bounds.start >= bounds.end || limit == 0 {
                 return out;
             }
-            let (mut preds, mut succs) = Self::empty_arrays();
-            let pos = self.search(cx, bounds.start, &mut preds, &mut succs);
-            // SAFETY: pos.prev valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            let mut curr = pos.curr;
+            let pos = self.locate(cx, bounds.start);
+            pos.register_prev(cx);
+            let mut curr = pos.curr();
             // SAFETY: every node on the level-0 list is protected by the
             // current pin; keys are immutable after construction.
             while let Some(node) = unsafe { curr.as_ref() } {
@@ -290,12 +273,12 @@ where
     /// Links `node` into levels `1..height` (post-linearization index
     /// maintenance).  Called from cleanup context, which is definitionally
     /// non-transactional — hence the concrete [`NonTx`] context.
-    fn link_upper_levels(&self, cx: &mut NonTx<'_>, node: *mut Node<V>, height: usize) {
+    fn link_upper_levels(&self, cx: &mut NonTx<'_>, node: *mut Node<V>) {
         let (mut preds, mut succs) = Self::empty_arrays();
         // SAFETY: node is linked at level 0 (committed) and cannot be freed
         // before it is unlinked from every level, which cannot happen while
         // its own remover has not yet retired it and we are pinned.
-        let key = unsafe { (*node).key };
+        let (key, height) = unsafe { ((*node).key, (*node).height) };
         'levels: for level in 1..height {
             loop {
                 // Stop early if the node has since been logically deleted.
@@ -432,175 +415,103 @@ where
         unsafe { cx.retire_now(node) };
     }
 
+    /// Allocates a node with a random tower height.
+    fn new_node<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> *mut Node<V> {
+        cx.tnew(Node {
+            key,
+            val,
+            height: self.random_height(),
+            tower: std::array::from_fn(|_| CasWord::new(0)),
+        })
+    }
+
+    /// Registers the index maintenance that follows a level-0 linearization,
+    /// run once the outcome is decided: link the new node's upper levels,
+    /// then mark, purge and retire the node it deleted.
+    fn maintain_on_commit<C: Ctx>(
+        &self,
+        cx: &mut C,
+        linked: Option<*mut Node<V>>,
+        deleted: Option<*mut Node<V>>,
+    ) {
+        let list = self as *const Self as usize;
+        let (linked, deleted) = (linked.map(|n| n as usize), deleted.map(|n| n as usize));
+        cx.add_cleanup(move |h| {
+            // Cleanup context is definitionally non-transactional.
+            let mut cx = NonTx::new(h);
+            // SAFETY: the structure outlives the transaction (caller
+            // contract), and both nodes are kept allocated by the pin until
+            // `finish_removal` — whose only caller for `deleted` is here —
+            // retires them.
+            unsafe {
+                let list = &*(list as *const Self);
+                if let Some(node) = linked {
+                    list.link_upper_levels(&mut cx, node as *mut Node<V>);
+                }
+                if let Some(node) = deleted {
+                    list.finish_removal(&mut cx, node as *mut Node<V>);
+                }
+            }
+        });
+    }
+
     /// Inserts `key -> val` only if absent; returns `true` on success.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         cx.with_op(|cx| {
-            let height = self.random_height();
-            let node = cx.tnew(Node {
-                key,
-                val,
-                height,
-                tower: Node::<V>::new_tower(),
-            });
-            loop {
-                let (mut preds, mut succs) = Self::empty_arrays();
-                let pos = self.search(cx, key, &mut preds, &mut succs);
-                if pos.found {
-                    // SAFETY: node private; pos.prev pinned.
-                    unsafe { cx.tdelete(node) };
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return false;
-                }
-                // SAFETY: node still private.
-                unsafe { (*node).tower[0].store_value(tag::from_ptr(pos.curr)) };
-                // Linearization + publication point: bottom-level link.
-                if cx.nbtc_cas(
-                    unsafe { &*pos.prev },
-                    tag::from_ptr(pos.curr),
-                    tag::from_ptr(node),
-                    true,
-                    true,
-                ) {
-                    let list_addr = self as *const Self as usize;
-                    let node_addr = node as usize;
-                    cx.add_cleanup(move |h| {
-                        let list = list_addr as *const Self;
-                        let mut cx = NonTx::new(h);
-                        // SAFETY: the structure outlives the transaction
-                        // (caller contract).
-                        unsafe {
-                            (*list).link_upper_levels(&mut cx, node_addr as *mut Node<V>, height)
-                        };
-                    });
-                    return true;
-                }
+            let node = self.new_node(cx, key, val);
+            let (mut preds, mut succs) = Self::empty_arrays();
+            // Linearization + publication point: the bottom-level link.
+            // SAFETY: `node` is fresh from `tnew`; `search` positions are
+            // taken under this `with_op`'s pin.
+            let inserted = unsafe {
+                chain::insert(cx, node, |cx| self.search(cx, key, &mut preds, &mut succs))
+            };
+            if inserted {
+                self.maintain_on_commit(cx, Some(node), None);
             }
+            inserted
         })
     }
 
     /// Inserts or replaces; returns the previous value if any.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         cx.with_op(|cx| {
-            let height = self.random_height();
-            let node = cx.tnew(Node {
-                key,
-                val,
-                height,
-                tower: Node::<V>::new_tower(),
-            });
-            loop {
-                let (mut preds, mut succs) = Self::empty_arrays();
-                let pos = self.search(cx, key, &mut preds, &mut succs);
-                if pos.found {
-                    let old_node = pos.curr;
-                    // Replace: mark the old node's bottom link so that the
-                    // marked pointer *is* the replacement (paper Fig. 2).
-                    // SAFETY: node private; old_node pinned.
-                    unsafe { (*node).tower[0].store_value(pos.next) };
-                    if cx.nbtc_cas(
-                        unsafe { &(*old_node).tower[0] },
-                        pos.next,
-                        tag::marked(tag::from_ptr(node)),
-                        true,
-                        true,
-                    ) {
-                        let old = unsafe { (*old_node).val.clone() };
-                        let list_addr = self as *const Self as usize;
-                        let node_addr = node as usize;
-                        let old_addr = old_node as usize;
-                        cx.add_cleanup(move |h| {
-                            let list = list_addr as *const Self;
-                            let mut cx = NonTx::new(h);
-                            // SAFETY: caller contract (structure outlives tx).
-                            unsafe {
-                                (*list).link_upper_levels(
-                                    &mut cx,
-                                    node_addr as *mut Node<V>,
-                                    height,
-                                );
-                                (*list).finish_removal(&mut cx, old_addr as *mut Node<V>);
-                            }
-                        });
-                        return Some(old);
-                    }
-                } else {
-                    // SAFETY: node private; pos.prev pinned.
-                    unsafe { (*node).tower[0].store_value(tag::from_ptr(pos.curr)) };
-                    if cx.nbtc_cas(
-                        unsafe { &*pos.prev },
-                        tag::from_ptr(pos.curr),
-                        tag::from_ptr(node),
-                        true,
-                        true,
-                    ) {
-                        let list_addr = self as *const Self as usize;
-                        let node_addr = node as usize;
-                        cx.add_cleanup(move |h| {
-                            let list = list_addr as *const Self;
-                            let mut cx = NonTx::new(h);
-                            // SAFETY: caller contract.
-                            unsafe {
-                                (*list).link_upper_levels(
-                                    &mut cx,
-                                    node_addr as *mut Node<V>,
-                                    height,
-                                )
-                            };
-                        });
-                        return None;
-                    }
-                }
-            }
+            let node = self.new_node(cx, key, val);
+            let (mut preds, mut succs) = Self::empty_arrays();
+            // Linearization point: the bottom-level link, or the mark of the
+            // old node's bottom link *at* the replacement (paper Fig. 2).
+            // SAFETY: as in `insert`.
+            let replaced =
+                unsafe { chain::put(cx, node, |cx| self.search(cx, key, &mut preds, &mut succs)) };
+            let old = replaced.as_ref().and_then(|pos| pos.node());
+            let old_val = old.map(|n| n.val.clone());
+            self.maintain_on_commit(cx, Some(node), replaced.map(|pos| pos.curr()));
+            old_val
         })
     }
 
     /// Removes `key`; returns its value if present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
         cx.with_op(|cx| {
-            loop {
-                let (mut preds, mut succs) = Self::empty_arrays();
-                let pos = self.search(cx, key, &mut preds, &mut succs);
-                if !pos.found {
-                    // SAFETY: pos.prev pinned.
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return None;
-                }
-                let node = pos.curr;
-                // Linearization point: marking the bottom-level link.
-                // SAFETY: node pinned.
-                if cx.nbtc_cas(
-                    unsafe { &(*node).tower[0] },
-                    pos.next,
-                    tag::marked(pos.next),
-                    true,
-                    true,
-                ) {
-                    let old = unsafe { (*node).val.clone() };
-                    let list_addr = self as *const Self as usize;
-                    let node_addr = node as usize;
-                    cx.add_cleanup(move |h| {
-                        let list = list_addr as *const Self;
-                        let mut cx = NonTx::new(h);
-                        // SAFETY: caller contract.
-                        unsafe { (*list).finish_removal(&mut cx, node_addr as *mut Node<V>) };
-                    });
-                    return Some(old);
-                }
-            }
+            // Linearization point: marking the bottom-level link.
+            let removed = chain::remove(cx, |cx| self.locate(cx, key))?;
+            let old_val = removed.node().map(|old| old.val.clone());
+            self.maintain_on_commit(cx, None, Some(removed.curr()));
+            old_val
         })
     }
 
     /// Quiescent snapshot of the live `(key, value)` pairs in key order.
     pub fn snapshot(&self) -> Vec<(u64, V)> {
         let mut out = Vec::new();
-        let mut bits = tag::unmarked(self.head[0].load_value_spin());
-        while let Some(node) = unsafe { tag::as_ptr::<Node<V>>(bits).as_ref() } {
-            let next = node.tower[0].load_value_spin();
-            if !tag::is_marked(next) {
-                out.push((node.key, node.val.clone()));
-            }
-            bits = tag::unmarked(next);
-        }
+        // SAFETY: quiescence is the caller's contract.
+        unsafe {
+            chain::walk(&self.head[0], |n: &Node<V>, live| {
+                if live {
+                    out.push((n.key, n.val.clone()));
+                }
+            })
+        };
         out
     }
 
@@ -621,16 +532,9 @@ where
 
 impl<V> Drop for SkipList<V> {
     fn drop(&mut self) {
-        // Free every node reachable at level 0; unlinked nodes are owned by
-        // EBR limbo bags.
-        let mut bits = tag::unmarked(self.head[0].load_value_spin());
-        while !tag::as_ptr::<Node<V>>(bits).is_null() {
-            let node = tag::as_ptr::<Node<V>>(bits);
-            // SAFETY: exclusive access in Drop.
-            let next = unsafe { (*node).tower[0].load_value_spin() };
-            unsafe { drop(Box::from_raw(node)) };
-            bits = tag::unmarked(next);
-        }
+        // Every node is reachable at level 0.
+        // SAFETY: `&mut self` gives exclusive access.
+        unsafe { chain::free_all::<Node<V>>(&self.head[0]) };
     }
 }
 

@@ -51,11 +51,14 @@
 //! interaction with the enclosing transaction is indirect: an untracked CAS
 //! can invalidate a buffered speculative write to the same word, which
 //! surfaces as an ordinary conflict abort and retry.)  The item operations
-//! themselves (`get`/`insert`/`put`/`remove`) are instrumented exactly like
-//! [`MichaelList`](crate::MichaelList) — one critical CAS per update, a
-//! counted linearizing read per read-only outcome — so single-op
-//! transactions keep the single-CAS direct commit and read-only
-//! transactions keep the descriptor-free commit, even mid-grow.
+//! themselves (`get`/`insert`/`put`/`remove`) are the very code
+//! [`MichaelList`](crate::MichaelList) runs — the crate's ordered chain,
+//! started at a sentinel word and keyed by `(split-order key, key)` — one
+//! critical CAS per update, a counted linearizing read per read-only
+//! outcome, so single-op transactions keep the single-CAS direct commit and
+//! read-only transactions keep the descriptor-free commit, even mid-grow.
+//! Sentinel splicing is the same traversal compiled over the untracked
+//! primitives.
 //!
 //! # Counting
 //!
@@ -65,8 +68,8 @@
 //! applied immediately in a standalone context, from the post-commit cleanup
 //! phase in a transaction, and not at all on abort.
 
+use crate::chain::{self, Link, Node, UNTRACKED};
 use crate::counter::LenCounter;
-use crate::tag;
 use medley::{CasWord, Ctx};
 use std::marker::PhantomData;
 use std::ptr;
@@ -119,31 +122,11 @@ pub fn parent_bucket(b: u64) -> u64 {
     b & !(1u64 << (63 - b.leading_zeros()))
 }
 
-/// A node of the split-ordered list.  `next` carries the Harris/Michael
-/// deletion mark in its low bit.  Sentinels hold `val: None` and reuse `key`
-/// for their bucket index; regular nodes hold `val: Some(..)` and the user
-/// key.  The two classes never compare equal: their split-order keys have
-/// different parity.
-struct SoNode<V> {
-    so_key: u64,
-    key: u64,
-    val: Option<V>,
-    next: CasWord,
-}
-
-/// Result of a `find` traversal (see [`crate::list`]): the predecessor word,
-/// the value/counter observed in it, and the candidate node (first node with
-/// split-order position ≥ target).
-struct Position<V> {
-    prev: *const CasWord,
-    prev_val: u64,
-    prev_cnt: u64,
-    curr: *mut SoNode<V>,
-    /// Unmarked successor bits of `curr`; only meaningful when `curr` is
-    /// non-null.
-    next: u64,
-    found: bool,
-}
+/// A node of the split-ordered list, ordered by `(split-order key, key)`.
+/// Sentinels hold `None` and reuse `key` for their bucket index; regular
+/// nodes hold `Some(..)` and the user key.  The two classes never compare
+/// equal: their split-order keys have different parity.
+type SoNode<V> = Node<(u64, u64), Option<V>>;
 
 /// A lock-free, NBTC-composable, **elastic** hash map from `u64` keys to `V`:
 /// a Shalev–Shavit split-ordered list that doubles its bucket directory
@@ -151,7 +134,8 @@ struct Position<V> {
 /// the resize and instrumentation story.
 pub struct SplitOrderedMap<V> {
     /// Start-of-list word; doubles as bucket 0's "sentinel" (bucket 0 has no
-    /// node — every traversal of bucket 0 starts here).
+    /// node — every traversal of bucket 0 starts here).  Starts a chain of
+    /// `SoNode<V>`, linked only through `chain`.
     head: CasWord,
     /// Directory: segment `i` is a lazily-allocated array of `2^i` sentinel
     /// pointers for buckets `[2^i, 2^(i+1))`.
@@ -277,38 +261,29 @@ where
         }
         // First access: splice the sentinel in after the parent bucket's,
         // then publish it in the directory.
-        let parent_start: *const CasWord = if parent_bucket(b) == 0 {
+        let parent = parent_bucket(b);
+        let parent_start = if parent == 0 {
             &self.head
         } else {
-            let p = self.bucket_sentinel(cx, parent_bucket(b));
-            // SAFETY: sentinels are immortal until `Drop`.
-            unsafe { &(*p).next }
+            self.sentinel_link(cx, parent)
         };
-        let so = so_sentinel_key(b);
+        let so = (so_sentinel_key(b), b);
         // Allocated privately (not `tnew`): sentinel ownership must not be
         // tied to an enclosing transaction's abort path.
-        let node = Box::into_raw(Box::new(SoNode {
-            so_key: so,
-            key: b,
-            val: None,
-            next: CasWord::new(0),
-        }));
+        let node = Box::into_raw(Box::new(SoNode::<V>::new(so, None)));
         let spliced = loop {
-            let pos = self.find_untracked(cx, parent_start, so, b);
-            if pos.found {
+            // SAFETY: pinned (`with_op` is the caller's contract);
+            // `parent_start` is the head or an immortal sentinel's link.
+            let pos = unsafe { chain::find::<UNTRACKED, _, C>(cx, parent_start, so) };
+            if pos.node().is_some() {
                 // Another thread spliced this sentinel first; ours was never
                 // published.
                 // SAFETY: `node` is still private.
                 unsafe { drop(Box::from_raw(node)) };
-                break pos.curr;
+                break pos.curr();
             }
-            // SAFETY: `node` is private; `pos.prev` is pinned via `with_op`.
-            unsafe { (*node).next.store_value(tag::from_ptr(pos.curr)) };
-            if cx.untracked_cas(
-                unsafe { &*pos.prev },
-                tag::from_ptr(pos.curr),
-                tag::from_ptr(node),
-            ) {
+            // SAFETY: `node` is private and its key is absent at `pos`.
+            if unsafe { pos.link(cx, node) } {
                 break node;
             }
         };
@@ -324,171 +299,42 @@ where
         spliced
     }
 
-    /// The traversal start word for `key` under the current directory size.
-    /// Must be called inside `with_op` (the sentinel splice traverses the
-    /// list).
-    fn op_start<C: Ctx>(&self, cx: &mut C, h: u64) -> *const CasWord {
+    /// The link word of bucket `b`'s sentinel (`b > 0`).
+    fn sentinel_link<C: Ctx>(&self, cx: &mut C, b: u64) -> &CasWord {
+        // SAFETY: sentinels are never removed, so they live until `Drop`.
+        unsafe { &*self.bucket_sentinel(cx, b) }.next()
+    }
+
+    /// The traversal start word for hash `h` under the current directory
+    /// size.  Must be called inside `with_op` (the sentinel splice traverses
+    /// the list).
+    fn op_start<C: Ctx>(&self, cx: &mut C, h: u64) -> &CasWord {
         // Relaxed: a stale smaller size routes to an ancestor bucket, which
         // is correct (its sentinel precedes all descendant keys).
         let size = self.size.load(Ordering::Relaxed);
-        let b = h & (size - 1);
-        if b == 0 {
-            &self.head
-        } else {
-            let s = self.bucket_sentinel(cx, b);
-            // SAFETY: sentinels are immortal until `Drop`.
-            unsafe { &(*s).next }
-        }
-    }
-
-    // -- traversal -----------------------------------------------------------
-
-    /// Michael's `find` over the split-ordered list, instrumented: positions
-    /// the caller just before the first node with split-order position ≥
-    /// `(so_key, key)`, helping to unlink logically deleted nodes on the way.
-    /// Restarts from `start` (a sentinel's next word — immortal) on unlink
-    /// failure.
-    fn find<C: Ctx>(
-        &self,
-        cx: &mut C,
-        start: *const CasWord,
-        so_key: u64,
-        key: u64,
-    ) -> Position<V> {
-        'retry: loop {
-            let mut prev = start;
-            // SAFETY: `prev` points at the head or at the `next` field of a
-            // node protected by the caller's EBR pin.
-            let (mut curr_bits, mut prev_cnt) = cx.nbtc_load_counted(unsafe { &*prev });
-            loop {
-                let curr = tag::as_ptr::<SoNode<V>>(curr_bits);
-                if curr.is_null() {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt,
-                        curr: ptr::null_mut(),
-                        next: 0,
-                        found: false,
-                    };
-                }
-                // SAFETY: `curr` was reachable and cannot be freed while
-                // pinned.
-                let (next_bits, next_cnt) = cx.nbtc_load_counted(unsafe { &(*curr).next });
-                if tag::is_marked(next_bits) {
-                    let succ = tag::unmarked(next_bits);
-                    if !cx.nbtc_cas(unsafe { &*prev }, tag::from_ptr(curr), succ, false, false) {
-                        continue 'retry;
-                    }
-                    // SAFETY: we won the unlink CAS → unique retirer.
-                    unsafe { cx.tretire(curr) };
-                    // SAFETY: `prev` is valid while pinned.
-                    let (nb, nc) = cx.nbtc_load_counted(unsafe { &*prev });
-                    curr_bits = nb;
-                    prev_cnt = nc;
-                    continue;
-                }
-                // SAFETY: as above.
-                let (cso, ckey) = unsafe { ((*curr).so_key, (*curr).key) };
-                if (cso, ckey) >= (so_key, key) {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt,
-                        curr,
-                        next: next_bits,
-                        found: cso == so_key && ckey == key,
-                    };
-                }
-                prev = unsafe { &(*curr).next as *const CasWord };
-                curr_bits = next_bits;
-                prev_cnt = next_cnt;
-            }
-        }
-    }
-
-    /// `find` through the **untracked** primitives, for sentinel splicing:
-    /// identical traversal, but loads and CASes never touch the enclosing
-    /// transaction's read/write sets, and unlinked nodes are retired
-    /// immediately.
-    fn find_untracked<C: Ctx>(
-        &self,
-        cx: &mut C,
-        start: *const CasWord,
-        so_key: u64,
-        key: u64,
-    ) -> Position<V> {
-        'retry: loop {
-            let mut prev = start;
-            // SAFETY: see `find`.
-            let mut curr_bits = cx.untracked_load(unsafe { &*prev });
-            loop {
-                let curr = tag::as_ptr::<SoNode<V>>(curr_bits);
-                if curr.is_null() {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt: 0,
-                        curr: ptr::null_mut(),
-                        next: 0,
-                        found: false,
-                    };
-                }
-                // SAFETY: pinned (the caller is inside `with_op`).
-                let next_bits = cx.untracked_load(unsafe { &(*curr).next });
-                if tag::is_marked(next_bits) {
-                    let succ = tag::unmarked(next_bits);
-                    if !cx.untracked_cas(unsafe { &*prev }, tag::from_ptr(curr), succ) {
-                        continue 'retry;
-                    }
-                    // SAFETY: unlink winner → unique retirer; immediate
-                    // retirement is safe under the pin.
-                    unsafe { cx.retire_now(curr) };
-                    curr_bits = cx.untracked_load(unsafe { &*prev });
-                    continue;
-                }
-                // SAFETY: as above.
-                let (cso, ckey) = unsafe { ((*curr).so_key, (*curr).key) };
-                if (cso, ckey) >= (so_key, key) {
-                    return Position {
-                        prev,
-                        prev_val: curr_bits,
-                        prev_cnt: 0,
-                        curr,
-                        next: next_bits,
-                        found: cso == so_key && ckey == key,
-                    };
-                }
-                prev = unsafe { &(*curr).next as *const CasWord };
-                curr_bits = next_bits;
-            }
+        match h & (size - 1) {
+            0 => &self.head,
+            b => self.sentinel_link(cx, b),
         }
     }
 
     // -- counting / growth ---------------------------------------------------
 
-    /// Registers the +1 of a successful insert.  Runs when the outcome is
-    /// decided: immediately standalone, post-commit in a transaction (and
-    /// not at all on abort).  The post-commit hook is also where the
-    /// load-factor trigger fires — growth is driven by *committed* items.
-    fn note_insert<C: Ctx>(&self, cx: &mut C) {
+    /// Registers the +1 of a successful insert or the −1 of a successful
+    /// remove.  Runs when the outcome is decided: immediately standalone,
+    /// post-commit in a transaction (and not at all on abort).  The insert
+    /// hook is also where the load-factor trigger fires — growth is driven
+    /// by *committed* items.
+    fn note_delta<C: Ctx>(&self, cx: &mut C, delta: i64) {
         let map_addr = self as *const Self as usize;
         cx.add_cleanup(move |h| {
             // SAFETY: the map outlives the transaction (caller contract —
             // the same one the unlink cleanups rely on).
             let map = unsafe { &*(map_addr as *const Self) };
-            map.count.add(h.tid(), 1);
-            map.maybe_grow();
-        });
-    }
-
-    /// Registers the −1 of a successful remove (same discipline).
-    fn note_remove<C: Ctx>(&self, cx: &mut C) {
-        let map_addr = self as *const Self as usize;
-        cx.add_cleanup(move |h| {
-            // SAFETY: as in `note_insert`.
-            let map = unsafe { &*(map_addr as *const Self) };
-            map.count.add(h.tid(), -1);
+            map.count.add(h.tid(), delta);
+            if delta > 0 {
+                map.maybe_grow();
+            }
         });
     }
 
@@ -569,180 +415,74 @@ where
 
     // -- operations ----------------------------------------------------------
 
-    /// Looks up `key`, returning a clone of its value.
-    pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+    /// Runs one chain operation on `key`'s bucket: `f(cx, start, chain key)`.
+    fn on_bucket<C: Ctx, R>(
+        &self,
+        cx: &mut C,
+        key: u64,
+        f: impl FnOnce(&mut C, &CasWord, (u64, u64)) -> R,
+    ) -> R {
         cx.with_op(|cx| {
             let h = key_hash(key);
             let start = self.op_start(cx, h);
-            let pos = self.find(cx, start, so_regular_key(h), key);
-            // SAFETY: `pos.curr` is pinned; a found node is regular (odd
-            // split-order key), so `val` is `Some`.
-            let res = if pos.found {
-                unsafe { (*pos.curr).val.clone() }
-            } else {
-                None
-            };
-            // SAFETY: `pos.prev` is valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            res
+            f(cx, start, (so_regular_key(h), key))
+        })
+    }
+
+    /// Looks up `key`, returning a clone of its value.
+    pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        // SAFETY (all five operations): `on_bucket` pins and hands out a start
+        // word of this map's `SoNode<V>` chain.  A found node is regular (odd
+        // split-order key), so its value is `Some`.
+        self.on_bucket(cx, key, |cx, start, k| unsafe {
+            SoNode::lookup(cx, start, k, Option::<V>::clone).flatten()
         })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SplitOrderedMap::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        cx.with_op(|cx| {
-            let h = key_hash(key);
-            let start = self.op_start(cx, h);
-            let pos = self.find(cx, start, so_regular_key(h), key);
-            // SAFETY: `pos.prev` is valid while pinned.
-            cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-            pos.found
+        // SAFETY: see `get`.
+        self.on_bucket(cx, key, |cx, start, k| unsafe {
+            SoNode::lookup(cx, start, k, |_: &Option<V>| ()).is_some()
         })
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on
     /// success; on failure the value is dropped.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
-        cx.with_op(|cx| {
-            let h = key_hash(key);
-            let so = so_regular_key(h);
-            let start = self.op_start(cx, h);
-            let node = cx.tnew(SoNode {
-                so_key: so,
-                key,
-                val: Some(val),
-                next: CasWord::new(0),
-            });
-            loop {
-                let pos = self.find(cx, start, so, key);
-                if pos.found {
-                    // Failed insert is a read-only outcome.
-                    // SAFETY: `node` was never published; `pos.prev` is
-                    // pinned.
-                    unsafe { cx.tdelete(node) };
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return false;
-                }
-                // SAFETY: `node` is still private.
-                unsafe { (*node).next.store_value(tag::from_ptr(pos.curr)) };
-                // Linearization (and publication) point of a successful
-                // insert.
-                // SAFETY: `pos.prev` is pinned.
-                if cx.nbtc_cas(
-                    unsafe { &*pos.prev },
-                    tag::from_ptr(pos.curr),
-                    tag::from_ptr(node),
-                    true,
-                    true,
-                ) {
-                    self.note_insert(cx);
-                    return true;
-                }
-            }
-        })
+        // SAFETY: see `get`.
+        let inserted = self.on_bucket(cx, key, |cx, start, k| unsafe {
+            SoNode::insert(cx, start, k, Some(val))
+        });
+        if inserted {
+            self.note_delta(cx, 1);
+        }
+        inserted
     }
 
     /// Inserts or replaces, returning the previous value if any.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
-        cx.with_op(|cx| {
-            let h = key_hash(key);
-            let so = so_regular_key(h);
-            let start = self.op_start(cx, h);
-            let node = cx.tnew(SoNode {
-                so_key: so,
-                key,
-                val: Some(val),
-                next: CasWord::new(0),
-            });
-            loop {
-                let pos = self.find(cx, start, so, key);
-                if pos.found {
-                    let curr = pos.curr;
-                    // Replace trick: the new node adopts curr's successor,
-                    // and one CAS marks curr while splicing the new node in.
-                    // SAFETY: `node` is private; `curr` is pinned.
-                    unsafe { (*node).next.store_value(pos.next) };
-                    if cx.nbtc_cas(
-                        unsafe { &(*curr).next },
-                        pos.next,
-                        tag::marked(tag::from_ptr(node)),
-                        true,
-                        true,
-                    ) {
-                        // SAFETY: `curr` is pinned; regular node → `Some`.
-                        let old = unsafe { (*curr).val.clone() };
-                        let prev_addr = pos.prev as usize;
-                        let curr_addr = curr as usize;
-                        let node_addr = node as usize;
-                        cx.add_cleanup(move |h| {
-                            let prev = prev_addr as *const CasWord;
-                            // SAFETY: the map outlives the transaction; a
-                            // successful unlink makes us the unique retirer.
-                            if unsafe { &*prev }.cas_value(curr_addr as u64, node_addr as u64) {
-                                unsafe { h.retire_now(curr_addr as *mut SoNode<V>) };
-                            }
-                        });
-                        return old;
-                    }
-                } else {
-                    // SAFETY: `node` is private; `pos.prev` is pinned.
-                    unsafe { (*node).next.store_value(tag::from_ptr(pos.curr)) };
-                    if cx.nbtc_cas(
-                        unsafe { &*pos.prev },
-                        tag::from_ptr(pos.curr),
-                        tag::from_ptr(node),
-                        true,
-                        true,
-                    ) {
-                        self.note_insert(cx);
-                        return None;
-                    }
-                }
-            }
-        })
+        // SAFETY: see `get`.
+        let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
+            SoNode::put(cx, start, k, Some(val))
+        });
+        if old.is_none() {
+            self.note_delta(cx, 1);
+        }
+        old.flatten()
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        cx.with_op(|cx| {
-            let h = key_hash(key);
-            let so = so_regular_key(h);
-            let start = self.op_start(cx, h);
-            loop {
-                let pos = self.find(cx, start, so, key);
-                if !pos.found {
-                    // SAFETY: `pos.prev` is pinned.
-                    cx.add_read_with_counter(unsafe { &*pos.prev }, pos.prev_val, pos.prev_cnt);
-                    return None;
-                }
-                let curr = pos.curr;
-                // Linearization point: marking curr's next pointer.
-                // SAFETY: `curr` is pinned.
-                if cx.nbtc_cas(
-                    unsafe { &(*curr).next },
-                    pos.next,
-                    tag::marked(pos.next),
-                    true,
-                    true,
-                ) {
-                    // SAFETY: `curr` is pinned; regular node → `Some`.
-                    let old = unsafe { (*curr).val.clone() };
-                    let prev_addr = pos.prev as usize;
-                    let curr_addr = curr as usize;
-                    let next_bits = pos.next;
-                    cx.add_cleanup(move |h| {
-                        let prev = prev_addr as *const CasWord;
-                        // SAFETY: see `put`'s cleanup.
-                        if unsafe { &*prev }.cas_value(curr_addr as u64, next_bits) {
-                            unsafe { h.retire_now(curr_addr as *mut SoNode<V>) };
-                        }
-                    });
-                    self.note_remove(cx);
-                    return old;
-                }
-            }
-        })
+        // SAFETY: see `get`.
+        let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
+            SoNode::<V>::remove(cx, start, k)
+        });
+        if old.is_some() {
+            self.note_delta(cx, -1);
+        }
+        old.flatten()
     }
 
     // -- quiescent inspection ------------------------------------------------
@@ -754,22 +494,15 @@ where
     /// it must not race with concurrent transactional updates.
     pub fn snapshot(&self) -> Vec<(u64, V)> {
         let mut out = Vec::new();
-        let mut bits = self.head.load_value_spin();
-        loop {
-            let node = tag::as_ptr::<SoNode<V>>(bits);
-            if node.is_null() {
-                break;
-            }
-            // SAFETY: quiescence is the caller's contract.
-            let next = unsafe { (*node).next.load_value_spin() };
-            if !tag::is_marked(next) {
-                // SAFETY: as above; sentinels carry `None` and are skipped.
-                if let Some(v) = unsafe { (*node).val.clone() } {
-                    out.push((unsafe { (*node).key }, v));
+        // SAFETY: quiescence is the caller's contract.
+        unsafe {
+            chain::walk(&self.head, |n: &SoNode<V>, live| {
+                // Sentinels carry `None` and are skipped.
+                if let (true, Some(v)) = (live, &n.val) {
+                    out.push((n.key.1, v.clone()));
                 }
-            }
-            bits = tag::unmarked(next);
-        }
+            })
+        };
         out
     }
 
@@ -795,16 +528,15 @@ where
         let mut items = 0u64;
         let mut sentinels = 0u64;
         let mut reachable = std::collections::HashMap::new();
+        let mut nodes = Vec::new();
+        // SAFETY: quiescence is the caller's contract.
+        unsafe {
+            chain::walk(&self.head, |n: &SoNode<V>, live| {
+                nodes.push((n.key, live, n as *const SoNode<V> as usize));
+            })
+        };
         let mut last: Option<(u64, u64)> = None;
-        let mut bits = self.head.load_value_spin();
-        loop {
-            let node = tag::as_ptr::<SoNode<V>>(bits);
-            if node.is_null() {
-                break;
-            }
-            // SAFETY: quiescence is the caller's contract.
-            let (so, key, next) =
-                unsafe { ((*node).so_key, (*node).key, (*node).next.load_value_spin()) };
+        for ((so, key), live, addr) in nodes {
             if let Some(prev) = last {
                 if prev >= (so, key) {
                     return Err(format!(
@@ -813,7 +545,7 @@ where
                 }
             }
             last = Some((so, key));
-            if !tag::is_marked(next) {
+            if live {
                 let is_sentinel = so & 1 == 0;
                 if is_sentinel {
                     if so != so_sentinel_key(key) {
@@ -826,9 +558,8 @@ where
                     }
                     items += 1;
                 }
-                reachable.insert(node as usize, is_sentinel);
+                reachable.insert(addr, is_sentinel);
             }
-            bits = tag::unmarked(next);
         }
         let size = self.buckets();
         if !size.is_power_of_two() {
@@ -845,7 +576,7 @@ where
                 None => return Err(format!("slot {b} points at an unreachable node")),
             }
             // SAFETY: the slot's node was just verified reachable and live.
-            let (so, key) = unsafe { ((*p).so_key, (*p).key) };
+            let (so, key) = unsafe { (*p).key };
             if key != b || so != so_sentinel_key(b) {
                 return Err(format!("slot {b} holds sentinel of bucket {key}"));
             }
@@ -873,15 +604,8 @@ impl<V> Drop for SplitOrderedMap<V> {
         // Exclusive access: every node (sentinel or regular) appears in the
         // list exactly once; directory slots are duplicate pointers.  Nodes
         // unlinked earlier are owned by the EBR limbo bags.
-        let mut bits = tag::unmarked(self.head.load_value_spin());
-        while !tag::as_ptr::<SoNode<V>>(bits).is_null() {
-            let node = tag::as_ptr::<SoNode<V>>(bits);
-            // SAFETY: `&mut self` gives exclusive access; each reachable node
-            // is freed exactly once.
-            let next = unsafe { (*node).next.load_value_spin() };
-            unsafe { drop(Box::from_raw(node)) };
-            bits = tag::unmarked(next);
-        }
+        // SAFETY: `&mut self` gives exclusive access.
+        unsafe { chain::free_all::<SoNode<V>>(&self.head) };
         for (i, seg) in self.segments.iter().enumerate() {
             let p = seg.load(Ordering::Relaxed);
             if !p.is_null() {

@@ -14,6 +14,7 @@
 //!   table section must report elastic shards, summed item counts matching
 //!   the load, grown bucket counts, and nonzero grow events.
 
+use integration_tests::StopOnDrop;
 use medley::{AbortReason, TxManager, TxResult};
 use nbds::SplitOrderedMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,6 +46,8 @@ fn transfers_conserve_across_a_force_grown_table() {
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
+        // Releases the grower on every way out of the scope.
+        let _release = StopOnDrop(&stop);
         // A dedicated grower doubles the directory throughout the run: every
         // transfer and audit below races sentinel insertion and directory
         // publication, which must stay invisible to their outcomes.
@@ -114,12 +117,11 @@ fn transfers_conserve_across_a_force_grown_table() {
                 })
             })
             .collect();
-        // Join the workers explicitly, then release the grower: the scope
-        // itself would otherwise wait forever on the grower's loop.
+        // Join the workers explicitly; leaving the closure then releases
+        // the grower, which the scope itself would otherwise wait on forever.
         for w in workers {
             w.join().expect("worker thread panicked");
         }
-        stop_ref.store(true, Ordering::Relaxed);
     });
 
     let mut h = mgr.register();

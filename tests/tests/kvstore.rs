@@ -3,7 +3,8 @@
 //!
 //! * `transfer_stress_conserves_over_loopback` — 8 pipelined client
 //!   connections hammer `TRANSFER` over a hot zipfian keyset while
-//!   read-only `MGET` audits assert the total balance is conserved *in
+//!   read-only `MGET` audits — interleaved on those connections and
+//!   back-to-back on a ninth — assert the total balance is conserved *in
 //!   every atomic snapshot*, not just at the end; afterwards the exact
 //!   post-drain statistics must show real contention (`conflict_aborts >
 //!   0`) and a consistent commit-path partition (`commits == fast + ro +
@@ -18,6 +19,7 @@ use bench::workload::KeyDist;
 use kvstore::{Client, KvError, Server, ServerConfig, StoreBackend, StoreConfig, TableKind};
 use medley::util::FastRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 #[test]
@@ -48,9 +50,36 @@ fn transfer_stress_conserves_over_loopback() {
         c.mset(&pairs).expect("preload mset");
     }
 
-    std::thread::scope(|s| {
+    /// Counts a transfer client as finished however it exits, so a panic in
+    /// one of them cannot leave the audit client (and the scope) waiting.
+    struct Finished<'a>(&'a AtomicUsize);
+    impl Drop for Finished<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let finished = AtomicUsize::new(0);
+    let finished = &finished;
+
+    let audits = std::thread::scope(|s| {
+        // One more client does nothing but audit: back-to-back MGETs over
+        // all accounts for as long as transfers run, every reply of which
+        // must conserve the total.
+        let auditor = s.spawn(move || {
+            let mut c = Client::connect(addr).expect("connect auditor");
+            let keys: Vec<u64> = (0..ACCOUNTS).collect();
+            let mut audits = 0u64;
+            while finished.load(Ordering::Relaxed) < CONNECTIONS {
+                let vals = c.mget(&keys).expect("audit mget");
+                let sum: u64 = vals.iter().map(|v| v.expect("account present")).sum();
+                assert_eq!(sum, ACCOUNTS * INITIAL, "audit client saw a torn state");
+                audits += 1;
+            }
+            audits
+        });
         for t in 0..CONNECTIONS {
             s.spawn(move || {
+                let _finished = Finished(finished);
                 let mut c = Client::connect(addr).expect("connect");
                 let sampler = KeyDist::Zipfian(0.99).sampler(ACCOUNTS);
                 let mut rng = FastRng::new(0x7AA + t as u64);
@@ -80,7 +109,9 @@ fn transfer_stress_conserves_over_loopback() {
                 }
             });
         }
+        auditor.join().expect("audit client panicked")
     });
+    assert!(audits > 0, "the audit client never completed an MGET");
 
     // Final conservation check over the wire.
     {

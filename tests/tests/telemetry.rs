@@ -11,12 +11,14 @@
 //!   count and capacity.
 //! * `telemetry_hot_path_does_not_allocate` — a counting global allocator
 //!   wraps the whole test binary; recording latencies, errors, phase time,
-//!   and steady-state trace pushes must not allocate at all.
+//!   and steady-state trace pushes must not allocate at all.  The count is
+//!   per thread, so the server tests running beside it on another core do
+//!   not show up in it.
 
 use kvstore::{Client, Server, ServerConfig, StoreConfig, TableKind, TelemetryConfig};
 use obs::{MetricsRegistry, RegistrySpec, TraceRecord, TraceRing};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 /// System allocator wrapped with an allocation counter.  Installed for the
@@ -24,11 +26,24 @@ use std::time::Duration;
 /// care about.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.  Const-initialized and
+    /// without a destructor, so touching it from inside the allocator never
+    /// allocates or runs after teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -170,7 +185,7 @@ fn telemetry_hot_path_does_not_allocate() {
         ring.push(rec);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         let w = registry.worker((i % 2) as usize);
         w.record_op((i % 2) as usize, 100 + i, i % 3);
@@ -178,7 +193,7 @@ fn telemetry_hot_path_does_not_allocate() {
         w.add_phase_ns((i % 2) as usize, 50);
         ring.push(rec);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
