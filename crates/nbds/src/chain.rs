@@ -6,7 +6,10 @@
 //! off a start word that is never marked (a list head, a bucket sentinel's
 //! link, a skiplist head tower).  A node's own link word carries the deletion
 //! mark in its low bit: a node is in the set exactly while its link is
-//! unmarked, and a marked link never changes again.
+//! unmarked, and a marked link never changes again.  A node may carry several
+//! link words — *lanes* — and so sit in several chains at once: the list and
+//! the split-ordered map have lane 0 only, a skiplist tower has one lane per
+//! level, and every level of the skiplist is this chain on its lane.
 //!
 //! The NBTC transformation of the paper is applied here, once:
 //!
@@ -38,17 +41,32 @@
 use crate::tag;
 use medley::{CasWord, Ctx};
 
-/// A node that can be linked into a chain: an ordering key plus the link to
-/// its successor.
-pub(crate) trait Link {
+/// A node that can be linked into a chain: an ordering key plus, per lane,
+/// the link to its successor there.
+pub(crate) trait Link: Sized {
     /// The chain's sort key.
     type Key: Ord + Copy;
     /// Whether the traversal that physically unlinks a marked node also
-    /// retires it.  `false` for skiplist towers, which may still be linked at
-    /// upper levels and are retired by their remover instead.
+    /// retires it.  `false` for skiplist towers, which may still be linked in
+    /// other lanes and are retired by the skiplist's own protocol instead.
     const RETIRE_ON_UNLINK: bool;
     fn key(&self) -> Self::Key;
-    fn next(&self) -> &CasWord;
+    /// The node's link word in `lane`.
+    ///
+    /// # Safety
+    /// `this` is a live node that has `lane`, and the pointer may be used for
+    /// the node's whole allocation (a tower's lanes lie behind its header).
+    unsafe fn lane(this: *const Self, lane: usize) -> *const CasWord;
+    /// Frees a node nobody else can reach.
+    ///
+    /// # Safety
+    /// `this` came from `Ctx::tnew` (or a `Box`) of the type the node was
+    /// allocated as, and is not used again.
+    unsafe fn free(this: *mut Self) {
+        // SAFETY: the caller's contract; a node is a `Box<Self>` unless the
+        // implementor says otherwise by overriding this.
+        drop(unsafe { Box::from_raw(this) });
+    }
 }
 
 /// The plain chain node of the list and the split-ordered map.
@@ -64,8 +82,9 @@ impl<K: Ord + Copy, V> Link for Node<K, V> {
     fn key(&self) -> K {
         self.key
     }
-    fn next(&self) -> &CasWord {
-        &self.next
+    unsafe fn lane(this: *const Self, _lane: usize) -> *const CasWord {
+        // SAFETY: `this` is live (caller contract).
+        unsafe { &raw const (*this).next }
     }
 }
 
@@ -95,10 +114,13 @@ fn cas<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord, old: u64, new: u64, lin_p
     }
 }
 
-/// Where a key is, or would be: the predecessor word with the value and
-/// counter token observed in it, and the candidate node (the first with key ≥
-/// the target) with what was observed in *its* link.
+/// Where a key is, or would be, in one lane: the predecessor word with the
+/// value and counter token observed in it, and the candidate node (the first
+/// with key ≥ the target) with what was observed in *its* link.
 pub(crate) struct Position<N, const T: bool> {
+    lane: usize,
+    /// Owner of `prev`; null while `prev` is still the traversal's start word.
+    pred: *mut N,
     prev: *const CasWord,
     /// Never marked: equals `tag::from_ptr(curr)`.
     prev_val: u64,
@@ -110,21 +132,28 @@ pub(crate) struct Position<N, const T: bool> {
     found: bool,
 }
 
-/// One pass of Michael's `find` from `start`: stops before the first node
-/// with key ≥ `key`, physically unlinking every marked node met on the way.
-/// `None` means the pass has to be restarted — it lost an unlink race, or the
-/// predecessor word turned out marked (its owner is deleted; a frozen word
-/// must never be reported as a predecessor, because no later insert would CAS
-/// it).  The second case includes a `start` that is itself a dead node's
-/// link, which only a skiplist hint can be.
+// Nodes stepped over by `try_find` on this thread, for tests that bound a
+// traversal's length.
+#[cfg(test)]
+thread_local!(pub(crate) static HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+
+/// One pass of Michael's `find` along `lane` from `start`: stops before the
+/// first node with key ≥ `key`, physically unlinking every marked node met on
+/// the way.  `None` means the pass has to be restarted — it lost an unlink
+/// race, or the predecessor word turned out marked (its owner is deleted; a
+/// frozen word must never be reported as a predecessor, because no later
+/// insert would CAS it).  The second case includes a `start` that is itself a
+/// dead node's link, which only a skiplist hint can be.
 ///
 /// # Safety
-/// See the module contract.
+/// See the module contract; every node of the chain has `lane`.
 pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     cx: &mut C,
     start: &CasWord,
+    lane: usize,
     key: N::Key,
 ) -> Option<Position<N, T>> {
+    let mut pred = std::ptr::null_mut();
     let mut prev = start;
     let (mut curr_bits, mut prev_cnt) = load::<T, C>(cx, prev);
     loop {
@@ -133,6 +162,8 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
         }
         let curr = tag::as_ptr::<N>(curr_bits);
         let mut pos = Position {
+            lane,
+            pred,
             prev,
             prev_val: curr_bits,
             prev_cnt,
@@ -141,12 +172,13 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             next_cnt: 0,
             found: false,
         };
-        // SAFETY: `curr` was reachable from the chain under the caller's pin,
-        // so it is null or a live `N`.
-        let Some(node) = (unsafe { curr.as_ref() }) else {
+        if curr.is_null() {
             return Some(pos);
-        };
-        let (next_bits, next_cnt) = load::<T, C>(cx, node.next());
+        }
+        // SAFETY: `curr` was reachable from the chain under the caller's pin,
+        // so it is a live `N`, and it has `lane` because it is linked there.
+        let (ckey, link) = unsafe { ((*curr).key(), &*N::lane(curr, lane)) };
+        let (next_bits, next_cnt) = load::<T, C>(cx, link);
         if tag::is_marked(next_bits) {
             // `curr` is logically deleted by an operation that has already
             // linearized; help unlink it.  Not a linearization point of ours,
@@ -171,20 +203,23 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             (curr_bits, prev_cnt) = load::<T, C>(cx, prev);
             continue;
         }
-        let ckey = node.key();
         if ckey >= key {
             pos.next = next_bits;
             pos.next_cnt = next_cnt;
             pos.found = ckey == key;
             return Some(pos);
         }
-        prev = node.next();
+        #[cfg(test)]
+        HOPS.with(|h| h.set(h.get() + 1));
+        pred = curr;
+        prev = link;
         curr_bits = next_bits;
         prev_cnt = next_cnt;
     }
 }
 
-/// [`try_find`] until it succeeds, for chains whose `start` is immortal.
+/// [`try_find`] on lane 0 until it succeeds, for chains whose `start` is
+/// immortal.
 ///
 /// # Safety
 /// See the module contract.
@@ -194,8 +229,8 @@ pub(crate) unsafe fn find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     key: N::Key,
 ) -> Position<N, T> {
     loop {
-        // SAFETY: forwarded from the caller's contract.
-        if let Some(pos) = unsafe { try_find(cx, start, key) } {
+        // SAFETY: forwarded from the caller's contract; lane 0 always exists.
+        if let Some(pos) = unsafe { try_find(cx, start, 0, key) } {
             return pos;
         }
     }
@@ -214,6 +249,19 @@ impl<N: Link, const T: bool> Position<N, T> {
         self.curr
     }
 
+    /// The node owning the predecessor word; null if that is still the word
+    /// the traversal started from.
+    pub(crate) fn pred(&self) -> *mut N {
+        self.pred
+    }
+
+    /// The predecessor word and the (unmarked) bits of the candidate seen in
+    /// it, for callers that link a node that is already shared and so cannot
+    /// use [`Position::link`].
+    pub(crate) fn prev(&self) -> (*const CasWord, u64) {
+        (self.prev, self.prev_val)
+    }
+
     /// Links `node` in front of the candidate: the linearization (and
     /// publication) point of an insert, a CAS on the **predecessor word**.
     ///
@@ -224,7 +272,7 @@ impl<N: Link, const T: bool> Position<N, T> {
         // SAFETY: `node` is private to the caller; `prev` is the start word or
         // a pinned node's link.
         unsafe {
-            (*node).next().store_value(self.prev_val);
+            (*N::lane(node, self.lane)).store_value(self.prev_val);
             cas::<T, C>(cx, &*self.prev, self.prev_val, tag::from_ptr(node), true)
         }
     }
@@ -239,16 +287,31 @@ impl<N: Link, const T: bool> Position<N, T> {
     unsafe fn replace<C: Ctx>(&self, cx: &mut C, node: *mut N) -> bool {
         // SAFETY: `node` is private to the caller; `curr` is pinned.
         unsafe {
-            (*node).next().store_value(self.next);
+            (*N::lane(node, self.lane)).store_value(self.next);
             let marked_at_node = tag::marked(tag::from_ptr(node));
-            cas::<T, C>(cx, (*self.curr).next(), self.next, marked_at_node, true)
+            cas::<T, C>(cx, self.curr_link(), self.next, marked_at_node, true)
         }
     }
 
-    /// Logically deletes `found`, the node at this position: the
-    /// linearization point of a remove, a CAS on the **found node's link**.
-    fn mark<C: Ctx>(&self, cx: &mut C, found: &N) -> bool {
-        cas::<T, C>(cx, found.next(), self.next, tag::marked(self.next), true)
+    /// Logically deletes the found node: the linearization point of a
+    /// remove, a CAS on the **found node's link**.
+    ///
+    /// # Safety
+    /// The key is present at this position.
+    unsafe fn mark<C: Ctx>(&self, cx: &mut C) -> bool {
+        // SAFETY: `curr` is pinned and non-null (caller contract).
+        let link = unsafe { self.curr_link() };
+        cas::<T, C>(cx, link, self.next, tag::marked(self.next), true)
+    }
+
+    /// The candidate's link word in this position's lane.
+    ///
+    /// # Safety
+    /// `curr` is non-null.
+    unsafe fn curr_link(&self) -> &CasWord {
+        // SAFETY: `curr` stays allocated for as long as the pin the position
+        // was taken under, and is linked in `lane`.
+        unsafe { &*N::lane(self.curr, self.lane) }
     }
 }
 
@@ -264,9 +327,11 @@ impl<N: Link> Position<N, TRACKED> {
     ///   `link` must CAS it to make the key appear, and deleting the
     ///   predecessor's owner marks it.
     fn register_read<C: Ctx>(&self, cx: &mut C) {
-        match self.node() {
-            Some(node) => cx.add_read_with_counter(node.next(), self.next, self.next_cnt),
-            None => self.register_prev(cx),
+        if self.found {
+            // SAFETY: `curr` is non-null when `found`.
+            cx.add_read_with_counter(unsafe { self.curr_link() }, self.next, self.next_cnt)
+        } else {
+            self.register_prev(cx)
         }
     }
 
@@ -291,11 +356,12 @@ impl<N: Link> Position<N, TRACKED> {
 // or the skiplist's descent through its index)
 
 /// Inserts the private node `node` unless its key is present, in which case
-/// the node is freed and the failed insert registers as a read.
+/// the failed insert registers as a read and the node is still the caller's
+/// (to `tdelete` as the type it was allocated as).
 ///
 /// # Safety
-/// `node` came from `cx.tnew` and is unpublished; `locate` returns positions
-/// of `node`'s key taken under the current pin.
+/// `node` is unpublished; `locate` returns positions of `node`'s key taken
+/// under the current pin.
 pub(crate) unsafe fn insert<N: Link, C: Ctx>(
     cx: &mut C,
     node: *mut N,
@@ -304,8 +370,6 @@ pub(crate) unsafe fn insert<N: Link, C: Ctx>(
     loop {
         let pos = locate(cx);
         if pos.found {
-            // SAFETY: `node` is still private (caller contract).
-            unsafe { cx.tdelete(node) };
             pos.register_read(cx);
             return false;
         }
@@ -348,11 +412,12 @@ pub(crate) fn remove<N: Link, C: Ctx>(
 ) -> Option<Position<N, TRACKED>> {
     loop {
         let pos = locate(cx);
-        let Some(found) = pos.node() else {
+        if !pos.found {
             pos.register_read(cx);
             return None;
-        };
-        if pos.mark(cx, found) {
+        }
+        // SAFETY: the key is present.
+        if unsafe { pos.mark(cx) } {
             return Some(pos);
         }
     }
@@ -382,8 +447,15 @@ impl<K: Ord + Copy + Send + 'static, V: Send + 'static> Node<K, V> {
     /// Inserts `key -> val` only if `key` is absent.
     pub(crate) unsafe fn insert<C: Ctx>(cx: &mut C, start: &CasWord, key: K, val: V) -> bool {
         let node = cx.tnew(Self::new(key, val));
-        // SAFETY: `node` is fresh; the rest is the caller's contract.
-        unsafe { insert(cx, node, |cx| find(cx, start, key)) }
+        // SAFETY: `node` is fresh, and still private if it was not inserted;
+        // the rest is the caller's contract.
+        unsafe {
+            let inserted = insert(cx, node, |cx| find(cx, start, key));
+            if !inserted {
+                cx.tdelete(node);
+            }
+            inserted
+        }
     }
 
     /// Inserts or replaces, returning the previous value (`None`: inserted).
@@ -432,33 +504,38 @@ impl<N: Link + Send + 'static> Position<N, TRACKED> {
 
 // Quiescent walks
 
-/// Calls `f(node, live)` for every node reachable from `head`, in chain
-/// order; `live` is false for logically deleted nodes not yet unlinked.
+/// Calls `f(node, live)` for every node reachable from `head` on lane 0, in
+/// chain order; `live` is false for logically deleted nodes not yet unlinked.
 ///
 /// # Safety
 /// No operation may run on the chain concurrently.
 pub(crate) unsafe fn walk<N: Link>(head: &CasWord, mut f: impl FnMut(&N, bool)) {
     let mut bits = head.load_value_spin();
-    // SAFETY: quiescence is the caller's contract, so every reachable node
-    // stays allocated for the whole walk.
-    while let Some(node) = unsafe { tag::as_ptr::<N>(bits).as_ref() } {
-        let next = node.next().load_value_spin();
-        f(node, !tag::is_marked(next));
-        bits = next;
+    while !tag::as_ptr::<N>(bits).is_null() {
+        let node = tag::as_ptr::<N>(bits);
+        // SAFETY: quiescence is the caller's contract, so every reachable
+        // node stays allocated for the whole walk; lane 0 always exists.
+        unsafe {
+            bits = (*N::lane(node, 0)).load_value_spin();
+            f(&*node, !tag::is_marked(bits));
+        }
     }
 }
 
-/// Frees every node still reachable from `head` (nodes unlinked earlier are
-/// owned by the EBR limbo bags).
+/// Frees every node still reachable from `head` on lane 0 (nodes unlinked
+/// earlier are owned by the EBR limbo bags).
 ///
 /// # Safety
 /// The caller has exclusive access to the chain and never uses it again.
 pub(crate) unsafe fn free_all<N: Link>(head: &CasWord) {
     let mut bits = head.load_value_spin();
     while !tag::as_ptr::<N>(bits).is_null() {
-        // SAFETY: exclusive access; every node appears in the chain once and
-        // was allocated as a `Box<N>`.
-        let node = unsafe { Box::from_raw(tag::as_ptr::<N>(bits)) };
-        bits = node.next().load_value_spin();
+        let node = tag::as_ptr::<N>(bits);
+        // SAFETY: exclusive access; every node appears in the chain once, so
+        // it is live until freed here, right after its link was read.
+        unsafe {
+            bits = (*N::lane(node, 0)).load_value_spin();
+            N::free(node);
+        }
     }
 }

@@ -14,7 +14,8 @@
 //! * [`SplitOrderedMap`] — the Shalev–Shavit split-ordered list: an
 //!   **elastic** hash table whose bucket directory doubles on-line under
 //!   load, with transactions composing across the table mid-grow;
-//! * [`SkipList`] — a Fraser-style CAS-based skiplist;
+//! * [`SkipList`] — a Fraser-style CAS-based skiplist, every level of it the
+//!   same chain as the list's, with O(log n) post-commit index maintenance;
 //! * [`MsQueue`] — the Michael–Scott FIFO queue.
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context.
@@ -36,7 +37,8 @@
 //! `chain::Position::register_read`, private to this crate), so one pair of
 //! rows covers them all.  `prev` is the link word the traversal arrived
 //! through (list head, bucket sentinel link or the predecessor node's link;
-//! level 0 in the skiplist), `curr` the node holding the key.
+//! level 0 in the skiplist, whose upper levels run the same traversal but
+//! are index, never registered), `curr` the node holding the key.
 //!
 //! | container | read-only outcome | registers | falsified by | which CASes |
 //! |---|---|---|---|---|
@@ -44,7 +46,7 @@
 //! | same | key absent (`get` miss, `contains` false, failed `remove`) | `prev` | `insert`, `put`-insert | `prev` (link) |
 //! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` of every live node in the window | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on, all registered |
 //! | [`MsQueue`] | `dequeue` → `None`, `is_empty` → `true` | `dummy.next` (the head node's link) | `enqueue` | the last node's `next`, which is `dummy.next` while the queue is empty |
-//! | [`MsQueue`] | `is_empty` → `false` | nothing | `dequeue` | `head` — **not covered**: a transaction must not rely on a bare `false` |
+//! | [`MsQueue`] | `is_empty` → `false` | `head` | `dequeue` | `head` (swing to the next node) |
 //!
 //! An outcome can also be invalidated by a CAS that leaves it true — an
 //! unrelated insert after `prev`, a neighbour's removal marking `prev`, a

@@ -10,7 +10,8 @@
 //! Both `enqueue` and a successful `dequeue` therefore contribute exactly
 //! one critical CAS: a transaction containing a single queue operation takes
 //! the runtime's single-CAS direct-commit path, and an empty `dequeue` (or
-//! `is_empty`) registers one counted load and commits descriptor-free.
+//! `is_empty`, whatever it answers) registers one counted load and commits
+//! descriptor-free.
 //! Multi-operation transactions (e.g. an atomic move between two queues)
 //! buffer both critical CASes thread-locally and publish a descriptor only
 //! at commit, so the queues stay descriptor-free for the whole execution
@@ -137,18 +138,22 @@ where
 
     /// Whether the queue is currently empty (single observation; not a
     /// linearizable compound check unless called inside a transaction).
+    ///
+    /// Either answer registers the word its falsifier CASes: "empty" the
+    /// dummy's link, where an `enqueue` lands, and "non-empty" `head`, which
+    /// every `dequeue` swings.
     pub fn is_empty<C: Ctx>(&self, cx: &mut C) -> bool {
         cx.with_op(|cx| {
-            let head_bits = cx.nbtc_load(&self.head);
+            let (head_bits, head_cnt) = cx.nbtc_load_counted(&self.head);
             let head_ptr = tag::as_ptr::<Node<V>>(head_bits);
             // SAFETY: pinned.
             let (next_bits, next_cnt) = cx.nbtc_load_counted(unsafe { &(*head_ptr).next });
             if next_bits == 0 {
                 cx.add_read_with_counter(unsafe { &(*head_ptr).next }, 0, next_cnt);
-                true
             } else {
-                false
+                cx.add_read_with_counter(&self.head, head_bits, head_cnt);
             }
+            next_bits == 0
         })
     }
 
@@ -214,6 +219,32 @@ mod tests {
         }
         assert_eq!(q.dequeue(&mut h.nontx()), None);
         assert!(q.is_empty(&mut h.nontx()));
+    }
+
+    /// Both answers of `is_empty` are falsifiable, so both must be registered:
+    /// a read-only transaction that saw either must not commit once the
+    /// other thread's operation has made it wrong.
+    #[test]
+    fn is_empty_registers_the_word_its_falsifier_hits() {
+        let mgr = TxManager::new();
+        let (mut reader, mut writer) = (mgr.register(), mgr.register());
+        let q = MsQueue::new();
+        q.enqueue(&mut writer.nontx(), 1u64);
+
+        let mut tx = reader.begin();
+        assert!(!q.is_empty(&mut tx));
+        assert_eq!(q.dequeue(&mut writer.nontx()), Some(1));
+        assert_eq!(tx.commit(), Err(medley::TxError::Conflict), "saw non-empty");
+
+        let mut tx = reader.begin();
+        assert!(q.is_empty(&mut tx));
+        q.enqueue(&mut writer.nontx(), 2);
+        assert_eq!(tx.commit(), Err(medley::TxError::Conflict), "saw empty");
+
+        // Undisturbed, either answer commits (descriptor-free).
+        let mut tx = reader.begin();
+        assert!(!q.is_empty(&mut tx));
+        assert_eq!(tx.commit(), Ok(()));
     }
 
     #[test]

@@ -1,69 +1,172 @@
 //! NBTC-transformed lock-free skiplist (in the style of Fraser's CAS-based
 //! skiplist, which the paper transforms for Medley and LFTT).
 //!
-//! Membership is defined entirely by the bottom-level list — the crate's
-//! ordered chain, entered at the predecessor the index found instead of at a
-//! head.  An insert linearizes at the level-0 link CAS, a remove (or the
-//! removal half of a replace) at the level-0 marking CAS, and a read-only
-//! outcome registers the found node's own level-0 link when the key is
-//! present and the level-0 predecessor when it is absent (the table in the
-//! [crate docs](crate)).  Exactly **one critical CAS per update** therefore
-//! needs to be executed speculatively.
+//! Every level is the crate's ordered chain (`chain.rs`) on its own *lane* of
+//! the towers, entered at the predecessor the level above found instead of at
+//! a head, so the descent, the level-0 lookup and the cleanup passes below
+//! are all the one traversal, `chain::try_find`.
 //!
-//! The upper levels are a probabilistic index (in nbMontage terms, they are
-//! "index", not "payload"): they are linked and unlinked in the
-//! post-linearization cleanup phase with plain CASes, so they never carry
-//! descriptors and never need to be rolled back.  An aborted remove may leave
-//! a node's upper levels marked; the node simply degrades to a bottom-level
-//! node until it is removed for real, which affects performance but never
-//! correctness.
+//! Membership is defined entirely by level 0.  An insert linearizes at the
+//! level-0 link CAS, a remove (or the removal half of a replace) at the
+//! level-0 marking CAS, and a read-only outcome registers the found node's
+//! own level-0 link when the key is present and the level-0 predecessor when
+//! it is absent (the table in the [crate docs](crate)).  Exactly **one
+//! critical CAS per update** therefore needs to be executed speculatively:
+//! single-operation transactions take the runtime's single-CAS direct-commit
+//! path, read-only transactions commit descriptor-free, and larger ones
+//! buffer their level-0 CASes thread-locally until the commit-time install,
+//! so an abort leaves no trace in the structure — no mark, no link.
 //!
-//! Reclamation: a node is retired only by the operation that logically
-//! deleted it, and only after a verification search has confirmed the node is
-//! unlinked from every level, so index pointers can never dangle.
+//! # Index maintenance
 //!
-//! Because every update performs exactly one critical CAS (the level-0 link
-//! or mark) and every read-only outcome registers exactly one counted load,
-//! single-operation transactions over this skiplist take the runtime's
-//! single-CAS direct-commit path and read-only transactions commit
-//! descriptor-free.  Larger transactions buffer all their level-0 CASes
-//! thread-locally (lazy publication), so the tower structure is never
-//! exposed to a half-done transaction: other threads see the pre-image of
-//! every critical word until the commit-time install.
+//! The upper levels are a probabilistic index (in nbMontage terms "index",
+//! not "payload").  They are maintained after the linearization is decided —
+//! at once standalone, post-commit in a transaction — with plain CASes, so
+//! they are never rolled back.  Maintenance costs O(log n): it does not
+//! descend again but starts on each level at the predecessor the operation's
+//! own search found there (a hint; if that node has died on the level since,
+//! one fresh descent replaces all hints).
+//!
+//! * **The remover** of a node — the operation whose level-0 mark deleted it
+//!   — marks the node's upper lanes top-down, then *purges* every lane: one
+//!   pass from the hint, **through the nodes holding the same key**, to the
+//!   first greater key, unlinking every marked node on the way.  Going
+//!   through equal keys is what makes the pass sufficient: a `put`
+//!   replacement has its victim's key and may be linked in front of it on an
+//!   upper level, where a search for the key would stop.  (On level 0 marked
+//!   same-key nodes always precede the live one, since a replace splices the
+//!   new node in *behind* its victim.)
+//! * **The linker** of a node — the operation that inserted it — links the
+//!   upper lanes bottom-up, so a node linked on a level was linked on every
+//!   level below.  A link CAS that succeeds proves the successor it installs
+//!   is still in the lane (it was the value of a predecessor word that is
+//!   unmarked, hence in the lane itself).  It proves nothing about the node
+//!   being linked: the remover may have marked and purged this lane a moment
+//!   before, finding nothing.  So after every link CAS the linker re-reads
+//!   the node's own lane and, if it is marked, purges the lane itself and
+//!   stops linking.
+//! * **Retirement is a handoff.**  Linker and remover each say when they are
+//!   done with the node, and whoever says so last retires it.  Either the
+//!   linker's re-read saw the lane unmarked — then the remover's mark, and
+//!   its purge, came after the link and found the node — or the linker
+//!   purged the lane itself.  Hence a retired node is in no lane and will not
+//!   be linked again, which is all epoch-based reclamation needs: a thread
+//!   that still holds a pointer to it was pinned while the node was
+//!   reachable, before the retirement.  (Retiring in the remover alone is not
+//!   enough even with the linker's re-read: in the window between a late
+//!   link and the linker's own purge, a thread pinned *after* the retirement
+//!   could pick the node up.)
+//!
+//! # Towers
+//!
+//! A node is allocated as a header (key, value, height) followed by exactly
+//! `height` lanes — 64 bytes on average for a `u64` value, not a fixed
+//! 20-lane array — as one `Tower<V, H>` of its own height, so allocation,
+//! `tdelete`, retirement and `Drop` stay typed.
 
 use crate::chain::{self, Link, TRACKED};
 use crate::tag;
 use medley::{CasWord, Ctx, NonTx};
 use std::marker::PhantomData;
 use std::ptr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Maximum tower height (matches the paper's 20-level skiplists).
 pub const MAX_HEIGHT: usize = 20;
 
-pub(crate) struct Node<V> {
+/// A lane's sort key: a node holding `key` sorts as `at(key)`, and
+/// `past(key)` is the bound just behind every such node, which lets a purge
+/// say "through equal keys" to the shared traversal.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Bound {
+    key: u64,
+    past: bool,
+}
+
+impl Bound {
+    fn at(key: u64) -> Self {
+        Self { key, past: false }
+    }
+    fn past(key: u64) -> Self {
+        Self { key, past: true }
+    }
+}
+
+/// The header of a tower; its lanes follow it (see [`Tower`]).
+#[repr(C)]
+struct Node<V> {
     key: u64,
     val: V,
-    height: usize,
-    tower: [CasWord; MAX_HEIGHT],
+    height: u8,
+    /// [`LINKED`] and [`REMOVED`], each set once; the second setter retires.
+    done: AtomicU8,
 }
 
-/// Level 0 is the membership chain.  Unlinking there does not retire: the
-/// tower may still be linked above, so the remover retires it after purging
-/// every level (see `finish_removal`).
+/// The node's linker will not touch it again (set from birth on a tower of
+/// height 1, which has nothing to link).
+const LINKED: u8 = 1;
+/// The node's remover has purged it from every lane.
+const REMOVED: u8 = 2;
+
+/// What a node is allocated as: the header and one lane per level.
+#[repr(C)]
+struct Tower<V, const H: usize> {
+    node: Node<V>,
+    lanes: [CasWord; H],
+}
+
+/// Evaluates `$body` with the constant `$H` equal to `$height`, so that a
+/// node can be handed to the allocator as the `Tower<V, H>` it is.
+macro_rules! with_height {
+    ($height:expr, $H:ident => $body:expr) => {
+        with_height!(@arms $height, $H, $body,
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20)
+    };
+    (@arms $height:expr, $H:ident, $body:expr, $($n:literal)*) => {
+        match $height {
+            $($n => {
+                const $H: usize = $n;
+                $body
+            })*
+            h => unreachable!("tower height {h}"),
+        }
+    };
+}
+const _: () = assert!(MAX_HEIGHT == 20, "`with_height!` lists the heights");
+
+impl<V> Node<V> {
+    /// Offset of lane 0 from the header, the same at every height.
+    const LANES: usize = std::mem::offset_of!(Tower<V, 1>, lanes);
+}
+
+/// Unlinking from a lane does not retire: the tower may still be linked in
+/// others, so it is retired by handoff (see the module docs).
 impl<V> Link for Node<V> {
-    type Key = u64;
+    type Key = Bound;
     const RETIRE_ON_UNLINK: bool = false;
-    fn key(&self) -> u64 {
-        self.key
+    fn key(&self) -> Bound {
+        Bound::at(self.key)
     }
-    fn next(&self) -> &CasWord {
-        &self.tower[0]
+    unsafe fn lane(this: *const Self, lane: usize) -> *const CasWord {
+        // SAFETY: `this` heads a `Tower<V, H>` with `lane < H` and may be used
+        // for all of it (caller contract); `repr(C)` puts `lanes` at `LANES`.
+        unsafe { this.byte_add(Self::LANES).cast::<CasWord>().add(lane) }
+    }
+    unsafe fn free(this: *mut Self) {
+        // SAFETY: the caller owns the node, which was allocated as the tower
+        // of its height.
+        unsafe {
+            with_height!((*this).height, H => drop(Box::from_raw(this.cast::<Tower<V, H>>())))
+        }
     }
 }
 
-/// Result of positioning at the bottom level.
-type Level0Pos<V> = chain::Position<Node<V>, TRACKED>;
+/// A position in one lane of the towers.
+type Pos<V> = chain::Position<Node<V>, TRACKED>;
+
+/// The predecessor of a key on every level, as its search found them (null:
+/// the head tower).  Hints for the maintenance that follows.
+type Preds<V> = [*mut Node<V>; MAX_HEIGHT];
 
 /// A lock-free, NBTC-composable skiplist map from `u64` keys to `V`.
 pub struct SkipList<V> {
@@ -102,104 +205,68 @@ where
 
     /// The level-`level` link word of `node`, or of the head tower when
     /// `node` is null.
+    ///
+    /// # Safety
+    /// `node` is null or protected by the current pin and taller than `level`.
     #[inline]
-    fn word_at(&self, node: *mut Node<V>, level: usize) -> *const CasWord {
+    unsafe fn word_at(&self, node: *mut Node<V>, level: usize) -> &CasWord {
         if node.is_null() {
             &self.head[level]
         } else {
-            // SAFETY: callers only pass nodes protected by the current pin.
-            unsafe { &(*node).tower[level] }
+            // SAFETY: the caller's contract; node pointers come out of link
+            // words, which hold pointers to whole towers.
+            unsafe { &*Node::lane(node, level) }
         }
     }
 
-    /// Searches for `key`, filling `preds`/`succs` with the insertion point
-    /// at every index level (`1..`) and returning the bottom-level position.
-    /// Marked nodes encountered on the way are physically unlinked (helping),
-    /// but never retired here.
-    fn search<C: Ctx>(
-        &self,
-        cx: &mut C,
-        key: u64,
-        preds: &mut [*mut Node<V>; MAX_HEIGHT],
-        succs: &mut [u64; MAX_HEIGHT],
-    ) -> Level0Pos<V> {
-        'retry: loop {
-            let mut pred_node: *mut Node<V> = ptr::null_mut();
-            for level in (1..MAX_HEIGHT).rev() {
-                loop {
-                    let pred_word = self.word_at(pred_node, level);
-                    // SAFETY: pred_word is valid while pinned.
-                    let raw = cx.nbtc_load(unsafe { &*pred_word });
-                    if tag::is_marked(raw) && !pred_node.is_null() {
-                        // The pred node picked up at a higher level has since
-                        // been deleted at this one.  Restart this level from
-                        // the head tower, where the marked node is
-                        // encountered as `curr` and handled by the
-                        // unlink-help branch below.
-                        pred_node = ptr::null_mut();
-                        continue;
-                    }
-                    let curr_bits = tag::unmarked(raw);
-                    let curr = tag::as_ptr::<Node<V>>(curr_bits);
-                    if curr.is_null() {
-                        preds[level] = pred_node;
-                        succs[level] = 0;
-                        break;
-                    }
-                    // SAFETY: curr reachable and pinned.
-                    let next_raw = cx.nbtc_load(unsafe { &(*curr).tower[level] });
-                    if tag::is_marked(next_raw) {
-                        // curr is deleted at this level; help unlink it.
-                        if !cx.nbtc_cas(
-                            unsafe { &*pred_word },
-                            curr_bits,
-                            tag::unmarked(next_raw),
-                            false,
-                            false,
-                        ) {
-                            continue 'retry;
-                        }
-                        continue;
-                    }
-                    if unsafe { (*curr).key } < key {
-                        pred_node = curr;
-                        continue;
-                    }
-                    preds[level] = pred_node;
-                    succs[level] = curr_bits;
-                    break;
+    /// Searches for `key` and returns the bottom-level position, recording
+    /// the predecessor on every level in `preds`.  Marked nodes met on the
+    /// way are physically unlinked (helping), but never retired here.
+    ///
+    /// Each level is one chain traversal that starts at the predecessor found
+    /// on the level above.  That node may be deleted on this level already
+    /// (its remover marks top-down; on level 0 the running transaction's own
+    /// speculative mark counts too, and nobody can unlink that before
+    /// commit): the traversal then backs off to the nearest earlier
+    /// predecessor still alive here — `preds[level + 2]`, …, the head last —
+    /// and meets the dead node as a candidate, which it helps unlink.
+    fn search<C: Ctx>(&self, cx: &mut C, key: u64, preds: &mut Preds<V>) -> Pos<V> {
+        let mut level = MAX_HEIGHT - 1;
+        // Where this level starts: `preds[from]`, the head for `MAX_HEIGHT`.
+        let mut from = MAX_HEIGHT;
+        loop {
+            let pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
+            // SAFETY: pinned by the caller's `with_op`; `pred` was found on
+            // level `from - 1 >= level`, so it has this lane, and lanes only
+            // ever link `Node<V>`s of at least their height.
+            let start = unsafe { self.word_at(pred, level) };
+            // SAFETY: as above; a node linked on a level has that lane.
+            let found: Option<Pos<V>> =
+                unsafe { chain::try_find(cx, start, level, Bound::at(key)) };
+            let Some(pos) = found else {
+                // `pred` is deleted on this level: back off.  Otherwise the
+                // pass lost an unlink race and is simply repeated.
+                if !pred.is_null() && tag::is_marked(cx.nbtc_load(start)) {
+                    from += 1;
                 }
+                continue;
+            };
+            preds[level] = if pos.pred().is_null() {
+                pred
+            } else {
+                pos.pred()
+            };
+            if level == 0 {
+                return pos;
             }
-            // Level 0: the shared chain traversal, entered at the index's
-            // predecessor.
-            loop {
-                // SAFETY: pinned by the caller's `with_op`; level-0 words only
-                // ever link `Node<V>`s, through `chain`.
-                let start = unsafe { &*self.word_at(pred_node, 0) };
-                if let Some(pos) = unsafe { chain::try_find(cx, start, key) } {
-                    return pos;
-                }
-                if pred_node.is_null() || !tag::is_marked(cx.nbtc_load(start)) {
-                    // Lost an unlink race.
-                    continue 'retry;
-                }
-                // The index led to a node that is deleted at level 0 —
-                // possibly by this very transaction, in which case nobody can
-                // unlink it before commit and a fresh descent would end here
-                // again.  Walk level 0 from the head instead.
-                pred_node = ptr::null_mut();
-            }
+            from = level;
+            level -= 1;
         }
     }
 
-    fn empty_arrays() -> ([*mut Node<V>; MAX_HEIGHT], [u64; MAX_HEIGHT]) {
-        ([ptr::null_mut(); MAX_HEIGHT], [0; MAX_HEIGHT])
-    }
-
-    /// [`SkipList::search`] for callers that do not need the index levels.
-    fn locate<C: Ctx>(&self, cx: &mut C, key: u64) -> Level0Pos<V> {
-        let (mut preds, mut succs) = Self::empty_arrays();
-        self.search(cx, key, &mut preds, &mut succs)
+    /// [`SkipList::search`] for callers that do not need the predecessors.
+    fn locate<C: Ctx>(&self, cx: &mut C, key: u64) -> Pos<V> {
+        self.search(cx, key, &mut [ptr::null_mut(); MAX_HEIGHT])
     }
 
     /// Looks up `key`.
@@ -246,212 +313,211 @@ where
             let pos = self.locate(cx, bounds.start);
             pos.register_prev(cx);
             let mut curr = pos.curr();
-            // SAFETY: every node on the level-0 list is protected by the
-            // current pin; keys are immutable after construction.
-            while let Some(node) = unsafe { curr.as_ref() } {
+            while !curr.is_null() {
+                // SAFETY: every node on the level-0 list is protected by the
+                // current pin; keys are immutable after construction.
+                let (node, link) = unsafe { (&*curr, self.word_at(curr, 0)) };
                 if node.key >= bounds.end || out.len() == limit {
                     break;
                 }
-                let (next_raw, next_cnt) = cx.nbtc_load_counted(&node.tower[0]);
+                let (next_raw, next_cnt) = cx.nbtc_load_counted(link);
+                curr = tag::as_ptr::<Node<V>>(tag::unmarked(next_raw));
                 if tag::is_marked(next_raw) {
                     // Logically deleted: hop over it unregistered (frozen
                     // word, see above).  A replace parks the successor with
                     // the same key here, so order is preserved.
-                    curr = tag::as_ptr::<Node<V>>(tag::unmarked(next_raw));
                     continue;
                 }
                 // Live: this one load both proves membership and pins the
                 // link to the successor.
-                cx.add_read_with_counter(&node.tower[0], next_raw, next_cnt);
+                cx.add_read_with_counter(link, next_raw, next_cnt);
                 out.push((node.key, node.val.clone()));
-                curr = tag::as_ptr::<Node<V>>(tag::unmarked(next_raw));
             }
             out
         })
     }
 
-    /// Links `node` into levels `1..height` (post-linearization index
-    /// maintenance).  Called from cleanup context, which is definitionally
-    /// non-transactional — hence the concrete [`NonTx`] context.
-    fn link_upper_levels(&self, cx: &mut NonTx<'_>, node: *mut Node<V>) {
-        let (mut preds, mut succs) = Self::empty_arrays();
-        // SAFETY: node is linked at level 0 (committed) and cannot be freed
-        // before it is unlinked from every level, which cannot happen while
-        // its own remover has not yet retired it and we are pinned.
-        let (key, height) = unsafe { ((*node).key, (*node).height) };
-        'levels: for level in 1..height {
-            loop {
-                // Stop early if the node has since been logically deleted.
-                let bottom = unsafe { (*node).tower[0].load_parts().0 };
-                if tag::is_marked(bottom) {
-                    break 'levels;
-                }
-                let _ = self.search(cx, key, &mut preds, &mut succs);
-                let succ = succs[level];
-                if tag::as_ptr::<Node<V>>(succ) == node {
-                    // Already linked at this level (e.g. by a previous retry).
-                    continue 'levels;
-                }
-                // Point the node at its successor, unless it got marked.
-                let cur = unsafe { (*node).tower[level].load_parts().0 };
-                if tag::is_marked(cur) {
-                    break 'levels;
-                }
-                if cur != succ && !unsafe { &(*node).tower[level] }.cas_value(cur, succ) {
-                    continue;
-                }
-                let pred_word = self.word_at(preds[level], level);
-                // SAFETY: preds[level] pinned.
-                if unsafe { &*pred_word }.cas_value(succ, tag::from_ptr(node)) {
-                    // Post-link validation: the successor we just linked to
-                    // may have been marked (and even verified as unlinked by
-                    // its remover) between our search and the link CAS.  We
-                    // created that link, so we are responsible for making
-                    // sure it does not outlive our EBR pin — unlink any
-                    // marked successor before returning, or the remover's
-                    // retirement would leave a permanently dangling index
-                    // pointer (use-after-free for later traversals).
-                    self.unlink_marked_successors(node, level);
-                    continue 'levels;
-                }
-                // Lost a race; re-search and retry this level.
-            }
-        }
-    }
-
-    /// Repeatedly unlinks `node`'s level-`level` successor while that
-    /// successor is marked at `level`.  Part of the creator-validates
-    /// discipline described in [`SkipList::link_upper_levels`].
-    fn unlink_marked_successors(&self, node: *mut Node<V>, level: usize) {
+    /// One traversal of `level` up to `bound` from the hint `preds[level]`.
+    /// If the hint is dead on this level, a fresh descent replaces all hints.
+    ///
+    /// # Safety
+    /// Pinned; every `preds[l]` is null or a node with key below `key` that
+    /// was once linked on level `l`.
+    unsafe fn reposition(
+        &self,
+        cx: &mut NonTx<'_>,
+        key: u64,
+        level: usize,
+        bound: Bound,
+        preds: &mut Preds<V>,
+    ) -> Pos<V> {
         loop {
-            // SAFETY: `node` is reachable and pinned by the caller; any
-            // successor observed here was linked while we are pinned, so its
-            // memory cannot be reclaimed before we return.
-            let cur = unsafe { (*node).tower[level].load_parts().0 };
-            let succ = tag::as_ptr::<Node<V>>(tag::unmarked(cur));
-            if tag::is_marked(cur) || succ.is_null() {
-                return;
+            let pred = preds[level];
+            // SAFETY: the caller's contract on `preds`.
+            let start = unsafe { self.word_at(pred, level) };
+            // SAFETY: pinned, and a node linked on a level has that lane.
+            if let Some(pos) = unsafe { chain::try_find(cx, start, level, bound) } {
+                return pos;
             }
-            let succ_next = unsafe { (*succ).tower[level].load_parts().0 };
-            if !tag::is_marked(succ_next) {
-                return;
+            if !pred.is_null() && tag::is_marked(cx.nbtc_load(start)) {
+                self.search(cx, key, preds);
             }
-            // Marked successor: splice it out of our own link word.
-            let _ = unsafe { &(*node).tower[level] }.cas_value(cur, tag::unmarked(succ_next));
-            // Re-examine: the replacement successor may be marked as well.
         }
     }
 
-    /// Walks level `level` from the head, unlinking **every** marked node
-    /// with key ≤ `key` (paper-style helping, but traversing *through* equal
-    /// keys).  A plain `search` is not enough for a retiring node: a `put`
-    /// replacement carries the same key as its victim, so `search(key)`
-    /// stops at the replacement and never reaches a marked victim linked
-    /// behind it.
-    fn purge_level(&self, cx: &mut NonTx<'_>, level: usize, key: u64) {
-        'retry: loop {
-            let mut pred: *mut Node<V> = ptr::null_mut();
-            loop {
-                let pred_word = self.word_at(pred, level);
-                // SAFETY: pred_word valid while pinned.
-                let raw = cx.nbtc_load(unsafe { &*pred_word });
-                let curr_bits = tag::unmarked(raw);
-                let curr = tag::as_ptr::<Node<V>>(curr_bits);
-                if curr.is_null() {
-                    return;
-                }
-                // SAFETY: curr reachable and pinned.
-                let next_raw = cx.nbtc_load(unsafe { &(*curr).tower[level] });
-                if tag::is_marked(next_raw) {
-                    if !cx.nbtc_cas(
-                        unsafe { &*pred_word },
-                        curr_bits,
-                        tag::unmarked(next_raw),
-                        false,
-                        false,
-                    ) {
-                        continue 'retry;
+    /// Unlinks every marked node holding `key` (and any before them) from
+    /// `level`: the traversal goes *through* equal keys, so a same-key
+    /// replacement linked in front of a dead node cannot shadow it.
+    ///
+    /// # Safety
+    /// As for [`SkipList::reposition`].
+    unsafe fn purge(&self, cx: &mut NonTx<'_>, key: u64, level: usize, preds: &mut Preds<V>) {
+        // SAFETY: forwarded.
+        unsafe { self.reposition(cx, key, level, Bound::past(key), preds) };
+    }
+
+    /// Links `node` on `level`.  `false` means the node is being removed and
+    /// must not be linked any higher.
+    ///
+    /// # Safety
+    /// As for [`SkipList::reposition`]; `node` holds `key`, is taller than
+    /// `level`, linked on every level below and not yet released by its
+    /// linker, which is the caller.
+    unsafe fn link_level(
+        &self,
+        cx: &mut NonTx<'_>,
+        key: u64,
+        node: *mut Node<V>,
+        level: usize,
+        preds: &mut Preds<V>,
+    ) -> bool {
+        // SAFETY (whole body): `node` is not retired before its linker
+        // releases it; the rest is the caller's contract.
+        let (bottom, own) = unsafe { (self.word_at(node, 0), self.word_at(node, level)) };
+        loop {
+            if tag::is_marked(cx.nbtc_load(bottom)) {
+                return false;
+            }
+            let (prev, succ) =
+                unsafe { self.reposition(cx, key, level, Bound::at(key), preds) }.prev();
+            // Point the node at its successor, unless its remover got here.
+            let cur = cx.nbtc_load(own);
+            if tag::is_marked(cur) {
+                return false;
+            }
+            if cur != succ && !cx.nbtc_cas(own, cur, succ, false, false) {
+                continue;
+            }
+            #[cfg(test)]
+            pause::before_link(key);
+            if !cx.nbtc_cas(unsafe { &*prev }, succ, tag::from_ptr(node), false, false) {
+                continue;
+            }
+            // Linked.  If the remover marked this lane before the link, its
+            // purge may have come and gone: undo the link ourselves.
+            if tag::is_marked(cx.nbtc_load(own)) {
+                unsafe { self.purge(cx, key, level, preds) };
+                return false;
+            }
+            return true;
+        }
+    }
+
+    /// Index maintenance after a level-0 linearization of `key`: purges
+    /// `deleted`, the node the operation removed, from every lane and links
+    /// `linked`, the node it inserted, into its upper lanes.
+    ///
+    /// # Safety
+    /// As for [`SkipList::reposition`]; the caller is the remover of
+    /// `deleted` and the linker of `linked`, both holding `key`.
+    unsafe fn maintain(
+        &self,
+        cx: &mut NonTx<'_>,
+        key: u64,
+        linked: Option<*mut Node<V>>,
+        deleted: Option<*mut Node<V>>,
+        preds: &mut Preds<V>,
+    ) {
+        // SAFETY (whole body): neither node is retired before this call
+        // releases it.
+        let height =
+            |node: Option<*mut Node<V>>| node.map_or(0, |n| unsafe { (*n).height } as usize);
+        let (purge_top, mut link_top) = (height(deleted), height(linked));
+        if let Some(victim) = deleted {
+            for level in (1..purge_top).rev() {
+                let own = unsafe { self.word_at(victim, level) };
+                loop {
+                    let cur = cx.nbtc_load(own);
+                    if tag::is_marked(cur) || cx.nbtc_cas(own, cur, tag::marked(cur), false, false)
+                    {
+                        break;
                     }
-                    continue;
-                }
-                let ckey = unsafe { (*curr).key };
-                if ckey > key {
-                    return;
-                }
-                pred = curr;
-            }
-        }
-    }
-
-    /// Marks levels `height-1 .. 1` of `node` (cleanup of a logical delete),
-    /// then unlinks the node everywhere and retires it.
-    fn finish_removal(&self, cx: &mut NonTx<'_>, node: *mut Node<V>) {
-        // SAFETY: node is pinned and not yet retired (we are its unique
-        // retirer).
-        let height = unsafe { (*node).height };
-        let key = unsafe { (*node).key };
-        for level in (1..height).rev() {
-            loop {
-                let cur = unsafe { (*node).tower[level].load_parts().0 };
-                if tag::is_marked(cur) {
-                    break;
-                }
-                if unsafe { &(*node).tower[level] }.cas_value(cur, tag::marked(cur)) {
-                    break;
                 }
             }
         }
-        // Purge every level the node may still be linked at; the traversal
-        // goes through equal keys so a replacement with the same key cannot
-        // shadow the retiring node.  Afterwards the only links that can
-        // still materialize come from in-flight linkers, and those unlink
-        // their own marked successors before unpinning (see
-        // `link_upper_levels`), which is enough because this node's memory
-        // cannot be reclaimed while any such linker stays pinned.
-        for level in (0..height).rev() {
-            self.purge_level(cx, level, key);
+        // Bottom-up, so that a node linked on a level is linked below it.
+        for level in 0..purge_top.max(link_top) {
+            if level < purge_top {
+                unsafe { self.purge(cx, key, level, preds) };
+            }
+            if let Some(node) = linked.filter(|_| (1..link_top).contains(&level)) {
+                if !unsafe { self.link_level(cx, key, node, level, preds) } {
+                    link_top = 0;
+                }
+            }
         }
-        // SAFETY: unreachable from the structure and uniquely retired here.
-        unsafe { cx.retire_now(node) };
+        for (node, who) in [(linked, LINKED), (deleted, REMOVED)] {
+            let Some(node) = node else { continue };
+            // Whoever is done with the node last retires it.
+            if unsafe { &(*node).done }.fetch_or(who, Ordering::AcqRel) | who == LINKED | REMOVED {
+                // SAFETY: in no lane and never linked again (module docs).
+                unsafe {
+                    with_height!((*node).height, H => cx.retire_now(node.cast::<Tower<V, H>>()))
+                }
+            }
+        }
     }
 
     /// Allocates a node with a random tower height.
     fn new_node<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> *mut Node<V> {
-        cx.tnew(Node {
+        let height = self.random_height();
+        let node = Node {
             key,
             val,
-            height: self.random_height(),
-            tower: std::array::from_fn(|_| CasWord::new(0)),
+            height: height as u8,
+            done: AtomicU8::new(if height == 1 { LINKED } else { 0 }),
+        };
+        with_height!(height, H => {
+            let lanes = std::array::from_fn(|_| CasWord::new(0));
+            cx.tnew(Tower::<V, H> { node, lanes }).cast()
         })
     }
 
     /// Registers the index maintenance that follows a level-0 linearization,
-    /// run once the outcome is decided: link the new node's upper levels,
-    /// then mark, purge and retire the node it deleted.
+    /// run once the outcome is decided, with the predecessors the
+    /// operation's search found as hints.
     fn maintain_on_commit<C: Ctx>(
         &self,
         cx: &mut C,
+        key: u64,
         linked: Option<*mut Node<V>>,
         deleted: Option<*mut Node<V>>,
+        mut preds: Preds<V>,
     ) {
-        let list = self as *const Self as usize;
-        let (linked, deleted) = (linked.map(|n| n as usize), deleted.map(|n| n as usize));
+        // SAFETY: `linked` is the caller's own node.
+        let linked = linked.filter(|&node| unsafe { (*node).height } > 1);
+        if linked.is_none() && deleted.is_none() {
+            return;
+        }
+        let list = self as *const Self;
         cx.add_cleanup(move |h| {
             // Cleanup context is definitionally non-transactional.
             let mut cx = NonTx::new(h);
             // SAFETY: the structure outlives the transaction (caller
-            // contract), and both nodes are kept allocated by the pin until
-            // `finish_removal` — whose only caller for `deleted` is here —
-            // retires them.
-            unsafe {
-                let list = &*(list as *const Self);
-                if let Some(node) = linked {
-                    list.link_upper_levels(&mut cx, node as *mut Node<V>);
-                }
-                if let Some(node) = deleted {
-                    list.finish_removal(&mut cx, node as *mut Node<V>);
-                }
-            }
+            // contract).  The pin of the operation, or of its transaction,
+            // is still held: it keeps the hints allocated, and both nodes
+            // until `maintain` — called for them only here — releases them.
+            unsafe { (*list).maintain(&mut cx, key, linked, deleted, &mut preds) };
         });
     }
 
@@ -459,15 +525,17 @@ where
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         cx.with_op(|cx| {
             let node = self.new_node(cx, key, val);
-            let (mut preds, mut succs) = Self::empty_arrays();
+            let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization + publication point: the bottom-level link.
             // SAFETY: `node` is fresh from `tnew`; `search` positions are
             // taken under this `with_op`'s pin.
-            let inserted = unsafe {
-                chain::insert(cx, node, |cx| self.search(cx, key, &mut preds, &mut succs))
-            };
+            let inserted =
+                unsafe { chain::insert(cx, node, |cx| self.search(cx, key, &mut preds)) };
             if inserted {
-                self.maintain_on_commit(cx, Some(node), None);
+                self.maintain_on_commit(cx, key, Some(node), None, preds);
+            } else {
+                // SAFETY: still private, and allocated as this tower.
+                unsafe { with_height!((*node).height, H => cx.tdelete(node.cast::<Tower<V, H>>())) }
             }
             inserted
         })
@@ -477,15 +545,15 @@ where
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         cx.with_op(|cx| {
             let node = self.new_node(cx, key, val);
-            let (mut preds, mut succs) = Self::empty_arrays();
+            let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization point: the bottom-level link, or the mark of the
             // old node's bottom link *at* the replacement (paper Fig. 2).
             // SAFETY: as in `insert`.
-            let replaced =
-                unsafe { chain::put(cx, node, |cx| self.search(cx, key, &mut preds, &mut succs)) };
+            let replaced = unsafe { chain::put(cx, node, |cx| self.search(cx, key, &mut preds)) };
             let old = replaced.as_ref().and_then(|pos| pos.node());
             let old_val = old.map(|n| n.val.clone());
-            self.maintain_on_commit(cx, Some(node), replaced.map(|pos| pos.curr()));
+            let deleted = replaced.map(|pos| pos.curr());
+            self.maintain_on_commit(cx, key, Some(node), deleted, preds);
             old_val
         })
     }
@@ -493,10 +561,11 @@ where
     /// Removes `key`; returns its value if present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
         cx.with_op(|cx| {
+            let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization point: marking the bottom-level link.
-            let removed = chain::remove(cx, |cx| self.locate(cx, key))?;
+            let removed = chain::remove(cx, |cx| self.search(cx, key, &mut preds))?;
             let old_val = removed.node().map(|old| old.val.clone());
-            self.maintain_on_commit(cx, None, Some(removed.curr()));
+            self.maintain_on_commit(cx, key, None, Some(removed.curr()), preds);
             old_val
         })
     }
@@ -519,6 +588,62 @@ where
     pub fn len_quiescent(&self) -> usize {
         self.snapshot().len()
     }
+
+    /// Quiescent structural check, for tests and stress runs.  Verifies:
+    ///
+    /// * every level is sorted by key, strictly among live nodes;
+    /// * every node linked on an upper level is reachable on level 0 (the
+    ///   level-0 addresses are collected first and a pointer is looked up in
+    ///   them *before* it is followed, so a dangling index pointer is
+    ///   reported, not dereferenced) and is taller than that level.
+    ///
+    /// Returns how many deleted nodes are still linked `(on level 0, on the
+    /// levels above)`: once every operation has returned, its maintenance
+    /// has too, so a caller at rest expects `(0, 0)`.
+    pub fn check_integrity_quiescent(&self) -> Result<(u64, u64), String> {
+        // Level-0 address -> whether the node is live.
+        let mut towers = std::collections::HashMap::new();
+        let mut leftover = (0u64, 0u64);
+        for level in 0..MAX_HEIGHT {
+            let mut last: Option<(u64, bool)> = None;
+            let mut bits = self.head[level].load_value_spin();
+            while !tag::as_ptr::<Node<V>>(bits).is_null() {
+                let node = tag::as_ptr::<Node<V>>(bits);
+                if level > 0 && !towers.contains_key(&(node as usize)) {
+                    return Err(format!(
+                        "level {level}: dangling index pointer {node:p} after key {:?}",
+                        last.map(|(key, _)| key)
+                    ));
+                }
+                // SAFETY: quiescence is the caller's contract, and `node` is
+                // reachable on level 0 (walked first; checked just above).
+                let (key, height) = unsafe { ((*node).key, (*node).height as usize) };
+                if height <= level {
+                    return Err(format!(
+                        "level {level}: key {key} linked above its height {height}"
+                    ));
+                }
+                // SAFETY: as above, and `level < height`.
+                bits = unsafe { self.word_at(node, level) }.load_value_spin();
+                let mut live = !tag::is_marked(bits);
+                if level == 0 {
+                    towers.insert(node as usize, live);
+                    leftover.0 += u64::from(!live);
+                } else {
+                    live &= towers[&(node as usize)];
+                    leftover.1 += u64::from(!live);
+                }
+                if let Some((prev, prev_live)) = last {
+                    if prev > key || (prev == key && prev_live && live) {
+                        return Err(format!("level {level}: key {prev} precedes key {key}"));
+                    }
+                }
+                last = Some((key, live));
+                bits = tag::unmarked(bits);
+            }
+        }
+        Ok(leftover)
+    }
 }
 
 impl<V> Default for SkipList<V>
@@ -535,6 +660,28 @@ impl<V> Drop for SkipList<V> {
         // Every node is reachable at level 0.
         // SAFETY: `&mut self` gives exclusive access.
         unsafe { chain::free_all::<Node<V>>(&self.head[0]) };
+    }
+}
+
+/// Test-only rendezvous inside `link_level`, between preparing the node's
+/// own lane and the link CAS: the one linker of the armed key parks there
+/// until told to go on.
+#[cfg(test)]
+mod pause {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+
+    pub(super) static KEY: AtomicU64 = AtomicU64::new(0);
+    pub(super) static ARMED: AtomicBool = AtomicBool::new(false);
+    pub(super) static PARKED: AtomicBool = AtomicBool::new(false);
+    pub(super) static RESUME: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn before_link(key: u64) {
+        if key == KEY.load(SeqCst) && ARMED.swap(false, SeqCst) {
+            PARKED.store(true, SeqCst);
+            while !RESUME.load(SeqCst) {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -705,6 +852,7 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(sl.len_quiescent(), (THREADS * PER_THREAD) as usize);
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         let mut h = mgr.register();
         for k in 0..THREADS * PER_THREAD {
             assert_eq!(sl.get(&mut h.nontx(), k), Some(k * 7));
@@ -749,6 +897,7 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         let snap = sl.snapshot();
         for (k, v) in &snap {
             assert_eq!(*v, *k * 2);
@@ -808,5 +957,108 @@ mod tests {
         }
         let total: u64 = sl.snapshot().iter().map(|(_, v)| *v).sum();
         assert_eq!(total, ACCOUNTS * 1_000);
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+    }
+
+    /// Keys of the nodes linked on `level`, in order (quiescent).
+    fn keys_on_level(sl: &SkipList<u64>, level: usize) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut node = tag::as_ptr::<Node<u64>>(sl.head[level].load_value_spin());
+        while !node.is_null() {
+            // SAFETY: quiescent, and linked on `level`.
+            unsafe {
+                keys.push((*node).key);
+                node = tag::as_ptr(tag::unmarked(sl.word_at(node, level).load_value_spin()));
+            }
+        }
+        keys
+    }
+
+    /// A search whose index hint is deleted on level 0 — here by the running
+    /// transaction's own speculative mark, which nobody can unlink before
+    /// commit — backs off to an earlier predecessor it already holds.  It
+    /// used to walk level 0 from the head: half of 2^14 nodes.
+    #[test]
+    fn search_past_own_speculative_mark_stays_logarithmic() {
+        const KEYS: u64 = 1 << 14;
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let sl = SkipList::new();
+        for k in 0..KEYS {
+            assert!(sl.insert(&mut h.nontx(), k, k));
+        }
+        // A tall tower in the middle: the index leads to it on every level.
+        let tall = keys_on_level(&sl, 4);
+        let a = tall[tall.len() / 2];
+        assert!(a > KEYS / 8 && a + 1 < KEYS, "picked {a}");
+        let hops: TxResult<u64> = h.run(|tx| {
+            assert_eq!(sl.remove(tx, a), Some(a));
+            let before = chain::HOPS.get();
+            assert_eq!(sl.get(tx, a + 1), Some(a + 1));
+            assert_eq!(sl.get(tx, a), None);
+            Ok(chain::HOPS.get() - before)
+        });
+        let hops = hops.unwrap();
+        assert!(
+            hops < 200,
+            "two searches next to an own mark took {hops} hops"
+        );
+        assert_eq!(sl.get(&mut h.nontx(), a), None);
+        assert_eq!(sl.len_quiescent() as u64, KEYS - 1);
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+    }
+
+    /// A linker stalled between preparing its node's lane and the link CAS
+    /// links a node whose remover has marked and purged that lane already.
+    /// The node must not be retired under it, and must be out of the lane
+    /// again when the linker returns.  (When the remover alone retired, the
+    /// link stayed: a dangling index pointer once the churn below had
+    /// recycled the node's memory.)
+    #[test]
+    fn late_link_of_a_removed_node_is_undone() {
+        use std::sync::atomic::Ordering::SeqCst;
+        const KEY: u64 = 0x5EED_0000_0000;
+        let mgr = TxManager::new();
+        let sl = SkipList::<u64>::new();
+        let mut h = mgr.register();
+        for k in 0..64 {
+            sl.insert(&mut h.nontx(), KEY - 1_000 + k, 0);
+        }
+        pause::KEY.store(KEY, SeqCst);
+        pause::ARMED.store(true, SeqCst);
+        std::thread::scope(|s| {
+            // Released on every way out, so a failed assertion cannot leave
+            // the linker parked and the scope joining it forever.
+            struct Resume;
+            impl Drop for Resume {
+                fn drop(&mut self) {
+                    pause::RESUME.store(true, SeqCst);
+                }
+            }
+            let _resume = Resume;
+            let linker = s.spawn(|| {
+                let mut h = mgr.register();
+                // Until a tower taller than one level comes up and parks.
+                while !pause::PARKED.load(SeqCst) {
+                    sl.remove(&mut h.nontx(), KEY);
+                    assert!(sl.insert(&mut h.nontx(), KEY, 1));
+                }
+            });
+            while !pause::PARKED.load(SeqCst) {
+                assert!(!linker.is_finished(), "the linker never parked");
+                std::thread::yield_now();
+            }
+            assert_eq!(sl.remove(&mut h.nontx(), KEY), Some(1));
+            // Unrelated churn far below the key: epochs advance, and memory
+            // that was retired meanwhile is freed and reused.
+            for i in 0..20_000u64 {
+                sl.put(&mut h.nontx(), i % 512, i);
+            }
+            drop(_resume);
+            linker.join().expect("linker panicked");
+        });
+        // Before any other traversal could tidy up behind the linker.
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+        assert_eq!(sl.get(&mut h.nontx(), KEY), None);
     }
 }

@@ -160,7 +160,9 @@ fn audited_transfers_elastic() {
 #[test]
 fn audited_transfers_skiplist() {
     let mgr = TxManager::new();
-    audited_transfers(&mgr, &SkipList::<u64>::new(), None);
+    let map = SkipList::<u64>::new();
+    audited_transfers(&mgr, &map, None);
+    assert_eq!(map.check_integrity_quiescent(), Ok((0, 0)));
 }
 
 /// A domain with a live advancer, so audits and transfers cross epochs.
@@ -181,5 +183,7 @@ fn audited_transfers_durable_hash() {
 fn audited_transfers_durable_skiplist() {
     let mgr = TxManager::new();
     let (domain, _advancer) = durable_domain(&mgr);
-    audited_transfers(&mgr, &DurableSkipList::skip_list(domain), None);
+    let map = DurableSkipList::skip_list(domain);
+    audited_transfers(&mgr, &map, None);
+    assert_eq!(map.inner().check_integrity_quiescent(), Ok((0, 0)));
 }
