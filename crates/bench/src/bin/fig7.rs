@@ -5,7 +5,7 @@ use bench::systems::{OneFileMicro, TxMontageMicro};
 use bench::{emit, CommonArgs, MedleyMicro};
 use medley::TxManager;
 use nbds::MichaelHashMap;
-use pmem::{DomainBackend, NvmCostModel, SimNvm};
+use pmem::{NvmCostModel, SimNvm};
 use std::sync::Arc;
 
 fn main() {
@@ -30,11 +30,7 @@ fn main() {
             }
             // txMontage (persistent hash table, periodic persistence).
             {
-                let sys = TxMontageMicro::hash_map(
-                    buckets,
-                    DomainBackend::Arena,
-                    std::time::Duration::from_millis(10),
-                );
+                let sys = TxMontageMicro::hash_map(buckets, std::time::Duration::from_millis(10));
                 emit(
                     "fig7",
                     "txMontage",

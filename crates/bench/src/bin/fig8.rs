@@ -5,7 +5,7 @@ use bench::systems::{LfttMicro, OneFileMicro, TdslMicro, TxMontageMicro};
 use bench::{emit, CommonArgs, MedleyMicro};
 use medley::TxManager;
 use nbds::SkipList;
-use pmem::{DomainBackend, NvmCostModel, SimNvm};
+use pmem::{NvmCostModel, SimNvm};
 use std::sync::Arc;
 
 fn main() {
@@ -28,10 +28,7 @@ fn main() {
                 );
             }
             {
-                let sys = TxMontageMicro::skip_list(
-                    DomainBackend::Arena,
-                    std::time::Duration::from_millis(10),
-                );
+                let sys = TxMontageMicro::skip_list(std::time::Duration::from_millis(10));
                 emit(
                     "fig8",
                     "txMontage",

@@ -1,1938 +1,1144 @@
-//! Service-level load generator for the `kvstore` layer: N closed-loop
-//! client connections over loopback TCP, zipfian key picks, mixed
-//! single-key / multi-key traffic, per-request latency histograms.
-//!
-//! By default it is self-hosting: it starts an in-process server, runs one
-//! series against the **transient** backend and one against the **durable**
-//! (txMontage, live epoch advancer) backend, and writes both to
-//! `BENCH_server.json` via the shared `bench::report` emitter — throughput,
-//! client-observed abort counts, log-bucketed p50/p90/p99 latencies, and
-//! the server's own `STATS` snapshot (commit-path mix, conflict aborts,
-//! domain state).  `--connect ADDR` instead drives an externally started
-//! `kvserver`.
-//!
-//! `--grow` switches to the elasticity comparison: load `--keys` keys into a
-//! hash server pre-sized for the final count and into an elastic server
-//! booted at a few hundred buckets per shard, recording windowed throughput
-//! during the load (the elastic server grows its directories on-line under
-//! that churn), then run the standard mixed phase on both and report the
-//! elastic/presized steady-state ratio plus grow events and final bucket
-//! counts from `STATS`.
+//! Service-level scenarios for the `kvstore` layer: client connections over
+//! loopback TCP against in-process servers (or, for `external`, a standalone
+//! `kvserver`), zipfian (θ = 0.99) key picks, per-request latency
+//! histograms — and, per scenario, the invariant the run must uphold.
 //!
 //! ```text
+//! cargo run --release -p bench --bin kvbench -- --list
 //! cargo run --release -p bench --bin kvbench -- \
-//!     --connections 4 --seconds 2 --keys 4096 --theta 0.99 --workers 4
+//!     --scenario overload --connections 2 --workers 2 --seconds 2 --keys 4096
 //! ```
 //!
-//! Traffic mix per draw (keys zipfian unless `--uniform`): 50% `GET`,
-//! 20% `PUT`, 10% `CAS`, 10% `TRANSFER` (two picks, amount 1), 10% `MGET`
-//! of 4 keys.  There are no `DEL`s so `TRANSFER` accounts stay populated;
-//! failed transfers (`Insufficient`) are successful round trips and are
-//! counted separately from aborts.
+//! Every scenario is one row of [`SCENARIOS`]: a `run` that hosts the
+//! servers it needs and pushes load through the one driver ([`drive`]), and
+//! the bounds its figures must meet — checked by [`check`], a pure function
+//! of the rows the run printed, which decides the exit status.  Figures go
+//! to stdout as CSV in long form (`scenario,series,metric,value`); a broken
+//! bound is named on stderr and the exit status is 1, so a CI step is just
+//! the command.
+//!
+//! The mixed traffic is 50% `GET`, 20% `PUT`, 10% blind `CAS`, 10%
+//! `TRANSFER` (two picks, amount 1), 10% `MGET` of 4 keys.  There are no
+//! `DEL`s so `TRANSFER` accounts stay populated; a refused transfer
+//! (`Insufficient`) is a completed round trip, tallied apart from aborts.
 
-use bench::report::{write_json, LatencyHistogram};
-use bench::workload::KeyDist;
+use bench::workload::{KeyDist, KeySampler};
 use bench::CommonArgs;
 use kvstore::{
-    Client, Cmd, ErrCode, KvError, MetricsReply, OverloadConfig, Request, Response, Server,
-    ServerConfig, StatsReply, StoreBackend, StoreConfig, TableKind, TelemetryConfig,
+    Client, Cmd, CmdOut, ErrCode, KvError, KvResult, OverloadConfig, PartitionScheme, Request,
+    Response, Server, ServerConfig, StatsReply, StoreBackend, StoreConfig, TableKind,
 };
 use medley::util::FastRng;
 use medley::ContentionPolicy;
+use obs::LatencyHistogram;
+use pmem::Value;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::net::SocketAddr;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Initial balance preloaded into every key.
 const INITIAL: u64 = 1_000_000;
+/// Key distribution of every scenario.
+const ZIPF: KeyDist = KeyDist::Zipfian(0.99);
+/// Keys per `MSET` when loading (well inside descriptor write capacity).
+const LOAD_CHUNK: usize = 512;
+/// Connections are multiplexed over at most this many client threads.
+const MAX_CLIENT_THREADS: usize = 8;
+/// How long a first connect may wait for an external server to bind.
+const CONNECT_PATIENCE: Duration = Duration::from_secs(5);
+/// How long a connection may take to collect its in-flight responses after
+/// the deadline — bounded, so a wedged server cannot hang the run.
+const DRAIN_PATIENCE: Duration = Duration::from_millis(500);
 
-/// Open-loop mode: most requests one connection may have outstanding before
-/// the generator counts a scheduled send as dropped instead of queuing it —
-/// an open-loop generator must never let a slow server push back on its
-/// clock, but its own memory must stay bounded too.
-const OPEN_LOOP_PIPELINE: usize = 4096;
-
-/// Per-connection tallies of one series.
-#[derive(Default)]
-struct ConnTally {
-    ok: u64,
-    retry_aborts: u64,
-    app_errors: u64,
-}
-
-/// Client-observed latency split by operation type, parallel to the mixed
-/// workload's shapes.  Paired against the server's `METRICS` histograms in
-/// each BENCH row: the client side includes the wire and the pipeline, the
-/// server side is pure service time, and their gap is the queueing the
-/// event loop adds.
-#[derive(Default)]
-struct OpHists {
-    get: LatencyHistogram,
-    put: LatencyHistogram,
-    cas: LatencyHistogram,
-    transfer: LatencyHistogram,
-    mget: LatencyHistogram,
-}
-
-impl OpHists {
-    fn slots(&self) -> [(&'static str, &LatencyHistogram); 5] {
-        [
-            ("get", &self.get),
-            ("put", &self.put),
-            ("cas", &self.cas),
-            ("transfer", &self.transfer),
-            ("mget", &self.mget),
-        ]
-    }
-
-    fn merge(&mut self, other: &OpHists) {
-        self.get.merge(&other.get);
-        self.put.merge(&other.put);
-        self.cas.merge(&other.cas);
-        self.transfer.merge(&other.transfer);
-        self.mget.merge(&other.mget);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots().iter().all(|(_, h)| h.total() == 0)
-    }
-
-    /// `"name":{"ops":..,"p50_ns":..,"p90_ns":..,"p99_ns":..}` members for
-    /// every op type that saw traffic.
-    fn json_members(&self) -> String {
-        self.slots()
-            .iter()
-            .filter(|(_, h)| h.total() > 0)
-            .map(|(name, h)| hist_json_member(name, h))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-/// One `"name":{...}` histogram summary member.
-fn hist_json_member(name: &str, h: &LatencyHistogram) -> String {
-    let (p50, p90, p99) = h.percentiles_ns();
-    format!(
-        "\"{}\":{{\"ops\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-        name,
-        h.total(),
-        p50,
-        p90,
-        p99
-    )
-}
-
-/// Exposition name of a wire opcode in the `server_ops` JSON object (the
-/// same labels the Prometheus endpoint uses).
-fn opcode_json_name(opcode: u8) -> String {
-    match opcode {
-        0x01 => "get".to_string(),
-        0x02 => "put".to_string(),
-        0x03 => "del".to_string(),
-        0x04 => "cas".to_string(),
-        0x05 => "contains".to_string(),
-        0x06 => "get_b".to_string(),
-        0x07 => "put_b".to_string(),
-        0x08 => "del_b".to_string(),
-        0x09 => "cas_b".to_string(),
-        0x10 => "mget".to_string(),
-        0x11 => "mset".to_string(),
-        0x12 => "transfer".to_string(),
-        0x13 => "batch".to_string(),
-        0x16 => "mget_b".to_string(),
-        0x17 => "mset_b".to_string(),
-        0x18 => "scan".to_string(),
-        other => format!("op_0x{other:02x}"),
-    }
-}
-
-/// `,"server_ops":{...}` fragment from a `METRICS` reply (empty string when
-/// the server reported no active ops, e.g. telemetry disabled).
-fn server_ops_json(m: &MetricsReply) -> String {
-    if m.ops.is_empty() {
-        return String::new();
-    }
-    let members: Vec<String> = m
-        .ops
-        .iter()
-        .map(|o| {
-            let mut member = hist_json_member(&opcode_json_name(o.opcode), &o.hist);
-            let aborts: u64 = o.aborts.iter().sum();
-            member.truncate(member.len() - 1); // reopen the object
-            member.push_str(&format!(
-                ",\"retries\":{},\"aborts\":{}}}",
-                o.retries, aborts
-            ));
-            member
-        })
-        .collect();
-    format!(",\"server_ops\":{{{}}}", members.join(","))
-}
-
-struct SeriesResult {
-    name: String,
-    connections: usize,
-    elapsed: Duration,
-    ok: u64,
-    retry_aborts: u64,
-    app_errors: u64,
-    hist: LatencyHistogram,
-    /// Client-observed latency split by op type (empty for series whose op
-    /// loop does not classify, e.g. the blob family).
-    op_hists: OpHists,
-    server: StatsReply,
-    /// The server's `METRICS` reply sampled after the run (`None` when the
-    /// server has telemetry disabled or reported nothing).
-    server_metrics: Option<MetricsReply>,
-    /// Extra JSON fields (`,"k":v` form) a specialized series tacks on.
-    extra: String,
-}
-
-impl SeriesResult {
-    fn to_json(&self) -> String {
-        let (p50, p90, p99) = self.hist.percentiles_ns();
-        let t = &self.server.tx;
-        let ops_per_sec = self.ok as f64 / self.elapsed.as_secs_f64().max(1e-9);
-        let domain = match &self.server.domain {
-            None => String::new(),
-            Some(d) => format!(
-                ",\"live_payloads\":{},\"persisted_epoch\":{},\"current_epoch\":{}",
-                d.live_payloads, d.persisted_epoch, d.current_epoch
-            ),
-        };
-        let tables = match &self.server.tables {
-            None => String::new(),
-            Some(t) => format!(
-                ",\"grow_events\":{},\"total_buckets\":{}",
-                t.grow_events,
-                t.shards.iter().map(|sh| sh.buckets).sum::<u64>()
-            ),
-        };
-        let events = match &self.server.events {
-            None => String::new(),
-            Some(e) => format!(
-                ",\"epoll_waits\":{},\"events_dispatched\":{},\
-                 \"spurious_wakeups\":{},\"writev_saved\":{}",
-                e.epoll_waits, e.events_dispatched, e.spurious_wakeups, e.writev_saved
-            ),
-        };
-        let client_ops = if self.op_hists.is_empty() {
-            String::new()
-        } else {
-            format!(",\"client_ops\":{{{}}}", self.op_hists.json_members())
-        };
-        let server_ops = self
-            .server_metrics
-            .as_ref()
-            .map_or_else(String::new, server_ops_json);
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"connections\":{},\"elapsed_s\":{:.4},",
-                "\"ops\":{},\"ops_per_sec\":{:.0},",
-                "\"retry_aborts\":{},\"app_errors\":{},",
-                "\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{},",
-                "\"server_commits\":{},\"server_aborts\":{},",
-                "\"server_conflict_aborts\":{},\"server_fast_commits\":{},",
-                "\"server_ro_commits\":{},\"server_general_commits\":{}{}{}{}{}{}{}}}"
-            ),
-            self.name,
-            self.connections,
-            self.elapsed.as_secs_f64(),
-            self.ok,
-            ops_per_sec,
-            self.retry_aborts,
-            self.app_errors,
-            p50,
-            p90,
-            p99,
-            self.hist.max_ns(),
-            t.commits,
-            t.aborts,
-            t.conflict_aborts,
-            t.fast_commits,
-            t.ro_commits,
-            t.general_commits,
-            domain,
-            tables,
-            events,
-            client_ops,
-            server_ops,
-            self.extra,
-        )
-    }
-
-    fn csv_row(&self) -> String {
-        let (p50, _, p99) = self.hist.percentiles_ns();
-        format!(
-            "{},{},{:.0},{},{},{},{}",
-            self.name,
-            self.connections,
-            self.ok as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            self.retry_aborts,
-            self.server.tx.conflict_aborts,
-            p50,
-            p99
-        )
-    }
-}
-
-/// Preloads every key over the wire (chunked MSETs stay well inside the
-/// descriptor write-set capacity).
-fn preload(addr: std::net::SocketAddr, keys: u64) {
-    let mut c = Client::connect(addr).expect("preload connect");
-    let pairs: Vec<(u64, u64)> = (0..keys).map(|k| (k, INITIAL)).collect();
-    for chunk in pairs.chunks(512) {
-        c.mset(chunk).expect("preload mset");
-    }
-}
-
-/// One client operation: sampled shape, executed, latency recorded (both
-/// overall and into the op type's own histogram).
-fn run_one_op(
-    c: &mut Client,
-    rng: &mut FastRng,
-    sampler: &bench::workload::KeySampler,
-    keys: u64,
-    tally: &mut ConnTally,
-    hist: &mut LatencyHistogram,
-    op_hists: &mut OpHists,
-) -> Result<(), KvError> {
-    let k = sampler.sample(rng);
-    let dice = rng.next_below(100);
-    let start = Instant::now();
-    let (outcome, op): (Result<(), KvError>, _) = if dice < 50 {
-        (c.get(k).map(|_| ()), 0)
-    } else if dice < 70 {
-        (c.put(k, rng.next_u64() % INITIAL).map(|_| ()), 1)
-    } else if dice < 80 {
-        // CAS against the freshly read value: mostly succeeds, loses under
-        // contention (server-side transactional retry).
-        let r = match c.get(k) {
-            Ok(Some(cur)) => c.cas(k, cur, cur ^ 1).map(|_| ()),
-            Ok(None) => Ok(()),
-            Err(e) => Err(e),
-        };
-        (r, 2)
-    } else if dice < 90 {
-        let mut to = sampler.sample(rng);
-        if to == k {
-            to = (to + 1) % keys;
-        }
-        (c.transfer(k, to, 1).map(|_| ()), 3)
-    } else {
-        let ks: Vec<u64> = (0..4).map(|_| sampler.sample(rng)).collect();
-        (c.mget(&ks).map(|_| ()), 4)
-    };
-    let mut record = |latency: Duration| {
-        hist.record(latency);
-        match op {
-            0 => op_hists.get.record(latency),
-            1 => op_hists.put.record(latency),
-            2 => op_hists.cas.record(latency),
-            3 => op_hists.transfer.record(latency),
-            _ => op_hists.mget.record(latency),
-        }
-    };
-    match outcome {
-        Ok(()) => {
-            tally.ok += 1;
-            record(start.elapsed());
-            Ok(())
-        }
-        Err(KvError::Server(code)) => {
-            // The server answered: the round trip completed, classify it.
-            match code {
-                kvstore::ErrCode::Retry | kvstore::ErrCode::Capacity => tally.retry_aborts += 1,
-                _ => {
-                    tally.app_errors += 1;
-                    record(start.elapsed());
-                }
-            }
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_series(
-    name: String,
-    addr: std::net::SocketAddr,
-    connections: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-    do_preload: bool,
-) -> SeriesResult {
-    if do_preload {
-        preload(addr, keys);
-    }
-
-    let barrier = Barrier::new(connections + 1);
-    let ok = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let app_errors = AtomicU64::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let op_hists = Mutex::new(OpHists::default());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let ok = &ok;
-            let retry_aborts = &retry_aborts;
-            let app_errors = &app_errors;
-            let hist = &hist;
-            let op_hists = &op_hists;
-            let sampler = dist.sampler(keys);
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("bench connect");
-                let mut rng = FastRng::new(0xBE9C4 + t as u64);
-                let mut tally = ConnTally::default();
-                let mut local_hist = LatencyHistogram::new();
-                let mut local_ops = OpHists::default();
-                barrier.wait();
-                let deadline = Instant::now() + duration;
-                while Instant::now() < deadline {
-                    if run_one_op(
-                        &mut c,
-                        &mut rng,
-                        &sampler,
-                        keys,
-                        &mut tally,
-                        &mut local_hist,
-                        &mut local_ops,
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-                ok.fetch_add(tally.ok, Ordering::Relaxed);
-                retry_aborts.fetch_add(tally.retry_aborts, Ordering::Relaxed);
-                app_errors.fetch_add(tally.app_errors, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-                op_hists.lock().unwrap().merge(&local_ops);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
-    });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    // Durable servers: take a durability cut, then sample the statistics
-    // and (when the server has telemetry enabled) the metrics exposition.
-    let (server, server_metrics) = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        let _ = c.sync();
-        let stats = c.stats().expect("stats");
-        let metrics = c.metrics().ok().filter(|m| !m.ops.is_empty());
-        (stats, metrics)
-    };
-
-    SeriesResult {
-        name,
-        connections,
-        elapsed,
-        ok: ok.load(Ordering::Relaxed),
-        retry_aborts: retry_aborts.load(Ordering::Relaxed),
-        app_errors: app_errors.load(Ordering::Relaxed),
-        hist: hist.into_inner().unwrap(),
-        op_hists: op_hists.into_inner().unwrap(),
-        server,
-        server_metrics,
-        extra: String::new(),
-    }
-}
-
-/// Preloads every key with a `vsize`-byte blob value.  Chunks stay well
-/// under `MAX_FRAME` (64 pairs of ≤4 KiB values ≈ 260 KiB per `MSETB`).
-fn preload_blob(addr: std::net::SocketAddr, keys: u64, payload: &[u8]) {
-    let mut c = Client::connect(addr).expect("preload connect");
-    let ks: Vec<u64> = (0..keys).collect();
-    for chunk in ks.chunks(64) {
-        let pairs: Vec<(u64, &[u8])> = chunk.iter().map(|&k| (k, payload)).collect();
-        c.mset_b(&pairs).expect("preload mset_b");
-    }
-}
-
-/// One blob-family client operation: 50% `GETB`, 40% `PUTB` of a
-/// fixed-size payload, 10% `MGETB` of 4 keys.
-fn run_blob_op(
-    c: &mut Client,
-    rng: &mut FastRng,
-    sampler: &bench::workload::KeySampler,
-    payload: &[u8],
-    tally: &mut ConnTally,
-    hist: &mut LatencyHistogram,
-) -> Result<(), KvError> {
-    let k = sampler.sample(rng);
-    let dice = rng.next_below(100);
-    let start = Instant::now();
-    let outcome: Result<(), KvError> = if dice < 50 {
-        c.get_b(k).map(|_| ())
-    } else if dice < 90 {
-        c.put_b(k, payload).map(|_| ())
-    } else {
-        let ks: Vec<u64> = (0..4).map(|_| sampler.sample(rng)).collect();
-        c.mget_b(&ks).map(|_| ())
-    };
-    match outcome {
-        Ok(()) => {
-            tally.ok += 1;
-            hist.record(start.elapsed());
-            Ok(())
-        }
-        Err(KvError::Server(code)) => {
-            match code {
-                kvstore::ErrCode::Retry | kvstore::ErrCode::Capacity => tally.retry_aborts += 1,
-                _ => {
-                    tally.app_errors += 1;
-                    hist.record(start.elapsed());
-                }
-            }
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Closed-loop series over the blob op family with `vsize`-byte values —
-/// the variable-length path end to end: length-prefixed wire values,
-/// `Value::Bytes` through the transactional maps, and (durable backend)
-/// size-classed arena slots with overflow chains for 4 KiB payloads.
-fn run_blob_series(
-    name: String,
-    addr: std::net::SocketAddr,
-    connections: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-    vsize: usize,
-) -> SeriesResult {
-    let payload: Vec<u8> = (0..vsize).map(|i| (i * 131) as u8).collect();
-    preload_blob(addr, keys, &payload);
-
-    let barrier = Barrier::new(connections + 1);
-    let ok = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let app_errors = AtomicU64::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let ok = &ok;
-            let retry_aborts = &retry_aborts;
-            let app_errors = &app_errors;
-            let hist = &hist;
-            let payload = &payload;
-            let sampler = dist.sampler(keys);
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("bench connect");
-                let mut rng = FastRng::new(0xB10B + t as u64);
-                let mut tally = ConnTally::default();
-                let mut local_hist = LatencyHistogram::new();
-                barrier.wait();
-                let deadline = Instant::now() + duration;
-                while Instant::now() < deadline {
-                    if run_blob_op(
-                        &mut c,
-                        &mut rng,
-                        &sampler,
-                        payload,
-                        &mut tally,
-                        &mut local_hist,
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-                ok.fetch_add(tally.ok, Ordering::Relaxed);
-                retry_aborts.fetch_add(tally.retry_aborts, Ordering::Relaxed);
-                app_errors.fetch_add(tally.app_errors, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
-    });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    let (server, server_metrics) = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        let _ = c.sync();
-        let stats = c.stats().expect("stats");
-        let metrics = c.metrics().ok().filter(|m| !m.ops.is_empty());
-        (stats, metrics)
-    };
-
-    SeriesResult {
-        name,
-        connections,
-        elapsed,
-        ok: ok.load(Ordering::Relaxed),
-        retry_aborts: retry_aborts.load(Ordering::Relaxed),
-        app_errors: app_errors.load(Ordering::Relaxed),
-        hist: hist.into_inner().unwrap(),
-        op_hists: OpHists::default(),
-        server,
-        server_metrics,
-        extra: format!(",\"value_bytes\":{vsize}"),
-    }
-}
-
-/// Pipelining depth per connection in the `--fanout` mode.
+/// `fanout`: sockets in the wide run, and requests in flight on each.
+const FANOUT_CONNS: usize = 512;
 const FANOUT_DEPTH: usize = 4;
+/// `overload`: offered load as a multiple of the calibrated service rate.
+const OFFERED_MULT: f64 = 2.0;
+/// `overload`: most requests one connection may have outstanding before the
+/// generator counts a scheduled send as dropped instead of queuing it — an
+/// open-loop generator must never let a slow server push back on its clock,
+/// but its own memory must stay bounded too.
+const OPEN_LOOP_PIPELINE: usize = 4096;
+/// `grow`: width of one throughput window of the load phase.
+const GROW_WINDOW_MS: u64 = 100;
+/// `scan`: strided key slots one windowed query covers.
+const SCAN_WINDOW: u64 = 128;
+/// `external`: transfers sent from keys that cannot exist.
+const PROBE_ERRORS: u64 = 64;
 
-/// Connection-fanout series: `connections` pipelined clients multiplexed
-/// over at most 8 driver threads, each connection kept `depth` requests
-/// deep.  This is the shape the epoll server is built for — far more
-/// sockets than workers, every socket busy — and the closed-loop latency
-/// histogram includes the pipeline queueing the readiness loop must not
-/// amplify.
-fn run_fanout_series(
-    name: String,
-    addr: std::net::SocketAddr,
-    connections: usize,
-    depth: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-) -> SeriesResult {
-    preload(addr, keys);
-    let drivers = connections.min(8);
+// ---------------------------------------------------------------------------
+// Tally, connection, driver
+// ---------------------------------------------------------------------------
 
-    let barrier = Barrier::new(drivers + 1);
-    let ok = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let app_errors = AtomicU64::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for d in 0..drivers {
-            let barrier = &barrier;
-            let ok = &ok;
-            let retry_aborts = &retry_aborts;
-            let app_errors = &app_errors;
-            let hist = &hist;
-            let sampler = dist.sampler(keys);
-            s.spawn(move || {
-                let lo = connections * d / drivers;
-                let hi = connections * (d + 1) / drivers;
-                let mut conns: Vec<(Client, VecDeque<Instant>)> = (lo..hi)
-                    .map(|_| {
-                        (
-                            Client::connect(addr).expect("fanout connect"),
-                            VecDeque::new(),
-                        )
-                    })
-                    .collect();
-                let mut rng = FastRng::new(0xFA9 + d as u64);
-                let mut tally = OpenLoopTally::default();
-                let mut local_hist = LatencyHistogram::new();
-                barrier.wait();
-                let deadline = Instant::now() + duration;
-                'run: while Instant::now() < deadline {
-                    for (c, pending) in conns.iter_mut() {
-                        // Top the pipeline up, then take exactly one
-                        // response: the pipeline oscillates between
-                        // DEPTH-1 and DEPTH deep, and the blocking recv
-                        // paces the driver without ever letting any
-                        // connection drain dry.
-                        while c.in_flight() < depth {
-                            let cmd = sample_cmd(&mut rng, &sampler, keys);
-                            if c.send(&Request::Cmd(cmd)).is_err() {
-                                break 'run;
-                            }
-                            pending.push_back(Instant::now());
-                        }
-                        match c.recv() {
-                            Ok(resp) => {
-                                let at = pending.pop_front().expect("pending send time");
-                                tally.classify(&resp, at, &mut local_hist);
-                            }
-                            Err(_) => break 'run,
-                        }
-                    }
-                }
-                // Drain what is still in flight so the tallies see it.
-                for (c, pending) in conns.iter_mut() {
-                    while c.in_flight() > 0 {
-                        match c.recv() {
-                            Ok(resp) => {
-                                let at = pending.pop_front().expect("pending send time");
-                                tally.classify(&resp, at, &mut local_hist);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-                ok.fetch_add(tally.ok, Ordering::Relaxed);
-                retry_aborts.fetch_add(tally.shed + tally.retry_aborts, Ordering::Relaxed);
-                app_errors.fetch_add(tally.app_errors, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
-    });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    let (server, server_metrics) = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        let stats = c.stats().expect("stats");
-        let metrics = c.metrics().ok().filter(|m| !m.ops.is_empty());
-        (stats, metrics)
-    };
-
-    SeriesResult {
-        name,
-        connections,
-        elapsed,
-        ok: ok.load(Ordering::Relaxed),
-        retry_aborts: retry_aborts.load(Ordering::Relaxed),
-        app_errors: app_errors.load(Ordering::Relaxed),
-        hist: hist.into_inner().unwrap(),
-        op_hists: OpHists::default(),
-        server,
-        server_metrics,
-        extra: format!(",\"pipeline_depth\":{depth}"),
-    }
-}
-
-/// The `--fanout` mode: the same pipelined mixed workload at the same
-/// **total concurrency** — `FANOUT_DEPTH × fan` requests in flight —
-/// offered over 8 connections (deep pipelines) and over `fan` connections
-/// (depth [`FANOUT_DEPTH`] each) against fresh servers, plus a summary row
-/// with the p99 ratio CI asserts on.  Holding the total constant is what
-/// makes the ratio meaningful: queueing delay is fixed by Little's law at
-/// either socket count, so any p99 gap is pure per-socket multiplexing
-/// cost — the thing the readiness loop exists to flatten.
-fn run_fanout_mode(
-    workers: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-    tables: TableKind,
-    fan: usize,
-) -> Vec<String> {
-    let total = FANOUT_DEPTH * fan;
-    let mut entries = Vec::new();
-    let mut p99s = Vec::new();
-    let mut rates = Vec::new();
-    for (conns, depth) in [(8usize, total / 8), (fan, FANOUT_DEPTH)] {
-        let cfg = ServerConfig {
-            workers,
-            store: StoreConfig {
-                tables: tables.clone(),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let server = Server::start(&cfg).expect("start fanout server");
-        let r = run_fanout_series(
-            format!("server-fanout/c{conns}/{}", dist.label()),
-            server.local_addr(),
-            conns,
-            depth,
-            duration,
-            keys,
-            dist,
-        );
-        println!("{}", r.csv_row());
-        p99s.push(r.hist.percentiles_ns().2);
-        rates.push(r.ok as f64 / r.elapsed.as_secs_f64().max(1e-9));
-        entries.push(r.to_json());
-        server.shutdown();
-    }
-    let ratio = p99s[1] as f64 / (p99s[0] as f64).max(1.0);
-    println!(
-        "fanout-summary: c{fan} p99 at {:.2}x of c8 at equal load ({} vs {} ns), {:.0} vs {:.0} ops/s",
-        ratio, p99s[1], p99s[0], rates[1], rates[0]
-    );
-    entries.push(format!(
-        concat!(
-            "{{\"name\":\"fanout-summary/{}\",\"mode\":\"fanout\",",
-            "\"total_in_flight\":{},\"base_connections\":8,\"fan_connections\":{},",
-            "\"base_p99_ns\":{},\"fan_p99_ns\":{},\"p99_ratio\":{:.4},",
-            "\"base_ops_per_sec\":{:.0},\"fan_ops_per_sec\":{:.0}}}"
-        ),
-        dist.label(),
-        total,
-        fan,
-        p99s[0],
-        p99s[1],
-        ratio,
-        rates[0],
-        rates[1],
-    ));
-    entries
-}
-
-/// Aggregated result of one open-loop (offered-load) series.
-struct OverloadResult {
-    name: String,
-    connections: usize,
-    elapsed: Duration,
-    offered_per_sec: f64,
-    capacity_per_sec: f64,
-    sent: u64,
-    ok: u64,
-    shed: u64,
-    retry_aborts: u64,
-    app_errors: u64,
-    dropped_sends: u64,
-    max_queue_depth: usize,
-    hist: LatencyHistogram,
-    server: StatsReply,
-}
-
-impl OverloadResult {
-    fn to_json(&self) -> String {
-        let (p50, _, p99) = self.hist.percentiles_ns();
-        let p999 = self.hist.p999_ns();
-        let secs = self.elapsed.as_secs_f64().max(1e-9);
-        let goodput = self.ok as f64 / secs;
-        let answered = self.ok + self.shed + self.retry_aborts + self.app_errors;
-        let shed_rate = self.shed as f64 / (answered.max(1)) as f64;
-        let t = &self.server.tx;
-        let load = self.server.load.unwrap_or_default();
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"mode\":\"overload\",\"connections\":{},",
-                "\"elapsed_s\":{:.4},\"offered_per_sec\":{:.0},",
-                "\"closed_loop_capacity_per_sec\":{:.0},",
-                "\"sent\":{},\"ok\":{},\"goodput_per_sec\":{:.0},",
-                "\"shed\":{},\"shed_rate\":{:.4},\"retry_aborts\":{},",
-                "\"app_errors\":{},\"dropped_sends\":{},\"max_queue_depth\":{},",
-                "\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{},",
-                "\"server_shed\":{},\"server_peak_inflight_bytes\":{},",
-                "\"server_accept_retries\":{},\"server_cm_waits\":{},",
-                "\"server_cm_priority_skips\":{},\"server_cm_escalations\":{},",
-                "\"server_commits\":{},\"server_conflict_aborts\":{}}}"
-            ),
-            self.name,
-            self.connections,
-            secs,
-            self.offered_per_sec,
-            self.capacity_per_sec,
-            self.sent,
-            self.ok,
-            goodput,
-            self.shed,
-            shed_rate,
-            self.retry_aborts,
-            self.app_errors,
-            self.dropped_sends,
-            self.max_queue_depth,
-            p50,
-            p99,
-            p999,
-            self.hist.max_ns(),
-            load.shed_requests,
-            load.peak_inflight_bytes,
-            load.accept_retries,
-            t.cm_waits,
-            t.cm_priority_skips,
-            t.cm_escalations,
-            t.commits,
-            t.conflict_aborts,
-        )
-    }
-
-    fn csv_row(&self) -> String {
-        let p999 = self.hist.p999_ns();
-        let secs = self.elapsed.as_secs_f64().max(1e-9);
-        format!(
-            "{},{},{:.0},{},{},{},{}",
-            self.name,
-            self.connections,
-            self.ok as f64 / secs,
-            self.shed,
-            self.server.tx.conflict_aborts,
-            self.hist.percentiles_ns().0,
-            p999
-        )
-    }
-}
-
-/// Samples one request with the same mix as the closed-loop generator —
-/// except CAS is blind (an open-loop tick cannot afford a read round trip
-/// first); it still exercises the transactional path either way.
-fn sample_cmd(rng: &mut FastRng, sampler: &bench::workload::KeySampler, keys: u64) -> Cmd {
-    let k = sampler.sample(rng);
-    let dice = rng.next_below(100);
-    if dice < 50 {
-        Cmd::Get(k)
-    } else if dice < 70 {
-        Cmd::Put(k, rng.next_u64() % INITIAL)
-    } else if dice < 80 {
-        Cmd::Cas {
-            key: k,
-            expected: INITIAL,
-            desired: INITIAL,
-        }
-    } else if dice < 90 {
-        let mut to = sampler.sample(rng);
-        if to == k {
-            to = (to + 1) % keys;
-        }
-        Cmd::Transfer {
-            from: k,
-            to,
-            amount: 1,
-        }
-    } else {
-        Cmd::MGet((0..4).map(|_| sampler.sample(rng)).collect())
-    }
-}
-
-/// Per-connection tallies of one open-loop series.
+/// What the connections of one run counted, merged across threads.
 #[derive(Default)]
-struct OpenLoopTally {
-    sent: u64,
+struct Tally {
     ok: u64,
-    shed: u64,
+    /// `Retry` / `Capacity`: the transaction gave up, nothing happened.
     retry_aborts: u64,
+    /// Any other error answer (`Insufficient`, `NotFound`, ...).
     app_errors: u64,
+    /// `Overload`: refused at admission.
+    shed: u64,
+    /// Open loop: requests put on the wire, scheduled sends skipped because
+    /// the pipeline was full, and the deepest pipeline seen.
+    sent: u64,
     dropped: u64,
     max_depth: usize,
+    /// `scan`: windowed pages, full-space pages, entries returned, and full
+    /// pages that missed a key or did not conserve the total.
+    scans: u64,
+    full_scans: u64,
+    scan_entries: u64,
+    torn_pages: u64,
+    /// `grow` load phase: keys acknowledged per [`GROW_WINDOW_MS`] window.
+    windows: Vec<u64>,
+    /// Latency of the `ok` answers.
+    hist: LatencyHistogram,
 }
 
-impl OpenLoopTally {
-    fn classify(&mut self, resp: &Response, sent_at: Instant, hist: &mut LatencyHistogram) {
+impl Tally {
+    /// Classifies one answer; a committed command's result is handed back.
+    fn answer(&mut self, resp: Response, sent_at: Instant) -> Option<CmdOut> {
         match resp {
-            Response::Ok(_) => {
+            Response::Ok(out) => {
                 self.ok += 1;
-                hist.record(sent_at.elapsed());
+                self.hist.record(sent_at.elapsed());
+                return Some(out);
             }
             Response::Err(ErrCode::Overload) => self.shed += 1,
-            Response::Err(ErrCode::Retry) | Response::Err(ErrCode::Capacity) => {
-                self.retry_aborts += 1
-            }
-            Response::Err(_) => self.app_errors += 1,
+            Response::Err(ErrCode::Retry | ErrCode::Capacity) => self.retry_aborts += 1,
             _ => self.app_errors += 1,
         }
+        None
     }
-}
 
-/// Open-loop (offered-load) series: each connection sends on a fixed clock
-/// regardless of how fast responses come back, so load past capacity shows
-/// up as shedding and queueing instead of silently slowing the generator —
-/// the collapse closed-loop benchmarks cannot see.
-#[allow(clippy::too_many_arguments)]
-fn run_overload_series(
-    name: String,
-    addr: std::net::SocketAddr,
-    connections: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-    offered_per_sec: f64,
-    capacity_per_sec: f64,
-) -> OverloadResult {
-    preload(addr, keys);
-    let interval = Duration::from_secs_f64(connections as f64 / offered_per_sec.max(1.0));
-
-    let barrier = Barrier::new(connections + 1);
-    let sent = AtomicU64::new(0);
-    let ok = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let app_errors = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
-    let max_depth = AtomicUsize::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let sent = &sent;
-            let ok = &ok;
-            let shed = &shed;
-            let retry_aborts = &retry_aborts;
-            let app_errors = &app_errors;
-            let dropped = &dropped;
-            let max_depth = &max_depth;
-            let hist = &hist;
-            let sampler = dist.sampler(keys);
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("bench connect");
-                let mut rng = FastRng::new(0x0FE2ED + t as u64);
-                let mut tally = OpenLoopTally::default();
-                let mut local_hist = LatencyHistogram::new();
-                // Send timestamps of in-flight requests, oldest first
-                // (responses come back in request order per connection).
-                let mut pending_at: VecDeque<Instant> = VecDeque::new();
-                barrier.wait();
-                let begin = Instant::now();
-                let deadline = begin + duration;
-                let mut next_send = begin;
-                'run: while Instant::now() < deadline {
-                    // Fire every tick that has come due on the offered-load
-                    // clock; a full pipeline drops the send (counted) rather
-                    // than stalling the clock.
-                    let now = Instant::now();
-                    while next_send <= now {
-                        next_send += interval;
-                        if c.in_flight() >= OPEN_LOOP_PIPELINE {
-                            tally.dropped += 1;
-                            continue;
-                        }
-                        let cmd = sample_cmd(&mut rng, &sampler, keys);
-                        if c.send(&Request::Cmd(cmd)).is_err() {
-                            break 'run;
-                        }
-                        pending_at.push_back(Instant::now());
-                        tally.sent += 1;
-                    }
-                    tally.max_depth = tally.max_depth.max(c.in_flight());
-                    // Drain whatever responses have arrived; never block
-                    // past a sliver of the tick.
-                    loop {
-                        match c.recv_timeout(Duration::from_micros(50)) {
-                            Ok(Some(resp)) => {
-                                let at = pending_at.pop_front().expect("pending send time");
-                                tally.classify(&resp, at, &mut local_hist);
-                            }
-                            Ok(None) => break,
-                            Err(_) => break 'run,
-                        }
-                    }
-                    let now = Instant::now();
-                    if next_send > now {
-                        std::thread::sleep((next_send - now).min(Duration::from_micros(200)));
-                    }
-                }
-                // Final drain: bounded, so a wedged server cannot hang the
-                // harness.
-                let drain_deadline = Instant::now() + Duration::from_millis(500);
-                while c.in_flight() > 0 && Instant::now() < drain_deadline {
-                    match c.recv_timeout(Duration::from_millis(10)) {
-                        Ok(Some(resp)) => {
-                            let at = pending_at.pop_front().expect("pending send time");
-                            tally.classify(&resp, at, &mut local_hist);
-                        }
-                        Ok(None) => {}
-                        Err(_) => break,
-                    }
-                }
-                sent.fetch_add(tally.sent, Ordering::Relaxed);
-                ok.fetch_add(tally.ok, Ordering::Relaxed);
-                shed.fetch_add(tally.shed, Ordering::Relaxed);
-                retry_aborts.fetch_add(tally.retry_aborts, Ordering::Relaxed);
-                app_errors.fetch_add(tally.app_errors, Ordering::Relaxed);
-                dropped.fetch_add(tally.dropped, Ordering::Relaxed);
-                max_depth.fetch_max(tally.max_depth, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-            });
+    fn merge(&mut self, o: &Tally) {
+        self.ok += o.ok;
+        self.retry_aborts += o.retry_aborts;
+        self.app_errors += o.app_errors;
+        self.shed += o.shed;
+        self.sent += o.sent;
+        self.dropped += o.dropped;
+        self.max_depth = self.max_depth.max(o.max_depth);
+        self.scans += o.scans;
+        self.full_scans += o.full_scans;
+        self.scan_entries += o.scan_entries;
+        self.torn_pages += o.torn_pages;
+        if self.windows.len() < o.windows.len() {
+            self.windows.resize(o.windows.len(), 0);
         }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
-    });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    let server = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        c.stats().expect("stats")
-    };
-
-    OverloadResult {
-        name,
-        connections,
-        elapsed,
-        offered_per_sec,
-        capacity_per_sec,
-        sent: sent.load(Ordering::Relaxed),
-        ok: ok.load(Ordering::Relaxed),
-        shed: shed.load(Ordering::Relaxed),
-        retry_aborts: retry_aborts.load(Ordering::Relaxed),
-        app_errors: app_errors.load(Ordering::Relaxed),
-        dropped_sends: dropped.load(Ordering::Relaxed),
-        max_queue_depth: max_depth.load(Ordering::Relaxed),
-        hist: hist.into_inner().unwrap(),
-        server,
+        for (w, v) in self.windows.iter_mut().zip(&o.windows) {
+            *w += v;
+        }
+        self.hist.merge(&o.hist);
     }
 }
 
-/// The `--overload` mode: measure closed-loop capacity with the default
-/// contention policy, then drive open-loop at a multiple of it against a
-/// default-policy server and an adaptive-policy server (the A/B the
-/// ROADMAP's saturation item asks for), recording goodput, shed rate,
-/// queue depth, and p99.9 per policy.
-fn run_overload_mode(
+/// One call of a connection's workload: send and/or collect some requests.
+/// Per-connection state (key range, send clock) lives in the closure.
+/// `Ok(false)` (nothing left to do) or an error (the connection broke)
+/// retires the connection.
+type Step = Box<dyn FnMut(&mut Conn, &mut Tally) -> KvResult<bool>>;
+
+/// Connects, retrying for [`CONNECT_PATIENCE`] (an external server may still
+/// be binding its listener).
+fn connect(addr: SocketAddr) -> Client {
+    let give_up = Instant::now() + CONNECT_PATIENCE;
+    loop {
+        match Client::connect(addr) {
+            Ok(c) => return c,
+            Err(e) if Instant::now() >= give_up => panic!("connect to {addr}: {e}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    }
+}
+
+/// One client connection with the send time of each in-flight request
+/// (responses come back in request order).
+struct Conn {
+    client: Client,
+    rng: FastRng,
+    sent_at: VecDeque<Instant>,
+}
+
+impl Conn {
+    fn send(&mut self, cmd: Cmd) -> KvResult<()> {
+        self.client.send(&Request::Cmd(cmd))?;
+        self.sent_at.push_back(Instant::now());
+        Ok(())
+    }
+
+    fn settle(&mut self, resp: Response, tally: &mut Tally) -> Option<CmdOut> {
+        let at = self.sent_at.pop_front().expect("a send time per request");
+        tally.answer(resp, at)
+    }
+
+    /// Blocks for the oldest in-flight answer.
+    fn recv(&mut self, tally: &mut Tally) -> KvResult<Option<CmdOut>> {
+        let resp = self.client.recv()?;
+        Ok(self.settle(resp, tally))
+    }
+
+    /// Waits at most `timeout` for an answer; `false` if none came.
+    fn poll(&mut self, tally: &mut Tally, timeout: Duration) -> KvResult<bool> {
+        match self.client.recv_timeout(timeout)? {
+            Some(resp) => {
+                self.settle(resp, tally);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    /// One round trip.
+    fn call(&mut self, cmd: Cmd, tally: &mut Tally) -> KvResult<Option<CmdOut>> {
+        self.send(cmd)?;
+        self.recv(tally)
+    }
+}
+
+/// What one driven run produced.
+struct Outcome {
+    conns: usize,
+    tally: Tally,
+    elapsed: Duration,
+    /// `STATS` after the run (and after a `SYNC`, so a durable server
+    /// reports a fresh cut).
+    stats: StatsReply,
+}
+
+impl Outcome {
+    /// `n` per second of the run.
+    fn per_sec(&self, n: u64) -> f64 {
+        n as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+}
+
+/// The driver: opens `conns` connections to `addr` on up to
+/// [`MAX_CLIENT_THREADS`] threads, releases them together, calls each
+/// connection's step (from `make_step(connection index)`) round-robin until
+/// `duration` has passed or the step stops, collects what is still in
+/// flight, and samples the server.
+fn drive(
+    addr: SocketAddr,
+    conns: usize,
+    duration: Duration,
+    make_step: &(dyn Fn(usize) -> Step + Sync),
+) -> Outcome {
+    let threads = conns.clamp(1, MAX_CLIENT_THREADS);
+    let barrier = Barrier::new(threads + 1);
+    let mut tally = Tally::default();
+    let elapsed = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut lanes: Vec<(Conn, Step)> = (conns * t / threads
+                        ..conns * (t + 1) / threads)
+                        .map(|i| {
+                            let conn = Conn {
+                                client: connect(addr),
+                                rng: FastRng::new(0xBE9C4 + i as u64),
+                                sent_at: VecDeque::new(),
+                            };
+                            (conn, make_step(i))
+                        })
+                        .collect();
+                    let mut tally = Tally::default();
+                    barrier.wait();
+                    let deadline = Instant::now() + duration;
+                    while !lanes.is_empty() && Instant::now() < deadline {
+                        lanes.retain_mut(|(conn, step)| step(conn, &mut tally).unwrap_or(false));
+                    }
+                    let give_up = Instant::now() + DRAIN_PATIENCE;
+                    for (conn, _) in &mut lanes {
+                        while conn.client.in_flight() > 0 && Instant::now() < give_up {
+                            if conn.poll(&mut tally, Duration::from_millis(10)).is_err() {
+                                break;
+                            }
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        barrier.wait();
+        let started = Instant::now();
+        for h in handles {
+            tally.merge(&h.join().expect("client thread panicked"));
+        }
+        started.elapsed()
+    });
+    let mut admin = connect(addr);
+    let _ = admin.sync();
+    let stats = admin.stats().expect("STATS after the run");
+    Outcome {
+        conns,
+        tally,
+        elapsed,
+        stats,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Load shapes
+// ---------------------------------------------------------------------------
+
+/// One request of the mixed traffic.  The CAS is blind (a pipelined or
+/// clocked sender cannot afford a read round trip first); it runs the
+/// transactional path whether or not it swaps.
+fn mixed(keys: u64) -> impl Fn(&mut FastRng, &KeySampler) -> Cmd + Clone + Sync {
+    move |rng, sampler| {
+        let k = sampler.sample(rng);
+        match rng.next_below(100) {
+            0..=49 => Cmd::Get(k),
+            50..=69 => Cmd::Put(k, rng.next_u64() % INITIAL),
+            70..=79 => Cmd::Cas {
+                key: k,
+                expected: INITIAL,
+                desired: INITIAL,
+            },
+            80..=89 => {
+                let to = sampler.sample(rng);
+                Cmd::Transfer {
+                    from: k,
+                    to: if to == k { (to + 1) % keys } else { to },
+                    amount: 1,
+                }
+            }
+            _ => Cmd::MGet((0..4).map(|_| sampler.sample(rng)).collect()),
+        }
+    }
+}
+
+/// One request of the blob traffic: 50% `GETB`, 40% `PUTB` of `payload`,
+/// 10% `MGETB` of 4 keys.
+fn blob(payload: Vec<u8>) -> impl Fn(&mut FastRng, &KeySampler) -> Cmd + Clone + Sync {
+    move |rng, sampler| {
+        let k = sampler.sample(rng);
+        match rng.next_below(100) {
+            0..=49 => Cmd::GetB(k),
+            50..=89 => Cmd::PutB(k, Value::from_bytes(&payload)),
+            _ => Cmd::MGetB((0..4).map(|_| sampler.sample(rng)).collect()),
+        }
+    }
+}
+
+/// Closed loop: tops the connection up to `depth` requests in flight, then
+/// takes exactly one answer — the pipeline oscillates between `depth - 1`
+/// and `depth` and never drains dry.  Depth 1 is the plain request/response
+/// client.
+fn pipelined<S>(depth: usize, keys: u64, sample: S) -> impl Fn(usize) -> Step + Sync
+where
+    S: Fn(&mut FastRng, &KeySampler) -> Cmd + Clone + Sync + 'static,
+{
+    let sampler = ZIPF.sampler(keys);
+    move |_| {
+        let (sampler, sample) = (sampler.clone(), sample.clone());
+        Box::new(move |conn, tally| {
+            while conn.client.in_flight() < depth {
+                let cmd = sample(&mut conn.rng, &sampler);
+                conn.send(cmd)?;
+            }
+            conn.recv(tally)?;
+            Ok(true)
+        })
+    }
+}
+
+/// Open loop: every connection sends mixed traffic on a fixed clock
+/// (`offered_per_sec` over all `conns`) however fast answers come back, so
+/// load past capacity shows up as shedding and queueing instead of silently
+/// slowing the generator.  The pacing shares the driver: the clock is the
+/// step's own state, and one step is one tick.
+fn open_loop(offered_per_sec: f64, conns: usize, keys: u64) -> impl Fn(usize) -> Step + Sync {
+    let interval = Duration::from_secs_f64(conns as f64 / offered_per_sec.max(1.0));
+    let sampler = ZIPF.sampler(keys);
+    move |_| {
+        let (sampler, sample) = (sampler.clone(), mixed(keys));
+        let mut next_send = None;
+        Box::new(move |conn, tally| {
+            // Fire every send that has come due; a full pipeline drops the
+            // send (counted) rather than stalling the clock.
+            let now = Instant::now();
+            let next_send = next_send.get_or_insert(now);
+            while *next_send <= now {
+                *next_send += interval;
+                if conn.client.in_flight() >= OPEN_LOOP_PIPELINE {
+                    tally.dropped += 1;
+                    continue;
+                }
+                let cmd = sample(&mut conn.rng, &sampler);
+                conn.send(cmd)?;
+                tally.sent += 1;
+            }
+            tally.max_depth = tally.max_depth.max(conn.client.in_flight());
+            // Take what has arrived; never block past a sliver of the tick.
+            while conn.poll(tally, Duration::from_micros(50))? {}
+            let now = Instant::now();
+            if *next_send > now {
+                std::thread::sleep((*next_send - now).min(Duration::from_micros(200)));
+            }
+            Ok(true)
+        })
+    }
+}
+
+/// `grow` load phase: the connections split `0..keys` and pump chunked
+/// `MSET`s as fast as the server takes them, tallying acknowledged keys into
+/// windows; a connection stops when its range is loaded.  On an elastic
+/// server the early windows land while every shard's directory is still
+/// doubling, so the window series *is* the during-growth dip curve.
+fn load_range(keys: u64, conns: usize) -> impl Fn(usize) -> Step + Sync {
+    move |i| {
+        let hi = keys * (i as u64 + 1) / conns as u64;
+        let mut k = keys * i as u64 / conns as u64;
+        let mut begin = None;
+        Box::new(move |conn, tally| {
+            if k >= hi {
+                return Ok(false);
+            }
+            let begin = *begin.get_or_insert_with(Instant::now);
+            let end = (k + LOAD_CHUNK as u64).min(hi);
+            let chunk = (k..end).map(|key| (key, INITIAL)).collect();
+            if conn.call(Cmd::MSet(chunk), tally)?.is_some() {
+                let w = (begin.elapsed().as_millis() as u64 / GROW_WINDOW_MS) as usize;
+                if tally.windows.len() <= w {
+                    tally.windows.resize(w + 1, 0);
+                }
+                tally.windows[w] += end - k;
+                k = end;
+            }
+            Ok(true)
+        })
+    }
+}
+
+/// `scan`: 60% windowed scans, 30% transfers, 10% full-space scans over
+/// `keys` accounts strided across the whole `u64` space.  A page is one
+/// atomic read-only transaction, so money moving between accounts mid-scan
+/// must never change a full page's total.
+fn scan_mix(keys: u64, stride: u64) -> impl Fn(usize) -> Step + Sync {
+    let total = keys as u128 * INITIAL as u128;
+    move |_| {
+        Box::new(move |conn, tally| {
+            let dice = conn.rng.next_below(100);
+            if dice < 60 {
+                let lo = conn.rng.next_below(keys) * stride;
+                let hi = lo.saturating_add(SCAN_WINDOW * stride);
+                let limit = SCAN_WINDOW as u32;
+                if let Some(CmdOut::Page(page)) = conn.call(Cmd::Scan { lo, hi, limit }, tally)? {
+                    tally.scans += 1;
+                    tally.scan_entries += page.len() as u64;
+                }
+            } else if dice < 90 {
+                let from = conn.rng.next_below(keys);
+                let to = conn.rng.next_below(keys);
+                let to = if to == from { (to + 1) % keys } else { to };
+                let (from, to, amount) = (from * stride, to * stride, 1);
+                conn.call(Cmd::Transfer { from, to, amount }, tally)?;
+            } else {
+                let (lo, hi, limit) = (0, u64::MAX, keys as u32);
+                if let Some(CmdOut::Page(page)) = conn.call(Cmd::Scan { lo, hi, limit }, tally)? {
+                    let word = |(_, v): &(u64, Value)| v.as_u64().unwrap_or(0) as u128;
+                    let sum: u128 = page.iter().map(word).sum();
+                    tally.full_scans += 1;
+                    tally.scan_entries += page.len() as u64;
+                    tally.torn_pages += u64::from(page.len() as u64 != keys || sum != total);
+                }
+            }
+            Ok(true)
+        })
+    }
+}
+
+/// `cache`: 70% `GET`, 30% `PUT`, no preload — the cache fills and evicts
+/// under the traffic itself.
+fn cache_mix(keys: u64) -> impl Fn(usize) -> Step + Sync {
+    pipelined(1, keys, |rng: &mut FastRng, sampler: &KeySampler| {
+        let k = sampler.sample(rng);
+        if rng.next_below(100) < 70 {
+            Cmd::Get(k)
+        } else {
+            Cmd::Put(k, rng.next_u64() % INITIAL)
+        }
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Servers and figures
+// ---------------------------------------------------------------------------
+
+fn server(workers: usize, store: StoreConfig) -> ServerConfig {
+    ServerConfig {
+        workers,
+        store,
+        ..Default::default()
+    }
+}
+
+/// Runs `f` against a fresh in-process server, then drains it.
+fn host<T>(cfg: &ServerConfig, f: impl FnOnce(SocketAddr) -> T) -> T {
+    let server = Server::start(cfg).expect("start kvstore server");
+    let out = f(server.local_addr());
+    server.shutdown();
+    out
+}
+
+/// Sends a loading command until it commits: under a busy host a durable
+/// server's epoch advancer can abort a many-key transaction past its retry
+/// budget, and `Retry` means nothing was executed.
+fn insist<T>(mut load: impl FnMut() -> KvResult<T>) -> T {
+    for _ in 0..100 {
+        match load() {
+            Err(KvError::Server(ErrCode::Retry)) => continue,
+            other => return other.expect("preload"),
+        }
+    }
+    panic!("preload: still `Retry` after 100 sends");
+}
+
+/// Sets every key of `keys` to [`INITIAL`] over the wire.
+fn preload(addr: SocketAddr, keys: impl Iterator<Item = u64>) {
+    let mut c = connect(addr);
+    let pairs: Vec<(u64, u64)> = keys.map(|k| (k, INITIAL)).collect();
+    for chunk in pairs.chunks(LOAD_CHUNK) {
+        insist(|| c.mset(chunk));
+    }
+}
+
+/// The mixed closed-loop run most scenarios are made of.
+fn mixed_run(addr: SocketAddr, a: &Sizes) -> Outcome {
+    let step = pipelined(1, a.keys, mixed(a.keys));
+    drive(addr, a.connections, a.duration, &step)
+}
+
+/// One printed figure: `(series, metric, value)`.
+type Row = (String, &'static str, f64);
+
+/// The figures of one scenario run: printed as they are produced (a run
+/// that dies half-way has still shown what it measured), kept for [`check`].
+struct Report {
+    scenario: &'static str,
+    rows: Vec<Row>,
+}
+
+impl Report {
+    fn put(&mut self, series: &str, metric: &'static str, value: f64) {
+        let value = (value * 1e4).round() / 1e4;
+        println!("{},{series},{metric},{value}", self.scenario);
+        self.rows.push((series.to_string(), metric, value));
+    }
+
+    /// The figures every driven run has: client tallies, latency, and the
+    /// server's own account of the same interval.
+    fn outcome(&mut self, series: &str, o: &Outcome) {
+        let (t, tx) = (&o.tally, &o.stats.tx);
+        let (p50, _, p99) = t.hist.percentiles_ns();
+        let mut figures = vec![
+            ("connections", o.conns as f64),
+            ("elapsed_s", o.elapsed.as_secs_f64()),
+            ("ok", t.ok as f64),
+            ("ops_per_sec", o.per_sec(t.ok)),
+            ("retry_aborts", t.retry_aborts as f64),
+            ("app_errors", t.app_errors as f64),
+            ("shed", t.shed as f64),
+            ("p50_ns", p50 as f64),
+            ("p99_ns", p99 as f64),
+            ("p999_ns", t.hist.p999_ns() as f64),
+            ("server_commits", tx.commits as f64),
+            ("server_conflict_aborts", tx.conflict_aborts as f64),
+            ("server_fast_commits", tx.fast_commits as f64),
+            ("server_ro_commits", tx.ro_commits as f64),
+            ("server_general_commits", tx.general_commits as f64),
+        ];
+        if let Some(e) = &o.stats.events {
+            figures.push(("epoll_waits", e.epoll_waits as f64));
+        }
+        if let Some(l) = &o.stats.load {
+            figures.push(("server_shed", l.shed_requests as f64));
+        }
+        if let Some(d) = &o.stats.domain {
+            figures.push(("live_payloads", d.live_payloads as f64));
+        }
+        if let Some(tables) = &o.stats.tables {
+            let buckets: u64 = tables.shards.iter().map(|sh| sh.buckets).sum();
+            figures.push(("grow_events", tables.grow_events as f64));
+            figures.push(("total_buckets", buckets as f64));
+        }
+        for (metric, value) in figures {
+            self.put(series, metric, value);
+        }
+    }
+}
+
+/// What a figure must satisfy for its scenario to pass.
+enum Want {
+    Above(f64),
+    AtLeast(f64),
+    AtMost(f64),
+    Is(f64),
+    /// At most another figure of the same series.
+    AtMostFig(&'static str),
+}
+use Want::*;
+
+/// `(series, metric, what it must satisfy)`.
+type Bound = (&'static str, &'static str, Want);
+
+/// Holds every figure of `rows` to its bound; the error names the first
+/// figure that is missing or out of bounds.
+fn check(rows: &[Row], bounds: &[Bound]) -> Result<(), String> {
+    let fig = |series: &str, metric: &str| {
+        rows.iter()
+            .find(|r| r.0 == series && r.1 == metric)
+            .map(|r| r.2)
+            .ok_or_else(|| format!("{series} {metric}: figure missing"))
+    };
+    for (series, metric, want) in bounds {
+        let v = fig(series, metric)?;
+        let (holds, wanted) = match *want {
+            Above(x) => (v > x, format!("> {x}")),
+            AtLeast(x) => (v >= x, format!(">= {x}")),
+            AtMost(x) => (v <= x, format!("<= {x}")),
+            Is(x) => (v == x, format!("= {x}")),
+            AtMostFig(other) => {
+                let x = fig(series, other)?;
+                (v <= x, format!("<= {other} = {x}"))
+            }
+        };
+        if !holds {
+            return Err(format!("{series} {metric} = {v}, want {wanted}"));
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Scenarios
+// ---------------------------------------------------------------------------
+
+/// The sizes the command line sets.
+struct Sizes {
     connections: usize,
     workers: usize,
     duration: Duration,
     keys: u64,
-    dist: KeyDist,
-    tables: TableKind,
-    offered_mult: f64,
-) -> Vec<String> {
-    // Tighter shed watermarks than the server default: the benchmark's
-    // pipeline bound caps how much backlog a few connections can build, and
-    // the point here is to exercise the shed path, not to find the largest
-    // queue that fits in RAM.
-    let overload_cfg = OverloadConfig {
-        shed_high: 64 << 10,
-        shed_low: 16 << 10,
-        ..Default::default()
-    };
+    /// `--connect`: the standalone server `external` drives.
+    connect: Option<SocketAddr>,
+}
 
-    // Phase 1: closed-loop capacity with the default policy.
-    let cap_cfg = ServerConfig {
-        workers,
-        store: StoreConfig {
-            tables: tables.clone(),
+/// `(name, run, the bounds its figures must meet)`.
+type Scenario = (&'static str, fn(&Sizes, &mut Report), &'static [Bound]);
+
+const SCENARIOS: &[Scenario] = &[
+    ("default", run_default, DEFAULT_BOUNDS),
+    ("external", run_external, EXTERNAL_BOUNDS),
+    ("metrics-ab", run_metrics_ab, METRICS_AB_BOUNDS),
+    ("fanout", run_fanout, FANOUT_BOUNDS),
+    ("overload", run_overload, OVERLOAD_BOUNDS),
+    ("grow", run_grow, GROW_BOUNDS),
+    ("scan", run_scan, SCAN_BOUNDS),
+    ("cache", run_cache, CACHE_BOUNDS),
+];
+
+/// The series of `default`: word traffic and blob traffic at an inline-class
+/// size and an overflow-chain size (4 KiB spills class-0 durable slots),
+/// each on the transient and the durable (txMontage, live epoch advancer)
+/// backend.
+const DEFAULT_SERIES: [(&str, Option<usize>, StoreBackend); 6] = [
+    ("word-transient", None, StoreBackend::Transient),
+    ("word-durable", None, StoreBackend::Durable),
+    ("blob128-transient", Some(128), StoreBackend::Transient),
+    ("blob4096-transient", Some(4096), StoreBackend::Transient),
+    ("blob128-durable", Some(128), StoreBackend::Durable),
+    ("blob4096-durable", Some(4096), StoreBackend::Durable),
+];
+
+fn run_default(a: &Sizes, out: &mut Report) {
+    for (series, vsize, backend) in DEFAULT_SERIES {
+        let store = StoreConfig {
+            backend,
             ..Default::default()
-        },
-        ..Default::default()
+        };
+        let o = host(&server(a.workers, store), |addr| match vsize {
+            None => {
+                preload(addr, 0..a.keys);
+                mixed_run(addr, a)
+            }
+            Some(vsize) => {
+                let payload: Vec<u8> = (0..vsize).map(|i| (i * 131) as u8).collect();
+                // 64 pairs of <= 4 KiB values stay well under `MAX_FRAME`.
+                let mut c = connect(addr);
+                for chunk in (0..a.keys).collect::<Vec<_>>().chunks(64) {
+                    let pairs: Vec<_> = chunk.iter().map(|&k| (k, &payload[..])).collect();
+                    insist(|| c.mset_b(&pairs));
+                }
+                let step = pipelined(1, a.keys, blob(payload));
+                drive(addr, a.connections, a.duration, &step)
+            }
+        });
+        out.outcome(series, &o);
+    }
+}
+
+/// Every series completes operations, and the server's event loop shows up
+/// in its `STATS`.
+const DEFAULT_BOUNDS: &[Bound] = &[
+    ("word-transient", "ok", Above(0.0)),
+    ("word-transient", "epoll_waits", Above(0.0)),
+    ("word-durable", "ok", Above(0.0)),
+    ("word-durable", "epoll_waits", Above(0.0)),
+    ("blob128-transient", "ok", Above(0.0)),
+    ("blob128-transient", "epoll_waits", Above(0.0)),
+    ("blob4096-transient", "ok", Above(0.0)),
+    ("blob4096-transient", "epoll_waits", Above(0.0)),
+    ("blob128-durable", "ok", Above(0.0)),
+    ("blob128-durable", "epoll_waits", Above(0.0)),
+    ("blob4096-durable", "ok", Above(0.0)),
+    ("blob4096-durable", "epoll_waits", Above(0.0)),
+];
+
+/// `external`: mixed traffic against a standalone `kvserver`, then transfers
+/// from keys that cannot exist — so the server's abort attribution has
+/// something to count — and the attribution as `METRICS` reports it.
+fn run_external(a: &Sizes, out: &mut Report) {
+    let addr = a
+        .connect
+        .unwrap_or_else(|| die("external drives a standalone kvserver: pass --connect ADDR:PORT"));
+    preload(addr, 0..a.keys);
+    out.outcome("external", &mixed_run(addr, a));
+    let mut c = connect(addr);
+    let refused = (0..PROBE_ERRORS)
+        .filter(|i| c.transfer(u64::MAX - i, 0, 1).is_err())
+        .count();
+    out.put("probe", "refused", refused as f64);
+    let m = c.metrics().unwrap_or_default();
+    let attributed = m.ops.iter().filter(|o| o.hist.total() > 0).count();
+    let aborts: u64 = m.ops.iter().flat_map(|o| &o.aborts).sum();
+    out.put("metrics", "attributed_ops", attributed as f64);
+    out.put("metrics", "aborts", aborts as f64);
+}
+
+/// Every missing-key transfer is refused, and the server attributes traffic
+/// to at least three opcodes and the refusals to an abort reason.
+const EXTERNAL_BOUNDS: &[Bound] = &[
+    ("external", "ok", Above(0.0)),
+    ("probe", "refused", Is(PROBE_ERRORS as f64)),
+    ("metrics", "attributed_ops", AtLeast(3.0)),
+    ("metrics", "aborts", Above(0.0)),
+];
+
+/// `metrics-ab`: the same mixed run against two otherwise identical servers,
+/// telemetry on and off — the overhead guard of the observability layer
+/// (three clock reads and a handful of relaxed atomics per request).
+fn run_metrics_ab(a: &Sizes, out: &mut Report) {
+    let mut rates = [0.0; 2];
+    for (i, series) in ["telemetry-on", "telemetry-off"].into_iter().enumerate() {
+        let mut cfg = server(a.workers, StoreConfig::default());
+        cfg.telemetry.enabled = i == 0;
+        let o = host(&cfg, |addr| {
+            preload(addr, 0..a.keys);
+            mixed_run(addr, a)
+        });
+        out.outcome(series, &o);
+        rates[i] = o.per_sec(o.tally.ok + o.tally.app_errors);
+        out.put(series, "answered_per_sec", rates[i]);
+    }
+    out.put("summary", "on_off_ratio", rates[0] / rates[1].max(1e-9));
+}
+
+const METRICS_AB_BOUNDS: &[Bound] = &[
+    ("telemetry-on", "answered_per_sec", Above(0.0)),
+    ("telemetry-off", "answered_per_sec", Above(0.0)),
+    ("summary", "on_off_ratio", AtLeast(0.80)),
+];
+
+/// `fanout`: the same pipelined mixed traffic at the same **total
+/// concurrency** — [`FANOUT_DEPTH`] × [`FANOUT_CONNS`] requests in flight —
+/// over 8 sockets (deep pipelines) and over [`FANOUT_CONNS`] sockets.
+/// Holding the total constant is what makes the p99 ratio meaningful:
+/// queueing delay is fixed by Little's law at either socket count, so any
+/// gap is pure per-socket multiplexing cost — the thing the readiness loop
+/// exists to flatten.
+fn run_fanout(a: &Sizes, out: &mut Report) {
+    let total = FANOUT_DEPTH * FANOUT_CONNS;
+    let mut p99 = [0.0; 2];
+    for (i, (series, conns)) in [("base", 8), ("fan", FANOUT_CONNS)].into_iter().enumerate() {
+        let o = host(&server(a.workers, StoreConfig::default()), |addr| {
+            preload(addr, 0..a.keys);
+            let step = pipelined(total / conns, a.keys, mixed(a.keys));
+            drive(addr, conns, a.duration, &step)
+        });
+        out.outcome(series, &o);
+        p99[i] = o.tally.hist.percentiles_ns().2 as f64;
+    }
+    out.put("summary", "total_in_flight", total as f64);
+    out.put("summary", "p99_ratio", p99[1] / p99[0].max(1.0));
+}
+
+const FANOUT_BOUNDS: &[Bound] = &[
+    ("fan", "connections", Is(FANOUT_CONNS as f64)),
+    ("fan", "ok", Above(0.0)),
+    ("fan", "p99_ns", Above(0.0)),
+    ("summary", "p99_ratio", AtMost(3.0)),
+];
+
+/// `overload`: measure closed-loop capacity, calibrate the true service
+/// rate with a pipeline-capped flood (a few closed-loop connections are
+/// latency-bound and understate it — "2× that" may saturate nothing), then
+/// offer [`OFFERED_MULT`]× the larger of the two, open loop, to a server per
+/// contention policy.
+fn run_overload(a: &Sizes, out: &mut Report) {
+    let plain = server(a.workers, StoreConfig::default());
+    let open = |out: &mut Report, series: &str, cfg: &ServerConfig, rate: f64| {
+        let o = host(cfg, |addr| {
+            preload(addr, 0..a.keys);
+            let step = open_loop(rate, a.connections, a.keys);
+            drive(addr, a.connections, a.duration, &step)
+        });
+        out.outcome(series, &o);
+        out.put(series, "offered_per_sec", rate);
+        out.put(series, "sent", o.tally.sent as f64);
+        out.put(series, "dropped_sends", o.tally.dropped as f64);
+        out.put(series, "max_queue_depth", o.tally.max_depth as f64);
+        o
     };
-    let server = Server::start(&cap_cfg).expect("start capacity server");
-    let cap = run_series(
-        format!("overload-capacity/{}", dist.label()),
-        server.local_addr(),
-        connections,
-        duration,
-        keys,
-        dist,
-        true,
-    );
-    println!("{}", cap.csv_row());
-    server.shutdown();
-    let capacity = cap.ok as f64 / cap.elapsed.as_secs_f64().max(1e-9);
+    let cap = host(&plain, |addr| {
+        preload(addr, 0..a.keys);
+        mixed_run(addr, a)
+    });
+    out.outcome("capacity", &cap);
+    let flood = open(out, "flood", &plain, 50_000_000.0);
+    let offered = flood.per_sec(flood.tally.ok).max(cap.per_sec(cap.tally.ok)) * OFFERED_MULT;
 
-    // Phase 1b: flood calibration.  Closed-loop with a few connections is
-    // latency-bound and understates the service rate — "2× that" may not
-    // saturate anything.  An open-loop flood (clock far past any plausible
-    // capacity, pipeline-capped) measures what the server actually serves
-    // per second; the offered overload rate is a multiple of *this*.
-    let server = Server::start(&cap_cfg).expect("start calibration server");
-    let flood = run_overload_series(
-        format!("overload-flood/{}", dist.label()),
-        server.local_addr(),
-        connections,
-        duration,
-        keys,
-        dist,
-        50_000_000.0,
-        capacity,
-    );
-    println!("{}", flood.csv_row());
-    server.shutdown();
-    let service_rate = flood.ok as f64 / flood.elapsed.as_secs_f64().max(1e-9);
-    let offered = service_rate.max(capacity) * offered_mult;
-
-    // Phase 2: open-loop at `offered` against each contention policy.
-    let mut entries = vec![cap.to_json(), flood.to_json()];
-    for (label, policy) in [
+    let mut shed = 0;
+    for (series, contention) in [
         ("backoff", ContentionPolicy::Backoff),
         ("adaptive", ContentionPolicy::Adaptive),
     ] {
-        let cfg = ServerConfig {
-            workers,
-            store: StoreConfig {
-                tables: tables.clone(),
-                contention: policy,
-                ..Default::default()
-            },
-            overload: overload_cfg.clone(),
+        let mut cfg = plain.clone();
+        cfg.store.contention = contention;
+        // Tighter shed watermarks than the server default: the pipeline
+        // bound caps how much backlog a few connections can build, and the
+        // point is to exercise the shed path, not to find the largest queue
+        // that fits in RAM.
+        cfg.overload = OverloadConfig {
+            shed_high: 64 << 10,
+            shed_low: 16 << 10,
             ..Default::default()
         };
-        let server = Server::start(&cfg).expect("start overload server");
-        let r = run_overload_series(
-            format!("overload-{offered_mult}x/{label}/{}", dist.label()),
-            server.local_addr(),
-            connections,
-            duration,
-            keys,
-            dist,
-            offered,
-            capacity,
-        );
-        println!("{}", r.csv_row());
-        entries.push(r.to_json());
-        server.shutdown();
+        let o = open(out, series, &cfg, offered);
+        shed += o.tally.shed + o.stats.load.map_or(0, |l| l.shed_requests);
     }
-    entries
+    out.put("summary", "shed", shed as f64);
 }
 
-/// Width of one throughput window in the `--grow` load phase.
-const GROW_WINDOW_MS: u64 = 100;
+/// Shedding engages somewhere (client- or server-side count, either
+/// policy), and a shedding server still serves.
+const OVERLOAD_BOUNDS: &[Bound] = &[
+    ("backoff", "ops_per_sec", Above(0.0)),
+    ("adaptive", "ops_per_sec", Above(0.0)),
+    ("summary", "shed", Above(0.0)),
+];
 
-/// Keys per `MSET` during the `--grow` load phase (same chunking as
-/// `preload`, well inside descriptor capacity).
-const GROW_CHUNK: usize = 512;
-
-/// The timed load phase of the `--grow` mode: `connections` clients split
-/// the key space and pump chunked `MSET`s as fast as the server takes them,
-/// tallying acknowledged keys into [`GROW_WINDOW_MS`] windows.  On an
-/// elastic server the early windows land while every shard's directory is
-/// still doubling, so the window series *is* the during-growth dip curve.
-fn run_grow_load(
-    addr: std::net::SocketAddr,
-    connections: usize,
-    keys: u64,
-) -> (Duration, Vec<u64>, LatencyHistogram) {
-    let barrier = Barrier::new(connections + 1);
-    let windows = Mutex::new(Vec::<u64>::new());
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let windows = &windows;
-            let hist = &hist;
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("grow connect");
-                let lo = keys * t as u64 / connections as u64;
-                let hi = keys * (t as u64 + 1) / connections as u64;
-                let mut local_windows: Vec<u64> = Vec::new();
-                let mut local_hist = LatencyHistogram::new();
-                barrier.wait();
-                let begin = Instant::now();
-                let mut chunk: Vec<(u64, u64)> = Vec::with_capacity(GROW_CHUNK);
-                let mut k = lo;
-                while k < hi {
-                    chunk.clear();
-                    let end = (k + GROW_CHUNK as u64).min(hi);
-                    chunk.extend((k..end).map(|key| (key, INITIAL)));
-                    let at = Instant::now();
-                    c.mset(&chunk).expect("grow mset");
-                    local_hist.record(at.elapsed());
-                    let w = (begin.elapsed().as_millis() as u64 / GROW_WINDOW_MS) as usize;
-                    if local_windows.len() <= w {
-                        local_windows.resize(w + 1, 0);
-                    }
-                    local_windows[w] += end - k;
-                    k = end;
-                }
-                let mut g = windows.lock().unwrap();
-                if g.len() < local_windows.len() {
-                    g.resize(local_windows.len(), 0);
-                }
-                for (i, v) in local_windows.iter().enumerate() {
-                    g[i] += v;
-                }
-                hist.lock().unwrap().merge(&local_hist);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
-    });
-    let elapsed = started.lock().unwrap().expect("load started").elapsed();
-    (
-        elapsed,
-        windows.into_inner().unwrap(),
-        hist.into_inner().unwrap(),
-    )
-}
-
-/// The `--grow` mode: the same key load and mixed phase against (a) a hash
-/// server pre-sized for the final key count and (b) an elastic server booted
-/// at [`kvstore::ELASTIC_BOOT_BUCKETS`] buckets per shard.  The load phase
-/// records windowed throughput (the elastic server's during-growth dip);
-/// the steady phase shows where the grown table settles relative to the
-/// pre-sized baseline; `STATS` supplies grow events and final bucket
-/// counts.  A final `grow-summary` entry carries the presized/elastic
-/// steady-state ratio CI asserts on.
-fn run_grow_mode(
-    connections: usize,
-    workers: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-) -> Vec<String> {
+/// `grow`: the same key load and mixed phase against a hash server
+/// pre-sized for the final key count and an elastic server booted at
+/// [`kvstore::ELASTIC_BOOT_BUCKETS`] buckets per shard.  The load phase
+/// records windowed throughput (the elastic server's during-growth dip); the
+/// steady phase shows where the grown table settles against the pre-sized
+/// baseline.
+fn run_grow(a: &Sizes, out: &mut Report) {
     let shards = StoreConfig::default().shards;
-    let presized_buckets = ((keys as usize / shards).max(1)).next_power_of_two();
-    let mut entries = Vec::new();
-    let mut steady_ops = Vec::new();
-    let mut elastic_summary = String::new();
-    for (label, tables, buckets_per_shard) in [
-        ("presized", TableKind::Hash, Some(presized_buckets)),
+    let presized = (a.keys as usize / shards).max(1).next_power_of_two();
+    let mut steady_rate = [0.0; 2];
+    for (i, (label, tables, buckets_per_shard)) in [
+        ("presized", TableKind::Hash, Some(presized)),
         // Elastic shards size themselves; the knob is a config error there.
         ("elastic", TableKind::Elastic, None),
-    ] {
-        let cfg = ServerConfig {
-            workers,
-            store: StoreConfig {
-                tables,
-                buckets_per_shard,
-                ..Default::default()
-            },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let store = StoreConfig {
+            tables,
+            buckets_per_shard,
             ..Default::default()
         };
-        let server = Server::start(&cfg).expect("start grow server");
-        let addr = server.local_addr();
-        let (load_elapsed, windows, load_hist) = run_grow_load(addr, connections, keys);
-        let steady = run_series(
-            format!("grow-steady/{label}/{}", dist.label()),
-            addr,
-            connections,
-            duration,
-            keys,
-            dist,
-            false, // the load phase already populated every key
-        );
-        println!("{}", steady.csv_row());
-        server.shutdown();
+        let (load, steady) = host(&server(a.workers, store), |addr| {
+            // The load runs until every range is in, not for a duration.
+            let step = load_range(a.keys, a.connections);
+            let load = drive(addr, a.connections, Duration::from_secs(3600), &step);
+            (load, mixed_run(addr, a))
+        });
 
-        // Dip statistics over complete windows (the last window is partial).
-        let full = if windows.len() > 1 {
-            &windows[..windows.len() - 1]
+        // Dip statistics over complete windows (the last one is partial).
+        let w = &load.tally.windows;
+        let full = if w.len() > 1 {
+            &w[..w.len() - 1]
         } else {
-            &windows[..]
+            &w[..]
         };
         let scale = 1000.0 / GROW_WINDOW_MS as f64;
         let min_w = full.iter().copied().min().unwrap_or(0) as f64 * scale;
-        let mean_w = if full.is_empty() {
-            0.0
-        } else {
-            full.iter().sum::<u64>() as f64 / full.len() as f64 * scale
-        };
-        let dip_ratio = if mean_w > 0.0 { min_w / mean_w } else { 1.0 };
-        let (p50, _, p99) = load_hist.percentiles_ns();
-        let (grow_events, total_buckets) = steady
-            .server
-            .tables
-            .as_ref()
-            .map(|t| (t.grow_events, t.shards.iter().map(|sh| sh.buckets).sum()))
-            .unwrap_or((0, 0u64));
-        entries.push(format!(
-            concat!(
-                "{{\"name\":\"grow-load/{}/{}\",\"mode\":\"grow\",\"keys\":{},",
-                "\"connections\":{},\"load_elapsed_s\":{:.4},",
-                "\"load_keys_per_sec\":{:.0},\"window_ms\":{},",
-                "\"min_window_keys_per_sec\":{:.0},",
-                "\"mean_window_keys_per_sec\":{:.0},\"dip_ratio\":{:.4},",
-                "\"load_p50_ns\":{},\"load_p99_ns\":{},",
-                "\"grow_events\":{},\"total_buckets\":{}}}"
-            ),
-            label,
-            dist.label(),
-            keys,
-            connections,
-            load_elapsed.as_secs_f64(),
-            keys as f64 / load_elapsed.as_secs_f64().max(1e-9),
-            GROW_WINDOW_MS,
-            min_w,
-            mean_w,
-            dip_ratio,
-            p50,
-            p99,
-            grow_events,
-            total_buckets,
-        ));
-        let ops_per_sec = steady.ok as f64 / steady.elapsed.as_secs_f64().max(1e-9);
-        steady_ops.push(ops_per_sec);
-        if label == "elastic" {
-            elastic_summary = format!(
-                ",\"elastic_grow_events\":{grow_events},\
-                 \"elastic_total_buckets\":{total_buckets},\
-                 \"elastic_dip_ratio\":{dip_ratio:.4}"
-            );
-            assert!(
-                grow_events > 0,
-                "elastic server served {keys} keys without a single directory doubling"
-            );
-        }
-        entries.push(steady.to_json());
+        let mean_w = full.iter().sum::<u64>() as f64 / full.len().max(1) as f64 * scale;
+        let series = format!("{label}-load");
+        out.outcome(&series, &load);
+        out.put(&series, "keys_per_sec", load.per_sec(a.keys));
+        out.put(&series, "min_window_keys_per_sec", min_w);
+        out.put(&series, "mean_window_keys_per_sec", mean_w);
+        let dip = if mean_w > 0.0 { min_w / mean_w } else { 1.0 };
+        out.put(&series, "dip_ratio", dip);
+        out.outcome(&format!("{label}-steady"), &steady);
+        steady_rate[i] = steady.per_sec(steady.tally.ok);
     }
-    let ratio = steady_ops[1] / steady_ops[0].max(1e-9);
-    println!(
-        "grow-summary: elastic steady-state at {:.1}% of presized ({:.0} vs {:.0} ops/s)",
-        ratio * 100.0,
-        steady_ops[1],
-        steady_ops[0]
-    );
-    entries.push(format!(
-        concat!(
-            "{{\"name\":\"grow-summary/{}\",\"mode\":\"grow\",\"keys\":{},",
-            "\"presized_steady_ops_per_sec\":{:.0},",
-            "\"elastic_steady_ops_per_sec\":{:.0},\"steady_ratio\":{:.4}{}}}"
-        ),
-        dist.label(),
-        keys,
-        steady_ops[0],
-        steady_ops[1],
-        ratio,
-        elastic_summary,
-    ));
-    entries
+    let ratio = steady_rate[1] / steady_rate[0].max(1e-9);
+    out.put("summary", "steady_ratio", ratio);
 }
 
-/// Strided key slots one windowed `--scan` query covers.
-const SCAN_WINDOW: u64 = 128;
+/// The load doubles directories, and the grown table lands near the
+/// pre-sized baseline.
+const GROW_BOUNDS: &[Bound] = &[
+    ("elastic-steady", "grow_events", Above(0.0)),
+    ("elastic-load", "dip_ratio", AtMost(1.0)),
+    ("summary", "steady_ratio", AtLeast(0.70)),
+];
 
-/// The `--scan` mode: a range-partitioned (skiplist) server under a mix of
-/// windowed scans, transfers, and occasional full-space scans.  Keys are
-/// strided across the whole u64 space so range partitioning spreads them
-/// over every shard, and every full scan asserts **conservation**: money
-/// moving between accounts mid-scan must never change the page total,
-/// because a page is one atomic read-only transaction.
-fn run_scan_mode(connections: usize, workers: usize, duration: Duration, keys: u64) -> Vec<String> {
-    // A page is one transaction, and every returned entry is one counted
-    // read in its descriptor — so an atomic full-space page is bounded by
-    // the read-set capacity (4096 entries), not just MAX_SCAN_LIMIT.
-    assert!(
-        keys <= 3_500,
-        "--scan asserts full-page conservation; an atomic page is capped by \
-         descriptor read-set capacity, keep --keys <= 3500"
-    );
-    let cfg = ServerConfig {
-        workers,
-        store: StoreConfig {
-            tables: TableKind::Skip,
-            ..Default::default()
-        },
+/// `scan`: a range-partitioned (skiplist) server under [`scan_mix`].
+fn run_scan(a: &Sizes, out: &mut Report) {
+    // A page is one transaction and every returned entry one counted read in
+    // its descriptor, so an atomic full-space page is bounded by the
+    // read-set capacity (4096 entries), not just `MAX_SCAN_LIMIT`.
+    if a.keys > 3_500 {
+        die("scan: an atomic page is capped by the 4096-entry read set; keep --keys <= 3500");
+    }
+    let store = StoreConfig {
+        tables: TableKind::Skip,
         ..Default::default()
     };
-    let server = Server::start(&cfg).expect("start scan server");
-    let addr = server.local_addr();
-    let stride = u64::MAX / keys;
-    {
-        let mut c = Client::connect(addr).expect("scan preload");
-        let pairs: Vec<(u64, u64)> = (0..keys).map(|i| (i * stride, INITIAL)).collect();
-        for chunk in pairs.chunks(512) {
-            c.mset(chunk).expect("scan preload mset");
-        }
-    }
-    let total: u128 = keys as u128 * INITIAL as u128;
-
-    let barrier = Barrier::new(connections + 1);
-    let scans = AtomicU64::new(0);
-    let scan_entries = AtomicU64::new(0);
-    let full_scans = AtomicU64::new(0);
-    let transfers = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let scans = &scans;
-            let scan_entries = &scan_entries;
-            let full_scans = &full_scans;
-            let transfers = &transfers;
-            let retry_aborts = &retry_aborts;
-            let hist = &hist;
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("scan connect");
-                let mut rng = FastRng::new(0x5CA9 + t as u64);
-                let (mut n_scan, mut n_entries, mut n_full, mut n_xfer, mut n_retry) =
-                    (0u64, 0u64, 0u64, 0u64, 0u64);
-                let mut local_hist = LatencyHistogram::new();
-                barrier.wait();
-                let deadline = Instant::now() + duration;
-                while Instant::now() < deadline {
-                    let dice = rng.next_below(100);
-                    let start = Instant::now();
-                    if dice < 60 {
-                        let lo = rng.next_below(keys) * stride;
-                        let hi = lo.saturating_add(SCAN_WINDOW * stride);
-                        match c.scan(lo, hi, SCAN_WINDOW as u32) {
-                            Ok(page) => {
-                                n_scan += 1;
-                                n_entries += page.len() as u64;
-                                local_hist.record(start.elapsed());
-                            }
-                            Err(KvError::Server(_)) => n_retry += 1,
-                            Err(_) => break,
-                        }
-                    } else if dice < 90 {
-                        let from = rng.next_below(keys);
-                        let mut to = rng.next_below(keys);
-                        if to == from {
-                            to = (to + 1) % keys;
-                        }
-                        match c.transfer(from * stride, to * stride, 1) {
-                            Ok(_) => {
-                                n_xfer += 1;
-                                local_hist.record(start.elapsed());
-                            }
-                            Err(KvError::Server(ErrCode::Retry))
-                            | Err(KvError::Server(ErrCode::Capacity)) => n_retry += 1,
-                            Err(KvError::Server(_)) => n_xfer += 1, // Insufficient: answered
-                            Err(_) => break,
-                        }
-                    } else {
-                        match c.scan(0, u64::MAX, keys as u32) {
-                            Ok(page) => {
-                                assert_eq!(
-                                    page.len() as u64,
-                                    keys,
-                                    "full scan must see every account"
-                                );
-                                let sum: u128 = page
-                                    .iter()
-                                    .map(|(_, v)| match v {
-                                        pmem::Value::U64(w) => *w as u128,
-                                        pmem::Value::Bytes(_) => 0,
-                                    })
-                                    .sum();
-                                assert_eq!(
-                                    sum, total,
-                                    "scan page total drifted under concurrent transfers"
-                                );
-                                n_full += 1;
-                                local_hist.record(start.elapsed());
-                            }
-                            Err(KvError::Server(_)) => n_retry += 1,
-                            Err(_) => break,
-                        }
-                    }
-                }
-                scans.fetch_add(n_scan, Ordering::Relaxed);
-                scan_entries.fetch_add(n_entries, Ordering::Relaxed);
-                full_scans.fetch_add(n_full, Ordering::Relaxed);
-                transfers.fetch_add(n_xfer, Ordering::Relaxed);
-                retry_aborts.fetch_add(n_retry, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
+    let stride = u64::MAX / a.keys;
+    let o = host(&server(a.workers, store), |addr| {
+        preload(addr, (0..a.keys).map(|i| i * stride));
+        let step = scan_mix(a.keys, stride);
+        drive(addr, a.connections, a.duration, &step)
     });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    let stats = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        c.stats().expect("stats")
-    };
-    server.shutdown();
-    let tables = stats.tables.expect("server reports table stats");
-    assert_eq!(
-        tables.partition,
-        kvstore::PartitionScheme::Range,
-        "skip tables must be range-partitioned"
-    );
-
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let (p50, _, p99) = hist.lock().unwrap().percentiles_ns();
-    let (n_scan, n_full) = (
-        scans.load(Ordering::Relaxed),
-        full_scans.load(Ordering::Relaxed),
-    );
-    println!(
-        "scan-summary: {:.0} scans/s ({} windowed + {} full, all pages conserved), {:.0} transfers/s",
-        (n_scan + n_full) as f64 / secs,
-        n_scan,
-        n_full,
-        transfers.load(Ordering::Relaxed) as f64 / secs,
-    );
-    vec![format!(
-        concat!(
-            "{{\"name\":\"scan/skip\",\"mode\":\"scan\",\"keys\":{},",
-            "\"connections\":{},\"elapsed_s\":{:.4},",
-            "\"scans\":{},\"scans_per_sec\":{:.0},\"scan_entries\":{},",
-            "\"full_scans\":{},\"transfers\":{},\"retry_aborts\":{},",
-            "\"p50_ns\":{},\"p99_ns\":{},\"partition\":\"range\",",
-            "\"server_commits\":{},\"server_ro_commits\":{}}}"
-        ),
-        keys,
-        connections,
-        elapsed.as_secs_f64(),
-        n_scan + n_full,
-        (n_scan + n_full) as f64 / secs,
-        scan_entries.load(Ordering::Relaxed),
-        n_full,
-        transfers.load(Ordering::Relaxed),
-        retry_aborts.load(Ordering::Relaxed),
-        p50,
-        p99,
-        stats.tx.commits,
-        stats.tx.ro_commits,
-    )]
+    out.outcome("skip", &o);
+    let t = &o.tally;
+    let ranged = o.stats.tables.as_ref().map(|tb| tb.partition) == Some(PartitionScheme::Range);
+    out.put("skip", "range_partitioned", u64::from(ranged) as f64);
+    out.put("skip", "scans", (t.scans + t.full_scans) as f64);
+    out.put("skip", "full_scans", t.full_scans as f64);
+    out.put("skip", "scan_entries", t.scan_entries as f64);
+    out.put("skip", "torn_pages", t.torn_pages as f64);
 }
 
-/// The `--cache` mode: a cache-tables server (second-chance policy: hash map
-/// and FIFO queue composed in one transaction per op) under a zipfian get/put
-/// mix sized to overflow capacity.  Reports the server's commit-disciplined
-/// hit/miss/eviction tallies and asserts the capacity invariant on the
-/// occupancy `STATS` reports.
-fn run_cache_mode(
-    connections: usize,
-    workers: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-) -> Vec<String> {
-    let capacity = (keys / 4).max(StoreConfig::default().shards as u64);
-    let cfg = ServerConfig {
-        workers,
-        store: StoreConfig {
-            tables: TableKind::Cache { capacity },
-            ..Default::default()
-        },
+/// Scans run, commit on the read-only path, and no full page misses a key
+/// or drifts from the total under the concurrent transfers.
+const SCAN_BOUNDS: &[Bound] = &[
+    ("skip", "range_partitioned", Is(1.0)),
+    ("skip", "scans", Above(0.0)),
+    ("skip", "full_scans", Above(0.0)),
+    ("skip", "scan_entries", Above(0.0)),
+    ("skip", "server_ro_commits", Above(0.0)),
+    ("skip", "torn_pages", Is(0.0)),
+];
+
+/// `cache`: second-chance cache tables (a hash map and a FIFO queue composed
+/// in one transaction per op) a quarter the size of the key space.
+fn run_cache(a: &Sizes, out: &mut Report) {
+    let capacity = (a.keys / 4).max(StoreConfig::default().shards as u64);
+    let store = StoreConfig {
+        tables: TableKind::Cache { capacity },
         ..Default::default()
     };
-    let server = Server::start(&cfg).expect("start cache server");
-    let addr = server.local_addr();
-
-    let barrier = Barrier::new(connections + 1);
-    let gets = AtomicU64::new(0);
-    let observed_hits = AtomicU64::new(0);
-    let puts = AtomicU64::new(0);
-    let retry_aborts = AtomicU64::new(0);
-    let hist = Mutex::new(LatencyHistogram::new());
-    let started = Mutex::new(None::<Instant>);
-    std::thread::scope(|s| {
-        for t in 0..connections {
-            let barrier = &barrier;
-            let gets = &gets;
-            let observed_hits = &observed_hits;
-            let puts = &puts;
-            let retry_aborts = &retry_aborts;
-            let hist = &hist;
-            let sampler = dist.sampler(keys);
-            s.spawn(move || {
-                let mut c = Client::connect(addr).expect("cache connect");
-                let mut rng = FastRng::new(0xCAC4E + t as u64);
-                let (mut n_get, mut n_hit, mut n_put, mut n_retry) = (0u64, 0u64, 0u64, 0u64);
-                let mut local_hist = LatencyHistogram::new();
-                barrier.wait();
-                let deadline = Instant::now() + duration;
-                while Instant::now() < deadline {
-                    let k = sampler.sample(&mut rng);
-                    let start = Instant::now();
-                    if rng.next_below(100) < 70 {
-                        match c.get(k) {
-                            Ok(v) => {
-                                n_get += 1;
-                                n_hit += u64::from(v.is_some());
-                                local_hist.record(start.elapsed());
-                            }
-                            Err(KvError::Server(_)) => n_retry += 1,
-                            Err(_) => break,
-                        }
-                    } else {
-                        match c.put(k, rng.next_u64() % INITIAL) {
-                            Ok(_) => {
-                                n_put += 1;
-                                local_hist.record(start.elapsed());
-                            }
-                            Err(KvError::Server(_)) => n_retry += 1,
-                            Err(_) => break,
-                        }
-                    }
-                }
-                gets.fetch_add(n_get, Ordering::Relaxed);
-                observed_hits.fetch_add(n_hit, Ordering::Relaxed);
-                puts.fetch_add(n_put, Ordering::Relaxed);
-                retry_aborts.fetch_add(n_retry, Ordering::Relaxed);
-                hist.lock().unwrap().merge(&local_hist);
-            });
-        }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
+    let o = host(&server(a.workers, store), |addr| {
+        drive(addr, a.connections, a.duration, &cache_mix(a.keys))
     });
-    let elapsed = started.lock().unwrap().expect("run started").elapsed();
-
-    let stats = {
-        let mut c = Client::connect(addr).expect("stats connect");
-        c.stats().expect("stats")
-    };
-    server.shutdown();
-    let tables = stats.tables.expect("server reports table stats");
+    out.outcome("second-chance", &o);
+    let tables = o.stats.tables.as_ref().expect("server reports table stats");
     let cache = tables.cache.expect("cache server reports cache tallies");
-    let live: u64 = tables
-        .shards
-        .iter()
-        .map(|sh| sh.items.expect("cache shards track occupancy"))
-        .sum();
-    assert!(
-        live <= capacity,
-        "live entries {live} exceed the configured capacity {capacity}"
-    );
-    let hit_rate = cache.hits as f64 / (cache.hits + cache.misses).max(1) as f64;
-
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let (p50, _, p99) = hist.lock().unwrap().percentiles_ns();
-    let ops = gets.load(Ordering::Relaxed) + puts.load(Ordering::Relaxed);
-    println!(
-        "cache-summary: {:.0} ops/s, hit rate {:.1}% ({} hits / {} misses), {} evictions, {live}/{capacity} live",
-        ops as f64 / secs,
-        hit_rate * 100.0,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-    );
-    vec![format!(
-        concat!(
-            "{{\"name\":\"cache/second-chance\",\"mode\":\"cache\",\"keys\":{},",
-            "\"capacity\":{},\"connections\":{},\"elapsed_s\":{:.4},",
-            "\"ops\":{},\"ops_per_sec\":{:.0},",
-            "\"gets\":{},\"client_observed_hits\":{},\"puts\":{},",
-            "\"retry_aborts\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},",
-            "\"evictions\":{},\"live_entries\":{},",
-            "\"p50_ns\":{},\"p99_ns\":{},\"server_commits\":{}}}"
-        ),
-        keys,
-        capacity,
-        connections,
-        elapsed.as_secs_f64(),
-        ops,
-        ops as f64 / secs,
-        gets.load(Ordering::Relaxed),
-        observed_hits.load(Ordering::Relaxed),
-        puts.load(Ordering::Relaxed),
-        retry_aborts.load(Ordering::Relaxed),
-        cache.hits,
-        cache.misses,
-        hit_rate,
-        cache.evictions,
-        live,
-        p50,
-        p99,
-        stats.tx.commits,
-    )]
+    let live: u64 = tables.shards.iter().filter_map(|sh| sh.items).sum();
+    out.put("second-chance", "capacity", capacity as f64);
+    out.put("second-chance", "live", live as f64);
+    out.put("second-chance", "hits", cache.hits as f64);
+    out.put("second-chance", "misses", cache.misses as f64);
+    out.put("second-chance", "evictions", cache.evictions as f64);
 }
 
-/// The `--metrics-ab` mode: the same closed-loop mixed workload against two
-/// otherwise-identical transient servers, one with telemetry enabled and one
-/// with it disabled, plus a summary row carrying the throughput ratio CI can
-/// assert on.  This is the overhead guard for the observability layer: the
-/// per-request cost of telemetry is three clock reads and a handful of
-/// relaxed atomics, and the ratio row makes any regression visible in
-/// BENCH_server.json rather than only under a profiler.
-fn run_metrics_ab_mode(
-    connections: usize,
-    workers: usize,
-    duration: Duration,
-    keys: u64,
-    dist: KeyDist,
-    tables: TableKind,
-) -> Vec<String> {
-    let mut entries = Vec::new();
-    let mut rates = Vec::new();
-    for enabled in [true, false] {
-        let cfg = ServerConfig {
-            workers,
-            store: StoreConfig {
-                tables: tables.clone(),
-                ..Default::default()
-            },
-            telemetry: TelemetryConfig {
-                enabled,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let server = Server::start(&cfg).expect("start A/B server");
-        let label = if enabled { "on" } else { "off" };
-        let mut r = run_series(
-            format!("server-ab/telemetry-{label}/{}", dist.label()),
-            server.local_addr(),
-            connections,
-            duration,
-            keys,
-            dist,
-            true,
-        );
-        r.extra = format!(",\"telemetry\":{enabled}");
-        println!("{}", r.csv_row());
-        let answered = r.ok + r.app_errors;
-        rates.push(answered as f64 / r.elapsed.as_secs_f64().max(1e-9));
-        entries.push(r.to_json());
-        server.shutdown();
-    }
-    let ratio = rates[0] / rates[1].max(1e-9);
-    println!(
-        "metrics-ab-summary: telemetry on at {:.3}x of off ({:.0} vs {:.0} ops/s)",
-        ratio, rates[0], rates[1]
-    );
-    entries.push(format!(
-        concat!(
-            "{{\"name\":\"metrics-ab-summary/{}\",\"mode\":\"metrics-ab\",",
-            "\"connections\":{},\"on_ops_per_sec\":{:.0},\"off_ops_per_sec\":{:.0},",
-            "\"on_off_ratio\":{:.4}}}"
-        ),
-        dist.label(),
-        connections,
-        rates[0],
-        rates[1],
-        ratio,
-    ));
-    entries
+const CACHE_BOUNDS: &[Bound] = &[
+    ("second-chance", "hits", Above(0.0)),
+    ("second-chance", "evictions", Above(0.0)),
+    ("second-chance", "live", AtMostFig("capacity")),
+];
+
+// ---------------------------------------------------------------------------
+// Command line
+// ---------------------------------------------------------------------------
+
+fn die(why: &str) -> ! {
+    eprintln!("kvbench: {why}");
+    std::process::exit(2);
+}
+
+/// What `--list` prints.
+fn list() -> String {
+    SCENARIOS.iter().map(|s| format!("{}\n", s.0)).collect()
 }
 
 fn main() {
-    // Hundreds of benchmark connections means hundreds of descriptors on
-    // both ends of the loopback; lift the soft cap before opening any.
+    if std::env::args().any(|a| a == "--list") {
+        print!("{}", list());
+        return;
+    }
+    // Hundreds of connections means hundreds of descriptors on both ends of
+    // the loopback; lift the soft cap before opening any.
     if let Err(e) = kvstore::sys::raise_nofile_limit() {
         eprintln!("warning: could not raise RLIMIT_NOFILE: {e}");
     }
-    let args = CommonArgs::parse();
-    let connections: usize = CommonArgs::extra_flag("--connections", 2);
-    let workers: usize = CommonArgs::extra_flag("--workers", 4);
-    let theta: f64 = CommonArgs::extra_flag("--theta", 0.99);
-    let uniform = std::env::args().any(|a| a == "--uniform");
+    let name: String = CommonArgs::extra_flag("--scenario", "default".to_string());
+    let Some(&(scenario, run, bounds)) = SCENARIOS.iter().find(|s| s.0 == name) else {
+        die(&format!(
+            "unknown --scenario {name:?}; --list prints the names"
+        ));
+    };
+    let common = CommonArgs::parse();
     let connect: String = CommonArgs::extra_flag("--connect", String::new());
-    let tables = match CommonArgs::extra_flag("--tables", "hash".to_string()).as_str() {
-        "hash" => TableKind::Hash,
-        "skip" => TableKind::Skip,
-        "mixed" => TableKind::Mixed,
-        "elastic" => TableKind::Elastic,
-        "cache" => TableKind::Cache {
-            capacity: CommonArgs::extra_flag("--cache-capacity", 1 << 16),
-        },
-        other => panic!("unknown --tables {other:?} (hash|skip|mixed|elastic|cache)"),
+    let sizes = Sizes {
+        connections: CommonArgs::extra_flag("--connections", 2),
+        workers: CommonArgs::extra_flag("--workers", 4),
+        duration: Duration::from_secs_f64(common.seconds),
+        keys: common.keys,
+        connect: (!connect.is_empty()).then(|| match connect.parse() {
+            Ok(addr) => addr,
+            Err(_) => die("--connect wants ADDR:PORT"),
+        }),
     };
-    let duration = Duration::from_secs_f64(args.seconds);
-    let dist = if uniform {
-        KeyDist::Uniform
-    } else {
-        KeyDist::Zipfian(theta)
-    };
+    println!("scenario,series,metric,value");
+    let rows = Vec::new();
+    let mut report = Report { scenario, rows };
+    run(&sizes, &mut report);
+    if let Err(why) = check(&report.rows, bounds) {
+        eprintln!("kvbench {scenario}: FAILED: {why}");
+        std::process::exit(1);
+    }
+}
 
-    // Error probe: N transfers from guaranteed-missing keys against an
-    // external server, so a metrics scrape has abort-reason counters to
-    // attribute.  Exits without writing JSON.
-    let probe_errors: u64 = CommonArgs::extra_flag("--probe-errors", 0);
-    if probe_errors > 0 {
-        let addr: std::net::SocketAddr = connect
-            .parse()
-            .expect("--probe-errors needs --connect ADDR:PORT");
-        let mut c = Client::connect(addr).expect("probe connect");
-        let mut failures = 0u64;
-        for i in 0..probe_errors {
-            failures += u64::from(c.transfer(u64::MAX - i, 0, 1).is_err());
-        }
-        println!("probe-errors: {failures}/{probe_errors} transfers from missing keys failed");
-        assert_eq!(failures, probe_errors, "missing-key transfers must fail");
-        return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `"series metric value; ..."` as rows.
+    fn rows(text: &'static str) -> Vec<Row> {
+        let row = |r: &'static str| {
+            let f: Vec<&str> = r.split_whitespace().collect();
+            (f[0].to_string(), f[1], f[2].parse().unwrap())
+        };
+        text.split(';').map(row).collect()
     }
 
-    println!(
-        "series,connections,ops_per_sec,client_retry_aborts,server_conflict_aborts,p50_ns,p99_ns"
-    );
-
-    if std::env::args().any(|a| a == "--grow") {
-        let entries = run_grow_mode(connections, workers, duration, args.keys, dist);
-        write_json("server", &entries);
-        return;
+    #[test]
+    fn list_is_the_table_and_names_are_unique() {
+        let listed = list();
+        let mut names: Vec<&str> = listed.lines().collect();
+        let table = "default external metrics-ab fanout overload grow scan cache";
+        assert_eq!(names, table.split(' ').collect::<Vec<_>>());
+        assert_eq!(names.len(), SCENARIOS.len());
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SCENARIOS.len(), "duplicate scenario name");
     }
 
-    if std::env::args().any(|a| a == "--scan") {
-        let entries = run_scan_mode(connections, workers, duration, args.keys);
-        write_json("server", &entries);
-        return;
-    }
-
-    if std::env::args().any(|a| a == "--cache") {
-        let entries = run_cache_mode(connections, workers, duration, args.keys, dist);
-        write_json("server", &entries);
-        return;
-    }
-
-    if std::env::args().any(|a| a == "--fanout") {
-        let fan: usize = CommonArgs::extra_flag("--fanout-conns", 512);
-        let entries = run_fanout_mode(workers, duration, args.keys, dist, tables, fan);
-        write_json("server", &entries);
-        return;
-    }
-
-    if std::env::args().any(|a| a == "--metrics-ab") {
-        let entries = run_metrics_ab_mode(connections, workers, duration, args.keys, dist, tables);
-        write_json("server", &entries);
-        return;
-    }
-
-    if std::env::args().any(|a| a == "--overload") {
-        let offered_mult: f64 = CommonArgs::extra_flag("--offered-mult", 2.0);
-        let entries = run_overload_mode(
-            connections,
-            workers,
-            duration,
-            args.keys,
-            dist,
-            tables,
-            offered_mult,
-        );
-        write_json("server", &entries);
-        return;
-    }
-
-    let mut results = Vec::new();
-
-    if !connect.is_empty() {
-        let addr = connect.parse().expect("--connect ADDR:PORT");
-        let r = run_series(
-            format!("server-external/{}", dist.label()),
-            addr,
-            connections,
-            duration,
-            args.keys,
-            dist,
-            true,
-        );
-        println!("{}", r.csv_row());
-        results.push(r);
-    } else {
-        for (label, backend) in [
-            ("transient", StoreBackend::Transient),
-            ("durable", StoreBackend::Durable),
-        ] {
-            let cfg = ServerConfig {
-                workers,
-                store: StoreConfig {
-                    tables: tables.clone(),
-                    backend,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let server = Server::start(&cfg).expect("start kvstore server");
-            let r = run_series(
-                format!("server-{label}/{}", dist.label()),
-                server.local_addr(),
-                connections,
-                duration,
-                args.keys,
-                dist,
-                true,
-            );
-            println!("{}", r.csv_row());
-            results.push(r);
-            server.shutdown();
-        }
-
-        // Blob series: the same service through the variable-length op
-        // family, at a small inline-class size and a multi-read-pass size
-        // (4 KiB spills class-0 durable slots into overflow chains).
-        for (label, backend) in [
-            ("transient", StoreBackend::Transient),
-            ("durable", StoreBackend::Durable),
-        ] {
-            for vsize in [128usize, 4096] {
-                let cfg = ServerConfig {
-                    workers,
-                    store: StoreConfig {
-                        tables: tables.clone(),
-                        backend,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let server = Server::start(&cfg).expect("start blob server");
-                let r = run_blob_series(
-                    format!("server-blob-{label}/{vsize}B/{}", dist.label()),
-                    server.local_addr(),
-                    connections,
-                    duration,
-                    args.keys,
-                    dist,
-                    vsize,
-                );
-                println!("{}", r.csv_row());
-                results.push(r);
-                server.shutdown();
+    /// Every scenario's bounds accept a passing set of figures and reject it
+    /// again with any one figure replaced by a violating value — or, `-`,
+    /// missing — naming that figure.
+    #[test]
+    fn every_check_passes_its_baseline_and_fails_each_violation() {
+        let series = DEFAULT_SERIES.map(|(s, ..)| format!("{s} ok 9; {s} epoll_waits 5"));
+        let default_ok: &'static str = series.join("; ").leak();
+        // (scenario, passing figures, violations)
+        let cases: [[&'static str; 3]; 8] = [
+            [
+                "default",
+                default_ok,
+                "blob4096-durable ok -; blob128-transient ok 0; word-durable epoll_waits 0",
+            ],
+            [
+                "external",
+                "external ok 9; probe refused 64; metrics attributed_ops 5; metrics aborts 64",
+                "probe refused 63; metrics attributed_ops 2; metrics aborts 0",
+            ],
+            [
+                "metrics-ab",
+                "telemetry-on answered_per_sec 95; telemetry-off answered_per_sec 100; \
+                 summary on_off_ratio 0.95",
+                "summary on_off_ratio 0.7; telemetry-off answered_per_sec 0",
+            ],
+            [
+                "fanout",
+                "fan connections 512; fan ok 1000; fan p99_ns 4e6; summary p99_ratio 1.4",
+                "summary p99_ratio 3.5; fan connections 8; fan p99_ns 0; fan ok 0",
+            ],
+            [
+                "overload",
+                "backoff ops_per_sec 5e4; adaptive ops_per_sec 5e4; summary shed 120",
+                "summary shed 0; backoff ops_per_sec 0; adaptive ops_per_sec -",
+            ],
+            [
+                "grow",
+                "elastic-steady grow_events 24; elastic-load dip_ratio 0.6; summary steady_ratio 1",
+                "elastic-steady grow_events 0; summary steady_ratio 0.5; elastic-load dip_ratio 2",
+            ],
+            [
+                "scan",
+                "skip range_partitioned 1; skip scans 900; skip full_scans 90; skip torn_pages 0; \
+                 skip scan_entries 2e5; skip server_ro_commits 990",
+                "skip full_scans 0; skip server_ro_commits 0; skip torn_pages 1; skip scans -",
+            ],
+            [
+                "cache",
+                "second-chance hits 700; second-chance evictions 40; second-chance live 1024; \
+                 second-chance capacity 1024",
+                "second-chance live 1025; second-chance evictions 0; second-chance hits 0",
+            ],
+        ];
+        for ([name, baseline, violations], scenario) in cases.into_iter().zip(SCENARIOS) {
+            assert_eq!(name, scenario.0, "a case per scenario, in table order");
+            assert_eq!(check(&rows(baseline), scenario.2), Ok(()), "{name}");
+            for violation in violations.split("; ") {
+                let (figure, value) = violation.rsplit_once(' ').unwrap();
+                let mut bad = rows(baseline);
+                bad.retain(|r| format!("{} {}", r.0, r.1) != figure);
+                if value != "-" {
+                    bad.extend(rows(violation));
+                }
+                let err = check(&bad, scenario.2).expect_err(violation);
+                assert!(err.contains(figure), "{name}: {violation}: {err:?}");
             }
         }
     }
 
-    let entries: Vec<String> = results.iter().map(SeriesResult::to_json).collect();
-    write_json("server", &entries);
+    #[test]
+    fn answers_are_classified_once() {
+        let mut t = Tally::default();
+        let at = Instant::now();
+        assert_eq!(t.answer(Response::Ok(CmdOut::Done), at), Some(CmdOut::Done));
+        use ErrCode::{Capacity, Insufficient, Overload, Retry};
+        for code in [Overload, Retry, Capacity, Insufficient] {
+            assert_eq!(t.answer(Response::Err(code), at), None);
+        }
+        assert_eq!((t.ok, t.shed, t.retry_aborts, t.app_errors), (1, 1, 2, 1));
+        assert_eq!(t.hist.total(), 1, "only committed answers are timed");
+        t.windows = vec![2, 3];
+        let mut sum = Tally {
+            windows: vec![1],
+            ..Default::default()
+        };
+        sum.merge(&t);
+        sum.merge(&t);
+        assert_eq!((sum.ok, sum.retry_aborts, sum.hist.total()), (2, 4, 2));
+        assert_eq!(sum.windows, [5, 6]);
+    }
 }

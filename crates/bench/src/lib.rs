@@ -1,6 +1,6 @@
-//! # bench — harness reproducing the paper's evaluation (Sec. 6)
+//! # bench — the paper's evaluation (Sec. 6), and the kvstore scenarios
 //!
-//! The binaries in this crate regenerate the paper's figures:
+//! The figure binaries in this crate regenerate the paper's figures:
 //!
 //! | Binary  | Paper figure | What it measures |
 //! |---------|--------------|------------------|
@@ -14,6 +14,11 @@
 //! space and preload size are configurable from the command line; defaults
 //! are scaled down to finish quickly in CI containers (the paper uses 80
 //! hyperthreads, a 1 M key space, and 30 s runs).
+//!
+//! `kvbench` is the service-level counterpart: named scenarios over
+//! loopback TCP against `kvstore` servers, each asserting its own invariant
+//! (`kvbench --list`).  Committed performance numbers come from neither:
+//! they are `benchmark/`'s (see `BENCHMARK.json`).
 
 use medley::util::FastRng;
 use medley::{TxError, TxManager};
@@ -23,7 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub mod report;
 pub mod systems;
 pub mod workload;
 
@@ -291,73 +295,60 @@ pub struct CommonArgs {
     pub preload: u64,
 }
 
-impl CommonArgs {
-    /// Parses the process arguments (ignoring unknown flags).
-    pub fn parse() -> Self {
-        let mut out = Self {
-            threads: vec![1, 2, 4],
-            seconds: 0.8,
-            keys: 1 << 17,
-            preload: 1 << 16,
-        };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--threads" => {
-                    out.threads = args[i + 1]
-                        .split(',')
-                        .filter_map(|s| s.parse().ok())
-                        .collect();
-                    i += 2;
-                }
-                "--seconds" => {
-                    out.seconds = args[i + 1].parse().unwrap_or(out.seconds);
-                    i += 2;
-                }
-                "--keys" => {
-                    out.keys = args[i + 1].parse().unwrap_or(out.keys);
-                    i += 2;
-                }
-                "--preload" => {
-                    out.preload = args[i + 1].parse().unwrap_or(out.preload);
-                    i += 2;
-                }
-                _ => i += 1,
-            }
+/// Looks up `--flag value` (or `--flag=value`) in `args`, falling back to
+/// `default` only when the flag is absent.  A present-but-unparsable value
+/// and a flag that is the last argument are errors: silently falling back
+/// would e.g. turn a CI smoke run with a mistyped `--warehouses` into a
+/// full-scale TPC-C load.  Flags the caller never asks for are ignored, so
+/// binaries can layer their own on the shared ones.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let eq_prefix = format!("{name}=");
+    let raw = args.iter().enumerate().find_map(|(i, a)| {
+        if let Some(v) = a.strip_prefix(&eq_prefix) {
+            Some(Some(v))
+        } else {
+            (a == name).then(|| args.get(i + 1).map(String::as_str))
         }
-        out
+    });
+    match raw {
+        None => Ok(default),
+        Some(None) => Err(format!("{name} requires a value")),
+        Some(Some(v)) => v
+            .parse()
+            .map_err(|_| format!("invalid value {v:?} for {name}")),
+    }
+}
+
+impl CommonArgs {
+    /// Parses the process arguments; an unparsable value is a hard error.
+    pub fn parse() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        Self::parse_from(&args).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Reads one extra `--flag value` (or `--flag=value`) argument the
-    /// shared parser does not know about (it deliberately ignores unknown
-    /// flags so binaries can layer their own), falling back to `default`
-    /// only when the flag is absent.  A present-but-unparsable value is a
-    /// hard error: silently falling back would e.g. turn a CI smoke run
-    /// with a mistyped `--warehouses` into a full-scale TPC-C load.  Works
-    /// for any `FromStr` value type (`u64` scales, `f64` skew parameters).
+    fn parse_from(args: &[String]) -> Result<Self, String> {
+        let threads = flag(args, "--threads", "1,2,4".to_string())?
+            .split(',')
+            .map(|t| {
+                t.parse()
+                    .map_err(|_| format!("invalid value {t:?} in --threads"))
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
+        Ok(Self {
+            threads,
+            seconds: flag(args, "--seconds", 0.8)?,
+            keys: flag(args, "--keys", 1 << 17)?,
+            preload: flag(args, "--preload", 1 << 16)?,
+        })
+    }
+
+    /// Reads one extra `--flag value` (or `--flag=value`) process argument
+    /// the shared parser does not know about, with the same strictness.
+    /// Works for any `FromStr` value type (`u64` scales, `f64` skew
+    /// parameters).
     pub fn extra_flag<T: std::str::FromStr>(name: &str, default: T) -> T {
         let args: Vec<String> = std::env::args().collect();
-        let eq_prefix = format!("{name}=");
-        let raw = args.iter().enumerate().find_map(|(i, a)| {
-            if let Some(v) = a.strip_prefix(&eq_prefix) {
-                Some(v.to_string())
-            } else if a == name {
-                Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| panic!("{name} requires a value"))
-                        .clone(),
-                )
-            } else {
-                None
-            }
-        });
-        match raw {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid value {v:?} for {name}")),
-        }
+        flag(&args, name, default).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a [`MicroConfig`] with the given operation ratio.
@@ -397,6 +388,38 @@ mod tests {
             for op in cfg.random_tx(&mut rng) {
                 assert!(matches!(op, MicroOp::Get(_)));
             }
+        }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(list.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        let a = CommonArgs::parse_from(&args(&["--seconds=0.1", "--threads", "1,4", "--other"]))
+            .expect("valid arguments");
+        assert_eq!((a.seconds, a.threads.as_slice()), (0.1, &[1, 4][..]));
+        assert_eq!((a.keys, a.preload), (1 << 17, 1 << 16), "absent = default");
+        for (bad, why) in [
+            (
+                &["--seconds", "0.05x"][..],
+                "invalid value \"0.05x\" for --seconds",
+            ),
+            (
+                &["--threads", "1,x"][..],
+                "invalid value \"x\" in --threads",
+            ),
+            (
+                &["--keys", "4096", "--seconds"][..],
+                "--seconds requires a value",
+            ),
+        ] {
+            let err = CommonArgs::parse_from(&args(bad)).err();
+            assert_eq!(err.as_deref(), Some(why), "{bad:?}");
         }
     }
 

@@ -4,7 +4,7 @@
 use crate::{MedleyMicro, MicroOp, MicroSession, MicroSystem};
 use medley::TxManager;
 use nbds::TxMap;
-use pmem::{DomainBackend, EpochAdvancer, NvmCostModel, PersistenceDomain};
+use pmem::{EpochAdvancer, NvmCostModel, PersistenceDomain};
 use std::sync::Arc;
 use std::time::Duration;
 use txmontage::{Durable, DurableHashMap, DurableSkipList};
@@ -15,9 +15,7 @@ use txmontage::{Durable, DurableHashMap, DurableSkipList};
 
 /// The txMontage configuration of the figure benchmarks: a durable Medley
 /// map over a fresh manager and persistence domain, with a live epoch
-/// advancer that is stopped when the setup is dropped.  The `backend`
-/// parameter selects the payload store (arena by default; the Mutex-slab
-/// baseline for A/B runs).
+/// advancer that is stopped when the setup is dropped.
 pub struct TxMontageMicro<M> {
     inner: MedleyMicro<Durable<M>>,
     domain: Arc<PersistenceDomain>,
@@ -26,10 +24,9 @@ pub struct TxMontageMicro<M> {
 
 impl TxMontageMicro<nbds::MichaelHashMap<(u64, u64)>> {
     /// Durable hash map (Fig. 7's txMontage series).
-    pub fn hash_map(buckets: usize, backend: DomainBackend, advancer_period: Duration) -> Self {
+    pub fn hash_map(buckets: usize, advancer_period: Duration) -> Self {
         let mgr = TxManager::new();
-        let domain =
-            PersistenceDomain::with_backend(Arc::clone(&mgr), NvmCostModel::OPTANE_LIKE, backend);
+        let domain = PersistenceDomain::new(Arc::clone(&mgr), NvmCostModel::OPTANE_LIKE);
         let map = Arc::new(DurableHashMap::hash_map(buckets, Arc::clone(&domain)));
         let advancer = EpochAdvancer::spawn(Arc::clone(&domain), advancer_period);
         Self {
@@ -42,10 +39,9 @@ impl TxMontageMicro<nbds::MichaelHashMap<(u64, u64)>> {
 
 impl TxMontageMicro<nbds::SkipList<(u64, u64)>> {
     /// Durable skiplist (Fig. 8's txMontage series).
-    pub fn skip_list(backend: DomainBackend, advancer_period: Duration) -> Self {
+    pub fn skip_list(advancer_period: Duration) -> Self {
         let mgr = TxManager::new();
-        let domain =
-            PersistenceDomain::with_backend(Arc::clone(&mgr), NvmCostModel::OPTANE_LIKE, backend);
+        let domain = PersistenceDomain::new(Arc::clone(&mgr), NvmCostModel::OPTANE_LIKE);
         let map = Arc::new(DurableSkipList::skip_list(Arc::clone(&domain)));
         let advancer = EpochAdvancer::spawn(Arc::clone(&domain), advancer_period);
         Self {
@@ -294,7 +290,7 @@ mod tests {
     #[test]
     fn txmontage_adapter_runs_and_writes_back() {
         let cfg = tiny_cfg();
-        let sys = TxMontageMicro::hash_map(1 << 10, DomainBackend::Arena, Duration::from_millis(2));
+        let sys = TxMontageMicro::hash_map(1 << 10, Duration::from_millis(2));
         assert!(run_micro(&sys, &cfg, 2) > 0.0);
         let (flushes, fences) = sys.domain().nvm().stats().snapshot();
         assert!(

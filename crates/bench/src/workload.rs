@@ -1,34 +1,13 @@
-//! Contended-throughput workloads: key-distribution generators (uniform and
-//! zipfian), duration-based multi-thread runners, and the machine-readable
-//! `BENCH_throughput.json` report.
-//!
-//! The microbenchmarks in `benches/micro.rs` isolate *per-transaction
-//! latency* on disjoint data; this module measures the opposite regime —
-//! sustained ops/sec while many threads fight over a skewed key space — so
-//! that contended general-path changes (helping storms, validation cost,
-//! install conflicts) are measured rather than asserted.  Every result
-//! carries the `TxStats` delta of its run, so a series shows not only the
-//! throughput but *why* it moved (conflict aborts, helps, commit-path mix).
-//!
-//! The `durable-*` series run the same shapes against `txmontage::Durable`
-//! maps with a live [`pmem::EpochAdvancer`], so the persistence domain's
-//! payload alloc/retire path sits on the critical path of every committed
-//! update.  Each durable result additionally records the simulated-NVM
-//! flush/fence delta and the domain state ([`DurableSeriesStats`]), and the
-//! [`pmem::DomainBackend::MutexSlab`] baseline can be run side by side for
-//! the arena-vs-global-lock A/B.
+//! Key-distribution generators (uniform and zipfian) shared by `kvbench` and
+//! the integration tests, and the hot-word transfer workload behind
+//! `tests/tests/stress.rs::zipfian_hot_word_contention_stress`.
 
 use medley::util::FastRng;
 use medley::{AbortReason, CasWord, Ctx, TxManager, TxResult, TxStatsSnapshot};
-use nbds::MichaelHashMap;
-use pmem::{
-    DomainBackend, DomainStats, EpochAdvancer, NvmCostModel, NvmSnapshot, PersistenceDomain,
-};
-use txmontage::DurableHashMap;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Barrier;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Key distributions
@@ -127,14 +106,6 @@ impl KeyDist {
             KeyDist::Zipfian(theta) => KeySampler::Zipf(Zipf::new(n, theta)),
         }
     }
-
-    /// Short label used in series names (`uniform`, `zipf99`, ...).
-    pub fn label(self) -> String {
-        match self {
-            KeyDist::Uniform => "uniform".to_string(),
-            KeyDist::Zipfian(theta) => format!("zipf{:02}", (theta * 100.0).round() as u32),
-        }
-    }
 }
 
 /// A materialized key generator (cheap to sample per draw).
@@ -158,10 +129,10 @@ impl KeySampler {
 }
 
 // ---------------------------------------------------------------------------
-// Duration-based throughput runners
+// Hot-word transfer
 // ---------------------------------------------------------------------------
 
-/// Parameters shared by the throughput workloads.
+/// Parameters of [`run_hot_transfer`].
 #[derive(Debug, Clone)]
 pub struct ThroughputConfig {
     /// Worker thread count.
@@ -172,138 +143,26 @@ pub struct ThroughputConfig {
     pub dist: KeyDist,
 }
 
-/// The persistence-layer statistics of one `durable-*` series: the simulated
-/// NVM work performed during the measured window plus the domain's state at
-/// the end of the run.
-#[derive(Debug, Clone, Copy)]
-pub struct DurableSeriesStats {
-    /// Payload-store backend the series ran on.
-    pub backend: DomainBackend,
-    /// Cache-line write-backs / fences issued during the window.
-    pub nvm_delta: NvmSnapshot,
-    /// Domain state after the run (advancer stopped, handles dropped).
-    pub domain: DomainStats,
-}
-
-/// One measured series point, with the statistics delta that explains it.
+/// What one [`run_hot_transfer`] run did.
 #[derive(Debug, Clone)]
 pub struct ThroughputResult {
-    /// Series name, e.g. `transfer/zipf99`.
-    pub name: String,
-    /// Worker thread count.
-    pub threads: usize,
     /// Committed transactions during the measured window.
     pub committed: u64,
-    /// Wall-clock duration of the measured window.
-    pub elapsed: Duration,
-    /// Committed transactions per second (all threads combined).
-    pub ops_per_sec: f64,
     /// `TxStats` accumulated by the run (fresh manager per run, handles
     /// dropped before sampling, so the counts are exact).
     pub stats: TxStatsSnapshot,
-    /// Persistence-layer statistics (`durable-*` series only).
-    pub durable: Option<DurableSeriesStats>,
 }
 
-impl ThroughputResult {
-    fn new(
-        name: String,
-        threads: usize,
-        committed: u64,
-        elapsed: Duration,
-        stats: TxStatsSnapshot,
-    ) -> Self {
-        let ops_per_sec = committed as f64 / elapsed.as_secs_f64().max(1e-9);
-        Self {
-            name,
-            threads,
-            committed,
-            elapsed,
-            ops_per_sec,
-            stats,
-            durable: None,
-        }
-    }
-
-    fn with_durable(mut self, durable: DurableSeriesStats) -> Self {
-        self.durable = Some(durable);
-        self
-    }
-
-    /// One JSON object (used by [`write_report`]).
-    pub fn to_json(&self) -> String {
-        let s = &self.stats;
-        let durable = match &self.durable {
-            None => String::new(),
-            Some(d) => format!(
-                concat!(
-                    ",\"backend\":\"{}\",\"nvm_flushes\":{},\"nvm_fences\":{},",
-                    "\"live_payloads\":{},\"free_slots\":{},\"allocated_slots\":{},",
-                    "\"persisted_epoch\":{},\"current_epoch\":{}"
-                ),
-                match d.backend {
-                    DomainBackend::Arena => "arena",
-                    DomainBackend::MutexSlab => "mutex-slab",
-                },
-                d.nvm_delta.flushes,
-                d.nvm_delta.fences,
-                d.domain.live_payloads,
-                d.domain.free_slots,
-                d.domain.allocated_slots,
-                d.domain.persisted_epoch,
-                d.domain.current_epoch,
-            ),
-        };
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"threads\":{},\"committed\":{},",
-                "\"elapsed_s\":{:.4},\"ops_per_sec\":{:.0},",
-                "\"commits\":{},\"aborts\":{},\"helps\":{},",
-                "\"fast_commits\":{},\"ro_commits\":{},\"general_commits\":{},",
-                "\"conflict_aborts\":{}{}}}"
-            ),
-            self.name,
-            self.threads,
-            self.committed,
-            self.elapsed.as_secs_f64(),
-            self.ops_per_sec,
-            s.commits,
-            s.aborts,
-            s.helps,
-            s.fast_commits,
-            s.ro_commits,
-            s.general_commits,
-            s.conflict_aborts,
-            durable,
-        )
-    }
-
-    /// One CSV row (`name,threads,ops_per_sec,commits,aborts,helps`, where
-    /// `name` is `workload/dist`).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{:.0},{},{},{}",
-            self.name,
-            self.threads,
-            self.ops_per_sec,
-            self.stats.commits,
-            self.stats.aborts,
-            self.stats.helps
-        )
-    }
-}
-
-/// Runs `body` on `cfg.threads` threads for `cfg.duration`, barrier-released,
-/// and returns `(committed, wall elapsed)`.  `body(thread_idx, stop)` must
+/// Runs `body` on `threads` threads for `duration`, barrier-released, and
+/// returns the sum of what they return.  `body(thread_idx, stop)` must
 /// return its thread-local committed count.
-fn run_threads<F>(threads: usize, duration: Duration, body: F) -> (u64, Duration)
+fn run_threads<F>(threads: usize, duration: Duration, body: F) -> u64
 where
     F: Fn(usize, &AtomicBool) -> u64 + Sync,
 {
     let stop = AtomicBool::new(false);
     let committed = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
-    let mut started = None;
     std::thread::scope(|scope| {
         for t in 0..threads {
             let body = &body;
@@ -317,15 +176,10 @@ where
             });
         }
         barrier.wait();
-        started = Some(Instant::now());
         std::thread::sleep(duration);
         stop.store(true, Ordering::Relaxed);
     });
-    // Measured after the scope joins, so the elapsed window matches the
-    // committed counter exactly (workers drain within one transaction of
-    // observing `stop`).
-    let elapsed = started.expect("barrier released").elapsed();
-    (committed.load(Ordering::Relaxed), elapsed)
+    committed.load(Ordering::Relaxed)
 }
 
 /// Hot-word transfer contention: `accounts` words (default 8 — small enough
@@ -340,10 +194,10 @@ pub fn run_hot_transfer(cfg: &ThroughputConfig, accounts: u64) -> ThroughputResu
     const INITIAL: u64 = 1 << 20;
     assert!(accounts >= 2);
     let mgr = TxManager::with_max_threads(cfg.threads + 1);
-    let words: Arc<Vec<CasWord>> = Arc::new((0..accounts).map(|_| CasWord::new(INITIAL)).collect());
+    let words: Vec<CasWord> = (0..accounts).map(|_| CasWord::new(INITIAL)).collect();
     let sampler = cfg.dist.sampler(accounts);
 
-    let (committed, elapsed) = run_threads(cfg.threads, cfg.duration, |t, stop| {
+    let committed = run_threads(cfg.threads, cfg.duration, |t, stop| {
         let mut h = mgr.register();
         let mut rng = FastRng::new(0xACC0 + t as u64);
         let sampler = sampler.clone();
@@ -397,310 +251,10 @@ pub fn run_hot_transfer(cfg: &ThroughputConfig, accounts: u64) -> ThroughputResu
 
     let total: u64 = words.iter().map(|w| w.try_load_value().unwrap()).sum();
     assert_eq!(total, accounts * INITIAL, "transfers must conserve balance");
-    ThroughputResult::new(
-        format!("transfer/{}", cfg.dist.label()),
-        cfg.threads,
+    ThroughputResult {
         committed,
-        elapsed,
-        mgr.stats_snapshot(),
-    )
-}
-
-/// Map mix over a hash table: single-operation transactions with a
-/// `get:insert:remove` ratio, keys drawn from the configured distribution.
-/// Zipfian picks concentrate updates on a handful of hot buckets, exercising
-/// the single-CAS path under contention; gets stress the read-only path.
-pub fn run_map_mix(
-    cfg: &ThroughputConfig,
-    key_space: u64,
-    ratio: (u32, u32, u32),
-) -> ThroughputResult {
-    let mgr = TxManager::with_max_threads(cfg.threads + 1);
-    let buckets = (key_space as usize / 4).next_power_of_two().max(64);
-    let map: Arc<MichaelHashMap<u64>> = Arc::new(MichaelHashMap::with_buckets(buckets));
-    // Preload half the key space.
-    {
-        let mut h = mgr.register();
-        let mut cx = h.nontx();
-        for k in (0..key_space).step_by(2) {
-            map.insert(&mut cx, k, k);
-        }
+        stats: mgr.stats_snapshot(),
     }
-    let sampler = cfg.dist.sampler(key_space);
-    let (g, i, r) = ratio;
-    let total_ratio = (g + i + r) as u64;
-
-    let (committed, elapsed) = run_threads(cfg.threads, cfg.duration, |t, stop| {
-        let mut h = mgr.register();
-        let mut rng = FastRng::new(0x4A9 + t as u64);
-        let sampler = sampler.clone();
-        let mut local = 0u64;
-        while !stop.load(Ordering::Relaxed) {
-            let k = sampler.sample(&mut rng);
-            let dice = rng.next_below(total_ratio);
-            let res: TxResult<()> = h.run(|tx| {
-                if dice < g as u64 {
-                    map.get(tx, k);
-                } else if dice < (g + i) as u64 {
-                    map.insert(tx, k, k);
-                } else {
-                    map.remove(tx, k);
-                }
-                Ok(())
-            });
-            if res.is_ok() {
-                local += 1;
-            }
-        }
-        local
-    });
-
-    ThroughputResult::new(
-        format!("map{}:{}:{}/{}", g, i, r, cfg.dist.label()),
-        cfg.threads,
-        committed,
-        elapsed,
-        mgr.stats_snapshot(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Durable (txMontage) workloads
-// ---------------------------------------------------------------------------
-
-/// Epoch-advancer period for the durable throughput series: short enough
-/// that every run crosses many durability horizons (so the write-back path
-/// is continuously exercised), long enough that the advancer thread is not
-/// the workload.
-const DURABLE_ADVANCER_PERIOD: Duration = Duration::from_micros(200);
-
-fn backend_suffix(backend: DomainBackend) -> &'static str {
-    match backend {
-        DomainBackend::Arena => "",
-        DomainBackend::MutexSlab => "-mutex",
-    }
-}
-
-/// Runs `body` against a fresh durable hash map with a live [`EpochAdvancer`]
-/// and packages the result with the persistence-layer statistics delta.
-fn run_durable<F, V>(
-    name: String,
-    cfg: &ThroughputConfig,
-    backend: DomainBackend,
-    buckets: usize,
-    preload: F,
-    body: impl Fn(&mut medley::ThreadHandle, &DurableHashMap, usize, &AtomicBool) -> u64 + Sync,
-    verify: V,
-) -> ThroughputResult
-where
-    F: FnOnce(&mut medley::ThreadHandle, &DurableHashMap),
-    V: FnOnce(&mut medley::ThreadHandle, &DurableHashMap),
-{
-    let mgr = TxManager::with_max_threads(cfg.threads + 1);
-    // Count-only NVM model: the throughput series isolates the *runtime's*
-    // persistence bookkeeping (payload alloc/retire, dirty tracking, the
-    // per-epoch write-back pass) under contention.  Charging the simulated
-    // Optane latency here would burn worker CPU on `spin_wait_ns` in both
-    // backends alike and bury the bookkeeping signal; the flush/fence
-    // *volume* is still recorded in the result, and the latency-charged
-    // comparison lives in the fig10 latency benchmark.
-    let domain = PersistenceDomain::with_backend(Arc::clone(&mgr), NvmCostModel::ZERO, backend);
-    let map = Arc::new(DurableHashMap::hash_map(buckets, Arc::clone(&domain)));
-    {
-        let mut h = mgr.register();
-        preload(&mut h, &map);
-    }
-    let nvm_before = domain.nvm().stats().snapshot_counts();
-    let advancer = EpochAdvancer::spawn(Arc::clone(&domain), DURABLE_ADVANCER_PERIOD);
-    let (committed, elapsed) = run_threads(cfg.threads, cfg.duration, |t, stop| {
-        let mut h = mgr.register();
-        body(&mut h, &map, t, stop)
-    });
-    drop(advancer);
-    let nvm_delta = domain
-        .nvm()
-        .stats()
-        .snapshot_counts()
-        .delta_since(nvm_before);
-    {
-        let mut h = mgr.register();
-        verify(&mut h, &map);
-    }
-    let durable = DurableSeriesStats {
-        backend,
-        nvm_delta,
-        domain: domain.stats(),
-    };
-    ThroughputResult::new(name, cfg.threads, committed, elapsed, mgr.stats_snapshot())
-        .with_durable(durable)
-}
-
-/// Durable map mix: the [`run_map_mix`] workload on a `txmontage::Durable`
-/// hash map with a live epoch advancer — every update allocates or retires
-/// payload records, so the alloc/retire fast path of the persistence domain
-/// is on the critical path of every committed transaction.  The `backend`
-/// selects the store under test ([`DomainBackend::MutexSlab`] is the A/B
-/// baseline whose global lock serializes all payload traffic).
-pub fn run_durable_map_mix(
-    cfg: &ThroughputConfig,
-    key_space: u64,
-    ratio: (u32, u32, u32),
-    backend: DomainBackend,
-) -> ThroughputResult {
-    let buckets = (key_space as usize / 4).next_power_of_two().max(64);
-    let sampler = cfg.dist.sampler(key_space);
-    let (g, i, r) = ratio;
-    let total_ratio = (g + i + r) as u64;
-    run_durable(
-        format!(
-            "durable-map{}:{}:{}{}/{}",
-            g,
-            i,
-            r,
-            backend_suffix(backend),
-            cfg.dist.label()
-        ),
-        cfg,
-        backend,
-        buckets,
-        |h, map| {
-            let mut cx = h.nontx();
-            for k in (0..key_space).step_by(2) {
-                map.insert(&mut cx, k, k);
-            }
-        },
-        move |h, map, t, stop| {
-            let mut rng = FastRng::new(0xD04A9 + t as u64);
-            let sampler = sampler.clone();
-            let mut local = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let k = sampler.sample(&mut rng);
-                let dice = rng.next_below(total_ratio);
-                let res: TxResult<()> = h.run(|tx| {
-                    if dice < g as u64 {
-                        map.get(tx, k);
-                    } else if dice < (g + i) as u64 {
-                        map.insert(tx, k, k);
-                    } else {
-                        map.remove(tx, k);
-                    }
-                    Ok(())
-                });
-                if res.is_ok() {
-                    local += 1;
-                }
-            }
-            local
-        },
-        |_, _| {},
-    )
-}
-
-/// Durable transfer: two-key balance transfers over a durable map (each
-/// transaction reads both accounts and `put`s both back, retiring the two
-/// replaced payloads), with a read-only audit of every account each eighth
-/// transaction.  The zipfian head concentrates the payload churn — and the
-/// install conflicts — on a couple of hot keys.  Conservation of the total
-/// balance is asserted at the end.
-pub fn run_durable_transfer(
-    cfg: &ThroughputConfig,
-    accounts: u64,
-    backend: DomainBackend,
-) -> ThroughputResult {
-    const INITIAL: u64 = 1 << 20;
-    assert!(accounts >= 2);
-    let sampler = cfg.dist.sampler(accounts);
-    run_durable(
-        format!(
-            "durable-transfer{}/{}",
-            backend_suffix(backend),
-            cfg.dist.label()
-        ),
-        cfg,
-        backend,
-        (accounts as usize).next_power_of_two().max(64),
-        |h, map| {
-            let mut cx = h.nontx();
-            for k in 0..accounts {
-                map.insert(&mut cx, k, INITIAL);
-            }
-        },
-        move |h, map, t, stop| {
-            let mut rng = FastRng::new(0xD0_ACC0 + t as u64);
-            let sampler = sampler.clone();
-            let mut local = 0u64;
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                i += 1;
-                if i.is_multiple_of(8) {
-                    let total: TxResult<u64> = h.run(|tx| {
-                        let mut sum = 0;
-                        for k in 0..accounts {
-                            sum += map.get(tx, k).expect("account present");
-                        }
-                        Ok(sum)
-                    });
-                    if let Ok(sum) = total {
-                        assert_eq!(sum, accounts * INITIAL, "audit saw a torn state");
-                        local += 1;
-                    }
-                    continue;
-                }
-                let from = sampler.sample(&mut rng);
-                let mut to = sampler.sample(&mut rng);
-                if to == from {
-                    to = (to + 1) % accounts;
-                }
-                let res: TxResult<()> = h.run(|tx| {
-                    let a = map.get(tx, from).expect("account present");
-                    let b = map.get(tx, to).expect("account present");
-                    if a == 0 {
-                        return Err(tx.abort(AbortReason::Explicit));
-                    }
-                    map.put(tx, from, a - 1);
-                    map.put(tx, to, b + 1);
-                    Ok(())
-                });
-                if res.is_ok() {
-                    local += 1;
-                }
-            }
-            local
-        },
-        move |h, map| {
-            // Conservation in the live map...
-            let mut cx = h.nontx();
-            let live: u64 = (0..accounts)
-                .map(|k| map.get(&mut cx, k).expect("account present"))
-                .sum();
-            assert_eq!(live, accounts * INITIAL, "transfers must conserve balance");
-            // ...and in the recovered cut: every durability horizon falls
-            // between whole (epoch-validated) transactions, so the recovered
-            // state is a prefix of the transfer history and conserves the
-            // total too.
-            map.sync();
-            let rec = map.recover();
-            let recovered: u64 = rec.values().sum();
-            assert_eq!(rec.len(), accounts as usize, "recovery lost an account");
-            assert_eq!(
-                recovered,
-                accounts * INITIAL,
-                "recovered cut must conserve balance"
-            );
-        },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------------
-
-/// Writes the JSON report for a throughput run via the shared
-/// [`crate::report`] emitter (`BENCH_<target>.json`, or the path named by
-/// the `BENCH_JSON` environment variable).
-pub fn write_report(target: &str, results: &[ThroughputResult]) {
-    let entries: Vec<String> = results.iter().map(ThroughputResult::to_json).collect();
-    crate::report::write_json(target, &entries);
 }
 
 #[cfg(test)]
@@ -755,50 +309,5 @@ mod tests {
         let r = run_hot_transfer(&cfg, 8);
         assert!(r.committed > 0, "contended transfers must commit: {r:?}");
         assert!(r.stats.commits >= r.committed);
-    }
-
-    #[test]
-    fn map_mix_smoke() {
-        let cfg = ThroughputConfig {
-            threads: 2,
-            duration: Duration::from_millis(40),
-            dist: KeyDist::Uniform,
-        };
-        let r = run_map_mix(&cfg, 1 << 10, (2, 1, 1));
-        assert!(r.committed > 0);
-        assert!(r.stats.fast_commits + r.stats.ro_commits > 0);
-    }
-
-    #[test]
-    fn durable_map_mix_smoke_on_both_backends() {
-        let cfg = ThroughputConfig {
-            threads: 2,
-            duration: Duration::from_millis(40),
-            dist: KeyDist::Zipfian(0.99),
-        };
-        for backend in [DomainBackend::Arena, DomainBackend::MutexSlab] {
-            let r = run_durable_map_mix(&cfg, 1 << 10, (2, 1, 1), backend);
-            assert!(r.committed > 0, "durable mix must commit: {r:?}");
-            let d = r.durable.expect("durable series carries domain stats");
-            assert_eq!(d.backend, backend);
-            assert!(
-                d.nvm_delta.flushes > 0,
-                "a live advancer must write payloads back: {d:?}"
-            );
-            assert!(r.to_json().contains("\"nvm_flushes\""));
-        }
-    }
-
-    #[test]
-    fn durable_transfer_smoke_conserves_balance() {
-        let cfg = ThroughputConfig {
-            threads: 2,
-            duration: Duration::from_millis(40),
-            dist: KeyDist::Zipfian(0.99),
-        };
-        // The conservation asserts (live + recovered cut) run inside.
-        let r = run_durable_transfer(&cfg, 8, DomainBackend::Arena);
-        assert!(r.committed > 0, "contended durable transfers must commit");
-        assert!(r.durable.is_some());
     }
 }

@@ -675,9 +675,8 @@ impl Store {
         let buckets = cfg.buckets_per_shard.unwrap_or(DEFAULT_BUCKETS_PER_SHARD);
         let domain = match cfg.backend {
             StoreBackend::Transient => None,
-            // Count-only NVM model, as in the throughput harness: the
-            // service measures runtime bookkeeping, not simulated Optane
-            // stalls.
+            // Count-only NVM model: the service measures runtime
+            // bookkeeping, not simulated Optane stalls.
             StoreBackend::Durable => {
                 Some(PersistenceDomain::new(Arc::clone(&mgr), NvmCostModel::ZERO))
             }

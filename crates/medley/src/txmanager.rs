@@ -163,7 +163,6 @@ pub struct TxManager {
     collector: Arc<ebr::Collector>,
     epoch_word: CachePadded<CasWord>,
     epoch_validation: AtomicBool,
-    fast_paths: AtomicBool,
     stats: TxStats,
 }
 
@@ -209,10 +208,6 @@ impl TxManager {
             collector: ebr::Collector::new(max_threads),
             epoch_word: CachePadded::new(CasWord::new(0)),
             epoch_validation: AtomicBool::new(false),
-            // On by default; `MEDLEY_DISABLE_FAST_PATHS=1` forces every
-            // transaction through the general descriptor path (debugging and
-            // baseline measurement aid, same effect as `set_fast_paths(false)`).
-            fast_paths: AtomicBool::new(std::env::var_os("MEDLEY_DISABLE_FAST_PATHS").is_none()),
             stats: TxStats::default(),
         })
     }
@@ -239,7 +234,6 @@ impl TxManager {
                     serial: 0,
                     snapshot_epoch: 0,
                     capacity_exceeded: false,
-                    fast_ok: true,
                     local_writes: Vec::new(),
                     write_filter: 0,
                     overflow_writes: Vec::new(),
@@ -341,21 +335,6 @@ impl TxManager {
     pub fn epoch_validation_enabled(&self) -> bool {
         self.epoch_validation.load(Ordering::SeqCst)
     }
-
-    /// Enables or disables the commit fast paths (single-CAS direct commit
-    /// and descriptor-free read-only commit).  Enabled by default; disabling
-    /// forces every transaction through the general M-compare-N-swap
-    /// descriptor protocol, which the benchmarks use as the "before"
-    /// baseline.  The setting is sampled at `tx_begin`, so in-flight
-    /// transactions are unaffected.
-    pub fn set_fast_paths(&self, enabled: bool) {
-        self.fast_paths.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Whether the commit fast paths are currently enabled.
-    pub fn fast_paths_enabled(&self) -> bool {
-        self.fast_paths.load(Ordering::Relaxed)
-    }
 }
 
 type DropFn = unsafe fn(*mut u8);
@@ -409,9 +388,6 @@ pub struct ThreadHandle {
     /// but operations keep executing normally so that glue-code retry loops
     /// stay live.
     capacity_exceeded: bool,
-    /// Whether the commit fast paths apply to the open transaction (sampled
-    /// from the manager at `tx_begin`).
-    fast_ok: bool,
     /// The transaction's write set, buffered in plain thread-local memory.
     /// Addresses are unique (a second CAS on a buffered word rewrites its
     /// entry in place), and nothing is published until `tx_end`.  See
@@ -595,7 +571,6 @@ impl ThreadHandle {
         self.in_tx = true;
         self.spec_interval = false;
         self.capacity_exceeded = false;
-        self.fast_ok = self.mgr.fast_paths_enabled();
         self.local_writes.clear();
         self.write_filter = 0;
         self.overflow_writes.clear();
@@ -647,65 +622,63 @@ impl ThreadHandle {
             self.abort_with(AbortKind::Capacity);
             return Err(TxError::CapacityExceeded);
         }
-        if self.fast_ok {
-            // Fast path 1: descriptor-free read-only commit.
-            if self.local_writes.is_empty() {
-                if self.validate_local_reads() {
-                    self.commit_tail(CommitKind::ReadOnly);
-                    return Ok(());
-                }
-                self.abort_with(AbortKind::Conflict);
-                return Err(TxError::Conflict);
+        // Fast path 1: descriptor-free read-only commit.
+        if self.local_writes.is_empty() {
+            if self.validate_local_reads() {
+                self.commit_tail(CommitKind::ReadOnly);
+                return Ok(());
             }
-            // Fast path 2: single-CAS direct commit of the buffered write.
-            //
-            // Serializability constraint: the direct commit orders the
-            // transaction at its commit CAS, but nothing pins the read set
-            // between validation and that CAS (the buffered write is
-            // invisible, so concurrent symmetric transactions could all
-            // validate and then all commit — write skew).  The general path
-            // closes exactly this window by installing the descriptor on
-            // every write word *before* validating.  The direct commit is
-            // therefore taken only when the commit CAS itself subsumes read
-            // validation: the read set is empty, or every read is of the
-            // written word's own pre-image (in which case the ABA-safe
-            // `(value, counter)` check of the commit CAS *is* the
-            // validation, atomically at the linearization point).  Note the
-            // txMontage epoch read registered at `tx_begin` counts as a
-            // foreign read, so epoch-validated transactions always publish a
-            // descriptor.
-            if self.local_writes.len() == 1 {
-                let pw = self.local_writes[0];
-                let reads_subsumed = self.local_reads.iter().all(|&(addr, val, cnt)| {
-                    addr == pw.addr as usize && val == pw.old_val && cnt == pw.cnt
-                });
-                if reads_subsumed {
-                    // SAFETY: the word was passed to `nbtc_cas` during this
-                    // transaction and is protected by the EBR pin held since
-                    // `tx_begin`.
-                    let obj = unsafe { &*pw.addr };
-                    loop {
-                        let raw = obj.load_raw();
-                        let (val, cnt) = unpack(raw);
-                        if CasWord::counter_is_descriptor(cnt) {
-                            // Another transaction owns the word; finalize it
-                            // and re-examine (same non-blocking helping
-                            // discipline as `nbtc_cas`).
-                            // SAFETY: see `nbtc_load`.
-                            unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
-                            self.stat_helps += 1;
-                            continue;
-                        }
-                        if val != pw.old_val || cnt != pw.cnt {
-                            self.abort_with(AbortKind::Conflict);
-                            return Err(TxError::Conflict);
-                        }
-                        if obj.cas_value_counted(pw.old_val, pw.cnt, pw.new_val) {
-                            self.commit_tail(CommitKind::SingleCas);
-                            return Ok(());
-                        }
-                        // The word changed between load and CAS; re-examine.
+            self.abort_with(AbortKind::Conflict);
+            return Err(TxError::Conflict);
+        }
+        // Fast path 2: single-CAS direct commit of the buffered write.
+        //
+        // Serializability constraint: the direct commit orders the
+        // transaction at its commit CAS, but nothing pins the read set
+        // between validation and that CAS (the buffered write is
+        // invisible, so concurrent symmetric transactions could all
+        // validate and then all commit — write skew).  The general path
+        // closes exactly this window by installing the descriptor on
+        // every write word *before* validating.  The direct commit is
+        // therefore taken only when the commit CAS itself subsumes read
+        // validation: the read set is empty, or every read is of the
+        // written word's own pre-image (in which case the ABA-safe
+        // `(value, counter)` check of the commit CAS *is* the
+        // validation, atomically at the linearization point).  Note the
+        // txMontage epoch read registered at `tx_begin` counts as a
+        // foreign read, so epoch-validated transactions always publish a
+        // descriptor.
+        if self.local_writes.len() == 1 {
+            let pw = self.local_writes[0];
+            let reads_subsumed = self.local_reads.iter().all(|&(addr, val, cnt)| {
+                addr == pw.addr as usize && val == pw.old_val && cnt == pw.cnt
+            });
+            if reads_subsumed {
+                // SAFETY: the word was passed to `nbtc_cas` during this
+                // transaction and is protected by the EBR pin held since
+                // `tx_begin`.
+                let obj = unsafe { &*pw.addr };
+                loop {
+                    let raw = obj.load_raw();
+                    let (val, cnt) = unpack(raw);
+                    if CasWord::counter_is_descriptor(cnt) {
+                        // Another transaction owns the word; finalize it
+                        // and re-examine (same non-blocking helping
+                        // discipline as `nbtc_cas`).
+                        // SAFETY: see `nbtc_load`.
+                        unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
+                        self.stat_helps += 1;
+                        continue;
                     }
+                    if val != pw.old_val || cnt != pw.cnt {
+                        self.abort_with(AbortKind::Conflict);
+                        return Err(TxError::Conflict);
+                    }
+                    if obj.cas_value_counted(pw.old_val, pw.cnt, pw.new_val) {
+                        self.commit_tail(CommitKind::SingleCas);
+                        return Ok(());
+                    }
+                    // The word changed between load and CAS; re-examine.
                 }
             }
         }
@@ -1569,30 +1542,6 @@ mod tests {
     }
 
     #[test]
-    fn single_word_transaction_with_fast_paths_disabled_takes_general_path() {
-        let mgr = TxManager::new();
-        mgr.set_fast_paths(false);
-        let mut h = mgr.register();
-        let w = CasWord::new(1);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&w, 1, 2, true, true));
-        // Lazy publication: even on the general path the write stays in the
-        // owner-private buffer until `tx_end`; other observers see the
-        // pre-image, never a descriptor, during execution.
-        assert_eq!(w.try_load_value(), Some(1));
-        assert!(h.tx_end().is_ok());
-        assert_eq!(w.try_load_value(), Some(2));
-        h.flush_stats();
-        let snap = mgr.stats().snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.fast_commits, 0);
-        assert_eq!(
-            snap.general_commits, 1,
-            "disabled fast paths must force the published-descriptor commit"
-        );
-    }
-
-    #[test]
     fn read_only_transaction_commits_descriptor_free() {
         let mgr = TxManager::new();
         let mut h = mgr.register();
@@ -1864,14 +1813,16 @@ mod tests {
     #[test]
     fn contender_during_install_window_wins_and_commit_fails() {
         let mgr = TxManager::new();
-        // Force the general path so `tx_end` actually publishes a
-        // descriptor (invisible during execution either way).
-        mgr.set_fast_paths(false);
         let mut a = mgr.register();
         let mut b = mgr.register();
         let w = CasWord::new(1);
+        // A second critical word puts `a` on the general path, so `tx_end`
+        // actually publishes a descriptor and installs it word by word
+        // (invisible during execution either way).
+        let other = CasWord::new(5);
         a.tx_begin();
         assert!(a.nbtc_cas(&w, 1, 2, true, true));
+        assert!(a.nbtc_cas(&other, 5, 6, true, true));
         // Lazy publication: b sees the pre-image (no descriptor) and wins
         // the word outright with a plain CAS.
         assert_eq!(w.try_load_value(), Some(1));
@@ -1880,6 +1831,7 @@ mod tests {
         // a's commit-time install finds the changed pre-image and fails.
         assert_eq!(a.tx_end(), Err(TxError::Conflict));
         assert_eq!(w.try_load_value(), Some(9));
+        assert_eq!(other.try_load_value(), Some(5), "installed prefix undone");
     }
 
     #[test]
@@ -1924,8 +1876,6 @@ mod tests {
         // commit.  It must now pretend-succeed (the transaction is doomed)
         // so control reaches `tx_end`, which reports `CapacityExceeded`.
         let mgr = TxManager::new();
-        // Force the general path so every CAS consumes a descriptor entry.
-        mgr.set_fast_paths(false);
         let mut h = mgr.register();
         let words: Vec<CasWord> = (0..crate::descriptor::MAX_ENTRIES + 2)
             .map(|_| CasWord::new(0))

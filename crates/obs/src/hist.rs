@@ -1,10 +1,10 @@
 //! Log-bucketed latency histogram.
 //!
-//! Promoted out of `bench::report` so the server's metrics registry and
-//! the load generators share one implementation — a server-side
-//! histogram shipped over the wire as raw bucket counts reconstructs on
-//! the client as exactly this type, which is what makes client-observed
-//! vs. server-observed quantile comparisons meaningful.
+//! The server's metrics registry and the load generators share this one
+//! implementation — a server-side histogram shipped over the wire as raw
+//! bucket counts reconstructs on the client as exactly this type, which is
+//! what makes client-observed vs. server-observed quantile comparisons
+//! meaningful.
 
 use std::time::Duration;
 

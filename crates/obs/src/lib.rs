@@ -5,8 +5,7 @@
 //! server-observed numbers come from the *same* histogram implementation
 //! and can be compared bucket for bucket:
 //!
-//! - [`LatencyHistogram`] — the log-bucketed, allocation-free histogram
-//!   (promoted from `bench::report`, which now re-exports it).
+//! - [`LatencyHistogram`] — the log-bucketed, allocation-free histogram.
 //! - [`MetricsRegistry`] — a per-worker, relaxed-atomic registry of
 //!   per-operation latency histograms, abort-reason counters, retry
 //!   counts, and event-loop phase accounting.  The hot path pays a clock

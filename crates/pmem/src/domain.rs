@@ -18,10 +18,10 @@
 //!
 //! # Contention-scalable payload store
 //!
-//! The default backend ([`DomainBackend::Arena`]) shards the payload store
-//! into **per-thread arenas**, one per `TxManager` thread slot (the manager
-//! guarantees at most one live handle per slot, so each arena has a single
-//! allocating thread).  The fast paths are lock-free:
+//! The payload store is sharded into **per-thread arenas**, one per
+//! `TxManager` thread slot (the manager guarantees at most one live handle
+//! per slot, so each arena has a single allocating thread).  The fast paths
+//! are lock-free:
 //!
 //! * **alloc** — pop the arena's Treiber free list (single popper: the
 //!   owning slot) or bump-extend a lazily allocated chunk; tag the slot and
@@ -36,7 +36,7 @@
 //! intrusive lock-free lists, one per recent epoch.  [`PersistenceDomain::advance_epoch`]
 //! consumes only the lists of the epochs crossing the durability horizon, so
 //! the per-epoch write-back is `O(payloads born/retired in those epochs)`
-//! rather than `O(every slot ever allocated)` as in the Mutex-slab design.
+//! rather than `O(every slot ever allocated)`.
 //!
 //! ## Epoch lifecycle of one payload slot
 //!
@@ -58,10 +58,6 @@
 //! `persisted_epoch` under the same lock that serializes recycling — so
 //! recovery can never claim durability for an epoch whose write-back has not
 //! happened, and no payload visible at the horizon is recycled mid-scan.
-//!
-//! The previous single-`Mutex<Slab>` design is kept as
-//! [`DomainBackend::MutexSlab`], the A/B baseline for the
-//! `durable-*` throughput series.
 
 use crate::nvm::{NvmCostModel, SimNvm};
 use crate::value::{Value, MAX_VALUE_BYTES};
@@ -81,25 +77,11 @@ const LIVE: u64 = u64::MAX;
 const UNBORN: u64 = u64::MAX;
 
 /// Identifier of a payload record (returned by
-/// [`PersistenceDomain::alloc_payload`]).  With the arena backend the id
-/// packs the owning thread slot and the size class into the high bits and
-/// the slot index into the low bits; treat it as opaque.
+/// [`PersistenceDomain::alloc_payload`]).  The id packs the owning thread
+/// slot and the size class into the high bits and the slot index into the
+/// low bits; treat it as opaque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadId(pub u64);
-
-/// Which payload-store implementation a domain uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DomainBackend {
-    /// Per-thread payload arenas with epoch-indexed dirty lists (lock-free
-    /// alloc/retire fast paths, `O(dirty)` write-back per epoch).  The
-    /// default.
-    #[default]
-    Arena,
-    /// The original single `Mutex<Slab>` store whose write-back rescans
-    /// every slot ever allocated.  Kept as the contended-throughput A/B
-    /// baseline.
-    MutexSlab,
-}
 
 /// Statistics of a persistence domain.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +100,7 @@ pub struct DomainStats {
 }
 
 // ---------------------------------------------------------------------------
-// PayloadId encoding (arena backend)
+// PayloadId encoding
 // ---------------------------------------------------------------------------
 
 /// Bits of a [`PayloadId`] holding the slot index within its size class.
@@ -145,7 +127,7 @@ fn decode_id(id: PayloadId) -> (usize, usize, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena backend
+// Arenas
 // ---------------------------------------------------------------------------
 
 /// Slot-state flags (bits of `Slot::state`).
@@ -254,18 +236,6 @@ fn birth_lines(class: usize, vlen: u64) -> u64 {
         1 => 2,
         _ => 8,
     }
-}
-
-/// [`birth_lines`] keyed by a [`Value`] (used by the Mutex-slab baseline so
-/// both backends charge the same write-back cost per record).
-#[inline]
-fn value_lines(val: &Value) -> u64 {
-    let class = class_for(val);
-    let vlen = match val {
-        Value::U64(_) => VLEN_WORD,
-        Value::Bytes(b) => b.len() as u64,
-    };
-    birth_lines(class, vlen)
 }
 
 /// One lazily-allocated chunk of a size class: the slot metadata plus the
@@ -735,35 +705,8 @@ impl ArenaStore {
 }
 
 // ---------------------------------------------------------------------------
-// Mutex-slab backend (A/B baseline)
-// ---------------------------------------------------------------------------
-
-/// One payload record of the Mutex-slab baseline.
-#[derive(Debug, Clone)]
-struct Payload {
-    key: u64,
-    val: Value,
-    birth: u64,
-    retire: u64,
-    /// Per-slot recycle flag (replaces the old `free.contains(&idx)` scan,
-    /// which was O(free²) per epoch and double-pushed abandoned slots).
-    freed: bool,
-}
-
-#[derive(Debug, Default)]
-struct Slab {
-    slots: Vec<Payload>,
-    free: Vec<usize>,
-}
-
-// ---------------------------------------------------------------------------
 // Domain
 // ---------------------------------------------------------------------------
-
-enum Store {
-    Arena(ArenaStore),
-    MutexSlab(Mutex<Slab>),
-}
 
 /// An nbMontage-style persistence domain bound to one [`TxManager`].
 ///
@@ -774,7 +717,7 @@ enum Store {
 pub struct PersistenceDomain {
     mgr: Arc<TxManager>,
     nvm: SimNvm,
-    store: Store,
+    store: ArenaStore,
     /// Epoch up to which all payload births/retirements have been "written
     /// back" to simulated NVM (exclusive).  Advanced only after the
     /// write-back of the epochs it covers.
@@ -784,7 +727,6 @@ pub struct PersistenceDomain {
 impl std::fmt::Debug for PersistenceDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistenceDomain")
-            .field("backend", &self.backend())
             .field("current_epoch", &self.current_epoch())
             .field(
                 "persisted_epoch",
@@ -811,39 +753,17 @@ fn durable_end(epoch: u64) -> u64 {
 }
 
 impl PersistenceDomain {
-    /// Creates a domain on `mgr` with the given NVM cost model and the
-    /// default [`DomainBackend::Arena`] store, and turns on epoch validation
-    /// for all transactions of that manager.
+    /// Creates a domain on `mgr` with the given NVM cost model, and turns on
+    /// epoch validation for all transactions of that manager.
     pub fn new(mgr: Arc<TxManager>, cost: NvmCostModel) -> Arc<Self> {
-        Self::with_backend(mgr, cost, DomainBackend::default())
-    }
-
-    /// Creates a domain with an explicit payload-store backend (the
-    /// Mutex-slab baseline exists for A/B throughput comparisons).
-    pub fn with_backend(
-        mgr: Arc<TxManager>,
-        cost: NvmCostModel,
-        backend: DomainBackend,
-    ) -> Arc<Self> {
         mgr.set_epoch_validation(true);
-        let store = match backend {
-            DomainBackend::Arena => Store::Arena(ArenaStore::new(mgr.max_threads())),
-            DomainBackend::MutexSlab => Store::MutexSlab(Mutex::new(Slab::default())),
-        };
+        let store = ArenaStore::new(mgr.max_threads());
         Arc::new(Self {
             mgr,
             nvm: SimNvm::new(cost),
             store,
             persisted_epoch: AtomicU64::new(0),
         })
-    }
-
-    /// The payload-store backend in use.
-    pub fn backend(&self) -> DomainBackend {
-        match self.store {
-            Store::Arena(_) => DomainBackend::Arena,
-            Store::MutexSlab(_) => DomainBackend::MutexSlab,
-        }
     }
 
     /// The transaction manager whose epoch word drives this domain.
@@ -879,81 +799,45 @@ impl PersistenceDomain {
             val.byte_len() <= MAX_VALUE_BYTES,
             "payload value exceeds MAX_VALUE_BYTES"
         );
-        match &self.store {
-            Store::Arena(store) => {
-                let arena = &store.arenas[tid];
-                let class = class_for(val);
-                let slab = &arena.classes[class];
-                let idx = slab.pop_free().unwrap_or_else(|| slab.bump());
-                let s = slab.slot(idx);
-                s.key.store(key, Ordering::Relaxed);
-                arena.write_value(class, idx, val);
-                s.retire.store(LIVE, Ordering::Relaxed);
-                s.state.store(0, Ordering::Relaxed);
-                // Publishes the fields above to recovery/write-back scans.
-                s.birth.store(epoch, Ordering::Release);
-                arena.push_dirty(epoch, class, idx, KIND_BIRTH);
-                self.repair_stale_bucket(tid, epoch);
-                encode_id(tid, class, idx)
-            }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let payload = Payload {
-                    key,
-                    val: val.clone(),
-                    birth: epoch,
-                    retire: LIVE,
-                    freed: false,
-                };
-                let idx = if let Some(idx) = slab.free.pop() {
-                    slab.slots[idx] = payload;
-                    idx
-                } else {
-                    slab.slots.push(payload);
-                    slab.slots.len() - 1
-                };
-                PayloadId(idx as u64)
-            }
-        }
+        let arena = &self.store.arenas[tid];
+        let class = class_for(val);
+        let slab = &arena.classes[class];
+        let idx = slab.pop_free().unwrap_or_else(|| slab.bump());
+        let s = slab.slot(idx);
+        s.key.store(key, Ordering::Relaxed);
+        arena.write_value(class, idx, val);
+        s.retire.store(LIVE, Ordering::Relaxed);
+        s.state.store(0, Ordering::Relaxed);
+        // Publishes the fields above to recovery/write-back scans.
+        s.birth.store(epoch, Ordering::Release);
+        arena.push_dirty(epoch, class, idx, KIND_BIRTH);
+        self.repair_stale_bucket(tid, epoch);
+        encode_id(tid, class, idx)
     }
 
     /// Abandons a payload that belongs to an *aborted* transaction: the
     /// record was never part of any durable state (its birth epoch is more
     /// recent than every possible recovery horizon), so its slot is recycled
-    /// — immediately in the slab baseline, and as soon as its birth-epoch
-    /// dirty list is consumed in the arena store (at once if that already
-    /// happened).
+    /// as soon as its birth-epoch dirty list is consumed (at once if that
+    /// already happened).
     pub fn abandon_payload(&self, id: PayloadId) {
-        match &self.store {
-            Store::Arena(store) => {
-                let (tid, class, idx) = decode_id(id);
-                let arena = &store.arenas[tid];
-                let s = arena.classes[class].slot(idx);
-                let st = s.state.fetch_or(ABANDONED, Ordering::AcqRel);
-                debug_assert_eq!(st & FREED, 0, "payload abandoned after recycle");
-                if st & BIRTH_FLUSHED != 0 {
-                    // The birth dirty entry was already consumed (the epoch
-                    // crossed the horizon while the transaction was in
-                    // flight); nobody else will recycle the slot.  The free
-                    // must happen under the recycle lock — recovery scans
-                    // rely on it to pin every slot whose (old) birth they
-                    // have already read, and a lock-free free here would let
-                    // the owner reallocate the slot mid-scan and have the
-                    // scan emit the new in-flight key/value under the old
-                    // durable birth epoch.  Cold path: this branch only runs
-                    // when an abort raced the durability horizon.
-                    let _g = store.recycle_lock.lock();
-                    ArenaStore::free_slot(arena, class, idx);
-                }
-            }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let idx = id.0 as usize;
-                slab.slots[idx].birth = LIVE;
-                slab.slots[idx].retire = 0;
-                slab.slots[idx].freed = true;
-                slab.free.push(idx);
-            }
+        let (tid, class, idx) = decode_id(id);
+        let arena = &self.store.arenas[tid];
+        let s = arena.classes[class].slot(idx);
+        let st = s.state.fetch_or(ABANDONED, Ordering::AcqRel);
+        debug_assert_eq!(st & FREED, 0, "payload abandoned after recycle");
+        if st & BIRTH_FLUSHED != 0 {
+            // The birth dirty entry was already consumed (the epoch crossed
+            // the horizon while the transaction was in flight); nobody else
+            // will recycle the slot.  The free must happen under the recycle
+            // lock — recovery scans rely on it to pin every slot whose (old)
+            // birth they have already read, and a lock-free free here would
+            // let the owner reallocate the slot mid-scan and have the scan
+            // emit the new in-flight key/value under the old durable birth
+            // epoch.  Cold path: this branch only runs when an abort raced
+            // the durability horizon.
+            let _g = self.store.recycle_lock.lock();
+            ArenaStore::free_slot(arena, class, idx);
         }
     }
 
@@ -961,23 +845,13 @@ impl PersistenceDomain {
     /// represents has been removed or replaced).  May be called from any
     /// thread, not only the arena owner.
     pub fn retire_payload(&self, id: PayloadId, epoch: u64) {
-        match &self.store {
-            Store::Arena(store) => {
-                let (tid, class, idx) = decode_id(id);
-                let arena = &store.arenas[tid];
-                let s = arena.classes[class].slot(idx);
-                let prev = s.retire.swap(epoch, Ordering::AcqRel);
-                debug_assert_eq!(prev, LIVE, "payload retired twice");
-                arena.push_dirty(epoch, class, idx, KIND_RETIRE);
-                self.repair_stale_bucket(tid, epoch);
-            }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let slot = &mut slab.slots[id.0 as usize];
-                debug_assert_eq!(slot.retire, LIVE, "payload retired twice");
-                slot.retire = epoch;
-            }
-        }
+        let (tid, class, idx) = decode_id(id);
+        let arena = &self.store.arenas[tid];
+        let s = arena.classes[class].slot(idx);
+        let prev = s.retire.swap(epoch, Ordering::AcqRel);
+        debug_assert_eq!(prev, LIVE, "payload retired twice");
+        arena.push_dirty(epoch, class, idx, KIND_RETIRE);
+        self.repair_stale_bucket(tid, epoch);
     }
 
     /// Moves the birth tag of `id` from `from` to the later epoch `to`.
@@ -995,22 +869,11 @@ impl PersistenceDomain {
     /// have already recycled and reallocated the slot — is left untouched.
     pub fn retag_birth(&self, id: PayloadId, from: u64, to: u64) {
         debug_assert!(from <= to);
-        match &self.store {
-            Store::Arena(store) => {
-                let (tid, class, idx) = decode_id(id);
-                let s = store.arenas[tid].classes[class].slot(idx);
-                let _ = s
-                    .birth
-                    .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
-            }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let slot = &mut slab.slots[id.0 as usize];
-                if slot.birth == from && !slot.freed {
-                    slot.birth = to;
-                }
-            }
-        }
+        let (tid, class, idx) = decode_id(id);
+        let s = self.store.arenas[tid].classes[class].slot(idx);
+        let _ = s
+            .birth
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
     }
 
     /// Moves the retirement tag of `id` from `from` to the later epoch `to`
@@ -1018,22 +881,11 @@ impl PersistenceDomain {
     /// race this repairs).
     pub fn retag_retire(&self, id: PayloadId, from: u64, to: u64) {
         debug_assert!(from <= to);
-        match &self.store {
-            Store::Arena(store) => {
-                let (tid, class, idx) = decode_id(id);
-                let s = store.arenas[tid].classes[class].slot(idx);
-                let _ = s
-                    .retire
-                    .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
-            }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let slot = &mut slab.slots[id.0 as usize];
-                if slot.retire == from && !slot.freed {
-                    slot.retire = to;
-                }
-            }
-        }
+        let (tid, class, idx) = decode_id(id);
+        let s = self.store.arenas[tid].classes[class].slot(idx);
+        let _ = s
+            .retire
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
     }
 
     /// A dirty entry was pushed for an epoch that is already persisted (a
@@ -1044,15 +896,14 @@ impl PersistenceDomain {
         if epoch >= self.persisted_epoch.load(Ordering::Acquire) {
             return;
         }
-        if let Store::Arena(store) = &self.store {
-            let _g = store.recycle_lock.lock();
-            let durable = self.persisted_epoch.load(Ordering::Relaxed);
-            let flushed =
-                store.drain_bucket(&store.arenas[tid], (epoch % RING as u64) as usize, durable);
-            if flushed > 0 {
-                self.nvm.flush_lines(flushed);
-                self.nvm.fence();
-            }
+        let store = &self.store;
+        let _g = store.recycle_lock.lock();
+        let durable = self.persisted_epoch.load(Ordering::Relaxed);
+        let flushed =
+            store.drain_bucket(&store.arenas[tid], (epoch % RING as u64) as usize, durable);
+        if flushed > 0 {
+            self.nvm.flush_lines(flushed);
+            self.nvm.fence();
         }
     }
 
@@ -1060,8 +911,8 @@ impl PersistenceDomain {
     /// work for every epoch that is now two behind: all payloads born or
     /// retired in those epochs are written back (one simulated cache-line
     /// flush per record, one fence per batch), and slots whose retirement is
-    /// durable are recycled.  With the arena store this consumes only the
-    /// dirty lists of the crossing epochs — `O(dirty)`, not `O(all slots)`.
+    /// durable are recycled.  This consumes only the dirty lists of the
+    /// crossing epochs — `O(dirty)`, not `O(all slots)`.
     ///
     /// Returns the new current epoch.
     pub fn advance_epoch(&self) -> u64 {
@@ -1069,76 +920,31 @@ impl PersistenceDomain {
         // `persisted_epoch` holds the *exclusive* end of the epoch range
         // whose payload births/retirements have been written back.
         let durable = durable_end(new_epoch);
-        match &self.store {
-            Store::Arena(store) => {
-                let _g = store.recycle_lock.lock();
-                let prev = self.persisted_epoch.load(Ordering::Relaxed);
-                if durable > prev {
-                    let mut flushed = 0u64;
-                    // Each bucket needs draining at most once even if the
-                    // horizon jumped more than a full ring.
-                    let lo = if durable - prev >= RING as u64 {
-                        durable - RING as u64
-                    } else {
-                        prev
-                    };
-                    for e in lo..durable {
-                        let bucket = (e % RING as u64) as usize;
-                        for arena in store.arenas.iter() {
-                            flushed += store.drain_bucket(arena, bucket, durable);
-                        }
-                    }
-                    if flushed > 0 {
-                        self.nvm.flush_lines(flushed);
-                    }
-                    self.nvm.fence();
-                    // Published only after the write-back above, so a
-                    // recovery horizon derived from it is always honest.
-                    self.persisted_epoch.store(durable, Ordering::Release);
+        let store = &self.store;
+        let _g = store.recycle_lock.lock();
+        let prev = self.persisted_epoch.load(Ordering::Relaxed);
+        if durable > prev {
+            let mut flushed = 0u64;
+            // Each bucket needs draining at most once even if the horizon
+            // jumped more than a full ring.
+            let lo = if durable - prev >= RING as u64 {
+                durable - RING as u64
+            } else {
+                prev
+            };
+            for e in lo..durable {
+                let bucket = (e % RING as u64) as usize;
+                for arena in store.arenas.iter() {
+                    flushed += store.drain_bucket(arena, bucket, durable);
                 }
             }
-            Store::MutexSlab(slab) => {
-                let mut slab = slab.lock();
-                let prev = self.persisted_epoch.load(Ordering::Acquire);
-                if durable > prev {
-                    let mut flushed = 0u64;
-                    let mut recycle = Vec::new();
-                    for (idx, p) in slab.slots.iter().enumerate() {
-                        if p.freed {
-                            continue;
-                        }
-                        let born_now = p.birth >= prev && p.birth < durable;
-                        let retired_now =
-                            p.retire != LIVE && p.retire >= prev && p.retire < durable;
-                        if born_now {
-                            // Same cost model as the arena store: a birth
-                            // writes back the whole record.
-                            flushed += value_lines(&p.val);
-                        } else if retired_now {
-                            flushed += 1;
-                        }
-                        if p.retire != LIVE && p.retire < durable {
-                            recycle.push(idx);
-                        }
-                    }
-                    if flushed > 0 {
-                        self.nvm.flush_lines(flushed);
-                    }
-                    self.nvm.fence();
-                    for idx in recycle {
-                        // A slot is recycled only once its retirement is
-                        // durable, so recovery can never resurrect it; the
-                        // per-slot flag makes the push exactly-once.
-                        let slot = &mut slab.slots[idx];
-                        if !slot.freed {
-                            slot.freed = true;
-                            slot.birth = LIVE; // tombstone
-                            slab.free.push(idx);
-                        }
-                    }
-                    self.persisted_epoch.store(durable, Ordering::Release);
-                }
+            if flushed > 0 {
+                self.nvm.flush_lines(flushed);
             }
+            self.nvm.fence();
+            // Published only after the write-back above, so a recovery
+            // horizon derived from it is always honest.
+            self.persisted_epoch.store(durable, Ordering::Release);
         }
         new_epoch
     }
@@ -1146,28 +952,26 @@ impl PersistenceDomain {
     /// nbMontage `sync()`: makes everything completed before the call
     /// durable by advancing the epoch twice.
     ///
-    /// With the arena store this additionally drains *every* dirty bucket
-    /// (not only the ones the two advances crossed): a dirty entry pushed
-    /// concurrently with the drain of its own epoch can land after the
-    /// bucket was consumed and would otherwise wait for the ring to wrap.
-    /// `sync` is the quiescence point, so it settles such stragglers
-    /// immediately.
+    /// This additionally drains *every* dirty bucket (not only the ones the
+    /// two advances crossed): a dirty entry pushed concurrently with the
+    /// drain of its own epoch can land after the bucket was consumed and
+    /// would otherwise wait for the ring to wrap.  `sync` is the quiescence
+    /// point, so it settles such stragglers immediately.
     pub fn sync(&self) {
         self.advance_epoch();
         self.advance_epoch();
-        if let Store::Arena(store) = &self.store {
-            let _g = store.recycle_lock.lock();
-            let durable = self.persisted_epoch.load(Ordering::Relaxed);
-            let mut flushed = 0u64;
-            for arena in store.arenas.iter() {
-                for bucket in 0..RING {
-                    flushed += store.drain_bucket(arena, bucket, durable);
-                }
+        let store = &self.store;
+        let _g = store.recycle_lock.lock();
+        let durable = self.persisted_epoch.load(Ordering::Relaxed);
+        let mut flushed = 0u64;
+        for arena in store.arenas.iter() {
+            for bucket in 0..RING {
+                flushed += store.drain_bucket(arena, bucket, durable);
             }
-            if flushed > 0 {
-                self.nvm.flush_lines(flushed);
-                self.nvm.fence();
-            }
+        }
+        if flushed > 0 {
+            self.nvm.flush_lines(flushed);
+            self.nvm.fence();
         }
     }
 
@@ -1208,106 +1012,65 @@ impl PersistenceDomain {
     /// back.  Holding the recycle lock additionally pins every payload
     /// retired at/after the horizon for the duration of the scan.
     pub fn recover_with_horizon(&self) -> (HashMap<u64, Value>, u64) {
-        match &self.store {
-            Store::Arena(store) => {
-                let _g = store.recycle_lock.lock();
-                let horizon = self.persisted_epoch.load(Ordering::Acquire);
-                let mut out = HashMap::new();
-                for arena in store.arenas.iter() {
-                    for (class, slab) in arena.classes.iter().enumerate() {
-                        let len = slab.len.load(Ordering::Acquire);
-                        for idx in 0..len {
-                            let s = slab.slot(idx);
-                            let b = s.birth.load(Ordering::Acquire);
-                            if b == UNBORN || b >= horizon {
-                                continue; // free, in-flight, or not yet durable
-                            }
-                            if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
-                                continue; // aborted transaction's payload
-                            }
-                            let r = s.retire.load(Ordering::Relaxed);
-                            if r == LIVE || r >= horizon {
-                                out.insert(
-                                    s.key.load(Ordering::Relaxed),
-                                    arena.read_value(class, idx),
-                                );
-                            }
-                        }
+        let store = &self.store;
+        let _g = store.recycle_lock.lock();
+        let horizon = self.persisted_epoch.load(Ordering::Acquire);
+        let mut out = HashMap::new();
+        for arena in store.arenas.iter() {
+            for (class, slab) in arena.classes.iter().enumerate() {
+                let len = slab.len.load(Ordering::Acquire);
+                for idx in 0..len {
+                    let s = slab.slot(idx);
+                    let b = s.birth.load(Ordering::Acquire);
+                    if b == UNBORN || b >= horizon {
+                        continue; // free, in-flight, or not yet durable
+                    }
+                    if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
+                        continue; // aborted transaction's payload
+                    }
+                    let r = s.retire.load(Ordering::Relaxed);
+                    if r == LIVE || r >= horizon {
+                        out.insert(s.key.load(Ordering::Relaxed), arena.read_value(class, idx));
                     }
                 }
-                (out, horizon)
-            }
-            Store::MutexSlab(slab) => {
-                let slab = slab.lock();
-                // Same fix in the baseline: the horizon is what has been
-                // written back, sampled under the slab lock (which
-                // `advance_epoch` holds across write-back + publication).
-                let horizon = self.persisted_epoch.load(Ordering::Acquire);
-                let mut out = HashMap::new();
-                for p in slab.slots.iter() {
-                    if p.freed || p.birth == LIVE {
-                        continue; // recycled tombstone
-                    }
-                    if p.birth < horizon && (p.retire == LIVE || p.retire >= horizon) {
-                        out.insert(p.key, p.val.clone());
-                    }
-                }
-                (out, horizon)
             }
         }
+        (out, horizon)
     }
 
     /// Counters describing the domain's state.
     pub fn stats(&self) -> DomainStats {
-        match &self.store {
-            Store::Arena(store) => {
-                let _g = store.recycle_lock.lock();
-                let mut live = 0usize;
-                let mut free = 0usize;
-                let mut allocated = 0usize;
-                for arena in store.arenas.iter() {
-                    for slab in arena.classes.iter() {
-                        let len = slab.len.load(Ordering::Acquire);
-                        allocated += len as usize;
-                        free += slab.free_count.load(Ordering::Relaxed) as usize;
-                        for idx in 0..len {
-                            let s = slab.slot(idx);
-                            let b = s.birth.load(Ordering::Acquire);
-                            if b == UNBORN {
-                                continue;
-                            }
-                            if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
-                                continue;
-                            }
-                            if s.retire.load(Ordering::Relaxed) == LIVE {
-                                live += 1;
-                            }
-                        }
+        let store = &self.store;
+        let _g = store.recycle_lock.lock();
+        let mut live = 0usize;
+        let mut free = 0usize;
+        let mut allocated = 0usize;
+        for arena in store.arenas.iter() {
+            for slab in arena.classes.iter() {
+                let len = slab.len.load(Ordering::Acquire);
+                allocated += len as usize;
+                free += slab.free_count.load(Ordering::Relaxed) as usize;
+                for idx in 0..len {
+                    let s = slab.slot(idx);
+                    let b = s.birth.load(Ordering::Acquire);
+                    if b == UNBORN {
+                        continue;
+                    }
+                    if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
+                        continue;
+                    }
+                    if s.retire.load(Ordering::Relaxed) == LIVE {
+                        live += 1;
                     }
                 }
-                DomainStats {
-                    live_payloads: live,
-                    free_slots: free,
-                    allocated_slots: allocated,
-                    persisted_epoch: self.persisted_epoch.load(Ordering::Relaxed),
-                    current_epoch: self.current_epoch(),
-                }
             }
-            Store::MutexSlab(slab) => {
-                let slab = slab.lock();
-                let live = slab
-                    .slots
-                    .iter()
-                    .filter(|p| !p.freed && p.birth != LIVE && p.retire == LIVE)
-                    .count();
-                DomainStats {
-                    live_payloads: live,
-                    free_slots: slab.free.len(),
-                    allocated_slots: slab.slots.len(),
-                    persisted_epoch: self.persisted_epoch.load(Ordering::Relaxed),
-                    current_epoch: self.current_epoch(),
-                }
-            }
+        }
+        DomainStats {
+            live_payloads: live,
+            free_slots: free,
+            allocated_slots: allocated,
+            persisted_epoch: self.persisted_epoch.load(Ordering::Relaxed),
+            current_epoch: self.current_epoch(),
         }
     }
 }
@@ -1399,56 +1162,46 @@ mod tests {
         PersistenceDomain::new(TxManager::new(), NvmCostModel::ZERO)
     }
 
-    fn both_backends() -> Vec<Arc<PersistenceDomain>> {
-        [DomainBackend::Arena, DomainBackend::MutexSlab]
-            .into_iter()
-            .map(|b| PersistenceDomain::with_backend(TxManager::new(), NvmCostModel::ZERO, b))
-            .collect()
-    }
-
     #[test]
     fn payloads_become_durable_after_two_epochs() {
-        for d in both_backends() {
-            let e = d.current_epoch();
-            d.alloc_payload(0, 1, 10, e);
-            // Not yet durable: recovery horizon is e - 2.
-            assert!(d.recover().is_empty());
-            d.advance_epoch();
-            d.advance_epoch();
-            let rec = d.recover_u64();
-            assert_eq!(rec.get(&1), Some(&10));
-        }
+        let d = domain();
+        let e = d.current_epoch();
+        d.alloc_payload(0, 1, 10, e);
+        // Not yet durable: recovery horizon is e - 2.
+        assert!(d.recover().is_empty());
+        d.advance_epoch();
+        d.advance_epoch();
+        let rec = d.recover_u64();
+        assert_eq!(rec.get(&1), Some(&10));
     }
 
     #[test]
     fn retirement_hides_payload_after_horizon_passes() {
-        for d in both_backends() {
-            let e = d.current_epoch();
-            let id = d.alloc_payload(0, 2, 20, e);
-            d.sync();
-            assert_eq!(d.recover_u64().get(&2), Some(&20));
-            let e2 = d.current_epoch();
-            d.retire_payload(id, e2);
-            // Retirement not yet durable: still recovered.
-            assert_eq!(d.recover_u64().get(&2), Some(&20));
-            d.sync();
-            assert!(!d.recover().contains_key(&2));
-        }
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 2, 20, e);
+        d.sync();
+        assert_eq!(d.recover_u64().get(&2), Some(&20));
+        let e2 = d.current_epoch();
+        d.retire_payload(id, e2);
+        // Retirement not yet durable: still recovered.
+        assert_eq!(d.recover_u64().get(&2), Some(&20));
+        d.sync();
+        assert!(!d.recover().contains_key(&2));
     }
 
     #[test]
     fn retired_slots_are_recycled_only_when_durable() {
-        for d in both_backends() {
-            let e = d.current_epoch();
-            let id = d.alloc_payload(0, 3, 30, e);
-            d.retire_payload(id, e);
-            assert_eq!(d.stats().free_slots, 0);
-            d.sync();
-            assert_eq!(d.stats().free_slots, 1);
-            // The recycled slot is reused by the next allocation.
-            let id2 = d.alloc_payload(0, 4, 40, d.current_epoch());
-            assert_eq!(id2, id);
-        }
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 3, 30, e);
+        d.retire_payload(id, e);
+        assert_eq!(d.stats().free_slots, 0);
+        d.sync();
+        assert_eq!(d.stats().free_slots, 1);
+        // The recycled slot is reused by the next allocation.
+        let id2 = d.alloc_payload(0, 4, 40, d.current_epoch());
+        assert_eq!(id2, id);
     }
 
     #[test]
@@ -1456,57 +1209,50 @@ mod tests {
         // Regression for the recycle loop double-pushing slots: a slot whose
         // retirement became durable must be recycled exactly once, no matter
         // how many more epochs pass over it.
-        for d in both_backends() {
-            let e = d.current_epoch();
-            let id = d.alloc_payload(0, 7, 70, e);
-            d.retire_payload(id, e);
-            d.sync();
-            assert_eq!(d.stats().free_slots, 1, "{:?}", d.backend());
-            for _ in 0..6 {
-                d.advance_epoch();
-                assert_eq!(
-                    d.stats().free_slots,
-                    1,
-                    "slot recycled more than once on {:?}",
-                    d.backend()
-                );
-            }
-            // One allocation consumes the recycled slot...
-            let id2 = d.alloc_payload(0, 8, 80, d.current_epoch());
-            assert_eq!(id2, id);
-            assert_eq!(d.stats().free_slots, 0);
-            // ...and the next one must get a fresh slot, not a duplicate.
-            let id3 = d.alloc_payload(0, 9, 90, d.current_epoch());
-            assert_ne!(id3, id2);
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 7, 70, e);
+        d.retire_payload(id, e);
+        d.sync();
+        assert_eq!(d.stats().free_slots, 1);
+        for _ in 0..6 {
+            d.advance_epoch();
+            assert_eq!(d.stats().free_slots, 1, "slot recycled more than once");
         }
+        // One allocation consumes the recycled slot...
+        let id2 = d.alloc_payload(0, 8, 80, d.current_epoch());
+        assert_eq!(id2, id);
+        assert_eq!(d.stats().free_slots, 0);
+        // ...and the next one must get a fresh slot, not a duplicate.
+        let id3 = d.alloc_payload(0, 9, 90, d.current_epoch());
+        assert_ne!(id3, id2);
     }
 
     #[test]
     fn abandoned_payloads_are_recycled_and_never_recovered() {
-        for d in both_backends() {
-            let e = d.current_epoch();
-            let id = d.alloc_payload(0, 5, 50, e);
-            d.abandon_payload(id);
-            assert_eq!(d.stats().live_payloads, 0);
-            d.sync();
-            d.sync();
-            assert!(d.recover().is_empty(), "{:?}", d.backend());
-            assert_eq!(d.stats().free_slots, 1, "{:?}", d.backend());
-            // Abandon after the birth epoch already crossed the horizon
-            // (in-flight transaction overtaken by the clock).
-            let e = d.current_epoch();
-            let id = d.alloc_payload(0, 6, 60, e);
-            d.sync(); // birth write-back happens with the payload in flight
-            d.abandon_payload(id);
-            assert!(!d.recover().contains_key(&6));
-            d.sync();
-            assert!(!d.recover().contains_key(&6));
-            assert_eq!(d.stats().live_payloads, 0);
-            // The first abandoned slot was recycled and reused by the second
-            // allocation, so exactly one slot is free again.
-            assert_eq!(d.stats().free_slots, 1, "{:?}", d.backend());
-            assert_eq!(d.stats().allocated_slots, 1, "{:?}", d.backend());
-        }
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 5, 50, e);
+        d.abandon_payload(id);
+        assert_eq!(d.stats().live_payloads, 0);
+        d.sync();
+        d.sync();
+        assert!(d.recover().is_empty());
+        assert_eq!(d.stats().free_slots, 1);
+        // Abandon after the birth epoch already crossed the horizon
+        // (in-flight transaction overtaken by the clock).
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 6, 60, e);
+        d.sync(); // birth write-back happens with the payload in flight
+        d.abandon_payload(id);
+        assert!(!d.recover().contains_key(&6));
+        d.sync();
+        assert!(!d.recover().contains_key(&6));
+        assert_eq!(d.stats().live_payloads, 0);
+        // The first abandoned slot was recycled and reused by the second
+        // allocation, so exactly one slot is free again.
+        assert_eq!(d.stats().free_slots, 1);
+        assert_eq!(d.stats().allocated_slots, 1);
     }
 
     #[test]
@@ -1554,7 +1300,7 @@ mod tests {
     #[test]
     fn multi_arena_payloads_recover_together() {
         let mgr = TxManager::with_max_threads(8);
-        let d = PersistenceDomain::with_backend(mgr, NvmCostModel::ZERO, DomainBackend::Arena);
+        let d = PersistenceDomain::new(mgr, NvmCostModel::ZERO);
         let e = d.current_epoch();
         for tid in 0..8 {
             d.alloc_payload(tid, tid as u64, tid as u64 * 10, e);
@@ -1577,31 +1323,24 @@ mod tests {
         // never written back.  Bumping the raw clock (as a preempted
         // advancer does between its two steps) must not move the recovery
         // horizon.
-        for d in both_backends() {
-            let e = d.current_epoch();
-            d.alloc_payload(0, 1, 10, e);
-            // The clock alone races ahead; no write-back has happened.
-            d.manager().advance_epoch();
-            d.manager().advance_epoch();
-            let (rec, horizon) = d.recover_with_horizon();
-            assert_eq!(
-                horizon,
-                0,
-                "{:?}: horizon must track write-back",
-                d.backend()
-            );
-            assert!(
-                rec.is_empty(),
-                "{:?}: claimed durability without write-back: {rec:?}",
-                d.backend()
-            );
-            // Once the domain itself advances, the write-back runs and the
-            // payload becomes recoverable.
-            d.advance_epoch();
-            let (rec, horizon) = d.recover_with_horizon();
-            assert_eq!(horizon, d.stats().persisted_epoch);
-            assert_eq!(rec.get(&1), Some(&Value::U64(10)));
-        }
+        let d = domain();
+        let e = d.current_epoch();
+        d.alloc_payload(0, 1, 10, e);
+        // The clock alone races ahead; no write-back has happened.
+        d.manager().advance_epoch();
+        d.manager().advance_epoch();
+        let (rec, horizon) = d.recover_with_horizon();
+        assert_eq!(horizon, 0, "horizon must track write-back");
+        assert!(
+            rec.is_empty(),
+            "claimed durability without write-back: {rec:?}"
+        );
+        // Once the domain itself advances, the write-back runs and the
+        // payload becomes recoverable.
+        d.advance_epoch();
+        let (rec, horizon) = d.recover_with_horizon();
+        assert_eq!(horizon, d.stats().persisted_epoch);
+        assert_eq!(rec.get(&1), Some(&Value::U64(10)));
     }
 
     #[test]
@@ -1705,26 +1444,24 @@ mod tests {
     fn blob_values_roundtrip_through_all_size_classes() {
         // One value per size class plus the boundaries: word, small inline,
         // large inline, and overflow-chain spills of 1, many, and max-ish
-        // blocks — on both backends.
+        // blocks.
         let lens = [0usize, 5, 8, 64, 65, 448, 449, 4096, 100_000];
-        for d in both_backends() {
-            let e = d.current_epoch();
-            for (k, len) in lens.iter().enumerate() {
-                let bytes: Vec<u8> = (0..*len).map(|i| (i * 13 + k) as u8).collect();
-                d.alloc_value(0, k as u64, &Value::from_bytes(&bytes), e);
-            }
-            d.sync();
-            let rec = d.recover();
-            assert_eq!(rec.len(), lens.len(), "{:?}", d.backend());
-            for (k, len) in lens.iter().enumerate() {
-                let bytes: Vec<u8> = (0..*len).map(|i| (i * 13 + k) as u8).collect();
-                assert_eq!(
-                    rec.get(&(k as u64)),
-                    Some(&Value::from_bytes(&bytes)),
-                    "len {len} on {:?}",
-                    d.backend()
-                );
-            }
+        let d = domain();
+        let e = d.current_epoch();
+        for (k, len) in lens.iter().enumerate() {
+            let bytes: Vec<u8> = (0..*len).map(|i| (i * 13 + k) as u8).collect();
+            d.alloc_value(0, k as u64, &Value::from_bytes(&bytes), e);
+        }
+        d.sync();
+        let rec = d.recover();
+        assert_eq!(rec.len(), lens.len());
+        for (k, len) in lens.iter().enumerate() {
+            let bytes: Vec<u8> = (0..*len).map(|i| (i * 13 + k) as u8).collect();
+            assert_eq!(
+                rec.get(&(k as u64)),
+                Some(&Value::from_bytes(&bytes)),
+                "len {len}"
+            );
         }
     }
 

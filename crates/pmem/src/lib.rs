@@ -38,6 +38,6 @@ pub mod domain;
 pub mod nvm;
 pub mod value;
 
-pub use domain::{DomainBackend, DomainStats, EpochAdvancer, PayloadId, PersistenceDomain};
+pub use domain::{DomainStats, EpochAdvancer, PayloadId, PersistenceDomain};
 pub use nvm::{NvmCostModel, NvmSnapshot, NvmStats, SimNvm};
 pub use value::{Value, MAX_VALUE_BYTES};

@@ -31,9 +31,8 @@
 //! ## Known simulation limitation: pre-linearization payload visibility
 //!
 //! A payload record is allocated in the domain *before* the index update
-//! that publishes it linearizes (both standalone and transactional paths;
-//! the Mutex-slab design of earlier revisions had the same window).  If the
-//! updating thread stalls for two or more epoch advances inside that
+//! that publishes it linearizes (both standalone and transactional
+//! paths).  If the updating thread stalls for two or more epoch advances inside that
 //! microseconds-wide window, a concurrent [`Durable::recover`] can include
 //! the pending key/value even though the operation has not happened (and may
 //! yet fail or abort, abandoning the payload).  Real nbMontage closes this

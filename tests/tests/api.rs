@@ -16,14 +16,12 @@ use std::sync::Arc;
 /// used to leave `ThreadHandle::in_tx == true` with an installed descriptor,
 /// wedging the handle (the next `tx_begin` would assert) and blocking every
 /// other thread that touched the poisoned words.  The `Txn` drop guard must
-/// abort on unwind: the handle stays reusable and the descriptor is
-/// uninstalled from every word it was published to.
+/// abort on unwind: the handle stays reusable and no word is left carrying
+/// the descriptor.  Both transactions write two words, so they are on the
+/// general (published-descriptor) path by shape.
 #[test]
 fn panic_inside_run_aborts_and_leaves_handle_reusable() {
     let mgr = TxManager::new();
-    // Force the general path so the descriptor really is installed in the
-    // words when the panic hits.
-    mgr.set_fast_paths(false);
     let mut h = mgr.register();
     let a = CasWord::new(10);
     let b = CasWord::new(20);
@@ -32,7 +30,6 @@ fn panic_inside_run_aborts_and_leaves_handle_reusable() {
         let _: TxResult<()> = h.run(|t| {
             assert!(t.nbtc_cas(&a, 10, 11, true, true));
             assert!(t.nbtc_cas(&b, 20, 21, true, true));
-            // Both words now carry the descriptor (general path).
             panic!("boom in transaction body");
         });
     }));
@@ -44,19 +41,27 @@ fn panic_inside_run_aborts_and_leaves_handle_reusable() {
     assert_eq!(b.try_load_value(), Some(20));
     assert!(!h.in_tx(), "unwind must close the transaction");
 
-    // The handle is reusable: a fresh transaction commits.
+    // The handle — and its descriptor — is reusable: a fresh two-word
+    // transaction publishes it and commits.
     let res = h.run(|t| {
-        let v = t.nbtc_load(&a);
-        assert!(t.nbtc_cas(&a, v, v + 5, true, true));
+        let (va, vb) = (t.nbtc_load(&a), t.nbtc_load(&b));
+        assert!(t.nbtc_cas(&a, va, va + 5, true, true));
+        assert!(t.nbtc_cas(&b, vb, vb + 5, true, true));
         Ok(())
     });
     assert!(res.is_ok());
     assert_eq!(a.try_load_value(), Some(15));
+    assert_eq!(b.try_load_value(), Some(25));
 
     h.flush_stats();
     let snap = mgr.stats_snapshot();
     assert_eq!(snap.unwind_aborts, 1, "the unwind abort must be recorded");
     assert_eq!(snap.commits, 1);
+    assert_eq!(
+        (snap.general_commits, snap.fast_commits),
+        (1, 0),
+        "a two-word transaction commits through the descriptor"
+    );
 }
 
 /// Same regression through a container: the panic unwinds out of a skiplist
@@ -262,7 +267,6 @@ fn mixed_nontx_and_txn_contexts_conserve_tokens() {
 #[test]
 fn container_transaction_over_capacity_fails_cleanly() {
     let mgr = TxManager::new();
-    mgr.set_fast_paths(false);
     let mut h = mgr.register();
     let map = MichaelHashMap::<u64>::with_buckets(1 << 13);
     let n = (medley::MAX_ENTRIES + 2) as u64;

@@ -4,7 +4,7 @@
 //! run crosses many durability horizons while operations are in flight.
 
 use medley::{AbortReason, TxManager, TxResult};
-use pmem::{DomainBackend, EpochAdvancer, NvmCostModel, PersistenceDomain};
+use pmem::{EpochAdvancer, NvmCostModel, PersistenceDomain};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,7 +130,7 @@ fn recovery_is_a_prefix_consistent_cut_under_fire() {
 }
 
 /// Abort storms: transactions allocate payloads and then roll back (explicit
-/// aborts and epoch-validation conflicts) on both payload-store backends.
+/// aborts and epoch-validation conflicts).
 /// Abandoned payloads must all be recycled — live counts reflect only
 /// committed state and every allocated slot is either live or free after a
 /// quiescent sync.
@@ -138,62 +138,57 @@ fn recovery_is_a_prefix_consistent_cut_under_fire() {
 fn abort_storms_leak_no_payloads() {
     const THREADS: usize = 8;
     const ROUNDS: u64 = 400;
-    for backend in [DomainBackend::Arena, DomainBackend::MutexSlab] {
-        let mgr = TxManager::with_max_threads(THREADS + 2);
-        let domain = PersistenceDomain::with_backend(Arc::clone(&mgr), NvmCostModel::ZERO, backend);
-        let map = Arc::new(DurableHashMap::hash_map(256, Arc::clone(&domain)));
-        let advancer = EpochAdvancer::spawn(Arc::clone(&domain), Duration::from_micros(50));
-        std::thread::scope(|s| {
-            for t in 0..THREADS as u64 {
-                let mgr = Arc::clone(&mgr);
-                let map = Arc::clone(&map);
-                s.spawn(move || {
-                    let mut h = mgr.register();
-                    for i in 0..ROUNDS {
-                        let k = (t << 32) | (i % 16);
-                        if i % 2 == 0 {
-                            // Committed baseline traffic.
-                            let _: TxResult<()> = h.run(|tx| {
-                                map.put(tx, k, i);
-                                Ok(())
-                            });
-                        } else {
-                            // The storm: multi-payload transactions that
-                            // always roll back.
-                            let r: TxResult<()> = h.run(|tx| {
-                                map.put(tx, k, i);
-                                map.put(tx, k ^ 1, i);
-                                map.remove(tx, k);
-                                Err(tx.abort(AbortReason::Explicit))
-                            });
-                            assert!(r.is_err());
-                        }
+    let mgr = TxManager::with_max_threads(THREADS + 2);
+    let domain = PersistenceDomain::new(Arc::clone(&mgr), NvmCostModel::ZERO);
+    let map = Arc::new(DurableHashMap::hash_map(256, Arc::clone(&domain)));
+    let advancer = EpochAdvancer::spawn(Arc::clone(&domain), Duration::from_micros(50));
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u64 {
+            let mgr = Arc::clone(&mgr);
+            let map = Arc::clone(&map);
+            s.spawn(move || {
+                let mut h = mgr.register();
+                for i in 0..ROUNDS {
+                    let k = (t << 32) | (i % 16);
+                    if i % 2 == 0 {
+                        // Committed baseline traffic.
+                        let _: TxResult<()> = h.run(|tx| {
+                            map.put(tx, k, i);
+                            Ok(())
+                        });
+                    } else {
+                        // The storm: multi-payload transactions that
+                        // always roll back.
+                        let r: TxResult<()> = h.run(|tx| {
+                            map.put(tx, k, i);
+                            map.put(tx, k ^ 1, i);
+                            map.remove(tx, k);
+                            Err(tx.abort(AbortReason::Explicit))
+                        });
+                        assert!(r.is_err());
                     }
-                });
-            }
-        });
-        drop(advancer);
-        domain.sync();
-        domain.sync();
-        let rec = map.recover();
-        let stats = domain.stats();
-        assert_eq!(
-            stats.live_payloads,
-            rec.len(),
-            "{backend:?}: live payloads must equal recoverable keys: {stats:?}"
-        );
-        assert_eq!(
-            stats.live_payloads + stats.free_slots,
-            stats.allocated_slots,
-            "{backend:?}: abort storm leaked payload slots: {stats:?}"
-        );
-        // Aborted values (odd rounds) must never be recovered: every
-        // recovered value came from a committed even-round put.
-        for (k, v) in &rec {
-            assert!(
-                v % 2 == 0,
-                "{backend:?}: aborted put of {v} for key {k} was recovered"
-            );
+                }
+            });
         }
+    });
+    drop(advancer);
+    domain.sync();
+    domain.sync();
+    let rec = map.recover();
+    let stats = domain.stats();
+    assert_eq!(
+        stats.live_payloads,
+        rec.len(),
+        "live payloads must equal recoverable keys: {stats:?}"
+    );
+    assert_eq!(
+        stats.live_payloads + stats.free_slots,
+        stats.allocated_slots,
+        "abort storm leaked payload slots: {stats:?}"
+    );
+    // Aborted values (odd rounds) must never be recovered: every
+    // recovered value came from a committed even-round put.
+    for (k, v) in &rec {
+        assert!(v % 2 == 0, "aborted put of {v} for key {k} was recovered");
     }
 }

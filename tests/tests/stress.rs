@@ -126,9 +126,9 @@ fn bank_transfer_conservation_across_cas_words() {
 /// Conservation under *hot* contention: 16 threads hammer 8 accounts with
 /// zipfian-picked transfers (theta 0.99 concentrates most traffic on one or
 /// two words), interleaved with read-only audits that must always observe
-/// the invariant.  The workload itself is `bench::workload::run_hot_transfer`
-/// — the same transaction bodies the throughput harness measures — which
-/// asserts conservation internally (mid-run audits and an end-of-run total).
+/// the invariant.  The workload itself is `bench::workload::run_hot_transfer`,
+/// which asserts conservation internally (mid-run audits and an end-of-run
+/// total).
 /// On top of that, this test asserts the contended regime actually
 /// materialized: nonzero `conflict_aborts` (lost installs / invalidated
 /// reads), nonzero `helps` (a thread finalized someone else's published
