@@ -103,12 +103,17 @@ pub struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Self> {
+        // SAFETY: takes a flag word and no pointer; the result is checked.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Self { fd })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         let mut ev = EpollEvent { events, data };
+        // SAFETY: `self.fd` is the epoll instance this value owns; `ev` is a
+        // live local with the kernel's `struct epoll_event` layout (see
+        // `EpollEvent`), and the kernel copies it before returning.  A stale
+        // or foreign `fd` is an `EBADF`/`ENOENT` error, not a memory hazard.
         cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) })?;
         Ok(())
     }
@@ -136,6 +141,10 @@ impl Epoll {
     /// Retries `EINTR` internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: the kernel writes at most `maxevents` records of the
+            // `EpollEvent` layout into `events`, and `maxevents` is the
+            // slice's own length (capped to `i32`), so every write lands in
+            // memory the exclusive borrow covers.
             let n = unsafe {
                 epoll_wait(
                     self.fd,
@@ -157,6 +166,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` came from `epoll_create1`, is owned by this value
+        // alone and is closed exactly once, here.
         unsafe {
             close(self.fd);
         }
@@ -175,6 +186,7 @@ pub struct WakeFd {
 impl WakeFd {
     /// Creates the doorbell.
     pub fn new() -> io::Result<Self> {
+        // SAFETY: takes two integers and no pointer; the result is checked.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(Self { fd })
     }
@@ -185,6 +197,9 @@ impl WakeFd {
     /// correctness.
     pub fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: `self.fd` is the eventfd this value owns (open until
+        // `drop`), and the source is 8 readable bytes of a live temporary —
+        // the size an eventfd write requires.
         unsafe {
             write(self.fd, one.to_ne_bytes().as_ptr(), 8);
         }
@@ -193,6 +208,9 @@ impl WakeFd {
     /// Resets the doorbell (reads the counter down to zero).
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: as in `wake`; the destination is 8 writable bytes of a live
+        // local, and the fd is nonblocking, so an empty counter returns
+        // `EAGAIN` without touching it.
         unsafe {
             read(self.fd, buf.as_mut_ptr(), 8);
         }
@@ -207,6 +225,8 @@ impl AsRawFd for WakeFd {
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` came from `eventfd`, is owned by this value alone
+        // and is closed exactly once, here.
         unsafe {
             close(self.fd);
         }
@@ -225,10 +245,13 @@ pub fn raise_nofile_limit() -> io::Result<(u64, u64)> {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live local with the layout of the kernel's
+    // 64-bit `struct rlimit` (two `u64`s), which the call fills in.
     cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
     let prev = lim.rlim_cur;
     if lim.rlim_cur < lim.rlim_max {
         lim.rlim_cur = lim.rlim_max;
+        // SAFETY: as above; the call only reads `lim`.
         cvt(unsafe { setrlimit(RLIMIT_NOFILE, &lim) })?;
     }
     Ok((prev, lim.rlim_cur))
@@ -239,6 +262,9 @@ pub fn raise_nofile_limit() -> io::Result<(u64, u64)> {
 /// `writev` passes and `EPOLLOUT` re-arms.
 pub fn set_rcvbuf<F: AsRawFd>(sock: &F, bytes: usize) -> io::Result<()> {
     let v = bytes as i32;
+    // SAFETY: `sock` is borrowed for the call, so its fd is open; the option
+    // value is 4 readable bytes of a live temporary and `optlen` says 4, the
+    // size `SO_RCVBUF` takes.
     cvt(unsafe {
         setsockopt(
             sock.as_raw_fd(),

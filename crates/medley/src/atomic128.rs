@@ -5,26 +5,69 @@
 //! swapped as a single unit (paper Sec. 3.2).  The Rust standard library does
 //! not expose `AtomicU128`, so this module provides one:
 //!
-//! * on `x86_64` we issue `lock cmpxchg16b` through inline assembly (the
-//!   instruction is present on every 64-bit Intel/AMD part manufactured since
-//!   2006, and is what the paper's C++ implementation relies on);
+//! * on `x86_64` every *write* is a `lock cmpxchg16b` through inline assembly
+//!   (the instruction is present on every 64-bit Intel/AMD part manufactured
+//!   since 2006, and is what the paper's C++ implementation relies on);
+//! * on `x86_64` a *load* is one aligned 16-byte vector load (`vmovdqa`) when
+//!   the CPU enumerates AVX: Intel (SDM vol. 3A §9.1.1) and AMD (APM vol. 2
+//!   §7.3.2) guarantee that an aligned 16-byte SSE/AVX load is atomic on
+//!   exactly those processors — the guarantee GCC's libatomic and the
+//!   `portable-atomic` crate rely on.  A load therefore reads: it takes its
+//!   cache line shared, applies no read-modify-write to it, and works on a
+//!   read-only mapping.  Without AVX the load is a `cmpxchg16b` whose
+//!   expected and desired values are equal (a plain SSE 16-byte load is not
+//!   guaranteed atomic there);
 //! * on other targets we fall back to a table of striped spin locks.  The
 //!   fallback sacrifices nonblocking progress of the *emulation layer* but
 //!   preserves linearizability, so all higher-level logic and all tests remain
 //!   valid.
 //!
-//! Atomic loads are implemented as a `cmpxchg16b` with identical expected and
-//! desired values, which is the canonical technique (an SSE 16-byte load is
-//! not guaranteed atomic without AVX).
+//! ## Ordering: what a load is, and who may rely on what
+//!
+//! Stores and CASes are `lock`-prefixed, hence full barriers.  The vector
+//! load is an ordinary x86-TSO load: *acquire* for the hardware (no later
+//! access is performed before it, it is not reordered with earlier loads) and,
+//! because the asm block keeps the default memory clobber, a compiler barrier
+//! in both directions.  That is the standard x86 mapping of sequentially
+//! consistent atomics — plain loads, locked stores — so the operations of
+//! this module stay sequentially consistent **among themselves**.  What a
+//! load no longer is, and the `cmpxchg16b` load was, is a *fence for its
+//! neighbours*: an earlier plain (`Relaxed`/`Release`) store to some *other*
+//! atomic may still sit in the store buffer when the load is performed.  Every
+//! place in the workspace where a store precedes a [`CasWord`] load and that
+//! StoreLoad order carries a protocol is listed here with what orders it; a
+//! new such place needs a `SeqCst` store, a locked instruction or an explicit
+//! `fence(SeqCst)` *at that place*, never in [`AtomicU128::load`].
+//!
+//! | site | the store, then the load | ordered by |
+//! |---|---|---|
+//! | `ebr::Participant::pin` | `local_epoch = g`, then every `CasWord` load of the operation (the reclaimer unlinks, then reads `local_epoch`) | the store is `SeqCst` (`xchg`), a full barrier; nested pins store nothing and are covered by the outer one |
+//! | `ebr::Participant::unpin` | validation loads, then `local_epoch = IDLE` | load → store, which TSO never reorders; the store is `Release` for the compiler |
+//! | `Desc::begin` | `status = (serial + 1, InPrep)` (`Release`), then the loads of the execution phase | nothing needs it: no thread can reach the new incarnation before its first install CAS (locked, drains the store buffer), and a helper of the old one CASes the status word with the old serial expected, which fails against either value; `tx_begin` pins (above) before its first load anyway |
+//! | `ThreadHandle::tx_begin` (txMontage) | pin, then the epoch-word load that joins the read set | the pin's `SeqCst` store; the advancer's side is a locked CAS on the epoch word |
+//! | `commit_general`: install → `set_ready` → validate | descriptor CASed into every written word, status CAS, then `Desc::validate_reads` loads (write skew is excluded because each of two symmetric transactions installs before it validates) | both stores are locked (`cmpxchg16b`, `cmpxchg`); no load passes a locked instruction |
+//! | `tx_end` read-only and single-CAS paths | no store at all before `validate_local_reads`; loads stay in program order | load → load, preserved by TSO; the single CAS is locked |
+//! | `Desc::try_finalize` | `status` (`SeqCst` load), then `obj` re-load, then status CAS, then `validate_reads` | load → load; every later load follows a locked status CAS |
+//! | `Desc::uninstall`, `abort_own`, `finalize_own` | CASes only | locked |
+//! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` (locked); node payloads are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
+//! | `nbds::skiplist` late link (`link_level` vs `maintain`) | linker: link CAS at the predecessor, then re-load of the node's own lane; remover: mark CAS on that lane, then the purge's loads — one of the two must see the other | both stores are locked CASes; the retirement handoff is `done.fetch_or`, locked as well |
+//! | `txmontage::Durable::revalidate_standalone_epoch` | the index update, payload tagging and `retire_payload`, then the epoch re-read | the linearizing CAS, `Arena::push_dirty`'s `cmpxchg` and `retire.swap` are all locked and all precede the re-read |
+//! | `PersistenceDomain::alloc_value` / `retire_payload` | `Relaxed`/`Release` stores into the slot, then the caller's index traversal | `push_dirty` ends both with a locked `cmpxchg`; the epoch they tag with was loaded *before* the stores (load → store) |
+//! | `PersistenceDomain::advance_epoch` | `persisted_epoch = durable` (`Release`), then (in `sync`) the next epoch-word load | the recycle-lock release between them is locked; `repair_stale_bucket` reads `persisted_epoch` after `push_dirty` (locked) and never raced a `CasWord` load — the push/drain straggler it leaves is settled by `sync` as before |
+//! | `kvstore::cache` occupancy | the word is written only by transactional commit CASes; `occupancy()` is a lone load | no plain store involved; tallies are `fetch_add` (locked) in post-commit cleanups |
+//! | `kvstore::server`, `obs` | `Relaxed` statistics only | carry no protocol |
+//!
+//! [`CasWord`]: crate::casobj::CasWord
 
 use std::cell::UnsafeCell;
 
 /// A 16-byte-aligned 128-bit word supporting atomic load, store and CAS.
 ///
-/// Only the operations Medley needs are provided; orderings are
-/// sequentially consistent (the underlying `lock`-prefixed instruction is a
-/// full barrier), which matches the paper's use of default `std::atomic`
-/// operations.
+/// Only the operations Medley needs are provided; they are sequentially
+/// consistent among themselves (stores and CASes are `lock`-prefixed, loads
+/// are TSO acquire loads — the x86 mapping of default `std::atomic`
+/// operations, which is what the paper uses).  A load is not a fence for
+/// neighbouring weaker atomics; see the module docs.
 #[repr(C, align(16))]
 pub struct AtomicU128 {
     cell: UnsafeCell<u128>,
@@ -55,15 +98,57 @@ impl AtomicU128 {
         }
     }
 
-    /// Atomically loads the value.
+    /// Atomically loads the value: one `vmovdqa` where AVX makes that
+    /// atomic — an acquire load that writes nothing (module docs) — and a
+    /// `cmpxchg16b` that changes nothing everywhere else.
     #[inline]
     pub fn load(&self) -> u128 {
-        // A CAS whose expected and desired values are equal never changes the
-        // memory contents but always returns the value observed.
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx") {
+            let lo: u64;
+            let hi: u64;
+            // SAFETY: `vmovdqa` needs a 16-byte-aligned address — `self` is
+            // `repr(align(16))` and `cell` its first field — of 16 readable
+            // bytes, which `&self` guarantees, and a CPU with AVX, checked
+            // on the line above; on such a CPU the aligned 16-byte load is
+            // atomic (module docs).  `vmovq`/`vpextrq` are AVX encodings
+            // too and touch registers only; no flags, no stack.
+            //
+            // The options deliberately lack `pure`, `nomem` and `readonly`:
+            // the default memory clobber is what makes the block a compiler
+            // barrier, so no later access (the dereference of a pointer just
+            // loaded, the next validation load) is hoisted above it and no
+            // earlier store sinks below it — the compiler half of "acquire".
+            // With `pure`/`nomem` two loads of one word could also be merged,
+            // and every re-read loop in the runtime would spin on a register.
+            unsafe {
+                core::arch::asm!(
+                    "vmovdqa {x}, xmmword ptr [{p}]",
+                    "vmovq {lo}, {x}",
+                    "vpextrq {hi}, {x}, 1",
+                    p = in(reg) self.cell.get(),
+                    x = out(xmm_reg) _,
+                    lo = out(reg) lo,
+                    hi = out(reg) hi,
+                    options(nostack, preserves_flags),
+                );
+            }
+            return pack(lo, hi);
+        }
+        self.load_locked()
+    }
+
+    /// The load that works on every target: a CAS whose expected and desired
+    /// values are equal never changes the memory contents but always returns
+    /// the value observed.  It is a locked read-modify-write all the same —
+    /// it takes the cache line exclusive and faults on read-only memory.
+    #[inline]
+    fn load_locked(&self) -> u128 {
         self.compare_exchange_raw(0, 0)
     }
 
-    /// Atomically stores `val`, unconditionally.
+    /// Atomically stores `val`, unconditionally.  Uncontended, that is one
+    /// locked instruction: the value to replace comes from a plain load.
     #[inline]
     pub fn store(&self, val: u128) {
         let mut cur = self.load();
@@ -182,7 +267,10 @@ pub const fn unpack(v: u128) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::casobj::CasWord;
+    use std::ptr;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn load_store_roundtrip() {
@@ -237,32 +325,222 @@ mod tests {
         assert_eq!(unpack(a.load()).0, THREADS as u64 * ITERS);
     }
 
+    /// How many loads each reader of a torn-read test makes: enough in
+    /// release to cross many writer CASes, few enough in debug for tier-1.
+    const TORN_LOADS: u64 = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        1_000_000
+    };
+
+    type Load = fn(&AtomicU128) -> u128;
+
+    /// The two load paths, each under its name (the second is what `load`
+    /// falls back to without AVX and on other targets).
+    const LOAD_PATHS: [(&str, Load); 2] = [
+        ("load", AtomicU128::load),
+        ("load_locked", AtomicU128::load_locked),
+    ];
+
+    /// What the threads of one [`race`] share.
+    struct Race {
+        stop: AtomicBool,
+        /// Rounds completed, per writer.
+        rounds: [AtomicU64; 2],
+    }
+
+    impl Race {
+        /// A reader goes on until it has made its loads *and* every writer
+        /// has demonstrably run beside it (or one of them has died).
+        fn reader_done(&self, loads: u64) -> bool {
+            loads >= TORN_LOADS
+                && (self.stop.load(Ordering::Relaxed)
+                    || self
+                        .rounds
+                        .iter()
+                        .all(|r| r.load(Ordering::Relaxed) >= TORN_LOADS / 20))
+        }
+    }
+
+    /// Ends the race when its thread does, so a failed assertion fails the
+    /// test instead of leaving the other threads waiting for it.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Runs two writers (each a round to repeat, told which of the two it
+    /// is) against two readers from one barrier, until both readers are done.
+    fn race(write: &(dyn Fn(usize, u64) + Sync), read: &(dyn Fn(&Race) + Sync)) {
+        let race = Race {
+            stop: AtomicBool::new(false),
+            rounds: [AtomicU64::new(0), AtomicU64::new(0)],
+        };
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (race, start) = (&race, &start);
+                s.spawn(move || {
+                    let _stop = StopOnDrop(&race.stop);
+                    start.wait();
+                    let mut round = 0;
+                    while !race.stop.load(Ordering::Relaxed) {
+                        write(t, round);
+                        round += 1;
+                        race.rounds[t].store(round, Ordering::Relaxed);
+                    }
+                });
+            }
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        read(&race);
+                    })
+                })
+                .collect();
+            let ok = readers.into_iter().all(|r| r.join().is_ok());
+            race.stop.store(true, Ordering::Relaxed);
+            assert!(ok, "a reader failed; its message is above");
+        });
+    }
+
     #[test]
     fn both_halves_move_together() {
-        // A CAS must never be able to observe a torn (half old, half new)
-        // value.  Writers always keep lo == hi; readers assert the invariant.
-        let a = Arc::new(AtomicU128::new(pack(0, 0)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for t in 0..2u64 {
-            let a = Arc::clone(&a);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut i = t;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let cur = a.load();
-                    let _ = a.cas(cur, pack(i, i));
-                    i += 2;
+        // No load may observe a torn (half old, half new) value.  Two writers
+        // CAS in pairs with `hi == !lo`; two readers check the pair.
+        for (name, load) in LOAD_PATHS {
+            let a = AtomicU128::new(pack(0, !0));
+            let write = |t: usize, round: u64| {
+                let i = 2 * round + t as u64;
+                let _ = a.cas(a.load(), pack(i, !i));
+            };
+            let read = |race: &Race| {
+                let mut loads = 0;
+                while !race.reader_done(loads) {
+                    let (lo, hi) = unpack(load(&a));
+                    assert_eq!(hi, !lo, "{name} observed a torn 128-bit value");
+                    loads += 1;
                 }
-            }));
+            };
+            race(&write, &read);
         }
-        for _ in 0..50_000 {
-            let (lo, hi) = unpack(a.load());
-            assert_eq!(lo, hi, "observed a torn 128-bit value");
+    }
+
+    #[test]
+    fn casword_readers_see_only_written_pairs() {
+        // The same property one layer up, through every way a `CasWord` is
+        // written.  Writers keep `value == counter << 8 | salt` on every word:
+        // on `shared` they race `cas_value`, `cas_value_counted` and a
+        // descriptor-parity install (odd counter) that either of them
+        // uninstalls; on a word private to each (so the counter is theirs to
+        // know) they also `store_value`.  A torn pair breaks the equation.
+        const DESC: u64 = 0xDD;
+        let enc = |cnt: u64, salt: u64| (cnt << 8) | (salt & 0xFF);
+        for (name, load) in LOAD_PATHS {
+            let shared = CasWord::new(0);
+            let private = [CasWord::new(0), CasWord::new(0)];
+            let write = |t: usize, round: u64| {
+                let i = round + t as u64;
+                let (val, cnt) = shared.load_parts();
+                let _ = if CasWord::counter_is_descriptor(cnt) {
+                    // Uninstall, as a helper would.
+                    shared
+                        .raw()
+                        .cas(pack(val, cnt), pack(enc(cnt + 1, i), cnt + 1))
+                } else {
+                    match i % 3 {
+                        0 => shared.cas_value(val, enc(cnt + 2, i)),
+                        1 => shared.cas_value_counted(val, cnt, enc(cnt + 2, i)),
+                        _ => shared
+                            .raw()
+                            .cas(pack(val, cnt), pack(enc(cnt + 1, DESC), cnt + 1)),
+                    }
+                };
+                let own = &private[t];
+                let (_, cnt) = own.load_parts();
+                own.store_value(enc(cnt, i));
+                assert!(own.cas_value(enc(cnt, i), enc(cnt + 2, i)));
+            };
+            let read = |race: &Race| {
+                let mut loads = 0;
+                while !race.reader_done(loads) {
+                    let word = match loads % 3 {
+                        0 => &shared,
+                        1 => &private[0],
+                        _ => &private[1],
+                    };
+                    let (val, cnt) = unpack(load(word.raw()));
+                    assert_eq!(val >> 8, cnt, "{name} saw a pair no writer produced");
+                    if CasWord::counter_is_descriptor(cnt) {
+                        assert_eq!(val & 0xFF, DESC, "{name}: odd counter, real value");
+                    }
+                    loads += 1;
+                }
+            };
+            race(&write, &read);
+            for w in [&shared, &private[0], &private[1]] {
+                let (val, cnt) = w.load_parts();
+                assert_eq!(val >> 8, cnt);
+                assert!(cnt > 0, "{name}: a word no writer reached");
+            }
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
+    }
+
+    /// `lock cmpxchg16b` is a write as far as the MMU is concerned and
+    /// faults on a read-only page even when it changes nothing; a vector
+    /// load does not.  (This test kills the test binary with SIGSEGV if
+    /// `load` is the locked instruction.)
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn load_does_not_write() {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn mmap(
+                addr: *mut c_void,
+                len: usize,
+                prot: c_int,
+                flags: c_int,
+                fd: c_int,
+                off: i64,
+            ) -> *mut c_void;
+            fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+            fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        }
+        const PROT_READ: c_int = 1;
+        const PROT_WRITE: c_int = 2;
+        const MAP_PRIVATE: c_int = 2;
+        const MAP_ANONYMOUS: c_int = 0x20;
+        const PAGE: usize = 4096;
+
+        if !std::is_x86_feature_detected!("avx") {
+            println!("load_does_not_write skipped: no AVX, so `load` is `lock cmpxchg16b`");
+            return;
+        }
+        // SAFETY: a fresh private anonymous mapping of one page, written
+        // through while writable, only read once read-only, unmapped once at
+        // the end; a page is 16-byte aligned and outlives both references.
+        unsafe {
+            let page = mmap(
+                ptr::null_mut(),
+                PAGE,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            assert_ne!(page as isize, -1, "mmap failed");
+            let atomic = &*(page as *const AtomicU128);
+            atomic.store(pack(7, 8));
+            assert_eq!(mprotect(page, PAGE, PROT_READ), 0, "mprotect failed");
+            assert_eq!(atomic.load(), pack(7, 8));
+            let word = &*(page as *const CasWord);
+            assert_eq!(word.load_parts(), (7, 8));
+            assert_eq!(word.load_raw(), pack(7, 8));
+            assert_eq!(munmap(page, PAGE), 0, "munmap failed");
         }
     }
 }

@@ -63,7 +63,8 @@ impl CasWord {
     /// counter.  Intended for nodes that are not yet published to other
     /// threads (e.g. setting `new_node.next` before the linearizing CAS); it
     /// is nonetheless implemented with an atomic CAS loop so that misuse can
-    /// not tear the word.
+    /// not tear the word.  Uncontended it is one locked instruction — the
+    /// load that fetches the counter is not one.
     pub fn store_value(&self, value: u64) {
         loop {
             let cur = self.inner.load();
@@ -79,6 +80,8 @@ impl CasWord {
     /// Fails if a descriptor is currently installed or the value does not
     /// match.  On success the counter advances by two so the word stays in
     /// the "real value" parity and read-set validation observes the change.
+    /// One locked instruction (the CAS); a failure decided by the load costs
+    /// none.
     pub fn cas_value(&self, expected: u64, desired: u64) -> bool {
         let cur = self.inner.load();
         let (val, cnt) = unpack(cur);

@@ -25,11 +25,15 @@
 //!    replaces the descriptor in each word with the new (or old) value.
 //!
 //! Helpers can reach the descriptor only through an installed word, so the
-//! publish step always happens-before any cross-thread access (the install
-//! CAS is a `lock cmpxchg16b`, a full barrier).  Everything before step 1 is
-//! invisible to other threads — the price of helping-readiness (shared-memory
-//! traffic on every entry) is paid once per *published* transaction instead
-//! of once per operation.
+//! publish step always happens-before any cross-thread access: the install
+//! CAS is a `lock cmpxchg16b`, which orders the owner's publish stores before
+//! it, and the helper's load that finds the descriptor is an acquire load,
+//! which orders its entry reads after it.  (A `CasWord` load is *only* that
+//! — it is not a fence; the owner's side of every store-then-load order in
+//! this protocol is a locked CAS, see the `atomic128` module docs.)
+//! Everything before step 1 is invisible to other threads — the price of
+//! helping-readiness (shared-memory traffic on every entry) is paid once per
+//! *published* transaction instead of once per operation.
 //!
 //! ## Hot/cold layout
 //!
@@ -510,7 +514,8 @@ impl Desc {
     /// window of `tx_end` (status `InPrep`, entries already published) or
     /// after `setReady` (`InProg`), so the entries it needs are always
     /// visible: the install CAS that exposed the descriptor is a full
-    /// barrier ordered after the publish stores.
+    /// barrier ordered after the publish stores, and the caller found the
+    /// descriptor with an acquire load.
     pub fn try_finalize(&self, obj: &CasWord, observed: u128) {
         let d = self.status.load(Ordering::SeqCst);
         // Ensure the status word we read describes the transaction that is

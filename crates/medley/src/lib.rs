@@ -17,7 +17,9 @@
 //!
 //! ## Architecture
 //!
-//! * [`atomic128`] — a 128-bit atomic word (`lock cmpxchg16b`).
+//! * [`atomic128`] — a 128-bit atomic word: `lock cmpxchg16b` to write, one
+//!   aligned vector load to read (its module docs list every place where a
+//!   store must be ordered before such a load, and by what).
 //! * [`casobj`] — [`CasWord`]/[`CasObj`]: a 64-bit value augmented with a
 //!   64-bit counter; odd counters mark an installed transaction descriptor.
 //! * [`descriptor`] — per-thread reusable descriptors implementing
