@@ -10,7 +10,7 @@
 //!
 //! The paper's "Original" series (the untransformed Fraser skiplist) is
 //! approximated by `TxOff`; see EXPERIMENTS.md for the discussion of the
-//! residual difference (the cost of the 128-bit `CasObj`).
+//! residual difference (the cost of the 128-bit `CasWord`).
 
 use bench::{CommonArgs, MedleyMicro, MedleyTxOff};
 use medley::TxManager;

@@ -148,8 +148,8 @@ pub struct ThroughputConfig {
 pub struct ThroughputResult {
     /// Committed transactions during the measured window.
     pub committed: u64,
-    /// `TxStats` accumulated by the run (fresh manager per run, handles
-    /// dropped before sampling, so the counts are exact).
+    /// Transaction counters accumulated by the run (fresh manager per run,
+    /// handles dropped before sampling, so the counts are exact).
     pub stats: TxStatsSnapshot,
 }
 

@@ -204,7 +204,7 @@ const ST_ERR_MALFORMED: u8 = 0x20;
 pub enum Request {
     /// A data command executed by the store core.
     Cmd(Cmd),
-    /// Aggregated `TxStats` (+ `DomainStats` in durable mode) snapshot.
+    /// Aggregated `TxStatsSnapshot` (+ `DomainStats` in durable mode).
     Stats,
     /// Durability cut: everything completed before the reply is recoverable.
     Sync,

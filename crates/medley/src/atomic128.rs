@@ -1,6 +1,6 @@
 //! A 128-bit atomic word.
 //!
-//! Medley's [`CasObj`](crate::casobj::CasObj) augments every CAS-able 64-bit
+//! Medley's [`CasWord`] augments every CAS-able 64-bit
 //! word with a 64-bit counter, and the pair must be read and compare-and-
 //! swapped as a single unit (paper Sec. 3.2).  The Rust standard library does
 //! not expose `AtomicU128`, so this module provides one:
@@ -24,7 +24,7 @@
 //!
 //! ## Ordering: what a load is, and who may rely on what
 //!
-//! Stores and CASes are `lock`-prefixed, hence full barriers.  The vector
+//! CASes — the only writes — are `lock`-prefixed, hence full barriers.  The vector
 //! load is an ordinary x86-TSO load: *acquire* for the hardware (no later
 //! access is performed before it, it is not reordered with earlier loads) and,
 //! because the asm block keeps the default memory clobber, a compiler barrier
@@ -43,10 +43,10 @@
 //! |---|---|---|
 //! | `ebr::Participant::pin` | `local_epoch = g`, then every `CasWord` load of the operation (the reclaimer unlinks, then reads `local_epoch`) | the store is `SeqCst` (`xchg`), a full barrier; nested pins store nothing and are covered by the outer one |
 //! | `ebr::Participant::unpin` | validation loads, then `local_epoch = IDLE` | load → store, which TSO never reorders; the store is `Release` for the compiler |
-//! | `Desc::begin` | `status = (serial + 1, InPrep)` (`Release`), then the loads of the execution phase | nothing needs it: no thread can reach the new incarnation before its first install CAS (locked, drains the store buffer), and a helper of the old one CASes the status word with the old serial expected, which fails against either value; `tx_begin` pins (above) before its first load anyway |
-//! | `ThreadHandle::tx_begin` (txMontage) | pin, then the epoch-word load that joins the read set | the pin's `SeqCst` store; the advancer's side is a locked CAS on the epoch word |
+//! | `Desc::begin` | `status = (serial + 1, InPrep)` (`Release`), then the loads of the execution phase | nothing needs it: no thread can reach the new incarnation before its first install CAS (locked, drains the store buffer), and a helper of the old one CASes the status word with the old serial expected, which fails against either value; `begin` pins (above) before its first load anyway |
+//! | `ThreadHandle::begin` (txMontage) | pin, then the epoch-word load that joins the read set | the pin's `SeqCst` store; the advancer's side is a locked CAS on the epoch word |
 //! | `commit_general`: install → `set_ready` → validate | descriptor CASed into every written word, status CAS, then `Desc::validate_reads` loads (write skew is excluded because each of two symmetric transactions installs before it validates) | both stores are locked (`cmpxchg16b`, `cmpxchg`); no load passes a locked instruction |
-//! | `tx_end` read-only and single-CAS paths | no store at all before `validate_local_reads`; loads stay in program order | load → load, preserved by TSO; the single CAS is locked |
+//! | `ThreadHandle::commit` read-only and single-CAS paths | no store at all before `validate_local_reads`; loads stay in program order | load → load, preserved by TSO; the single CAS is locked |
 //! | `Desc::try_finalize` | `status` (`SeqCst` load), then `obj` re-load, then status CAS, then `validate_reads` | load → load; every later load follows a locked status CAS |
 //! | `Desc::uninstall`, `abort_own`, `finalize_own` | CASes only | locked |
 //! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` (locked); node payloads are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
@@ -61,10 +61,10 @@
 
 use std::cell::UnsafeCell;
 
-/// A 16-byte-aligned 128-bit word supporting atomic load, store and CAS.
+/// A 16-byte-aligned 128-bit word supporting atomic load and CAS.
 ///
 /// Only the operations Medley needs are provided; they are sequentially
-/// consistent among themselves (stores and CASes are `lock`-prefixed, loads
+/// consistent among themselves (CASes are `lock`-prefixed, loads
 /// are TSO acquire loads — the x86 mapping of default `std::atomic`
 /// operations, which is what the paper uses).  A load is not a fence for
 /// neighbouring weaker atomics; see the module docs.
@@ -145,19 +145,6 @@ impl AtomicU128 {
     #[inline]
     fn load_locked(&self) -> u128 {
         self.compare_exchange_raw(0, 0)
-    }
-
-    /// Atomically stores `val`, unconditionally.  Uncontended, that is one
-    /// locked instruction: the value to replace comes from a plain load.
-    #[inline]
-    pub fn store(&self, val: u128) {
-        let mut cur = self.load();
-        loop {
-            match self.compare_exchange(cur, val) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
     }
 
     /// Atomically compares the current value with `expected` and, if equal,
@@ -245,7 +232,7 @@ mod fallback {
     static LOCKS: [Mutex<()>; STRIPES] = [const { Mutex::new(()) }; STRIPES];
 
     pub(super) fn lock_for(addr: usize) -> &'static Mutex<()> {
-        // Mix the address so that neighbouring CasObjs map to different
+        // Mix the address so that neighbouring CasWords map to different
         // stripes even though they are 16 bytes apart.
         let idx = (addr >> 4).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
         &LOCKS[idx as usize % STRIPES]
@@ -276,7 +263,7 @@ mod tests {
     fn load_store_roundtrip() {
         let a = AtomicU128::new(0);
         assert_eq!(a.load(), 0);
-        a.store(pack(7, 9));
+        assert!(a.cas(0, pack(7, 9)));
         assert_eq!(a.load(), pack(7, 9));
         assert_eq!(unpack(a.load()), (7, 9));
     }
@@ -534,7 +521,7 @@ mod tests {
             );
             assert_ne!(page as isize, -1, "mmap failed");
             let atomic = &*(page as *const AtomicU128);
-            atomic.store(pack(7, 8));
+            assert!(atomic.cas(0, pack(7, 8)), "a fresh page is zeroed");
             assert_eq!(mprotect(page, PAGE, PROT_READ), 0, "mprotect failed");
             assert_eq!(atomic.load(), pack(7, 8));
             let word = &*(page as *const CasWord);

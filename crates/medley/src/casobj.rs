@@ -1,23 +1,21 @@
-//! `CasObj` / `CasWord`: the augmented atomic word of Medley.
+//! `CasWord`: the augmented atomic word of Medley (the paper's `CASObj`).
 //!
 //! Every 64-bit word at which a *critical* memory access may occur (paper
 //! Def. 3) is augmented with a 64-bit counter, and the pair is manipulated
 //! with 128-bit CAS (paper Sec. 3.2, Fig. 4):
 //!
 //! * counter **even** ⇒ the low half holds a real value;
-//! * counter **odd**  ⇒ the low half holds a pointer to the [`Desc`](crate::Desc)
-//!   (descriptor) of the transaction that currently owns the word.
+//! * counter **odd**  ⇒ the low half holds a pointer to the descriptor
+//!   (`descriptor::Desc`) of the transaction that currently owns the word.
 //!
 //! Installing a descriptor increments the counter (even → odd); uninstalling
 //! increments it again (odd → even).  Plain (non-transactional) CASes bump
 //! the counter by two so that read-set validation is ABA-safe.
 //!
-//! [`CasWord`] is the untyped 64-bit payload version used by the runtime;
-//! [`CasObj<T>`] is a thin typed wrapper mirroring the paper's
-//! `CASObj<T>` template for pointer-shaped payloads.
+//! The payload is untyped: structures store pointers (with their low tag
+//! bits) and integers as `u64` and convert at the edge.
 
 use crate::atomic128::{pack, unpack, AtomicU128};
-use std::marker::PhantomData;
 
 /// The augmented atomic word: `(value: u64, counter: u64)` manipulated as one
 /// 128-bit unit.
@@ -134,97 +132,6 @@ impl CasWord {
     }
 }
 
-/// Conversion between a payload type and the 64-bit representation stored in
-/// a [`CasWord`].
-///
-/// Implementations exist for `u64`, `usize`, and raw pointers.  Pointer
-/// payloads may carry low-order tag bits (e.g. deletion marks) because nodes
-/// are at least 8-byte aligned; tagging is the structure's business, the
-/// trait only transports the bits.
-pub trait Word: Copy {
-    /// Converts the payload to its stored representation.
-    fn into_bits(self) -> u64;
-    /// Recovers the payload from its stored representation.
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl Word for u64 {
-    fn into_bits(self) -> u64 {
-        self
-    }
-    fn from_bits(bits: u64) -> Self {
-        bits
-    }
-}
-
-impl Word for usize {
-    fn into_bits(self) -> u64 {
-        self as u64
-    }
-    fn from_bits(bits: u64) -> Self {
-        bits as usize
-    }
-}
-
-impl<T> Word for *mut T {
-    fn into_bits(self) -> u64 {
-        self as u64
-    }
-    fn from_bits(bits: u64) -> Self {
-        bits as *mut T
-    }
-}
-
-impl<T> Word for *const T {
-    fn into_bits(self) -> u64 {
-        self as u64
-    }
-    fn from_bits(bits: u64) -> Self {
-        bits as *const T
-    }
-}
-
-/// Typed wrapper over [`CasWord`], mirroring the paper's `CASObj<T>`.
-#[repr(transparent)]
-#[derive(Debug, Default)]
-pub struct CasObj<T: Word> {
-    word: CasWord,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Word> CasObj<T> {
-    /// Creates a typed word holding `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            word: CasWord::new(value.into_bits()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// The underlying untyped word (what the transactional runtime operates
-    /// on).
-    #[inline]
-    pub fn word(&self) -> &CasWord {
-        &self.word
-    }
-
-    /// Typed plain load; `None` while a descriptor is installed.
-    pub fn try_load(&self) -> Option<T> {
-        self.word.try_load_value().map(T::from_bits)
-    }
-
-    /// Typed initialization store (see [`CasWord::store_value`]).
-    pub fn store(&self, value: T) {
-        self.word.store_value(value.into_bits());
-    }
-
-    /// Typed plain CAS (see [`CasWord::cas_value`]).
-    pub fn cas(&self, expected: T, desired: T) -> bool {
-        self.word
-            .cas_value(expected.into_bits(), desired.into_bits())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,23 +180,5 @@ mod tests {
         // Uninstall.
         assert!(w.raw().cas(pack(0xdead_beef, 1), pack(8, 2)));
         assert_eq!(w.try_load_value(), Some(8));
-    }
-
-    #[test]
-    fn typed_casobj_roundtrips_pointers() {
-        let boxed = Box::into_raw(Box::new(123u64));
-        let obj: CasObj<*mut u64> = CasObj::new(std::ptr::null_mut());
-        assert!(obj.cas(std::ptr::null_mut(), boxed));
-        assert_eq!(obj.try_load(), Some(boxed));
-        // Clean up.
-        unsafe { drop(Box::from_raw(boxed)) };
-    }
-
-    #[test]
-    fn word_trait_roundtrip() {
-        assert_eq!(u64::from_bits(5u64.into_bits()), 5);
-        assert_eq!(usize::from_bits(7usize.into_bits()), 7);
-        let p: *const u32 = &10;
-        assert_eq!(<*const u32>::from_bits(p.into_bits()), p);
     }
 }

@@ -3,10 +3,9 @@
 //!
 //! NBTC's headline promise (paper Sec. 2) is that a transformed operation
 //! runs **uninstrumented** when called outside a transaction and
-//! **speculatively** when called inside one.  The original API expressed that
-//! distinction with an `in_tx` flag consulted on every critical access; this
-//! module expresses it in the type system instead, in the style of kcas's
-//! explicit `xt` transaction contexts:
+//! **speculatively** when called inside one.  This module states that
+//! distinction in the type system, in the style of kcas's explicit `xt`
+//! transaction contexts, and it is the only way to execute anything:
 //!
 //! * [`NonTx`] is the standalone context.  Its `nbtc_load` / `nbtc_cas`
 //!   compile down to the plain loads and CASes of the original nonblocking
@@ -19,15 +18,14 @@
 //!   writes for commit-time validation, gives the transaction read-your-own-
 //!   write visibility, exposes [`Txn::abort`] for `?`-style early return, and
 //!   **aborts the transaction when dropped without commit** — so a panic
-//!   unwinding out of a transaction body can no longer leak an installed
-//!   descriptor or leave the handle stuck mid-transaction.
+//!   unwinding out of a transaction body cannot leak an installed descriptor
+//!   or leave the handle stuck mid-transaction.
 //!
 //! Containers are written once, generically: `fn get<C: Ctx>(&self, cx: &mut
-//! C, ...)`.  Misuse the old API allowed — calling a "transactional" helper
-//! with no transaction open, starting a second transaction on a handle whose
-//! first is still running, smuggling the transaction token out of its retry
-//! closure — is rejected at compile time (see the `compile_fail` examples on
-//! [`Txn`]).
+//! C, ...)`.  Calling a "transactional" helper with no transaction open,
+//! starting a second transaction on a handle whose first is still running,
+//! smuggling the transaction token out of its retry closure — all are
+//! rejected at compile time (see the `compile_fail` examples on [`Txn`]).
 
 use crate::casobj::CasWord;
 use crate::errors::{Abort, AbortReason, TxResult};
@@ -67,8 +65,7 @@ mod sealed {
 ///   run only after a successful commit, and `tnew`ed blocks are freed on
 ///   abort.
 ///
-/// The methods mirror the paper's `Composable` support surface; see
-/// [`ThreadHandle`] for the underlying semantics of each.
+/// The methods are the paper's `Composable` support surface.
 pub trait Ctx: sealed::Sealed + Sized {
     /// Brackets one data-structure operation: pins the SMR epoch for its
     /// duration and (in a transaction) resets the speculation interval,
@@ -184,6 +181,22 @@ pub trait Ctx: sealed::Sealed + Sized {
     /// is semantically a no-op at the abstract level (sentinels, directory
     /// slots, unlinking already-deleted nodes).
     fn untracked_cas(&mut self, obj: &CasWord, expected: u64, desired: u64) -> bool;
+
+    /// Whether this context holds a write to `obj` that other threads cannot
+    /// see yet: a CAS the open transaction buffered, to publish at commit or
+    /// drop on abort.  Always `false` in a [`NonTx`] context and in an
+    /// aborted [`Txn`], where every CAS takes effect at once.
+    ///
+    /// This is how a *helping* CAS — `nbtc_cas(.., false, false)`, such as
+    /// the unlink of a node some other operation has already deleted —
+    /// learns what it did.  Outside its operation's speculation interval it
+    /// is applied on the spot and **survives an abort**, so a node it made
+    /// unreachable must be retired now ([`Ctx::retire_now`]); inside the
+    /// interval, or on a word the transaction already wrote, it joined the
+    /// write buffer, and the retirement has to wait for the commit
+    /// ([`Ctx::tretire`]).  Asked right after a successful CAS on `obj`, this
+    /// tells the two apart.
+    fn write_is_buffered(&self, obj: &CasWord) -> bool;
 }
 
 // ---------------------------------------------------------------------------
@@ -215,26 +228,16 @@ pub struct NonTx<'h> {
 
 impl<'h> NonTx<'h> {
     /// Wraps a thread handle as a standalone execution context
-    /// (equivalent to [`ThreadHandle::nontx`]).
-    /// # Panics
-    /// Panics if a low-level transaction (`tx_begin`) is open on the handle:
-    /// running a standalone operation in the middle of a transaction would
-    /// silently bypass its atomicity, so the misuse the borrow checker
-    /// cannot see (the primitive layer is not guard-based) is rejected at
-    /// runtime in every build.
+    /// (equivalent to [`ThreadHandle::nontx`]; cleanup closures, which
+    /// receive the bare handle, use this to run container operations).
     #[inline]
     pub fn new(h: &'h mut ThreadHandle) -> Self {
-        assert!(
-            !h.in_tx(),
-            "standalone context over a handle with an open low-level transaction"
-        );
         Self { h }
     }
 
-    // Note: deliberately no `handle()` escape hatch — handing the raw
-    // `&mut ThreadHandle` back out would let callers open a low-level
-    // transaction behind the wrapper and bypass the invariant asserted in
-    // `new`.  Drop the context to get the handle back.
+    // Note: deliberately no `handle()` escape hatch — a context is the only
+    // door to the handle's engines, and `Txn` relies on that.  Drop the
+    // context to get the handle back.
 }
 
 impl Ctx for NonTx<'_> {
@@ -323,6 +326,11 @@ impl Ctx for NonTx<'_> {
     #[inline]
     fn untracked_cas(&mut self, obj: &CasWord, expected: u64, desired: u64) -> bool {
         self.h.untracked_cas(obj, expected, desired)
+    }
+
+    #[inline]
+    fn write_is_buffered(&self, _obj: &CasWord) -> bool {
+        false
     }
 }
 
@@ -417,8 +425,16 @@ impl<'h> Txn<'h> {
         self.h.in_tx()
     }
 
-    /// Aborts the transaction now and returns the [`Abort`] token to
-    /// propagate, so the idiomatic early return from a transaction body is
+    /// The context an aborted guard keeps executing in: its calls take
+    /// effect at once, exactly as through [`ThreadHandle::nontx`].
+    #[inline]
+    fn standalone(&mut self) -> NonTx<'_> {
+        NonTx::new(self.h)
+    }
+
+    /// Aborts the transaction now (paper `txAbort`) and returns the [`Abort`]
+    /// token to propagate, so the idiomatic early return from a transaction
+    /// body is
     ///
     /// ```
     /// use medley::{AbortReason, TxError, TxManager};
@@ -453,8 +469,13 @@ impl<'h> Txn<'h> {
     /// `txEnd`).  Only needed with [`ThreadHandle::begin`];
     /// [`ThreadHandle::run`] commits on its own.
     ///
-    /// If the transaction was already closed by [`Txn::abort`], this reports
-    /// the abort ([`TxError::Explicit`](crate::TxError::Explicit) or
+    /// On success the buffered writes of all constituent operations become
+    /// visible atomically and the registered cleanups run; on failure
+    /// ([`TxError::Conflict`](crate::TxError::Conflict),
+    /// [`TxError::CapacityExceeded`](crate::TxError::CapacityExceeded))
+    /// everything is rolled back.  If the transaction was already closed by
+    /// [`Txn::abort`], this reports the abort
+    /// ([`TxError::Explicit`](crate::TxError::Explicit) or
     /// [`TxError::Conflict`](crate::TxError::Conflict)) instead of
     /// committing.
     #[inline]
@@ -466,24 +487,21 @@ impl<'h> Txn<'h> {
                 _ => crate::TxError::Explicit,
             });
         }
-        // `tx_end` closes the transaction on every path (commit or abort),
-        // so the subsequent guard drop is a no-op.
-        self.h.tx_end()
+        // The engine closes the transaction on every path (commit or
+        // abort), so the subsequent guard drop is a no-op.
+        self.h.commit()
     }
 
     /// Validates the read set registered so far (paper `validateReads`):
     /// optional opacity check for bodies that cannot tolerate inconsistent
     /// reads.  Reports `false` once the transaction is doomed or aborted.
     pub fn validate_reads(&self) -> bool {
-        if !self.h.in_tx() {
-            return false;
-        }
-        self.h.validate_reads()
+        self.h.in_tx() && self.h.validate_reads()
     }
 
-    // Note: deliberately no `handle()` escape hatch; closing or reopening
-    // the low-level transaction behind the guard would desynchronize its
-    // bookkeeping.  Commit or drop the guard first, then use the handle.
+    // Note: deliberately no `handle()` escape hatch; the guard's bookkeeping
+    // relies on nothing else closing or reopening the transaction.  Commit
+    // or drop the guard first, then use the handle.
 }
 
 impl Drop for Txn<'_> {
@@ -499,6 +517,11 @@ impl Drop for Txn<'_> {
     }
 }
 
+/// Every method first asks whether the transaction is still open: an aborted
+/// guard keeps executing standalone, so glue-code retry loops keep making
+/// progress (the doomed-transaction discipline of the runtime).  This is the
+/// one place where a run-time test chooses between the transactional and the
+/// standalone engines.
 impl Ctx for Txn<'_> {
     fn with_op<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         // Unwind-safe bracket (see the `NonTx` impl): additionally resets
@@ -522,10 +545,7 @@ impl Ctx for Txn<'_> {
         if self.h.in_tx() {
             self.h.tx_load_counted(obj)
         } else {
-            // Aborted guard: execution continues standalone so glue-code
-            // retry loops keep making progress (matches the doomed-
-            // transaction discipline of the runtime).
-            self.h.untracked_load_counted(obj)
+            self.standalone().nbtc_load_counted(obj)
         }
     }
 
@@ -541,36 +561,57 @@ impl Ctx for Txn<'_> {
         if self.h.in_tx() {
             self.h.tx_cas(obj, expected, desired, lin_pt, pub_pt)
         } else {
-            self.h.untracked_cas(obj, expected, desired)
+            self.standalone()
+                .nbtc_cas(obj, expected, desired, lin_pt, pub_pt)
         }
     }
 
     #[inline]
     fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64) {
-        self.h.add_read_with_counter(obj, val, cnt);
+        if self.h.in_tx() {
+            self.h.add_read_with_counter(obj, val, cnt);
+        }
     }
 
     fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        self.h.add_cleanup(f);
+        if self.h.in_tx() {
+            self.h.add_cleanup(f);
+        } else {
+            self.standalone().add_cleanup(f);
+        }
     }
 
     fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        self.h.add_abort_action(f);
+        if self.h.in_tx() {
+            self.h.add_abort_action(f);
+        }
     }
 
     #[inline]
     fn tnew<T>(&mut self, value: T) -> *mut T {
-        self.h.tnew(value)
+        if self.h.in_tx() {
+            self.h.tnew(value)
+        } else {
+            self.standalone().tnew(value)
+        }
     }
 
     unsafe fn tdelete<T>(&mut self, ptr: *mut T) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.h.tdelete(ptr) };
+        // SAFETY (both arms): forwarded from the caller's contract.
+        if self.h.in_tx() {
+            unsafe { self.h.tdelete(ptr) }
+        } else {
+            unsafe { self.standalone().tdelete(ptr) }
+        }
     }
 
     unsafe fn tretire<T: Send + 'static>(&mut self, ptr: *mut T) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.h.tretire(ptr) };
+        // SAFETY (both arms): forwarded from the caller's contract.
+        if self.h.in_tx() {
+            unsafe { self.h.tretire(ptr) }
+        } else {
+            unsafe { self.standalone().tretire(ptr) }
+        }
     }
 
     unsafe fn retire_now<T: Send + 'static>(&mut self, ptr: *mut T) {
@@ -590,11 +631,7 @@ impl Ctx for Txn<'_> {
 
     #[inline]
     fn snapshot_epoch(&self) -> Option<u64> {
-        if self.h.in_tx() {
-            Some(self.h.snapshot_epoch())
-        } else {
-            None
-        }
+        self.h.in_tx().then(|| self.h.snapshot_epoch())
     }
 
     #[inline]
@@ -611,6 +648,11 @@ impl Ctx for Txn<'_> {
         // (sentinel insertion, directory publication) must survive an abort
         // of the enclosing transaction.
         self.h.untracked_cas(obj, expected, desired)
+    }
+
+    #[inline]
+    fn write_is_buffered(&self, obj: &CasWord) -> bool {
+        self.h.in_tx() && self.h.write_is_buffered(obj)
     }
 }
 
@@ -639,8 +681,9 @@ impl std::fmt::Debug for Txn<'_> {
 /// preserves the runtime's safety argument unchanged.
 ///
 /// All three policies are measurable through the contention-manager counters
-/// in [`TxStats`](crate::TxStats) (`cm_waits`, `cm_priority_skips`,
-/// `cm_escalations`), which is what makes policy A/B runs comparable.
+/// in [`TxStatsSnapshot`](crate::TxStatsSnapshot) (`cm_waits`,
+/// `cm_priority_skips`, `cm_escalations`), which is what makes policy A/B
+/// runs comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentionPolicy {
     /// Capped exponential backoff (the historical default): every lost
@@ -654,8 +697,9 @@ pub enum ContentionPolicy {
     /// for the winner to learn the loser's priority, so priority is spent on
     /// one's own wait rather than on aborting the enemy.)
     Karma,
-    /// Adaptive, fed by the per-thread conflict-abort-rate EWMA
-    /// ([`ThreadHandle::contention_ewma`]): near-zero waits while the thread
+    /// Adaptive, fed by a per-thread EWMA of `run_with` attempt outcomes (0 =
+    /// committing first try, 1 = losing every conflict — a thread hammering
+    /// a hot key pins it high): near-zero waits while the thread
     /// is winning (uncontended keys), the default escalation in the middle,
     /// and an immediate escalation to scheduler yields once the abort rate
     /// says the thread is stuck on a hot key.
@@ -706,12 +750,6 @@ impl RunConfig {
     /// one attempt, no retry.
     pub fn max_retries(mut self, retries: u64) -> Self {
         self.max_retries = Some(retries);
-        self
-    }
-
-    /// Removes the retry bound (the default).
-    pub fn unlimited_retries(mut self) -> Self {
-        self.max_retries = None;
         self
     }
 
@@ -809,7 +847,7 @@ mod tests {
         assert!(!h.in_tx(), "drop must close the transaction");
         assert_eq!(w.try_load_value(), Some(5), "write rolled back");
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().unwind_aborts, 1);
+        assert_eq!(mgr.stats_snapshot().unwind_aborts, 1);
     }
 
     #[test]
@@ -824,7 +862,7 @@ mod tests {
         assert_eq!(res, Err(TxError::Explicit));
         assert_eq!(w.try_load_value(), Some(5));
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.explicit_aborts, 1);
         assert_eq!(snap.unwind_aborts, 0, "aborted guard must not double-count");
     }
@@ -847,7 +885,7 @@ mod tests {
         assert_eq!(res, Ok(1));
         assert_eq!(attempts, 3);
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().conflict_aborts, 2);
+        assert_eq!(mgr.stats_snapshot().conflict_aborts, 2);
     }
 
     #[test]
@@ -899,7 +937,7 @@ mod tests {
         assert!(!h.in_tx());
         assert_eq!(w.try_load_value(), Some(1), "open tx must be rolled back");
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(
             snap.unwind_aborts, 0,
             "stale token must not be classified as an unwind abort"
@@ -939,15 +977,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "standalone context")]
-    fn nontx_during_low_level_transaction_is_rejected() {
-        let mgr = TxManager::new();
-        let mut h = mgr.register();
-        h.tx_begin();
-        let _ = NonTx::new(&mut h); // must panic in every build profile
-    }
-
-    #[test]
     fn aborted_guard_keeps_executing_standalone() {
         // Matches the doomed-transaction discipline: after an abort the body
         // may keep calling operations; they take effect immediately.
@@ -958,6 +987,7 @@ mod tests {
             let _ = t.abort(AbortReason::Conflict);
             assert!(!t.is_open());
             assert!(t.nbtc_cas(&w, 1, 7, true, true));
+            assert!(!t.write_is_buffered(&w));
             Ok(t.nbtc_load(&w))
         });
         // Body returned Ok after aborting: the value is the result and the

@@ -7,13 +7,13 @@
 //!
 //! ## The two-phase (private-then-published) lifecycle
 //!
-//! Since the lazy-publication refactor the descriptor is **cold for the whole
-//! execution phase** of a transaction.  Reads and writes accumulate in plain
-//! thread-local buffers owned by the `ThreadHandle` (`local_reads` /
-//! `local_writes` in `txmanager.rs`); no shared entry is written and no
-//! descriptor is installed in any [`CasWord`] while operations execute.  Only
-//! `tx_end` — and only on the general commit path — moves the transaction
-//! into its **published** phase:
+//! The descriptor is **cold for the whole execution phase** of a
+//! transaction.  Reads and writes accumulate in plain thread-local buffers
+//! owned by the `ThreadHandle` (`local_reads` / `local_writes` in
+//! `txmanager.rs`); no shared entry is written and no descriptor is installed
+//! in any [`CasWord`] while operations execute.  Only `Txn::commit` — and
+//! only on the general commit path — moves the transaction into its
+//! **published** phase:
 //!
 //! 1. *publish*: every buffered read and write is copied into the
 //!    stamp-sealed entries below ([`Desc::push_read`] / [`Desc::push_write`]);
@@ -106,8 +106,8 @@ pub(crate) const INLINE_WRITES: usize = 8;
 pub enum Status {
     /// Initial state; the transaction is still executing operations.
     InPrep = 0,
-    /// `tx_end` has been called; the transaction is ready to commit and may be
-    /// helped to completion by any thread.
+    /// `Txn::commit` has installed the descriptor; the transaction is ready to
+    /// commit and may be helped to completion by any thread.
     InProg = 1,
     /// The transaction committed; speculative values become real.
     Committed = 2,
@@ -295,12 +295,6 @@ impl Desc {
         serial_of(self.status_word())
     }
 
-    /// Current status.
-    #[inline]
-    pub fn status(&self) -> Status {
-        status_of(self.status_word())
-    }
-
     /// This descriptor's address encoded as the 64-bit payload stored in a
     /// [`CasWord`] while the descriptor is installed.
     #[inline]
@@ -418,16 +412,6 @@ impl Desc {
         true
     }
 
-    /// Owner-only: current number of write entries (diagnostics).
-    pub fn write_count(&self) -> usize {
-        self.wcount.load(Ordering::Relaxed)
-    }
-
-    /// Owner-only: current number of read entries (diagnostics).
-    pub fn read_count(&self) -> usize {
-        self.rcount.load(Ordering::Relaxed)
-    }
-
     // ------------------------------------------------------------------
     // Commit/abort machinery (callable by owner and helpers)
     // ------------------------------------------------------------------
@@ -511,7 +495,7 @@ impl Desc {
     /// same owner thread).
     ///
     /// With lazy publication a helper can only get here during the install
-    /// window of `tx_end` (status `InPrep`, entries already published) or
+    /// window of a commit (status `InPrep`, entries already published) or
     /// after `setReady` (`InProg`), so the entries it needs are always
     /// visible: the install CAS that exposed the descriptor is a full
     /// barrier ordered after the publish stores, and the caller found the
@@ -575,7 +559,7 @@ impl Desc {
     }
 
     /// Owner-side abort of the current serial regardless of state (used by
-    /// `tx_abort`).  Returns the final status (a helper may have already
+    /// every abort path of the handle).  Returns the final status (a helper may have already
     /// committed an `InProg` transaction, in which case the commit wins).
     pub fn abort_own(&self, serial: u64) -> Status {
         loop {
@@ -625,9 +609,9 @@ mod tests {
         assert_eq!(d.serial(), 0);
         d.begin();
         assert_eq!(d.serial(), 1);
-        assert_eq!(d.status(), Status::InPrep);
-        assert_eq!(d.read_count(), 0);
-        assert_eq!(d.write_count(), 0);
+        assert_eq!(status_of(d.status_word()), Status::InPrep);
+        assert_eq!(d.rcount.load(Ordering::Relaxed), 0);
+        assert_eq!(d.wcount.load(Ordering::Relaxed), 0);
         d.begin();
         assert_eq!(d.serial(), 2);
     }
@@ -637,11 +621,11 @@ mod tests {
         let d = Desc::new(1);
         d.begin();
         assert!(d.set_ready());
-        assert_eq!(d.status(), Status::InProg);
+        assert_eq!(status_of(d.status_word()), Status::InProg);
         assert!(!d.set_ready(), "setReady requires InPrep");
         let cur = d.status_word();
         assert!(d.status_cas(cur, Status::Committed));
-        assert_eq!(d.status(), Status::Committed);
+        assert_eq!(status_of(d.status_word()), Status::Committed);
     }
 
     #[test]
@@ -661,7 +645,7 @@ mod tests {
         // One more read crosses into the spill region.
         assert!(d.push_read(s, &a, 7, 0));
         assert!(d.reads_spill.get().is_some());
-        assert_eq!(d.read_count(), INLINE_READS + 1);
+        assert_eq!(d.rcount.load(Ordering::Relaxed), INLINE_READS + 1);
         // All entries (inline and spilled) validate against current memory.
         assert!(d.validate_reads(s));
         assert!(a.cas_value(7, 8));

@@ -97,16 +97,6 @@ impl Collector {
         })
     }
 
-    /// Current value of the global epoch (primarily for tests and stats).
-    pub fn global_epoch(&self) -> u64 {
-        self.global_epoch.load(Ordering::Acquire)
-    }
-
-    /// Number of currently registered participants.
-    pub fn participants(&self) -> usize {
-        self.registered.load(Ordering::Relaxed)
-    }
-
     /// Registers the calling thread, returning a [`Participant`] handle.
     ///
     /// # Panics
@@ -242,11 +232,6 @@ impl Participant {
         }
     }
 
-    /// Whether the participant currently holds at least one pin.
-    pub fn is_pinned(&self) -> bool {
-        self.pin_depth > 0
-    }
-
     /// Retires a boxed allocation; it will be dropped once no thread can
     /// still hold a reference obtained before the retirement.
     pub fn retire<T: Send + 'static>(&mut self, boxed: Box<T>) {
@@ -303,16 +288,6 @@ impl Participant {
                 break;
             }
         }
-    }
-
-    /// Number of allocations waiting in this participant's limbo bag.
-    pub fn pending(&self) -> usize {
-        self.bag.len()
-    }
-
-    /// The collector this participant belongs to.
-    pub fn collector(&self) -> &Arc<Collector> {
-        &self.collector
     }
 }
 
@@ -384,7 +359,7 @@ mod tests {
         p.unpin();
         p.flush();
         assert_eq!(DROPS_SINGLE.load(Ordering::SeqCst), 10);
-        assert_eq!(p.pending(), 0);
+        assert!(p.bag.is_empty());
     }
 
     #[test]
@@ -393,18 +368,18 @@ mod tests {
         let mut a = c.register();
         let mut b = c.register();
         b.pin(); // straggler pinned at the current epoch
-        let before = c.global_epoch();
+        let before = c.global_epoch.load(Ordering::Acquire);
         a.pin();
         a.retire(Box::new(42u64));
         a.unpin();
         // Straggler still pinned at `before`; epoch may advance at most once
         // past it, so the item (retired at `before`) cannot yet be freed.
         a.flush();
-        assert!(c.global_epoch() <= before + 1);
-        assert_eq!(a.pending(), 1);
+        assert!(c.global_epoch.load(Ordering::Acquire) <= before + 1);
+        assert_eq!(a.bag.len(), 1);
         b.unpin();
         a.flush();
-        assert_eq!(a.pending(), 0);
+        assert!(a.bag.is_empty());
     }
 
     #[test]
@@ -413,11 +388,11 @@ mod tests {
         let mut p = c.register();
         p.pin();
         p.pin();
-        assert!(p.is_pinned());
+        assert_eq!(p.pin_depth, 2);
         p.unpin();
-        assert!(p.is_pinned());
+        assert_eq!(p.pin_depth, 1);
         p.unpin();
-        assert!(!p.is_pinned());
+        assert_eq!(p.pin_depth, 0);
     }
 
     #[test]
@@ -425,9 +400,9 @@ mod tests {
         let c = Collector::new(1);
         {
             let _p = c.register();
-            assert_eq!(c.participants(), 1);
+            assert_eq!(c.registered.load(Ordering::Relaxed), 1);
         }
-        assert_eq!(c.participants(), 0);
+        assert_eq!(c.registered.load(Ordering::Relaxed), 0);
         let _p2 = c.register(); // would panic if the slot leaked
     }
 

@@ -80,13 +80,13 @@ pub enum AbortReason {
 ///
 /// An `Abort` can only be produced by [`Txn::abort`](crate::Txn::abort) —
 /// there is no public constructor — so a body returning `Err(Abort)` has
-/// aborted a transaction to get one.  This replaces the old
-/// `return Err(h.tx_abort())` idiom, whose correctness depended on the
-/// programmer remembering to call `tx_abort` rather than fabricating a
-/// `TxError`.  (The token is `Copy` and not tied to one transaction; if a
-/// *stale* token from an earlier attempt is returned while the current
-/// transaction is still open, [`ThreadHandle::run`](crate::ThreadHandle::run)
-/// closes the transaction itself under the token's reason.)
+/// aborted a transaction to get one: the idiom is
+/// `return Err(t.abort(reason))`, and an error fabricated without rolling
+/// back is not expressible.  (The token is `Copy` and not tied to one
+/// transaction; if a *stale* token from an earlier attempt is returned while
+/// the current transaction is still open,
+/// [`ThreadHandle::run`](crate::ThreadHandle::run) closes the transaction
+/// itself under the token's reason.)
 #[derive(Debug, Clone, Copy)]
 pub struct Abort {
     reason: AbortReason,

@@ -17,30 +17,34 @@
 //!
 //! ## Architecture
 //!
-//! * [`atomic128`] — a 128-bit atomic word: `lock cmpxchg16b` to write, one
-//!   aligned vector load to read (its module docs list every place where a
-//!   store must be ordered before such a load, and by what).
-//! * [`casobj`] — [`CasWord`]/[`CasObj`]: a 64-bit value augmented with a
-//!   64-bit counter; odd counters mark an installed transaction descriptor.
-//! * [`descriptor`] — per-thread reusable descriptors implementing
+//! Everything runs through an execution context.  The modules are private;
+//! their items are re-exported from the crate root:
+//!
+//! * `ctx` — the **API**: the sealed [`Ctx`] trait with its two execution
+//!   contexts, [`NonTx`] (standalone — the instrumentation monomorphizes
+//!   away) and [`Txn`] (transactional — an RAII guard that aborts on
+//!   drop/unwind), plus the [`RunConfig`] retry policy.  `Ctx` is also the
+//!   paper's `Composable` support surface (`add_read_with_counter`,
+//!   `add_cleanup`, `tnew`, `tdelete`, `tretire`).
+//! * `txmanager` — [`TxManager`] / [`ThreadHandle`]: registration, the doors
+//!   into a context ([`ThreadHandle::nontx`], [`ThreadHandle::begin`],
+//!   [`ThreadHandle::run`]) and, crate-private, the engines behind them:
+//!   thread-local read/write buffers and the three commit paths.
+//! * `casobj` — [`CasWord`]: a 64-bit value augmented with a 64-bit counter;
+//!   odd counters mark an installed transaction descriptor.
+//! * `descriptor` — per-thread reusable descriptors implementing
 //!   M-compare-N-swap: read set, write set, and the `tid|serial|status` word.
 //!   Descriptors follow a two-phase, *private-then-published* lifecycle:
 //!   reads and writes accumulate in plain thread-local buffers during
-//!   execution and are published (and installed) only at `tx_end`, on the
-//!   general commit path — see the module docs for the layout (hot header +
-//!   lazy spill) and memory-ordering argument.
-//! * [`ctx`] — the **user-facing typestate API**: the sealed [`Ctx`] trait
-//!   with its two execution contexts, [`NonTx`] (standalone — the
-//!   instrumentation monomorphizes away) and [`Txn`] (transactional — an
-//!   RAII guard that aborts on drop/unwind), plus the [`RunConfig`] retry
-//!   policy.
-//! * [`txmanager`] — [`TxManager`] / [`ThreadHandle`]: the low-level
-//!   transaction machinery ([`ThreadHandle::run`] / [`ThreadHandle::begin`]
-//!   create `Txn` guards; `tx_begin`/`tx_end`/`nbtc_load`/`nbtc_cas` are the
-//!   primitive layer the contexts are built from) and the `Composable`
-//!   support surface (`add_read_with_counter`, `add_cleanup`, `tnew`,
-//!   `tdelete`, `tretire`).
-//! * [`ebr`] — epoch-based safe memory reclamation.
+//!   execution and are published (and installed) only by [`Txn::commit`], on
+//!   the general commit path — see the module docs for the layout (hot
+//!   header + lazy spill) and memory-ordering argument.
+//! * `atomic128` — a 128-bit atomic word: `lock cmpxchg16b` to write, one
+//!   aligned vector load to read (its module docs list every place where a
+//!   store must be ordered before such a load, and by what).
+//! * `ebr` — epoch-based safe memory reclamation.
+//! * [`util`] — cache-line padding, backoff, a poison-free mutex and a small
+//!   PRNG, shared with the rest of the workspace.
 //!
 //! ## Example
 //!
@@ -80,17 +84,17 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod atomic128;
-pub mod casobj;
-pub mod ctx;
-pub mod descriptor;
-pub mod ebr;
-pub mod errors;
-pub mod txmanager;
+mod atomic128;
+mod casobj;
+mod ctx;
+mod descriptor;
+mod ebr;
+mod errors;
+mod txmanager;
 pub mod util;
 
-pub use casobj::{CasObj, CasWord, Word};
+pub use casobj::CasWord;
 pub use ctx::{ContentionPolicy, Ctx, NonTx, RunConfig, Txn};
-pub use descriptor::{Desc, Status, MAX_ENTRIES};
+pub use descriptor::MAX_ENTRIES;
 pub use errors::{Abort, AbortReason, TxError, TxResult};
-pub use txmanager::{ThreadHandle, TxManager, TxStats, TxStatsSnapshot};
+pub use txmanager::{ThreadHandle, TxManager, TxStatsSnapshot};

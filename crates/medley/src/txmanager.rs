@@ -10,9 +10,13 @@
 //! operation runs.  It combines the roles of the paper's `OpStarter`
 //! (per-operation instrumentation gate + SMR pin), the thread-local
 //! descriptor pointer, and the thread-local `cleanups` / `allocs` lists.
+//! Nothing executes on a bare handle: [`ThreadHandle::nontx`] lends it to a
+//! standalone context and [`ThreadHandle::begin`] / [`ThreadHandle::run`] to
+//! a transactional one (see [`Ctx`](crate::Ctx)).
 //!
-//! The transactional memory accesses `nbtc_load` / `nbtc_cas` /
-//! `add_read_with_counter` live here as methods on the handle: they need
+//! The engines behind those contexts — the standalone `untracked_*` pair and
+//! the transactional `tx_load_counted` / `tx_cas` / `add_read_with_counter` /
+//! `commit` — live here as crate-private methods on the handle: they need
 //! mutable access to per-thread state (speculation-interval flag, read and
 //! write buffers), which maps naturally onto `&mut self`.
 
@@ -31,7 +35,7 @@ use std::sync::Arc;
 const OWN_SPECULATIVE: u64 = u64::MAX;
 
 /// How many commit/abort/help events a [`ThreadHandle`] accumulates locally
-/// before flushing them into the shared [`TxStats`] counters.  Batching keeps
+/// before flushing them into the manager's shared counters.  Batching keeps
 /// the commit fast paths free of shared-cache-line traffic; exact global
 /// counts are available after [`ThreadHandle::flush_stats`] (called
 /// automatically when a handle is dropped).
@@ -45,105 +49,88 @@ const STATS_FLUSH_EVERY: u64 = 64;
 const CM_HOT: u32 = 512;
 const CM_WARM: u32 = 96;
 
-/// Aggregate statistics maintained by a [`TxManager`].
-///
-/// Every counter lives on its own pair of cache lines so that threads
-/// flushing different counters never false-share.  Counters are updated in
-/// batches from per-thread tallies (see [`ThreadHandle::flush_stats`]), so a
-/// snapshot taken while handles are live may lag by up to
-/// `STATS_FLUSH_EVERY` events per handle.
-#[derive(Debug, Default)]
-pub struct TxStats {
-    commits: CachePadded<AtomicU64>,
-    aborts: CachePadded<AtomicU64>,
-    helps: CachePadded<AtomicU64>,
-    fast_commits: CachePadded<AtomicU64>,
-    ro_commits: CachePadded<AtomicU64>,
-    general_commits: CachePadded<AtomicU64>,
-    conflict_aborts: CachePadded<AtomicU64>,
-    explicit_aborts: CachePadded<AtomicU64>,
-    capacity_aborts: CachePadded<AtomicU64>,
-    unwind_aborts: CachePadded<AtomicU64>,
-    cm_waits: CachePadded<AtomicU64>,
-    cm_priority_skips: CachePadded<AtomicU64>,
-    cm_escalations: CachePadded<AtomicU64>,
+/// Declares the runtime's counters, once: each entry is a public field of
+/// [`TxStatsSnapshot`] (with its documentation) and the [`Stat`] slot it
+/// occupies in the manager's shared array and in every handle's tallies.
+macro_rules! tx_counters {
+    ($($(#[$doc:meta])* $field:ident = $stat:ident,)*) => {
+        /// A counter's slot in [`TxManager`]'s shared array and in each
+        /// [`ThreadHandle`]'s unflushed tallies.
+        #[derive(Clone, Copy)]
+        enum Stat {
+            $($stat,)*
+        }
+
+        const STATS: usize = [$(Stat::$stat,)*].len();
+
+        /// A point-in-time copy of a [`TxManager`]'s counters
+        /// ([`TxManager::stats_snapshot`]).
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct TxStatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl TxStatsSnapshot {
+            fn read(counters: &[CachePadded<AtomicU64>; STATS]) -> Self {
+                Self {
+                    $($field: counters[Stat::$stat as usize].load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of a [`TxStats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TxStatsSnapshot {
+tx_counters! {
     /// Transactions that committed (via any path).
-    pub commits: u64,
+    commits = Commits,
     /// Transactions that aborted (for any reason).
-    pub aborts: u64,
+    aborts = Aborts,
     /// Times a thread finalized (helped or aborted) another thread's
     /// descriptor.
-    pub helps: u64,
+    helps = Helps,
     /// Commits that took the single-CAS direct path: exactly one write-set
     /// entry, committed with one plain 128-bit CAS and no descriptor
     /// installation (subset of `commits`).
-    pub fast_commits: u64,
+    fast_commits = FastCommits,
     /// Commits of read-only transactions: validated their read set and
     /// committed with zero shared-memory writes (subset of `commits`).
-    pub ro_commits: u64,
+    ro_commits = RoCommits,
     /// Commits that took the general M-compare-N-swap path: published their
     /// sets into the descriptor, installed it on every written word, and ran
     /// the helpable status protocol (subset of `commits`; `commits` =
     /// `fast_commits + ro_commits + general_commits`).
-    pub general_commits: u64,
+    general_commits = GeneralCommits,
     /// Aborts caused by losing a conflict — another transaction's write
     /// invalidated a read, a buffered write lost its word, or a helper
     /// aborted the descriptor (subset of `aborts`).
-    pub conflict_aborts: u64,
+    conflict_aborts = ConflictAborts,
     /// Aborts requested by the program through
-    /// [`Txn::abort`](crate::Txn::abort) with
-    /// [`AbortReason::Explicit`], or the
-    /// low-level [`ThreadHandle::tx_abort`] (subset of `aborts`).
-    pub explicit_aborts: u64,
+    /// [`Txn::abort`](crate::Txn::abort) with [`AbortReason::Explicit`]
+    /// (subset of `aborts`).
+    explicit_aborts = ExplicitAborts,
     /// Aborts because the transaction overflowed the descriptor's read/write
     /// set capacity (subset of `aborts`).
-    pub capacity_aborts: u64,
+    capacity_aborts = CapacityAborts,
     /// Aborts performed by a [`Txn`] drop guard unwinding out of
     /// a panicking transaction body, or by a [`ThreadHandle`] dropped
     /// mid-transaction (subset of `aborts`).
-    pub unwind_aborts: u64,
+    unwind_aborts = UnwindAborts,
     /// Contention-manager wait decisions: one per conflict retry paced by
     /// [`ThreadHandle::run_with`], whatever the configured
     /// [`ContentionPolicy`].
-    pub cm_waits: u64,
+    cm_waits = CmWaits,
     /// Waits the karma policy collapsed to a bare spin hint because the
     /// transaction's invested attempts earned it priority (subset of
     /// `cm_waits`; always 0 under other policies).
-    pub cm_priority_skips: u64,
+    cm_priority_skips = CmPrioritySkips,
     /// Waits the adaptive policy escalated straight to a scheduler yield
     /// because the thread's conflict-abort-rate EWMA crossed the hot
     /// threshold (subset of `cm_waits`; always 0 under other policies).
-    pub cm_escalations: u64,
-}
-
-impl TxStats {
-    /// Snapshot of all counters.
-    pub fn snapshot(&self) -> TxStatsSnapshot {
-        TxStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            helps: self.helps.load(Ordering::Relaxed),
-            fast_commits: self.fast_commits.load(Ordering::Relaxed),
-            ro_commits: self.ro_commits.load(Ordering::Relaxed),
-            general_commits: self.general_commits.load(Ordering::Relaxed),
-            conflict_aborts: self.conflict_aborts.load(Ordering::Relaxed),
-            explicit_aborts: self.explicit_aborts.load(Ordering::Relaxed),
-            capacity_aborts: self.capacity_aborts.load(Ordering::Relaxed),
-            unwind_aborts: self.unwind_aborts.load(Ordering::Relaxed),
-            cm_waits: self.cm_waits.load(Ordering::Relaxed),
-            cm_priority_skips: self.cm_priority_skips.load(Ordering::Relaxed),
-            cm_escalations: self.cm_escalations.load(Ordering::Relaxed),
-        }
-    }
+    cm_escalations = CmEscalations,
 }
 
 /// Internal classification of why an abort happened (surfaces in
-/// [`TxStats`] as the per-reason abort counters).
+/// [`TxStatsSnapshot`] as the per-reason abort counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AbortKind {
     /// Lost a conflict (validation failure, stolen word, helper abort).
@@ -163,7 +150,9 @@ pub struct TxManager {
     collector: Arc<ebr::Collector>,
     epoch_word: CachePadded<CasWord>,
     epoch_validation: AtomicBool,
-    stats: TxStats,
+    /// One counter per [`Stat`], each on its own pair of cache lines so that
+    /// threads flushing different counters never false-share.
+    stats: [CachePadded<AtomicU64>; STATS],
 }
 
 impl std::fmt::Debug for TxManager {
@@ -208,7 +197,7 @@ impl TxManager {
             collector: ebr::Collector::new(max_threads),
             epoch_word: CachePadded::new(CasWord::new(0)),
             epoch_validation: AtomicBool::new(false),
-            stats: TxStats::default(),
+            stats: Default::default(),
         })
     }
 
@@ -241,21 +230,7 @@ impl TxManager {
                     cleanups: Vec::new(),
                     abort_actions: Vec::new(),
                     allocs: Vec::new(),
-                    local_commits: 0,
-                    local_aborts: 0,
-                    stat_commits: 0,
-                    stat_aborts: 0,
-                    stat_helps: 0,
-                    stat_fast_commits: 0,
-                    stat_ro_commits: 0,
-                    stat_general_commits: 0,
-                    stat_conflict_aborts: 0,
-                    stat_explicit_aborts: 0,
-                    stat_capacity_aborts: 0,
-                    stat_unwind_aborts: 0,
-                    stat_cm_waits: 0,
-                    stat_cm_priority_skips: 0,
-                    stat_cm_escalations: 0,
+                    tallies: [0; STATS],
                     abort_rate: 0,
                     stat_unflushed: 0,
                     last_run_attempts: 0,
@@ -263,11 +238,6 @@ impl TxManager {
             }
         }
         panic!("TxManager: thread slots exhausted");
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> &TxStats {
-        &self.stats
     }
 
     /// A point-in-time copy of the aggregate statistics — the one place that
@@ -280,7 +250,7 @@ impl TxManager {
     /// counters partition `commits`: `commits == fast_commits + ro_commits +
     /// general_commits` holds on every exact snapshot.
     pub fn stats_snapshot(&self) -> TxStatsSnapshot {
-        self.stats.snapshot()
+        TxStatsSnapshot::read(&self.stats)
     }
 
     /// Number of thread slots this manager was created with.
@@ -293,21 +263,6 @@ impl TxManager {
     /// is what makes a slot's arena single-writer.
     pub fn max_threads(&self) -> usize {
         self.descs.len()
-    }
-
-    /// The epoch-based reclamation domain shared by structures built on this
-    /// manager.
-    pub fn collector(&self) -> &Arc<ebr::Collector> {
-        &self.collector
-    }
-
-    /// The persistence-epoch word (txMontage hook).  `pmem`'s epoch system
-    /// advances it; when [`TxManager::set_epoch_validation`] is enabled every
-    /// transaction reads it at `tx_begin` and validates it at commit, which
-    /// guarantees that all operations of a transaction linearize in the same
-    /// persistence epoch (paper Sec. 4.4).
-    pub fn epoch_word(&self) -> &CasWord {
-        &self.epoch_word
     }
 
     /// Current value of the persistence epoch.
@@ -326,7 +281,11 @@ impl TxManager {
     }
 
     /// Enables or disables folding the persistence-epoch check into every
-    /// transaction's read set.
+    /// transaction's read set (txMontage hook).  `pmem`'s epoch system
+    /// advances the epoch word; while this is enabled every transaction reads
+    /// it when it begins and validates it at commit, which guarantees that
+    /// all operations of a transaction linearize in the same persistence
+    /// epoch (paper Sec. 4.4).
     pub fn set_epoch_validation(&self, enabled: bool) {
         self.epoch_validation.store(enabled, Ordering::SeqCst);
     }
@@ -354,12 +313,12 @@ type Cleanup = Box<dyn FnOnce(&mut ThreadHandle)>;
 /// earlier single-buffer design.  Nothing is published while the transaction
 /// executes: loads of a buffered word return `new_val` (read-your-own-write),
 /// rewrites update `new_val` in place, and other threads see the untouched
-/// pre-image.  At `tx_end` the buffer decides the commit path:
+/// pre-image.  At commit the buffer decides the path:
 ///
 /// * empty → descriptor-free read-only commit;
 /// * one entry whose pre-image subsumes the read set → single plain 128-bit
 ///   CAS from `(old_val, cnt)` to `(new_val, cnt + 2)`, exactly the
-///   transition a non-transactional `nbtc_cas` would make;
+///   transition a standalone `nbtc_cas` would make;
 /// * otherwise → the entries are published into the descriptor, the
 ///   descriptor is installed over each recorded pre-image, and the
 ///   M-compare-N-swap status protocol runs (general path).
@@ -390,7 +349,7 @@ pub struct ThreadHandle {
     capacity_exceeded: bool,
     /// The transaction's write set, buffered in plain thread-local memory.
     /// Addresses are unique (a second CAS on a buffered word rewrites its
-    /// entry in place), and nothing is published until `tx_end`.  See
+    /// entry in place), and nothing is published until commit.  See
     /// [`LocalWrite`].
     local_writes: Vec<LocalWrite>,
     /// 64-bit Bloom filter over the addresses in `local_writes`: a load
@@ -417,22 +376,8 @@ pub struct ThreadHandle {
     cleanups: Vec<Cleanup>,
     abort_actions: Vec<Cleanup>,
     allocs: Vec<(*mut u8, DropFn)>,
-    local_commits: u64,
-    local_aborts: u64,
-    // Per-thread tallies flushed into `TxManager::stats` in batches.
-    stat_commits: u64,
-    stat_aborts: u64,
-    stat_helps: u64,
-    stat_fast_commits: u64,
-    stat_ro_commits: u64,
-    stat_general_commits: u64,
-    stat_conflict_aborts: u64,
-    stat_explicit_aborts: u64,
-    stat_capacity_aborts: u64,
-    stat_unwind_aborts: u64,
-    stat_cm_waits: u64,
-    stat_cm_priority_skips: u64,
-    stat_cm_escalations: u64,
+    /// Counter events not yet flushed into `TxManager::stats`, by [`Stat`].
+    tallies: [u64; STATS],
     /// Fixed-point (/1024) EWMA of this thread's recent `run_with` attempt
     /// outcomes: 0 = committing first try, 1024 = losing every conflict.
     /// Feeds [`ContentionPolicy::Adaptive`].
@@ -442,17 +387,6 @@ pub struct ThreadHandle {
     /// first try).  Consumed by [`ThreadHandle::take_last_attempts`] so
     /// service layers can attribute retries to the request that paid them.
     last_run_attempts: u64,
-}
-
-/// Which commit path a transaction took (statistics bookkeeping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommitKind {
-    /// General M-compare-N-swap descriptor commit.
-    General,
-    /// Single-CAS direct commit (descriptor never installed).
-    SingleCas,
-    /// Read-only commit (zero shared-memory writes).
-    ReadOnly,
 }
 
 impl std::fmt::Debug for ThreadHandle {
@@ -473,11 +407,6 @@ impl ThreadHandle {
         unsafe { &*self.desc_ptr }
     }
 
-    /// The manager this handle belongs to.
-    pub fn manager(&self) -> &Arc<TxManager> {
-        &self.mgr
-    }
-
     /// The thread-slot id of this handle.
     #[inline]
     pub fn tid(&self) -> usize {
@@ -490,54 +419,30 @@ impl ThreadHandle {
         self.in_tx
     }
 
-    /// The persistence epoch observed at `tx_begin` (meaningful only when
-    /// epoch validation is enabled and a transaction is open).
+    /// The persistence epoch the open transaction observed when it began
+    /// (meaningful only when epoch validation is enabled).
     #[inline]
-    pub fn snapshot_epoch(&self) -> u64 {
+    pub(crate) fn snapshot_epoch(&self) -> u64 {
         self.snapshot_epoch
     }
 
-    /// `(commits, aborts)` performed through this handle.
-    pub fn local_stats(&self) -> (u64, u64) {
-        (self.local_commits, self.local_aborts)
-    }
-
-    // ------------------------------------------------------------------
-    // Operation bracket (paper `OpStarter`)
-    // ------------------------------------------------------------------
-
-    /// Runs one data-structure operation: pins the SMR epoch for its duration
-    /// and resets the speculation interval, exactly as the paper's
-    /// `OpStarter` constructor does at the top of every operation.
     #[inline]
-    pub fn with_op<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        // Same unwind-safe bracket as the `Ctx::with_op` impls: the guard
-        // owns the handle borrow and the body runs on a reborrow through
-        // it, so a panicking body cannot leak the EBR pin (a leaked pin
-        // stalls epoch reclamation process-wide).
-        struct Guard<'a>(&'a mut ThreadHandle);
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.0.spec_interval = false;
-                self.0.participant.unpin();
-            }
-        }
-        self.participant.pin();
-        self.spec_interval = false;
-        let guard = Guard(self);
-        f(&mut *guard.0)
+    fn count(&mut self, stat: Stat) {
+        self.tallies[stat as usize] += 1;
     }
 
-    /// Pins the SMR epoch for the duration of one operation (the
-    /// pin half of [`ThreadHandle::with_op`]; used by the execution
-    /// contexts, whose `with_op` cannot borrow the handle and itself at
-    /// once).
+    // ------------------------------------------------------------------
+    // Operation bracket (paper `OpStarter`), the halves `Ctx::with_op` is
+    // made of
+    // ------------------------------------------------------------------
+
+    /// Pins the SMR epoch for the duration of one operation.
     #[inline]
     pub(crate) fn pin_op(&mut self) {
         self.participant.pin();
     }
 
-    /// Unpins the SMR epoch (the unpin half of [`ThreadHandle::with_op`]).
+    /// Unpins the SMR epoch at the end of an operation.
     #[inline]
     pub(crate) fn unpin_op(&mut self) {
         self.participant.unpin();
@@ -557,14 +462,25 @@ impl ThreadHandle {
     }
 
     // ------------------------------------------------------------------
-    // Transaction control (paper `txBegin` / `txEnd` / `txAbort`)
+    // Transaction control (paper `txBegin` / `txEnd`)
     // ------------------------------------------------------------------
 
-    /// Starts a transaction.
+    /// Opens a transaction and returns its [`Txn`] guard (paper `txBegin`).
+    ///
+    /// While the guard is alive the handle is mutably borrowed, so a second
+    /// `begin` (or any standalone [`NonTx`](crate::NonTx) access) on the same
+    /// handle is a *compile-time* error.  If the guard is dropped without
+    /// [`Txn::commit`] — including by a panic unwinding through the
+    /// transaction body — the transaction is aborted and the handle stays
+    /// reusable.
+    ///
+    /// Most code should use [`ThreadHandle::run`], which adds the retry loop;
+    /// `begin` is for callers that need manual commit control.
     ///
     /// # Panics
-    /// Panics if a transaction is already open on this handle.
-    pub fn tx_begin(&mut self) {
+    /// Panics if a transaction is already open on this handle (its guard was
+    /// leaked with `mem::forget`).
+    pub fn begin(&mut self) -> Txn<'_> {
         assert!(!self.in_tx, "nested transactions are not supported");
         self.desc().begin();
         self.serial = self.desc().serial();
@@ -586,9 +502,11 @@ impl ThreadHandle {
             let addr = &*self.mgr.epoch_word as *const CasWord as usize;
             self.local_reads.push((addr, epoch, cnt));
         }
+        Txn::new(self)
     }
 
-    /// Attempts to commit the open transaction.
+    /// Attempts to commit the open transaction (the engine of
+    /// [`Txn::commit`]).
     ///
     /// On success the speculative writes of all constituent operations become
     /// visible atomically and the registered cleanup closures run.  On
@@ -596,8 +514,8 @@ impl ThreadHandle {
     ///
     /// Three commit paths exist, tried cheapest-first.  The whole execution
     /// phase ran against private thread-local buffers (`local_reads` /
-    /// `local_writes`); nothing has been published yet, so `tx_end` owns the
-    /// entire publication decision:
+    /// `local_writes`); nothing has been published yet, so this function owns
+    /// the entire publication decision:
     ///
     /// 1. **Read-only** — the write buffer is empty: the recorded
     ///    `(addr, value, counter)` reads are re-validated and the transaction
@@ -616,8 +534,8 @@ impl ThreadHandle {
     ///    over each write's recorded pre-image, and the M-compare-N-swap
     ///    status protocol runs (`setReady` → validate → commit/abort →
     ///    uninstall), helpable by any thread from the first install onward.
-    pub fn tx_end(&mut self) -> TxResult<()> {
-        assert!(self.in_tx, "tx_end without tx_begin");
+    pub(crate) fn commit(&mut self) -> TxResult<()> {
+        debug_assert!(self.in_tx, "commit without an open transaction");
         if self.capacity_exceeded {
             self.abort_with(AbortKind::Capacity);
             return Err(TxError::CapacityExceeded);
@@ -625,7 +543,7 @@ impl ThreadHandle {
         // Fast path 1: descriptor-free read-only commit.
         if self.local_writes.is_empty() {
             if self.validate_local_reads() {
-                self.commit_tail(CommitKind::ReadOnly);
+                self.commit_tail(Stat::RoCommits);
                 return Ok(());
             }
             self.abort_with(AbortKind::Conflict);
@@ -645,7 +563,7 @@ impl ThreadHandle {
         // written word's own pre-image (in which case the ABA-safe
         // `(value, counter)` check of the commit CAS *is* the
         // validation, atomically at the linearization point).  Note the
-        // txMontage epoch read registered at `tx_begin` counts as a
+        // txMontage epoch read registered by `begin` counts as a
         // foreign read, so epoch-validated transactions always publish a
         // descriptor.
         if self.local_writes.len() == 1 {
@@ -656,26 +574,16 @@ impl ThreadHandle {
             if reads_subsumed {
                 // SAFETY: the word was passed to `nbtc_cas` during this
                 // transaction and is protected by the EBR pin held since
-                // `tx_begin`.
+                // `begin`.
                 let obj = unsafe { &*pw.addr };
                 loop {
-                    let raw = obj.load_raw();
-                    let (val, cnt) = unpack(raw);
-                    if CasWord::counter_is_descriptor(cnt) {
-                        // Another transaction owns the word; finalize it
-                        // and re-examine (same non-blocking helping
-                        // discipline as `nbtc_cas`).
-                        // SAFETY: see `nbtc_load`.
-                        unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
-                        self.stat_helps += 1;
-                        continue;
-                    }
+                    let (_, val, cnt) = self.load_settled(obj);
                     if val != pw.old_val || cnt != pw.cnt {
                         self.abort_with(AbortKind::Conflict);
                         return Err(TxError::Conflict);
                     }
                     if obj.cas_value_counted(pw.old_val, pw.cnt, pw.new_val) {
-                        self.commit_tail(CommitKind::SingleCas);
+                        self.commit_tail(Stat::FastCommits);
                         return Ok(());
                     }
                     // The word changed between load and CAS; re-examine.
@@ -707,20 +615,11 @@ impl ThreadHandle {
         for i in 0..self.local_writes.len() {
             let w = self.local_writes[i];
             // SAFETY: the word is protected by the EBR pin held since
-            // `tx_begin`.
+            // `begin`.
             let obj = unsafe { &*w.addr };
             let installed = pack(me, w.cnt.wrapping_add(1));
             loop {
-                let raw = obj.load_raw();
-                let (val, cnt) = unpack(raw);
-                if CasWord::counter_is_descriptor(cnt) {
-                    debug_assert_ne!(val, me, "own descriptor on a not-yet-installed word");
-                    // SAFETY: see `nbtc_load`.
-                    unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
-                    self.stat_helps += 1;
-                    self.note_stat_event();
-                    continue;
-                }
+                let (raw, val, cnt) = self.load_settled(obj);
                 if val != w.old_val || cnt != w.cnt {
                     self.abort_with(AbortKind::Conflict);
                     return Err(TxError::Conflict);
@@ -742,7 +641,7 @@ impl ThreadHandle {
         match outcome {
             Status::Committed => {
                 desc.uninstall(self.serial, Status::Committed);
-                self.commit_tail(CommitKind::General);
+                self.commit_tail(Stat::GeneralCommits);
                 Ok(())
             }
             _ => {
@@ -773,8 +672,9 @@ impl ThreadHandle {
     }
 
     /// Common post-commit bookkeeping: releases transactional state, runs the
-    /// registered cleanup closures, unpins, and tallies statistics.
-    fn commit_tail(&mut self, kind: CommitKind) {
+    /// registered cleanup closures, unpins, and tallies the commit under the
+    /// counter of the `path` it took.
+    fn commit_tail(&mut self, path: Stat) {
         self.in_tx = false;
         self.spec_interval = false;
         self.local_writes.clear();
@@ -786,42 +686,22 @@ impl ThreadHandle {
             c(self);
         }
         self.participant.unpin();
-        self.local_commits += 1;
-        self.stat_commits += 1;
-        match kind {
-            CommitKind::SingleCas => self.stat_fast_commits += 1,
-            CommitKind::ReadOnly => self.stat_ro_commits += 1,
-            CommitKind::General => self.stat_general_commits += 1,
-        }
+        self.count(Stat::Commits);
+        self.count(path);
         self.note_stat_event();
     }
 
-    /// Flushes the per-thread statistic tallies into the shared
-    /// [`TxStats`] counters.  Called automatically every
-    /// `STATS_FLUSH_EVERY` events and when the handle is dropped; call it
-    /// explicitly before reading [`TxManager::stats`] if exact counts are
-    /// needed while this handle is still live.
+    /// Flushes the per-thread statistic tallies into the manager's shared
+    /// counters.  Called automatically every `STATS_FLUSH_EVERY` events and
+    /// when the handle is dropped; call it explicitly before
+    /// [`TxManager::stats_snapshot`] if exact counts are needed while this
+    /// handle is still live.
     pub fn flush_stats(&mut self) {
-        fn drain(local: &mut u64, shared: &AtomicU64) {
+        for (local, shared) in self.tallies.iter_mut().zip(&self.mgr.stats) {
             if *local > 0 {
-                shared.fetch_add(*local, Ordering::Relaxed);
-                *local = 0;
+                shared.fetch_add(std::mem::take(local), Ordering::Relaxed);
             }
         }
-        let stats = &self.mgr.stats;
-        drain(&mut self.stat_commits, &stats.commits);
-        drain(&mut self.stat_aborts, &stats.aborts);
-        drain(&mut self.stat_helps, &stats.helps);
-        drain(&mut self.stat_fast_commits, &stats.fast_commits);
-        drain(&mut self.stat_ro_commits, &stats.ro_commits);
-        drain(&mut self.stat_general_commits, &stats.general_commits);
-        drain(&mut self.stat_conflict_aborts, &stats.conflict_aborts);
-        drain(&mut self.stat_explicit_aborts, &stats.explicit_aborts);
-        drain(&mut self.stat_capacity_aborts, &stats.capacity_aborts);
-        drain(&mut self.stat_unwind_aborts, &stats.unwind_aborts);
-        drain(&mut self.stat_cm_waits, &stats.cm_waits);
-        drain(&mut self.stat_cm_priority_skips, &stats.cm_priority_skips);
-        drain(&mut self.stat_cm_escalations, &stats.cm_escalations);
         self.stat_unflushed = 0;
     }
 
@@ -833,46 +713,12 @@ impl ThreadHandle {
         }
     }
 
-    /// Explicitly aborts the open transaction, rolling back all speculative
-    /// state.  Returns the error value to propagate (`TxError::Explicit`),
-    /// so the idiomatic call site is `return Err(handle.tx_abort());`.
-    pub fn tx_abort(&mut self) -> TxError {
-        assert!(self.in_tx, "tx_abort without tx_begin");
-        self.abort_with(AbortKind::Explicit);
-        TxError::Explicit
-    }
-
-    /// Validates the read set of the open transaction (paper
-    /// `validateReads`): optional opacity check for transactions whose glue
-    /// code cannot tolerate inconsistent reads.  Also reports `false` once
-    /// the transaction is doomed (its read or write set overflowed): the
-    /// commit cannot succeed.
-    pub fn validate_reads(&self) -> bool {
-        if !self.in_tx {
-            return true;
-        }
-        if self.capacity_exceeded {
-            return false;
-        }
-        self.validate_local_reads()
-    }
-
-    /// Opens a transaction and returns its [`Txn`] guard (typestate
-    /// `txBegin`).
-    ///
-    /// While the guard is alive the handle is mutably borrowed, so a second
-    /// `begin` (or any standalone [`NonTx`](crate::NonTx) access) on the same
-    /// handle is a *compile-time* error.  If the guard is dropped without
-    /// [`Txn::commit`] — including by a panic unwinding through the
-    /// transaction body — the transaction is aborted and the handle stays
-    /// reusable.
-    ///
-    /// Most code should use [`ThreadHandle::run`], which adds the retry loop;
-    /// `begin` is for callers that need manual commit control.
-    #[inline]
-    pub fn begin(&mut self) -> Txn<'_> {
-        self.tx_begin();
-        Txn::new(self)
+    /// Validates the read set of the open transaction (the engine of
+    /// [`Txn::validate_reads`]).  Also reports `false` once the transaction
+    /// is doomed (its read or write set overflowed): the commit cannot
+    /// succeed.
+    pub(crate) fn validate_reads(&self) -> bool {
+        !self.capacity_exceeded && self.validate_local_reads()
     }
 
     /// Runs `body` as a transaction under the default [`RunConfig`]:
@@ -981,16 +827,6 @@ impl ThreadHandle {
         self.abort_rate = (self.abort_rate * 15 + target) / 16;
     }
 
-    /// The per-thread conflict-abort-rate EWMA feeding
-    /// [`ContentionPolicy::Adaptive`]: 0.0 means every recent transaction
-    /// committed on its first attempt, 1.0 means every recent attempt lost a
-    /// conflict.  Hot keys surface here without the runtime knowing key
-    /// identity — a thread hammering a contended word is exactly a thread
-    /// whose abort rate pins high.
-    pub fn contention_ewma(&self) -> f64 {
-        self.abort_rate as f64 / 1024.0
-    }
-
     /// Returns the attempt count of the most recent [`run`](Self::run) /
     /// [`run_with`](Self::run_with) call and resets it to zero — a committed
     /// first try reads 1, N−1 conflict retries read N.  Point operations
@@ -1006,7 +842,7 @@ impl ThreadHandle {
     /// One contention-manager wait between conflict retries.  `attempts`
     /// counts attempts already spent on this transaction (work invested).
     fn cm_wait(&mut self, policy: ContentionPolicy, backoff: &mut Backoff, attempts: u64) {
-        self.stat_cm_waits += 1;
+        self.count(Stat::CmWaits);
         match policy {
             ContentionPolicy::Backoff => backoff.backoff(),
             ContentionPolicy::Karma => {
@@ -1015,7 +851,7 @@ impl ThreadHandle {
                 // transaction has fought the shorter it waits.
                 let seniority = 63 - (attempts | 1).leading_zeros();
                 if backoff.backoff_discounted(seniority) {
-                    self.stat_cm_priority_skips += 1;
+                    self.count(Stat::CmPrioritySkips);
                 }
             }
             ContentionPolicy::Adaptive => {
@@ -1023,7 +859,7 @@ impl ThreadHandle {
                 if rate >= CM_HOT {
                     // Hot-key regime: spinning only reheats the word; hand
                     // the core to whoever is winning.
-                    self.stat_cm_escalations += 1;
+                    self.count(Stat::CmEscalations);
                     std::thread::yield_now();
                 } else if rate >= CM_WARM {
                     backoff.backoff();
@@ -1040,12 +876,12 @@ impl ThreadHandle {
     /// statistics.
     #[inline]
     pub(crate) fn abort_with(&mut self, kind: AbortKind) {
-        match kind {
-            AbortKind::Conflict => self.stat_conflict_aborts += 1,
-            AbortKind::Explicit => self.stat_explicit_aborts += 1,
-            AbortKind::Capacity => self.stat_capacity_aborts += 1,
-            AbortKind::Unwind => self.stat_unwind_aborts += 1,
-        }
+        self.count(match kind {
+            AbortKind::Conflict => Stat::ConflictAborts,
+            AbortKind::Explicit => Stat::ExplicitAborts,
+            AbortKind::Capacity => Stat::CapacityAborts,
+            AbortKind::Unwind => Stat::UnwindAborts,
+        });
         // Buffered writes that were never published: dropping them is the
         // rollback (any that *were* installed are rolled back by the
         // uninstall below), and the capacity-overflow overlay never touched
@@ -1075,21 +911,22 @@ impl ThreadHandle {
             a(self);
         }
         self.participant.unpin();
-        self.local_aborts += 1;
-        self.stat_aborts += 1;
+        self.count(Stat::Aborts);
         self.note_stat_event();
     }
 
     // ------------------------------------------------------------------
-    // Composable support (paper `Composable` base class)
+    // Composable support (paper `Composable` base class): the engines
+    // behind `Txn`.  Each assumes an open transaction — `Txn` sends the
+    // calls of an aborted guard to the standalone context instead.
     // ------------------------------------------------------------------
 
     /// Registers a read for commit-time validation: `val` and `cnt` must be
-    /// the pair returned by a preceding [`ThreadHandle::nbtc_load_counted`]
+    /// the pair returned by a preceding [`ThreadHandle::tx_load_counted`]
     /// of `obj` — the linearizing load of a read-only operation.
     #[inline]
-    pub fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64) {
-        if !self.in_tx || cnt == OWN_SPECULATIVE {
+    pub(crate) fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64) {
+        if cnt == OWN_SPECULATIVE {
             // Reading one's own speculative write needs no validation.
             return;
         }
@@ -1111,7 +948,7 @@ impl ThreadHandle {
     fn validate_local_reads(&self) -> bool {
         for &(addr, val, cnt) in &self.local_reads {
             // SAFETY: the word is protected by the EBR pin held since
-            // tx_begin (same argument as `Desc::validate_reads`).
+            // `begin` (same argument as `Desc::validate_reads`).
             let obj = unsafe { &*(addr as *const CasWord) };
             if obj.load_parts() != (val, cnt) {
                 return false;
@@ -1121,36 +958,29 @@ impl ThreadHandle {
     }
 
     /// Registers post-critical ("cleanup") work to run after the transaction
-    /// commits; outside a transaction the closure runs immediately.
-    pub fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        if self.in_tx {
-            self.cleanups.push(Box::new(f));
-        } else {
-            f(self);
-        }
+    /// commits; an abort drops it unrun.
+    pub(crate) fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
+        debug_assert!(self.in_tx);
+        self.cleanups.push(Box::new(f));
     }
 
     /// Registers compensation work that runs only if the transaction aborts
-    /// (the complement of [`ThreadHandle::add_cleanup`]).  Outside a
-    /// transaction the closure is dropped without running, since a
-    /// non-transactional operation cannot abort.
+    /// (the complement of [`ThreadHandle::add_cleanup`]).
     ///
     /// txMontage uses this to release payload records allocated by an
     /// operation whose enclosing transaction rolls back.
-    pub fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        if self.in_tx {
-            self.abort_actions.push(Box::new(f));
-        }
+    pub(crate) fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
+        debug_assert!(self.in_tx);
+        self.abort_actions.push(Box::new(f));
     }
 
     /// Allocates a block whose ownership is tied to the transaction: if the
     /// transaction aborts, the block is freed automatically (paper `tNew`).
     #[inline]
-    pub fn tnew<T>(&mut self, value: T) -> *mut T {
+    pub(crate) fn tnew<T>(&mut self, value: T) -> *mut T {
+        debug_assert!(self.in_tx);
         let ptr = Box::into_raw(Box::new(value));
-        if self.in_tx {
-            self.allocs.push((ptr as *mut u8, drop_raw::<T>));
-        }
+        self.allocs.push((ptr as *mut u8, drop_raw::<T>));
         ptr
     }
 
@@ -1160,49 +990,46 @@ impl ThreadHandle {
     /// # Safety
     /// `ptr` must have been returned by `tnew::<T>` on this handle and must
     /// not be reachable from any shared structure.
-    pub unsafe fn tdelete<T>(&mut self, ptr: *mut T) {
-        if self.in_tx {
-            if let Some(pos) = self.allocs.iter().position(|(p, _)| *p == ptr as *mut u8) {
-                self.allocs.swap_remove(pos);
-            }
+    pub(crate) unsafe fn tdelete<T>(&mut self, ptr: *mut T) {
+        if let Some(pos) = self.allocs.iter().position(|(p, _)| *p == ptr as *mut u8) {
+            self.allocs.swap_remove(pos);
         }
         // SAFETY: forwarded from the caller's contract.
         drop(unsafe { Box::from_raw(ptr) });
     }
 
-    /// Retires a node through epoch-based reclamation (paper `tRetire`).
-    /// Inside a transaction the retirement is deferred until commit; on abort
-    /// it simply does not happen (the node was never unlinked).
+    /// Retires a node through epoch-based reclamation once the transaction
+    /// commits (paper `tRetire`); on abort the retirement simply does not
+    /// happen, so the unlink it follows must be one the abort undoes (see
+    /// [`Ctx::write_is_buffered`](crate::Ctx::write_is_buffered)).
     ///
     /// # Safety
     /// `ptr` must have been allocated via `Box` (directly or through `tnew`)
     /// and must be unlinked from the structure by the time the retirement
     /// takes effect, with no other thread retiring it as well.
-    pub unsafe fn tretire<T: Send + 'static>(&mut self, ptr: *mut T) {
-        if self.in_tx {
-            let addr = ptr as usize;
-            self.add_cleanup(move |h| {
-                // SAFETY: forwarded from the caller's contract on `tretire`.
-                unsafe { h.participant.retire_raw(addr as *mut T) };
-            });
-        } else {
-            // SAFETY: forwarded from the caller's contract.
-            unsafe { self.participant.retire_raw(ptr) };
-        }
+    pub(crate) unsafe fn tretire<T: Send + 'static>(&mut self, ptr: *mut T) {
+        let addr = ptr as usize;
+        self.add_cleanup(move |h| {
+            // SAFETY: forwarded from the caller's contract on `tretire`.
+            unsafe { h.retire_now(addr as *mut T) };
+        });
     }
 
-    /// Immediate retirement regardless of transaction state (used by cleanup
-    /// closures themselves).
+    /// Immediate retirement through epoch-based reclamation, for cleanup
+    /// closures (which receive the handle) and the execution contexts.
     ///
     /// # Safety
-    /// Same contract as [`ThreadHandle::tretire`].
+    /// `ptr` must have been allocated via `Box` (directly or through `tnew`)
+    /// and must already be unlinked from the structure, with no other thread
+    /// retiring it as well.
     pub unsafe fn retire_now<T: Send + 'static>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded from the caller's contract.
         unsafe { self.participant.retire_raw(ptr) };
     }
 
     // ------------------------------------------------------------------
-    // Transactional memory accesses (paper `nbtcLoad` / `nbtcCAS`)
+    // Memory accesses (paper `nbtcLoad` / `nbtcCAS`): the standalone pair
+    // `NonTx` is made of and the transactional pair behind `Txn`
     // ------------------------------------------------------------------
 
     /// The Bloom-filter bit for a word address (Fibonacci hash of the
@@ -1226,72 +1053,55 @@ impl ThreadHandle {
             .position(|w| std::ptr::eq(w.addr, obj as *const CasWord))
     }
 
-    /// Transactional load of a [`CasWord`].
-    ///
-    /// Outside a transaction this behaves like an ordinary atomic load except
-    /// that it finalizes any descriptor it encounters (so non-transactional
-    /// operations are never blocked by a stalled transaction).  Inside a
-    /// transaction it additionally returns the transaction's own buffered
-    /// speculative value when one exists.
+    /// Loads `obj` until it holds a real value and returns
+    /// `(raw, value, counter)`.  A descriptor met on the way is finalized —
+    /// helped to its outcome, or aborted if its owner has not reached
+    /// `setReady` — and counted as a help, so neither a standalone operation
+    /// nor a commit ever waits on a stalled transaction.  Every load and CAS
+    /// of the runtime starts here.
     #[inline]
-    pub fn nbtc_load(&mut self, obj: &CasWord) -> u64 {
-        self.nbtc_load_counted(obj).0
-    }
-
-    /// Like [`ThreadHandle::nbtc_load`], but also returns the counter token
-    /// observed by the load, for registration via
-    /// [`ThreadHandle::add_read_with_counter`].
-    ///
-    /// The token is opaque: when the load returned one of the transaction's
-    /// own speculative values it is a sentinel that makes the registration a
-    /// no-op (reading your own write needs no validation), otherwise it is
-    /// the word's version counter.
-    #[inline]
-    pub fn nbtc_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
-        if self.in_tx {
-            self.tx_load_counted(obj)
-        } else {
-            self.untracked_load_counted(obj)
-        }
-    }
-
-    /// The standalone (non-transactional) load: an ordinary atomic load that
-    /// finalizes any encountered descriptor.  This is the *whole*
-    /// instrumentation of a standalone operation — no `in_tx` branch, no
-    /// speculative-value lookup, no read bookkeeping — and it is what
-    /// [`NonTx`](crate::NonTx) monomorphizes container operations down to.
-    #[inline]
-    pub(crate) fn untracked_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
+    fn load_settled(&mut self, obj: &CasWord) -> (u128, u64, u64) {
         loop {
             let raw = obj.load_raw();
             let (val, cnt) = unpack(raw);
-            if CasWord::counter_is_descriptor(cnt) {
-                debug_assert!(
-                    val != 0 && (val as usize).is_multiple_of(std::mem::align_of::<Desc>()),
-                    "odd-counter word holds non-descriptor payload {val:#x} (cnt {cnt:#x})"
-                );
-                // Lazy publication: our own descriptor is only ever installed
-                // inside `tx_end`, after the execution phase, so a descriptor
-                // met by a transactional load is foreign.
-                debug_assert!(
-                    !self.in_tx || !std::ptr::eq(val as *const Desc, self.desc_ptr),
-                    "own descriptor installed during the execution phase"
-                );
-                // SAFETY: descriptors live inside their TxManager, which is
-                // kept alive by every structure and handle that can reach
-                // this word.
-                unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
-                self.stat_helps += 1;
-                self.note_stat_event();
-                continue;
+            if !CasWord::counter_is_descriptor(cnt) {
+                return (raw, val, cnt);
             }
-            return (val, cnt);
+            debug_assert!(
+                val != 0 && (val as usize).is_multiple_of(std::mem::align_of::<Desc>()),
+                "odd-counter word holds non-descriptor payload {val:#x} (cnt {cnt:#x})"
+            );
+            // Lazy publication: our own descriptor is installed only inside
+            // `commit_general`, on words this loop has already left, so a
+            // descriptor met while a transaction is open is foreign.
+            debug_assert!(
+                !self.in_tx || !std::ptr::eq(val as *const Desc, self.desc_ptr),
+                "own descriptor met on a word it was not yet installed on"
+            );
+            // SAFETY: descriptors live inside their TxManager, which is
+            // kept alive by every structure and handle that can reach
+            // this word.
+            unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
+            self.count(Stat::Helps);
+            self.note_stat_event();
         }
     }
 
-    /// The transactional load (used by [`Txn`](crate::Txn)): additionally
-    /// returns the transaction's own buffered value when one exists
-    /// (read-your-own-write visibility over the thread-local write buffer).
+    /// The standalone load: an ordinary atomic load that finalizes any
+    /// encountered descriptor.  This is the *whole* instrumentation of a
+    /// standalone operation — no `in_tx` branch, no speculative-value lookup,
+    /// no read bookkeeping — and it is what [`NonTx`](crate::NonTx)
+    /// monomorphizes container operations down to.
+    #[inline]
+    pub(crate) fn untracked_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
+        let (_, val, cnt) = self.load_settled(obj);
+        (val, cnt)
+    }
+
+    /// The transactional load (paper `nbtcLoad`): additionally returns the
+    /// transaction's own buffered value when one exists (read-your-own-write
+    /// visibility over the thread-local write buffer), with a sentinel
+    /// counter that makes registering it a no-op.
     #[inline]
     pub(crate) fn tx_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
         if self.capacity_exceeded {
@@ -1311,50 +1121,14 @@ impl ThreadHandle {
         self.untracked_load_counted(obj)
     }
 
-    /// Transactional CAS on a [`CasWord`] (paper `nbtcCAS`).
-    ///
-    /// `lin_pt` / `pub_pt` declare whether this CAS, if successful, is the
-    /// linearization and/or publication point of the current operation.  A
-    /// critical CAS (one inside the operation's speculation interval) is
-    /// executed speculatively: *every* critical CAS is buffered in the
-    /// thread-local write set (see `LocalWrite` in this module) and becomes
-    /// visible to other threads only at commit.  A transaction whose single
-    /// critical CAS stays its only write — a lone `insert`/`remove`/`enqueue`
-    /// inside [`ThreadHandle::run`] — never publishes a descriptor at all and
-    /// commits with one plain CAS; multi-write transactions publish and
-    /// install the descriptor inside `tx_end` (lazy publication).
-    #[inline]
-    pub fn nbtc_cas(
-        &mut self,
-        obj: &CasWord,
-        expected: u64,
-        desired: u64,
-        lin_pt: bool,
-        pub_pt: bool,
-    ) -> bool {
-        if !self.in_tx {
-            self.untracked_cas(obj, expected, desired)
-        } else {
-            self.tx_cas(obj, expected, desired, lin_pt, pub_pt)
-        }
-    }
-
-    /// The standalone (non-transactional) CAS: an ordinary value CAS that
-    /// finalizes any encountered descriptor first, exactly the update the
-    /// original nonblocking algorithm would perform.  Counterpart of
+    /// The standalone CAS: an ordinary value CAS that finalizes any
+    /// encountered descriptor first, exactly the update the original
+    /// nonblocking algorithm would perform.  Counterpart of
     /// [`ThreadHandle::untracked_load_counted`] for [`NonTx`](crate::NonTx).
     #[inline]
     pub(crate) fn untracked_cas(&mut self, obj: &CasWord, expected: u64, desired: u64) -> bool {
         loop {
-            let raw = obj.load_raw();
-            let (val, cnt) = unpack(raw);
-            if CasWord::counter_is_descriptor(cnt) {
-                // SAFETY: see untracked_load_counted.
-                unsafe { (*(val as *const Desc)).try_finalize(obj, raw) };
-                self.stat_helps += 1;
-                self.note_stat_event();
-                continue;
-            }
+            let (raw, val, cnt) = self.load_settled(obj);
             if val != expected {
                 return false;
             }
@@ -1365,8 +1139,18 @@ impl ThreadHandle {
         }
     }
 
-    /// The transactional CAS (used by [`Txn`](crate::Txn)); see
-    /// [`ThreadHandle::nbtc_cas`] for the speculation rules.
+    /// The transactional CAS (paper `nbtcCAS`).
+    ///
+    /// `lin_pt` / `pub_pt` declare whether this CAS, if successful, is the
+    /// linearization and/or publication point of the current operation.  A
+    /// critical CAS (one inside the operation's speculation interval) is
+    /// executed speculatively: *every* critical CAS is buffered in the
+    /// thread-local write set (see `LocalWrite` in this module) and becomes
+    /// visible to other threads only at commit.  A transaction whose single
+    /// critical CAS stays its only write — a lone `insert`/`remove`/`enqueue`
+    /// inside [`ThreadHandle::run`] — never publishes a descriptor at all and
+    /// commits with one plain CAS; multi-write transactions publish and
+    /// install the descriptor inside `commit` (lazy publication).
     #[inline]
     pub(crate) fn tx_cas(
         &mut self,
@@ -1394,68 +1178,52 @@ impl ThreadHandle {
             }
             return true;
         }
-        loop {
-            let raw = obj.load_raw();
-            let (val, cnt) = unpack(raw);
-            if CasWord::counter_is_descriptor(cnt) {
-                let desc_ptr = val as *const Desc;
-                // Foreign by construction: lazy publication keeps our own
-                // descriptor uninstalled for the whole execution phase.
-                debug_assert!(
-                    !std::ptr::eq(desc_ptr, self.desc_ptr),
-                    "own descriptor installed during the execution phase"
-                );
-                // SAFETY: see nbtc_load.
-                unsafe { (*desc_ptr).try_finalize(obj, raw) };
-                self.stat_helps += 1;
-                self.note_stat_event();
-                continue;
-            }
-            if val != expected {
-                return false;
-            }
-            if pub_pt || lin_pt {
-                self.spec_interval = true;
-            }
-            if self.spec_interval {
-                // Critical CAS: buffer it.  Nothing is published — the
-                // descriptor entry is written and installed only at
-                // `tx_end`, so the owner-private hot path costs a Vec push
-                // into cache-hot memory instead of five shared atomic
-                // stores plus an install CAS.
-                if self.local_writes.len() >= crate::descriptor::MAX_ENTRIES {
-                    // Write-set overflow: the commit is guaranteed to fail
-                    // with `CapacityExceeded`.  Failing the CAS would send
-                    // container retry loops (re-traverse, re-CAS) into a
-                    // livelock, because with a full write set the CAS could
-                    // never succeed.  Instead the transaction switches into
-                    // *overlay mode*: this and every later transactional
-                    // access runs against the local `overflow_writes` buffer
-                    // and never touches shared memory, so execution stays
-                    // consistent, every loop converges, and `tx_end` reports
-                    // the failure (and `validate_reads` reports the
-                    // inconsistency immediately).
-                    self.capacity_exceeded = true;
-                    self.overflow_writes
-                        .push((obj as *const CasWord as usize, desired));
-                    return true;
-                }
-                self.local_writes.push(LocalWrite {
-                    addr: obj as *const CasWord,
-                    old_val: val,
-                    cnt,
-                    new_val: desired,
-                });
-                self.write_filter |= Self::filter_bit(obj);
-                if lin_pt {
-                    self.spec_interval = false;
-                }
+        let (raw, val, cnt) = self.load_settled(obj);
+        if val != expected {
+            return false;
+        }
+        if pub_pt || lin_pt {
+            self.spec_interval = true;
+        }
+        if self.spec_interval {
+            // Critical CAS: buffer it.  Nothing is published — the
+            // descriptor entry is written and installed only at commit, so
+            // the owner-private hot path costs a Vec push into cache-hot
+            // memory instead of five shared atomic stores plus an install
+            // CAS.
+            if self.local_writes.len() >= crate::descriptor::MAX_ENTRIES {
+                // Write-set overflow: the commit is guaranteed to fail
+                // with `CapacityExceeded`.  Failing the CAS would send
+                // container retry loops (re-traverse, re-CAS) into a
+                // livelock, because with a full write set the CAS could
+                // never succeed.  Instead the transaction switches into
+                // *overlay mode*: this and every later transactional
+                // access runs against the local `overflow_writes` buffer
+                // and never touches shared memory, so execution stays
+                // consistent, every loop converges, and `commit` reports
+                // the failure (and `validate_reads` reports the
+                // inconsistency immediately).
+                self.capacity_exceeded = true;
+                self.overflow_writes
+                    .push((obj as *const CasWord as usize, desired));
                 return true;
             }
-            // Non-critical CAS inside a transaction (e.g. helping an already
-            // linearized operation): executed on the fly.
-            return obj.raw().cas(raw, pack(desired, cnt.wrapping_add(2)));
+            self.local_writes.push(LocalWrite {
+                addr: obj as *const CasWord,
+                old_val: val,
+                cnt,
+                new_val: desired,
+            });
+            self.write_filter |= Self::filter_bit(obj);
+            if lin_pt {
+                self.spec_interval = false;
+            }
+            return true;
         }
+        // Non-critical CAS inside a transaction (e.g. helping an already
+        // linearized operation): executed on the fly, and not undone by an
+        // abort.
+        obj.raw().cas(raw, pack(desired, cnt.wrapping_add(2)))
     }
 
     /// Transactional CAS of a capacity-overflowed ("overlay mode")
@@ -1473,18 +1241,14 @@ impl ThreadHandle {
         true
     }
 
-    /// Marks the start of the current operation's speculation interval
-    /// explicitly.  Structures whose publication point is not a CAS visible
-    /// to `nbtc_cas` (rare) can call this directly.
-    pub fn start_speculative_interval(&mut self) {
-        if self.in_tx {
-            self.spec_interval = true;
-        }
-    }
-
-    /// Whether the current operation is inside its speculation interval.
-    pub fn in_speculative_interval(&self) -> bool {
-        self.spec_interval
+    /// Whether the open transaction holds a write to `obj` that memory does
+    /// not show yet (the engine of
+    /// [`Ctx::write_is_buffered`](crate::Ctx::write_is_buffered)): `obj` is
+    /// in the write buffer, or the transaction is in overlay mode, where no
+    /// CAS reaches memory at all.
+    #[inline]
+    pub(crate) fn write_is_buffered(&self, obj: &CasWord) -> bool {
+        self.capacity_exceeded || self.local_write_index(obj).is_some()
     }
 }
 
@@ -1504,6 +1268,7 @@ impl Drop for ThreadHandle {
 mod tests {
     use super::*;
     use crate::ctx::Ctx;
+    use crate::descriptor::status_of;
 
     #[test]
     fn register_and_release_slots() {
@@ -1523,17 +1288,17 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(1);
-        h.tx_begin();
-        let v = h.nbtc_load(&w);
+        let mut t = h.begin();
+        let v = t.nbtc_load(&w);
         assert_eq!(v, 1);
-        assert!(h.nbtc_cas(&w, 1, 2, true, true));
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
         // The first critical CAS is buffered (single-CAS fast path): other
         // observers still see the old value, not a descriptor.
         assert_eq!(w.try_load_value(), Some(1));
-        assert!(h.tx_end().is_ok());
+        assert!(t.commit().is_ok());
         assert_eq!(w.try_load_value(), Some(2));
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(
             snap.fast_commits, 1,
@@ -1546,12 +1311,12 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(7);
-        h.tx_begin();
-        let (v, c) = h.nbtc_load_counted(&w);
-        h.add_read_with_counter(&w, v, c);
-        assert!(h.tx_end().is_ok());
+        let mut t = h.begin();
+        let (v, c) = t.nbtc_load_counted(&w);
+        t.add_read_with_counter(&w, v, c);
+        assert!(t.commit().is_ok());
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.ro_commits, 1);
         assert_eq!(snap.fast_commits, 0);
@@ -1565,13 +1330,13 @@ mod tests {
         let mut h = mgr.register();
         let mut other = mgr.register();
         let w = CasWord::new(1);
-        h.tx_begin();
-        let (v, c) = h.nbtc_load_counted(&w);
-        h.add_read_with_counter(&w, v, c);
-        assert!(other.nbtc_cas(&w, 1, 2, true, true));
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
+        let mut t = h.begin();
+        let (v, c) = t.nbtc_load_counted(&w);
+        t.add_read_with_counter(&w, v, c);
+        assert!(other.nontx().nbtc_cas(&w, 1, 2, true, true));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().ro_commits, 0);
+        assert_eq!(mgr.stats_snapshot().ro_commits, 0);
     }
 
     #[test]
@@ -1580,23 +1345,23 @@ mod tests {
         let mut h = mgr.register();
         let a = CasWord::new(10);
         let b = CasWord::new(20);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&a, 10, 11, true, true));
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&a, 10, 11, true, true));
         // Every critical CAS is buffered: `a` still shows its old value.
         assert_eq!(a.try_load_value(), Some(10));
-        assert!(h.nbtc_cas(&b, 20, 21, true, true));
+        assert!(t.nbtc_cas(&b, 20, 21, true, true));
         // Still nothing published — lazy publication defers the descriptor
-        // to `tx_end`.
+        // to the commit.
         assert_eq!(a.try_load_value(), Some(10));
         assert_eq!(b.try_load_value(), Some(20));
         // Read-your-own-write visibility comes from the buffer.
-        assert_eq!(h.nbtc_load(&a), 11);
-        assert_eq!(h.nbtc_load(&b), 21);
-        assert!(h.tx_end().is_ok());
+        assert_eq!(t.nbtc_load(&a), 11);
+        assert_eq!(t.nbtc_load(&b), 21);
+        assert!(t.commit().is_ok());
         assert_eq!(a.try_load_value(), Some(11));
         assert_eq!(b.try_load_value(), Some(21));
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(
             snap.fast_commits, 0,
@@ -1611,12 +1376,12 @@ mod tests {
         let mut h = mgr.register();
         let mut other = mgr.register();
         let w = CasWord::new(1);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&w, 1, 2, true, true)); // buffered
-                                                   // The buffered write is invisible, so a non-transactional CAS wins
-                                                   // the word outright.
-        assert!(other.nbtc_cas(&w, 1, 9, true, true));
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
+        // The buffered write is invisible, so a non-transactional CAS wins
+        // the word outright.
+        assert!(other.nontx().nbtc_cas(&w, 1, 9, true, true));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         assert_eq!(w.try_load_value(), Some(9));
         // A retry through `run` succeeds on the fresh value.
         let out: TxResult<()> = h.run(|t| {
@@ -1635,20 +1400,20 @@ mod tests {
         let mut other = mgr.register();
         let a = CasWord::new(1);
         let b = CasWord::new(5);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&a, 1, 2, true, true)); // buffered
-                                                   // `a` changes under the buffered write...
-        assert!(other.nbtc_cas(&a, 1, 7, true, true));
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&a, 1, 2, true, true));
+        // `a` changes under the buffered write...
+        assert!(other.nontx().nbtc_cas(&a, 1, 7, true, true));
         // ...but execution continues undisturbed against the private buffer
         // (lazy publication defers conflict detection to the commit-time
         // install, whose pre-image CAS then fails).
-        assert!(h.nbtc_cas(&b, 5, 6, true, true));
-        assert_eq!(h.nbtc_load(&b), 6, "buffered speculation stays visible");
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
+        assert!(t.nbtc_cas(&b, 5, 6, true, true));
+        assert_eq!(t.nbtc_load(&b), 6, "buffered speculation stays visible");
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         assert_eq!(a.try_load_value(), Some(7));
         assert_eq!(b.try_load_value(), Some(5), "speculation on b rolled back");
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().conflict_aborts, 1);
+        assert_eq!(mgr.stats_snapshot().conflict_aborts, 1);
     }
 
     #[test]
@@ -1664,16 +1429,16 @@ mod tests {
         let mut h2 = mgr.register();
         let a = CasWord::new(10);
         let b = CasWord::new(20);
-        h1.tx_begin();
-        let (va, c) = h1.nbtc_load_counted(&a);
-        h1.add_read_with_counter(&a, va, c);
-        assert!(h1.nbtc_cas(&b, 20, 21, true, true));
-        h2.tx_begin();
-        let (vb, c) = h2.nbtc_load_counted(&b);
-        h2.add_read_with_counter(&b, vb, c);
-        assert!(h2.nbtc_cas(&a, 10, 11, true, true));
-        let r1 = h1.tx_end();
-        let r2 = h2.tx_end();
+        let mut t1 = h1.begin();
+        let (va, c) = t1.nbtc_load_counted(&a);
+        t1.add_read_with_counter(&a, va, c);
+        assert!(t1.nbtc_cas(&b, 20, 21, true, true));
+        let mut t2 = h2.begin();
+        let (vb, c) = t2.nbtc_load_counted(&b);
+        t2.add_read_with_counter(&b, vb, c);
+        assert!(t2.nbtc_cas(&a, 10, 11, true, true));
+        let r1 = t1.commit();
+        let r2 = t2.commit();
         assert!(
             r1.is_err() || r2.is_err(),
             "write skew: both symmetric transactions committed ({r1:?}, {r2:?})"
@@ -1697,13 +1462,13 @@ mod tests {
         let mut h = mgr.register();
         let a = CasWord::new(1);
         let b = CasWord::new(2);
-        h.tx_begin();
-        let (v, c) = h.nbtc_load_counted(&a);
-        h.add_read_with_counter(&a, v, c);
-        assert!(h.nbtc_cas(&b, 2, 3, true, true));
-        assert!(h.tx_end().is_ok());
+        let mut t = h.begin();
+        let (v, c) = t.nbtc_load_counted(&a);
+        t.add_read_with_counter(&a, v, c);
+        assert!(t.nbtc_cas(&b, 2, 3, true, true));
+        assert!(t.commit().is_ok());
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(
             snap.fast_commits, 0,
@@ -1719,13 +1484,13 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(5);
-        h.tx_begin();
-        let (v, c) = h.nbtc_load_counted(&w);
-        h.add_read_with_counter(&w, v, c);
-        assert!(h.nbtc_cas(&w, 5, 6, true, true));
-        assert!(h.tx_end().is_ok());
+        let mut t = h.begin();
+        let (v, c) = t.nbtc_load_counted(&w);
+        t.add_read_with_counter(&w, v, c);
+        assert!(t.nbtc_cas(&w, 5, 6, true, true));
+        assert!(t.commit().is_ok());
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().fast_commits, 1);
+        assert_eq!(mgr.stats_snapshot().fast_commits, 1);
         assert_eq!(w.try_load_value(), Some(6));
     }
 
@@ -1734,10 +1499,11 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(1);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&w, 1, 2, true, true));
-        let err = h.tx_abort();
-        assert_eq!(err, TxError::Explicit);
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
+        let token = t.abort(AbortReason::Explicit);
+        assert_eq!(token.reason(), AbortReason::Explicit);
+        assert_eq!(t.commit(), Err(TxError::Explicit));
         assert_eq!(w.try_load_value(), Some(1));
         assert!(!h.in_tx());
     }
@@ -1749,13 +1515,13 @@ mod tests {
         let mut other = mgr.register();
         let w = CasWord::new(1);
         let target = CasWord::new(10);
-        h.tx_begin();
-        let (v, c) = h.nbtc_load_counted(&w);
-        h.add_read_with_counter(&w, v, c);
+        let mut t = h.begin();
+        let (v, c) = t.nbtc_load_counted(&w);
+        t.add_read_with_counter(&w, v, c);
         // A conflicting non-transactional write invalidates the read.
-        assert!(other.nbtc_cas(&w, 1, 5, true, true));
-        assert!(h.nbtc_cas(&target, 10, 11, true, true));
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
+        assert!(other.nontx().nbtc_cas(&w, 1, 5, true, true));
+        assert!(t.nbtc_cas(&target, 10, 11, true, true));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         // The speculative write to `target` must have been rolled back.
         assert_eq!(target.try_load_value(), Some(10));
     }
@@ -1765,14 +1531,14 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(1);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&w, 1, 2, true, true));
-        let (v, c) = h.nbtc_load_counted(&w);
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
+        let (v, c) = t.nbtc_load_counted(&w);
         assert_eq!(v, 2, "same tx must see its own write");
         // Read of own speculative value does not poison the read set.
-        h.add_read_with_counter(&w, v, c);
-        assert!(h.nbtc_cas(&w, 2, 3, true, true));
-        assert!(h.tx_end().is_ok());
+        t.add_read_with_counter(&w, v, c);
+        assert!(t.nbtc_cas(&w, 2, 3, true, true));
+        assert!(t.commit().is_ok());
         assert_eq!(w.try_load_value(), Some(3));
     }
 
@@ -1781,7 +1547,7 @@ mod tests {
         // Simulate a transaction caught mid-commit: a descriptor published
         // (entry stamped) and installed in `w`, still InPrep — exactly the
         // state a preempted owner leaves between the install and `setReady`
-        // steps of `tx_end`.  A non-transactional CAS must abort it, write
+        // steps of a commit.  A non-transactional CAS must abort it, write
         // the pre-image back, and proceed — and count the help.
         let mgr = TxManager::new();
         let mut b = mgr.register();
@@ -1798,12 +1564,12 @@ mod tests {
         // b, running non-transactionally, encounters the descriptor, aborts
         // the InPrep transaction, uninstalls the pre-image, and wins the
         // word.
-        assert!(b.nbtc_cas(&w, 1, 9, true, true));
+        assert!(b.nontx().nbtc_cas(&w, 1, 9, true, true));
         assert_eq!(w.try_load_value(), Some(9));
-        assert_eq!(stalled.status(), Status::Aborted);
+        assert_eq!(status_of(stalled.status_word()), Status::Aborted);
         b.flush_stats();
         assert!(
-            mgr.stats().snapshot().helps >= 1,
+            mgr.stats_snapshot().helps >= 1,
             "the finalization must be counted as a help"
         );
         // The stalled owner's own commit attempt must now fail.
@@ -1816,20 +1582,20 @@ mod tests {
         let mut a = mgr.register();
         let mut b = mgr.register();
         let w = CasWord::new(1);
-        // A second critical word puts `a` on the general path, so `tx_end`
+        // A second critical word puts `a` on the general path, so its commit
         // actually publishes a descriptor and installs it word by word
         // (invisible during execution either way).
         let other = CasWord::new(5);
-        a.tx_begin();
-        assert!(a.nbtc_cas(&w, 1, 2, true, true));
-        assert!(a.nbtc_cas(&other, 5, 6, true, true));
+        let mut t = a.begin();
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
+        assert!(t.nbtc_cas(&other, 5, 6, true, true));
         // Lazy publication: b sees the pre-image (no descriptor) and wins
         // the word outright with a plain CAS.
         assert_eq!(w.try_load_value(), Some(1));
-        assert!(b.nbtc_cas(&w, 1, 9, true, true));
+        assert!(b.nontx().nbtc_cas(&w, 1, 9, true, true));
         assert_eq!(w.try_load_value(), Some(9));
         // a's commit-time install finds the changed pre-image and fails.
-        assert_eq!(a.tx_end(), Err(TxError::Conflict));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         assert_eq!(w.try_load_value(), Some(9));
         assert_eq!(other.try_load_value(), Some(5), "installed prefix undone");
     }
@@ -1874,7 +1640,7 @@ mod tests {
         // used to report failure, which container retry loops interpret as
         // contention — spinning forever on a transaction that can never
         // commit.  It must now pretend-succeed (the transaction is doomed)
-        // so control reaches `tx_end`, which reports `CapacityExceeded`.
+        // so control reaches the commit, which reports `CapacityExceeded`.
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let words: Vec<CasWord> = (0..crate::descriptor::MAX_ENTRIES + 2)
@@ -1919,17 +1685,18 @@ mod tests {
             assert_eq!(w.try_load_value(), Some(0), "all writes rolled back");
         }
         h.flush_stats();
-        assert_eq!(mgr.stats().snapshot().capacity_aborts, 1);
+        assert_eq!(mgr.stats_snapshot().capacity_aborts, 1);
     }
 
     #[test]
     fn tnew_is_freed_on_abort() {
         let mgr = TxManager::new();
         let mut h = mgr.register();
-        h.tx_begin();
-        let p = h.tnew(123u64);
+        let mut t = h.begin();
+        let p = t.tnew(123u64);
         assert_eq!(unsafe { *p }, 123);
-        let _ = h.tx_abort();
+        let _ = t.abort(AbortReason::Explicit);
+        drop(t);
         // No leak: Miri/asan would flag a double free if tnew's rollback were
         // wrong; here we just assert the transaction state is clean.
         assert!(!h.in_tx());
@@ -1945,23 +1712,24 @@ mod tests {
 
         let ran = Rc::new(Cell::new(0));
         let r2 = Rc::clone(&ran);
-        h.tx_begin();
-        assert!(h.nbtc_cas(&w, 0, 1, true, true));
-        h.add_cleanup(move |_| r2.set(r2.get() + 1));
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&w, 0, 1, true, true));
+        t.add_cleanup(move |_| r2.set(r2.get() + 1));
         assert_eq!(ran.get(), 0, "cleanup must not run before commit");
-        assert!(h.tx_end().is_ok());
+        assert!(t.commit().is_ok());
         assert_eq!(ran.get(), 1);
 
         // On abort the cleanup must never run.
         let r3 = Rc::clone(&ran);
-        h.tx_begin();
-        h.add_cleanup(move |_| r3.set(r3.get() + 100));
-        let _ = h.tx_abort();
+        let mut t = h.begin();
+        t.add_cleanup(move |_| r3.set(r3.get() + 100));
+        let _ = t.abort(AbortReason::Explicit);
+        drop(t);
         assert_eq!(ran.get(), 1);
 
         // Outside a transaction the closure runs immediately.
         let r4 = Rc::clone(&ran);
-        h.add_cleanup(move |_| r4.set(r4.get() + 10));
+        h.nontx().add_cleanup(move |_| r4.set(r4.get() + 10));
         assert_eq!(ran.get(), 11);
     }
 
@@ -1971,18 +1739,18 @@ mod tests {
         mgr.set_epoch_validation(true);
         let mut h = mgr.register();
         let w = CasWord::new(0);
-        h.tx_begin();
-        assert_eq!(h.snapshot_epoch(), 0);
-        assert!(h.nbtc_cas(&w, 0, 1, true, true));
+        let mut t = h.begin();
+        assert_eq!(t.snapshot_epoch(), Some(0));
+        assert!(t.nbtc_cas(&w, 0, 1, true, true));
         // The persistence epoch advances before the transaction commits.
         mgr.advance_epoch();
-        assert_eq!(h.tx_end(), Err(TxError::Conflict));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
         assert_eq!(w.try_load_value(), Some(0));
         // A retry in the new epoch succeeds.
-        h.tx_begin();
-        assert_eq!(h.snapshot_epoch(), 1);
-        assert!(h.nbtc_cas(&w, 0, 1, true, true));
-        assert!(h.tx_end().is_ok());
+        let mut t = h.begin();
+        assert_eq!(t.snapshot_epoch(), Some(1));
+        assert!(t.nbtc_cas(&w, 0, 1, true, true));
+        assert!(t.commit().is_ok());
     }
 
     #[test]
@@ -1990,12 +1758,26 @@ mod tests {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(7);
-        h.tx_begin();
+        let mut t = h.begin();
         // Not a publication or linearization point and no speculation
-        // interval started: helping CASes execute on the fly.
-        assert!(h.nbtc_cas(&w, 7, 8, false, false));
+        // interval started: helping CASes execute on the fly, and say so.
+        assert!(t.nbtc_cas(&w, 7, 8, false, false));
+        assert!(!t.write_is_buffered(&w));
         assert_eq!(w.try_load_value(), Some(8));
-        let _ = h.tx_abort();
+        // The same helping CAS on a word the transaction already wrote
+        // joins the buffer instead.
+        let own = CasWord::new(1);
+        assert!(t.nbtc_cas(&own, 1, 2, true, true));
+        assert!(t.nbtc_cas(&own, 2, 3, false, false));
+        assert!(t.write_is_buffered(&own));
+        assert_eq!(own.try_load_value(), Some(1));
+        let _ = t.abort(AbortReason::Explicit);
+        assert!(
+            !t.write_is_buffered(&own),
+            "an aborted guard buffers nothing"
+        );
+        drop(t);
+        assert_eq!(own.try_load_value(), Some(1));
         // The non-critical CAS is NOT rolled back (it helped an operation
         // that had already linearized).
         assert_eq!(w.try_load_value(), Some(8));
@@ -2124,7 +1906,7 @@ mod tests {
             h.cm_wait(ContentionPolicy::Karma, &mut backoff, i);
         }
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.cm_waits, 64);
         assert!(
             snap.cm_priority_skips > 0,
@@ -2136,15 +1918,16 @@ mod tests {
     fn adaptive_abort_rate_ewma_tracks_outcomes() {
         let mgr = TxManager::new();
         let mut h = mgr.register();
-        assert_eq!(h.contention_ewma(), 0.0);
+        // Fixed point: 1024 = losing every conflict.
+        assert_eq!(h.abort_rate, 0);
         for _ in 0..64 {
             h.record_cm_outcome(true);
         }
-        assert!(h.contention_ewma() > 0.9);
+        assert!(h.abort_rate > 921, "above 0.9");
         for _ in 0..64 {
             h.record_cm_outcome(false);
         }
-        assert!(h.contention_ewma() < 0.1);
+        assert!(h.abort_rate < 103, "below 0.1");
     }
 
     #[test]
@@ -2158,7 +1941,7 @@ mod tests {
         let mut backoff = Backoff::new();
         h.cm_wait(ContentionPolicy::Adaptive, &mut backoff, 1);
         h.flush_stats();
-        let snap = mgr.stats().snapshot();
+        let snap = mgr.stats_snapshot();
         assert_eq!(snap.cm_waits, 1);
         assert_eq!(snap.cm_escalations, 1);
     }

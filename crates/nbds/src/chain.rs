@@ -188,10 +188,15 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
                 return None;
             }
             if N::RETIRE_ON_UNLINK {
+                // A helping CAS is applied at once, and then no abort undoes
+                // it, unless the transaction buffered it; only a buffered
+                // unlink may leave the retirement to the commit (an aborted
+                // attempt would otherwise drop it and leak the node).
                 // SAFETY: winning the unlink CAS makes this thread the only
-                // retirer of `curr`, which is now unreachable.
+                // retirer of `curr`, which is unreachable now, or will be
+                // once the buffered unlink commits.
                 unsafe {
-                    if T {
+                    if T && cx.write_is_buffered(prev) {
                         cx.tretire(curr)
                     } else {
                         cx.retire_now(curr)

@@ -10,7 +10,7 @@
 //! consistent value, which is all a load-factor trigger or a `STATS` report
 //! needs.
 //!
-//! The flushing discipline matches `TxStats`: deltas are applied when the
+//! The flushing discipline matches the `medley` transaction counters: deltas are applied when the
 //! operation's outcome is decided (immediately in a standalone context,
 //! from the post-commit cleanup phase in a transaction), never
 //! speculatively — an aborted transaction leaves the counter untouched.

@@ -320,4 +320,89 @@ mod tests {
         let total: u64 = list.snapshot().iter().map(|(_, v)| *v).sum();
         assert_eq!(total, ACCOUNTS * 100);
     }
+
+    #[test]
+    fn nodes_unlinked_by_an_aborted_attempt_are_still_freed() {
+        // A traversal that helps unlink a deleted node applies that CAS at
+        // once, so the node must be retired even if the helping attempt
+        // aborts: every value created is dropped once the list, the handles
+        // and the manager are gone.  (Contended transfers, the shape of
+        // `concurrent_transfer_preserves_total`.)
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Counted(u64);
+        impl Counted {
+            fn new(v: u64) -> Self {
+                CREATED.fetch_add(1, Ordering::Relaxed);
+                Counted(v)
+            }
+        }
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                Counted::new(self.0)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        const THREADS: usize = 4;
+        const OPS: usize = 2_000;
+        const ACCOUNTS: u64 = 4;
+        let mgr = TxManager::new();
+        let list = Arc::new(MichaelList::<Counted>::new());
+        {
+            let mut h = mgr.register();
+            for a in 0..ACCOUNTS {
+                assert!(list.insert(&mut h.nontx(), a, Counted::new(100)));
+            }
+        }
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (mgr, list, start) = (&mgr, &list, &start);
+                s.spawn(move || {
+                    let mut h = mgr.register();
+                    let mut rng = medley::util::FastRng::new(t as u64 + 1);
+                    start.wait();
+                    for _ in 0..OPS {
+                        let from = rng.next_below(ACCOUNTS);
+                        let to = (from + 1 + rng.next_below(ACCOUNTS - 1)) % ACCOUNTS;
+                        h.run(|t| {
+                            let a = list.get(t, from).unwrap().0;
+                            let b = list.get(t, to).unwrap().0;
+                            list.put(t, from, Counted::new(a.wrapping_sub(1)));
+                            list.put(t, to, Counted::new(b.wrapping_add(1)));
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        let snap = mgr.stats_snapshot();
+        assert!(snap.conflict_aborts > 0, "no attempt aborted: {snap:?}");
+        // Balances wrap below zero; conservation holds modulo 2^64.
+        let total = list
+            .snapshot()
+            .iter()
+            .fold(0u64, |s, (_, v)| s.wrapping_add(v.0));
+        assert_eq!(total, ACCOUNTS * 100);
+        drop(list);
+        drop(mgr);
+        let (created, dropped) = (
+            CREATED.load(Ordering::Relaxed),
+            DROPPED.load(Ordering::Relaxed),
+        );
+        assert_eq!(
+            created,
+            dropped,
+            "{} values leaked over {} conflict aborts",
+            created - dropped,
+            snap.conflict_aborts
+        );
+    }
 }

@@ -188,7 +188,7 @@ mod tests {
         let res = h.run(|t| Ok((map.contains(t, 1), map.contains(t, 2))));
         assert_eq!(res, Ok((true, false)));
         h.flush_stats();
-        assert!(mgr.stats().snapshot().ro_commits >= 1);
+        assert!(mgr.stats_snapshot().ro_commits >= 1);
     }
 
     /// A value type whose `Clone` counts invocations: proof that no in-crate

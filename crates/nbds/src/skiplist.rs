@@ -784,7 +784,7 @@ mod tests {
         let res: TxResult<Vec<(u64, u64)>> = h.run(|t| Ok(sl.range(t, 10..100, usize::MAX)));
         assert_eq!(res.unwrap(), model);
         h.flush_stats();
-        assert!(mgr.stats().snapshot().ro_commits >= 1);
+        assert!(mgr.stats_snapshot().ro_commits >= 1);
         let res: TxResult<usize> = h.run(|t| {
             assert!(sl.insert(t, 12, 120));
             let page = sl.range(t, 10..100, usize::MAX);

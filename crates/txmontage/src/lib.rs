@@ -1,7 +1,7 @@
 //! # txMontage — persistent ACID transactions = Medley ⊕ nbMontage
 //!
 //! txMontage (paper Sec. 4) grafts the nbMontage epoch system onto Medley:
-//! the persistence epoch is read at `tx_begin` and validated as part of the
+//! the persistence epoch is read at `begin` and validated as part of the
 //! M-compare-N-swap commit, so all operations of a transaction linearize in
 //! the same epoch and are therefore recovered — or lost — together.  On top
 //! of the isolation and consistency Medley already provides, this yields
