@@ -29,7 +29,6 @@ use kvstore::{
     Response, Server, ServerConfig, StatsReply, StoreBackend, StoreConfig, TableKind,
 };
 use medley::util::FastRng;
-use medley::ContentionPolicy;
 use obs::LatencyHistogram;
 use pmem::Value;
 use std::collections::VecDeque;
@@ -790,8 +789,8 @@ const FANOUT_BOUNDS: &[Bound] = &[
 /// `overload`: measure closed-loop capacity, calibrate the true service
 /// rate with a pipeline-capped flood (a few closed-loop connections are
 /// latency-bound and understate it — "2× that" may saturate nothing), then
-/// offer [`OFFERED_MULT`]× the larger of the two, open loop, to a server per
-/// contention policy.
+/// offer [`OFFERED_MULT`]× the larger of the two, open loop, to a server
+/// with tight shed watermarks.
 fn run_overload(a: &Sizes, out: &mut Report) {
     let plain = server(a.workers, StoreConfig::default());
     let open = |out: &mut Report, series: &str, cfg: &ServerConfig, rate: f64| {
@@ -815,33 +814,24 @@ fn run_overload(a: &Sizes, out: &mut Report) {
     let flood = open(out, "flood", &plain, 50_000_000.0);
     let offered = flood.per_sec(flood.tally.ok).max(cap.per_sec(cap.tally.ok)) * OFFERED_MULT;
 
-    let mut shed = 0;
-    for (series, contention) in [
-        ("backoff", ContentionPolicy::Backoff),
-        ("adaptive", ContentionPolicy::Adaptive),
-    ] {
-        let mut cfg = plain.clone();
-        cfg.store.contention = contention;
-        // Tighter shed watermarks than the server default: the pipeline
-        // bound caps how much backlog a few connections can build, and the
-        // point is to exercise the shed path, not to find the largest queue
-        // that fits in RAM.
-        cfg.overload = OverloadConfig {
-            shed_high: 64 << 10,
-            shed_low: 16 << 10,
-            ..Default::default()
-        };
-        let o = open(out, series, &cfg, offered);
-        shed += o.tally.shed + o.stats.load.map_or(0, |l| l.shed_requests);
-    }
+    // Tighter shed watermarks than the server default: the pipeline bound
+    // caps how much backlog a few connections can build, and the point is to
+    // exercise the shed path, not to find the largest queue that fits in RAM.
+    let mut cfg = plain.clone();
+    cfg.overload = OverloadConfig {
+        shed_high: 64 << 10,
+        shed_low: 16 << 10,
+        ..Default::default()
+    };
+    let o = open(out, "overloaded", &cfg, offered);
+    let shed = o.tally.shed + o.stats.load.map_or(0, |l| l.shed_requests);
     out.put("summary", "shed", shed as f64);
 }
 
-/// Shedding engages somewhere (client- or server-side count, either
-/// policy), and a shedding server still serves.
+/// Shedding engages (client- or server-side count), and a shedding server
+/// still serves.
 const OVERLOAD_BOUNDS: &[Bound] = &[
-    ("backoff", "ops_per_sec", Above(0.0)),
-    ("adaptive", "ops_per_sec", Above(0.0)),
+    ("overloaded", "ops_per_sec", Above(0.0)),
     ("summary", "shed", Above(0.0)),
 ];
 
@@ -1083,8 +1073,8 @@ mod tests {
             ],
             [
                 "overload",
-                "backoff ops_per_sec 5e4; adaptive ops_per_sec 5e4; summary shed 120",
-                "summary shed 0; backoff ops_per_sec 0; adaptive ops_per_sec -",
+                "overloaded ops_per_sec 5e4; summary shed 120",
+                "summary shed 0; overloaded ops_per_sec 0; overloaded ops_per_sec -",
             ],
             [
                 "grow",

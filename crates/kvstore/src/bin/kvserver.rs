@@ -26,7 +26,6 @@
 use kvstore::{
     OverloadConfig, Server, ServerConfig, StoreBackend, StoreConfig, TableKind, TelemetryConfig,
 };
-use medley::ContentionPolicy;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -41,7 +40,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--advancer-us",
     "--retries",
     "--seconds",
-    "--cm",
     "--shed-high",
     "--shed-low",
     "--metrics-addr",
@@ -113,12 +111,6 @@ fn configure(args: &[String]) -> Result<(ServerConfig, f64), String> {
         "durable" => StoreBackend::Durable,
         other => return Err(format!("unknown --backend {other:?} (transient|durable)")),
     };
-    let contention = match args.get("--cm", "backoff".to_string())?.as_str() {
-        "backoff" => ContentionPolicy::Backoff,
-        "karma" => ContentionPolicy::Karma,
-        "adaptive" => ContentionPolicy::Adaptive,
-        other => return Err(format!("unknown --cm {other:?} (backoff|karma|adaptive)")),
-    };
     let advancer_us: u64 = args.get("--advancer-us", 200)?;
     let metrics_addr: String = args.get("--metrics-addr", String::new())?;
     let telemetry = TelemetryConfig {
@@ -138,7 +130,6 @@ fn configure(args: &[String]) -> Result<(ServerConfig, f64), String> {
             tables,
             backend,
             max_retries: args.get("--retries", 256)?,
-            contention,
             advancer_period: (advancer_us > 0).then(|| Duration::from_micros(advancer_us)),
             ..Default::default()
         },

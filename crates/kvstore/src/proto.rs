@@ -122,7 +122,7 @@
 //! | `BATCH`     | `n: u32, n × (u8 opcode + single-op body)` |
 //! | `MGETB`     | `n: u32, n × tagged value` |
 //! | `SCAN`      | `n: u32, n × (key: u64, vlen: u32, vlen × u8)` — keys strictly ascending |
-//! | `STATS`     | `uptime_secs: u64`, 13 × `u64` transaction counters, `has_domain: u8` (+ 5 × `u64` domain stats), `has_load: u8` (+ 4 × `u64` load stats), `has_tables: u8` (+ table section, below), `has_events: u8` (+ event-loop section: 4 × `u64` aggregate counters, `n: u32`, `n` × 4 × `u64` per-worker counters — see [`EventStats`]) — see [`StatsReply`] |
+//! | `STATS`     | `uptime_secs: u64`, `N` × `u64` transaction counters in declaration order ([`TxStatsSnapshot::to_array`]; `N` = 11), `has_domain: u8` (+ 5 × `u64` domain stats), `has_load: u8` (+ 4 × `u64` load stats), `has_tables: u8` (+ table section, below), `has_events: u8` (+ event-loop section: 4 × `u64` aggregate counters, `n: u32`, `n` × 4 × `u64` per-worker counters — see [`EventStats`]) — see [`StatsReply`] |
 //! | `SYNC`      | `persisted_epoch: u64` |
 //! | `METRICS`   | `uptime_secs: u64`, `n: u32`, `n` × per-opcode block (`opcode: u8, retries: u64, max_ns: u64`, 64 × `bucket: u64`, `e: u32`, `e` × `abort_count: u64`), `w: u32`, `w` × per-worker phase block (`p: u32`, `p` × `phase_ns: u64`) — see [`MetricsReply`] |
 //! | `TRACE`     | `evicted: u64, n: u32`, `n` × trace record (`opcode: u8, status: u8, req_id: u64, queue_ns: u64, exec_ns: u64, retries: u64`) — see [`TraceReply`] |
@@ -1030,36 +1030,23 @@ fn status_err(st: u8) -> Result<ErrCode, ProtoError> {
 }
 
 /// Encodes one response frame onto `out`.  `opcode` is the opcode of the
-/// request being answered (echoed so error responses stay self-describing).
+/// request being answered: it is echoed (so error responses stay
+/// self-describing) and tells the decoder how to read a result's body, so a
+/// [`Response::Ok`] must be the result of that request.
 pub fn encode_response(out: &mut Vec<u8>, req_id: u32, opcode: u8, resp: &Response) {
     let mut payload = Vec::with_capacity(32);
     put_u32(&mut payload, req_id);
     match resp {
         Response::Ok(cmd_out) => {
             payload.push(ST_OK);
-            payload.push(out_opcode(cmd_out));
+            payload.push(opcode);
             encode_out_body(&mut payload, cmd_out);
         }
         Response::Stats(s) => {
             payload.push(ST_OK);
             payload.push(OP_STATS);
             put_u64(&mut payload, s.uptime_secs);
-            let t = &s.tx;
-            for v in [
-                t.commits,
-                t.aborts,
-                t.helps,
-                t.fast_commits,
-                t.ro_commits,
-                t.general_commits,
-                t.conflict_aborts,
-                t.explicit_aborts,
-                t.capacity_aborts,
-                t.unwind_aborts,
-                t.cm_waits,
-                t.cm_priority_skips,
-                t.cm_escalations,
-            ] {
+            for v in s.tx.to_array() {
                 put_u64(&mut payload, v);
             }
             match &s.domain {
@@ -1194,25 +1181,11 @@ pub fn decode_response(frame: &[u8]) -> Result<(u32, Response), ProtoError> {
         match opcode {
             OP_STATS => {
                 let uptime_secs = cur.u64()?;
-                let mut vals = [0u64; 13];
+                let mut vals = TxStatsSnapshot::default().to_array();
                 for v in &mut vals {
                     *v = cur.u64()?;
                 }
-                let tx = TxStatsSnapshot {
-                    commits: vals[0],
-                    aborts: vals[1],
-                    helps: vals[2],
-                    fast_commits: vals[3],
-                    ro_commits: vals[4],
-                    general_commits: vals[5],
-                    conflict_aborts: vals[6],
-                    explicit_aborts: vals[7],
-                    capacity_aborts: vals[8],
-                    unwind_aborts: vals[9],
-                    cm_waits: vals[10],
-                    cm_priority_skips: vals[11],
-                    cm_escalations: vals[12],
-                };
+                let tx = TxStatsSnapshot::from_array(vals);
                 let domain = match cur.u8()? {
                     0 => None,
                     1 => Some(DomainStats {
@@ -1432,6 +1405,8 @@ mod tests {
         assert_eq!(id, 7);
         assert_eq!(decoded, req);
         assert_eq!(consumed, wire.len());
+        // The byte after the request id is what the server echoes.
+        assert_eq!(frame[4], request_opcode(&req));
     }
 
     fn roundtrip_response(resp: Response, opcode: u8) {
@@ -1442,6 +1417,8 @@ mod tests {
         let (id, decoded) = decode_response(frame).unwrap();
         assert_eq!(id, 9);
         assert_eq!(decoded, resp);
+        // Request id, status, then the request's opcode, whatever the result.
+        assert_eq!(frame[5], opcode);
     }
 
     #[test]
@@ -1601,6 +1578,8 @@ mod tests {
             OP_MGET,
         );
         roundtrip_response(Response::Ok(CmdOut::Done), OP_MSET);
+        // Body-less too, and it used to go out under `MSET`'s opcode.
+        roundtrip_response(Response::Ok(CmdOut::Done), OP_MSETB);
         roundtrip_response(
             Response::Ok(CmdOut::Transferred {
                 from_after: 4,
@@ -1618,21 +1597,7 @@ mod tests {
         roundtrip_response(
             Response::Stats(StatsReply {
                 uptime_secs: 3600,
-                tx: TxStatsSnapshot {
-                    commits: 10,
-                    aborts: 2,
-                    helps: 1,
-                    fast_commits: 5,
-                    ro_commits: 3,
-                    general_commits: 2,
-                    conflict_aborts: 2,
-                    explicit_aborts: 0,
-                    capacity_aborts: 0,
-                    unwind_aborts: 0,
-                    cm_waits: 6,
-                    cm_priority_skips: 4,
-                    cm_escalations: 1,
-                },
+                tx: TxStatsSnapshot::from_array([10, 2, 1, 5, 3, 2, 2, 0, 0, 0, 6]),
                 domain: Some(DomainStats {
                     live_payloads: 3,
                     free_slots: 1,

@@ -38,7 +38,7 @@
 
 use crate::cache::TxCache;
 use crate::proto::{CacheStats, PartitionScheme, ShardKind, ShardStats, StatsReply, TableStats};
-use medley::{AbortReason, ContentionPolicy, RunConfig, ThreadHandle, TxError, TxManager};
+use medley::{AbortReason, RunConfig, ThreadHandle, TxError, TxManager};
 use nbds::{MichaelHashMap, SkipList, SplitOrderedMap};
 use pmem::{EpochAdvancer, NvmCostModel, PersistenceDomain, Value};
 use std::cell::Cell;
@@ -461,11 +461,6 @@ pub struct StoreConfig {
     /// Conflict-retry budget per command before reporting
     /// [`ErrCode::Retry`] to the client.
     pub max_retries: u64,
-    /// How command transactions wait between conflict retries (the
-    /// [`medley::ContentionPolicy`] passed to every `run_with`).  The
-    /// adaptive policy is what the overload harness A/Bs against the
-    /// default exponential backoff.
-    pub contention: ContentionPolicy,
     /// Durable mode: period of the background epoch advancer, or `None` to
     /// leave the epoch clock manual (only [`Store::sync`] advances it —
     /// used by restart tests that need a deterministic durability cut).
@@ -480,7 +475,6 @@ impl Default for StoreConfig {
             buckets_per_shard: None,
             backend: StoreBackend::Transient,
             max_retries: 256,
-            contention: ContentionPolicy::Backoff,
             advancer_period: Some(Duration::from_micros(200)),
         }
     }
@@ -742,8 +736,7 @@ impl Store {
                 domain,
                 run_cfg: RunConfig::new()
                     .max_retries(cfg.max_retries)
-                    .backoff_limit(8)
-                    .contention_policy(cfg.contention),
+                    .backoff_limit(8),
             },
             advancer,
         ))
@@ -1843,6 +1836,54 @@ mod tests {
             s.stats(&mut h).tables.unwrap().partition,
             PartitionScheme::Range
         );
+    }
+
+    #[test]
+    fn oversized_mset_and_scan_report_capacity_and_store_nothing() {
+        // Two more distinct keys than a descriptor has entries.
+        let n = medley::MAX_ENTRIES as u64 + 2;
+        let pairs: Vec<(u64, Value)> = (0..n).map(|k| (k, Value::U64(k))).collect();
+        let (mgr, s, _adv) = store(&StoreConfig::default());
+        let mut h = mgr.register();
+        assert_eq!(
+            s.exec(&mut h, &Cmd::MSetB(pairs.clone())),
+            Err(ErrCode::Capacity)
+        );
+        assert_eq!(
+            s.exec(&mut h, &Cmd::MGet((0..64).collect())),
+            Ok(CmdOut::Values(vec![None; 64])),
+            "an MSETB that cannot commit leaves no key behind"
+        );
+        let stats = s.stats(&mut h);
+        assert_eq!(stats.tx.capacity_aborts, 1);
+        assert_eq!(stats.tables.unwrap().shards[0].items, Some(0));
+
+        // Stored one by one the same keys fit; a page of all of them needs
+        // one counted read each.
+        let cfg = StoreConfig {
+            tables: TableKind::Skip,
+            shards: 2,
+            ..Default::default()
+        };
+        let (mgr, s, _adv) = store(&cfg);
+        let mut h = mgr.register();
+        for (k, v) in &pairs {
+            s.exec(&mut h, &Cmd::PutB(*k, v.clone())).unwrap();
+        }
+        let scan = |limit| Cmd::Scan {
+            lo: 0,
+            hi: u64::MAX,
+            limit,
+        };
+        assert_eq!(
+            s.exec(&mut h, &scan(MAX_SCAN_LIMIT)),
+            Err(ErrCode::Capacity)
+        );
+        assert_eq!(
+            s.exec(&mut h, &scan(8)),
+            Ok(CmdOut::Page(pairs[..8].to_vec()))
+        );
+        assert_eq!(s.stats(&mut h).tx.capacity_aborts, 1);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`Txn`] is the transactional context: an RAII guard created only by
 //!   [`ThreadHandle::run`] / [`ThreadHandle::begin`].  It records reads and
 //!   writes for commit-time validation, gives the transaction read-your-own-
-//!   write visibility, exposes [`Txn::abort`] for `?`-style early return, and
+//!   write visibility, exposes [`Txn::abort`] for `?`-style early return
+//!   (which closes the guard: nothing can execute through it afterwards), and
 //!   **aborts the transaction when dropped without commit** — so a panic
 //!   unwinding out of a transaction body cannot leak an installed descriptor
 //!   or leave the handle stuck mid-transaction.
@@ -141,7 +142,7 @@ pub trait Ctx: sealed::Sealed + Sized {
     unsafe fn retire_now<T: Send + 'static>(&mut self, ptr: *mut T);
 
     /// Whether this context executes transactionally.  `const`-foldable after
-    /// monomorphization: `false` for [`NonTx`], `true` for an open [`Txn`].
+    /// monomorphization: `false` for [`NonTx`], `true` for [`Txn`].
     fn is_transactional(&self) -> bool;
 
     /// The thread-slot id of the underlying [`ThreadHandle`] (always below
@@ -154,7 +155,7 @@ pub trait Ctx: sealed::Sealed + Sized {
     /// handle owns a slot at a time.
     fn tid(&self) -> usize;
 
-    /// The persistence epoch the open transaction snapshotted at begin
+    /// The persistence epoch the transaction snapshotted at begin
     /// (txMontage hook), or `None` in a standalone context.
     fn snapshot_epoch(&self) -> Option<u64>;
 
@@ -184,8 +185,8 @@ pub trait Ctx: sealed::Sealed + Sized {
 
     /// Whether this context holds a write to `obj` that other threads cannot
     /// see yet: a CAS the open transaction buffered, to publish at commit or
-    /// drop on abort.  Always `false` in a [`NonTx`] context and in an
-    /// aborted [`Txn`], where every CAS takes effect at once.
+    /// drop on abort.  Always `false` in a [`NonTx`] context, where every CAS
+    /// takes effect at once.
     ///
     /// This is how a *helping* CAS — `nbtc_cas(.., false, false)`, such as
     /// the unlink of a node some other operation has already deleted —
@@ -417,19 +418,27 @@ impl<'h> Txn<'h> {
     }
 
     /// Whether the transaction is still open (neither committed nor
-    /// aborted).  After [`Txn::abort`] the guard stays usable — operations
-    /// simply execute standalone, which keeps retry glue loops live — but
-    /// the transaction itself is gone.
+    /// aborted).  [`Txn::abort`] closes the guard: all that is left to do
+    /// with it is return the token (or [`Txn::commit`], which reports the
+    /// abort).
     #[inline]
     pub fn is_open(&self) -> bool {
         self.h.in_tx()
     }
 
-    /// The context an aborted guard keeps executing in: its calls take
-    /// effect at once, exactly as through [`ThreadHandle::nontx`].
+    /// The handle of the open transaction: the one door from this guard to
+    /// the engines, shut once the transaction is.  A body that keeps calling
+    /// operations after [`Txn::abort`] has a bug — nothing it did could ever
+    /// commit — so it gets a panic before anything touches shared memory
+    /// (the guard's drop, by then a no-op, leaves the handle reusable).
     #[inline]
-    fn standalone(&mut self) -> NonTx<'_> {
-        NonTx::new(self.h)
+    fn open(&mut self) -> &mut ThreadHandle {
+        assert!(
+            self.h.in_tx(),
+            "operation through a transaction guard closed by abort({:?})",
+            self.aborted
+        );
+        self.h
     }
 
     /// Aborts the transaction now (paper `txAbort`) and returns the [`Abort`]
@@ -453,7 +462,11 @@ impl<'h> Txn<'h> {
     /// [`AbortReason::Explicit`] is final ([`ThreadHandle::run`] reports
     /// [`TxError::Explicit`](crate::TxError::Explicit) without retrying);
     /// [`AbortReason::Conflict`]
-    /// requests a retry.
+    /// requests a retry.  Either way the buffered writes are dropped and the
+    /// guard is closed: return the token at once.
+    ///
+    /// # Panics
+    /// Any [`Ctx`] access through the guard after this call panics.
     pub fn abort(&mut self, reason: AbortReason) -> Abort {
         if self.h.in_tx() {
             self.h.abort_with(match reason {
@@ -517,11 +530,8 @@ impl Drop for Txn<'_> {
     }
 }
 
-/// Every method first asks whether the transaction is still open: an aborted
-/// guard keeps executing standalone, so glue-code retry loops keep making
-/// progress (the doomed-transaction discipline of the runtime).  This is the
-/// one place where a run-time test chooses between the transactional and the
-/// standalone engines.
+/// Every access to a word or to the transaction's sets goes through the
+/// private `Txn::open`, so the engines only ever see an open transaction.
 impl Ctx for Txn<'_> {
     fn with_op<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         // Unwind-safe bracket (see the `NonTx` impl): additionally resets
@@ -542,11 +552,7 @@ impl Ctx for Txn<'_> {
 
     #[inline]
     fn nbtc_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
-        if self.h.in_tx() {
-            self.h.tx_load_counted(obj)
-        } else {
-            self.standalone().nbtc_load_counted(obj)
-        }
+        self.open().tx_load_counted(obj)
     }
 
     #[inline]
@@ -558,60 +564,35 @@ impl Ctx for Txn<'_> {
         lin_pt: bool,
         pub_pt: bool,
     ) -> bool {
-        if self.h.in_tx() {
-            self.h.tx_cas(obj, expected, desired, lin_pt, pub_pt)
-        } else {
-            self.standalone()
-                .nbtc_cas(obj, expected, desired, lin_pt, pub_pt)
-        }
+        self.open().tx_cas(obj, expected, desired, lin_pt, pub_pt)
     }
 
     #[inline]
     fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64) {
-        if self.h.in_tx() {
-            self.h.add_read_with_counter(obj, val, cnt);
-        }
+        self.open().add_read_with_counter(obj, val, cnt);
     }
 
     fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        if self.h.in_tx() {
-            self.h.add_cleanup(f);
-        } else {
-            self.standalone().add_cleanup(f);
-        }
+        self.open().add_cleanup(f);
     }
 
     fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
-        if self.h.in_tx() {
-            self.h.add_abort_action(f);
-        }
+        self.open().add_abort_action(f);
     }
 
     #[inline]
     fn tnew<T>(&mut self, value: T) -> *mut T {
-        if self.h.in_tx() {
-            self.h.tnew(value)
-        } else {
-            self.standalone().tnew(value)
-        }
+        self.open().tnew(value)
     }
 
     unsafe fn tdelete<T>(&mut self, ptr: *mut T) {
-        // SAFETY (both arms): forwarded from the caller's contract.
-        if self.h.in_tx() {
-            unsafe { self.h.tdelete(ptr) }
-        } else {
-            unsafe { self.standalone().tdelete(ptr) }
-        }
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { self.open().tdelete(ptr) }
     }
 
     unsafe fn tretire<T: Send + 'static>(&mut self, ptr: *mut T) {
-        // SAFETY (both arms): forwarded from the caller's contract.
-        if self.h.in_tx() {
-            unsafe { self.h.tretire(ptr) }
-        } else {
-            unsafe { self.standalone().tretire(ptr) }
-        }
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { self.open().tretire(ptr) }
     }
 
     unsafe fn retire_now<T: Send + 'static>(&mut self, ptr: *mut T) {
@@ -621,7 +602,7 @@ impl Ctx for Txn<'_> {
 
     #[inline]
     fn is_transactional(&self) -> bool {
-        self.h.in_tx()
+        true
     }
 
     #[inline]
@@ -631,7 +612,7 @@ impl Ctx for Txn<'_> {
 
     #[inline]
     fn snapshot_epoch(&self) -> Option<u64> {
-        self.h.in_tx().then(|| self.h.snapshot_epoch())
+        Some(self.h.snapshot_epoch())
     }
 
     #[inline]
@@ -639,7 +620,7 @@ impl Ctx for Txn<'_> {
         // Deliberately bypasses `tx_load_counted`: the value read is
         // infrastructure, not part of the transaction's footprint, so it is
         // neither buffered nor validated.
-        self.h.untracked_load_counted(obj).0
+        self.open().untracked_load_counted(obj).0
     }
 
     #[inline]
@@ -647,12 +628,13 @@ impl Ctx for Txn<'_> {
         // Immediate global effect even mid-transaction: infrastructure CASes
         // (sentinel insertion, directory publication) must survive an abort
         // of the enclosing transaction.
-        self.h.untracked_cas(obj, expected, desired)
+        self.open().untracked_cas(obj, expected, desired)
     }
 
     #[inline]
     fn write_is_buffered(&self, obj: &CasWord) -> bool {
-        self.h.in_tx() && self.h.write_is_buffered(obj)
+        // A closed guard's buffer is empty.
+        self.h.local_write_index(obj).is_some()
     }
 }
 
@@ -666,65 +648,24 @@ impl std::fmt::Debug for Txn<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Contention management
-// ---------------------------------------------------------------------------
-
-/// How [`ThreadHandle::run_with`] waits between conflict retries — the
-/// pluggable contention manager.
-///
-/// The TM literature (Kuznetsov & Ravi, *Why Transactional Memory Should Not
-/// Be Obstruction-Free*; Scherer & Scott's karma/timestamp managers) argues
-/// that liveness under contention should come from a deliberate contention
-/// *policy*, not from per-operation heroics.  The runtime keeps the commit
-/// protocol fixed and exposes the policy here; each variant only changes how
-/// long a transaction waits after losing a conflict, so every policy
-/// preserves the runtime's safety argument unchanged.
-///
-/// All three policies are measurable through the contention-manager counters
-/// in [`TxStatsSnapshot`](crate::TxStatsSnapshot) (`cm_waits`,
-/// `cm_priority_skips`, `cm_escalations`), which is what makes policy A/B
-/// runs comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContentionPolicy {
-    /// Capped exponential backoff (the historical default): every lost
-    /// conflict doubles the wait up to [`RunConfig::backoff_limit`].
-    #[default]
-    Backoff,
-    /// Karma-style seniority: the wait *shrinks* as the transaction invests
-    /// more attempts, so long-suffering transactions get priority over fresh
-    /// ones instead of being pushed ever further back.  (A local reading of
-    /// Scherer & Scott's karma manager — our commit protocol has no channel
-    /// for the winner to learn the loser's priority, so priority is spent on
-    /// one's own wait rather than on aborting the enemy.)
-    Karma,
-    /// Adaptive, fed by a per-thread EWMA of `run_with` attempt outcomes (0 =
-    /// committing first try, 1 = losing every conflict — a thread hammering
-    /// a hot key pins it high): near-zero waits while the thread
-    /// is winning (uncontended keys), the default escalation in the middle,
-    /// and an immediate escalation to scheduler yields once the abort rate
-    /// says the thread is stuck on a hot key.
-    Adaptive,
-}
-
-// ---------------------------------------------------------------------------
 // RunConfig
 // ---------------------------------------------------------------------------
 
 /// Retry policy for [`ThreadHandle::run_with`], built in the builder style.
 ///
-/// The default (used by [`ThreadHandle::run`]) retries conflicts forever
-/// with full exponential backoff, which matches the obstruction-free
-/// progress argument of the paper: a transaction that keeps losing conflicts
-/// eventually runs in isolation long enough to commit.  Latency-sensitive
-/// callers can bound the retry count (surfaced as
-/// [`TxError::RetriesExhausted`](crate::TxError::RetriesExhausted)), cap
-/// how far the backoff escalates, and swap the wait policy itself via
-/// [`RunConfig::contention_policy`].
+/// Capped exponential backoff is the contention manager: the commit protocol
+/// is obstruction-free, a transaction that loses a conflict unwinds to the
+/// retry loop, waits (each wait is one `cm_waits` in
+/// [`TxStatsSnapshot`](crate::TxStatsSnapshot)) and tries again, and one
+/// that keeps losing eventually runs in isolation long enough to commit.
+/// The default (used by [`ThreadHandle::run`]) retries forever with the full
+/// ladder.  Latency-sensitive callers can bound the retry count (surfaced as
+/// [`TxError::RetriesExhausted`](crate::TxError::RetriesExhausted)) and cap
+/// how far the backoff escalates.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    max_retries: Option<u64>,
-    backoff_limit: u32,
-    policy: ContentionPolicy,
+    pub(crate) max_retries: Option<u64>,
+    pub(crate) backoff_limit: u32,
 }
 
 impl Default for RunConfig {
@@ -732,7 +673,6 @@ impl Default for RunConfig {
         Self {
             max_retries: None,
             backoff_limit: u32::MAX,
-            policy: ContentionPolicy::Backoff,
         }
     }
 }
@@ -759,26 +699,6 @@ impl RunConfig {
     pub fn backoff_limit(mut self, limit: u32) -> Self {
         self.backoff_limit = limit;
         self
-    }
-
-    /// Selects the contention manager that paces conflict retries (the
-    /// default is [`ContentionPolicy::Backoff`], today's capped exponential
-    /// backoff).
-    pub fn contention_policy(mut self, policy: ContentionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    pub(crate) fn max_retries_value(&self) -> Option<u64> {
-        self.max_retries
-    }
-
-    pub(crate) fn backoff_limit_value(&self) -> u32 {
-        self.backoff_limit
-    }
-
-    pub(crate) fn contention_policy_value(&self) -> ContentionPolicy {
-        self.policy
     }
 }
 
@@ -885,7 +805,9 @@ mod tests {
         assert_eq!(res, Ok(1));
         assert_eq!(attempts, 3);
         h.flush_stats();
-        assert_eq!(mgr.stats_snapshot().conflict_aborts, 2);
+        let snap = mgr.stats_snapshot();
+        assert_eq!(snap.conflict_aborts, 2);
+        assert_eq!(snap.cm_waits, 2, "each retry is paced by one backoff wait");
     }
 
     #[test]
@@ -977,22 +899,52 @@ mod tests {
     }
 
     #[test]
-    fn aborted_guard_keeps_executing_standalone() {
-        // Matches the doomed-transaction discipline: after an abort the body
-        // may keep calling operations; they take effect immediately.
+    fn operation_through_an_aborted_guard_panics_and_touches_nothing() {
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let w = CasWord::new(1);
-        let res: TxResult<u64> = h.run(|t| {
-            let _ = t.abort(AbortReason::Conflict);
-            assert!(!t.is_open());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: TxResult<()> = h.run(|t| {
+                let _ = t.abort(AbortReason::Conflict);
+                assert!(!t.is_open());
+                assert!(!t.write_is_buffered(&w));
+                t.with_op(|t| {
+                    t.nbtc_cas(&w, 1, 7, true, true);
+                });
+                Ok(())
+            });
+        }));
+        assert!(result.is_err(), "a closed guard must refuse the CAS");
+        assert_eq!(w.load_parts(), (1, 0), "the word was never touched");
+        assert!(!h.in_tx());
+        assert_eq!(h.pin_depth(), 0);
+        let res = h.run(|t| Ok(t.nbtc_cas(&w, 1, 2, true, true)));
+        assert_eq!(res, Ok(true), "the handle stays usable");
+        assert_eq!(w.try_load_value(), Some(2));
+    }
+
+    #[test]
+    fn body_that_aborts_and_returns_ok_is_treated_as_aborted() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let w = CasWord::new(1);
+        let mut attempts = 0;
+        let res = h.run(|t| {
+            attempts += 1;
             assert!(t.nbtc_cas(&w, 1, 7, true, true));
-            assert!(!t.write_is_buffered(&w));
-            Ok(t.nbtc_load(&w))
+            if attempts == 1 {
+                let _ = t.abort(AbortReason::Conflict);
+            }
+            Ok(attempts)
         });
-        // Body returned Ok after aborting: the value is the result and the
-        // standalone CAS stuck.
-        assert_eq!(res, Ok(7));
+        assert_eq!(res, Ok(2), "a swallowed conflict abort is retried");
         assert_eq!(w.try_load_value(), Some(7));
+        let res = h.run(|t| {
+            assert!(t.nbtc_cas(&w, 7, 9, true, true));
+            let _ = t.abort(AbortReason::Explicit);
+            Ok(())
+        });
+        assert_eq!(res, Err(TxError::Explicit));
+        assert_eq!(w.load_parts(), (7, 2), "only the one commit wrote");
     }
 }

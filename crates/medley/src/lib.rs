@@ -94,7 +94,7 @@ mod txmanager;
 pub mod util;
 
 pub use casobj::CasWord;
-pub use ctx::{ContentionPolicy, Ctx, NonTx, RunConfig, Txn};
+pub use ctx::{Ctx, NonTx, RunConfig, Txn};
 pub use descriptor::MAX_ENTRIES;
 pub use errors::{Abort, AbortReason, TxError, TxResult};
 pub use txmanager::{ThreadHandle, TxManager, TxStatsSnapshot};

@@ -22,7 +22,7 @@
 
 use crate::atomic128::{pack, unpack};
 use crate::casobj::CasWord;
-use crate::ctx::{ContentionPolicy, RunConfig, Txn};
+use crate::ctx::{RunConfig, Txn};
 use crate::descriptor::{Desc, Status};
 use crate::ebr;
 use crate::errors::{Abort, AbortReason, TxError, TxResult};
@@ -40,14 +40,6 @@ const OWN_SPECULATIVE: u64 = u64::MAX;
 /// counts are available after [`ThreadHandle::flush_stats`] (called
 /// automatically when a handle is dropped).
 const STATS_FLUSH_EVERY: u64 = 64;
-
-/// [`ContentionPolicy::Adaptive`] thresholds on the per-thread abort-rate
-/// EWMA (fixed point, /1024).  At or above `CM_HOT` the thread is losing most
-/// conflicts — almost certainly hammering a hot key — and waits by yielding
-/// the core.  Between `CM_WARM` and `CM_HOT` it uses the standard exponential
-/// ladder; below `CM_WARM` it retries almost immediately.
-const CM_HOT: u32 = 512;
-const CM_WARM: u32 = 96;
 
 /// Declares the runtime's counters, once: each entry is a public field of
 /// [`TxStatsSnapshot`] (with its documentation) and the [`Stat`] slot it
@@ -71,10 +63,15 @@ macro_rules! tx_counters {
         }
 
         impl TxStatsSnapshot {
-            fn read(counters: &[CachePadded<AtomicU64>; STATS]) -> Self {
-                Self {
-                    $($field: counters[Stat::$stat as usize].load(Ordering::Relaxed),)*
-                }
+            /// The counters in declaration order, which is also their order
+            /// in the manager's shared array and on the `STATS` wire reply.
+            pub fn to_array(&self) -> [u64; STATS] {
+                [$(self.$field,)*]
+            }
+
+            /// The inverse of [`TxStatsSnapshot::to_array`].
+            pub fn from_array([$($field,)*]: [u64; STATS]) -> Self {
+                Self { $($field,)* }
             }
         }
     };
@@ -115,18 +112,9 @@ tx_counters! {
     /// a panicking transaction body, or by a [`ThreadHandle`] dropped
     /// mid-transaction (subset of `aborts`).
     unwind_aborts = UnwindAborts,
-    /// Contention-manager wait decisions: one per conflict retry paced by
-    /// [`ThreadHandle::run_with`], whatever the configured
-    /// [`ContentionPolicy`].
+    /// Contention-manager waits: one per conflict retry paced by the capped
+    /// exponential backoff of [`ThreadHandle::run_with`].
     cm_waits = CmWaits,
-    /// Waits the karma policy collapsed to a bare spin hint because the
-    /// transaction's invested attempts earned it priority (subset of
-    /// `cm_waits`; always 0 under other policies).
-    cm_priority_skips = CmPrioritySkips,
-    /// Waits the adaptive policy escalated straight to a scheduler yield
-    /// because the thread's conflict-abort-rate EWMA crossed the hot
-    /// threshold (subset of `cm_waits`; always 0 under other policies).
-    cm_escalations = CmEscalations,
 }
 
 /// Internal classification of why an abort happened (surfaces in
@@ -225,13 +213,11 @@ impl TxManager {
                     capacity_exceeded: false,
                     local_writes: Vec::new(),
                     write_filter: 0,
-                    overflow_writes: Vec::new(),
                     local_reads: Vec::new(),
                     cleanups: Vec::new(),
                     abort_actions: Vec::new(),
                     allocs: Vec::new(),
                     tallies: [0; STATS],
-                    abort_rate: 0,
                     stat_unflushed: 0,
                     last_run_attempts: 0,
                 };
@@ -250,7 +236,9 @@ impl TxManager {
     /// counters partition `commits`: `commits == fast_commits + ro_commits +
     /// general_commits` holds on every exact snapshot.
     pub fn stats_snapshot(&self) -> TxStatsSnapshot {
-        TxStatsSnapshot::read(&self.stats)
+        TxStatsSnapshot::from_array(std::array::from_fn(|i| {
+            self.stats[i].load(Ordering::Relaxed)
+        }))
     }
 
     /// Number of thread slots this manager was created with.
@@ -343,9 +331,9 @@ pub struct ThreadHandle {
     spec_interval: bool,
     serial: u64,
     snapshot_epoch: u64,
-    /// The read or write set overflowed: the commit is guaranteed to fail,
-    /// but operations keep executing normally so that glue-code retry loops
-    /// stay live.
+    /// The read or write set outgrew the descriptor: the commit is guaranteed
+    /// to fail, but operations keep executing as in any transaction (every
+    /// critical CAS is still buffered), so container retry loops stay live.
     capacity_exceeded: bool,
     /// The transaction's write set, buffered in plain thread-local memory.
     /// Addresses are unique (a second CAS on a buffered word rewrites its
@@ -357,14 +345,6 @@ pub struct ThreadHandle {
     /// the read-your-own-write lookup skips the linear scan.  Large
     /// transactions (TPC-C) would otherwise pay O(write-set) per load.
     write_filter: u64,
-    /// Local write overlay of a transaction that overflowed the descriptor's
-    /// write capacity: `(addr, speculative value)`.  Once `capacity_exceeded`
-    /// is set no transactional access touches shared memory — writes land
-    /// here and loads consult it first — so the (inevitably failing) body
-    /// still executes against a consistent view and every container retry or
-    /// helping loop converges instead of livelocking.  Dropped wholesale on
-    /// abort.
-    overflow_writes: Vec<(usize, u64)>,
     /// The transaction's read set, buffered in plain thread-local memory as
     /// `(addr, value, counter)`.  Only a transaction that publishes its
     /// descriptor (general commit path) spills these into the descriptor's
@@ -378,10 +358,6 @@ pub struct ThreadHandle {
     allocs: Vec<(*mut u8, DropFn)>,
     /// Counter events not yet flushed into `TxManager::stats`, by [`Stat`].
     tallies: [u64; STATS],
-    /// Fixed-point (/1024) EWMA of this thread's recent `run_with` attempt
-    /// outcomes: 0 = committing first try, 1024 = losing every conflict.
-    /// Feeds [`ContentionPolicy::Adaptive`].
-    abort_rate: u32,
     stat_unflushed: u64,
     /// Attempt count of the most recently finished `run_with` (1 = committed
     /// first try).  Consumed by [`ThreadHandle::take_last_attempts`] so
@@ -489,7 +465,6 @@ impl ThreadHandle {
         self.capacity_exceeded = false;
         self.local_writes.clear();
         self.write_filter = 0;
-        self.overflow_writes.clear();
         self.local_reads.clear();
         debug_assert!(self.cleanups.is_empty());
         debug_assert!(self.allocs.is_empty());
@@ -757,34 +732,15 @@ impl ThreadHandle {
         cfg: &RunConfig,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
     ) -> TxResult<R> {
-        let mut backoff = Backoff::with_limit(cfg.backoff_limit_value());
-        let policy = cfg.contention_policy_value();
+        let mut backoff = Backoff::with_limit(cfg.backoff_limit);
         let mut attempts: u64 = 0;
         loop {
             attempts += 1;
             let mut txn = self.begin();
-            match body(&mut txn) {
-                Ok(value) => {
-                    if !txn.is_open() {
-                        // The body aborted explicitly but still returned Ok;
-                        // treat the produced value as the result.
-                        drop(txn);
-                        self.last_run_attempts = attempts;
-                        return Ok(value);
-                    }
-                    match txn.commit() {
-                        Ok(()) => {
-                            self.record_cm_outcome(false);
-                            self.last_run_attempts = attempts;
-                            return Ok(value);
-                        }
-                        Err(TxError::Conflict) => {}
-                        Err(e) => {
-                            self.last_run_attempts = attempts;
-                            return Err(e);
-                        }
-                    }
-                }
+            let outcome = match body(&mut txn) {
+                // `commit` also reports an abort the body recorded without
+                // returning its token.
+                Ok(value) => txn.commit().map(|()| value),
                 Err(abort) => {
                     // `Abort` normally proves the body already rolled the
                     // transaction back (the token only comes from
@@ -797,34 +753,31 @@ impl ThreadHandle {
                         let _ = txn.abort(abort.reason());
                     }
                     drop(txn);
-                    match abort.reason() {
-                        AbortReason::Explicit => {
-                            self.last_run_attempts = attempts;
-                            return Err(TxError::Explicit);
-                        }
-                        AbortReason::Conflict => {}
-                    }
+                    Err(match abort.reason() {
+                        AbortReason::Explicit => TxError::Explicit,
+                        AbortReason::Conflict => TxError::Conflict,
+                    })
+                }
+            };
+            match outcome {
+                Err(TxError::Conflict) => {}
+                done => {
+                    self.last_run_attempts = attempts;
+                    return done;
                 }
             }
-            // Lost a conflict: feed the contention signal, then wait as the
-            // configured contention manager dictates.
-            self.record_cm_outcome(true);
-            if let Some(max) = cfg.max_retries_value() {
+            // Lost a conflict: the contention manager is capped exponential
+            // backoff, one counted wait per retry.
+            if let Some(max) = cfg.max_retries {
                 if attempts > max {
                     self.last_run_attempts = attempts;
                     return Err(TxError::RetriesExhausted);
                 }
             }
-            self.cm_wait(policy, &mut backoff, attempts);
+            self.count(Stat::CmWaits);
+            self.note_stat_event();
+            backoff.backoff();
         }
-    }
-
-    /// Updates the per-thread conflict-abort-rate EWMA (fixed point /1024,
-    /// smoothing factor 1/16) with one `run_with` attempt outcome.
-    #[inline]
-    fn record_cm_outcome(&mut self, aborted: bool) {
-        let target: u32 = if aborted { 1024 } else { 0 };
-        self.abort_rate = (self.abort_rate * 15 + target) / 16;
     }
 
     /// Returns the attempt count of the most recent [`run`](Self::run) /
@@ -839,39 +792,6 @@ impl ThreadHandle {
         std::mem::take(&mut self.last_run_attempts)
     }
 
-    /// One contention-manager wait between conflict retries.  `attempts`
-    /// counts attempts already spent on this transaction (work invested).
-    fn cm_wait(&mut self, policy: ContentionPolicy, backoff: &mut Backoff, attempts: u64) {
-        self.count(Stat::CmWaits);
-        match policy {
-            ContentionPolicy::Backoff => backoff.backoff(),
-            ContentionPolicy::Karma => {
-                // Seniority discount: the exponent the default ladder would
-                // have reached is reduced by log2(attempts), so the longer a
-                // transaction has fought the shorter it waits.
-                let seniority = 63 - (attempts | 1).leading_zeros();
-                if backoff.backoff_discounted(seniority) {
-                    self.count(Stat::CmPrioritySkips);
-                }
-            }
-            ContentionPolicy::Adaptive => {
-                let rate = self.abort_rate;
-                if rate >= CM_HOT {
-                    // Hot-key regime: spinning only reheats the word; hand
-                    // the core to whoever is winning.
-                    self.count(Stat::CmEscalations);
-                    std::thread::yield_now();
-                } else if rate >= CM_WARM {
-                    backoff.backoff();
-                } else {
-                    // Mostly winning: any wait is pure added latency.
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        self.note_stat_event();
-    }
-
     /// Aborts the open transaction, recording `kind` in the per-reason abort
     /// statistics.
     #[inline]
@@ -884,10 +804,8 @@ impl ThreadHandle {
         });
         // Buffered writes that were never published: dropping them is the
         // rollback (any that *were* installed are rolled back by the
-        // uninstall below), and the capacity-overflow overlay never touched
-        // shared memory.
+        // uninstall below).
         self.local_writes.clear();
-        self.overflow_writes.clear();
         let desc = self.desc();
         let st = desc.abort_own(self.serial);
         let outcome = if st == Status::Committed {
@@ -917,8 +835,8 @@ impl ThreadHandle {
 
     // ------------------------------------------------------------------
     // Composable support (paper `Composable` base class): the engines
-    // behind `Txn`.  Each assumes an open transaction — `Txn` sends the
-    // calls of an aborted guard to the standalone context instead.
+    // behind `Txn`.  Each assumes an open transaction — `Txn` refuses the
+    // calls of a closed guard before they get here.
     // ------------------------------------------------------------------
 
     /// Registers a read for commit-time validation: `val` and `cnt` must be
@@ -1043,8 +961,10 @@ impl ThreadHandle {
     /// The transaction's buffered write to `obj`, if any (addresses in
     /// `local_writes` are unique).  The Bloom filter screens out the common
     /// case — a load of a word this transaction never wrote — in O(1).
+    /// `Some` is what [`Ctx::write_is_buffered`](crate::Ctx::write_is_buffered)
+    /// reports.
     #[inline]
-    fn local_write_index(&self, obj: &CasWord) -> Option<usize> {
+    pub(crate) fn local_write_index(&self, obj: &CasWord) -> Option<usize> {
         if self.write_filter & Self::filter_bit(obj) == 0 {
             return None;
         }
@@ -1104,13 +1024,6 @@ impl ThreadHandle {
     /// counter that makes registering it a no-op.
     #[inline]
     pub(crate) fn tx_load_counted(&mut self, obj: &CasWord) -> (u64, u64) {
-        if self.capacity_exceeded {
-            let addr = obj as *const CasWord as usize;
-            if let Some(&(_, v)) = self.overflow_writes.iter().rev().find(|(a, _)| *a == addr) {
-                self.spec_interval = true;
-                return (v, OWN_SPECULATIVE);
-            }
-        }
         if let Some(i) = self.local_write_index(obj) {
             // Our own buffered write: the speculation interval of the
             // current operation starts here, exactly as when the paper's
@@ -1160,9 +1073,6 @@ impl ThreadHandle {
         lin_pt: bool,
         pub_pt: bool,
     ) -> bool {
-        if self.capacity_exceeded {
-            return self.overflow_cas(obj, expected, desired);
-        }
         // Operating on a word the transaction already wrote: rewrite the
         // buffered entry in place.  Any CAS on a buffered word — critical or
         // not — is absorbed by the buffer, exactly as the paper's protocol
@@ -1192,21 +1102,12 @@ impl ThreadHandle {
             // memory instead of five shared atomic stores plus an install
             // CAS.
             if self.local_writes.len() >= crate::descriptor::MAX_ENTRIES {
-                // Write-set overflow: the commit is guaranteed to fail
-                // with `CapacityExceeded`.  Failing the CAS would send
-                // container retry loops (re-traverse, re-CAS) into a
-                // livelock, because with a full write set the CAS could
-                // never succeed.  Instead the transaction switches into
-                // *overlay mode*: this and every later transactional
-                // access runs against the local `overflow_writes` buffer
-                // and never touches shared memory, so execution stays
-                // consistent, every loop converges, and `commit` reports
-                // the failure (and `validate_reads` reports the
-                // inconsistency immediately).
+                // More writes than a descriptor holds: `commit` will report
+                // `CapacityExceeded` (and `validate_reads` says so at once).
+                // The CAS is buffered all the same — failing it would send
+                // container retry loops (re-traverse, re-CAS) spinning on a
+                // CAS that can never succeed.
                 self.capacity_exceeded = true;
-                self.overflow_writes
-                    .push((obj as *const CasWord as usize, desired));
-                return true;
             }
             self.local_writes.push(LocalWrite {
                 addr: obj as *const CasWord,
@@ -1224,31 +1125,6 @@ impl ThreadHandle {
         // linearized operation): executed on the fly, and not undone by an
         // abort.
         obj.raw().cas(raw, pack(desired, cnt.wrapping_add(2)))
-    }
-
-    /// Transactional CAS of a capacity-overflowed ("overlay mode")
-    /// transaction: shared memory is never touched again — the CAS is
-    /// evaluated against the transaction's current visible value (overlay
-    /// first, then its pre-overflow speculation, then real memory) and, on
-    /// success, recorded in the overlay.  See `overflow_writes`.
-    fn overflow_cas(&mut self, obj: &CasWord, expected: u64, desired: u64) -> bool {
-        let addr = obj as *const CasWord as usize;
-        let (cur, _) = self.tx_load_counted(obj);
-        if cur != expected {
-            return false;
-        }
-        self.overflow_writes.push((addr, desired));
-        true
-    }
-
-    /// Whether the open transaction holds a write to `obj` that memory does
-    /// not show yet (the engine of
-    /// [`Ctx::write_is_buffered`](crate::Ctx::write_is_buffered)): `obj` is
-    /// in the write buffer, or the transaction is in overlay mode, where no
-    /// CAS reaches memory at all.
-    #[inline]
-    pub(crate) fn write_is_buffered(&self, obj: &CasWord) -> bool {
-        self.capacity_exceeded || self.local_write_index(obj).is_some()
     }
 }
 
@@ -1639,13 +1515,14 @@ mod tests {
         // Regression: a critical CAS past the descriptor's write capacity
         // used to report failure, which container retry loops interpret as
         // contention — spinning forever on a transaction that can never
-        // commit.  It must now pretend-succeed (the transaction is doomed)
+        // commit.  It is buffered like any other (the transaction is doomed)
         // so control reaches the commit, which reports `CapacityExceeded`.
         let mgr = TxManager::new();
         let mut h = mgr.register();
         let words: Vec<CasWord> = (0..crate::descriptor::MAX_ENTRIES + 2)
             .map(|_| CasWord::new(0))
             .collect();
+        let helped = CasWord::new(7);
         let res: TxResult<()> = h.run(|t| {
             for w in &words {
                 assert!(
@@ -1654,14 +1531,14 @@ mod tests {
                 );
             }
             assert!(!t.validate_reads(), "overflowed transaction is doomed");
-            // Overlay mode: later accesses see the transaction's own fake
+            // Later accesses still see the transaction's own buffered
             // writes, so verify-by-reload loops (the helping pattern in the
             // containers) converge instead of spinning on unchanged memory.
             let extra = CasWord::new(10);
             let mut spins = 0;
             loop {
                 spins += 1;
-                assert!(spins < 4, "overlay CAS loop failed to converge");
+                assert!(spins < 4, "doomed CAS loop failed to converge");
                 let v = t.nbtc_load(&extra);
                 if t.nbtc_cas(&extra, v, v + 1, true, true) {
                     break;
@@ -1670,13 +1547,21 @@ mod tests {
             assert_eq!(
                 t.nbtc_load(&extra),
                 11,
-                "overlay write must be visible to the same transaction"
+                "buffered write must be visible to the same transaction"
             );
             assert!(
                 !t.nbtc_cas(&extra, 10, 99, true, true),
                 "stale expected value must still fail"
             );
+            assert!(t.write_is_buffered(&extra));
             assert_eq!(extra.try_load_value(), Some(10), "memory untouched");
+            // A helping CAS (of the next operation: outside any speculation
+            // interval) is applied on the spot, exactly as in a healthy
+            // transaction, and says so: its caller must retire what it
+            // unlinked now, because the abort will not undo it.
+            assert!(t.with_op(|t| t.nbtc_cas(&helped, 7, 8, false, false)));
+            assert!(!t.write_is_buffered(&helped));
+            assert_eq!(helped.try_load_value(), Some(8));
             Ok(())
         });
         assert_eq!(res, Err(TxError::CapacityExceeded));
@@ -1854,95 +1739,5 @@ mod tests {
         }
         let total = a.try_load_value().unwrap() + b.try_load_value().unwrap();
         assert_eq!(total, 2_000);
-    }
-
-    #[test]
-    fn all_contention_policies_commit_under_contention() {
-        for policy in [
-            ContentionPolicy::Backoff,
-            ContentionPolicy::Karma,
-            ContentionPolicy::Adaptive,
-        ] {
-            let mgr = Arc::new(TxManager::new());
-            let w = Arc::new(CasWord::new(0));
-            const THREADS: usize = 4;
-            const PER_THREAD: u64 = 200;
-            let mut handles = Vec::new();
-            for _ in 0..THREADS {
-                let mgr = Arc::clone(&mgr);
-                let w = Arc::clone(&w);
-                handles.push(std::thread::spawn(move || {
-                    let cfg = RunConfig::new().contention_policy(policy);
-                    let mut h = mgr.register();
-                    for _ in 0..PER_THREAD {
-                        h.run_with(&cfg, |t| {
-                            let v = t.nbtc_load(&w);
-                            if !t.nbtc_cas(&w, v, v + 1, true, true) {
-                                return Err(t.abort(AbortReason::Conflict));
-                            }
-                            Ok(())
-                        })
-                        .unwrap();
-                    }
-                }));
-            }
-            for t in handles {
-                t.join().unwrap();
-            }
-            assert_eq!(
-                w.try_load_value(),
-                Some(THREADS as u64 * PER_THREAD),
-                "policy {policy:?} lost updates"
-            );
-        }
-    }
-
-    #[test]
-    fn karma_waits_are_counted_in_stats() {
-        let mgr = TxManager::new();
-        let mut h = mgr.register();
-        let mut backoff = Backoff::new();
-        for i in 1..=64 {
-            h.cm_wait(ContentionPolicy::Karma, &mut backoff, i);
-        }
-        h.flush_stats();
-        let snap = mgr.stats_snapshot();
-        assert_eq!(snap.cm_waits, 64);
-        assert!(
-            snap.cm_priority_skips > 0,
-            "high-seniority waits must collapse to near-immediate retries"
-        );
-    }
-
-    #[test]
-    fn adaptive_abort_rate_ewma_tracks_outcomes() {
-        let mgr = TxManager::new();
-        let mut h = mgr.register();
-        // Fixed point: 1024 = losing every conflict.
-        assert_eq!(h.abort_rate, 0);
-        for _ in 0..64 {
-            h.record_cm_outcome(true);
-        }
-        assert!(h.abort_rate > 921, "above 0.9");
-        for _ in 0..64 {
-            h.record_cm_outcome(false);
-        }
-        assert!(h.abort_rate < 103, "below 0.1");
-    }
-
-    #[test]
-    fn adaptive_policy_escalates_when_hot() {
-        let mgr = TxManager::new();
-        let mut h = mgr.register();
-        // Drive the EWMA into the hot regime, then take one adaptive wait.
-        for _ in 0..64 {
-            h.record_cm_outcome(true);
-        }
-        let mut backoff = Backoff::new();
-        h.cm_wait(ContentionPolicy::Adaptive, &mut backoff, 1);
-        h.flush_stats();
-        let snap = mgr.stats_snapshot();
-        assert_eq!(snap.cm_waits, 1);
-        assert_eq!(snap.cm_escalations, 1);
     }
 }

@@ -142,30 +142,6 @@ impl Backoff {
         }
     }
 
-    /// Backs off as [`Backoff::backoff`] would, but with the effective
-    /// exponent reduced by `discount` steps — the karma-style contention
-    /// policy uses this so transactions that have already invested many
-    /// attempts wait less than fresh ones.  The internal step still advances
-    /// normally, so the *undiscounted* ladder keeps escalating.  Returns
-    /// `true` when the discount swallowed the wait entirely (the effective
-    /// exponent bottomed out at zero while the nominal one had escalated),
-    /// letting callers count how often seniority converted a wait into a
-    /// near-immediate retry.
-    pub fn backoff_discounted(&mut self, discount: u32) -> bool {
-        let effective = self.step.saturating_sub(discount);
-        if effective <= Self::SPIN_LIMIT {
-            for _ in 0..(1u32 << effective) {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::yield_now();
-        }
-        if self.step < self.limit {
-            self.step += 1;
-        }
-        effective == 0 && self.step > 1
-    }
-
     /// Returns `true` once the caller should consider parking or aborting
     /// rather than continuing to spin.
     pub fn is_completed(&self) -> bool {

@@ -263,7 +263,8 @@ fn mixed_nontx_and_txn_contexts_conserve_tokens() {
 /// A transaction overflowing the descriptor's write capacity through a
 /// container must surface `CapacityExceeded` instead of livelocking the
 /// container's retry loop (regression: the overflowed CAS used to report
-/// failure, which `insert` treats as contention and retries forever).
+/// failure, which `insert` treats as contention and retries forever; it is
+/// buffered like every other, and the commit refuses).
 #[test]
 fn container_transaction_over_capacity_fails_cleanly() {
     let mgr = TxManager::new();
