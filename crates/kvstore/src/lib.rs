@@ -11,9 +11,9 @@
 //!
 //! * [`store`] — the sharded table namespace and command executor
 //!   ([`Store`]): Michael hash table or skiplist per shard, transient
-//!   Medley or durable txMontage backend, commands executed standalone
-//!   (`NonTx`) when single-key and transactionally (`run_with`) when they
-//!   compose;
+//!   Medley or durable txMontage backend, each command written once over
+//!   `medley::Ctx` and executed standalone (`NonTx`) when it is a read or a
+//!   blob write and transactionally (`run_with`) otherwise;
 //! * [`proto`] — the length-prefixed binary wire format and its
 //!   abort-code mapping (rustdoc there documents every frame layout);
 //! * [`server`] — the acceptor + fixed worker pool ([`Server`]); each
@@ -57,9 +57,8 @@ pub use proto::{
 };
 pub use server::{OverloadConfig, Server, ServerConfig};
 pub use store::{
-    Cmd, CmdOut, ConfigError, HashPartition, Partition, Partitioner, RangePartition, Store,
-    StoreBackend, StoreConfig, TableKind, DEFAULT_BUCKETS_PER_SHARD, ELASTIC_BOOT_BUCKETS,
-    MAX_SCAN_LIMIT,
+    Cmd, CmdOut, ConfigError, Store, StoreBackend, StoreConfig, TableKind,
+    DEFAULT_BUCKETS_PER_SHARD, ELASTIC_BOOT_BUCKETS, MAX_SCAN_LIMIT,
 };
 pub use telemetry::{Telemetry, TelemetryConfig, ERROR_LABELS, OP_LABELS, PHASE_LABELS};
 

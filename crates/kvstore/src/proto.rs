@@ -55,16 +55,18 @@
 //! is canonically a word ([`pmem::Value::from_bytes`]), so `PUT k 5` and
 //! `PUTB k <5u64 LE>` store the *same* value and the two op families fully
 //! interoperate — a fixed-width op that reads back a non-word value reports
-//! `ERR_MALFORMED` rather than truncating it.
+//! `ERR_MALFORMED` rather than truncating it, and changes nothing.
 //!
-//! `GET`/`PUT`/`DEL`/`CONTAINS` (and their blob twins `GETB`/`PUTB`/`DELB`)
-//! run as standalone (uninstrumented `NonTx`) operations.  `CAS`/`CASB` and
-//! every multi-key command run as one Medley transaction: `MGET`/`MGETB` is
-//! one atomic (read-only, descriptor-free) snapshot, `MSET`/`MSETB` and
-//! `TRANSFER` are failure-atomic across all their keys — and across whatever
-//! *shards* (distinct nonblocking structures) those keys hash to, which is
-//! exactly the NBTC composition the paper builds.  `BATCH` runs its command
-//! list under a single `ThreadHandle::run_with`; blob single-key ops
+//! Reads (`GET`/`CONTAINS`/`GETB`) and blob writes (`PUTB`/`DELB`) run as
+//! standalone (uninstrumented `NonTx`) operations.  Everything whose reply
+//! can fail after a write (the fixed-width `PUT`/`DEL`, per the rule above)
+//! or that composes (`CAS`/`CASB`, every multi-key command) runs as one
+//! Medley transaction: `MGET`/`MGETB` is one atomic (read-only,
+//! descriptor-free) snapshot, `MSET`/`MSETB` and `TRANSFER` are
+//! failure-atomic across all their keys — and across whatever *shards*
+//! (distinct nonblocking structures) those keys hash to, which is exactly
+//! the NBTC composition the paper builds.  `BATCH` runs its command list
+//! under a single `ThreadHandle::run_with`; blob single-key ops
 //! (`GETB`/`PUTB`/`DELB`/`CASB`) are legal batch members alongside the
 //! fixed-width ones.
 //!
@@ -103,7 +105,7 @@
 //! | `0x12` | `ERR_NOT_FOUND`    | `TRANSFER` named a missing account (explicit abort; nothing changed) |
 //! | `0x13` | `ERR_INSUFFICIENT` | `TRANSFER` source balance below `amount`, or the credit would overflow the destination (explicit abort; nothing changed) |
 //! | `0x14` | `ABORT_OVERLOAD`   | load-shed at admission: the server is over its backlog watermark and refused to *start* the (transactional) command — nothing was executed, no partial effects exist; safe to resend after a jittered delay |
-//! | `0x20` | `ERR_MALFORMED`    | undecodable request, oversized frame, or an illegal `BATCH` member |
+//! | `0x20` | `ERR_MALFORMED`    | undecodable request, oversized frame, an illegal `BATCH` member, or a fixed-width op that met a blob value (explicit abort; nothing changed) |
 //!
 //! Non-`OK` responses carry no body beyond the opcode echo.  `OK` bodies:
 //!
@@ -451,6 +453,30 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `n: u32`, then the `n` items (the inverse of [`list`]).
+fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for it in items {
+        item(buf, it);
+    }
+}
+
+/// A presence byte, then the section behind it when present (the inverse of
+/// [`opt`]).
+fn put_some<T>(buf: &mut Vec<u8>, v: &Option<T>, some: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            buf.push(1);
+            some(buf, v);
+        }
+        None => buf.push(0),
+    }
+}
+
+fn put_opt(buf: &mut Vec<u8>, v: Option<u64>) {
+    put_some(buf, &v, |buf, v| put_u64(buf, *v));
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -461,21 +487,13 @@ impl<'a> Cursor<'a> {
         Self { buf, pos: 0 }
     }
     fn u8(&mut self) -> Result<u8, ProtoError> {
-        let b = *self.buf.get(self.pos).ok_or(ProtoError)?;
-        self.pos += 1;
-        Ok(b)
+        Ok(self.bytes(1)?[0])
     }
     fn u32(&mut self) -> Result<u32, ProtoError> {
-        let end = self.pos.checked_add(4).ok_or(ProtoError)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(ProtoError)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, ProtoError> {
-        let end = self.pos.checked_add(8).ok_or(ProtoError)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(ProtoError)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         let end = self.pos.checked_add(n).ok_or(ProtoError)?;
@@ -492,6 +510,95 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Reads `n: u32` and then `n` items.  This is the one place a count from
+/// the wire sizes an allocation: `n` is refused unless the bytes left in the
+/// payload could hold that many items of `min_item_bytes` (each item's
+/// smallest encoding) — such a list could not decode anyway — and the
+/// up-front reservation is clamped besides, because an item in memory can
+/// be much larger than its bytes on the wire.
+fn list<T>(
+    cur: &mut Cursor<'_>,
+    min_item_bytes: usize,
+    mut item: impl FnMut(&mut Cursor<'_>) -> Result<T, ProtoError>,
+) -> Result<Vec<T>, ProtoError> {
+    let n = cur.u32()? as usize;
+    if n > (cur.buf.len() - cur.pos) / min_item_bytes {
+        return Err(ProtoError);
+    }
+    let mut items = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        items.push(item(cur)?);
+    }
+    Ok(items)
+}
+
+/// Reads a presence byte and, when it is `1`, the section behind it.
+fn opt<T>(
+    cur: &mut Cursor<'_>,
+    some: impl FnOnce(&mut Cursor<'_>) -> Result<T, ProtoError>,
+) -> Result<Option<T>, ProtoError> {
+    match cur.u8()? {
+        0 => Ok(None),
+        1 => some(cur).map(Some),
+        _ => Err(ProtoError),
+    }
+}
+
+/// [`Cursor::u64`] as an item reader for [`list`] and [`opt`] (a method path
+/// is tied to one cursor lifetime; they need a reader for any).
+fn get_u64(cur: &mut Cursor<'_>) -> Result<u64, ProtoError> {
+    cur.u64()
+}
+
+fn get_opt(cur: &mut Cursor<'_>) -> Result<Option<u64>, ProtoError> {
+    opt(cur, get_u64)
+}
+
+/// A `STATS` section (or row) that is nothing but `u64` counters: `flat!`
+/// names the fields once, in wire order, for the encoder and the decoder.
+trait Flat: Sized {
+    fn put(buf: &mut Vec<u8>, section: &Self);
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, ProtoError>;
+}
+
+macro_rules! flat {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Flat for $ty {
+            fn put(buf: &mut Vec<u8>, section: &Self) {
+                $(put_u64(buf, section.$field as u64);)*
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+                Ok($ty { $($field: cur.u64()? as _),* })
+            }
+        }
+    };
+}
+
+flat!(DomainStats {
+    live_payloads,
+    free_slots,
+    allocated_slots,
+    persisted_epoch,
+    current_epoch
+});
+flat!(LoadStats {
+    shed_requests,
+    inflight_bytes,
+    peak_inflight_bytes,
+    accept_retries
+});
+flat!(CacheStats {
+    hits,
+    misses,
+    evictions
+});
+flat!(WorkerEvents {
+    epoll_waits,
+    events_dispatched,
+    spurious_wakeups,
+    writev_saved
+});
+
 // Length-prefixed byte value (`vlen: u32, vlen × u8`) used by the blob-op
 // request bodies.  Words serialize as their 8 LE bytes; the decoder rebuilds
 // through `Value::from_bytes`, so canonical form survives the wire.
@@ -506,10 +613,11 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
 }
 
 fn get_value(cur: &mut Cursor<'_>) -> Result<Value, ProtoError> {
+    // Not a `list`: the bound is the value cap, not what the payload could
+    // hold.  The frame cap (1 MiB) is larger than the value cap (256 KiB),
+    // so this is the check that refuses an over-limit value, and it does so
+    // before touching the payload bytes.
     let len = cur.u32()? as usize;
-    // Refuse over-limit values before touching the payload bytes: the frame
-    // cap (1 MiB) is larger than the value cap (256 KiB), so this is the
-    // check that actually bounds per-value allocation.
     if len > MAX_VALUE_BYTES {
         return Err(ProtoError);
     }
@@ -526,11 +634,9 @@ fn put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
             buf.push(1);
             put_u64(buf, *w);
         }
-        Some(Value::Bytes(b)) => {
-            debug_assert!(b.len() <= MAX_VALUE_BYTES);
+        Some(bytes) => {
             buf.push(2);
-            put_u32(buf, b.len() as u32);
-            buf.extend_from_slice(b);
+            put_value(buf, bytes);
         }
     }
 }
@@ -539,13 +645,7 @@ fn get_opt_value(cur: &mut Cursor<'_>) -> Result<Option<Value>, ProtoError> {
     match cur.u8()? {
         0 => Ok(None),
         1 => Ok(Some(Value::U64(cur.u64()?))),
-        2 => {
-            let len = cur.u32()? as usize;
-            if len > MAX_VALUE_BYTES {
-                return Err(ProtoError);
-            }
-            Ok(Some(Value::from_bytes(cur.bytes(len)?)))
-        }
+        2 => Ok(Some(get_value(cur)?)),
         _ => Err(ProtoError),
     }
 }
@@ -613,7 +713,9 @@ fn cmd_opcode(cmd: &Cmd) -> u8 {
 
 fn encode_cmd_body(buf: &mut Vec<u8>, cmd: &Cmd) {
     match cmd {
-        Cmd::Get(k) | Cmd::Del(k) | Cmd::Contains(k) => put_u64(buf, *k),
+        Cmd::Get(k) | Cmd::Del(k) | Cmd::Contains(k) | Cmd::GetB(k) | Cmd::DelB(k) => {
+            put_u64(buf, *k)
+        }
         Cmd::Put(k, v) => {
             put_u64(buf, *k);
             put_u64(buf, *v);
@@ -627,32 +729,20 @@ fn encode_cmd_body(buf: &mut Vec<u8>, cmd: &Cmd) {
             put_u64(buf, *expected);
             put_u64(buf, *desired);
         }
-        Cmd::MGet(keys) => {
-            put_u32(buf, keys.len() as u32);
-            for k in keys {
-                put_u64(buf, *k);
-            }
-        }
-        Cmd::MSet(pairs) => {
-            put_u32(buf, pairs.len() as u32);
-            for (k, v) in pairs {
-                put_u64(buf, *k);
-                put_u64(buf, *v);
-            }
-        }
+        Cmd::MGet(keys) | Cmd::MGetB(keys) => put_list(buf, keys, |buf, k| put_u64(buf, *k)),
+        Cmd::MSet(pairs) => put_list(buf, pairs, |buf, (k, v)| {
+            put_u64(buf, *k);
+            put_u64(buf, *v);
+        }),
         Cmd::Transfer { from, to, amount } => {
             put_u64(buf, *from);
             put_u64(buf, *to);
             put_u64(buf, *amount);
         }
-        Cmd::Batch(cmds) => {
-            put_u32(buf, cmds.len() as u32);
-            for c in cmds {
-                buf.push(cmd_opcode(c));
-                encode_cmd_body(buf, c);
-            }
-        }
-        Cmd::GetB(k) | Cmd::DelB(k) => put_u64(buf, *k),
+        Cmd::Batch(cmds) => put_list(buf, cmds, |buf, c| {
+            buf.push(cmd_opcode(c));
+            encode_cmd_body(buf, c);
+        }),
         Cmd::PutB(k, v) => {
             put_u64(buf, *k);
             put_value(buf, v);
@@ -666,25 +756,24 @@ fn encode_cmd_body(buf: &mut Vec<u8>, cmd: &Cmd) {
             put_value(buf, expected);
             put_value(buf, desired);
         }
-        Cmd::MGetB(keys) => {
-            put_u32(buf, keys.len() as u32);
-            for k in keys {
-                put_u64(buf, *k);
-            }
-        }
-        Cmd::MSetB(pairs) => {
-            put_u32(buf, pairs.len() as u32);
-            for (k, v) in pairs {
-                put_u64(buf, *k);
-                put_value(buf, v);
-            }
-        }
+        Cmd::MSetB(pairs) => put_list(buf, pairs, put_entry),
         Cmd::Scan { lo, hi, limit } => {
             put_u64(buf, *lo);
             put_u64(buf, *hi);
             put_u32(buf, *limit);
         }
     }
+}
+
+/// A `(key, value)` pair as `MSETB` requests and `SCAN` pages carry it; at
+/// least key (8) + length prefix (4) bytes.
+fn put_entry(buf: &mut Vec<u8>, (k, v): &(u64, Value)) {
+    put_u64(buf, *k);
+    put_value(buf, v);
+}
+
+fn get_entry(cur: &mut Cursor<'_>) -> Result<(u64, Value), ProtoError> {
+    Ok((cur.u64()?, get_value(cur)?))
 }
 
 fn decode_cmd_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd, ProtoError> {
@@ -698,48 +787,20 @@ fn decode_cmd_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd
             desired: cur.u64()?,
         },
         OP_CONTAINS => Cmd::Contains(cur.u64()?),
-        OP_MGET if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 8 {
-                return Err(ProtoError);
-            }
-            let mut keys = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                keys.push(cur.u64()?);
-            }
-            Cmd::MGet(keys)
-        }
-        OP_MSET if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 16 {
-                return Err(ProtoError);
-            }
-            let mut pairs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                pairs.push((cur.u64()?, cur.u64()?));
-            }
-            Cmd::MSet(pairs)
-        }
+        OP_MGET if !nested => Cmd::MGet(list(cur, 8, get_u64)?),
+        OP_MSET if !nested => Cmd::MSet(list(cur, 16, |cur| Ok((cur.u64()?, cur.u64()?)))?),
         OP_TRANSFER if !nested => Cmd::Transfer {
             from: cur.u64()?,
             to: cur.u64()?,
             amount: cur.u64()?,
         },
-        OP_BATCH if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 9 {
-                return Err(ProtoError);
-            }
-            let mut cmds = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let op = cur.u8()?;
-                // Single-key commands only inside a batch: the IR maps 1:1
-                // onto one transaction, and nested multi-key commands would
-                // be a hidden second fan-out.
-                cmds.push(decode_cmd_body(cur, op, true)?);
-            }
-            Cmd::Batch(cmds)
-        }
+        // Single-key commands only inside a batch (opcode + key, 9 bytes at
+        // least): the IR maps 1:1 onto one transaction, and nested multi-key
+        // commands would be a hidden second fan-out.
+        OP_BATCH if !nested => Cmd::Batch(list(cur, 9, |cur| {
+            let op = cur.u8()?;
+            decode_cmd_body(cur, op, true)
+        })?),
         OP_GETB => Cmd::GetB(cur.u64()?),
         OP_PUTB => Cmd::PutB(cur.u64()?, get_value(cur)?),
         OP_DELB => Cmd::DelB(cur.u64()?),
@@ -748,29 +809,8 @@ fn decode_cmd_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd
             expected: get_value(cur)?,
             desired: get_value(cur)?,
         },
-        OP_MGETB if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 8 {
-                return Err(ProtoError);
-            }
-            let mut keys = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                keys.push(cur.u64()?);
-            }
-            Cmd::MGetB(keys)
-        }
-        OP_MSETB if !nested => {
-            let n = cur.u32()? as usize;
-            // Each pair is at least key (8) + length prefix (4) bytes.
-            if n > MAX_FRAME / 12 {
-                return Err(ProtoError);
-            }
-            let mut pairs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                pairs.push((cur.u64()?, get_value(cur)?));
-            }
-            Cmd::MSetB(pairs)
-        }
+        OP_MGETB if !nested => Cmd::MGetB(list(cur, 8, get_u64)?),
+        OP_MSETB if !nested => Cmd::MSetB(list(cur, 12, get_entry)?),
         // A scan is a whole transaction by itself, so like the other
         // multi-key commands it is not a legal BATCH member.
         OP_SCAN if !nested => Cmd::Scan {
@@ -798,15 +838,9 @@ pub fn encode_request(out: &mut Vec<u8>, req_id: u32, req: &Request) {
 pub fn try_encode_request(out: &mut Vec<u8>, req_id: u32, req: &Request) -> Result<(), ProtoError> {
     let mut payload = Vec::with_capacity(32);
     put_u32(&mut payload, req_id);
-    match req {
-        Request::Cmd(cmd) => {
-            payload.push(cmd_opcode(cmd));
-            encode_cmd_body(&mut payload, cmd);
-        }
-        Request::Stats => payload.push(OP_STATS),
-        Request::Sync => payload.push(OP_SYNC),
-        Request::Metrics => payload.push(OP_METRICS),
-        Request::Trace => payload.push(OP_TRACE),
+    payload.push(request_opcode(req));
+    if let Request::Cmd(cmd) = req {
+        encode_cmd_body(&mut payload, cmd);
     }
     if payload.len() > MAX_FRAME {
         return Err(ProtoError);
@@ -855,24 +889,6 @@ fn out_opcode(out: &CmdOut) -> u8 {
     }
 }
 
-fn put_opt(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            buf.push(1);
-            put_u64(buf, v);
-        }
-        None => buf.push(0),
-    }
-}
-
-fn get_opt(cur: &mut Cursor<'_>) -> Result<Option<u64>, ProtoError> {
-    match cur.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(cur.u64()?)),
-        _ => Err(ProtoError),
-    }
-}
-
 fn encode_out_body(buf: &mut Vec<u8>, out: &CmdOut) {
     match out {
         CmdOut::Value(v) | CmdOut::Prev(v) | CmdOut::Removed(v) => put_opt(buf, *v),
@@ -881,12 +897,7 @@ fn encode_out_body(buf: &mut Vec<u8>, out: &CmdOut) {
             put_opt(buf, *current);
         }
         CmdOut::Present(p) => buf.push(u8::from(*p)),
-        CmdOut::Values(vals) => {
-            put_u32(buf, vals.len() as u32);
-            for v in vals {
-                put_opt(buf, *v);
-            }
-        }
+        CmdOut::Values(vals) => put_list(buf, vals, |buf, v| put_opt(buf, *v)),
         CmdOut::Done => {}
         CmdOut::Transferred {
             from_after,
@@ -895,31 +906,17 @@ fn encode_out_body(buf: &mut Vec<u8>, out: &CmdOut) {
             put_u64(buf, *from_after);
             put_u64(buf, *to_after);
         }
-        CmdOut::Batch(outs) => {
-            put_u32(buf, outs.len() as u32);
-            for o in outs {
-                buf.push(out_opcode(o));
-                encode_out_body(buf, o);
-            }
-        }
+        CmdOut::Batch(outs) => put_list(buf, outs, |buf, o| {
+            buf.push(out_opcode(o));
+            encode_out_body(buf, o);
+        }),
         CmdOut::ValueB(v) | CmdOut::PrevB(v) | CmdOut::RemovedB(v) => put_opt_value(buf, v),
         CmdOut::CasB { success, current } => {
             buf.push(u8::from(*success));
             put_opt_value(buf, current);
         }
-        CmdOut::ValuesB(vals) => {
-            put_u32(buf, vals.len() as u32);
-            for v in vals {
-                put_opt_value(buf, v);
-            }
-        }
-        CmdOut::Page(entries) => {
-            put_u32(buf, entries.len() as u32);
-            for (k, v) in entries {
-                put_u64(buf, *k);
-                put_value(buf, v);
-            }
-        }
+        CmdOut::ValuesB(vals) => put_list(buf, vals, put_opt_value),
+        CmdOut::Page(entries) => put_list(buf, entries, put_entry),
     }
 }
 
@@ -933,34 +930,18 @@ fn decode_out_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd
             current: get_opt(cur)?,
         },
         OP_CONTAINS => CmdOut::Present(cur.u8()? != 0),
-        OP_MGET if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 2 {
-                return Err(ProtoError);
-            }
-            let mut vals = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                vals.push(get_opt(cur)?);
-            }
-            CmdOut::Values(vals)
-        }
-        OP_MSET if !nested => CmdOut::Done,
+        OP_MGET if !nested => CmdOut::Values(list(cur, 1, get_opt)?),
+        // An `MSETB` acknowledgement is body-less, like `MSET`'s.
+        OP_MSET | OP_MSETB if !nested => CmdOut::Done,
         OP_TRANSFER if !nested => CmdOut::Transferred {
             from_after: cur.u64()?,
             to_after: cur.u64()?,
         },
-        OP_BATCH if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 2 {
-                return Err(ProtoError);
-            }
-            let mut outs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let op = cur.u8()?;
-                outs.push(decode_out_body(cur, op, true)?);
-            }
-            CmdOut::Batch(outs)
-        }
+        // The smallest member result is an opcode and one flag byte.
+        OP_BATCH if !nested => CmdOut::Batch(list(cur, 2, |cur| {
+            let op = cur.u8()?;
+            decode_out_body(cur, op, true)
+        })?),
         OP_GETB => CmdOut::ValueB(get_opt_value(cur)?),
         OP_PUTB => CmdOut::PrevB(get_opt_value(cur)?),
         OP_DELB => CmdOut::RemovedB(get_opt_value(cur)?),
@@ -968,31 +949,8 @@ fn decode_out_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd
             success: cur.u8()? != 0,
             current: get_opt_value(cur)?,
         },
-        OP_MGETB if !nested => {
-            let n = cur.u32()? as usize;
-            if n > MAX_FRAME / 2 {
-                return Err(ProtoError);
-            }
-            let mut vals = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                vals.push(get_opt_value(cur)?);
-            }
-            CmdOut::ValuesB(vals)
-        }
-        // An `MSETB` acknowledgement is body-less, like `MSET`'s.
-        OP_MSETB if !nested => CmdOut::Done,
-        OP_SCAN if !nested => {
-            let n = cur.u32()? as usize;
-            // Each page entry is at least key (8) + length prefix (4) bytes.
-            if n > MAX_FRAME / 12 {
-                return Err(ProtoError);
-            }
-            let mut entries = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                entries.push((cur.u64()?, get_value(cur)?));
-            }
-            CmdOut::Page(entries)
-        }
+        OP_MGETB if !nested => CmdOut::ValuesB(list(cur, 1, get_opt_value)?),
+        OP_SCAN if !nested => CmdOut::Page(list(cur, 12, get_entry)?),
         _ => return Err(ProtoError),
     })
 }
@@ -1029,6 +987,93 @@ fn status_err(st: u8) -> Result<ErrCode, ProtoError> {
     })
 }
 
+fn encode_stats(buf: &mut Vec<u8>, s: &StatsReply) {
+    put_u64(buf, s.uptime_secs);
+    for v in s.tx.to_array() {
+        put_u64(buf, v);
+    }
+    put_some(buf, &s.domain, Flat::put);
+    put_some(buf, &s.load, Flat::put);
+    put_some(buf, &s.tables, |buf, t| {
+        put_u64(buf, t.grow_events);
+        buf.push(match t.partition {
+            PartitionScheme::Hash => 0,
+            PartitionScheme::Range => 1,
+        });
+        put_some(buf, &t.cache, Flat::put);
+        put_list(buf, &t.shards, |buf, sh| {
+            buf.push(match sh.kind {
+                ShardKind::Hash => 0,
+                ShardKind::Skip => 1,
+                ShardKind::Elastic => 2,
+                ShardKind::Cache => 3,
+            });
+            put_opt(buf, sh.items);
+            put_u64(buf, sh.buckets);
+        });
+    });
+    put_some(buf, &s.events, |buf, ev| {
+        for v in [
+            ev.epoll_waits,
+            ev.events_dispatched,
+            ev.spurious_wakeups,
+            ev.writev_saved,
+        ] {
+            put_u64(buf, v);
+        }
+        put_list(buf, &ev.per_worker, Flat::put);
+    });
+}
+
+fn decode_stats(cur: &mut Cursor<'_>) -> Result<StatsReply, ProtoError> {
+    let uptime_secs = cur.u64()?;
+    let mut tx = TxStatsSnapshot::default().to_array();
+    for v in &mut tx {
+        *v = cur.u64()?;
+    }
+    Ok(StatsReply {
+        uptime_secs,
+        tx: TxStatsSnapshot::from_array(tx),
+        domain: opt(cur, Flat::get)?,
+        load: opt(cur, Flat::get)?,
+        tables: opt(cur, |cur| {
+            Ok(TableStats {
+                grow_events: cur.u64()?,
+                partition: match cur.u8()? {
+                    0 => PartitionScheme::Hash,
+                    1 => PartitionScheme::Range,
+                    _ => return Err(ProtoError),
+                },
+                cache: opt(cur, Flat::get)?,
+                // Each shard entry is at least 10 bytes on the wire.
+                shards: list(cur, 10, |cur| {
+                    Ok(ShardStats {
+                        kind: match cur.u8()? {
+                            0 => ShardKind::Hash,
+                            1 => ShardKind::Skip,
+                            2 => ShardKind::Elastic,
+                            3 => ShardKind::Cache,
+                            _ => return Err(ProtoError),
+                        },
+                        items: get_opt(cur)?,
+                        buckets: cur.u64()?,
+                    })
+                })?,
+            })
+        })?,
+        events: opt(cur, |cur| {
+            Ok(EventStats {
+                epoll_waits: cur.u64()?,
+                events_dispatched: cur.u64()?,
+                spurious_wakeups: cur.u64()?,
+                writev_saved: cur.u64()?,
+                // Each per-worker row is 32 bytes on the wire.
+                per_worker: list(cur, 32, Flat::get)?,
+            })
+        })?,
+    })
+}
+
 /// Encodes one response frame onto `out`.  `opcode` is the opcode of the
 /// request being answered: it is echoed (so error responses stay
 /// self-describing) and tells the decoder how to read a result's body, so a
@@ -1036,276 +1081,70 @@ fn status_err(st: u8) -> Result<ErrCode, ProtoError> {
 pub fn encode_response(out: &mut Vec<u8>, req_id: u32, opcode: u8, resp: &Response) {
     let mut payload = Vec::with_capacity(32);
     put_u32(&mut payload, req_id);
+    payload.push(response_status(resp));
+    let buf = &mut payload;
     match resp {
         Response::Ok(cmd_out) => {
-            payload.push(ST_OK);
-            payload.push(opcode);
-            encode_out_body(&mut payload, cmd_out);
+            buf.push(opcode);
+            encode_out_body(buf, cmd_out);
         }
         Response::Stats(s) => {
-            payload.push(ST_OK);
-            payload.push(OP_STATS);
-            put_u64(&mut payload, s.uptime_secs);
-            for v in s.tx.to_array() {
-                put_u64(&mut payload, v);
-            }
-            match &s.domain {
-                Some(d) => {
-                    payload.push(1);
-                    put_u64(&mut payload, d.live_payloads as u64);
-                    put_u64(&mut payload, d.free_slots as u64);
-                    put_u64(&mut payload, d.allocated_slots as u64);
-                    put_u64(&mut payload, d.persisted_epoch);
-                    put_u64(&mut payload, d.current_epoch);
-                }
-                None => payload.push(0),
-            }
-            match &s.load {
-                Some(l) => {
-                    payload.push(1);
-                    put_u64(&mut payload, l.shed_requests);
-                    put_u64(&mut payload, l.inflight_bytes);
-                    put_u64(&mut payload, l.peak_inflight_bytes);
-                    put_u64(&mut payload, l.accept_retries);
-                }
-                None => payload.push(0),
-            }
-            match &s.tables {
-                Some(t) => {
-                    payload.push(1);
-                    put_u64(&mut payload, t.grow_events);
-                    payload.push(match t.partition {
-                        PartitionScheme::Hash => 0,
-                        PartitionScheme::Range => 1,
-                    });
-                    match &t.cache {
-                        Some(c) => {
-                            payload.push(1);
-                            put_u64(&mut payload, c.hits);
-                            put_u64(&mut payload, c.misses);
-                            put_u64(&mut payload, c.evictions);
-                        }
-                        None => payload.push(0),
-                    }
-                    put_u32(&mut payload, t.shards.len() as u32);
-                    for sh in &t.shards {
-                        payload.push(match sh.kind {
-                            ShardKind::Hash => 0,
-                            ShardKind::Skip => 1,
-                            ShardKind::Elastic => 2,
-                            ShardKind::Cache => 3,
-                        });
-                        put_opt(&mut payload, sh.items);
-                        put_u64(&mut payload, sh.buckets);
-                    }
-                }
-                None => payload.push(0),
-            }
-            match &s.events {
-                Some(ev) => {
-                    payload.push(1);
-                    put_u64(&mut payload, ev.epoll_waits);
-                    put_u64(&mut payload, ev.events_dispatched);
-                    put_u64(&mut payload, ev.spurious_wakeups);
-                    put_u64(&mut payload, ev.writev_saved);
-                    put_u32(&mut payload, ev.per_worker.len() as u32);
-                    for w in &ev.per_worker {
-                        put_u64(&mut payload, w.epoll_waits);
-                        put_u64(&mut payload, w.events_dispatched);
-                        put_u64(&mut payload, w.spurious_wakeups);
-                        put_u64(&mut payload, w.writev_saved);
-                    }
-                }
-                None => payload.push(0),
-            }
+            buf.push(OP_STATS);
+            encode_stats(buf, s);
         }
         Response::Synced(epoch) => {
-            payload.push(ST_OK);
-            payload.push(OP_SYNC);
-            put_u64(&mut payload, *epoch);
+            buf.push(OP_SYNC);
+            put_u64(buf, *epoch);
         }
         Response::Metrics(m) => {
-            payload.push(ST_OK);
-            payload.push(OP_METRICS);
-            put_u64(&mut payload, m.uptime_secs);
-            put_u32(&mut payload, m.ops.len() as u32);
-            for op in &m.ops {
-                payload.push(op.opcode);
-                put_u64(&mut payload, op.retries);
-                put_u64(&mut payload, op.hist.max_ns());
+            buf.push(OP_METRICS);
+            put_u64(buf, m.uptime_secs);
+            put_list(buf, &m.ops, |buf, op| {
+                buf.push(op.opcode);
+                put_u64(buf, op.retries);
+                put_u64(buf, op.hist.max_ns());
                 for &c in op.hist.counts() {
-                    put_u64(&mut payload, c);
+                    put_u64(buf, c);
                 }
-                put_u32(&mut payload, op.aborts.len() as u32);
-                for &a in &op.aborts {
-                    put_u64(&mut payload, a);
-                }
-            }
-            put_u32(&mut payload, m.worker_phases.len() as u32);
-            for phases in &m.worker_phases {
-                put_u32(&mut payload, phases.len() as u32);
-                for &ns in phases {
-                    put_u64(&mut payload, ns);
-                }
-            }
+                put_list(buf, &op.aborts, |buf, a| put_u64(buf, *a));
+            });
+            put_list(buf, &m.worker_phases, |buf, phases| {
+                put_list(buf, phases, |buf, ns| put_u64(buf, *ns));
+            });
         }
         Response::Trace(t) => {
-            payload.push(ST_OK);
-            payload.push(OP_TRACE);
-            put_u64(&mut payload, t.evicted);
-            put_u32(&mut payload, t.records.len() as u32);
-            for r in &t.records {
-                payload.push(r.opcode);
-                payload.push(r.status);
-                put_u64(&mut payload, r.req_id);
-                put_u64(&mut payload, r.queue_ns);
-                put_u64(&mut payload, r.exec_ns);
-                put_u64(&mut payload, r.retries);
-            }
+            buf.push(OP_TRACE);
+            put_u64(buf, t.evicted);
+            put_list(buf, &t.records, |buf, r| {
+                buf.push(r.opcode);
+                buf.push(r.status);
+                put_u64(buf, r.req_id);
+                put_u64(buf, r.queue_ns);
+                put_u64(buf, r.exec_ns);
+                put_u64(buf, r.retries);
+            });
         }
-        Response::Err(e) => {
-            payload.push(err_status(*e));
-            payload.push(opcode);
-        }
+        Response::Err(_) => buf.push(opcode),
     }
     write_frame(out, &payload);
 }
 
 /// Decodes one response payload (a frame returned by [`take_frame`]).
 pub fn decode_response(frame: &[u8]) -> Result<(u32, Response), ProtoError> {
-    let mut cur = Cursor::new(frame);
+    let cur = &mut Cursor::new(frame);
     let req_id = cur.u32()?;
     let status = cur.u8()?;
     let opcode = cur.u8()?;
-    let resp = if status == ST_OK {
+    let resp = if status != ST_OK {
+        Response::Err(status_err(status)?)
+    } else {
         match opcode {
-            OP_STATS => {
-                let uptime_secs = cur.u64()?;
-                let mut vals = TxStatsSnapshot::default().to_array();
-                for v in &mut vals {
-                    *v = cur.u64()?;
-                }
-                let tx = TxStatsSnapshot::from_array(vals);
-                let domain = match cur.u8()? {
-                    0 => None,
-                    1 => Some(DomainStats {
-                        live_payloads: cur.u64()? as usize,
-                        free_slots: cur.u64()? as usize,
-                        allocated_slots: cur.u64()? as usize,
-                        persisted_epoch: cur.u64()?,
-                        current_epoch: cur.u64()?,
-                    }),
-                    _ => return Err(ProtoError),
-                };
-                let load = match cur.u8()? {
-                    0 => None,
-                    1 => Some(LoadStats {
-                        shed_requests: cur.u64()?,
-                        inflight_bytes: cur.u64()?,
-                        peak_inflight_bytes: cur.u64()?,
-                        accept_retries: cur.u64()?,
-                    }),
-                    _ => return Err(ProtoError),
-                };
-                let tables = match cur.u8()? {
-                    0 => None,
-                    1 => {
-                        let grow_events = cur.u64()?;
-                        let partition = match cur.u8()? {
-                            0 => PartitionScheme::Hash,
-                            1 => PartitionScheme::Range,
-                            _ => return Err(ProtoError),
-                        };
-                        let cache = match cur.u8()? {
-                            0 => None,
-                            1 => Some(CacheStats {
-                                hits: cur.u64()?,
-                                misses: cur.u64()?,
-                                evictions: cur.u64()?,
-                            }),
-                            _ => return Err(ProtoError),
-                        };
-                        let n = cur.u32()? as usize;
-                        // Each shard entry is at least 10 bytes on the wire.
-                        if n > MAX_FRAME / 10 {
-                            return Err(ProtoError);
-                        }
-                        let mut shards = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            let kind = match cur.u8()? {
-                                0 => ShardKind::Hash,
-                                1 => ShardKind::Skip,
-                                2 => ShardKind::Elastic,
-                                3 => ShardKind::Cache,
-                                _ => return Err(ProtoError),
-                            };
-                            let items = get_opt(&mut cur)?;
-                            let buckets = cur.u64()?;
-                            shards.push(ShardStats {
-                                kind,
-                                items,
-                                buckets,
-                            });
-                        }
-                        Some(TableStats {
-                            grow_events,
-                            partition,
-                            cache,
-                            shards,
-                        })
-                    }
-                    _ => return Err(ProtoError),
-                };
-                let events = match cur.u8()? {
-                    0 => None,
-                    1 => {
-                        let epoll_waits = cur.u64()?;
-                        let events_dispatched = cur.u64()?;
-                        let spurious_wakeups = cur.u64()?;
-                        let writev_saved = cur.u64()?;
-                        let n = cur.u32()? as usize;
-                        // Each per-worker row is 32 bytes on the wire.
-                        if n > MAX_FRAME / 32 {
-                            return Err(ProtoError);
-                        }
-                        let mut per_worker = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            per_worker.push(WorkerEvents {
-                                epoll_waits: cur.u64()?,
-                                events_dispatched: cur.u64()?,
-                                spurious_wakeups: cur.u64()?,
-                                writev_saved: cur.u64()?,
-                            });
-                        }
-                        Some(EventStats {
-                            epoll_waits,
-                            events_dispatched,
-                            spurious_wakeups,
-                            writev_saved,
-                            per_worker,
-                        })
-                    }
-                    _ => return Err(ProtoError),
-                };
-                Response::Stats(StatsReply {
-                    uptime_secs,
-                    tx,
-                    domain,
-                    load,
-                    tables,
-                    events,
-                })
-            }
+            OP_STATS => Response::Stats(decode_stats(cur)?),
             OP_SYNC => Response::Synced(cur.u64()?),
-            OP_METRICS => {
-                let uptime_secs = cur.u64()?;
-                let n_ops = cur.u32()? as usize;
+            OP_METRICS => Response::Metrics(MetricsReply {
+                uptime_secs: cur.u64()?,
                 // Each op block is at least 1 + 8 + 8 + 64×8 + 4 bytes.
-                if n_ops > MAX_FRAME / 533 {
-                    return Err(ProtoError);
-                }
-                let mut ops = Vec::with_capacity(n_ops.min(256));
-                for _ in 0..n_ops {
+                ops: list(cur, 533, |cur| {
                     let opcode = cur.u8()?;
                     let retries = cur.u64()?;
                     let max_ns = cur.u64()?;
@@ -1313,69 +1152,33 @@ pub fn decode_response(frame: &[u8]) -> Result<(u32, Response), ProtoError> {
                     for c in &mut counts {
                         *c = cur.u64()?;
                     }
-                    let n_aborts = cur.u32()? as usize;
-                    if n_aborts > 64 {
-                        return Err(ProtoError);
-                    }
-                    let mut aborts = Vec::with_capacity(n_aborts);
-                    for _ in 0..n_aborts {
-                        aborts.push(cur.u64()?);
-                    }
-                    ops.push(OpMetrics {
+                    Ok(OpMetrics {
                         opcode,
                         hist: LatencyHistogram::from_parts(counts, max_ns),
                         retries,
-                        aborts,
-                    });
-                }
-                let n_workers = cur.u32()? as usize;
-                if n_workers > MAX_FRAME / 4 {
-                    return Err(ProtoError);
-                }
-                let mut worker_phases = Vec::with_capacity(n_workers.min(4096));
-                for _ in 0..n_workers {
-                    let n_phases = cur.u32()? as usize;
-                    if n_phases > 64 {
-                        return Err(ProtoError);
-                    }
-                    let mut phases = Vec::with_capacity(n_phases);
-                    for _ in 0..n_phases {
-                        phases.push(cur.u64()?);
-                    }
-                    worker_phases.push(phases);
-                }
-                Response::Metrics(MetricsReply {
-                    uptime_secs,
-                    ops,
-                    worker_phases,
-                })
-            }
+                        aborts: list(cur, 8, get_u64)?,
+                    })
+                })?,
+                // A worker with no phases is still its `u32` count.
+                worker_phases: list(cur, 4, |cur| list(cur, 8, get_u64))?,
+            }),
             OP_TRACE => {
                 let evicted = cur.u64()?;
-                let n = cur.u32()? as usize;
                 // Each trace record is 34 bytes on the wire.
-                if n > MAX_FRAME / 34 {
-                    return Err(ProtoError);
-                }
-                let mut records = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let opcode = cur.u8()?;
-                    let status = cur.u8()?;
-                    records.push(TraceRecord {
-                        opcode,
-                        status,
+                let records = list(cur, 34, |cur| {
+                    Ok(TraceRecord {
+                        opcode: cur.u8()?,
+                        status: cur.u8()?,
                         req_id: cur.u64()?,
                         queue_ns: cur.u64()?,
                         exec_ns: cur.u64()?,
                         retries: cur.u64()?,
-                    });
-                }
+                    })
+                })?;
                 Response::Trace(TraceReply { records, evicted })
             }
-            _ => Response::Ok(decode_out_body(&mut cur, opcode, false)?),
+            _ => Response::Ok(decode_out_body(cur, opcode, false)?),
         }
-    } else {
-        Response::Err(status_err(status)?)
     };
     cur.finished()?;
     Ok((req_id, resp))
@@ -1839,6 +1642,404 @@ mod tests {
             }),
             OP_TRACE,
         );
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        assert_eq!(digits.len() % 2, 0, "odd hex string");
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The request id every golden frame carries (`04 03 02 01` on the wire).
+    const GOLDEN_ID: u32 = 0x0102_0304;
+
+    /// Whole frames (length prefix included) written by hand from the tables
+    /// in the module header: a request, and the response that answers it.
+    fn golden() -> Vec<(Request, Vec<u8>, Response, Vec<u8>)> {
+        let ok = Response::Ok;
+        let bytes = Value::from_bytes;
+        let transfer = Cmd::Transfer {
+            from: 21,
+            to: 22,
+            amount: 23,
+        };
+        let transfer_hex =
+            "1d000000 04030201 12 1500000000000000 1600000000000000 1700000000000000";
+        let stats_hex = "05000000 04030201 20";
+        let mut counts = [0u64; BUCKETS];
+        counts[0] = 1;
+        let zeros = |n: usize| "00".repeat(n);
+        let rows: Vec<(Request, String, Response, String)> = vec![
+            (
+                Request::Cmd(Cmd::Get(0x0102_0304_0506_0708)),
+                "0d000000 04030201 01 0807060504030201".into(),
+                ok(CmdOut::Value(Some(9))),
+                "0f000000 04030201 00 01 01 0900000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::Put(1, 2)),
+                "15000000 04030201 02 0100000000000000 0200000000000000".into(),
+                ok(CmdOut::Prev(None)),
+                "07000000 04030201 00 02 00".into(),
+            ),
+            (
+                Request::Cmd(Cmd::Del(3)),
+                "0d000000 04030201 03 0300000000000000".into(),
+                ok(CmdOut::Removed(Some(4))),
+                "0f000000 04030201 00 03 01 0400000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::Cas {
+                    key: 5,
+                    expected: 6,
+                    desired: 7,
+                }),
+                "1d000000 04030201 04 0500000000000000 0600000000000000 0700000000000000".into(),
+                ok(CmdOut::Cas {
+                    success: true,
+                    current: Some(7),
+                }),
+                "10000000 04030201 00 04 01 01 0700000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::Contains(8)),
+                "0d000000 04030201 05 0800000000000000".into(),
+                ok(CmdOut::Present(true)),
+                "07000000 04030201 00 05 01".into(),
+            ),
+            (
+                Request::Cmd(Cmd::GetB(9)),
+                "0d000000 04030201 06 0900000000000000".into(),
+                ok(CmdOut::ValueB(Some(bytes(b"abc")))),
+                "0e000000 04030201 00 06 02 03000000 616263".into(),
+            ),
+            (
+                Request::Cmd(Cmd::PutB(10, bytes(b"hi"))),
+                "13000000 04030201 07 0a00000000000000 02000000 6869".into(),
+                ok(CmdOut::PrevB(Some(Value::U64(11)))),
+                "0f000000 04030201 00 07 01 0b00000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::DelB(12)),
+                "0d000000 04030201 08 0c00000000000000".into(),
+                ok(CmdOut::RemovedB(None)),
+                "07000000 04030201 00 08 00".into(),
+            ),
+            (
+                Request::Cmd(Cmd::CasB {
+                    key: 13,
+                    expected: Value::U64(14),
+                    desired: bytes(b"xyz"),
+                }),
+                "20000000 04030201 09 0d00000000000000 08000000 0e00000000000000 \
+                 03000000 78797a"
+                    .into(),
+                ok(CmdOut::CasB {
+                    success: false,
+                    current: Some(Value::U64(15)),
+                }),
+                "10000000 04030201 00 09 00 01 0f00000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::MGet(vec![16, 17])),
+                "19000000 04030201 10 02000000 1000000000000000 1100000000000000".into(),
+                ok(CmdOut::Values(vec![Some(18), None])),
+                "14000000 04030201 00 10 02000000 01 1200000000000000 00".into(),
+            ),
+            (
+                Request::Cmd(Cmd::MSet(vec![(19, 20)])),
+                "19000000 04030201 11 01000000 1300000000000000 1400000000000000".into(),
+                ok(CmdOut::Done),
+                "06000000 04030201 00 11".into(),
+            ),
+            (
+                Request::Cmd(transfer.clone()),
+                transfer_hex.into(),
+                ok(CmdOut::Transferred {
+                    from_after: 24,
+                    to_after: 25,
+                }),
+                "16000000 04030201 00 12 1800000000000000 1900000000000000".into(),
+            ),
+            // A word member, a blob member, and a blob read answered by a word.
+            (
+                Request::Cmd(Cmd::Batch(vec![
+                    Cmd::Put(26, 27),
+                    Cmd::PutB(28, bytes(b"b")),
+                    Cmd::GetB(29),
+                ])),
+                "31000000 04030201 13 03000000 \
+                 02 1a00000000000000 1b00000000000000 \
+                 07 1c00000000000000 01000000 62 \
+                 06 1d00000000000000"
+                    .into(),
+                ok(CmdOut::Batch(vec![
+                    CmdOut::Prev(None),
+                    CmdOut::PrevB(None),
+                    CmdOut::ValueB(Some(Value::U64(30))),
+                ])),
+                "18000000 04030201 00 13 03000000 02 00 07 00 06 01 1e00000000000000".into(),
+            ),
+            (
+                Request::Cmd(Cmd::MGetB(vec![31])),
+                "11000000 04030201 16 01000000 1f00000000000000".into(),
+                ok(CmdOut::ValuesB(vec![Some(bytes(b"q"))])),
+                "10000000 04030201 00 16 01000000 02 01000000 71".into(),
+            ),
+            (
+                Request::Cmd(Cmd::MSetB(vec![(32, bytes(b"rs"))])),
+                "17000000 04030201 17 01000000 2000000000000000 02000000 7273".into(),
+                ok(CmdOut::Done),
+                "06000000 04030201 00 17".into(),
+            ),
+            (
+                Request::Cmd(Cmd::Scan {
+                    lo: 33,
+                    hi: 34,
+                    limit: 35,
+                }),
+                "19000000 04030201 18 2100000000000000 2200000000000000 23000000".into(),
+                ok(CmdOut::Page(vec![(33, Value::U64(36))])),
+                "1e000000 04030201 00 18 01000000 2100000000000000 08000000 2400000000000000"
+                    .into(),
+            ),
+            // An error carries the status and the opcode echo, nothing else.
+            (
+                Request::Cmd(transfer),
+                transfer_hex.into(),
+                Response::Err(ErrCode::Insufficient),
+                "06000000 04030201 13 12".into(),
+            ),
+            (
+                Request::Sync,
+                "05000000 04030201 21".into(),
+                Response::Synced(37),
+                "0e000000 04030201 00 21 2500000000000000".into(),
+            ),
+            // STATS with every optional section present...
+            (
+                Request::Stats,
+                stats_hex.into(),
+                Response::Stats(StatsReply {
+                    uptime_secs: 1,
+                    tx: TxStatsSnapshot::from_array([2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]),
+                    domain: Some(DomainStats {
+                        live_payloads: 13,
+                        free_slots: 14,
+                        allocated_slots: 15,
+                        persisted_epoch: 16,
+                        current_epoch: 17,
+                    }),
+                    load: Some(LoadStats {
+                        shed_requests: 18,
+                        inflight_bytes: 19,
+                        peak_inflight_bytes: 20,
+                        accept_retries: 21,
+                    }),
+                    tables: Some(TableStats {
+                        grow_events: 22,
+                        partition: PartitionScheme::Range,
+                        cache: Some(CacheStats {
+                            hits: 23,
+                            misses: 24,
+                            evictions: 25,
+                        }),
+                        shards: vec![
+                            ShardStats {
+                                kind: ShardKind::Cache,
+                                items: Some(26),
+                                buckets: 27,
+                            },
+                            ShardStats {
+                                kind: ShardKind::Skip,
+                                items: None,
+                                buckets: 0,
+                            },
+                        ],
+                    }),
+                    events: Some(EventStats {
+                        epoll_waits: 28,
+                        events_dispatched: 29,
+                        spurious_wakeups: 30,
+                        writev_saved: 31,
+                        per_worker: vec![WorkerEvents {
+                            epoll_waits: 32,
+                            events_dispatched: 33,
+                            spurious_wakeups: 34,
+                            writev_saved: 35,
+                        }],
+                    }),
+                }),
+                "38010000 04030201 00 20 0100000000000000 \
+                 0200000000000000 0300000000000000 0400000000000000 0500000000000000 \
+                 0600000000000000 0700000000000000 0800000000000000 0900000000000000 \
+                 0a00000000000000 0b00000000000000 0c00000000000000 \
+                 01 0d00000000000000 0e00000000000000 0f00000000000000 \
+                    1000000000000000 1100000000000000 \
+                 01 1200000000000000 1300000000000000 1400000000000000 1500000000000000 \
+                 01 1600000000000000 01 \
+                    01 1700000000000000 1800000000000000 1900000000000000 \
+                    02000000 \
+                    03 01 1a00000000000000 1b00000000000000 \
+                    01 00 0000000000000000 \
+                 01 1c00000000000000 1d00000000000000 1e00000000000000 1f00000000000000 \
+                    01000000 \
+                    2000000000000000 2100000000000000 2200000000000000 2300000000000000"
+                    .into(),
+            ),
+            // ...and with none: uptime, eleven zero counters, four absence flags.
+            (
+                Request::Stats,
+                stats_hex.into(),
+                Response::Stats(StatsReply {
+                    uptime_secs: 0,
+                    tx: TxStatsSnapshot::default(),
+                    domain: None,
+                    load: None,
+                    tables: None,
+                    events: None,
+                }),
+                format!("6a000000 04030201 00 20 {} 00 00 00 00", zeros(8 + 11 * 8)),
+            ),
+            // The two nested-list replies: the decoders with the most bounds.
+            (
+                Request::Metrics,
+                "05000000 04030201 22".into(),
+                Response::Metrics(MetricsReply {
+                    uptime_secs: 38,
+                    ops: vec![OpMetrics {
+                        opcode: OP_GET,
+                        hist: LatencyHistogram::from_parts(counts, 5),
+                        retries: 3,
+                        aborts: vec![39, 40],
+                    }],
+                    worker_phases: vec![vec![41, 42]],
+                }),
+                format!(
+                    "4f020000 04030201 00 22 2600000000000000 01000000 \
+                     01 0300000000000000 0500000000000000 0100000000000000 {} \
+                     02000000 2700000000000000 2800000000000000 \
+                     01000000 02000000 2900000000000000 2a00000000000000",
+                    zeros(63 * 8)
+                ),
+            ),
+            (
+                Request::Trace,
+                "05000000 04030201 23".into(),
+                Response::Trace(TraceReply {
+                    records: vec![TraceRecord {
+                        opcode: OP_CAS,
+                        status: ST_ABORT_RETRY,
+                        req_id: 43,
+                        queue_ns: 44,
+                        exec_ns: 45,
+                        retries: 46,
+                    }],
+                    evicted: 47,
+                }),
+                "34000000 04030201 00 23 2f00000000000000 01000000 04 10 \
+                 2b00000000000000 2c00000000000000 2d00000000000000 2e00000000000000"
+                    .into(),
+            ),
+        ];
+        rows.into_iter()
+            .map(|(req, req_hex, resp, resp_hex)| (req, hex(&req_hex), resp, hex(&resp_hex)))
+            .collect()
+    }
+
+    /// Splits the one frame in `wire` out of it.
+    fn sole_frame(wire: &[u8]) -> &[u8] {
+        let mut consumed = 0;
+        let frame = take_frame(wire, &mut consumed).unwrap().unwrap();
+        assert_eq!(consumed, wire.len());
+        frame
+    }
+
+    /// Round-trip tests cannot see an encoder and a decoder change together;
+    /// literal bytes can.
+    #[test]
+    fn golden_wire_bytes() {
+        for (req, req_wire, resp, resp_wire) in golden() {
+            let mut out = Vec::new();
+            encode_request(&mut out, GOLDEN_ID, &req);
+            assert_eq!(out, req_wire, "encoding {req:?}");
+            assert_eq!(
+                decode_request(sole_frame(&req_wire)),
+                Ok((GOLDEN_ID, req.clone()))
+            );
+            out.clear();
+            encode_response(&mut out, GOLDEN_ID, request_opcode(&req), &resp);
+            assert_eq!(out, resp_wire, "encoding {resp:?}");
+            assert_eq!(
+                decode_response(sole_frame(&resp_wire)),
+                Ok((GOLDEN_ID, resp))
+            );
+        }
+    }
+
+    /// Hostile input never panics the decoders, a cut-short payload is never
+    /// mistaken for a whole one, and an untouched frame still decodes.
+    #[test]
+    fn mutated_frames_never_panic_the_decoders() {
+        let frames: Vec<(bool, Vec<u8>)> = golden()
+            .into_iter()
+            .flat_map(|(_, req, _, resp)| [(true, req), (false, resp)])
+            .collect();
+        let decode = |is_request: bool, payload: &[u8]| {
+            if is_request {
+                decode_request(payload).map(|_| ())
+            } else {
+                decode_response(payload).map(|_| ())
+            }
+        };
+        for (is_request, wire) in &frames {
+            for cut in 0..wire.len() {
+                let mut consumed = 0;
+                assert_eq!(take_frame(&wire[..cut], &mut consumed), Ok(None));
+            }
+            let payload = sole_frame(wire);
+            for cut in 0..payload.len() {
+                assert_eq!(decode(*is_request, &payload[..cut]), Err(ProtoError));
+            }
+        }
+        let mut rng = medley::util::FastRng::new(0x5EED_C0DE);
+        for _ in 0..20_000 {
+            let (is_request, wire) = &frames[rng.next_below(frames.len() as u64) as usize];
+            let mut bad = wire.clone();
+            let edits = rng.next_below(4);
+            for _ in 0..edits {
+                let at = rng.next_below(bad.len() as u64) as usize;
+                match rng.next_below(4) {
+                    0 => bad[at] ^= 1 << rng.next_below(8),
+                    1 => bad[at] = rng.next_u64() as u8,
+                    2 => bad.truncate(at.max(FRAME_HEADER)),
+                    _ => bad.extend_from_slice(&rng.next_u64().to_le_bytes()),
+                }
+            }
+            let _ = take_frame(&bad, &mut 0);
+            // Then make the prefix honest again, so the mutation reaches the
+            // decoders instead of stopping at `take_frame`.
+            let len = (bad.len() - FRAME_HEADER) as u32;
+            bad[..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+            let payload = sole_frame(&bad);
+            // Either decoder must survive either kind of frame.
+            let as_request = decode_request(payload);
+            let as_response = decode_response(payload);
+            if edits == 0 {
+                let mut again = Vec::new();
+                if *is_request {
+                    let (id, req) = as_request.unwrap();
+                    encode_request(&mut again, id, &req);
+                } else {
+                    let (id, resp) = as_response.unwrap();
+                    encode_response(&mut again, id, payload[5], &resp);
+                }
+                assert_eq!(&again, wire, "an unmutated frame must round-trip");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`Store`] owns `shards` independent nonblocking maps (Michael hash
 //! table, skiplist, elastic split-ordered table, or transactional cache per
 //! shard, transient Medley or durable txMontage backend) plus the
-//! [`medley::TxManager`] they all share.  Keys route to shards through a
-//! pluggable [`Partitioner`], so a multi-key command routinely spans several
+//! [`medley::TxManager`] they all share.  Keys route to shards by one of two
+//! fixed formulas, so a multi-key command routinely spans several
 //! *distinct* nonblocking structures — and because every structure is an
 //! NBTC `Composable` on the same manager, the store simply runs the whole
 //! command under one [`medley::ThreadHandle::run_with`] and gets
@@ -18,30 +18,38 @@
 //!
 //! # Partitioning
 //!
-//! The key→shard map is a policy, not a constant: [`HashPartition`] is the
-//! stable Fibonacci shard hash every release has shipped (wire-compatible —
-//! existing clients' keys keep landing on the same shards), and
-//! [`RangePartition`] splits the key space into contiguous ranges over
+//! A key's shard is a pure function of the key, the shard count and the
+//! store's [`PartitionScheme`] — the enum `STATS` reports on the wire.
+//! `Hash` is the stable Fibonacci shard hash every release has shipped
+//! (wire-compatible — existing clients' keys keep landing on the same
+//! shards); `Range` splits the key space into contiguous ranges over
 //! ordered shards, which is what lets `SCAN` answer a *global* range query
-//! by visiting only the overlapping shards in key order.  The scheme is
-//! selected per [`TableKind`]: `Skip` namespaces are range-partitioned,
+//! by visiting only the overlapping shards in key order.  The scheme follows
+//! from the [`TableKind`]: `Skip` namespaces are range-partitioned,
 //! everything else hashes.  Invalid knob combinations are rejected with a
 //! typed [`ConfigError`] instead of silently ignored.
 //!
-//! Single-key `GET`/`PUT`/`DEL`/`CONTAINS` need no composition and run as
-//! standalone operations through [`medley::NonTx`], which monomorphizes the
+//! # What runs standalone
+//!
+//! One rule: reads and blob writes run standalone; everything whose reply
+//! can fail after a write, or that composes, is a transaction.  `GET`/
+//! `CONTAINS`/`GETB`/`PUTB`/`DELB` are finished when the table operation
+//! returns, so they go through [`medley::NonTx`], which monomorphizes the
 //! instrumentation away — the service's hot path pays for transactions only
-//! when a command actually composes.  The one exception is
-//! [`TableKind::Cache`]: a cache *op* is itself a composition (lookup +
-//! recency record, insert + eviction), so cache stores run even single-key
-//! commands as one transaction (see [`crate::cache::TxCache`]).
+//! when a command needs one.  A fixed-width `PUT`/`DEL` that displaces a
+//! blob has to answer [`ErrCode::Malformed`] *and leave the blob in place*,
+//! `CAS` reads and then writes, and the multi-key commands compose, so each
+//! of those is one transaction.  On [`TableKind::Cache`] every command is: a
+//! cache *op* is itself a composition (lookup + recency record, insert +
+//! eviction; see [`crate::cache::TxCache`]).  Either way a command's logic
+//! is written once, generic over [`medley::Ctx`], and runs unchanged in
+//! both modes.
 
 use crate::cache::TxCache;
 use crate::proto::{CacheStats, PartitionScheme, ShardKind, ShardStats, StatsReply, TableStats};
-use medley::{AbortReason, RunConfig, ThreadHandle, TxError, TxManager};
+use medley::{AbortReason, RunConfig, ThreadHandle, TxError, TxManager, Txn};
 use nbds::{MichaelHashMap, SkipList, SplitOrderedMap};
 use pmem::{EpochAdvancer, NvmCostModel, PersistenceDomain, Value};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,8 +62,8 @@ use txmontage::{Durable, DurableHashMap, DurableSkipList, DurableSplitOrderedMap
 /// variants carry variable-length [`Value`]s.  Both families address the
 /// same tables — an 8-byte blob and a word are the *same* value (see
 /// [`pmem::value`]'s canonical form) — but a fixed-width command that
-/// encounters a longer blob value reports [`ErrCode::Malformed`], because
-/// its result type cannot carry the bytes.
+/// encounters a longer blob value reports [`ErrCode::Malformed`] and changes
+/// nothing, because its result type cannot carry the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cmd {
     /// Look up a key.
@@ -198,8 +206,8 @@ pub enum ErrCode {
     /// resending (after a jittered delay) is always safe.
     Overload,
     /// Undecodable request, illegal `BATCH` member, or a fixed-width (`u64`)
-    /// command that encountered a blob value it cannot represent (use the
-    /// `*B` blob commands, which handle every value).
+    /// command that encountered a blob value it cannot represent and changes
+    /// nothing (use the `*B` blob commands, which handle every value).
     Malformed,
 }
 
@@ -259,125 +267,6 @@ pub const MAX_SCAN_LIMIT: u32 = 32_768;
 /// The page stays a *prefix* of the range — truncation never costs
 /// atomicity.
 const MAX_SCAN_BYTES: usize = 512 << 10;
-
-mod sealed {
-    /// Seals [`super::Partitioner`].  Routing is part of the service's
-    /// wire-compatibility contract — a client's keys must keep landing on
-    /// the same shards across releases — so the set of schemes is closed.
-    pub trait Sealed {}
-    impl Sealed for super::HashPartition {}
-    impl Sealed for super::RangePartition {}
-}
-
-/// A key→shard routing policy.  Sealed: only the two in-crate schemes
-/// ([`HashPartition`], [`RangePartition`]) implement it (see the module
-/// docs for why the set is closed).
-pub trait Partitioner: sealed::Sealed {
-    /// The shard `key` routes to (always `< shards`).
-    fn shard_of(&self, key: u64) -> usize;
-    /// Whether shard index order equals key order — the property that lets
-    /// a range scan visit shards in sequence and concatenate their pages.
-    fn is_ordered(&self) -> bool;
-}
-
-/// The stable Fibonacci shard hash every release has shipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HashPartition {
-    shards: usize,
-}
-
-impl HashPartition {
-    /// A hash partition over `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        Self { shards }
-    }
-}
-
-impl Partitioner for HashPartition {
-    /// Fibonacci hash so dense *and* strided key patterns both spread (a
-    /// plain `key % shards` would pin every client that strides by the
-    /// shard count onto one table).  This exact function is the routing
-    /// every prior release shipped — changing it would silently re-home
-    /// existing clients' keys.
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h % self.shards as u64) as usize
-    }
-    fn is_ordered(&self) -> bool {
-        false
-    }
-}
-
-/// Contiguous key ranges over ordered shards: shard `i` owns keys `k` with
-/// `i·2⁶⁴ ≤ k·n < (i+1)·2⁶⁴` for `n` shards — a division-free
-/// multiplicative split of the full `u64` space that is monotone in `k`,
-/// so shard order *is* key order and a range query touches only the shards
-/// its window overlaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangePartition {
-    shards: usize,
-}
-
-impl RangePartition {
-    /// A range partition over `shards` ordered shards.
-    pub fn new(shards: usize) -> Self {
-        Self { shards }
-    }
-}
-
-impl Partitioner for RangePartition {
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        ((key as u128 * self.shards as u128) >> 64) as usize
-    }
-    fn is_ordered(&self) -> bool {
-        true
-    }
-}
-
-/// The store's chosen scheme.  An enum rather than a trait object: the
-/// trait is sealed, so this is exhaustive, and shard resolution stays a
-/// predictable branch on the hot path instead of a vtable call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    /// Hash-partitioned namespace (point-op table kinds).
-    Hash(HashPartition),
-    /// Range-partitioned namespace (ordered table kinds; supports `SCAN`).
-    Range(RangePartition),
-}
-
-impl Partition {
-    /// The scheme a table kind routes by.
-    fn for_tables(tables: &TableKind, shards: usize) -> Self {
-        match tables {
-            TableKind::Skip => Partition::Range(RangePartition::new(shards)),
-            _ => Partition::Hash(HashPartition::new(shards)),
-        }
-    }
-    /// The wire tag reported in the `STATS` table section.
-    fn scheme(&self) -> PartitionScheme {
-        match self {
-            Partition::Hash(_) => PartitionScheme::Hash,
-            Partition::Range(_) => PartitionScheme::Range,
-        }
-    }
-}
-
-impl Partitioner for Partition {
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        match self {
-            Partition::Hash(p) => p.shard_of(key),
-            Partition::Range(p) => p.shard_of(key),
-        }
-    }
-    fn is_ordered(&self) -> bool {
-        matches!(self, Partition::Range(_))
-    }
-}
-
-impl sealed::Sealed for Partition {}
 
 /// Why [`Store::new`] rejected a [`StoreConfig`].
 ///
@@ -582,65 +471,37 @@ impl Table {
     }
 }
 
-/// Converts a value read by a fixed-width (`u64`) command; a blob cannot be
-/// carried by the `u64` result types, so the command reports
-/// [`ErrCode::Malformed`] (the `*B` commands handle every value).
+/// The word a fixed-width (`u64`) command reads.  Its result types cannot
+/// carry a blob, so meeting one is [`ErrCode::Malformed`] (the `*B` commands
+/// handle every value).
 fn word(v: Option<Value>) -> Result<Option<u64>, ErrCode> {
-    match v {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or(ErrCode::Malformed),
-    }
+    v.map(|v| v.as_u64().ok_or(ErrCode::Malformed)).transpose()
 }
 
-/// In-transaction form of [`word`]: on a blob value, records the error code
-/// and aborts the surrounding transaction (nothing commits).
-macro_rules! word_or_abort {
-    ($t:expr, $why:expr, $v:expr) => {
-        match word($v) {
-            Ok(v) => v,
-            Err(e) => {
-                $why.set(e);
-                return Err($t.abort(AbortReason::Explicit));
-            }
+/// Narrows a blob command's result to its fixed-width twin's.
+fn narrow(out: CmdOut) -> Result<CmdOut, ErrCode> {
+    Ok(match out {
+        CmdOut::ValueB(v) => CmdOut::Value(word(v)?),
+        CmdOut::PrevB(v) => CmdOut::Prev(word(v)?),
+        CmdOut::RemovedB(v) => CmdOut::Removed(word(v)?),
+        CmdOut::CasB { success, current } => CmdOut::Cas {
+            success,
+            current: word(current)?,
+        },
+        CmdOut::ValuesB(vals) => {
+            CmdOut::Values(vals.into_iter().map(word).collect::<Result<_, _>>()?)
         }
-    };
-}
-
-/// The one routing path every command shares: single-key bodies run
-/// standalone (`NonTx` — the uninstrumented hot path) on plain tables, but
-/// as one Medley transaction on cache tables, whose ops internally span a
-/// map and a recency queue and must commit or vanish as a unit.  The body
-/// yields `Result<CmdOut, ErrCode>` without `?`; in transactional mode an
-/// `Err` aborts explicitly and the code is carried out of the retry loop.
-macro_rules! point_op {
-    ($store:expr, $h:expr, |$cx:ident| $body:expr) => {{
-        if $store.point_tx {
-            let why = Cell::new(ErrCode::Retry);
-            $h.run_with(&$store.run_cfg, |$cx| match $body {
-                Ok(out) => Ok(out),
-                Err(e) => {
-                    why.set(e);
-                    Err($cx.abort(AbortReason::Explicit))
-                }
-            })
-            .map_err(|e| match e {
-                TxError::Explicit => why.get(),
-                other => Store::map_tx_err(other),
-            })
-        } else {
-            let $cx = &mut $h.nontx();
-            $body
-        }
-    }};
+        other => other,
+    })
 }
 
 /// The sharded transactional store (see the module docs).
 pub struct Store {
     mgr: Arc<TxManager>,
     tables: Vec<Table>,
-    partition: Partition,
-    /// Whether single-key commands must run transactionally (cache stores;
-    /// see [`point_op!`]).
+    scheme: PartitionScheme,
+    /// Whether even standalone-eligible commands must run transactionally
+    /// (cache stores; see the module docs).
     point_tx: bool,
     domain: Option<Arc<PersistenceDomain>>,
     run_cfg: RunConfig,
@@ -731,7 +592,10 @@ impl Store {
             Self {
                 mgr,
                 tables,
-                partition: Partition::for_tables(&cfg.tables, cfg.shards),
+                scheme: match cfg.tables {
+                    TableKind::Skip => PartitionScheme::Range,
+                    _ => PartitionScheme::Hash,
+                },
                 point_tx: matches!(cfg.tables, TableKind::Cache { .. }),
                 domain,
                 run_cfg: RunConfig::new()
@@ -788,96 +652,71 @@ impl Store {
         self.tables.len()
     }
 
-    /// The partition scheme routing this store's keys.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The shard a key lives in — the single routing decision every
-    /// command (point, multi-key, and range) goes through.
+    /// The shard `key` routes to (always `< shards`) — the single routing
+    /// decision every command (point, multi-key and range) goes through.
+    /// Both formulas are a compatibility contract: changing one would
+    /// silently re-home existing clients' keys.
     #[inline]
-    fn table(&self, key: u64) -> &Table {
-        &self.tables[self.partition.shard_of(key)]
-    }
-
-    /// Maps the terminal [`TxError`] of a command transaction onto the wire
-    /// error code.  `Conflict` cannot reach here (the retry loop absorbs
-    /// it); `Explicit` only escapes `TRANSFER`, which records its own code.
-    fn map_tx_err(e: TxError) -> ErrCode {
-        match e {
-            TxError::RetriesExhausted => ErrCode::Retry,
-            TxError::CapacityExceeded => ErrCode::Capacity,
-            _ => ErrCode::Retry,
+    fn shard_of(&self, key: u64) -> usize {
+        let shards = self.tables.len();
+        match self.scheme {
+            // Fibonacci hash, so dense *and* strided key patterns both
+            // spread (a plain `key % shards` would pin every client that
+            // strides by the shard count onto one table).
+            PartitionScheme::Hash => {
+                let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                (h % shards as u64) as usize
+            }
+            // Shard `i` owns keys `k` with `i·2⁶⁴ ≤ k·n < (i+1)·2⁶⁴` for `n`
+            // shards: a division-free split of the full `u64` space that is
+            // monotone in `k`, so shard order *is* key order and a range
+            // query touches only the shards its window overlaps.
+            PartitionScheme::Range => ((key as u128 * shards as u128) >> 64) as usize,
         }
     }
 
-    /// Executes one command through `h`.  Single-key reads/writes run
-    /// standalone; everything that composes runs as one transaction under
-    /// the store's retry budget.
-    pub fn exec(&self, h: &mut ThreadHandle, cmd: &Cmd) -> Result<CmdOut, ErrCode> {
+    #[inline]
+    fn table(&self, key: u64) -> &Table {
+        &self.tables[self.shard_of(key)]
+    }
+
+    /// Runs `body` as one transaction under the store's retry budget.  An
+    /// `Err` from the body aborts it explicitly, so nothing it wrote
+    /// commits, and comes back as the command's error; a lost conflict is
+    /// retried here and only the budget running out reaches the client.
+    fn tx(
+        &self,
+        h: &mut ThreadHandle,
+        mut body: impl FnMut(&mut Txn<'_>) -> Result<CmdOut, ErrCode>,
+    ) -> Result<CmdOut, ErrCode> {
+        let mut why = ErrCode::Retry;
+        h.run_with(&self.run_cfg, |t| {
+            body(t).map_err(|e| {
+                why = e;
+                t.abort(AbortReason::Explicit)
+            })
+        })
+        .map_err(|e| match e {
+            TxError::Explicit => why,
+            TxError::CapacityExceeded => ErrCode::Capacity,
+            // `RetriesExhausted`; `Conflict` never leaves the retry loop.
+            _ => ErrCode::Retry,
+        })
+    }
+
+    /// One single-key command in whichever context the caller is in: the
+    /// only definition of `GET`/`PUT`/`DEL`/`CAS`/`CONTAINS`, over [`Value`].
+    /// A fixed-width command is its blob twin with the result narrowed.
+    fn single<C: medley::Ctx>(&self, cx: &mut C, cmd: &Cmd) -> Result<CmdOut, ErrCode> {
         match cmd {
-            Cmd::Get(k) => {
-                point_op!(self, h, |cx| word(self.table(*k).get(cx, *k))
-                    .map(CmdOut::Value))
-            }
-            Cmd::Put(k, v) => {
-                point_op!(self, h, |cx| word(self.table(*k).insert_or_replace(
-                    cx,
-                    *k,
-                    Value::U64(*v)
-                ))
-                .map(CmdOut::Prev))
-            }
-            Cmd::Del(k) => {
-                point_op!(self, h, |cx| word(self.table(*k).remove(cx, *k))
-                    .map(CmdOut::Removed))
-            }
-            Cmd::Contains(k) => {
-                point_op!(self, h, |cx| Ok(CmdOut::Present(
-                    self.table(*k).contains(cx, *k)
-                )))
-            }
-            Cmd::GetB(k) => {
-                point_op!(self, h, |cx| Ok(CmdOut::ValueB(self.table(*k).get(cx, *k))))
-            }
+            Cmd::GetB(k) => Ok(CmdOut::ValueB(self.table(*k).get(cx, *k))),
             Cmd::PutB(k, v) => {
                 Self::check_len(v)?;
-                point_op!(self, h, |cx| Ok(CmdOut::PrevB(
-                    self.table(*k).insert_or_replace(cx, *k, v.clone())
-                )))
+                let prev = self.table(*k).insert_or_replace(cx, *k, v.clone());
+                Ok(CmdOut::PrevB(prev))
             }
-            Cmd::DelB(k) => {
-                point_op!(self, h, |cx| Ok(CmdOut::RemovedB(
-                    self.table(*k).remove(cx, *k)
-                )))
-            }
-            Cmd::Cas {
-                key,
-                expected,
-                desired,
-            } => {
-                let table = self.table(*key);
-                let why = Cell::new(ErrCode::Retry);
-                h.run_with(&self.run_cfg, |t| {
-                    let current = table.get(t, *key);
-                    if current == Some(Value::U64(*expected)) {
-                        table.insert_or_replace(t, *key, Value::U64(*desired));
-                        Ok(CmdOut::Cas {
-                            success: true,
-                            current: Some(*desired),
-                        })
-                    } else {
-                        Ok(CmdOut::Cas {
-                            success: false,
-                            current: word_or_abort!(t, why, current),
-                        })
-                    }
-                })
-                .map_err(|e| match e {
-                    TxError::Explicit => why.get(),
-                    other => Self::map_tx_err(other),
-                })
-            }
+            Cmd::DelB(k) => Ok(CmdOut::RemovedB(self.table(*k).remove(cx, *k))),
+            Cmd::Contains(k) => Ok(CmdOut::Present(self.table(*k).contains(cx, *k))),
             Cmd::CasB {
                 key,
                 expected,
@@ -885,211 +724,90 @@ impl Store {
             } => {
                 Self::check_len(desired)?;
                 let table = self.table(*key);
-                h.run_with(&self.run_cfg, |t| {
-                    let current = table.get(t, *key);
-                    if current.as_ref() == Some(expected) {
-                        table.insert_or_replace(t, *key, desired.clone());
-                        Ok(CmdOut::CasB {
-                            success: true,
-                            current: Some(desired.clone()),
-                        })
-                    } else {
-                        Ok(CmdOut::CasB {
-                            success: false,
-                            current,
-                        })
-                    }
-                })
-                .map_err(Self::map_tx_err)
+                let mut current = table.get(cx, *key);
+                let success = current.as_ref() == Some(expected);
+                if success {
+                    table.insert_or_replace(cx, *key, desired.clone());
+                    current = Some(desired.clone());
+                }
+                Ok(CmdOut::CasB { success, current })
             }
-            Cmd::MGet(keys) => {
-                let why = Cell::new(ErrCode::Retry);
-                h.run_with(&self.run_cfg, |t| {
-                    let mut vals = Vec::with_capacity(keys.len());
-                    for &k in keys {
-                        vals.push(word_or_abort!(t, why, self.table(k).get(t, k)));
-                    }
-                    Ok(CmdOut::Values(vals))
-                })
-                .map_err(|e| match e {
-                    TxError::Explicit => why.get(),
-                    other => Self::map_tx_err(other),
-                })
+            Cmd::Get(k) => narrow(self.single(cx, &Cmd::GetB(*k))?),
+            Cmd::Put(k, v) => narrow(self.single(cx, &Cmd::PutB(*k, Value::U64(*v)))?),
+            Cmd::Del(k) => narrow(self.single(cx, &Cmd::DelB(*k))?),
+            Cmd::Cas {
+                key,
+                expected,
+                desired,
+            } => {
+                let twin = Cmd::CasB {
+                    key: *key,
+                    expected: Value::U64(*expected),
+                    desired: Value::U64(*desired),
+                };
+                narrow(self.single(cx, &twin)?)
             }
-            Cmd::MGetB(keys) => h
-                .run_with(&self.run_cfg, |t| {
-                    Ok(CmdOut::ValuesB(
-                        keys.iter().map(|&k| self.table(k).get(t, k)).collect(),
-                    ))
-                })
-                .map_err(Self::map_tx_err),
-            Cmd::MSet(pairs) => h
-                .run_with(&self.run_cfg, |t| {
-                    for &(k, v) in pairs {
-                        self.table(k).insert_or_replace(t, k, Value::U64(v));
-                    }
-                    Ok(CmdOut::Done)
-                })
-                .map_err(Self::map_tx_err),
-            Cmd::MSetB(pairs) => {
-                for (_, v) in pairs {
+            // Not a single-key command, so an illegal `BATCH` member (the
+            // codec refuses these on the wire; in-process callers hear it here).
+            _ => Err(ErrCode::Malformed),
+        }
+    }
+
+    /// Executes one command through `h` (see the module docs for which
+    /// commands run standalone and which as one transaction).
+    pub fn exec(&self, h: &mut ThreadHandle, cmd: &Cmd) -> Result<CmdOut, ErrCode> {
+        match cmd {
+            Cmd::Get(_) | Cmd::Contains(_) | Cmd::GetB(_) | Cmd::PutB(..) | Cmd::DelB(_)
+                if !self.point_tx =>
+            {
+                self.single(&mut h.nontx(), cmd)
+            }
+            Cmd::Batch(cmds) => self.tx(h, |t| {
+                let outs = cmds.iter().map(|c| self.single(t, c));
+                Ok(CmdOut::Batch(outs.collect::<Result<_, _>>()?))
+            }),
+            Cmd::MGet(keys) => narrow(self.exec(h, &Cmd::MGetB(keys.clone()))?),
+            Cmd::MGetB(keys) => self.tx(h, |t| {
+                let vals = keys.iter().map(|&k| self.table(k).get(t, k));
+                Ok(CmdOut::ValuesB(vals.collect()))
+            }),
+            Cmd::MSet(pairs) => {
+                let pairs = pairs.iter().map(|&(k, v)| (k, Value::U64(v)));
+                self.exec(h, &Cmd::MSetB(pairs.collect()))
+            }
+            Cmd::MSetB(pairs) => self.tx(h, |t| {
+                for (k, v) in pairs {
                     Self::check_len(v)?;
+                    self.table(*k).insert_or_replace(t, *k, v.clone());
                 }
-                h.run_with(&self.run_cfg, |t| {
-                    for (k, v) in pairs {
-                        self.table(*k).insert_or_replace(t, *k, v.clone());
-                    }
-                    Ok(CmdOut::Done)
-                })
-                .map_err(Self::map_tx_err)
-            }
-            Cmd::Transfer { from, to, amount } => {
-                if from == to {
+                Ok(CmdOut::Done)
+            }),
+            Cmd::Transfer { from, to, amount } => self.tx(h, |t| {
+                let mut balance = |k: u64| word(self.table(k).get(t, k))?.ok_or(ErrCode::NotFound);
+                let (a, b) = (balance(*from)?, balance(*to)?);
+                let debited = a.checked_sub(*amount).ok_or(ErrCode::Insufficient)?;
+                let (from_after, to_after) = if from == to {
                     // A self-transfer is a (possibly failing) balance probe.
-                    return point_op!(self, h, |cx| match word(self.table(*from).get(cx, *from)) {
-                        Err(e) => Err(e),
-                        Ok(None) => Err(ErrCode::NotFound),
-                        Ok(Some(b)) if b < *amount => Err(ErrCode::Insufficient),
-                        Ok(Some(b)) => Ok(CmdOut::Transferred {
-                            from_after: b,
-                            to_after: b,
-                        }),
-                    });
-                }
-                // The closure aborts explicitly on business-rule failures;
-                // the cell carries *which* rule fired out of the retry loop.
-                let why = Cell::new(ErrCode::Retry);
-                let res = h.run_with(&self.run_cfg, |t| {
-                    let Some(a) = word_or_abort!(t, why, self.table(*from).get(t, *from)) else {
-                        why.set(ErrCode::NotFound);
-                        return Err(t.abort(AbortReason::Explicit));
-                    };
-                    let Some(b) = word_or_abort!(t, why, self.table(*to).get(t, *to)) else {
-                        why.set(ErrCode::NotFound);
-                        return Err(t.abort(AbortReason::Explicit));
-                    };
-                    if a < *amount {
-                        why.set(ErrCode::Insufficient);
-                        return Err(t.abort(AbortReason::Explicit));
-                    }
+                    (a, a)
+                } else {
                     // The credit side must be guarded too: an unchecked
                     // `b + amount` is wire-reachable overflow (worker panic
                     // under debug overflow checks, silently wrapped — i.e.
                     // destroyed — balance in release).
-                    let Some(credited) = b.checked_add(*amount) else {
-                        why.set(ErrCode::Insufficient);
-                        return Err(t.abort(AbortReason::Explicit));
-                    };
+                    let credited = b.checked_add(*amount).ok_or(ErrCode::Insufficient)?;
                     self.table(*from)
-                        .insert_or_replace(t, *from, Value::U64(a - *amount));
+                        .insert_or_replace(t, *from, Value::U64(debited));
                     self.table(*to)
                         .insert_or_replace(t, *to, Value::U64(credited));
-                    Ok(CmdOut::Transferred {
-                        from_after: a - *amount,
-                        to_after: credited,
-                    })
-                });
-                res.map_err(|e| match e {
-                    TxError::Explicit => why.get(),
-                    other => Self::map_tx_err(other),
+                    (debited, credited)
+                };
+                Ok(CmdOut::Transferred {
+                    from_after,
+                    to_after,
                 })
-            }
-            Cmd::Batch(cmds) => {
-                // Validate the IR before opening the transaction: only
-                // single-key commands may appear (the codec enforces this on
-                // the wire; in-process callers get the same rule).
-                for c in cmds {
-                    match c {
-                        Cmd::Get(_)
-                        | Cmd::Put(..)
-                        | Cmd::Del(_)
-                        | Cmd::Cas { .. }
-                        | Cmd::Contains(_)
-                        | Cmd::GetB(_)
-                        | Cmd::DelB(_) => {}
-                        Cmd::PutB(_, v) => Self::check_len(v)?,
-                        Cmd::CasB { desired, .. } => Self::check_len(desired)?,
-                        _ => return Err(ErrCode::Malformed),
-                    }
-                }
-                let why = Cell::new(ErrCode::Retry);
-                h.run_with(&self.run_cfg, |t| {
-                    let mut outs = Vec::with_capacity(cmds.len());
-                    for c in cmds {
-                        outs.push(match c {
-                            Cmd::Get(k) => {
-                                CmdOut::Value(word_or_abort!(t, why, self.table(*k).get(t, *k)))
-                            }
-                            Cmd::Put(k, v) => CmdOut::Prev(word_or_abort!(
-                                t,
-                                why,
-                                self.table(*k).insert_or_replace(t, *k, Value::U64(*v))
-                            )),
-                            Cmd::Del(k) => CmdOut::Removed(word_or_abort!(
-                                t,
-                                why,
-                                self.table(*k).remove(t, *k)
-                            )),
-                            Cmd::Contains(k) => CmdOut::Present(self.table(*k).contains(t, *k)),
-                            Cmd::GetB(k) => CmdOut::ValueB(self.table(*k).get(t, *k)),
-                            Cmd::PutB(k, v) => {
-                                CmdOut::PrevB(self.table(*k).insert_or_replace(t, *k, v.clone()))
-                            }
-                            Cmd::DelB(k) => CmdOut::RemovedB(self.table(*k).remove(t, *k)),
-                            Cmd::Cas {
-                                key,
-                                expected,
-                                desired,
-                            } => {
-                                let current = self.table(*key).get(t, *key);
-                                if current == Some(Value::U64(*expected)) {
-                                    self.table(*key).insert_or_replace(
-                                        t,
-                                        *key,
-                                        Value::U64(*desired),
-                                    );
-                                    CmdOut::Cas {
-                                        success: true,
-                                        current: Some(*desired),
-                                    }
-                                } else {
-                                    CmdOut::Cas {
-                                        success: false,
-                                        current: word_or_abort!(t, why, current),
-                                    }
-                                }
-                            }
-                            Cmd::CasB {
-                                key,
-                                expected,
-                                desired,
-                            } => {
-                                let current = self.table(*key).get(t, *key);
-                                if current.as_ref() == Some(expected) {
-                                    self.table(*key).insert_or_replace(t, *key, desired.clone());
-                                    CmdOut::CasB {
-                                        success: true,
-                                        current: Some(desired.clone()),
-                                    }
-                                } else {
-                                    CmdOut::CasB {
-                                        success: false,
-                                        current,
-                                    }
-                                }
-                            }
-                            _ => unreachable!("validated above"),
-                        });
-                    }
-                    Ok(CmdOut::Batch(outs))
-                })
-                .map_err(|e| match e {
-                    TxError::Explicit => why.get(),
-                    other => Self::map_tx_err(other),
-                })
-            }
+            }),
             Cmd::Scan { lo, hi, limit } => {
-                if !self.partition.is_ordered() {
+                if self.scheme != PartitionScheme::Range {
                     // A hash-partitioned namespace scatters the window over
                     // every shard with no order to merge by; only ordered,
                     // range-partitioned stores answer global range queries.
@@ -1101,12 +819,11 @@ impl Store {
                 }
                 // Contiguous ranges: only the shards the window overlaps,
                 // visited in ascending order, so concatenation IS the sort.
-                let first = self.partition.shard_of(*lo);
-                let last = self.partition.shard_of(*hi - 1);
-                h.run_with(&self.run_cfg, |t| {
+                let shards = &self.tables[self.shard_of(*lo)..=self.shard_of(*hi - 1)];
+                self.tx(h, |t| {
                     let mut page: Vec<(u64, Value)> = Vec::new();
                     let mut bytes = 0usize;
-                    'shards: for table in &self.tables[first..=last] {
+                    'shards: for table in shards {
                         if page.len() >= limit {
                             break;
                         }
@@ -1120,8 +837,10 @@ impl Store {
                     }
                     Ok(CmdOut::Page(page))
                 })
-                .map_err(Self::map_tx_err)
             }
+            // `PUT`/`DEL` (the narrowing can fail after the write), `CAS`/
+            // `CASB` (a read, then a write), and everything on cache tables.
+            _ => self.tx(h, |t| self.single(t, cmd)),
         }
     }
 
@@ -1164,7 +883,7 @@ impl Store {
             events: None,
             tables: Some(TableStats {
                 grow_events: self.tables.iter().map(Table::grow_events).sum(),
-                partition: self.partition.scheme(),
+                partition: self.scheme,
                 cache,
                 shards: self.tables.iter().map(Table::shard_stats).collect(),
             }),
@@ -1205,6 +924,42 @@ mod tests {
         let mgr = TxManager::with_max_threads(16);
         let (s, adv) = Store::new(Arc::clone(&mgr), cfg).expect("valid test config");
         (mgr, s, adv)
+    }
+
+    /// Routing is a compatibility contract: a client's keys must keep
+    /// landing on the same shards, so both formulas are pinned to literals.
+    #[test]
+    fn routing_is_pinned_for_both_schemes() {
+        let s = u64::MAX / 5;
+        #[rustfmt::skip]
+        let keys = [
+            0, 1, u64::MAX,             // the ends of the key space
+            8, 16, 24, 32,              // strided by a shard count
+            s, 2 * s, 3 * s, 4 * s,     // strided across the whole space
+            1000, 1001, 1002, 1003,     // dense
+        ];
+        #[rustfmt::skip]
+        let pinned: [(TableKind, usize, [usize; 15]); 6] = [
+            (TableKind::Hash, 1, [0; 15]),
+            (TableKind::Skip, 1, [0; 15]),
+            (TableKind::Hash, 3, [0, 0, 0, 2, 1, 0, 2, 2, 0, 1, 2, 2, 2, 2, 2]),
+            (TableKind::Skip, 3, [0, 0, 2, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0]),
+            (TableKind::Hash, 8, [0, 1, 6, 3, 7, 3, 7, 6, 4, 2, 0, 1, 2, 4, 5]),
+            (TableKind::Skip, 8, [0, 0, 7, 0, 0, 0, 0, 1, 3, 4, 6, 0, 0, 0, 0]),
+        ];
+        for (tables, shards, want) in pinned {
+            let cfg = StoreConfig {
+                tables,
+                shards,
+                ..Default::default()
+            };
+            let (_mgr, s, _adv) = store(&cfg);
+            let got = keys.map(|k| {
+                let routed = s.table(k);
+                s.tables.iter().position(|t| std::ptr::eq(t, routed))
+            });
+            assert_eq!(got, want.map(Some), "{:?} x {shards}", cfg.tables);
+        }
     }
 
     #[test]
@@ -1329,7 +1084,21 @@ mod tests {
             ),
             Err(ErrCode::NotFound)
         );
-        // Failed transfers changed nothing.
+        // A self-transfer is a balance probe under the same rules.
+        let probe = |amount| Cmd::Transfer {
+            from: 0,
+            to: 0,
+            amount,
+        };
+        assert_eq!(
+            s.exec(&mut h, &probe(600)),
+            Ok(CmdOut::Transferred {
+                from_after: 600,
+                to_after: 600
+            })
+        );
+        assert_eq!(s.exec(&mut h, &probe(601)), Err(ErrCode::Insufficient));
+        // Failed transfers and probes changed nothing.
         let got = s.exec(&mut h, &Cmd::MGet(vec![0, 1])).unwrap();
         assert_eq!(got, CmdOut::Values(vec![Some(600), Some(1400)]));
     }
@@ -1517,10 +1286,15 @@ mod tests {
             ),
             Err(ErrCode::Malformed)
         );
-        assert_eq!(
-            s.exec(&mut h, &Cmd::GetB(1)),
-            Ok(CmdOut::ValueB(Some(blob.clone())))
-        );
+        // A fixed-width write that meets a blob cannot report what it
+        // replaced, so it must not replace it.
+        for write in [Cmd::Put(1, 9), Cmd::Del(1)] {
+            assert_eq!(s.exec(&mut h, &write), Err(ErrCode::Malformed));
+            assert_eq!(
+                s.exec(&mut h, &Cmd::GetB(1)),
+                Ok(CmdOut::ValueB(Some(blob.clone())))
+            );
+        }
         // Blob CAS is byte-exact.
         assert_eq!(
             s.exec(
