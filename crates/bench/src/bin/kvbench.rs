@@ -899,9 +899,9 @@ const GROW_BOUNDS: &[Bound] = &[
 
 /// `scan`: a range-partitioned (skiplist) server under [`scan_mix`].
 fn run_scan(a: &Sizes, out: &mut Report) {
-    // A page is one transaction and every returned entry one counted read in
-    // its descriptor, so an atomic full-space page is bounded by the
-    // read-set capacity (4096 entries), not just `MAX_SCAN_LIMIT`.
+    // A page is one transaction and every returned entry two counted reads
+    // in its descriptor, so an atomic full-space page is bounded by the
+    // read-set capacity (8192 reads: 4096 entries), not just `MAX_SCAN_LIMIT`.
     if a.keys > 3_500 {
         die("scan: an atomic page is capped by the 4096-entry read set; keep --keys <= 3500");
     }

@@ -79,9 +79,9 @@
 //! `BATCH` member.  The server truncates pages at `min(limit, 32768)`
 //! entries and a 512 KiB value budget; a truncated page is still a
 //! consistent *prefix* of the window, so clients resume from
-//! `last_key + 1`.  Every returned entry is one counted read in the scan's
+//! `last_key + 1`.  Every returned entry is two counted reads in the scan's
 //! transaction descriptor, so a page is additionally bounded by the
-//! descriptor's read-set capacity (4096 entries) — a window too wide to fit
+//! descriptor's read-set capacity (8192 reads: 4096 keys) — a window too wide to fit
 //! reports `ABORT_CAPACITY`, exactly like an oversized `BATCH`: shrink the
 //! window and page through it.
 //!

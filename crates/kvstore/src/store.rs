@@ -257,9 +257,11 @@ pub const DEFAULT_BUCKETS_PER_SHARD: usize = 1 << 10;
 /// Hard cap on one `SCAN` page's entry count.  Keeps the largest
 /// word-valued response comfortably under the 1 MiB frame cap; the byte
 /// budget below covers blob-valued pages.  A page is further bounded by the
-/// transaction descriptor's read-set capacity (one counted read per
-/// returned entry): a window too wide to fit atomically reports
-/// [`ErrCode::Capacity`] — shrink it and page through.
+/// transaction descriptor's read-set capacity (two counted reads per
+/// returned entry — the node's link and its value word — in a read set of
+/// `2 * medley::MAX_ENTRIES`, so about `MAX_ENTRIES` = 4096 keys): a window
+/// too wide to fit atomically reports [`ErrCode::Capacity`] — shrink it and
+/// page through.
 pub const MAX_SCAN_LIMIT: u32 = 32_768;
 
 /// Byte budget of one `SCAN` page: assembly stops after the entry that
@@ -1633,7 +1635,7 @@ mod tests {
         assert_eq!(stats.tables.unwrap().shards[0].items, Some(0));
 
         // Stored one by one the same keys fit; a page of all of them needs
-        // one counted read each.
+        // two counted reads each, of twice `MAX_ENTRIES`.
         let cfg = StoreConfig {
             tables: TableKind::Skip,
             shards: 2,

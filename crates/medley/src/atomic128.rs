@@ -142,7 +142,10 @@ impl AtomicU128 {
     /// values are equal never changes the memory contents but always returns
     /// the value observed.  It is a locked read-modify-write all the same —
     /// it takes the cache line exclusive and faults on read-only memory.
-    #[inline]
+    /// Out of line: [`AtomicU128::load`] is inlined at every load site, and
+    /// on a CPU with AVX none of them ever gets here.
+    #[cold]
+    #[inline(never)]
     fn load_locked(&self) -> u128 {
         self.compare_exchange_raw(0, 0)
     }

@@ -41,8 +41,8 @@
 //! split into a **hot header** — the status word, the two set sizes, and
 //! `INLINE_READS`/`INLINE_WRITES` (8 + 8) inline entries, all sharing the
 //! descriptor's first few cache lines — and a **spill region** holding the
-//! remaining capacity (up to [`MAX_ENTRIES`] total per set).  The spill is
-//! allocated lazily on first use: a thread that only ever runs small
+//! remaining capacity (up to [`MAX_ENTRIES`] writes and twice as many reads).
+//! The spill is allocated lazily on first use: a thread that only ever runs small
 //! transactions costs ~1 KiB instead of the ~300 KiB a fully pre-allocated
 //! descriptor used to occupy (and `TxManager::new` no longer touches ~40 MiB
 //! of entry memory up front).
@@ -85,7 +85,8 @@ use crate::casobj::CasWord;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Maximum number of read-set and write-set entries per transaction.
+/// Maximum number of write-set entries per transaction; the read set holds
+/// twice as many (`MAX_READ_ENTRIES`).
 ///
 /// TPC-C `newOrder` touches on the order of a hundred words; 4096 leaves
 /// ample headroom.  Only the first `INLINE_READS`/`INLINE_WRITES` (8 + 8)
@@ -93,6 +94,12 @@ use std::sync::OnceLock;
 /// allocated region, so the capacity is effectively free until a transaction
 /// actually uses it.
 pub const MAX_ENTRIES: usize = 4096;
+
+/// Maximum number of read-set entries per transaction: two per write-set
+/// entry, because the widest read there is — an ordered range page —
+/// registers two words per key it returns (the node's link and its value
+/// word), and a page should hold as many keys as a transaction can write.
+pub(crate) const MAX_READ_ENTRIES: usize = 2 * MAX_ENTRIES;
 
 /// Read-set entries stored inline in the descriptor's hot header.
 pub(crate) const INLINE_READS: usize = 8;
@@ -367,14 +374,14 @@ impl Desc {
     /// exhausted (the transaction must then abort with `CapacityExceeded`).
     pub fn push_read(&self, serial: u64, addr: *const CasWord, val: u64, cnt: u64) -> bool {
         let idx = self.rcount.load(Ordering::Relaxed);
-        if idx >= MAX_ENTRIES {
+        if idx >= MAX_READ_ENTRIES {
             return false;
         }
         let e = if idx < INLINE_READS {
             &self.reads_inline[idx]
         } else {
             &self.reads_spill.get_or_init(|| {
-                (0..MAX_ENTRIES - INLINE_READS)
+                (0..MAX_READ_ENTRIES - INLINE_READS)
                     .map(|_| ReadEntry::default())
                     .collect()
             })[idx - INLINE_READS]
@@ -430,7 +437,7 @@ impl Desc {
     /// retry deterministically reproduces the same read-then-write pattern —
     /// livelock forever.
     pub fn validate_reads(&self, serial: u64) -> bool {
-        let n = self.rcount.load(Ordering::Acquire).min(MAX_ENTRIES);
+        let n = self.rcount.load(Ordering::Acquire).min(MAX_READ_ENTRIES);
         for idx in 0..n {
             let Some((addr, val, cnt)) = self.read_entry(idx).snapshot(serial) else {
                 continue; // stale or recycled entry of another serial
@@ -740,9 +747,13 @@ mod tests {
         d.begin();
         let s = d.serial();
         let a = CasWord::new(0);
-        for _ in 0..MAX_ENTRIES {
+        for _ in 0..MAX_READ_ENTRIES {
             assert!(d.push_read(s, &a, 0, 0));
         }
         assert!(!d.push_read(s, &a, 0, 0));
+        for _ in 0..MAX_ENTRIES {
+            assert!(d.push_write(s, &a, 0, 0, 1));
+        }
+        assert!(!d.push_write(s, &a, 0, 0, 1));
     }
 }

@@ -9,7 +9,10 @@
 //! * a global epoch counter advances only when every *pinned* participant has
 //!   observed the current epoch;
 //! * retired objects are tagged with the epoch in which they were retired and
-//!   freed once the global epoch has advanced twice past it.
+//!   freed once the global epoch has advanced twice past it.  A participant's
+//!   limbo bag is a FIFO: the global epoch never goes back, so its entries are
+//!   in retirement-epoch order and a collection stops at the first one that
+//!   is still too young — a retirement costs O(freed), not O(bag).
 //!
 //! A participant stays pinned for the duration of an entire Medley
 //! transaction (not just a single operation): the transaction's read and
@@ -19,16 +22,20 @@
 
 use crate::util::sync::Mutex;
 use crate::util::CachePadded;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of retirements between attempts to advance the global epoch.
 const ADVANCE_THRESHOLD: usize = 64;
 
+/// Frees a type-erased allocation: `Box::<T>::from_raw` behind a thin pointer.
+pub(crate) type DropFn = unsafe fn(*mut u8);
+
 /// A type-erased retired allocation awaiting reclamation.
 struct Retired {
     ptr: *mut u8,
-    drop_fn: unsafe fn(*mut u8),
+    drop_fn: DropFn,
     epoch: u64,
 }
 
@@ -36,11 +43,20 @@ struct Retired {
 // ownership of the allocation was transferred to the bag at retire time.
 unsafe impl Send for Retired {}
 
-unsafe fn drop_boxed<T>(ptr: *mut u8) {
-    // SAFETY: forwarded from the caller's contract: `ptr` originated from
-    // `Box::<T>::into_raw` and is uniquely owned by the limbo bag.
+/// The [`DropFn`] of a `Box<T>`.
+///
+/// # Safety
+/// `ptr` originated from `Box::<T>::into_raw` and is uniquely owned by the
+/// caller (a limbo bag, or a transaction's list of unpublished blocks).
+pub(crate) unsafe fn drop_boxed<T>(ptr: *mut u8) {
+    // SAFETY: forwarded from the caller's contract.
     drop(unsafe { Box::from_raw(ptr as *mut T) });
 }
+
+// Bag entries looked at by `collect` on this thread, for the test that pins
+// a retirement's cost.
+#[cfg(test)]
+thread_local!(static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
 
 /// Shared state of the reclamation domain.
 pub struct Collector {
@@ -113,7 +129,7 @@ impl Collector {
                     collector: Arc::clone(self),
                     slot: idx,
                     pin_depth: 0,
-                    bag: Vec::new(),
+                    bag: VecDeque::new(),
                     retired_since_advance: 0,
                 };
             }
@@ -186,7 +202,8 @@ pub struct Participant {
     collector: Arc<Collector>,
     slot: usize,
     pin_depth: usize,
-    bag: Vec<Retired>,
+    /// Limbo bag, oldest retirement first (epochs are non-decreasing).
+    bag: VecDeque<Retired>,
     retired_since_advance: usize,
 }
 
@@ -234,11 +251,34 @@ impl Participant {
 
     /// Retires a boxed allocation; it will be dropped once no thread can
     /// still hold a reference obtained before the retirement.
+    #[cfg(test)]
     pub fn retire<T: Send + 'static>(&mut self, boxed: Box<T>) {
+        // SAFETY: the box is ours to give away, and `drop_boxed::<T>` is how
+        // a `Box<T>` is freed.
+        unsafe { self.retire_erased(Box::into_raw(boxed) as *mut u8, drop_boxed::<T>) };
+    }
+
+    /// Retires a raw pointer previously produced by `Box::into_raw`.
+    ///
+    /// # Safety
+    /// `ptr` must be a valid, uniquely-owned `Box<T>` allocation that no other
+    /// thread will free.
+    pub unsafe fn retire_raw<T: Send + 'static>(&mut self, ptr: *mut T) {
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { self.retire_erased(ptr as *mut u8, drop_boxed::<T>) };
+    }
+
+    /// Retires a type-erased allocation: `drop_fn(ptr)` runs once no thread
+    /// can still hold a reference obtained before the retirement.
+    ///
+    /// # Safety
+    /// `ptr` is uniquely owned by the caller, sendable, and `drop_fn` frees
+    /// it; nobody else will.
+    pub(crate) unsafe fn retire_erased(&mut self, ptr: *mut u8, drop_fn: DropFn) {
         let epoch = self.collector.global_epoch.load(Ordering::Acquire);
-        self.bag.push(Retired {
-            ptr: Box::into_raw(boxed) as *mut u8,
-            drop_fn: drop_boxed::<T>,
+        self.bag.push_back(Retired {
+            ptr,
+            drop_fn,
             epoch,
         });
         self.retired_since_advance += 1;
@@ -249,31 +289,23 @@ impl Participant {
         self.collect();
     }
 
-    /// Retires a raw pointer previously produced by `Box::into_raw`.
-    ///
-    /// # Safety
-    /// `ptr` must be a valid, uniquely-owned `Box<T>` allocation that no other
-    /// thread will free.
-    pub unsafe fn retire_raw<T: Send + 'static>(&mut self, ptr: *mut T) {
-        // SAFETY: forwarded from the caller's contract.
-        self.retire(unsafe { Box::from_raw(ptr) });
-    }
-
     /// Frees every retired allocation that is at least two epochs old, both
     /// in this participant's bag and among garbage inherited from exited
     /// participants.
     pub fn collect(&mut self) {
         let global = self.collector.global_epoch.load(Ordering::Acquire);
-        let mut i = 0;
-        while i < self.bag.len() {
-            if self.bag[i].epoch + 2 <= global {
-                let r = self.bag.swap_remove(i);
-                // SAFETY: the allocation was transferred to us at retire time
-                // and the grace period (two epoch advances) has elapsed.
-                unsafe { (r.drop_fn)(r.ptr) };
-            } else {
-                i += 1;
+        // Oldest first; everything behind the first entry that is too young
+        // is younger still.
+        while let Some(front) = self.bag.front() {
+            #[cfg(test)]
+            EXAMINED.with(|n| n.set(n.get() + 1));
+            if front.epoch + 2 > global {
+                break;
             }
+            let r = self.bag.pop_front().expect("front exists");
+            // SAFETY: the allocation was transferred to us at retire time
+            // and the grace period (two epoch advances) has elapsed.
+            unsafe { (r.drop_fn)(r.ptr) };
         }
         Collector::drain_orphans(&self.collector, global);
     }
@@ -319,7 +351,7 @@ impl Drop for Participant {
             // drop frees whatever is left, so an exiting thread leaks
             // nothing.
             let mut orphans = self.collector.orphans.lock();
-            orphans.append(&mut std::mem::take(&mut self.bag));
+            orphans.extend(self.bag.drain(..));
             self.collector
                 .orphan_count
                 .store(orphans.len(), Ordering::Release);
@@ -377,6 +409,37 @@ mod tests {
         a.flush();
         assert!(c.global_epoch.load(Ordering::Acquire) <= before + 1);
         assert_eq!(a.bag.len(), 1);
+        b.unpin();
+        a.flush();
+        assert!(a.bag.is_empty());
+    }
+
+    #[test]
+    fn retire_into_a_stalled_bag_examines_one_entry() {
+        let c = Collector::new(4);
+        let mut a = c.register();
+        let mut b = c.register();
+        b.pin(); // holds the epoch back: nothing `a` retires can be freed
+        for i in 0..10_000u64 {
+            a.pin();
+            a.retire(Box::new(i));
+            a.unpin();
+        }
+        assert_eq!(a.bag.len(), 10_000, "the stalled pin kept everything");
+        let before = EXAMINED.get();
+        a.pin();
+        a.retire(Box::new(0u64));
+        a.unpin();
+        let examined = EXAMINED.get() - before;
+        assert!(
+            examined <= 1,
+            "one retirement looked at {examined} of 10001 bag entries"
+        );
+        assert!(a
+            .bag
+            .iter()
+            .zip(a.bag.iter().skip(1))
+            .all(|(x, y)| x.epoch <= y.epoch));
         b.unpin();
         a.flush();
         assert!(a.bag.is_empty());

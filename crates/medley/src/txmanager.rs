@@ -24,7 +24,7 @@ use crate::atomic128::{pack, unpack};
 use crate::casobj::CasWord;
 use crate::ctx::{RunConfig, Txn};
 use crate::descriptor::{Desc, Status};
-use crate::ebr;
+use crate::ebr::{self, drop_boxed, DropFn};
 use crate::errors::{Abort, AbortReason, TxError, TxResult};
 use crate::util::{Backoff, CachePadded};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -217,6 +217,7 @@ impl TxManager {
                     cleanups: Vec::new(),
                     abort_actions: Vec::new(),
                     allocs: Vec::new(),
+                    retires: Vec::new(),
                     tallies: [0; STATS],
                     stat_unflushed: 0,
                     last_run_attempts: 0,
@@ -284,14 +285,6 @@ impl TxManager {
     }
 }
 
-type DropFn = unsafe fn(*mut u8);
-
-unsafe fn drop_raw<T>(ptr: *mut u8) {
-    // SAFETY: forwarded from the caller's contract: `ptr` was produced by
-    // `Box::<T>::into_raw` in `tnew` and never published.
-    drop(unsafe { Box::from_raw(ptr as *mut T) });
-}
-
 type Cleanup = Box<dyn FnOnce(&mut ThreadHandle)>;
 
 /// One critical CAS of the open transaction, buffered in plain thread-local
@@ -355,7 +348,12 @@ pub struct ThreadHandle {
     local_reads: Vec<(usize, u64, u64)>,
     cleanups: Vec<Cleanup>,
     abort_actions: Vec<Cleanup>,
+    /// Blocks `tnew`ed by the open transaction: freed on abort, the
+    /// structures' on commit.
     allocs: Vec<(*mut u8, DropFn)>,
+    /// Blocks `tretire`d by the open transaction: handed to the limbo bag on
+    /// commit, left where they are on abort.
+    retires: Vec<(*mut u8, DropFn)>,
     /// Counter events not yet flushed into `TxManager::stats`, by [`Stat`].
     tallies: [u64; STATS],
     stat_unflushed: u64,
@@ -468,6 +466,7 @@ impl ThreadHandle {
         self.local_reads.clear();
         debug_assert!(self.cleanups.is_empty());
         debug_assert!(self.allocs.is_empty());
+        debug_assert!(self.retires.is_empty());
         self.participant.pin();
         if self.mgr.epoch_validation_enabled() {
             let (epoch, cnt) = self.mgr.epoch_word.load_parts();
@@ -656,10 +655,17 @@ impl ThreadHandle {
         // Ownership of tnew-ed blocks passes to the structures.
         self.allocs.clear();
         self.abort_actions.clear();
-        let cleanups = std::mem::take(&mut self.cleanups);
-        for c in cleanups {
+        for (ptr, drop_fn) in self.retires.drain(..) {
+            // SAFETY: the contract of `tretire`, whose unlink has committed.
+            unsafe { self.participant.retire_erased(ptr, drop_fn) };
+        }
+        // Taken out while they run on the handle, and put back for its
+        // capacity: the next transaction's first cleanup finds room.
+        let mut cleanups = std::mem::take(&mut self.cleanups);
+        for c in cleanups.drain(..) {
             c(self);
         }
+        self.cleanups = cleanups;
         self.participant.unpin();
         self.count(Stat::Commits);
         self.count(path);
@@ -816,18 +822,21 @@ impl ThreadHandle {
         desc.uninstall(self.serial, outcome);
         // Undo tnew allocations: they were never published (speculative
         // installs have just been rolled back), so immediate free is safe.
-        for (ptr, drop_fn) in std::mem::take(&mut self.allocs) {
+        for (ptr, drop_fn) in self.allocs.drain(..) {
             // SAFETY: allocated by `tnew` on this thread and never handed to
             // any other thread.
             unsafe { drop_fn(ptr) };
         }
         self.cleanups.clear();
+        // What was to be retired stays reachable: its unlink never happened.
+        self.retires.clear();
         self.in_tx = false;
         self.spec_interval = false;
-        let abort_actions = std::mem::take(&mut self.abort_actions);
-        for a in abort_actions {
+        let mut abort_actions = std::mem::take(&mut self.abort_actions);
+        for a in abort_actions.drain(..) {
             a(self);
         }
+        self.abort_actions = abort_actions;
         self.participant.unpin();
         self.count(Stat::Aborts);
         self.note_stat_event();
@@ -848,7 +857,7 @@ impl ThreadHandle {
             // Reading one's own speculative write needs no validation.
             return;
         }
-        if self.local_reads.len() >= crate::descriptor::MAX_ENTRIES {
+        if self.local_reads.len() >= crate::descriptor::MAX_READ_ENTRIES {
             self.capacity_exceeded = true;
             return;
         }
@@ -898,7 +907,7 @@ impl ThreadHandle {
     pub(crate) fn tnew<T>(&mut self, value: T) -> *mut T {
         debug_assert!(self.in_tx);
         let ptr = Box::into_raw(Box::new(value));
-        self.allocs.push((ptr as *mut u8, drop_raw::<T>));
+        self.allocs.push((ptr as *mut u8, drop_boxed::<T>));
         ptr
     }
 
@@ -926,11 +935,8 @@ impl ThreadHandle {
     /// and must be unlinked from the structure by the time the retirement
     /// takes effect, with no other thread retiring it as well.
     pub(crate) unsafe fn tretire<T: Send + 'static>(&mut self, ptr: *mut T) {
-        let addr = ptr as usize;
-        self.add_cleanup(move |h| {
-            // SAFETY: forwarded from the caller's contract on `tretire`.
-            unsafe { h.retire_now(addr as *mut T) };
-        });
+        debug_assert!(self.in_tx);
+        self.retires.push((ptr as *mut u8, drop_boxed::<T>));
     }
 
     /// Immediate retirement through epoch-based reclamation, for cleanup

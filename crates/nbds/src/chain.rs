@@ -1,28 +1,54 @@
 //! The marked-pointer ordered chain: the one Harris–Michael list core under
 //! [`MichaelList`](crate::MichaelList), [`SplitOrderedMap`](crate::SplitOrderedMap)
-//! and level 0 of [`SkipList`](crate::SkipList).
+//! and every level of [`SkipList`](crate::SkipList).
 //!
 //! A chain is a singly linked list of nodes sorted by [`Link::key`], hanging
 //! off a start word that is never marked (a list head, a bucket sentinel's
-//! link, a skiplist head tower).  A node's own link word carries the deletion
-//! mark in its low bit: a node is in the set exactly while its link is
-//! unmarked, and a marked link never changes again.  A node may carry several
-//! link words — *lanes* — and so sit in several chains at once: the list and
-//! the split-ordered map have lane 0 only, a skiplist tower has one lane per
+//! link, a skiplist head tower).  A node may carry several link words —
+//! *lanes* — and so sit in several chains at once: the list and the
+//! split-ordered map have lane 0 only, a skiplist tower has one lane per
 //! level, and every level of the skiplist is this chain on its lane.
+//!
+//! # The value word
+//!
+//! Besides its links a node carries one more [`CasWord`], the **value word**,
+//! and that word alone says what the node's key is bound to: an inline `u64`
+//! or a pointer to a boxed value while the key is in the set, [`DEAD`] from
+//! the moment it is removed — for good; a dead node is never revived, a later
+//! insert of the key links a new one.  So a key is in the set exactly while a
+//! node holding it is linked on lane 0 with a live value word, and a present
+//! key's binding changes by a CAS on that one word and in no other way.
+//!
+//! The deletion mark in the low bit of a link is what it is in Harris's
+//! list — the promise that the link will never change again, which makes the
+//! unlink safe — but it is no longer what removes the key.  It is set *after*
+//! the removal linearized, by the remover's cleanup or by an insert that
+//! finds the dead node in its way, whichever comes first.  Between the two
+//! steps the node is dead but unmarked: absent for every reader, which
+//! registers the predecessor word as for any miss and writes nothing, and
+//! still a valid predecessor for its neighbours.
+//!
+//! (Paper Fig. 2 replaces a value by marking the old node's link *at* a new
+//! node, one CAS that removes and splices at once.  That is replace-by-copy
+//! — a node, its retirement and an unlink per `put` — where one CAS on a word
+//! will do, so it is gone; and once `put` writes the value word, `remove`
+//! has to linearize there too.  Were it still the mark, a standalone `put`
+//! could win its CAS on a node whose link was marked a moment before, and
+//! both would report the same previous value: two words, no atomicity.)
 //!
 //! The NBTC transformation of the paper is applied here, once:
 //!
 //! * [`try_find`] is the only traversal (counted loads, help-unlink);
-//! * [`Position::link`], `replace` and `mark` are the only linearizing CASes
-//!   — exactly **one** critical CAS per update, so a single-update
-//!   transaction commits with one plain CAS;
+//! * [`Position::link`] (predecessor word), `swap` and `kill` (value
+//!   word) are the only linearizing CASes — exactly **one** critical CAS per
+//!   update, so a single-update transaction commits with one plain CAS;
 //! * [`Position::register_read`] is the only rule choosing the word a
 //!   read-only outcome registers (the table in the [crate docs](crate)), and
 //!   it names the words those three CASes hit;
-//! * unlinking and retiring a deleted node is post-linearization cleanup,
-//!   registered with `add_cleanup` so a transaction runs it after commit;
-//!   nodes come from `tnew`, so an abort frees them.
+//! * marking, unlinking and retiring a dead node is post-linearization
+//!   cleanup, registered with `add_cleanup` so a transaction runs it after
+//!   commit; nodes and boxed values come from `tnew`, so an abort frees them,
+//!   and a replaced or removed box is `tretire`d.
 //!
 //! The code is compiled twice: [`TRACKED`] goes through the transactional
 //! primitives and is what item operations use; [`UNTRACKED`] goes through
@@ -39,25 +65,95 @@
 //! it was produced in.
 
 use crate::tag;
-use medley::{CasWord, Ctx};
+use medley::{CasWord, Ctx, NonTx};
+use std::any::Any;
+use std::marker::PhantomData;
+use std::ptr;
 
-/// A node that can be linked into a chain: an ordering key plus, per lane,
-/// the link to its successor there.
+// The value word's encoding
+
+/// Bit 63 of a value word: set, the rest is a pointer to a `Box<V>` from
+/// `tnew`; clear, the word is the value itself — a `u64` below 2⁶³ in a
+/// chain of `u64`s, the one case where a `put` need not allocate.  (User
+/// addresses keep bit 63 clear on every 64-bit target there is.)
+const BOXED: u64 = 1 << 63;
+
+/// The value word of a removed key: the boxed arm with a null pointer.
+pub(crate) const DEAD: u64 = BOXED;
+
+/// The value word of a node that carries no value and is never removed (a
+/// bucket sentinel): live, owns no box, never read.
+pub(crate) const NO_VALUE: u64 = 0;
+
+/// Encodes `val` as a live value word, boxing it unless it is a `u64` that
+/// fits inline.  (`V` is known at monomorphization, so the test folds.)
+pub(crate) fn encode<V: Send + 'static, C: Ctx>(cx: &mut C, val: V) -> u64 {
+    match (&val as &dyn Any).downcast_ref::<u64>() {
+        Some(&word) if word & BOXED == 0 => word,
+        _ => cx.tnew(val) as u64 | BOXED,
+    }
+}
+
+/// The box behind `bits`, if there is one.
+fn boxed<V>(bits: u64) -> Option<*mut V> {
+    (bits & BOXED != 0 && bits != DEAD).then_some((bits ^ BOXED) as *mut V)
+}
+
+/// Maps the value encoded in the live word `bits` through `f`.
+///
+/// # Safety
+/// `bits` was read, under the current pin, from the value word of a node in
+/// a chain of `V`s.
+pub(crate) unsafe fn decode<V: 'static, R>(bits: u64, f: impl FnOnce(&V) -> R) -> R {
+    debug_assert_ne!(bits, DEAD);
+    match boxed::<V>(bits) {
+        // SAFETY: a box leaves its word only by a replace or a remove, which
+        // retire it; the pin taken before the word was read outlasts that.
+        Some(val) => f(unsafe { &*val }),
+        None => f((&bits as &dyn Any)
+            .downcast_ref()
+            .expect("an inline value word in a chain of another type")),
+    }
+}
+
+/// The value that `bits` — a live word just CASed out of a node by the
+/// caller's replace or remove — was holding; its box, if any, is retired.
+///
+/// # Safety
+/// As for [`decode`], and the caller's CAS is what took `bits` out.
+pub(crate) unsafe fn take<V: Clone + Send + 'static, C: Ctx>(cx: &mut C, bits: u64) -> V {
+    // SAFETY: forwarded; the CAS made this operation the box's only retirer.
+    unsafe {
+        let val = decode(bits, V::clone);
+        if let Some(old) = boxed::<V>(bits) {
+            cx.tretire(old);
+        }
+        val
+    }
+}
+
+/// A node that can be linked into a chain: an ordering key, a value word
+/// and, per lane, the link to its successor there.
 pub(crate) trait Link: Sized {
     /// The chain's sort key.
     type Key: Ord + Copy;
+    /// What the value word encodes.
+    type Val;
     /// Whether the traversal that physically unlinks a marked node also
     /// retires it.  `false` for skiplist towers, which may still be linked in
     /// other lanes and are retired by the skiplist's own protocol instead.
     const RETIRE_ON_UNLINK: bool;
     fn key(&self) -> Self::Key;
+    /// The node's value word.
+    fn value(&self) -> &CasWord;
     /// The node's link word in `lane`.
     ///
     /// # Safety
     /// `this` is a live node that has `lane`, and the pointer may be used for
     /// the node's whole allocation (a tower's lanes lie behind its header).
     unsafe fn lane(this: *const Self, lane: usize) -> *const CasWord;
-    /// Frees a node nobody else can reach.
+    /// Frees a node nobody else can reach — the node, not what its value
+    /// word points to.
     ///
     /// # Safety
     /// `this` came from `Ctx::tnew` (or a `Box`) of the type the node was
@@ -67,20 +163,34 @@ pub(crate) trait Link: Sized {
         // implementor says otherwise by overriding this.
         drop(unsafe { Box::from_raw(this) });
     }
+    /// [`Ctx::tdelete`] of a node that was never linked, as the type it was
+    /// allocated as.
+    ///
+    /// # Safety
+    /// `this` came from `cx.tnew` and is private to the caller.
+    unsafe fn tdelete<C: Ctx>(cx: &mut C, this: *mut Self) {
+        // SAFETY: the caller's contract; see `free`.
+        unsafe { cx.tdelete(this) }
+    }
 }
 
 /// The plain chain node of the list and the split-ordered map.
 pub(crate) struct Node<K, V> {
     pub(crate) key: K,
-    pub(crate) val: V,
+    value: CasWord,
     next: CasWord,
+    _val: PhantomData<V>,
 }
 
 impl<K: Ord + Copy, V> Link for Node<K, V> {
     type Key = K;
+    type Val = V;
     const RETIRE_ON_UNLINK: bool = true;
     fn key(&self) -> K {
         self.key
+    }
+    fn value(&self) -> &CasWord {
+        &self.value
     }
     unsafe fn lane(this: *const Self, _lane: usize) -> *const CasWord {
         // SAFETY: `this` is live (caller contract).
@@ -107,6 +217,8 @@ fn load<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord) -> (u64, u64) {
 /// CAS on the value; `lin_pt` says whether success linearizes (and
 /// publishes) the caller's operation.
 fn cas<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord, old: u64, new: u64, lin_pt: bool) -> bool {
+    #[cfg(test)]
+    CASES.with(|c| c.set(c.get() + 1));
     if T {
         cx.nbtc_cas(w, old, new, lin_pt, lin_pt)
     } else {
@@ -114,9 +226,24 @@ fn cas<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord, old: u64, new: u64, lin_p
     }
 }
 
+/// What the candidate of a [`Position`] is to the key.
+#[derive(Clone, Copy)]
+enum Hold {
+    /// Not its holder: there is no candidate, its key is greater, or the
+    /// lane is not lane 0 (the upper lanes of a skiplist are index, and
+    /// nobody asks them what a key is bound to).
+    No,
+    /// It held the key, which was removed; `next` is its link, not marked
+    /// yet.
+    Dead { next: u64 },
+    /// It holds the key: its value word and the token it was read with.  (Its
+    /// link is not even loaded: alive is unmarked, and nothing else needs it.)
+    Alive { val: u64, cnt: u64 },
+}
+
 /// Where a key is, or would be, in one lane: the predecessor word with the
 /// value and counter token observed in it, and the candidate node (the first
-/// with key ≥ the target) with what was observed in *its* link.
+/// unmarked one with key ≥ the target) with what it is to the key.
 pub(crate) struct Position<N, const T: bool> {
     lane: usize,
     /// Owner of `prev`; null while `prev` is still the traversal's start word.
@@ -126,16 +253,17 @@ pub(crate) struct Position<N, const T: bool> {
     prev_val: u64,
     prev_cnt: u64,
     curr: *mut N,
-    /// Unmarked link of `curr` and its token; zero when `curr` is null.
-    next: u64,
-    next_cnt: u64,
-    found: bool,
+    hold: Hold,
 }
 
-// Nodes stepped over by `try_find` on this thread, for tests that bound a
-// traversal's length.
+// Nodes stepped over by `try_find`, and CASes attempted through this module,
+// on this thread: for tests that bound a traversal's length or pin a read
+// path as one that writes nothing.
 #[cfg(test)]
-thread_local!(pub(crate) static HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+thread_local! {
+    pub(crate) static HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static CASES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// One pass of Michael's `find` along `lane` from `start`: stops before the
 /// first node with key ≥ `key`, physically unlinking every marked node met on
@@ -153,7 +281,7 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     lane: usize,
     key: N::Key,
 ) -> Option<Position<N, T>> {
-    let mut pred = std::ptr::null_mut();
+    let mut pred = ptr::null_mut();
     let mut prev = start;
     let (mut curr_bits, mut prev_cnt) = load::<T, C>(cx, prev);
     loop {
@@ -168,19 +296,26 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             prev_val: curr_bits,
             prev_cnt,
             curr,
-            next: 0,
-            next_cnt: 0,
-            found: false,
+            hold: Hold::No,
         };
         if curr.is_null() {
             return Some(pos);
         }
         // SAFETY: `curr` was reachable from the chain under the caller's pin,
         // so it is a live `N`, and it has `lane` because it is linked there.
-        let (ckey, link) = unsafe { ((*curr).key(), &*N::lane(curr, lane)) };
+        let (node, link) = unsafe { (&*curr, &*N::lane(curr, lane)) };
+        let ckey = node.key();
+        let holds = lane == 0 && ckey == key;
+        if holds {
+            let (val, cnt) = load::<T, C>(cx, node.value());
+            if val != DEAD {
+                pos.hold = Hold::Alive { val, cnt };
+                return Some(pos);
+            }
+        }
         let (next_bits, next_cnt) = load::<T, C>(cx, link);
         if tag::is_marked(next_bits) {
-            // `curr` is logically deleted by an operation that has already
+            // `curr` was removed by an operation that has already
             // linearized; help unlink it.  Not a linearization point of ours,
             // but the runtime makes it critical on its own if it follows a
             // speculative read of the same transaction.
@@ -209,9 +344,9 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             continue;
         }
         if ckey >= key {
-            pos.next = next_bits;
-            pos.next_cnt = next_cnt;
-            pos.found = ckey == key;
+            if holds {
+                pos.hold = Hold::Dead { next: next_bits };
+            }
             return Some(pos);
         }
         #[cfg(test)]
@@ -242,11 +377,9 @@ pub(crate) unsafe fn find<const T: bool, N: Link + Send + 'static, C: Ctx>(
 }
 
 impl<N: Link, const T: bool> Position<N, T> {
-    /// The node holding the key, if the key is present.
-    pub(crate) fn node(&self) -> Option<&N> {
-        // SAFETY: `curr` is non-null when `found`, and stays allocated for as
-        // long as the pin the position was taken under (module contract).
-        self.found.then(|| unsafe { &*self.curr })
+    /// Whether the key is present: the candidate holds it and is alive.
+    pub(crate) fn found(&self) -> bool {
+        matches!(self.hold, Hold::Alive { .. })
     }
 
     /// The candidate node (null at the end of the chain).
@@ -282,41 +415,37 @@ impl<N: Link, const T: bool> Position<N, T> {
         }
     }
 
-    /// Replaces the found node by `node` (paper Fig. 2): one CAS on the
-    /// **found node's link** marks it *at* the replacement, which removes the
-    /// old node and splices the new one in at once.
-    ///
-    /// # Safety
-    /// `node` is a live allocation not reachable from any chain, and the key
-    /// is present at this position.
-    unsafe fn replace<C: Ctx>(&self, cx: &mut C, node: *mut N) -> bool {
-        // SAFETY: `node` is private to the caller; `curr` is pinned.
-        unsafe {
-            (*N::lane(node, self.lane)).store_value(self.next);
-            let marked_at_node = tag::marked(tag::from_ptr(node));
-            cas::<T, C>(cx, self.curr_link(), self.next, marked_at_node, true)
-        }
+    /// The candidate, which holds (or held) the key.
+    fn holder(&self) -> &N {
+        debug_assert!(!matches!(self.hold, Hold::No));
+        // SAFETY: only `try_find` sets `hold`, on a candidate that is a
+        // node; it stays allocated for as long as the pin the position was
+        // taken under (module contract).
+        unsafe { &*self.curr }
     }
 
-    /// Logically deletes the found node: the linearization point of a
-    /// remove, a CAS on the **found node's link**.
-    ///
-    /// # Safety
-    /// The key is present at this position.
-    unsafe fn mark<C: Ctx>(&self, cx: &mut C) -> bool {
-        // SAFETY: `curr` is pinned and non-null (caller contract).
-        let link = unsafe { self.curr_link() };
-        cas::<T, C>(cx, link, self.next, tag::marked(self.next), true)
+    /// Rebinds the found key from the value word `val` to `bits`: the
+    /// linearization point of a replacing `put`, a CAS on the **found node's
+    /// value word**.
+    fn swap<C: Ctx>(&self, cx: &mut C, val: u64, bits: u64) -> bool {
+        cas::<T, C>(cx, self.holder().value(), val, bits, true)
     }
 
-    /// The candidate's link word in this position's lane.
-    ///
-    /// # Safety
-    /// `curr` is non-null.
-    unsafe fn curr_link(&self) -> &CasWord {
-        // SAFETY: `curr` stays allocated for as long as the pin the position
-        // was taken under, and is linked in `lane`.
-        unsafe { &*N::lane(self.curr, self.lane) }
+    /// Removes the found key: the linearization point of a remove, a CAS on
+    /// the **found node's value word** that nothing ever follows.
+    fn kill<C: Ctx>(&self, cx: &mut C, val: u64) -> bool {
+        self.swap(cx, val, DEAD)
+    }
+
+    /// Marks the link `next` of a [`Hold::Dead`] candidate, which is in the
+    /// way, so that the caller's next pass unlinks it: help for a remove that
+    /// has linearized, never a linearization point.  Failure means the link
+    /// moved on — marked by someone else, or a neighbour was linked behind
+    /// the node — and the next pass sees that too.
+    fn help_mark<C: Ctx>(&self, cx: &mut C, next: u64) {
+        // SAFETY: the candidate is linked in `lane`.
+        let link = unsafe { &*N::lane(self.holder(), self.lane) };
+        cas::<T, C>(cx, link, next, tag::marked(next), false);
     }
 }
 
@@ -325,25 +454,33 @@ impl<N: Link> Position<N, TRACKED> {
     /// `get`/`contains`, failed `insert`, failed `remove`): **the word whose
     /// CAS would make the outcome wrong**.
     ///
-    /// * key present ⇒ the found node's link `(curr.next, next, next_cnt)`:
-    ///   `replace` and `mark` — the only ways the key's binding can change —
-    ///   CAS exactly that word;
+    /// * key present ⇒ the found node's value word `(curr.value, val, cnt)`:
+    ///   `swap` and `kill` — the only ways the key's binding can
+    ///   change — CAS exactly that word;
     /// * key absent ⇒ the predecessor word `(prev, prev_val, prev_cnt)`:
-    ///   `link` must CAS it to make the key appear, and deleting the
-    ///   predecessor's owner marks it.
+    ///   `link` must CAS it to make the key appear, deleting the
+    ///   predecessor's owner marks it, and if the candidate is a dead node
+    ///   holding the key, an insert has to unlink that first — through this
+    ///   very word.
     fn register_read<C: Ctx>(&self, cx: &mut C) {
-        if self.found {
-            // SAFETY: `curr` is non-null when `found`.
-            cx.add_read_with_counter(unsafe { self.curr_link() }, self.next, self.next_cnt)
-        } else {
-            self.register_prev(cx)
+        match self.hold {
+            Hold::Alive { val, cnt } => cx.add_read_with_counter(self.holder().value(), val, cnt),
+            _ => self.register_prev(cx),
         }
     }
 
-    /// Completes a lookup: maps the node holding the key through `f` and
-    /// registers the outcome, present or absent.
-    pub(crate) fn read<C: Ctx, R>(&self, cx: &mut C, f: impl FnOnce(&N) -> R) -> Option<R> {
-        let res = self.node().map(f);
+    /// Completes a lookup: maps the value the key is bound to through `f`
+    /// and registers the outcome, present or absent.
+    pub(crate) fn read<C: Ctx, R>(&self, cx: &mut C, f: impl FnOnce(&N::Val) -> R) -> Option<R>
+    where
+        N::Val: 'static,
+    {
+        let res = match self.hold {
+            // SAFETY: `val` was read from a node of this chain under the pin
+            // the position was taken under.
+            Hold::Alive { val, .. } => Some(unsafe { decode(val, f) }),
+            _ => None,
+        };
         self.register_read(cx);
         res
     }
@@ -358,72 +495,132 @@ impl<N: Link> Position<N, TRACKED> {
 }
 
 // Updates, generic over how the position is found (`find` from a start word,
-// or the skiplist's descent through its index)
+// or the skiplist's descent through its index) and how a node is made
 
-/// Inserts the private node `node` unless its key is present, in which case
-/// the failed insert registers as a read and the node is still the caller's
-/// (to `tdelete` as the type it was allocated as).
+/// Inserts a node made by `make` — called once, and only when the key was
+/// seen absent — unless the key is present, in which case the failed insert
+/// registers as a read.  Returns the node it linked.
 ///
 /// # Safety
-/// `node` is unpublished; `locate` returns positions of `node`'s key taken
-/// under the current pin.
+/// `locate` returns positions of one key taken under the current pin, and
+/// `make` a node from `cx.tnew` holding that key, its value word from
+/// [`encode`].
 pub(crate) unsafe fn insert<N: Link, C: Ctx>(
     cx: &mut C,
-    node: *mut N,
     mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
-) -> bool {
+    make: impl FnOnce(&mut C) -> *mut N,
+) -> Option<*mut N> {
+    let mut make = Some(make);
+    let mut node: *mut N = ptr::null_mut();
     loop {
         let pos = locate(cx);
-        if pos.found {
-            pos.register_read(cx);
-            return false;
-        }
-        // SAFETY: `node` is still private and the key is absent.
-        if unsafe { pos.link(cx, node) } {
-            return true;
+        match pos.hold {
+            Hold::Alive { .. } => {
+                pos.register_read(cx);
+                if !node.is_null() {
+                    // Made for a position that somebody else's insert took.
+                    // SAFETY: still private; both came from `cx.tnew`.
+                    unsafe {
+                        if let Some(val) = boxed::<N::Val>((*node).value().load_value_spin()) {
+                            cx.tdelete(val);
+                        }
+                        N::tdelete(cx, node);
+                    }
+                }
+                return None;
+            }
+            Hold::Dead { next } => pos.help_mark(cx, next),
+            Hold::No => {
+                if let Some(make) = make.take() {
+                    node = make(cx);
+                }
+                // SAFETY: `node` is still private and the key is absent.
+                if unsafe { pos.link(cx, node) } {
+                    return Some(node);
+                }
+            }
         }
     }
 }
 
-/// Inserts the private node `node`, or replaces the node holding its key:
-/// returns the position of the replaced node, `None` if none was.
+/// What [`put`] did.
+pub(crate) enum Put<N> {
+    /// The key was absent: this node, made by `make`, holds it now.
+    Inserted(*mut N),
+    /// The key was present, bound to this value word, which the caller now
+    /// has to [`take`].
+    Replaced(u64),
+}
+
+/// Binds the key to the value word `bits`: one CAS on the value word of the
+/// node holding it, or, if there is none, the insert of a node made by `make`.
 ///
 /// # Safety
-/// As for [`insert`].
+/// As for [`insert`]; `bits` came from [`encode`] and is what `make` puts
+/// into its node.
 pub(crate) unsafe fn put<N: Link, C: Ctx>(
     cx: &mut C,
-    node: *mut N,
+    bits: u64,
     mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
-) -> Option<Position<N, TRACKED>> {
+    make: impl FnOnce(&mut C) -> *mut N,
+) -> Put<N> {
+    let mut make = Some(make);
+    let mut node: *mut N = ptr::null_mut();
     loop {
         let pos = locate(cx);
-        // SAFETY (both arms): `node` is still private, and the arm matches
-        // whether the key is present.
-        if pos.found {
-            if unsafe { pos.replace(cx, node) } {
-                return Some(pos);
+        match pos.hold {
+            Hold::Alive { val, .. } => {
+                if pos.swap(cx, val, bits) {
+                    if !node.is_null() {
+                        // Made while the key was absent; `bits` has another
+                        // home.
+                        // SAFETY: still private, and from `cx.tnew`.
+                        unsafe { N::tdelete(cx, node) };
+                    }
+                    return Put::Replaced(val);
+                }
             }
-        } else if unsafe { pos.link(cx, node) } {
-            return None;
+            Hold::Dead { next } => pos.help_mark(cx, next),
+            Hold::No => {
+                if let Some(make) = make.take() {
+                    node = make(cx);
+                }
+                // SAFETY: `node` is still private and the key is absent.
+                if unsafe { pos.link(cx, node) } {
+                    return Put::Inserted(node);
+                }
+            }
         }
     }
 }
 
-/// Marks the node holding the key and returns its position; `None` (a
-/// read-only outcome, registered) if the key is absent.
+/// Kills the node holding the key and returns its position and the value
+/// word it held; `None` (a read-only outcome, registered) if the key is
+/// absent.  The caller owes the node its cleanup (mark, unlink, retire) and
+/// the value its [`take`].
 pub(crate) fn remove<N: Link, C: Ctx>(
     cx: &mut C,
     mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
-) -> Option<Position<N, TRACKED>> {
+) -> Option<(Position<N, TRACKED>, u64)> {
     loop {
         let pos = locate(cx);
-        if !pos.found {
+        let Hold::Alive { val, .. } = pos.hold else {
             pos.register_read(cx);
             return None;
+        };
+        if pos.kill(cx, val) {
+            return Some((pos, val));
         }
-        // SAFETY: the key is present.
-        if unsafe { pos.mark(cx) } {
-            return Some(pos);
+    }
+}
+
+/// Sets the deletion mark on `link`, the link of a dead node, unless a
+/// helper has, and returns the successor frozen into it.
+pub(crate) fn mark(cx: &mut NonTx<'_>, link: &CasWord) -> u64 {
+    loop {
+        let next = cx.nbtc_load(link);
+        if tag::is_marked(next) || cx.nbtc_cas(link, next, tag::marked(next), false, false) {
+            return tag::unmarked(next);
         }
     }
 }
@@ -432,10 +629,16 @@ pub(crate) fn remove<N: Link, C: Ctx>(
 
 /// # Safety
 /// All four operations: see the module contract.
-impl<K: Ord + Copy + Send + 'static, V: Send + 'static> Node<K, V> {
-    pub(crate) fn new(key: K, val: V) -> Self {
-        let next = CasWord::new(0);
-        Self { key, val, next }
+impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
+    /// A node whose value word holds `bits`: [`NO_VALUE`], or from
+    /// [`encode`] of a `V`.
+    pub(crate) fn new(key: K, bits: u64) -> Self {
+        Self {
+            key,
+            value: CasWord::new(bits),
+            next: CasWord::new(0),
+            _val: PhantomData,
+        }
     }
 
     /// Looks `key` up and maps its value through `read`.
@@ -446,21 +649,23 @@ impl<K: Ord + Copy + Send + 'static, V: Send + 'static> Node<K, V> {
         read: impl FnOnce(&V) -> R,
     ) -> Option<R> {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { find::<TRACKED, Self, C>(cx, start, key) }.read(cx, |n| read(&n.val))
+        unsafe { find::<TRACKED, Self, C>(cx, start, key) }.read(cx, read)
     }
 
     /// Inserts `key -> val` only if `key` is absent.
     pub(crate) unsafe fn insert<C: Ctx>(cx: &mut C, start: &CasWord, key: K, val: V) -> bool {
-        let node = cx.tnew(Self::new(key, val));
-        // SAFETY: `node` is fresh, and still private if it was not inserted;
-        // the rest is the caller's contract.
-        unsafe {
-            let inserted = insert(cx, node, |cx| find(cx, start, key));
-            if !inserted {
-                cx.tdelete(node);
-            }
-            inserted
-        }
+        // SAFETY: the caller's contract, and a fresh node of `key`.
+        let linked = unsafe {
+            insert(
+                cx,
+                |cx| find(cx, start, key),
+                |cx| {
+                    let bits = encode(cx, val);
+                    cx.tnew(Self::new(key, bits))
+                },
+            )
+        };
+        linked.is_some()
     }
 
     /// Inserts or replaces, returning the previous value (`None`: inserted).
@@ -468,12 +673,16 @@ impl<K: Ord + Copy + Send + 'static, V: Send + 'static> Node<K, V> {
     where
         V: Clone,
     {
-        let node = cx.tnew(Self::new(key, val));
-        // SAFETY: `node` is fresh; the rest is the caller's contract.
-        let replaced = unsafe { put(cx, node, |cx| find(cx, start, key)) }?;
-        let old = replaced.node().map(|old| old.val.clone());
-        replaced.unlink_on_commit(cx, tag::from_ptr(node));
-        old
+        let bits = encode(cx, val);
+        // SAFETY: the caller's contract, and a fresh node of `key`; a
+        // replace is what hands its old word to `take`.
+        unsafe {
+            let locate = |cx: &mut C| find(cx, start, key);
+            match put(cx, bits, locate, |cx| cx.tnew(Self::new(key, bits))) {
+                Put::Inserted(_) => None,
+                Put::Replaced(old) => Some(take(cx, old)),
+            }
+        }
     }
 
     /// Removes `key`, returning its value if it was present.
@@ -482,35 +691,54 @@ impl<K: Ord + Copy + Send + 'static, V: Send + 'static> Node<K, V> {
         V: Clone,
     {
         // SAFETY: forwarded from the caller's contract.
-        let removed = remove(cx, |cx| unsafe { find::<TRACKED, Self, C>(cx, start, key) })?;
-        let old = removed.node().map(|old| old.val.clone());
-        removed.unlink_on_commit(cx, removed.next);
-        old
+        let (removed, old) = remove(cx, |cx| unsafe { find::<TRACKED, Self, C>(cx, start, key) })?;
+        removed.unlink_on_commit(cx);
+        // SAFETY: the remove is what took the word out.
+        Some(unsafe { take(cx, old) })
     }
 }
 
 impl<N: Link + Send + 'static> Position<N, TRACKED> {
-    /// After `replace`/`mark` linearized: once the outcome is decided (at
-    /// once standalone, post-commit in a transaction, never on abort) swing
-    /// the predecessor from the dead node to `succ` and retire the node.
-    fn unlink_on_commit<C: Ctx>(&self, cx: &mut C, succ: u64) {
+    /// After `kill` linearized: once the outcome is decided (at once
+    /// standalone, post-commit in a transaction, never on abort) mark the
+    /// dead node, swing the predecessor past it and retire it.
+    fn unlink_on_commit<C: Ctx>(&self, cx: &mut C) {
         let (prev, curr) = (self.prev as usize, self.curr as usize);
         cx.add_cleanup(move |h| {
-            // SAFETY: the structure outlives the transaction (caller contract
-            // of every container), so `prev` is still a link word of it.
-            if unsafe { &*(prev as *const CasWord) }.cas_value(curr as u64, succ) {
+            let (prev, curr) = (prev as *const CasWord, curr as *mut N);
+            let cx = &mut NonTx::new(h);
+            // SAFETY: the pin of the operation, or of its transaction, is
+            // still held, so `curr` and the owner of `prev` are allocated
+            // (the head of a structure outlives the transaction: caller
+            // contract of every container).
+            let (prev, link) = unsafe { (&*prev, &*N::lane(curr, 0)) };
+            let succ = mark(cx, link);
+            if cx.nbtc_cas(prev, tag::from_ptr(curr), succ, false, false) {
                 // SAFETY: winning the unlink makes this the only retirer.
-                unsafe { h.retire_now(curr as *mut N) };
+                unsafe { cx.retire_now(curr) };
             }
-            // Otherwise a concurrent traversal already helped.
+            // Otherwise `prev` is no longer the node's predecessor word, and
+            // the traversal that finds the marked node unlinks it.
         });
     }
 }
 
 // Quiescent walks
 
+/// Clones the value a node is bound to.
+///
+/// # Safety
+/// No operation runs on the chain concurrently, and the node is alive.
+pub(crate) unsafe fn value_of<N: Link>(node: &N) -> N::Val
+where
+    N::Val: Clone + 'static,
+{
+    // SAFETY: quiescence keeps the word, and the box it may point to, still.
+    unsafe { decode(node.value().load_value_spin(), N::Val::clone) }
+}
+
 /// Calls `f(node, live)` for every node reachable from `head` on lane 0, in
-/// chain order; `live` is false for logically deleted nodes not yet unlinked.
+/// chain order; `live` is false for removed nodes not yet unlinked.
 ///
 /// # Safety
 /// No operation may run on the chain concurrently.
@@ -522,13 +750,14 @@ pub(crate) unsafe fn walk<N: Link>(head: &CasWord, mut f: impl FnMut(&N, bool)) 
         // node stays allocated for the whole walk; lane 0 always exists.
         unsafe {
             bits = (*N::lane(node, 0)).load_value_spin();
-            f(&*node, !tag::is_marked(bits));
+            f(&*node, (*node).value().load_value_spin() != DEAD);
         }
     }
 }
 
-/// Frees every node still reachable from `head` on lane 0 (nodes unlinked
-/// earlier are owned by the EBR limbo bags).
+/// Frees every node still reachable from `head` on lane 0, and the value it
+/// is bound to (nodes unlinked earlier, and values replaced or removed, are
+/// owned by the EBR limbo bags).
 ///
 /// # Safety
 /// The caller has exclusive access to the chain and never uses it again.
@@ -537,9 +766,13 @@ pub(crate) unsafe fn free_all<N: Link>(head: &CasWord) {
     while !tag::as_ptr::<N>(bits).is_null() {
         let node = tag::as_ptr::<N>(bits);
         // SAFETY: exclusive access; every node appears in the chain once, so
-        // it is live until freed here, right after its link was read.
+        // it is live until freed here, right after its link was read, and a
+        // box belongs to the one value word that points to it.
         unsafe {
             bits = (*N::lane(node, 0)).load_value_spin();
+            if let Some(val) = boxed::<N::Val>((*node).value().load_value_spin()) {
+                drop(Box::from_raw(val));
+            }
             N::free(node);
         }
     }

@@ -18,6 +18,12 @@
 //!   same chain as the list's, with O(log n) post-commit index maintenance;
 //! * [`MsQueue`] — the Michael–Scott FIFO queue.
 //!
+//! In the four maps a node keeps its value in a `CasWord` of its own, the
+//! *value word*: a `u64` below 2⁶³ inline, anything else as a pointer to a
+//! box.  A `put` that finds its key is one CAS on that word and allocates,
+//! links, unlinks and retires no node; a `remove` is one CAS of the same word
+//! to "dead", and the marking and unlinking of the node is cleanup.
+//!
 //! Every operation is generic over a [`medley::Ctx`] execution context.
 //! Called with the [`medley::Txn`] guard handed out by
 //! [`medley::ThreadHandle::run`] (or [`medley::ThreadHandle::begin`]), the
@@ -38,20 +44,22 @@
 //! rows covers them all.  `prev` is the link word the traversal arrived
 //! through (list head, bucket sentinel link or the predecessor node's link;
 //! level 0 in the skiplist, whose upper levels run the same traversal but
-//! are index, never registered), `curr` the node holding the key.
+//! are index, never registered), `curr` the node holding the key and
+//! `curr.value` its value word.
 //!
 //! | container | read-only outcome | registers | falsified by | which CASes |
 //! |---|---|---|---|---|
-//! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.next` | `remove`, `put`-replace | `curr.next` (mark; mark at the replacement) |
-//! | same | key absent (`get` miss, `contains` false, failed `remove`) | `prev` | `insert`, `put`-insert | `prev` (link) |
-//! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` of every live node in the window | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on, all registered |
+//! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.value` | `put`-replace, `remove` | `curr.value` (to the new value; to "dead") |
+//! | same | key absent (`get` miss, `contains` false, failed `remove`), which includes "the candidate holds the key but is dead and not yet unlinked" | `prev` | `insert`, `put`-insert | `prev` (link; before that, the unlink of a dead candidate, also `prev`) |
+//! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` and `node.value` of every live node in the window (`node.next` alone of a dead one not yet marked) | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on; the `node.value` — all registered |
 //! | [`MsQueue`] | `dequeue` → `None`, `is_empty` → `true` | `dummy.next` (the head node's link) | `enqueue` | the last node's `next`, which is `dummy.next` while the queue is empty |
 //! | [`MsQueue`] | `is_empty` → `false` | `head` | `dequeue` | `head` (swing to the next node) |
 //!
 //! An outcome can also be invalidated by a CAS that leaves it true — an
 //! unrelated insert after `prev`, a neighbour's removal marking `prev`, a
-//! helper unlinking a dead successor of `curr` — which costs a retry, never
-//! a wrong commit.  Reads of a transaction's own buffered writes register
+//! `put` of the value that is already there — which costs a retry, never a
+//! wrong commit.  Nothing that happens to `curr`'s links touches a "present":
+//! a key's binding is its node's value word and nothing else.  Reads of a transaction's own buffered writes register
 //! nothing: the write's pre-image is validated by the commit CAS instead.
 
 #![warn(missing_docs)]

@@ -4,10 +4,10 @@
 //!
 //! The traversal, the linearizing CASes, the read-registration rule and the
 //! post-commit unlink all live in the shared chain module; the table in the
-//! [crate docs](crate) says which word each outcome registers.  `put` uses
-//! the paper's replace trick: marking the old node's `next` pointer *at* the
-//! replacement node removes the old node and splices in the new one with a
-//! single (critical) CAS.
+//! [crate docs](crate) says which word each outcome registers.  A node keeps
+//! its value in a `CasWord` of its own, so a `put` that finds its key is one
+//! (critical) CAS on that word — no node, no unlink, nothing to retire but a
+//! boxed old value — and a `remove` is one CAS of the same word to "dead".
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context:
 //! monomorphized for [`medley::NonTx`] it *is* the original uninstrumented
@@ -108,7 +108,7 @@ where
         unsafe {
             chain::walk(&self.head, |n: &Node<u64, V>, live| {
                 if live {
-                    out.push((n.key, n.val.clone()));
+                    out.push((n.key, chain::value_of(n)));
                 }
             })
         };
@@ -327,7 +327,10 @@ mod tests {
         // once, so the node must be retired even if the helping attempt
         // aborts: every value created is dropped once the list, the handles
         // and the manager are gone.  (Contended transfers, the shape of
-        // `concurrent_transfer_preserves_total`.)
+        // `concurrent_transfer_preserves_total`, over the even keys; the odd
+        // keys between them are removed and re-inserted all the time, inside
+        // the transfers and standalone, because a transfer alone replaces
+        // values in place and never makes a dead node.)
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CREATED: AtomicUsize = AtomicUsize::new(0);
         static DROPPED: AtomicUsize = AtomicUsize::new(0);
@@ -357,7 +360,8 @@ mod tests {
         {
             let mut h = mgr.register();
             for a in 0..ACCOUNTS {
-                assert!(list.insert(&mut h.nontx(), a, Counted::new(100)));
+                assert!(list.insert(&mut h.nontx(), 2 * a, Counted::new(100)));
+                assert!(list.insert(&mut h.nontx(), 2 * a + 1, Counted::new(0)));
             }
         }
         let start = std::sync::Barrier::new(THREADS);
@@ -368,17 +372,31 @@ mod tests {
                     let mut h = mgr.register();
                     let mut rng = medley::util::FastRng::new(t as u64 + 1);
                     start.wait();
-                    for _ in 0..OPS {
+                    for i in 0..OPS {
                         let from = rng.next_below(ACCOUNTS);
                         let to = (from + 1 + rng.next_below(ACCOUNTS - 1)) % ACCOUNTS;
+                        let odd = 2 * rng.next_below(ACCOUNTS) + 1;
                         h.run(|t| {
-                            let a = list.get(t, from).unwrap().0;
-                            let b = list.get(t, to).unwrap().0;
-                            list.put(t, from, Counted::new(a.wrapping_sub(1)));
-                            list.put(t, to, Counted::new(b.wrapping_add(1)));
+                            let a = list.get(t, 2 * from).unwrap().0;
+                            let b = list.get(t, 2 * to).unwrap().0;
+                            if i % 8 == 0 {
+                                // Two cores: let somebody in between the
+                                // reads and the writes.
+                                std::thread::yield_now();
+                            }
+                            list.put(t, 2 * from, Counted::new(a.wrapping_sub(1)));
+                            list.put(t, 2 * to, Counted::new(b.wrapping_add(1)));
+                            if let Some(c) = list.remove(t, odd) {
+                                // (Fails only in an attempt that is doomed.)
+                                list.insert(t, odd, Counted::new(c.0 + 1));
+                            }
                             Ok(())
                         })
                         .unwrap();
+                        let odd = 2 * rng.next_below(ACCOUNTS) + 1;
+                        if let Some(c) = list.remove(&mut h.nontx(), odd) {
+                            list.insert(&mut h.nontx(), odd, c);
+                        }
                     }
                 });
             }
@@ -389,6 +407,7 @@ mod tests {
         let total = list
             .snapshot()
             .iter()
+            .filter(|(k, _)| k % 2 == 0)
             .fold(0u64, |s, (_, v)| s.wrapping_add(v.0));
         assert_eq!(total, ACCOUNTS * 100);
         drop(list);

@@ -123,10 +123,10 @@ pub fn parent_bucket(b: u64) -> u64 {
 }
 
 /// A node of the split-ordered list, ordered by `(split-order key, key)`.
-/// Sentinels hold `None` and reuse `key` for their bucket index; regular
-/// nodes hold `Some(..)` and the user key.  The two classes never compare
-/// equal: their split-order keys have different parity.
-type SoNode<V> = Node<(u64, u64), Option<V>>;
+/// Sentinels hold no value and reuse `key` for their bucket index; regular
+/// nodes hold a `V` and the user key.  The two classes never compare equal:
+/// their split-order keys have different parity.
+type SoNode<V> = Node<(u64, u64), V>;
 
 /// A lock-free, NBTC-composable, **elastic** hash map from `u64` keys to `V`:
 /// a Shalev–Shavit split-ordered list that doubles its bucket directory
@@ -270,12 +270,12 @@ where
         let so = (so_sentinel_key(b), b);
         // Allocated privately (not `tnew`): sentinel ownership must not be
         // tied to an enclosing transaction's abort path.
-        let node = Box::into_raw(Box::new(SoNode::<V>::new(so, None)));
+        let node = Box::into_raw(Box::new(SoNode::<V>::new(so, chain::NO_VALUE)));
         let spliced = loop {
             // SAFETY: pinned (`with_op` is the caller's contract);
             // `parent_start` is the head or an immortal sentinel's link.
             let pos = unsafe { chain::find::<UNTRACKED, _, C>(cx, parent_start, so) };
-            if pos.node().is_some() {
+            if pos.found() {
                 // Another thread spliced this sentinel first; ours was never
                 // published.
                 // SAFETY: `node` is still private.
@@ -433,9 +433,9 @@ where
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
         // SAFETY (all five operations): `on_bucket` pins and hands out a start
         // word of this map's `SoNode<V>` chain.  A found node is regular (odd
-        // split-order key), so its value is `Some`.
+        // split-order key), so it has a value.
         self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, start, k, Option::<V>::clone).flatten()
+            SoNode::lookup(cx, start, k, V::clone)
         })
     }
 
@@ -444,7 +444,7 @@ where
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
         // SAFETY: see `get`.
         self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, start, k, |_: &Option<V>| ()).is_some()
+            SoNode::lookup(cx, start, k, |_: &V| ()).is_some()
         })
     }
 
@@ -453,7 +453,7 @@ where
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         // SAFETY: see `get`.
         let inserted = self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::insert(cx, start, k, Some(val))
+            SoNode::insert(cx, start, k, val)
         });
         if inserted {
             self.note_delta(cx, 1);
@@ -465,12 +465,12 @@ where
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         // SAFETY: see `get`.
         let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::put(cx, start, k, Some(val))
+            SoNode::put(cx, start, k, val)
         });
         if old.is_none() {
             self.note_delta(cx, 1);
         }
-        old.flatten()
+        old
     }
 
     /// Removes `key`, returning its value if it was present.
@@ -482,7 +482,7 @@ where
         if old.is_some() {
             self.note_delta(cx, -1);
         }
-        old.flatten()
+        old
     }
 
     // -- quiescent inspection ------------------------------------------------
@@ -497,9 +497,10 @@ where
         // SAFETY: quiescence is the caller's contract.
         unsafe {
             chain::walk(&self.head, |n: &SoNode<V>, live| {
-                // Sentinels carry `None` and are skipped.
-                if let (true, Some(v)) = (live, &n.val) {
-                    out.push((n.key.1, v.clone()));
+                // Regular nodes have odd split-order keys; sentinels are
+                // skipped.
+                if live && n.key.0 & 1 == 1 {
+                    out.push((n.key.1, chain::value_of(n)));
                 }
             })
         };

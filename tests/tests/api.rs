@@ -285,6 +285,28 @@ fn container_transaction_over_capacity_fails_cleanly() {
     assert_eq!(map.get(&mut h.nontx(), 1), Some(1));
 }
 
+/// A range page registers two reads per key it returns (the node's link and
+/// its value word) plus the link it entered through, and the read set holds
+/// twice what the write set does: an atomic page is as wide as it was when a
+/// key cost one read — one key short of `MAX_ENTRIES` — and a wider one
+/// reports the capacity instead of committing a page it did not validate.
+#[test]
+fn atomic_range_page_is_bounded_by_the_read_capacity() {
+    let mgr = TxManager::new();
+    let mut h = mgr.register();
+    let sl = SkipList::<u64>::new();
+    let n = medley::MAX_ENTRIES as u64;
+    for k in 0..n {
+        assert!(sl.insert(&mut h.nontx(), k, k));
+    }
+    let sl = &sl;
+    let mut page = |limit: usize| h.run(|t| Ok(sl.range(t, 0..u64::MAX, limit)));
+    let widest = page(medley::MAX_ENTRIES - 1).expect("fits");
+    assert!(widest.iter().map(|&(k, _)| k).eq(0..n - 1));
+    assert_eq!(page(medley::MAX_ENTRIES), Err(TxError::CapacityExceeded));
+    assert!(!h.in_tx());
+}
+
 /// The generic trait surface composes across containers: one function drives
 /// any `TxMap` + `TxQueue` pair in either context.
 #[test]

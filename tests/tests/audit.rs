@@ -3,7 +3,7 @@
 //!
 //! `audited_transfers` runs 8 threads of transfer transactions over a small
 //! hot set (2 `get` + 2 `put`-replace, so every write linearizes on the found
-//! node's own link) and, every 64th transaction, a read-only audit of all 32
+//! node's value word) and, every 64th transaction, a read-only audit of all 32
 //! accounts.  Transfers conserve the total, so every audit that commits must
 //! sum to it.  An audit that registers the wrong word for a found key is not
 //! invalidated by a concurrent replace and commits a sum that is off by one
@@ -13,10 +13,19 @@
 //! One instance per list-based container: the chained hash map, the elastic
 //! map with its directory force-grown underneath, the skiplist, and the
 //! durable wrappers of the first and the last with a live epoch advancer.
+//!
+//! `audited_ranges` is the same property for the ordered cursor: the audit is
+//! one `range` page over all accounts, and every 8th transfer takes both
+//! accounts *out* and puts them back (remove + insert in one transaction), so
+//! that nodes die, are marked and unlinked, and new ones are linked next to
+//! them while pages are being read.  A page registers two words per key —
+//! the node's link, which an insert behind it must CAS, and its value word,
+//! which a replace or a remove must — and a committed page that misses
+//! either shows as a sum that is off, or as a missing account.
 
 use integration_tests::StopOnDrop;
 use medley::{AbortReason, TxManager, TxResult};
-use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap};
+use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap, TxOrderedMap};
 use pmem::{EpochAdvancer, NvmCostModel, PersistenceDomain};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,5 +194,123 @@ fn audited_transfers_durable_skiplist() {
     let (domain, _advancer) = durable_domain(&mgr);
     let map = DurableSkipList::skip_list(domain);
     audited_transfers(&mgr, &map, None);
+    assert_eq!(map.inner().check_integrity_quiescent(), Ok((0, 0)));
+}
+
+/// The range workload on `map`: 6 threads of transfers (every 8th by remove
+/// and re-insert) and 2 of full-window pages in read-only transactions.
+fn audited_ranges<M: TxOrderedMap<u64>>(mgr: &Arc<TxManager>, map: &M) {
+    const WRITERS: usize = 6;
+    {
+        let mut h = mgr.register();
+        for k in 0..ACCOUNTS {
+            assert!(map.insert(&mut h.nontx(), k, INITIAL));
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let audits = AtomicU64::new(0);
+    let torn = AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        let release = StopOnDrop(&stop);
+        for _ in WRITERS..THREADS {
+            let (stop, audits, torn) = (&stop, &audits, &torn);
+            s.spawn(move || {
+                let mut h = mgr.register();
+                while !stop.load(Ordering::Relaxed) {
+                    let page = h
+                        .run(|tx| Ok(map.range(tx, 0..ACCOUNTS, usize::MAX)))
+                        .expect("a read-only transaction only ever retries");
+                    audits.fetch_add(1, Ordering::Relaxed);
+                    let sum: u64 = page.iter().map(|&(_, v)| v).sum();
+                    let keys = page.iter().map(|&(k, _)| k);
+                    if sum != ACCOUNTS * INITIAL || !keys.eq(0..ACCOUNTS) {
+                        torn.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut h = mgr.register();
+                    let mut rng = medley::util::FastRng::new(t as u64 + 0x5CA9);
+                    for i in 0..TXS_PER_THREAD / 2 {
+                        let mut pick = || {
+                            if rng.next_below(4) < 3 {
+                                rng.next_below(HOT)
+                            } else {
+                                rng.next_below(ACCOUNTS)
+                            }
+                        };
+                        let (from, to) = (pick(), pick());
+                        if from == to {
+                            continue;
+                        }
+                        let amt = 1 + rng.next_below(5);
+                        let _ = h.run(|tx| {
+                            // An attempt that is doomed may find an account
+                            // gone (it read the way to a node before that
+                            // node's removal and the node after); it retries.
+                            let retry = AbortReason::Conflict;
+                            let by_reinsert = i % 8 == 0;
+                            let (a, b) = if by_reinsert {
+                                (map.remove(tx, from), map.remove(tx, to))
+                            } else {
+                                (map.get(tx, from), map.get(tx, to))
+                            };
+                            let (Some(a), Some(b)) = (a, b) else {
+                                return Err(tx.abort(retry));
+                            };
+                            if a < amt {
+                                return Err(tx.abort(AbortReason::Explicit));
+                            }
+                            if !by_reinsert {
+                                map.put(tx, from, a - amt);
+                                map.put(tx, to, b + amt);
+                            } else if !(map.insert(tx, from, a - amt)
+                                && map.insert(tx, to, b + amt))
+                            {
+                                return Err(tx.abort(retry));
+                            }
+                            Ok(())
+                        });
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer thread panicked");
+        }
+        drop(release);
+    });
+
+    let (audits, torn) = (audits.into_inner(), torn.into_inner());
+    assert_eq!(
+        torn, 0,
+        "{torn} of {audits} committed pages observed a non-serializable state"
+    );
+    assert!(audits > 0, "no page committed");
+    let mut h = mgr.register();
+    let page = map.range(&mut h.nontx(), 0..ACCOUNTS, usize::MAX);
+    assert!(page.iter().map(|&(k, _)| k).eq(0..ACCOUNTS));
+    let total: u64 = page.iter().map(|&(_, v)| v).sum();
+    assert_eq!(total, ACCOUNTS * INITIAL, "money must be conserved");
+}
+
+#[test]
+fn audited_ranges_skiplist() {
+    let mgr = TxManager::new();
+    let map = SkipList::<u64>::new();
+    audited_ranges(&mgr, &map);
+    assert_eq!(map.check_integrity_quiescent(), Ok((0, 0)));
+}
+
+#[test]
+fn audited_ranges_durable_skiplist() {
+    let mgr = TxManager::new();
+    let (domain, _advancer) = durable_domain(&mgr);
+    let map = DurableSkipList::skip_list(domain);
+    audited_ranges(&mgr, &map);
     assert_eq!(map.inner().check_integrity_quiescent(), Ok((0, 0)));
 }

@@ -14,8 +14,14 @@
 //!   and steady-state trace pushes must not allocate at all.  The count is
 //!   per thread, so the server tests running beside it on another core do
 //!   not show up in it.
+//! * `replace_*`, `insert_*` — the same allocator pins what a map update
+//!   costs: nothing for a `put` that finds its key when the value is a word,
+//!   one box when it is not, one node for an insert (plus one boxed cleanup
+//!   where a transaction has to defer one).
 
 use kvstore::{Client, Server, ServerConfig, StoreConfig, TableKind, TelemetryConfig};
+use medley::{ThreadHandle, TxManager};
+use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap};
 use obs::{MetricsRegistry, RegistrySpec, TraceRecord, TraceRing};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -198,5 +204,131 @@ fn telemetry_hot_path_does_not_allocate() {
         after - before,
         0,
         "telemetry recording must be allocation-free"
+    );
+}
+
+/// Keys of the update pins: a few, so every `put` finds its key.
+const KEYS: u64 = 16;
+/// Calls timed per pin, after as many to warm up: the handle's read, write
+/// and retire vectors and the limbo bag grow to their working size once.
+const CALLS: u64 = 2_000;
+
+/// Allocations made by `CALLS` calls of `f`, after a warm-up of as many.
+fn allocations_of(mut f: impl FnMut(u64)) -> u64 {
+    (0..CALLS).for_each(&mut f);
+    let before = allocations();
+    (CALLS..2 * CALLS).for_each(&mut f);
+    allocations() - before
+}
+
+/// Allocations per committed `put` over a present key: standalone, alone in
+/// a transaction (direct commit), and in a 2 `get` + 2 `put` transfer
+/// (general commit).
+fn replace_allocations<V, M>(map: &M, h: &mut ThreadHandle, val: impl Fn(u64) -> V) -> [u64; 3]
+where
+    M: TxMap<V>,
+{
+    for k in 0..KEYS {
+        assert!(map.insert(&mut h.nontx(), k, val(k)));
+    }
+    let standalone = allocations_of(|i| {
+        assert!(map.put(&mut h.nontx(), i % KEYS, val(i)).is_some());
+    });
+    let alone = allocations_of(|i| {
+        let old = h.run(|tx| Ok(map.put(tx, i % KEYS, val(i))));
+        assert!(matches!(old, Ok(Some(_))));
+    });
+    let transfer = allocations_of(|i| {
+        let (a, b) = (i % KEYS, (i + 1) % KEYS);
+        let res = h.run(|tx| {
+            let (x, y) = (map.get(tx, a), map.get(tx, b));
+            assert!(x.is_some() && y.is_some());
+            map.put(tx, a, val(i));
+            map.put(tx, b, val(i + 1));
+            Ok(())
+        });
+        assert_eq!(res, Ok(()));
+    });
+    h.flush_stats();
+    [standalone, alone, transfer]
+}
+
+#[test]
+fn replace_of_a_word_allocates_nothing() {
+    let mgr = TxManager::new();
+    let mut h = mgr.register();
+    let word = |i: u64| i;
+    let hash = MichaelHashMap::<u64>::with_buckets(8);
+    assert_eq!(replace_allocations(&hash, &mut h, word), [0; 3], "hash");
+    let elastic = SplitOrderedMap::<u64>::new();
+    assert_eq!(
+        replace_allocations(&elastic, &mut h, word),
+        [0; 3],
+        "elastic"
+    );
+    let skip = SkipList::<u64>::new();
+    assert_eq!(replace_allocations(&skip, &mut h, word), [0; 3], "skiplist");
+    let snap = mgr.stats_snapshot();
+    assert_eq!(snap.aborts, 0, "{snap:?}");
+    assert!(snap.fast_commits >= 6 * CALLS && snap.general_commits >= 6 * CALLS);
+}
+
+#[test]
+fn replace_of_a_boxed_value_allocates_its_box() {
+    let mgr = TxManager::new();
+    let mut h = mgr.register();
+    // What a durable map stores: the value and its payload id.  (A `u64`
+    // from 2^63 up is boxed as well.)
+    let pair = |i: u64| (i, !i);
+    let per_call = [CALLS, CALLS, 2 * CALLS];
+    let hash = MichaelHashMap::<(u64, u64)>::with_buckets(8);
+    assert_eq!(replace_allocations(&hash, &mut h, pair), per_call, "hash");
+    let elastic = SplitOrderedMap::<(u64, u64)>::new();
+    assert_eq!(
+        replace_allocations(&elastic, &mut h, pair),
+        per_call,
+        "elastic"
+    );
+    let skip = SkipList::<(u64, u64)>::new();
+    assert_eq!(
+        replace_allocations(&skip, &mut h, pair),
+        per_call,
+        "skiplist"
+    );
+    let big = |i: u64| i | 1 << 63;
+    let skip = SkipList::<u64>::new();
+    assert_eq!(
+        replace_allocations(&skip, &mut h, big),
+        per_call,
+        "big words"
+    );
+}
+
+#[test]
+fn insert_allocates_its_node() {
+    let mgr = TxManager::new();
+    let mut h = mgr.register();
+    // Fresh keys, so every insert links a node.  Found: one allocation per
+    // standalone insert, the node (a skiplist tower is one allocation at any
+    // height), and in a transaction one more for each cleanup it has to box
+    // until the commit: the hash map's item count (always), the skiplist's
+    // index maintenance (towers taller than one level: half of them).
+    let hash = MichaelHashMap::<u64>::with_buckets(1 << 12);
+    let standalone = allocations_of(|i| assert!(hash.insert(&mut h.nontx(), i, i)));
+    assert_eq!(standalone, CALLS, "hash, standalone");
+    let in_tx = allocations_of(|i| {
+        assert_eq!(h.run(|tx| Ok(hash.insert(tx, 1 << 32 | i, i))), Ok(true));
+    });
+    assert_eq!(in_tx, 2 * CALLS, "hash, in a transaction");
+
+    let skip = SkipList::<u64>::new();
+    let standalone = allocations_of(|i| assert!(skip.insert(&mut h.nontx(), i, i)));
+    assert_eq!(standalone, CALLS, "skiplist, standalone");
+    let in_tx = allocations_of(|i| {
+        assert_eq!(h.run(|tx| Ok(skip.insert(tx, 1 << 32 | i, i))), Ok(true));
+    });
+    assert!(
+        (CALLS + CALLS / 3..2 * CALLS - CALLS / 3).contains(&in_tx),
+        "skiplist, in a transaction: {in_tx} allocations for {CALLS} inserts"
     );
 }
