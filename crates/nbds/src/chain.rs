@@ -38,7 +38,8 @@
 //!
 //! The NBTC transformation of the paper is applied here, once:
 //!
-//! * [`try_find`] is the only traversal (counted loads, help-unlink);
+//! * [`try_find`] is the only traversal (counted loads, help-unlink) but
+//!   for the skiplist's descent through its index, which only reads;
 //! * [`Position::link`] (predecessor word), `swap` and `kill` (value
 //!   word) are the only linearizing CASes — exactly **one** critical CAS per
 //!   update, so a single-update transaction commits with one plain CAS;
@@ -246,8 +247,6 @@ enum Hold {
 /// unmarked one with key ≥ the target) with what it is to the key.
 pub(crate) struct Position<N, const T: bool> {
     lane: usize,
-    /// Owner of `prev`; null while `prev` is still the traversal's start word.
-    pred: *mut N,
     prev: *const CasWord,
     /// Never marked: equals `tag::from_ptr(curr)`.
     prev_val: u64,
@@ -256,9 +255,9 @@ pub(crate) struct Position<N, const T: bool> {
     hold: Hold,
 }
 
-// Nodes stepped over by `try_find`, and CASes attempted through this module,
-// on this thread: for tests that bound a traversal's length or pin a read
-// path as one that writes nothing.
+// Nodes stepped over by `try_find` and by the skiplist's index descent, and
+// CASes attempted through this module, on this thread: for tests that bound
+// a search's length or pin a read path as one that writes nothing.
 #[cfg(test)]
 thread_local! {
     pub(crate) static HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -281,7 +280,6 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     lane: usize,
     key: N::Key,
 ) -> Option<Position<N, T>> {
-    let mut pred = ptr::null_mut();
     let mut prev = start;
     let (mut curr_bits, mut prev_cnt) = load::<T, C>(cx, prev);
     loop {
@@ -291,7 +289,6 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
         let curr = tag::as_ptr::<N>(curr_bits);
         let mut pos = Position {
             lane,
-            pred,
             prev,
             prev_val: curr_bits,
             prev_cnt,
@@ -351,7 +348,6 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
         }
         #[cfg(test)]
         HOPS.with(|h| h.set(h.get() + 1));
-        pred = curr;
         prev = link;
         curr_bits = next_bits;
         prev_cnt = next_cnt;
@@ -385,12 +381,6 @@ impl<N: Link, const T: bool> Position<N, T> {
     /// The candidate node (null at the end of the chain).
     pub(crate) fn curr(&self) -> *mut N {
         self.curr
-    }
-
-    /// The node owning the predecessor word; null if that is still the word
-    /// the traversal started from.
-    pub(crate) fn pred(&self) -> *mut N {
-        self.pred
     }
 
     /// The predecessor word and the (unmarked) bits of the candidate seen in

@@ -43,8 +43,8 @@
 //! `chain::Position::register_read`, private to this crate), so one pair of
 //! rows covers them all.  `prev` is the link word the traversal arrived
 //! through (list head, bucket sentinel link or the predecessor node's link;
-//! level 0 in the skiplist, whose upper levels run the same traversal but
-//! are index, never registered), `curr` the node holding the key and
+//! level 0 in the skiplist, whose upper levels are index, read with plain
+//! loads and never registered), `curr` the node holding the key and
 //! `curr.value` its value word.
 //!
 //! | container | read-only outcome | registers | falsified by | which CASes |

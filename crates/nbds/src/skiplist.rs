@@ -2,9 +2,9 @@
 //! skiplist, which the paper transforms for Medley and LFTT).
 //!
 //! Every level is the crate's ordered chain (`chain.rs`) on its own *lane* of
-//! the towers, entered at the predecessor the level above found instead of at
-//! a head, so the descent, the level-0 lookup and the cleanup passes below
-//! are all the one traversal, `chain::try_find`.
+//! the towers.  A search reads the index with plain loads and runs the
+//! chain's traversal, `chain::try_find`, on level 0 alone; the cleanup passes
+//! below run it on the level they clean, entered at a hint, not at a head.
 //!
 //! Membership is defined by level 0's value word: a key is in the map while
 //! a tower holding it is linked on level 0 and its value word is alive.  An
@@ -30,12 +30,16 @@
 //! # Index maintenance
 //!
 //! The upper levels are a probabilistic index (in nbMontage terms "index",
-//! not "payload").  They are maintained after the linearization is decided —
-//! at once standalone, post-commit in a transaction — with plain CASes, so
-//! they are never rolled back.  Maintenance costs O(log n): it does not
-//! descend again but starts on each level at the predecessor the operation's
-//! own search found there (a hint; if that node has died on the level since,
-//! one fresh descent replaces all hints).
+//! not "payload").  Only maintenance writes them, after the linearization is
+//! decided — at once standalone, post-commit in a transaction — in a `NonTx`
+//! context, so no transaction buffers or rolls back an upper-lane CAS, and a
+//! plain load of an upper lane is exact even inside one.  A search does no
+//! more there: from the highest occupied level down it steps through marked
+//! nodes, helping nobody.  Maintenance costs O(log n): it starts on each
+//! level at the predecessor the search found there.  Such a hint may be dead;
+//! if its link on the level is marked, the pass backs off to the hint of the
+//! level above, and so on to the head, never marked — not to a new descent,
+//! which would return the dead hint for as long as its remover stalls.
 //!
 //! * **The remover** of a node — the operation whose CAS killed its value
 //!   word — marks the node's lanes top-down, then *purges* every lane: one
@@ -186,13 +190,15 @@ impl<V> Link for Node<V> {
 type Pos<V> = chain::Position<Node<V>, TRACKED>;
 
 /// The predecessor of a key on every level, as its search found them (null:
-/// the head tower).  Hints for the maintenance that follows.
+/// the head tower, also above `top`).  Hints, perhaps dead, for maintenance.
 type Preds<V> = [*mut Node<V>; MAX_HEIGHT];
 
 /// A lock-free, NBTC-composable skiplist map from `u64` keys to `V`.
 pub struct SkipList<V> {
     head: [CasWord; MAX_HEIGHT],
     seed: AtomicU64,
+    /// No tower is taller (a hint: raised before a tower can be linked).
+    top: AtomicU8,
     _marker: PhantomData<V>,
 }
 
@@ -209,6 +215,7 @@ where
         Self {
             head: std::array::from_fn(|_| CasWord::new(0)),
             seed: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
+            top: AtomicU8::new(1),
             _marker: PhantomData,
         }
     }
@@ -232,6 +239,8 @@ where
     #[inline]
     unsafe fn word_at(&self, node: *mut Node<V>, level: usize) -> &CasWord {
         if node.is_null() {
+            #[cfg(test)]
+            HEADS.with(|h| h.set(h.get() | 1 << level));
             &self.head[level]
         } else {
             // SAFETY: the caller's contract; node pointers come out of link
@@ -240,50 +249,48 @@ where
         }
     }
 
-    /// Searches for `key` and returns the bottom-level position, recording
-    /// the predecessor on every level in `preds`.  Marked nodes met on the
-    /// way are physically unlinked (helping), but never retired here.
-    ///
-    /// Each level is one chain traversal that starts at the predecessor found
-    /// on the level above.  That node may be deleted on this level already
-    /// (its remover marks top-down; on level 0 the mark may also be a
-    /// helper's, or the running transaction's own speculative one — an
-    /// insert over its own removal — which nobody can unlink before commit):
-    /// the traversal then backs off to the nearest earlier
-    /// predecessor still alive here — `preds[level + 2]`, …, the head last —
-    /// and meets the dead node as a candidate, which it helps unlink.
+    /// Searches for `key` and returns its level-0 position, recording in
+    /// `preds` the last node before it on every level.  The index is only
+    /// read (module docs), as in Herlihy and Shavit's wait-free `contains`:
+    /// plain loads, through marked nodes, never loading the link of the node
+    /// they stop at.  Level 0, where the outcome is decided and registered,
+    /// is the chain's traversal ([`SkipList::reposition`]).
     fn search<C: Ctx>(&self, cx: &mut C, key: u64, preds: &mut Preds<V>) -> Pos<V> {
-        let mut level = MAX_HEIGHT - 1;
-        // Where this level starts: `preds[from]`, the head for `MAX_HEIGHT`.
-        let mut from = MAX_HEIGHT;
-        loop {
-            let pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
-            // SAFETY: pinned by the caller's `with_op`; `pred` was found on
-            // level `from - 1 >= level`, so it has this lane, and lanes only
-            // ever link `Node<V>`s of at least their height.
-            let start = unsafe { self.word_at(pred, level) };
-            // SAFETY: as above; a node linked on a level has that lane.
-            let found: Option<Pos<V>> =
-                unsafe { chain::try_find(cx, start, level, Bound::at(key)) };
-            let Some(pos) = found else {
-                // `pred` is deleted on this level: back off.  Otherwise the
-                // pass lost an unlink race and is simply repeated.
-                if !pred.is_null() && tag::is_marked(cx.nbtc_load(start)) {
-                    from += 1;
+        let mut pred = ptr::null_mut();
+        for level in (1..usize::from(self.top.load(Ordering::Relaxed))).rev() {
+            // Enter at the predecessor found above unless its link here is
+            // marked — it may be purged from this lane already, and its frozen
+            // link older than our pin — and then at the nearest earlier one
+            // whose link is not, the head last.
+            let mut from = level + 1;
+            let mut next = loop {
+                // SAFETY: pinned by the caller's `with_op`; `pred` is null or
+                // was met on level `from > level`, so it has this lane.
+                let bits = cx.untracked_load(unsafe { self.word_at(pred, level) });
+                if !tag::is_marked(bits) {
+                    break tag::as_ptr::<Node<V>>(bits);
                 }
-                continue;
+                from += 1;
+                pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
             };
-            preds[level] = if pos.pred().is_null() {
-                pred
-            } else {
-                pos.pred()
-            };
-            if level == 0 {
-                return pos;
+            // SAFETY: `next` was read from this lane under the pin, from an
+            // unmarked link (its owner was in the lane then, and so was
+            // `next`) or from the frozen link of a marked node met here (the
+            // owner was in the lane at or after the pin; when it left, its
+            // link pointed at a node in the lane).  Either way `next` was in
+            // the lane at or after the pin, so it was not retired before it.
+            while !next.is_null() && unsafe { (*next).key } < key {
+                #[cfg(test)]
+                chain::HOPS.with(|h| h.set(h.get() + 1));
+                pred = next;
+                // SAFETY: as above; a node linked on a level has that lane.
+                next = tag::as_ptr(cx.untracked_load(unsafe { self.word_at(pred, level) }));
             }
-            from = level;
-            level -= 1;
+            preds[level] = pred;
         }
+        preds[0] = pred;
+        // SAFETY: pinned, and every hint was met on its level by this descent.
+        unsafe { self.reposition(cx, 0, Bound::at(key), preds) }
     }
 
     /// [`SkipList::search`] for callers that do not need the predecessors.
@@ -362,43 +369,34 @@ where
         })
     }
 
-    /// One traversal of `level` up to `bound` from the hint `preds[level]`.
-    /// If the hint is dead on this level, a fresh descent replaces all hints.
+    /// One chain traversal of `level` up to `bound`, the one rule that turns
+    /// hints into a position: from `preds[level]`, or, while that node's link
+    /// here is marked, from `preds[level + 1]`, …, the head (module docs).
     ///
     /// # Safety
-    /// Pinned; every `preds[l]` is null or a node with key below `key` that
-    /// was once linked on level `l`.
-    unsafe fn reposition(
+    /// Pinned; every `preds[l]` is null or a node with key below `bound`
+    /// that was met on level `l` under the pin.
+    unsafe fn reposition<C: Ctx>(
         &self,
-        cx: &mut NonTx<'_>,
-        key: u64,
+        cx: &mut C,
         level: usize,
         bound: Bound,
-        preds: &mut Preds<V>,
+        preds: &Preds<V>,
     ) -> Pos<V> {
+        let mut from = level;
         loop {
-            let pred = preds[level];
+            let pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
             // SAFETY: the caller's contract on `preds`.
             let start = unsafe { self.word_at(pred, level) };
             // SAFETY: pinned, and a node linked on a level has that lane.
             if let Some(pos) = unsafe { chain::try_find(cx, start, level, bound) } {
                 return pos;
             }
+            // Otherwise the pass lost an unlink race and is simply repeated.
             if !pred.is_null() && tag::is_marked(cx.nbtc_load(start)) {
-                self.search(cx, key, preds);
+                from += 1;
             }
         }
-    }
-
-    /// Unlinks every marked node holding `key` (and any before them) from
-    /// `level`: the traversal goes *through* equal keys, so a same-key
-    /// replacement linked in front of a dead node cannot shadow it.
-    ///
-    /// # Safety
-    /// As for [`SkipList::reposition`].
-    unsafe fn purge(&self, cx: &mut NonTx<'_>, key: u64, level: usize, preds: &mut Preds<V>) {
-        // SAFETY: forwarded.
-        unsafe { self.reposition(cx, key, level, Bound::past(key), preds) };
     }
 
     /// Links `node` on `level`.  `false` means the node is being removed and
@@ -414,7 +412,7 @@ where
         key: u64,
         node: *mut Node<V>,
         level: usize,
-        preds: &mut Preds<V>,
+        preds: &Preds<V>,
     ) -> bool {
         // SAFETY (whole body): `node` is not retired before its linker
         // releases it; the rest is the caller's contract.
@@ -423,8 +421,7 @@ where
             if cx.nbtc_load(value) == chain::DEAD {
                 return false;
             }
-            let (prev, succ) =
-                unsafe { self.reposition(cx, key, level, Bound::at(key), preds) }.prev();
+            let (prev, succ) = unsafe { self.reposition(cx, level, Bound::at(key), preds) }.prev();
             // Point the node at its successor, unless its remover got here.
             let cur = cx.nbtc_load(own);
             if tag::is_marked(cur) {
@@ -441,7 +438,8 @@ where
             // Linked.  If the remover marked this lane before the link, its
             // purge may have come and gone: undo the link ourselves.
             if tag::is_marked(cx.nbtc_load(own)) {
-                unsafe { self.purge(cx, key, level, preds) };
+                // SAFETY: the caller's contract.  A purge, as in `maintain`.
+                unsafe { self.reposition(cx, level, Bound::past(key), preds) };
                 return false;
             }
             return true;
@@ -461,7 +459,7 @@ where
         key: u64,
         linked: Option<*mut Node<V>>,
         deleted: Option<*mut Node<V>>,
-        preds: &mut Preds<V>,
+        preds: &Preds<V>,
     ) {
         // SAFETY (whole body): neither node is retired before this call
         // releases it.
@@ -476,11 +474,15 @@ where
                 // SAFETY: pinned, and `purge_top` is the victim's height.
                 chain::mark(cx, unsafe { self.word_at(victim, level) });
             }
+            #[cfg(test)]
+            pause::BEFORE_PURGE.pass(key);
         }
         // Bottom-up, so that a node linked on a level is linked below it.
         for level in 0..purge_top.max(link_top) {
             if level < purge_top {
-                unsafe { self.purge(cx, key, level, preds) };
+                // SAFETY: the caller's contract.  The purge: through the
+                // equal keys, unlinking every marked node (module docs).
+                unsafe { self.reposition(cx, level, Bound::past(key), preds) };
             }
             if let Some(node) = linked.filter(|_| (1..link_top).contains(&level)) {
                 if !unsafe { self.link_level(cx, key, node, level, preds) } {
@@ -504,6 +506,7 @@ where
     /// `bits` (from `chain::encode`).
     fn new_node<C: Ctx>(&self, cx: &mut C, key: u64, bits: u64) -> *mut Node<V> {
         let height = self.random_height();
+        self.top.fetch_max(height as u8, Ordering::Relaxed);
         let node = Node {
             key,
             height: height as u8,
@@ -526,7 +529,7 @@ where
         key: u64,
         linked: Option<*mut Node<V>>,
         deleted: Option<*mut Node<V>>,
-        mut preds: Preds<V>,
+        preds: Preds<V>,
     ) {
         // SAFETY: `linked` is the caller's own node.
         let linked = linked.filter(|&node| unsafe { (*node).height } > 1);
@@ -541,7 +544,7 @@ where
             // contract).  The pin of the operation, or of its transaction,
             // is still held: it keeps the hints allocated, and both nodes
             // until `maintain` — called for them only here — releases them.
-            unsafe { (*list).maintain(&mut cx, key, linked, deleted, &mut preds) };
+            unsafe { (*list).maintain(&mut cx, key, linked, deleted, &preds) };
         });
     }
 
@@ -739,6 +742,16 @@ mod pause {
     /// In `maintain`, after the remove linearized and before its node is
     /// marked on any level.
     pub(super) static BEFORE_MARK: Gate = Gate::new();
+    /// In `maintain`, after the removed node is marked on every level and
+    /// before it is purged from any.
+    pub(super) static BEFORE_PURGE: Gate = Gate::new();
+}
+
+// The head words read on this thread, one bit per level: for the test that
+// pins the descent's start below `top`.
+#[cfg(test)]
+thread_local! {
+    static HEADS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1069,6 +1082,108 @@ mod tests {
         assert_eq!(sl.get(&mut h.nontx(), a), Some(7));
         assert_eq!(sl.len_quiescent() as u64, KEYS);
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+    }
+
+    /// The descent's cost: a lookup among n keys steps over a few nodes per
+    /// level, index and level 0 together, and starts at the highest occupied
+    /// level — the empty head levels above it are not even read.
+    #[test]
+    fn descent_is_logarithmic_and_starts_at_top() {
+        const KEYS: u64 = 1 << 14;
+        const GETS: u64 = 1_000;
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let sl = SkipList::new();
+        for k in 0..KEYS {
+            assert!(sl.insert(&mut h.nontx(), k, k));
+        }
+        let top = usize::from(sl.top.load(Ordering::Relaxed));
+        assert!(top < MAX_HEIGHT, "top {top}");
+        let mut rng = medley::util::FastRng::new(5);
+        HEADS.set(0);
+        let before = chain::HOPS.get();
+        for _ in 0..GETS {
+            let k = rng.next_below(KEYS);
+            assert_eq!(sl.get(&mut h.nontx(), k), Some(k));
+        }
+        let hops = (chain::HOPS.get() - before) / GETS;
+        assert!(hops <= 3 * 14, "{hops} hops per get at 2^14 keys");
+        assert_eq!(
+            HEADS.get() >> top,
+            0,
+            "a head word at or above top {top} was read"
+        );
+        assert_ne!(HEADS.get() & 1 << (top - 1), 0, "the descent starts at top");
+    }
+
+    /// A remover parked between marking a tall tower on every lane and
+    /// purging it leaves a dead tower in the whole index.  The descent walks
+    /// through it; whatever starts a chain traversal from it — a level-0
+    /// search, the maintenance of a neighbour that took it as a hint — backs
+    /// off to an earlier hint.  (Were a dead hint answered by a new descent,
+    /// which no longer helps, that would spin until the remover resumed.)
+    #[test]
+    fn parked_remover_of_a_tall_tower_does_not_block_its_neighbours() {
+        use std::sync::atomic::Ordering::SeqCst;
+        // Gates match on the key alone: other tests' keys stay far below.
+        const BASE: u64 = 0x7A11_0000_0000;
+        const STRIDE: u64 = 4;
+        let mgr = TxManager::new();
+        let sl = SkipList::<u64>::new();
+        let mut h = mgr.register();
+        for k in 0..256 {
+            assert!(sl.insert(&mut h.nontx(), BASE + k * STRIDE, k));
+        }
+        let tall = keys_on_level(&sl, 3);
+        let key = tall[tall.len() / 2];
+        let (lo, hi, above) = (key - STRIDE, key + STRIDE, key + 1);
+        let val = |k: u64| (k - BASE) / STRIDE;
+        let gate = &pause::BEFORE_PURGE;
+        gate.arm(key);
+        std::thread::scope(|s| {
+            struct Resume;
+            impl Drop for Resume {
+                fn drop(&mut self) {
+                    pause::BEFORE_PURGE.resume.store(true, SeqCst);
+                }
+            }
+            let _resume = Resume;
+            let remover = s.spawn(|| {
+                let mut h = mgr.register();
+                assert_eq!(sl.remove(&mut h.nontx(), key), Some(val(key)));
+            });
+            while !gate.parked.load(SeqCst) {
+                assert!(!remover.is_finished(), "the remover never parked");
+                std::thread::yield_now();
+            }
+            let expect = (Some(val(lo)), Some(val(hi)), false);
+            let nontx = (sl.get(&mut h.nontx(), lo), sl.get(&mut h.nontx(), hi));
+            assert_eq!((nontx.0, nontx.1, sl.contains(&mut h.nontx(), key)), expect);
+            let txn: TxResult<_> =
+                h.run(|tx| Ok((sl.get(tx, lo), sl.get(tx, hi), sl.contains(tx, key))));
+            assert_eq!(txn, Ok(expect));
+            let page = [(lo, val(lo)), (hi, val(hi))];
+            assert_eq!(sl.range(&mut h.nontx(), lo..hi + 1, 8), page);
+            let txn: TxResult<_> = h.run(|tx| Ok(sl.range(tx, lo..hi + 1, 8)));
+            assert_eq!(txn.unwrap(), page);
+            // Until the insert is tall enough to link an upper lane, whose
+            // hint is the dead tower.
+            for attempt in 0.. {
+                assert!(attempt < 64, "no tower of height > 1 in 64 inserts");
+                assert!(sl.insert(&mut h.nontx(), above, 1));
+                if keys_on_level(&sl, 1).contains(&above) {
+                    break;
+                }
+                assert_eq!(sl.remove(&mut h.nontx(), above), Some(1));
+            }
+            assert_eq!(sl.get(&mut h.nontx(), above), Some(1));
+            drop(_resume);
+            remover.join().expect("remover panicked");
+        });
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+        assert_eq!(sl.get(&mut h.nontx(), key), None);
+        assert_eq!(sl.get(&mut h.nontx(), above), Some(1));
+        assert_eq!(sl.len_quiescent(), 256);
     }
 
     /// A linker stalled between preparing its node's lane and the link CAS

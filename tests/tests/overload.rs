@@ -228,15 +228,22 @@ fn flooding_connection_is_bounded_and_does_not_starve_others() {
     let mut flooder = flooder;
     let mut accepted: u64 = 0;
     let mut req_id: u32 = 1;
+    // The frame being written and how much of it the socket took: a short
+    // write keeps the tail for the next pass, or the stream loses its
+    // framing and the server closes it as hostile.
+    let (mut frame, mut sent) = (raw_get_frame(req_id), 0);
     let mut stalled_passes = 0u32;
     const ACCEPT_CAP: u64 = 16 << 20;
     let deadline = Instant::now() + Duration::from_secs(10);
     while stalled_passes < 40 && accepted < ACCEPT_CAP && Instant::now() < deadline {
-        let frame = raw_get_frame(req_id);
-        match flooder.write(&frame) {
+        match flooder.write(&frame[sent..]) {
             Ok(n) => {
                 accepted += n as u64;
-                req_id = req_id.wrapping_add(1);
+                sent += n;
+                if sent == frame.len() {
+                    req_id = req_id.wrapping_add(1);
+                    (frame, sent) = (raw_get_frame(req_id), 0);
+                }
                 stalled_passes = 0;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
