@@ -104,12 +104,19 @@ pub trait Ctx: sealed::Sealed + Sized {
     fn add_read_with_counter(&mut self, obj: &CasWord, val: u64, cnt: u64);
 
     /// Registers post-critical ("cleanup") work: deferred to after commit in
-    /// a transaction, run immediately in a [`NonTx`] context.
+    /// a transaction, run immediately in a [`NonTx`] context.  Cleanups run
+    /// in registration order; an abort drops them unrun.
+    ///
+    /// Deferring allocates nothing when the closure's capture fits in three
+    /// words and is at most word-aligned (a pointer or two and a counter);
+    /// a larger capture is boxed once.
     fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static);
 
-    /// Registers compensation work that runs only if the transaction aborts;
-    /// dropped without running in a [`NonTx`] context (a standalone operation
-    /// cannot abort).
+    /// Registers compensation work that runs only if the transaction aborts
+    /// (in registration order; a commit drops it unrun); dropped without
+    /// running in a [`NonTx`] context (a standalone operation cannot abort).
+    /// Stored as [`Ctx::add_cleanup`] stores a cleanup: inline up to three
+    /// words of capture.
     fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static);
 
     /// Allocates a block whose ownership is tied to the transaction (paper

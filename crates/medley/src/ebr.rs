@@ -29,7 +29,8 @@ use std::sync::Arc;
 /// Number of retirements between attempts to advance the global epoch.
 const ADVANCE_THRESHOLD: usize = 64;
 
-/// Frees a type-erased allocation: `Box::<T>::from_raw` behind a thin pointer.
+/// Drops a type-erased value behind a thin pointer: a `Box<T>`
+/// ([`drop_boxed`]), or a deferred action's capture stored in place.
 pub(crate) type DropFn = unsafe fn(*mut u8);
 
 /// A type-erased retired allocation awaiting reclamation.

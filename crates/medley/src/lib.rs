@@ -30,6 +30,9 @@
 //!   into a context ([`ThreadHandle::nontx`], [`ThreadHandle::begin`],
 //!   [`ThreadHandle::run`]) and, crate-private, the engines behind them:
 //!   thread-local read/write buffers and the three commit paths.
+//! * `deferred` — the cleanups and abort actions a transaction registers,
+//!   each a function pointer, a drop pointer and three inline words of
+//!   capture (a larger capture is boxed once).
 //! * `casobj` — [`CasWord`]: a 64-bit value augmented with a 64-bit counter;
 //!   odd counters mark an installed transaction descriptor.
 //! * `descriptor` — per-thread reusable descriptors implementing
@@ -87,6 +90,7 @@
 mod atomic128;
 mod casobj;
 mod ctx;
+mod deferred;
 mod descriptor;
 mod ebr;
 mod errors;

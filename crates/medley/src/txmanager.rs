@@ -23,6 +23,7 @@
 use crate::atomic128::{pack, unpack};
 use crate::casobj::CasWord;
 use crate::ctx::{RunConfig, Txn};
+use crate::deferred::{self, Deferred};
 use crate::descriptor::{Desc, Status};
 use crate::ebr::{self, drop_boxed, DropFn};
 use crate::errors::{Abort, AbortReason, TxError, TxResult};
@@ -285,8 +286,6 @@ impl TxManager {
     }
 }
 
-type Cleanup = Box<dyn FnOnce(&mut ThreadHandle)>;
-
 /// One critical CAS of the open transaction, buffered in plain thread-local
 /// memory (the owner-private hot path of the lazy-publication pipeline).
 ///
@@ -346,8 +345,8 @@ pub struct ThreadHandle {
     /// single-CAS transactions validate this buffer directly and never pay
     /// the per-entry atomic-store protocol.
     local_reads: Vec<(usize, u64, u64)>,
-    cleanups: Vec<Cleanup>,
-    abort_actions: Vec<Cleanup>,
+    cleanups: Vec<Deferred>,
+    abort_actions: Vec<Deferred>,
     /// Blocks `tnew`ed by the open transaction: freed on abort, the
     /// structures' on commit.
     allocs: Vec<(*mut u8, DropFn)>,
@@ -645,9 +644,9 @@ impl ThreadHandle {
         true
     }
 
-    /// Common post-commit bookkeeping: releases transactional state, runs the
-    /// registered cleanup closures, unpins, and tallies the commit under the
-    /// counter of the `path` it took.
+    /// Common post-commit bookkeeping: releases transactional state, tallies
+    /// the commit under the counter of the `path` it took, runs the
+    /// registered cleanups and unpins (even if a cleanup panics).
     fn commit_tail(&mut self, path: Stat) {
         self.in_tx = false;
         self.spec_interval = false;
@@ -659,17 +658,14 @@ impl ThreadHandle {
             // SAFETY: the contract of `tretire`, whose unlink has committed.
             unsafe { self.participant.retire_erased(ptr, drop_fn) };
         }
-        // Taken out while they run on the handle, and put back for its
-        // capacity: the next transaction's first cleanup finds room.
-        let mut cleanups = std::mem::take(&mut self.cleanups);
-        for c in cleanups.drain(..) {
-            c(self);
-        }
-        self.cleanups = cleanups;
-        self.participant.unpin();
         self.count(Stat::Commits);
         self.count(path);
         self.note_stat_event();
+        if self.cleanups.is_empty() {
+            self.participant.unpin();
+        } else {
+            deferred::run_then_unpin(self, |h| &mut h.cleanups);
+        }
     }
 
     /// Flushes the per-thread statistic tallies into the manager's shared
@@ -832,14 +828,13 @@ impl ThreadHandle {
         self.retires.clear();
         self.in_tx = false;
         self.spec_interval = false;
-        let mut abort_actions = std::mem::take(&mut self.abort_actions);
-        for a in abort_actions.drain(..) {
-            a(self);
-        }
-        self.abort_actions = abort_actions;
-        self.participant.unpin();
         self.count(Stat::Aborts);
         self.note_stat_event();
+        if self.abort_actions.is_empty() {
+            self.participant.unpin();
+        } else {
+            deferred::run_then_unpin(self, |h| &mut h.abort_actions);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -888,7 +883,7 @@ impl ThreadHandle {
     /// commits; an abort drops it unrun.
     pub(crate) fn add_cleanup(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
         debug_assert!(self.in_tx);
-        self.cleanups.push(Box::new(f));
+        self.cleanups.push(Deferred::new(f));
     }
 
     /// Registers compensation work that runs only if the transaction aborts
@@ -898,7 +893,7 @@ impl ThreadHandle {
     /// operation whose enclosing transaction rolls back.
     pub(crate) fn add_abort_action(&mut self, f: impl FnOnce(&mut ThreadHandle) + 'static) {
         debug_assert!(self.in_tx);
-        self.abort_actions.push(Box::new(f));
+        self.abort_actions.push(Deferred::new(f));
     }
 
     /// Allocates a block whose ownership is tied to the transaction: if the
@@ -1585,6 +1580,7 @@ mod tests {
         let mut h = mgr.register();
         let mut t = h.begin();
         let p = t.tnew(123u64);
+        // SAFETY: `p` is live until the abort below frees it.
         assert_eq!(unsafe { *p }, 123);
         let _ = t.abort(AbortReason::Explicit);
         drop(t);

@@ -50,8 +50,22 @@
 //!      │     (payload durable,             slot recycled exactly once      │
 //!      │      recoverable)                 (never before it is durable)    │
 //!      │                                                                   │
+//!      ├── retire(e) before either entry is consumed → ELIDED: both ───────┤
+//!      │   entries consumed without a write-back, then recycled            │
+//!      │                                                                   │
 //!      └── abort → ABANDONED ── birth list consumed ───────────────────────┘
 //! ```
+//!
+//! A payload born and retired in one epoch `e` is visible at no recovery
+//! horizon (recovery needs `birth < horizon <= retire`), so it costs no
+//! write-back at all — unless its birth was already written back when the
+//! retirement arrived, in which case the retirement is written back too.
+//! Under a skewed update mix most replaced payloads die this way.
+//!
+//! A slot is one cache line: eight words, the free-list link sharing storage
+//! with the birth dirty link (a slot is on the free list only after both of
+//! its dirty entries are consumed, and leaves it before its next birth entry
+//! is pushed).
 //!
 //! `persisted_epoch` is advanced only *after* the write-back of the epochs it
 //! covers, and [`PersistenceDomain::recover`] derives its horizon from
@@ -130,9 +144,11 @@ fn decode_id(id: PayloadId) -> (usize, usize, u64) {
 // Arenas
 // ---------------------------------------------------------------------------
 
-/// Slot-state flags (bits of `Slot::state`).
-const BIRTH_FLUSHED: u64 = 1 << 0;
-const RETIRE_FLUSHED: u64 = 1 << 1;
+/// Slot-state flags (bits of `Slot::state`).  `*_CONSUMED`: that dirty
+/// entry has been consumed by a drain — written back, unless the payload is
+/// [`ELIDED`].
+const BIRTH_CONSUMED: u64 = 1 << 0;
+const RETIRE_CONSUMED: u64 = 1 << 1;
 /// The slot has been pushed on its arena's free list (set exactly once per
 /// incarnation — this is the per-slot flag that replaces the old
 /// `free.contains(&idx)` scan and makes double-recycling impossible).
@@ -140,9 +156,19 @@ const FREED: u64 = 1 << 2;
 /// The payload belongs to an aborted transaction and was never part of any
 /// durable state; recycled when its birth dirty entry is consumed.
 const ABANDONED: u64 = 1 << 3;
+/// The payload was retired in its birth epoch before either of its dirty
+/// entries was consumed: it is visible at no recovery horizon (recovery
+/// needs `birth < horizon <= retire`), so neither entry is written back.
+/// Decided once, by whichever entry is consumed first.
+const ELIDED: u64 = 1 << 4;
 
 const KIND_BIRTH: usize = 0;
 const KIND_RETIRE: usize = 1;
+/// The free-list link of a slot is its birth dirty link: a slot is freed
+/// only after both of its dirty entries have been consumed (the recycling
+/// handoff of `ArenaStore::drain_bucket`), and only the owner's pop, which
+/// takes it off the free list, pushes a new birth entry.
+const FREE_LINK: usize = KIND_BIRTH;
 
 /// Size of the per-arena epoch ring of dirty lists.  Unconsumed dirty epochs
 /// span at most the two epochs above the durability horizon (plus a little
@@ -175,11 +201,15 @@ const OVF_DATA_WORDS: usize = 31;
 const OVF_DATA_BYTES: usize = OVF_DATA_WORDS * 8;
 
 /// One payload slot: a key/value pair, its birth/retire epochs, its state
-/// flags, and the intrusive links threading it onto its class's free list
-/// and (per kind) onto one epoch-indexed dirty list.  Classes 1 and 2 store
-/// their value bytes in the chunk's side data area; class 0 stores a word
-/// in `val` (`vlen == VLEN_WORD`) or an overflow-chain head (`val` = block
-/// index + 1, `vlen` = byte length).
+/// flags, and the intrusive links threading it (per kind) onto one
+/// epoch-indexed dirty list, or onto its class's free list.  Classes 1 and
+/// 2 store their value bytes in the chunk's side data area; class 0 stores a
+/// word in `val` (`vlen == VLEN_WORD`) or an overflow-chain head (`val` =
+/// block index + 1, `vlen` = byte length).
+///
+/// Eight words on a cache line of their own: the alloc/retire fast paths
+/// and the write-back of a word payload each touch one line.
+#[repr(align(64))]
 struct Slot {
     key: AtomicU64,
     val: AtomicU64,
@@ -191,12 +221,14 @@ struct Slot {
     /// Retirement epoch; [`LIVE`] while the payload is live.
     retire: AtomicU64,
     state: AtomicU64,
-    /// Next free slot (index + 1; 0 = end).  Meaningful only while FREED.
-    free_link: AtomicU64,
-    /// Next dirty entry per kind (encoded entry + 1; 0 = end).  Meaningful
-    /// only while the slot sits on the corresponding dirty list.
+    /// Next dirty entry per kind (encoded entry + 1; 0 = end), meaningful
+    /// only while the slot sits on the corresponding dirty list.  While the
+    /// slot is FREED, `links[FREE_LINK]` is the next free slot instead
+    /// (index + 1; 0 = end): the two uses never overlap (see [`FREE_LINK`]).
     links: [AtomicU64; 2],
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 64 && std::mem::align_of::<Slot>() == 64);
 
 impl Default for Slot {
     fn default() -> Self {
@@ -207,7 +239,6 @@ impl Default for Slot {
             birth: AtomicU64::new(UNBORN),
             retire: AtomicU64::new(LIVE),
             state: AtomicU64::new(0),
-            free_link: AtomicU64::new(0),
             links: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
@@ -297,7 +328,7 @@ impl ClassSlab {
                 return None;
             }
             let idx = head - 1;
-            let next = self.slot(idx).free_link.load(Ordering::Relaxed);
+            let next = self.slot(idx).links[FREE_LINK].load(Ordering::Relaxed);
             if self
                 .free_head
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
@@ -314,7 +345,7 @@ impl ClassSlab {
         let slot = self.slot(idx);
         loop {
             let head = self.free_head.load(Ordering::Acquire);
-            slot.free_link.store(head, Ordering::Relaxed);
+            slot.links[FREE_LINK].store(head, Ordering::Relaxed);
             if self
                 .free_head
                 .compare_exchange_weak(head, idx + 1, Ordering::Release, Ordering::Acquire)
@@ -633,9 +664,9 @@ impl ArenaStore {
     /// consumed before its birth's (LIFO order within one shared `e % RING`
     /// bucket, or a birth entry stranded by a push/drain race), so the free
     /// is a handoff: whichever of the two consumptions observes the other's
-    /// `*_FLUSHED` flag already set (the `fetch_or`s totally order them)
+    /// `*_CONSUMED` flag already set (the `fetch_or`s totally order them)
     /// recycles the slot.  Only then is every reference to the slot's links
-    /// gone.
+    /// gone — which is also what lets the free list reuse the birth link.
     fn drain_bucket(&self, arena: &Arena, bucket: usize, durable: u64) -> u64 {
         let mut entry = arena.dirty[bucket].swap(0, Ordering::AcqRel);
         let mut flushed = 0u64;
@@ -659,21 +690,21 @@ impl ArenaStore {
                     arena.push_dirty(b, class, idx, KIND_BIRTH);
                     continue;
                 }
-                let st = s.state.fetch_or(BIRTH_FLUSHED, Ordering::AcqRel);
+                let st = s.state.fetch_or(BIRTH_CONSUMED, Ordering::AcqRel);
                 if st & ABANDONED != 0 {
                     // Never part of any durable state: recycle, no flush.
-                    // (If the abandoner saw BIRTH_FLUSHED already set it
+                    // (If the abandoner saw BIRTH_CONSUMED already set it
                     // recycled the slot itself; `free_slot` is idempotent.)
                     Self::free_slot(arena, class, idx);
                 } else {
-                    if st & BIRTH_FLUSHED == 0 {
+                    if st & BIRTH_CONSUMED == 0 && Self::writes_back(s, st) {
                         // A birth writes back the whole record: metadata
                         // line, inline data area, overflow chain.
                         flushed += birth_lines(class, s.vlen.load(Ordering::Relaxed));
                     }
-                    if st & RETIRE_FLUSHED != 0 {
-                        // The retirement was written back first and deferred
-                        // the recycle to us (see the handoff note above).
+                    if st & RETIRE_CONSUMED != 0 {
+                        // The retirement was consumed first and deferred the
+                        // recycle to us (see the handoff note above).
                         Self::free_slot(arena, class, idx);
                     }
                 }
@@ -686,8 +717,8 @@ impl ArenaStore {
                     arena.push_dirty(r, class, idx, KIND_RETIRE);
                     continue;
                 }
-                let st = s.state.fetch_or(RETIRE_FLUSHED, Ordering::AcqRel);
-                if st & RETIRE_FLUSHED == 0 {
+                let st = s.state.fetch_or(RETIRE_CONSUMED, Ordering::AcqRel);
+                if st & RETIRE_CONSUMED == 0 && Self::writes_back(s, st) {
                     // A retirement only touches the metadata line.
                     flushed += 1;
                 }
@@ -695,12 +726,32 @@ impl ArenaStore {
                 // recovery can never resurrect the slot) *and* only via the
                 // handoff: if the birth entry is still pending somewhere,
                 // its consumption performs the free.
-                if st & BIRTH_FLUSHED != 0 {
+                if st & BIRTH_CONSUMED != 0 {
                     Self::free_slot(arena, class, idx);
                 }
             }
         }
         flushed
+    }
+
+    /// Whether the due dirty entry being consumed from slot `s` is written
+    /// back; `st` is the slot's state before this consumption.  The first of
+    /// the payload's two entries to be consumed decides for both: a payload
+    /// already retired in its birth epoch is [`ELIDED`].  The second entry
+    /// follows — in particular a birth written back before a same-epoch
+    /// retirement arrived (a post-commit cleanup overtaken by two advances,
+    /// drained by `repair_stale_bucket`) gets its retirement written back
+    /// too, since the durable image already holds the birth.
+    fn writes_back(s: &Slot, st: u64) -> bool {
+        if st & (BIRTH_CONSUMED | RETIRE_CONSUMED) != 0 {
+            return st & ELIDED == 0;
+        }
+        let r = s.retire.load(Ordering::Acquire);
+        if r != LIVE && r == s.birth.load(Ordering::Relaxed) {
+            s.state.fetch_or(ELIDED, Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 }
 
@@ -826,7 +877,7 @@ impl PersistenceDomain {
         let s = arena.classes[class].slot(idx);
         let st = s.state.fetch_or(ABANDONED, Ordering::AcqRel);
         debug_assert_eq!(st & FREED, 0, "payload abandoned after recycle");
-        if st & BIRTH_FLUSHED != 0 {
+        if st & BIRTH_CONSUMED != 0 {
             // The birth dirty entry was already consumed (the epoch crossed
             // the horizon while the transaction was in flight); nobody else
             // will recycle the slot.  The free must happen under the recycle
@@ -1508,6 +1559,164 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(60));
         }
         assert!(d.current_epoch() > before);
+    }
+
+    fn flushes(d: &PersistenceDomain) -> u64 {
+        d.nvm().stats().snapshot().0
+    }
+
+    #[test]
+    fn a_payload_retired_in_its_birth_epoch_is_never_written_back() {
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 1, 10, e);
+        d.retire_payload(id, e);
+        d.sync();
+        assert_eq!(flushes(&d), 0, "born and retired in one epoch: no lines");
+        assert_eq!(d.stats().free_slots, 1, "and still recycled");
+
+        // Retired one epoch after its birth: the birth line and the
+        // retirement line.
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 2, 20, e);
+        d.advance_epoch();
+        d.retire_payload(id, d.current_epoch());
+        d.sync();
+        assert_eq!(flushes(&d), 2);
+        assert_eq!(d.stats().free_slots, 1);
+        assert!(d.recover().is_empty());
+    }
+
+    #[test]
+    fn a_late_retirement_in_the_birth_epoch_is_still_written_back() {
+        // The post-commit cleanup of a replace, overtaken by two advances:
+        // the birth was written back when its epoch crossed the horizon, so
+        // the durable image holds the payload and the retirement has to
+        // reach it even though both carry the same epoch.
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 1, 10, e);
+        d.sync();
+        assert_eq!(flushes(&d), 1);
+        assert_eq!(d.recover_u64().get(&1), Some(&10));
+        d.retire_payload(id, e);
+        assert_eq!(flushes(&d), 2, "the stale bucket is drained at once");
+        assert!(d.recover().is_empty());
+        d.sync();
+        assert_eq!(flushes(&d), 2);
+        assert_eq!(d.stats().free_slots, 1);
+    }
+
+    #[test]
+    fn recovery_matches_a_reference_model_at_every_horizon() {
+        // Mixed churn on one thread with a manual clock: allocations,
+        // retirements in the birth epoch, in later epochs and after the
+        // birth was written back, and abandons.  After every advance the
+        // recovered map must be exactly the payloads with
+        // `birth < horizon <= retire` that were not abandoned.
+        struct Rec {
+            birth: u64,
+            retire: Option<u64>,
+            abandoned: bool,
+            id: PayloadId,
+        }
+        let d = domain();
+        let mut rng = medley::util::FastRng::new(0x5EED);
+        let mut recs: Vec<Rec> = Vec::new();
+        let mut live: Vec<usize> = Vec::new();
+        let mut horizons = 0;
+        for _ in 0..400 {
+            let e = d.current_epoch();
+            for _ in 0..rng.next_below(8) {
+                let key = recs.len() as u64;
+                let id = d.alloc_payload(0, key, key * 3, e);
+                if rng.next_below(8) == 0 {
+                    d.abandon_payload(id);
+                    recs.push(Rec {
+                        birth: e,
+                        retire: None,
+                        abandoned: true,
+                        id,
+                    });
+                } else {
+                    live.push(recs.len());
+                    recs.push(Rec {
+                        birth: e,
+                        retire: None,
+                        abandoned: false,
+                        id,
+                    });
+                }
+            }
+            for _ in 0..rng.next_below(6) {
+                if live.is_empty() {
+                    break;
+                }
+                let r = &mut recs[live.swap_remove(rng.next_below(live.len() as u64) as usize)];
+                // Mostly the current epoch; sometimes a stale one (a late
+                // cleanup), never before the birth.
+                let tag = if rng.next_below(4) == 0 {
+                    r.birth.max(e.saturating_sub(2))
+                } else {
+                    e
+                };
+                d.retire_payload(r.id, tag);
+                r.retire = Some(tag);
+            }
+            d.advance_epoch();
+            let (rec, horizon) = d.recover_with_horizon();
+            let expect: HashMap<u64, Value> = recs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| {
+                    !r.abandoned && r.birth < horizon && r.retire.is_none_or(|t| t >= horizon)
+                })
+                .map(|(k, _)| (k as u64, Value::U64(k as u64 * 3)))
+                .collect();
+            assert_eq!(rec, expect, "horizon {horizon}");
+            horizons += 1;
+        }
+        assert!(horizons > 100);
+        let stats = d.stats();
+        assert_eq!(stats.live_payloads, live.len());
+    }
+
+    #[test]
+    fn churn_under_a_microsecond_advancer_frees_every_dead_slot_once() {
+        // Alloc, retire and abandon race a 1 µs advancer, so recycling goes
+        // through every path that writes the shared birth/free link: drains
+        // by the advancer, stale-bucket repairs and late abandons.
+        let mgr = TxManager::with_max_threads(2);
+        let d = PersistenceDomain::new(mgr, NvmCostModel::ZERO);
+        let advancer = EpochAdvancer::spawn(Arc::clone(&d), std::time::Duration::from_micros(1));
+        let mut rng = medley::util::FastRng::new(7);
+        let mut live: Vec<PayloadId> = Vec::new();
+        for k in 0..20_000u64 {
+            let e = d.current_epoch();
+            let id = d.alloc_payload(0, k, k, e);
+            match rng.next_below(4) {
+                0 => d.abandon_payload(id),
+                _ => live.push(id),
+            }
+            if live.len() > 64 {
+                let victim = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                // Sometimes tagged with the allocation's (possibly stale)
+                // epoch, like a retirement overtaken by the clock.
+                let tag = if k % 3 == 0 { e } else { d.current_epoch() };
+                d.retire_payload(victim, tag);
+            }
+        }
+        drop(advancer);
+        d.sync();
+        d.sync();
+        let stats = d.stats();
+        assert_eq!(stats.live_payloads, live.len());
+        assert_eq!(
+            stats.free_slots + live.len(),
+            stats.allocated_slots,
+            "every dead slot is on the free list exactly once: {stats:?}"
+        );
+        assert_eq!(d.recover().len(), live.len());
     }
 
     #[test]

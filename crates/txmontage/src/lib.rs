@@ -18,7 +18,12 @@
 //!   thread's arena, tagged with the operation's epoch;
 //! * payload bookkeeping for committed updates runs in the post-commit
 //!   cleanup phase, and payloads of aborted transactions are abandoned via
-//!   Medley's abort actions;
+//!   Medley's abort actions.  Each captures the domain, a payload id and at
+//!   most an epoch — three words, which Medley keeps inline — so the payload
+//!   bookkeeping of an update allocates nothing;
+//! * a payload replaced or removed in the epoch it was born in is never
+//!   written back (no recovery cut can contain it), so the write-back an
+//!   epoch costs follows the updates that outlive it;
 //! * [`Durable::recover`] rebuilds the key/value mapping as of the nbMontage
 //!   recovery point (end of epoch `e − 2`).
 //!

@@ -13,11 +13,13 @@ use pmem::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-/// Drives a raw socket: writes `wire` one byte at a time, then reads every
-/// response frame, returning `(req_id, response)` pairs in arrival order.
+/// Drives a raw socket: writes `dribbled` one byte at a time and then
+/// `burst` with a single `write`, then reads every response frame, returning
+/// `(req_id, response)` pairs in arrival order.
 fn dribble_roundtrip(
     addr: std::net::SocketAddr,
-    wire: &[u8],
+    dribbled: &[u8],
+    burst: &[u8],
     expect: usize,
 ) -> Vec<(u32, Response)> {
     let mut sock = TcpStream::connect(addr).expect("connect");
@@ -30,9 +32,12 @@ fn dribble_roundtrip(
     // Maximal fragmentation on the request path: one byte per write.  No
     // flushes or sleeps needed — each write is its own TCP segment boundary
     // as far as the server's reader is concerned.
-    for chunk in wire.chunks(1) {
+    for chunk in dribbled.chunks(1) {
         sock.write_all(chunk).expect("dribble write");
     }
+    // The burst lands in one segment, so the server reads its requests in
+    // one pass and queues all their responses before its next flush.
+    sock.write_all(burst).expect("burst write");
 
     let mut got = Vec::new();
     let mut buf = Vec::new();
@@ -60,23 +65,29 @@ fn one_byte_writes_and_tiny_rcvbuf_preserve_framing_and_order() {
     let big_a: Vec<u8> = (0..48_000usize).map(|i| (i % 251) as u8).collect();
     let big_b: Vec<u8> = (0..30_000usize).map(|i| (i % 241) as u8).collect();
 
-    let mut wire = Vec::new();
+    // The two PUTBs are dribbled byte by byte.  The four requests with
+    // large responses follow in one write: if they trickled in too, a 48 KB
+    // response could fit the server's kernel send buffer in one
+    // single-buffer write before the next request completed, and no two
+    // responses would ever share a flush.
+    let mut puts = Vec::new();
     proto::encode_request(
-        &mut wire,
+        &mut puts,
         1,
         &Request::Cmd(Cmd::PutB(10, Value::from_bytes(&big_a))),
     );
     proto::encode_request(
-        &mut wire,
+        &mut puts,
         2,
         &Request::Cmd(Cmd::PutB(11, Value::from_bytes(&big_b))),
     );
-    proto::encode_request(&mut wire, 3, &Request::Cmd(Cmd::GetB(10)));
-    proto::encode_request(&mut wire, 4, &Request::Cmd(Cmd::MGetB(vec![10, 11, 12])));
-    proto::encode_request(&mut wire, 5, &Request::Cmd(Cmd::GetB(11)));
-    proto::encode_request(&mut wire, 6, &Request::Cmd(Cmd::DelB(10)));
+    let mut reads = Vec::new();
+    proto::encode_request(&mut reads, 3, &Request::Cmd(Cmd::GetB(10)));
+    proto::encode_request(&mut reads, 4, &Request::Cmd(Cmd::MGetB(vec![10, 11, 12])));
+    proto::encode_request(&mut reads, 5, &Request::Cmd(Cmd::GetB(11)));
+    proto::encode_request(&mut reads, 6, &Request::Cmd(Cmd::DelB(10)));
 
-    let got = dribble_roundtrip(addr, &wire, 6);
+    let got = dribble_roundtrip(addr, &puts, &reads, 6);
 
     // Responses arrive strictly in request order with the ids echoed.
     let ids: Vec<u32> = got.iter().map(|(id, _)| *id).collect();
@@ -107,9 +118,9 @@ fn one_byte_writes_and_tiny_rcvbuf_preserve_framing_and_order() {
     );
 
     // The slow-draining peer must have forced partial writes: the server
-    // saw more than one epoll pass, dispatched real events, and — with
-    // ~78 KB of blob responses backed up behind a 2 KiB receive window —
-    // flushed multi-segment chains with vectored writes.
+    // saw more than one epoll pass, dispatched real events, and — with the
+    // burst's ~200 KB of blob responses queued at once behind a 2 KiB
+    // receive window — flushed multi-segment chains with vectored writes.
     let ev = server.event_stats();
     assert!(
         ev.events_dispatched > 1,
@@ -156,7 +167,7 @@ fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
     );
     proto::encode_request(&mut wire, 10, &Request::Cmd(Cmd::MGet(vec![1, 2])));
 
-    let got = dribble_roundtrip(addr, &wire, 4);
+    let got = dribble_roundtrip(addr, &wire, &[], 4);
     let ids: Vec<u32> = got.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, vec![7, 8, 9, 10]);
     assert_eq!(got[0].1, Response::Ok(CmdOut::Done));

@@ -14,18 +14,24 @@
 //!   and steady-state trace pushes must not allocate at all.  The count is
 //!   per thread, so the server tests running beside it on another core do
 //!   not show up in it.
-//! * `replace_*`, `insert_*` — the same allocator pins what a map update
-//!   costs: nothing for a `put` that finds its key when the value is a word,
-//!   one box when it is not, one node for an insert (plus one boxed cleanup
-//!   where a transaction has to defer one).
+//! * `replace_*`, `insert_*`, `remove_*`, `durable_*` — the same allocator
+//!   pins what a map update costs: nothing for a `put` that finds its key
+//!   when the value is a word, one box when it is not, one node for an
+//!   insert, nothing for a remove until its node is retired, and for a
+//!   durable `put` only the box of its index value.  What a transaction
+//!   defers to its commit or abort is stored inline; only the skiplist's
+//!   index maintenance, which carries its search hints, is boxed.
 
 use kvstore::{Client, Server, ServerConfig, StoreConfig, TableKind, TelemetryConfig};
 use medley::{ThreadHandle, TxManager};
 use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap};
 use obs::{MetricsRegistry, RegistrySpec, TraceRecord, TraceRing};
+use pmem::{NvmCostModel, PersistenceDomain};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Duration;
+use txmontage::DurableHashMap;
 
 /// System allocator wrapped with an allocation counter.  Installed for the
 /// whole test binary; individual tests read deltas around the region they
@@ -309,17 +315,18 @@ fn insert_allocates_its_node() {
     let mgr = TxManager::new();
     let mut h = mgr.register();
     // Fresh keys, so every insert links a node.  Found: one allocation per
-    // standalone insert, the node (a skiplist tower is one allocation at any
-    // height), and in a transaction one more for each cleanup it has to box
-    // until the commit: the hash map's item count (always), the skiplist's
-    // index maintenance (towers taller than one level: half of them).
+    // insert, the node (a skiplist tower is one allocation at any height),
+    // standalone and in a transaction alike — the hash map's deferred item
+    // count is stored inline — except that a transaction boxes the
+    // skiplist's index maintenance (towers taller than one level: half of
+    // them), whose capture carries a hint per level.
     let hash = MichaelHashMap::<u64>::with_buckets(1 << 12);
     let standalone = allocations_of(|i| assert!(hash.insert(&mut h.nontx(), i, i)));
     assert_eq!(standalone, CALLS, "hash, standalone");
     let in_tx = allocations_of(|i| {
         assert_eq!(h.run(|tx| Ok(hash.insert(tx, 1 << 32 | i, i))), Ok(true));
     });
-    assert_eq!(in_tx, 2 * CALLS, "hash, in a transaction");
+    assert_eq!(in_tx, CALLS, "hash, in a transaction");
 
     let skip = SkipList::<u64>::new();
     let standalone = allocations_of(|i| assert!(skip.insert(&mut h.nontx(), i, i)));
@@ -331,4 +338,64 @@ fn insert_allocates_its_node() {
         (CALLS + CALLS / 3..2 * CALLS - CALLS / 3).contains(&in_tx),
         "skiplist, in a transaction: {in_tx} allocations for {CALLS} inserts"
     );
+}
+
+#[test]
+fn remove_in_a_transaction_allocates_nothing_before_retirement() {
+    // The unlink and the item count a remove defers to its commit are
+    // stored inline, so until the node reaches reclamation nothing is
+    // allocated or freed on its behalf.
+    let mgr = TxManager::new();
+    let mut h = mgr.register();
+    let hash = MichaelHashMap::<u64>::with_buckets(1 << 12);
+    let elastic = SplitOrderedMap::<u64>::new();
+    for k in 0..2 * CALLS {
+        assert!(hash.insert(&mut h.nontx(), k, k));
+        assert!(elastic.insert(&mut h.nontx(), k, k));
+    }
+    let removes = allocations_of(|i| {
+        assert_eq!(h.run(|tx| Ok(hash.remove(tx, i))), Ok(Some(i)));
+    });
+    assert_eq!(removes, 0, "hash");
+    let removes = allocations_of(|i| {
+        assert_eq!(h.run(|tx| Ok(elastic.remove(tx, i))), Ok(Some(i)));
+    });
+    assert_eq!(removes, 0, "elastic");
+}
+
+#[test]
+fn durable_put_allocates_only_its_value_box() {
+    // A durable `put` defers two payload actions (abandon on abort, retire
+    // the replaced payload on commit); both are stored inline, so what is
+    // left is the boxed `(value, payload id)` of the index entry.  A `sync`
+    // after each call recycles the replaced payloads' slots, so the arena
+    // does not grow a chunk mid-count.
+    let mgr = TxManager::new();
+    let domain = PersistenceDomain::new(Arc::clone(&mgr), NvmCostModel::ZERO);
+    let map = DurableHashMap::<u64>::hash_map(8, Arc::clone(&domain));
+    let mut h = mgr.register();
+    for k in 0..KEYS {
+        assert!(map.insert(&mut h.nontx(), k, k));
+    }
+    let alone = allocations_of(|i| {
+        let old = h.run(|tx| Ok(map.put(tx, i % KEYS, i)));
+        assert!(matches!(old, Ok(Some(_))));
+        domain.sync();
+    });
+    assert_eq!(alone, CALLS, "alone in a transaction");
+    let transfer = allocations_of(|i| {
+        let (a, b) = (i % KEYS, (i + 1) % KEYS);
+        let res = h.run(|tx| {
+            let (x, y) = (map.get(tx, a), map.get(tx, b));
+            assert!(x.is_some() && y.is_some());
+            map.put(tx, a, i);
+            map.put(tx, b, i + 1);
+            Ok(())
+        });
+        assert_eq!(res, Ok(()));
+        domain.sync();
+    });
+    assert_eq!(transfer, 2 * CALLS, "in a transfer");
+    h.flush_stats();
+    assert_eq!(mgr.stats_snapshot().aborts, 0);
 }
