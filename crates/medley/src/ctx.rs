@@ -205,6 +205,29 @@ pub trait Ctx: sealed::Sealed + Sized {
     /// ([`Ctx::tretire`]).  Asked right after a successful CAS on `obj`, this
     /// tells the two apart.
     fn write_is_buffered(&self, obj: &CasWord) -> bool;
+
+    /// Notes that this transaction's lookup of `key` in the container
+    /// `owner` (its address) found `word`: the value word of the node that
+    /// holds the key, alive when it was read.  A later update of the key in
+    /// the same transaction can [`Ctx::recall`] the word and CAS it instead
+    /// of searching for it again.  A no-op in a [`NonTx`] context.
+    ///
+    /// The memo keeps the last four words noted, newest first, and forgets
+    /// them all when a transaction begins: an entry never outlives the
+    /// attempt that noted it, whose nodes an abort may let go.  Key it by the
+    /// container, not by where its search started, which can move (a
+    /// split-ordered map's bucket, after the directory grows).
+    fn remember(&mut self, owner: usize, key: u64, word: &CasWord);
+
+    /// The word this transaction last noted for `(owner, key)` with
+    /// [`Ctx::remember`]; always `None` in a [`NonTx`] context, where the
+    /// branch it guards folds away.
+    ///
+    /// The word stays allocated until the transaction ends, because the
+    /// transaction holds its reclamation pin from `begin` to its commit or
+    /// abort.  Whether the word still holds the key is the caller's to
+    /// decide, through a load in this context.
+    fn recall(&mut self, owner: usize, key: u64) -> Option<*const CasWord>;
 }
 
 // ---------------------------------------------------------------------------
@@ -339,6 +362,14 @@ impl Ctx for NonTx<'_> {
     #[inline]
     fn write_is_buffered(&self, _obj: &CasWord) -> bool {
         false
+    }
+
+    #[inline]
+    fn remember(&mut self, _owner: usize, _key: u64, _word: &CasWord) {}
+
+    #[inline]
+    fn recall(&mut self, _owner: usize, _key: u64) -> Option<*const CasWord> {
+        None
     }
 }
 
@@ -643,6 +674,16 @@ impl Ctx for Txn<'_> {
         // A closed guard's buffer is empty.
         self.h.local_write_index(obj).is_some()
     }
+
+    #[inline]
+    fn remember(&mut self, owner: usize, key: u64, word: &CasWord) {
+        self.open().memo.remember(owner, key, word);
+    }
+
+    #[inline]
+    fn recall(&mut self, owner: usize, key: u64) -> Option<*const CasWord> {
+        self.open().memo.recall(owner, key)
+    }
 }
 
 impl std::fmt::Debug for Txn<'_> {
@@ -744,6 +785,32 @@ mod tests {
         assert_eq!(ran.get(), 1);
         cx.add_abort_action(move |_| r2.set(r2.get() + 100));
         assert_eq!(ran.get(), 1, "standalone abort actions never run");
+    }
+
+    #[test]
+    fn the_memo_lasts_one_attempt_and_standalone_keeps_none() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let (a, b) = (CasWord::new(1), CasWord::new(2));
+        let mut cx = h.nontx();
+        cx.remember(1, 7, &a);
+        assert_eq!(cx.recall(1, 7), None, "standalone remembers nothing");
+        let mut t = h.begin();
+        assert_eq!(t.recall(1, 7), None);
+        t.remember(1, 7, &a);
+        t.remember(2, 7, &b);
+        assert_eq!(t.recall(1, 7), Some(&a as *const CasWord));
+        assert_eq!(t.recall(2, 7), Some(&b as *const CasWord));
+        let _ = t.abort(AbortReason::Conflict);
+        drop(t);
+        let res = h.run(|t| Ok(t.recall(1, 7)));
+        assert_eq!(res, Ok(None), "a new attempt starts with nothing");
+        let mut t = h.begin();
+        t.remember(1, 7, &b);
+        assert!(t.commit().is_ok());
+        let mut t = h.begin();
+        assert_eq!(t.recall(1, 7), None, "nor does one after a commit");
+        drop(t);
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //! * `deferred` — the cleanups and abort actions a transaction registers,
 //!   each a function pointer, a drop pointer and three inline words of
 //!   capture (a larger capture is boxed once).
+//! * `memo` — the found-word memo: the value words a transaction's lookups
+//!   found, so that a later write of the same key need not search for its
+//!   word again ([`Ctx::remember`], [`Ctx::recall`]).
 //! * `casobj` — [`CasWord`]: a 64-bit value augmented with a 64-bit counter;
 //!   odd counters mark an installed transaction descriptor.
 //! * `descriptor` — per-thread reusable descriptors implementing
@@ -94,6 +97,7 @@ mod deferred;
 mod descriptor;
 mod ebr;
 mod errors;
+mod memo;
 mod txmanager;
 pub mod util;
 

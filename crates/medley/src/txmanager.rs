@@ -27,6 +27,7 @@ use crate::deferred::{self, Deferred};
 use crate::descriptor::{Desc, Status};
 use crate::ebr::{self, drop_boxed, DropFn};
 use crate::errors::{Abort, AbortReason, TxError, TxResult};
+use crate::memo::Memo;
 use crate::util::{Backoff, CachePadded};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -215,6 +216,7 @@ impl TxManager {
                     local_writes: Vec::new(),
                     write_filter: 0,
                     local_reads: Vec::new(),
+                    memo: Memo::new(),
                     cleanups: Vec::new(),
                     abort_actions: Vec::new(),
                     allocs: Vec::new(),
@@ -345,6 +347,8 @@ pub struct ThreadHandle {
     /// single-CAS transactions validate this buffer directly and never pay
     /// the per-entry atomic-store protocol.
     local_reads: Vec<(usize, u64, u64)>,
+    /// The value words the transaction's lookups found (`Ctx::remember`).
+    pub(crate) memo: Memo,
     cleanups: Vec<Deferred>,
     abort_actions: Vec<Deferred>,
     /// Blocks `tnew`ed by the open transaction: freed on abort, the
@@ -463,6 +467,7 @@ impl ThreadHandle {
         self.local_writes.clear();
         self.write_filter = 0;
         self.local_reads.clear();
+        self.memo.clear();
         debug_assert!(self.cleanups.is_empty());
         debug_assert!(self.allocs.is_empty());
         debug_assert!(self.retires.is_empty());

@@ -51,6 +51,25 @@
 //!   commit; nodes and boxed values come from `tnew`, so an abort frees them,
 //!   and a replaced or removed box is `tretire`d.
 //!
+//! # The found-word memo
+//!
+//! A transaction that reads a key and then writes it would search for the
+//! same value word twice.  So a lookup that finds its key alive — `get`,
+//! `contains`, a failed `insert`, the replace of a `put` — files the word in
+//! the transaction's memo ([`Ctx::remember`], keyed by the container and the
+//! key), and a later `put` of the key in the same transaction first CASes
+//! that word ([`Ctx::recall`]); it searches only if the word is dead or the
+//! CAS loses.  Taking the remembered word is exact, not a guess.  A key has
+//! at most one node with a live value word, a dead word never revives, and
+//! the transaction's pin, held from `begin` to its commit or abort, keeps the
+//! node allocated.  So a remembered word that is alive in the transaction's
+//! view — in memory, or in the transaction's own buffered write — belongs to
+//! the key's holder, and the CAS is the one a search would have made.
+//! Whatever changed since the lookup fails the lookup's registered read, or
+//! the CAS's pre-image, at commit, as it would after a search.  A `remove`
+//! still searches, because its cleanup needs the predecessor.  Standalone
+//! nothing is remembered, and the branch folds away.
+//!
 //! The code is compiled twice: [`TRACKED`] goes through the transactional
 //! primitives and is what item operations use; [`UNTRACKED`] goes through
 //! `untracked_load`/`untracked_cas` for layout work that must never join a
@@ -224,6 +243,23 @@ fn cas<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord, old: u64, new: u64, lin_p
         cx.nbtc_cas(w, old, new, lin_pt, lin_pt)
     } else {
         cx.untracked_cas(w, old, new)
+    }
+}
+
+/// A key as the found-word memo files it (module docs): the container, by
+/// address, and the key.
+#[derive(Clone, Copy)]
+pub(crate) struct MemoKey {
+    owner: usize,
+    key: u64,
+}
+
+impl MemoKey {
+    pub(crate) fn new<T>(container: &T, key: u64) -> Self {
+        Self {
+            owner: container as *const T as usize,
+            key,
+        }
     }
 }
 
@@ -459,9 +495,15 @@ impl<N: Link> Position<N, TRACKED> {
         }
     }
 
-    /// Completes a lookup: maps the value the key is bound to through `f`
-    /// and registers the outcome, present or absent.
-    pub(crate) fn read<C: Ctx, R>(&self, cx: &mut C, f: impl FnOnce(&N::Val) -> R) -> Option<R>
+    /// Completes a lookup of `at`: maps the value the key is bound to
+    /// through `f`, registers the outcome, present or absent, and remembers
+    /// the value word of a present key.
+    pub(crate) fn read<C: Ctx, R>(
+        &self,
+        cx: &mut C,
+        at: MemoKey,
+        f: impl FnOnce(&N::Val) -> R,
+    ) -> Option<R>
     where
         N::Val: 'static,
     {
@@ -472,7 +514,16 @@ impl<N: Link> Position<N, TRACKED> {
             _ => None,
         };
         self.register_read(cx);
+        self.remember(cx, at);
         res
+    }
+
+    /// Files the value word of a found key in the transaction's memo, for a
+    /// later `put` of the key (module docs).
+    fn remember<C: Ctx>(&self, cx: &mut C, at: MemoKey) {
+        if let Hold::Alive { .. } = self.hold {
+            cx.remember(at.owner, at.key, self.holder().value());
+        }
     }
 
     /// Registers the link into the candidate, whatever the candidate's key:
@@ -489,14 +540,16 @@ impl<N: Link> Position<N, TRACKED> {
 
 /// Inserts a node made by `make` — called once, and only when the key was
 /// seen absent — unless the key is present, in which case the failed insert
-/// registers as a read.  Returns the node it linked.
+/// registers as a read (and remembers the word it found).  Returns the node
+/// it linked.
 ///
 /// # Safety
-/// `locate` returns positions of one key taken under the current pin, and
-/// `make` a node from `cx.tnew` holding that key, its value word from
-/// [`encode`].
+/// `locate` returns positions of the key of `at` taken under the current
+/// pin in the container of `at`, and `make` a node from `cx.tnew` holding
+/// that key, its value word from [`encode`].
 pub(crate) unsafe fn insert<N: Link, C: Ctx>(
     cx: &mut C,
+    at: MemoKey,
     mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
     make: impl FnOnce(&mut C) -> *mut N,
 ) -> Option<*mut N> {
@@ -507,6 +560,7 @@ pub(crate) unsafe fn insert<N: Link, C: Ctx>(
         match pos.hold {
             Hold::Alive { .. } => {
                 pos.register_read(cx);
+                pos.remember(cx, at);
                 if !node.is_null() {
                     // Made for a position that somebody else's insert took.
                     // SAFETY: still private; both came from `cx.tnew`.
@@ -544,6 +598,8 @@ pub(crate) enum Put<N> {
 
 /// Binds the key to the value word `bits`: one CAS on the value word of the
 /// node holding it, or, if there is none, the insert of a node made by `make`.
+/// The value word the transaction remembers for the key is tried first,
+/// before any search (module docs).
 ///
 /// # Safety
 /// As for [`insert`]; `bits` came from [`encode`] and is what `make` puts
@@ -551,9 +607,20 @@ pub(crate) enum Put<N> {
 pub(crate) unsafe fn put<N: Link, C: Ctx>(
     cx: &mut C,
     bits: u64,
+    at: MemoKey,
     mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
     make: impl FnOnce(&mut C) -> *mut N,
 ) -> Put<N> {
+    if let Some(word) = cx.recall(at.owner, at.key) {
+        // SAFETY: a value word of a node of this container, remembered by
+        // the open transaction, whose pin keeps the node allocated.
+        let word = unsafe { &*word };
+        let (val, _) = cx.nbtc_load_counted(word);
+        // Dead for good: if the key is present, another node holds it.
+        if val != DEAD && cas::<TRACKED, C>(cx, word, val, bits, true) {
+            return Put::Replaced(val);
+        }
+    }
     let mut make = Some(make);
     let mut node: *mut N = ptr::null_mut();
     loop {
@@ -561,6 +628,7 @@ pub(crate) unsafe fn put<N: Link, C: Ctx>(
         match pos.hold {
             Hold::Alive { val, .. } => {
                 if pos.swap(cx, val, bits) {
+                    pos.remember(cx, at);
                     if !node.is_null() {
                         // Made while the key was absent; `bits` has another
                         // home.
@@ -618,7 +686,8 @@ pub(crate) fn mark(cx: &mut NonTx<'_>, link: &CasWord) -> u64 {
 // Map operations over `Node<K, V>` chains (list, split-ordered map)
 
 /// # Safety
-/// All four operations: see the module contract.
+/// All four operations: see the module contract; `at` names the container
+/// that `start` is a word of, and `key`.
 impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// A node whose value word holds `bits`: [`NO_VALUE`], or from
     /// [`encode`] of a `V`.
@@ -634,20 +703,28 @@ impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// Looks `key` up and maps its value through `read`.
     pub(crate) unsafe fn lookup<C: Ctx, R>(
         cx: &mut C,
+        at: MemoKey,
         start: &CasWord,
         key: K,
         read: impl FnOnce(&V) -> R,
     ) -> Option<R> {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { find::<TRACKED, Self, C>(cx, start, key) }.read(cx, read)
+        unsafe { find::<TRACKED, Self, C>(cx, start, key) }.read(cx, at, read)
     }
 
     /// Inserts `key -> val` only if `key` is absent.
-    pub(crate) unsafe fn insert<C: Ctx>(cx: &mut C, start: &CasWord, key: K, val: V) -> bool {
+    pub(crate) unsafe fn insert<C: Ctx>(
+        cx: &mut C,
+        at: MemoKey,
+        start: &CasWord,
+        key: K,
+        val: V,
+    ) -> bool {
         // SAFETY: the caller's contract, and a fresh node of `key`.
         let linked = unsafe {
             insert(
                 cx,
+                at,
                 |cx| find(cx, start, key),
                 |cx| {
                     let bits = encode(cx, val);
@@ -659,7 +736,13 @@ impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
     }
 
     /// Inserts or replaces, returning the previous value (`None`: inserted).
-    pub(crate) unsafe fn put<C: Ctx>(cx: &mut C, start: &CasWord, key: K, val: V) -> Option<V>
+    pub(crate) unsafe fn put<C: Ctx>(
+        cx: &mut C,
+        at: MemoKey,
+        start: &CasWord,
+        key: K,
+        val: V,
+    ) -> Option<V>
     where
         V: Clone,
     {
@@ -668,7 +751,7 @@ impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
         // replace is what hands its old word to `take`.
         unsafe {
             let locate = |cx: &mut C| find(cx, start, key);
-            match put(cx, bits, locate, |cx| cx.tnew(Self::new(key, bits))) {
+            match put(cx, bits, at, locate, |cx| cx.tnew(Self::new(key, bits))) {
                 Put::Inserted(_) => None,
                 Put::Replaced(old) => Some(take(cx, old)),
             }
@@ -765,5 +848,115 @@ pub(crate) unsafe fn free_all<N: Link>(head: &CasWord) {
             }
             N::free(node);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{CASES, HOPS};
+    use crate::{MichaelHashMap, MichaelList, SkipList, SplitOrderedMap, TxMap};
+    use medley::{ThreadHandle, TxManager};
+
+    const KEYS: u64 = 256;
+
+    /// Nodes stepped over and CASes attempted, summed over calls.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Cost {
+        hops: u64,
+        cases: u64,
+    }
+
+    impl Cost {
+        /// Adds what `f` costs on this thread.
+        fn add<R>(&mut self, f: impl FnOnce() -> R) -> R {
+            let (hops, cases) = (HOPS.get(), CASES.get());
+            let res = f();
+            self.hops += HOPS.get() - hops;
+            self.cases += CASES.get() - cases;
+            res
+        }
+    }
+
+    /// What a `put` of every key costs: in a transaction after a lookup of
+    /// the key (a `get`, a `contains` or a failed `insert`, by turns); after
+    /// another `put` of it; alone in a transaction; and standalone, after a
+    /// standalone `get`.
+    fn put_costs<M: TxMap<u64>>(map: &M, h: &mut ThreadHandle) -> [Cost; 4] {
+        for k in 0..KEYS {
+            assert!(map.insert(&mut h.nontx(), k, k));
+        }
+        let [mut found, mut again, mut alone, mut standalone] = [Cost::default(); 4];
+        for k in 0..KEYS {
+            let res = h.run(|tx| {
+                let v = map.get(tx, k).expect("present");
+                match k % 3 {
+                    0 => {}
+                    1 => assert!(map.contains(tx, k)),
+                    _ => assert!(!map.insert(tx, k, 0)),
+                }
+                assert_eq!(found.add(|| map.put(tx, k, v + 1)), Some(v));
+                Ok(())
+            });
+            assert_eq!(res, Ok(()));
+            let res = h.run(|tx| {
+                let v = alone.add(|| map.put(tx, k, k)).expect("present");
+                assert_eq!(again.add(|| map.put(tx, k, v)), Some(k));
+                Ok(())
+            });
+            assert_eq!(res, Ok(()));
+            let v = map.get(&mut h.nontx(), k).expect("present");
+            assert_eq!(standalone.add(|| map.put(&mut h.nontx(), k, v)), Some(v));
+        }
+        [found, again, alone, standalone]
+    }
+
+    /// The found-word memo, by its search counts: a `put` in a transaction
+    /// that has looked its key up already steps over no node and makes one
+    /// CAS; one that has not still searches, and so does every standalone
+    /// `put` — exactly as far as a transactional one with nothing
+    /// remembered.
+    fn put_after_lookup_does_not_search<M: TxMap<u64>>(map: &M, what: &str) {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let [found, again, alone, standalone] = put_costs(map, &mut h);
+        let once = Cost {
+            hops: 0,
+            cases: KEYS,
+        };
+        assert_eq!(found, once, "{what}: put after a lookup");
+        assert_eq!(again, once, "{what}: put after a put");
+        assert!(alone.hops > KEYS, "{what}: put alone searched {alone:?}");
+        assert_eq!(standalone, alone, "{what}: standalone put after a get");
+    }
+
+    #[test]
+    fn put_after_a_lookup_of_its_key_does_not_search() {
+        put_after_lookup_does_not_search(&MichaelList::new(), "list");
+        put_after_lookup_does_not_search(&MichaelHashMap::with_buckets(16), "hash");
+        put_after_lookup_does_not_search(&SplitOrderedMap::new(), "elastic");
+        put_after_lookup_does_not_search(&SkipList::new(), "skiplist");
+    }
+
+    /// A remembered word that is dead sends the `put` to the search, which
+    /// finds the key's new node, or none; and a word remembered by one
+    /// container is not taken for the same key in another.
+    #[test]
+    fn a_dead_or_foreign_word_is_not_taken() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let (a, b) = (MichaelList::new(), MichaelList::new());
+        assert!(a.insert(&mut h.nontx(), 7, 70));
+        assert!(b.insert(&mut h.nontx(), 7, 700));
+        let res = h.run(|tx| {
+            assert_eq!(a.get(tx, 7), Some(70));
+            assert_eq!(b.put(tx, 7, 701), Some(700), "b's own node");
+            assert_eq!(a.remove(tx, 7), Some(70));
+            assert_eq!(a.put(tx, 7, 71), None, "re-inserted");
+            assert_eq!(a.put(tx, 7, 72), Some(71));
+            Ok((a.get(tx, 7), b.get(tx, 7)))
+        });
+        assert_eq!(res, Ok((Some(72), Some(701))));
+        assert_eq!(a.snapshot(), [(7, 72)]);
+        assert_eq!(b.snapshot(), [(7, 701)]);
     }
 }

@@ -22,7 +22,9 @@
 //! *value word*: a `u64` below 2⁶³ inline, anything else as a pointer to a
 //! box.  A `put` that finds its key is one CAS on that word and allocates,
 //! links, unlinks and retires no node; a `remove` is one CAS of the same word
-//! to "dead", and the marking and unlinking of the node is cleanup.
+//! to "dead", and the marking and unlinking of the node is cleanup.  A
+//! transaction remembers the value words its lookups found, so a `put` after
+//! a lookup of the same key does not search at all: it CASes that word.
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context.
 //! Called with the [`medley::Txn`] guard handed out by
@@ -51,6 +53,7 @@
 //! |---|---|---|---|---|
 //! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.value` | `put`-replace, `remove` | `curr.value` (to the new value; to "dead") |
 //! | same | key absent (`get` miss, `contains` false, failed `remove`), which includes "the candidate holds the key but is dead and not yet unlinked" | `prev` | `insert`, `put`-insert | `prev` (link; before that, the unlink of a dead candidate, also `prev`) |
+//! | same | a `put` after a lookup of its key in the same transaction that found it present (`get`, `contains`, failed `insert`, an earlier `put`'s replace): no search, one CAS on the word the lookup found | nothing more: the lookup registered that same `curr.value` | `put`-replace, `remove` between the two | `curr.value`: the lookup's read fails validation, or the put's pre-image its install; a dead word sends the put to the search |
 //! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` and `node.value` of every live node in the window (`node.next` alone of a dead one not yet marked) | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on; the `node.value` — all registered |
 //! | [`MsQueue`] | `dequeue` → `None`, `is_empty` → `true` | `dummy.next` (the head node's link) | `enqueue` | the last node's `next`, which is `dummy.next` while the queue is empty |
 //! | [`MsQueue`] | `is_empty` → `false` | `head` | `dequeue` | `head` (swing to the next node) |

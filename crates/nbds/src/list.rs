@@ -8,6 +8,8 @@
 //! its value in a `CasWord` of its own, so a `put` that finds its key is one
 //! (critical) CAS on that word — no node, no unlink, nothing to retire but a
 //! boxed old value — and a `remove` is one CAS of the same word to "dead".
+//! In a transaction that has looked the key up already, the `put` CASes the
+//! word that lookup found and does not search at all.
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context:
 //! monomorphized for [`medley::NonTx`] it *is* the original uninstrumented
@@ -24,7 +26,7 @@
 //! thread-local bookkeeping: it reaches the shared descriptor only if the
 //! enclosing transaction ends up publishing one at commit.
 
-use crate::chain::{self, Node};
+use crate::chain::{self, MemoKey, Node};
 use medley::{CasWord, Ctx};
 use std::marker::PhantomData;
 
@@ -68,28 +70,34 @@ where
 
     /// Looks up `key`, returning a clone of its value.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        let at = MemoKey::new(self, key);
         // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::lookup(cx, &self.head, key, V::clone) })
+        cx.with_op(|cx| unsafe { Node::lookup(cx, at, &self.head, key, V::clone) })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`MichaelList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
+        let at = MemoKey::new(self, key);
         // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::lookup(cx, &self.head, key, |_: &V| ()) }.is_some())
+        cx.with_op(|cx| unsafe { Node::lookup(cx, at, &self.head, key, |_: &V| ()) }.is_some())
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on
     /// success; on failure the value is dropped.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
+        let at = MemoKey::new(self, key);
         // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::insert(cx, &self.head, key, val) })
+        cx.with_op(|cx| unsafe { Node::insert(cx, at, &self.head, key, val) })
     }
 
-    /// Inserts or replaces, returning the previous value if any.
+    /// Inserts or replaces, returning the previous value if any.  After a
+    /// lookup of `key` in the same transaction, one CAS on the value word
+    /// that lookup found, without a search.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
+        let at = MemoKey::new(self, key);
         // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::put(cx, &self.head, key, val) })
+        cx.with_op(|cx| unsafe { Node::put(cx, at, &self.head, key, val) })
     }
 
     /// Removes `key`, returning its value if it was present.

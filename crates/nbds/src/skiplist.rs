@@ -19,7 +19,9 @@
 //! thread-locally until the commit-time install, so an abort leaves no trace
 //! in the structure — no dead value, no link.  A `put` that finds its key
 //! touches no link at all: no tower, no index maintenance, no retirement
-//! but that of a boxed old value.
+//! but that of a boxed old value.  After a lookup of its key in the same
+//! transaction it does not even descend: it CASes the value word the lookup
+//! found (the found-word memo of `chain.rs`).
 //!
 //! The deletion marks are all cleanup.  A dead tower's lanes are marked by
 //! its remover at the start of its index maintenance, top-down; level 0 may
@@ -79,7 +81,7 @@
 //! `tdelete`, retirement and `Drop` stay typed.  A value that is not a small
 //! `u64` lives in a box of its own that the value word points to.
 
-use crate::chain::{self, Link, Put, TRACKED};
+use crate::chain::{self, Link, MemoKey, Put, TRACKED};
 use crate::tag;
 use medley::{CasWord, Ctx, NonTx};
 use std::marker::PhantomData;
@@ -300,13 +302,15 @@ where
 
     /// Looks up `key`.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        cx.with_op(|cx| self.locate(cx, key).read(cx, V::clone))
+        let at = MemoKey::new(self, key);
+        cx.with_op(|cx| self.locate(cx, key).read(cx, at, V::clone))
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SkipList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        cx.with_op(|cx| self.locate(cx, key).read(cx, |_| ()).is_some())
+        let at = MemoKey::new(self, key);
+        cx.with_op(|cx| self.locate(cx, key).read(cx, at, |_| ()).is_some())
     }
 
     /// Ordered range cursor: collects up to `limit` live `(key, value)`
@@ -558,6 +562,7 @@ where
             let linked = unsafe {
                 chain::insert(
                     cx,
+                    MemoKey::new(self, key),
                     |cx| self.search(cx, key, &mut preds),
                     |cx| {
                         let bits = chain::encode(cx, val);
@@ -570,10 +575,13 @@ where
         })
     }
 
-    /// Inserts or replaces; returns the previous value if any.
+    /// Inserts or replaces; returns the previous value if any.  After a
+    /// lookup of `key` in the same transaction, one CAS on the value word
+    /// that lookup found, without a descent.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         cx.with_op(|cx| {
             let bits = chain::encode(cx, val);
+            let at = MemoKey::new(self, key);
             let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization point: the CAS of the found node's value word,
             // or the bottom-level link of a new one.
@@ -581,7 +589,7 @@ where
             // to `take`.
             unsafe {
                 let locate = |cx: &mut C| self.search(cx, key, &mut preds);
-                match chain::put(cx, bits, locate, |cx| self.new_node(cx, key, bits)) {
+                match chain::put(cx, bits, at, locate, |cx| self.new_node(cx, key, bits)) {
                     Put::Inserted(node) => {
                         self.maintain_on_commit(cx, key, Some(node), None, preds);
                         None

@@ -68,7 +68,7 @@
 //! applied immediately in a standalone context, from the post-commit cleanup
 //! phase in a transaction, and not at all on abort.
 
-use crate::chain::{self, Link, Node, UNTRACKED};
+use crate::chain::{self, Link, MemoKey, Node, UNTRACKED};
 use crate::counter::LenCounter;
 use medley::{CasWord, Ctx};
 use std::marker::PhantomData;
@@ -431,29 +431,34 @@ where
 
     /// Looks up `key`, returning a clone of its value.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        // The map, not the bucket: a key's start word moves as the table
+        // grows.
+        let at = MemoKey::new(self, key);
         // SAFETY (all five operations): `on_bucket` pins and hands out a start
         // word of this map's `SoNode<V>` chain.  A found node is regular (odd
         // split-order key), so it has a value.
         self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, start, k, V::clone)
+            SoNode::lookup(cx, at, start, k, V::clone)
         })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SplitOrderedMap::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
+        let at = MemoKey::new(self, key);
         // SAFETY: see `get`.
         self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, start, k, |_: &V| ()).is_some()
+            SoNode::lookup(cx, at, start, k, |_: &V| ()).is_some()
         })
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on
     /// success; on failure the value is dropped.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
+        let at = MemoKey::new(self, key);
         // SAFETY: see `get`.
         let inserted = self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::insert(cx, start, k, val)
+            SoNode::insert(cx, at, start, k, val)
         });
         if inserted {
             self.note_delta(cx, 1);
@@ -461,11 +466,13 @@ where
         inserted
     }
 
-    /// Inserts or replaces, returning the previous value if any.
+    /// Inserts or replaces, returning the previous value if any (after a
+    /// lookup of `key` in the same transaction, without a search).
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
+        let at = MemoKey::new(self, key);
         // SAFETY: see `get`.
         let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::put(cx, start, k, val)
+            SoNode::put(cx, at, start, k, val)
         });
         if old.is_none() {
             self.note_delta(cx, 1);

@@ -13,7 +13,9 @@
 //!   and a `remove` that both take the same old value fail "exactly one".
 //!   Both happen as soon as the two linearize on different words of the node.
 //!   Run standalone, and with the operations paired into transactions half
-//!   of which abort — whose tags must never surface anywhere.
+//!   of which abort — whose tags must never surface anywhere.  Half of the
+//!   pairs are on one key, so a `put` after a lookup takes the value word
+//!   the lookup found (the found-word memo) with 8 threads on the node.
 //! * `edge_words_*` — the `u64`s around the inline/boxed boundary of the
 //!   word's encoding round-trip through every operation.
 //! * `every_value_is_dropped_once_*` — with a value type that counts its
@@ -123,8 +125,17 @@ fn handoff<M: TxMap<u64>>(mgr: &Arc<TxManager>, map: &M, keys: u64, transactiona
                         let mut attempt_tags = Vec::new();
                         let res: TxResult<Log> = h.run(|tx| {
                             let mut mine = Log::default();
+                            let mut first = None;
                             for _ in 0..2 {
-                                let (op, key, tag) = draw(&mut rng);
+                                let (op, mut key, tag) = draw(&mut rng);
+                                // Half the time the second op takes the
+                                // first one's key, as a read-modify-write
+                                // does: the put then CASes the word the
+                                // lookup before it found.
+                                if let Some(k) = first.filter(|_| rng.next_below(2) == 0) {
+                                    key = k;
+                                }
+                                first = Some(key);
                                 attempt_tags.push(tag);
                                 step(map, tx, op, key, tag, &mut mine);
                             }
