@@ -49,8 +49,9 @@
 //! | `ThreadHandle::commit` read-only and single-CAS paths | no store at all before `validate_local_reads`; loads stay in program order | load → load, preserved by TSO; the single CAS is locked |
 //! | `Desc::try_finalize` | `status` (`SeqCst` load), then `obj` re-load, then status CAS, then `validate_reads` | load → load; every later load follows a locked status CAS |
 //! | `Desc::uninstall`, `abort_own`, `finalize_own` | CASes only | locked |
-//! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` (locked); node payloads are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
-//! | `nbds::skiplist` late link (`link_level` vs `maintain`) | linker: link CAS at the predecessor, then re-load of the node's own lane; remover: mark CAS on that lane, then the purge's loads — one of the two must see the other | both stores are locked CASes; the retirement handoff is `done.fetch_or`, locked as well |
+//! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` or, on a skiplist index word (a bare [`AtomicU128`]), `AtomicU128::cas` (all locked); node payloads and a new tower's index words are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
+//! | `nbds::skiplist` late link (`link_level` vs `maintain`) | linker: link CAS at the predecessor's index word, then re-load of the node's own; remover: mark CAS on that word, then the purge's loads — one of the two must see the other | both stores are locked CASes; the retirement handoff is `done.fetch_or`, locked as well |
+//! | `nbds::skiplist` early exit | a lookup's index loads, then the counted load of the found tower's value word | load → load; the tower was published by a locked CAS |
 //! | `txmontage::Durable::revalidate_standalone_epoch` | the index update, payload tagging and `retire_payload`, then the epoch re-read | the linearizing CAS, `Arena::push_dirty`'s `cmpxchg` and `retire.swap` are all locked and all precede the re-read |
 //! | `PersistenceDomain::alloc_value` / `retire_payload` | `Relaxed`/`Release` stores into the slot, then the caller's index traversal | `push_dirty` ends both with a locked `cmpxchg`; the epoch they tag with was loaded *before* the stores (load → store) |
 //! | `PersistenceDomain::advance_epoch` | `persisted_epoch = durable` (`Release`), then (in `sync`) the next epoch-word load | the recycle-lock release between them is locked; `repair_stale_bucket` reads `persisted_epoch` after `push_dirty` (locked) and never raced a `CasWord` load — the push/drain straggler it leaves is settled by `sync` as before |

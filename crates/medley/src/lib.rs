@@ -45,9 +45,11 @@
 //!   execution and are published (and installed) only by [`Txn::commit`], on
 //!   the general commit path — see the module docs for the layout (hot
 //!   header + lazy spill) and memory-ordering argument.
-//! * `atomic128` — a 128-bit atomic word: `lock cmpxchg16b` to write, one
-//!   aligned vector load to read (its module docs list every place where a
-//!   store must be ordered before such a load, and by what).
+//! * `atomic128` — [`AtomicU128`], a 128-bit atomic word: `lock cmpxchg16b`
+//!   to write, one aligned vector load to read (its module docs list every
+//!   place where a store must be ordered before such a load, and by what).
+//!   Re-exported for words that no transaction touches, such as the
+//!   skiplist's index links in `nbds`.
 //! * `ebr` — epoch-based safe memory reclamation.
 //! * [`util`] — cache-line padding, backoff, a poison-free mutex and a small
 //!   PRNG, shared with the rest of the workspace.
@@ -101,6 +103,7 @@ mod memo;
 mod txmanager;
 pub mod util;
 
+pub use atomic128::AtomicU128;
 pub use casobj::CasWord;
 pub use ctx::{Ctx, NonTx, RunConfig, Txn};
 pub use descriptor::MAX_ENTRIES;

@@ -1,13 +1,12 @@
 //! The marked-pointer ordered chain: the one Harris–Michael list core under
 //! [`MichaelList`](crate::MichaelList), [`SplitOrderedMap`](crate::SplitOrderedMap)
-//! and every level of [`SkipList`](crate::SkipList).
+//! and level 0 of [`SkipList`](crate::SkipList).
 //!
 //! A chain is a singly linked list of nodes sorted by [`Link::key`], hanging
 //! off a start word that is never marked (a list head, a bucket sentinel's
-//! link, a skiplist head tower).  A node may carry several link words —
-//! *lanes* — and so sit in several chains at once: the list and the
-//! split-ordered map have lane 0 only, a skiplist tower has one lane per
-//! level, and every level of the skiplist is this chain on its lane.
+//! link, the skiplist's level-0 head), through one link word per node.  The
+//! skiplist's upper levels are an index of plain pair words that no
+//! transaction touches, kept by the skiplist itself.
 //!
 //! # The value word
 //!
@@ -38,8 +37,9 @@
 //!
 //! The NBTC transformation of the paper is applied here, once:
 //!
-//! * [`try_find`] is the only traversal (counted loads, help-unlink) but
-//!   for the skiplist's descent through its index, which only reads;
+//! * [`try_find`] is the only traversal (counted loads, help-unlink); a
+//!   skiplist lookup that meets its key alive in the index does without
+//!   it, and its [`Position::alive`] registers the same value word;
 //! * [`Position::link`] (predecessor word), `swap` and `kill` (value
 //!   word) are the only linearizing CASes — exactly **one** critical CAS per
 //!   update, so a single-update transaction commits with one plain CAS;
@@ -153,7 +153,7 @@ pub(crate) unsafe fn take<V: Clone + Send + 'static, C: Ctx>(cx: &mut C, bits: u
 }
 
 /// A node that can be linked into a chain: an ordering key, a value word
-/// and, per lane, the link to its successor there.
+/// and the link to its successor.
 pub(crate) trait Link: Sized {
     /// The chain's sort key.
     type Key: Ord + Copy;
@@ -161,17 +161,13 @@ pub(crate) trait Link: Sized {
     type Val;
     /// Whether the traversal that physically unlinks a marked node also
     /// retires it.  `false` for skiplist towers, which may still be linked in
-    /// other lanes and are retired by the skiplist's own protocol instead.
+    /// the index and are retired by the skiplist's own protocol instead.
     const RETIRE_ON_UNLINK: bool;
     fn key(&self) -> Self::Key;
     /// The node's value word.
     fn value(&self) -> &CasWord;
-    /// The node's link word in `lane`.
-    ///
-    /// # Safety
-    /// `this` is a live node that has `lane`, and the pointer may be used for
-    /// the node's whole allocation (a tower's lanes lie behind its header).
-    unsafe fn lane(this: *const Self, lane: usize) -> *const CasWord;
+    /// The node's link word.
+    fn next(&self) -> &CasWord;
     /// Frees a node nobody else can reach — the node, not what its value
     /// word points to.
     ///
@@ -212,9 +208,8 @@ impl<K: Ord + Copy, V> Link for Node<K, V> {
     fn value(&self) -> &CasWord {
         &self.value
     }
-    unsafe fn lane(this: *const Self, _lane: usize) -> *const CasWord {
-        // SAFETY: `this` is live (caller contract).
-        unsafe { &raw const (*this).next }
+    fn next(&self) -> &CasWord {
+        &self.next
     }
 }
 
@@ -266,9 +261,7 @@ impl MemoKey {
 /// What the candidate of a [`Position`] is to the key.
 #[derive(Clone, Copy)]
 enum Hold {
-    /// Not its holder: there is no candidate, its key is greater, or the
-    /// lane is not lane 0 (the upper lanes of a skiplist are index, and
-    /// nobody asks them what a key is bound to).
+    /// Not its holder: there is no candidate, or its key is greater.
     No,
     /// It held the key, which was removed; `next` is its link, not marked
     /// yet.
@@ -278,11 +271,11 @@ enum Hold {
     Alive { val: u64, cnt: u64 },
 }
 
-/// Where a key is, or would be, in one lane: the predecessor word with the
+/// Where a key is, or would be, in a chain: the predecessor word with the
 /// value and counter token observed in it, and the candidate node (the first
 /// unmarked one with key ≥ the target) with what it is to the key.
 pub(crate) struct Position<N, const T: bool> {
-    lane: usize,
+    /// Null in a [`Position::alive`], which found no predecessor.
     prev: *const CasWord,
     /// Never marked: equals `tag::from_ptr(curr)`.
     prev_val: u64,
@@ -300,20 +293,19 @@ thread_local! {
     pub(crate) static CASES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// One pass of Michael's `find` along `lane` from `start`: stops before the
-/// first node with key ≥ `key`, physically unlinking every marked node met on
-/// the way.  `None` means the pass has to be restarted — it lost an unlink
-/// race, or the predecessor word turned out marked (its owner is deleted; a
-/// frozen word must never be reported as a predecessor, because no later
-/// insert would CAS it).  The second case includes a `start` that is itself a
-/// dead node's link, which only a skiplist hint can be.
+/// One pass of Michael's `find` from `start`: stops before the first node
+/// with key ≥ `key`, physically unlinking every marked node met on the way.
+/// `None` means the pass has to be restarted — it lost an unlink race, or
+/// the predecessor word turned out marked (its owner is deleted; a frozen
+/// word must never be reported as a predecessor, because no later insert
+/// would CAS it).  The second case includes a `start` that is itself a dead
+/// node's link, which only a skiplist hint can be.
 ///
 /// # Safety
-/// See the module contract; every node of the chain has `lane`.
+/// See the module contract.
 pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     cx: &mut C,
     start: &CasWord,
-    lane: usize,
     key: N::Key,
 ) -> Option<Position<N, T>> {
     let mut prev = start;
@@ -324,7 +316,6 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
         }
         let curr = tag::as_ptr::<N>(curr_bits);
         let mut pos = Position {
-            lane,
             prev,
             prev_val: curr_bits,
             prev_cnt,
@@ -335,10 +326,10 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             return Some(pos);
         }
         // SAFETY: `curr` was reachable from the chain under the caller's pin,
-        // so it is a live `N`, and it has `lane` because it is linked there.
-        let (node, link) = unsafe { (&*curr, &*N::lane(curr, lane)) };
-        let ckey = node.key();
-        let holds = lane == 0 && ckey == key;
+        // so it is a live `N`.
+        let node = unsafe { &*curr };
+        let (ckey, link) = (node.key(), node.next());
+        let holds = ckey == key;
         if holds {
             let (val, cnt) = load::<T, C>(cx, node.value());
             if val != DEAD {
@@ -390,8 +381,7 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     }
 }
 
-/// [`try_find`] on lane 0 until it succeeds, for chains whose `start` is
-/// immortal.
+/// [`try_find`] until it succeeds, for chains whose `start` is immortal.
 ///
 /// # Safety
 /// See the module contract.
@@ -401,14 +391,29 @@ pub(crate) unsafe fn find<const T: bool, N: Link + Send + 'static, C: Ctx>(
     key: N::Key,
 ) -> Position<N, T> {
     loop {
-        // SAFETY: forwarded from the caller's contract; lane 0 always exists.
-        if let Some(pos) = unsafe { try_find(cx, start, 0, key) } {
+        // SAFETY: forwarded from the caller's contract.
+        if let Some(pos) = unsafe { try_find(cx, start, key) } {
             return pos;
         }
     }
 }
 
 impl<N: Link, const T: bool> Position<N, T> {
+    /// The position of a key that a search found in `node`, its value word
+    /// alive with `val` read with the token `cnt`, without the predecessor:
+    /// the skiplist's early exit.  It reads, registers, remembers and swaps
+    /// the same value word as a position from [`try_find`] holding `node`
+    /// would, and is never linked at, removed from or used as a range start.
+    pub(crate) fn alive(node: *mut N, val: u64, cnt: u64) -> Self {
+        Self {
+            prev: ptr::null(),
+            prev_val: 0,
+            prev_cnt: 0,
+            curr: node,
+            hold: Hold::Alive { val, cnt },
+        }
+    }
+
     /// Whether the key is present: the candidate holds it and is alive.
     pub(crate) fn found(&self) -> bool {
         matches!(self.hold, Hold::Alive { .. })
@@ -419,13 +424,6 @@ impl<N: Link, const T: bool> Position<N, T> {
         self.curr
     }
 
-    /// The predecessor word and the (unmarked) bits of the candidate seen in
-    /// it, for callers that link a node that is already shared and so cannot
-    /// use [`Position::link`].
-    pub(crate) fn prev(&self) -> (*const CasWord, u64) {
-        (self.prev, self.prev_val)
-    }
-
     /// Links `node` in front of the candidate: the linearization (and
     /// publication) point of an insert, a CAS on the **predecessor word**.
     ///
@@ -434,9 +432,9 @@ impl<N: Link, const T: bool> Position<N, T> {
     /// is absent at this position.
     pub(crate) unsafe fn link<C: Ctx>(&self, cx: &mut C, node: *mut N) -> bool {
         // SAFETY: `node` is private to the caller; `prev` is the start word or
-        // a pinned node's link.
+        // a pinned node's link (a position with the key absent has one).
         unsafe {
-            (*N::lane(node, self.lane)).store_value(self.prev_val);
+            (*node).next().store_value(self.prev_val);
             cas::<T, C>(cx, &*self.prev, self.prev_val, tag::from_ptr(node), true)
         }
     }
@@ -469,9 +467,7 @@ impl<N: Link, const T: bool> Position<N, T> {
     /// moved on — marked by someone else, or a neighbour was linked behind
     /// the node — and the next pass sees that too.
     fn help_mark<C: Ctx>(&self, cx: &mut C, next: u64) {
-        // SAFETY: the candidate is linked in `lane`.
-        let link = unsafe { &*N::lane(self.holder(), self.lane) };
-        cas::<T, C>(cx, link, next, tag::marked(next), false);
+        cas::<T, C>(cx, self.holder().next(), next, tag::marked(next), false);
     }
 }
 
@@ -530,6 +526,7 @@ impl<N: Link> Position<N, TRACKED> {
     /// the first read of a range cursor, which proves nothing was inserted
     /// between the predecessor and the candidate.
     pub(crate) fn register_prev<C: Ctx>(&self, cx: &mut C) {
+        debug_assert!(!self.prev.is_null(), "an early exit has no predecessor");
         // SAFETY: `prev` is the start word or a pinned node's link.
         cx.add_read_with_counter(unsafe { &*self.prev }, self.prev_val, self.prev_cnt);
     }
@@ -784,7 +781,7 @@ impl<N: Link + Send + 'static> Position<N, TRACKED> {
             // still held, so `curr` and the owner of `prev` are allocated
             // (the head of a structure outlives the transaction: caller
             // contract of every container).
-            let (prev, link) = unsafe { (&*prev, &*N::lane(curr, 0)) };
+            let (prev, link) = unsafe { (&*prev, (*curr).next()) };
             let succ = mark(cx, link);
             if cx.nbtc_cas(prev, tag::from_ptr(curr), succ, false, false) {
                 // SAFETY: winning the unlink makes this the only retirer.
@@ -810,27 +807,25 @@ where
     unsafe { decode(node.value().load_value_spin(), N::Val::clone) }
 }
 
-/// Calls `f(node, live)` for every node reachable from `head` on lane 0, in
-/// chain order; `live` is false for removed nodes not yet unlinked.
+/// Calls `f(node, live)` for every node reachable from `head`, in chain
+/// order; `live` is false for removed nodes not yet unlinked.
 ///
 /// # Safety
 /// No operation may run on the chain concurrently.
 pub(crate) unsafe fn walk<N: Link>(head: &CasWord, mut f: impl FnMut(&N, bool)) {
     let mut bits = head.load_value_spin();
     while !tag::as_ptr::<N>(bits).is_null() {
-        let node = tag::as_ptr::<N>(bits);
         // SAFETY: quiescence is the caller's contract, so every reachable
-        // node stays allocated for the whole walk; lane 0 always exists.
-        unsafe {
-            bits = (*N::lane(node, 0)).load_value_spin();
-            f(&*node, (*node).value().load_value_spin() != DEAD);
-        }
+        // node stays allocated for the whole walk.
+        let node = unsafe { &*tag::as_ptr::<N>(bits) };
+        bits = node.next().load_value_spin();
+        f(node, node.value().load_value_spin() != DEAD);
     }
 }
 
-/// Frees every node still reachable from `head` on lane 0, and the value it
-/// is bound to (nodes unlinked earlier, and values replaced or removed, are
-/// owned by the EBR limbo bags).
+/// Frees every node still reachable from `head`, and the value it is bound
+/// to (nodes unlinked earlier, and values replaced or removed, are owned by
+/// the EBR limbo bags).
 ///
 /// # Safety
 /// The caller has exclusive access to the chain and never uses it again.
@@ -842,7 +837,7 @@ pub(crate) unsafe fn free_all<N: Link>(head: &CasWord) {
         // it is live until freed here, right after its link was read, and a
         // box belongs to the one value word that points to it.
         unsafe {
-            bits = (*N::lane(node, 0)).load_value_spin();
+            bits = (*node).next().load_value_spin();
             if let Some(val) = boxed::<N::Val>((*node).value().load_value_spin()) {
                 drop(Box::from_raw(val));
             }

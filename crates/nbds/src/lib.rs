@@ -14,8 +14,9 @@
 //! * [`SplitOrderedMap`] — the Shalev–Shavit split-ordered list: an
 //!   **elastic** hash table whose bucket directory doubles on-line under
 //!   load, with transactions composing across the table mid-grow;
-//! * [`SkipList`] — a Fraser-style CAS-based skiplist, every level of it the
-//!   same chain as the list's, with O(log n) post-commit index maintenance;
+//! * [`SkipList`] — a Fraser-style CAS-based skiplist, its level 0 the same
+//!   chain as the list's, its index levels plain words that pair each link
+//!   with its successor's key, kept by O(log n) post-commit maintenance;
 //! * [`MsQueue`] — the Michael–Scott FIFO queue.
 //!
 //! In the four maps a node keeps its value in a `CasWord` of its own, the
@@ -47,13 +48,15 @@
 //! through (list head, bucket sentinel link or the predecessor node's link;
 //! level 0 in the skiplist, whose upper levels are index, read with plain
 //! loads and never registered), `curr` the node holding the key and
-//! `curr.value` its value word.
+//! `curr.value` its value word.  A skiplist lookup that meets its key alive
+//! on an index level stops there, registering the same `curr.value`.
 //!
 //! | container | read-only outcome | registers | falsified by | which CASes |
 //! |---|---|---|---|---|
 //! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.value` | `put`-replace, `remove` | `curr.value` (to the new value; to "dead") |
 //! | same | key absent (`get` miss, `contains` false, failed `remove`), which includes "the candidate holds the key but is dead and not yet unlinked" | `prev` | `insert`, `put`-insert | `prev` (link; before that, the unlink of a dead candidate, also `prev`) |
 //! | same | a `put` after a lookup of its key in the same transaction that found it present (`get`, `contains`, failed `insert`, an earlier `put`'s replace): no search, one CAS on the word the lookup found | nothing more: the lookup registered that same `curr.value` | `put`-replace, `remove` between the two | `curr.value`: the lookup's read fails validation, or the put's pre-image its install; a dead word sends the put to the search |
+//! | [`SkipList`] | key present, its tower met alive above level 0 (`get`, `contains`, failed `insert`; a `put` replaces there) | `curr.value`, without descending further: a key has one live tower, and a dead word never revives | `put`-replace, `remove` | `curr.value` |
 //! | [`SkipList`] `range` | page of live keys | `prev` of the first candidate, then `node.next` and `node.value` of every live node in the window (`node.next` alone of a dead one not yet marked) | `insert`/`put`-insert into the window; `remove`/`put`-replace of a listed key | the `prev` or `node.next` it lands on; the `node.value` — all registered |
 //! | [`MsQueue`] | `dequeue` → `None`, `is_empty` → `true` | `dummy.next` (the head node's link) | `enqueue` | the last node's `next`, which is `dummy.next` while the queue is empty |
 //! | [`MsQueue`] | `is_empty` → `false` | `head` | `dequeue` | `head` (swing to the next node) |

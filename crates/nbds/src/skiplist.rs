@@ -1,10 +1,13 @@
 //! NBTC-transformed lock-free skiplist (in the style of Fraser's CAS-based
 //! skiplist, which the paper transforms for Medley and LFTT).
 //!
-//! Every level is the crate's ordered chain (`chain.rs`) on its own *lane* of
-//! the towers.  A search reads the index with plain loads and runs the
-//! chain's traversal, `chain::try_find`, on level 0 alone; the cleanup passes
-//! below run it on the level they clean, entered at a hint, not at a head.
+//! Level 0 is the crate's ordered chain (`chain.rs`) on the towers' level-0
+//! links; the levels above it are an index of plain pair words (see
+//! Towers).  A lookup reads the index, one word per step, and either stops
+//! at a live tower of its key there (see Early exit) or runs the chain's
+//! traversal, `chain::try_find`, on level 0.  The cleanup passes below run
+//! that traversal on level 0 and a Harris find of their own on the index
+//! levels they clean, entered at a hint, not at a head.
 //!
 //! Membership is defined by level 0's value word: a key is in the map while
 //! a tower holding it is linked on level 0 and its value word is alive.  An
@@ -29,13 +32,31 @@
 //! dead tower in its way (it marks, unlinks on level 0 and links its own; it
 //! never retires).
 //!
+//! # Early exit
+//!
+//! A lookup that stops on an index level at a link naming its key loads
+//! that tower's value word, counted, so that a transaction reads its own
+//! write there.  If the word is not dead, the tower is the key's holder and
+//! the lookup ends: it registers and remembers exactly the word the level-0
+//! search would have found.  That is exact because a key has at most one
+//! tower with a live value word, a dead word never revives, and a tower is
+//! linked on an index level only after its level-0 link took effect, so a
+//! live one met there is in the map.  A dead one sends the lookup on down.
+//! Every hit on a tower taller than 1, about half of all hits, ends this way.
+//! `remove` and `range` search down to level 0: a purge needs a predecessor
+//! on every level, and a range page registers the level-0 link into its
+//! first key.
+//!
 //! # Index maintenance
 //!
 //! The upper levels are a probabilistic index (in nbMontage terms "index",
 //! not "payload").  Only maintenance writes them, after the linearization is
-//! decided — at once standalone, post-commit in a transaction — in a `NonTx`
-//! context, so no transaction buffers or rolls back an upper-lane CAS, and a
-//! plain load of an upper lane is exact even inside one.  A search does no
+//! decided — at once standalone, post-commit in a transaction — with plain
+//! CASes that no transaction buffers or rolls back, so a plain load of an
+//! upper lane is exact even inside one.  Every write of a lane stores a
+//! pointer together with its target's key: a new tower's lane is a copy of
+//! its predecessor's, a link CAS writes `(node, its key)`, a mark keeps the
+//! key half, and an unlink copies the victim's frozen word.  A search does no
 //! more there: from the highest occupied level down it steps through marked
 //! nodes, helping nobody.  Maintenance costs O(log n): it starts on each
 //! level at the predecessor the search found there.  Such a hint may be dead;
@@ -75,15 +96,23 @@
 //!
 //! # Towers
 //!
-//! A node is allocated as a 32-byte header (key, height, value word)
-//! followed by exactly `height` lanes — 64 bytes on average, not a fixed
-//! 20-lane array — as one `Tower<V, H>` of its own height, so allocation,
-//! `tdelete`, retirement and `Drop` stay typed.  A value that is not a small
-//! `u64` lives in a box of its own that the value word points to.
+//! A node is allocated as a 48-byte header (key, height, value word, level-0
+//! link) followed by exactly `height - 1` index lanes — 64 bytes on average,
+//! not a fixed 20-lane array — as one `Tower<V, I>` with its number of
+//! lanes, so allocation, `tdelete`, retirement and `Drop` stay typed.  The
+//! level-0 link is a Medley `CasWord`, the transactional chain's.  An index
+//! lane is a plain 128-bit word `(successor | mark, successor's key)`, the
+//! end of a level sorting as key `u64::MAX`: a descent step compares the key
+//! half and follows the pointer half, one load that never touches a node
+//! header.  No counter half is needed there: nothing registers an index
+//! word, no descriptor is ever installed in one, and a CAS on one compares
+//! the pointer (the key half follows from it), which EBR and "a marked tower
+//! is never relinked" keep free of ABA.  A value that is not a small `u64` lives in a box of its own that
+//! the value word points to.
 
 use crate::chain::{self, Link, MemoKey, Put, TRACKED};
 use crate::tag;
-use medley::{CasWord, Ctx, NonTx};
+use medley::{AtomicU128, CasWord, Ctx, NonTx};
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -109,7 +138,22 @@ impl Bound {
     }
 }
 
-/// The header of a tower; its lanes follow it (see [`Tower`]).
+/// An index word: the pointer half (successor and deletion mark) and the
+/// key half (the successor's key).
+fn pair(bits: u64, key: u64) -> u128 {
+    u128::from(key) << 64 | u128::from(bits)
+}
+
+/// The `(pointer half, key half)` of an index word.
+fn halves(word: u128) -> (u64, u64) {
+    (word as u64, (word >> 64) as u64)
+}
+
+/// The index word at the end of a level: no successor, sorting after every
+/// key.
+const END: u128 = (u64::MAX as u128) << 64;
+
+/// The header of a tower; its index lanes follow it (see [`Tower`]).
 #[repr(C)]
 struct Node<V> {
     key: u64,
@@ -118,6 +162,8 @@ struct Node<V> {
     done: AtomicU8,
     /// What the key is bound to (the value word of `chain.rs`).
     value: CasWord,
+    /// The link on level 0, the chain's.
+    next: CasWord,
     _val: PhantomData<V>,
 }
 
@@ -127,24 +173,26 @@ const LINKED: u8 = 1;
 /// The node's remover has purged it from every lane.
 const REMOVED: u8 = 2;
 
-/// What a node is allocated as: the header and one lane per level.
+/// What a node is allocated as: the header and one index lane per level
+/// above 0.
 #[repr(C)]
-struct Tower<V, const H: usize> {
+struct Tower<V, const I: usize> {
     node: Node<V>,
-    lanes: [CasWord; H],
+    /// Levels 1 to `I`.
+    index: [AtomicU128; I],
 }
 
-/// Evaluates `$body` with the constant `$H` equal to `$height`, so that a
-/// node can be handed to the allocator as the `Tower<V, H>` it is.
+/// Evaluates `$body` with the constant `$I` equal to `$height - 1`, so that
+/// a node can be handed to the allocator as the `Tower<V, I>` it is.
 macro_rules! with_height {
-    ($height:expr, $H:ident => $body:expr) => {
-        with_height!(@arms $height, $H, $body,
+    ($height:expr, $I:ident => $body:expr) => {
+        with_height!(@arms $height, $I, $body,
             1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20)
     };
-    (@arms $height:expr, $H:ident, $body:expr, $($n:literal)*) => {
+    (@arms $height:expr, $I:ident, $body:expr, $($n:literal)*) => {
         match $height {
             $($n => {
-                const $H: usize = $n;
+                const $I: usize = $n - 1;
                 $body
             })*
             h => unreachable!("tower height {h}"),
@@ -154,12 +202,41 @@ macro_rules! with_height {
 const _: () = assert!(MAX_HEIGHT == 20, "`with_height!` lists the heights");
 
 impl<V> Node<V> {
-    /// Offset of lane 0 from the header, the same at every height.
-    const LANES: usize = std::mem::offset_of!(Tower<V, 1>, lanes);
+    /// Offset of the level-1 lane from the header, the same at every height.
+    const INDEX: usize = std::mem::offset_of!(Tower<V, 0>, index);
+
+    /// The index lane of `this` on `level`.
+    ///
+    /// # Safety
+    /// `this` heads a tower taller than `level`, which is at least 1, and
+    /// may be used for all of it.
+    #[inline]
+    unsafe fn lane(this: *const Self, level: usize) -> *const AtomicU128 {
+        debug_assert!(level >= 1, "level 0 is `next`");
+        // SAFETY: the caller's contract; `repr(C)` puts `index` at `INDEX`.
+        unsafe {
+            this.byte_add(Self::INDEX)
+                .cast::<AtomicU128>()
+                .add(level - 1)
+        }
+    }
 }
 
-/// Unlinking from a lane does not retire: the tower may still be linked in
-/// others, so it is retired by handoff (see the module docs).
+/// Checks, under `debug_assertions`, that the key half `key` of a followed
+/// index word names the key of `node`.  This is a plain load of the header,
+/// which AddressSanitizer sees; the loads of the index words are inline
+/// assembly, which it does not.
+///
+/// # Safety
+/// `node` was read from an index word under the current pin.
+#[inline]
+unsafe fn check_key<V>(node: *const Node<V>, key: u64) {
+    // SAFETY: the caller's contract keeps the node allocated.
+    debug_assert_eq!(unsafe { (*node).key }, key, "an index word's key half");
+}
+
+/// Unlinking from level 0 does not retire: the tower may still be linked in
+/// the index, so it is retired by handoff (see the module docs).
 impl<V> Link for Node<V> {
     type Key = Bound;
     type Val = V;
@@ -170,25 +247,23 @@ impl<V> Link for Node<V> {
     fn value(&self) -> &CasWord {
         &self.value
     }
-    unsafe fn lane(this: *const Self, lane: usize) -> *const CasWord {
-        // SAFETY: `this` heads a `Tower<V, H>` with `lane < H` and may be used
-        // for all of it (caller contract); `repr(C)` puts `lanes` at `LANES`.
-        unsafe { this.byte_add(Self::LANES).cast::<CasWord>().add(lane) }
+    fn next(&self) -> &CasWord {
+        &self.next
     }
     unsafe fn free(this: *mut Self) {
         // SAFETY: the caller owns the node, which was allocated as the tower
         // of its height.
         unsafe {
-            with_height!((*this).height, H => drop(Box::from_raw(this.cast::<Tower<V, H>>())))
+            with_height!((*this).height, I => drop(Box::from_raw(this.cast::<Tower<V, I>>())))
         }
     }
     unsafe fn tdelete<C: Ctx>(cx: &mut C, this: *mut Self) {
         // SAFETY: the caller's contract, and as above.
-        unsafe { with_height!((*this).height, H => cx.tdelete(this.cast::<Tower<V, H>>())) }
+        unsafe { with_height!((*this).height, I => cx.tdelete(this.cast::<Tower<V, I>>())) }
     }
 }
 
-/// A position in one lane of the towers.
+/// A position on level 0.
 type Pos<V> = chain::Position<Node<V>, TRACKED>;
 
 /// The predecessor of a key on every level, as its search found them (null:
@@ -197,7 +272,10 @@ type Preds<V> = [*mut Node<V>; MAX_HEIGHT];
 
 /// A lock-free, NBTC-composable skiplist map from `u64` keys to `V`.
 pub struct SkipList<V> {
-    head: [CasWord; MAX_HEIGHT],
+    /// The head tower's level-0 link ...
+    head: CasWord,
+    /// ... and its index lanes, level `l` at `l - 1`.
+    index: [AtomicU128; MAX_HEIGHT - 1],
     seed: AtomicU64,
     /// No tower is taller (a hint: raised before a tower can be linked).
     top: AtomicU8,
@@ -206,6 +284,7 @@ pub struct SkipList<V> {
 
 // SAFETY: shared concurrent container, nodes reclaimed through EBR.
 unsafe impl<V: Send + Sync> Send for SkipList<V> {}
+// SAFETY: every shared word is atomic, and a node is freed only by EBR.
 unsafe impl<V: Send + Sync> Sync for SkipList<V> {}
 
 impl<V> SkipList<V>
@@ -215,7 +294,8 @@ where
     /// Creates an empty skiplist.
     pub fn new() -> Self {
         Self {
-            head: std::array::from_fn(|_| CasWord::new(0)),
+            head: CasWord::new(0),
+            index: std::array::from_fn(|_| AtomicU128::new(END)),
             seed: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             top: AtomicU8::new(1),
             _marker: PhantomData,
@@ -233,17 +313,30 @@ where
         ((x.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    /// The level-`level` link word of `node`, or of the head tower when
-    /// `node` is null.
+    /// The level-0 link of `node`, or of the head tower when `node` is null.
+    ///
+    /// # Safety
+    /// `node` is null or protected by the current pin.
+    unsafe fn next(&self, node: *mut Node<V>) -> &CasWord {
+        if node.is_null() {
+            &self.head
+        } else {
+            // SAFETY: the caller's contract.
+            unsafe { &(*node).next }
+        }
+    }
+
+    /// The index lane of `node` on `level` (at least 1), or of the head
+    /// tower when `node` is null.
     ///
     /// # Safety
     /// `node` is null or protected by the current pin and taller than `level`.
     #[inline]
-    unsafe fn word_at(&self, node: *mut Node<V>, level: usize) -> &CasWord {
+    unsafe fn lane(&self, node: *mut Node<V>, level: usize) -> &AtomicU128 {
         if node.is_null() {
             #[cfg(test)]
             HEADS.with(|h| h.set(h.get() | 1 << level));
-            &self.head[level]
+            &self.index[level - 1]
         } else {
             // SAFETY: the caller's contract; node pointers come out of link
             // words, which hold pointers to whole towers.
@@ -254,10 +347,12 @@ where
     /// Searches for `key` and returns its level-0 position, recording in
     /// `preds` the last node before it on every level.  The index is only
     /// read (module docs), as in Herlihy and Shavit's wait-free `contains`:
-    /// plain loads, through marked nodes, never loading the link of the node
-    /// they stop at.  Level 0, where the outcome is decided and registered,
-    /// is the chain's traversal ([`SkipList::reposition`]).
-    fn search<C: Ctx>(&self, cx: &mut C, key: u64, preds: &mut Preds<V>) -> Pos<V> {
+    /// one plain load per step, through marked nodes, never loading the link
+    /// of the node they stop at.  With `exit`, a live tower of `key` met on
+    /// an index level ends the search (module docs) with `preds` filled down
+    /// to that level only.  Level 0, where the outcome is otherwise decided
+    /// and registered, is the chain's traversal ([`SkipList::reposition`]).
+    fn search<C: Ctx>(&self, cx: &mut C, key: u64, preds: &mut Preds<V>, exit: bool) -> Pos<V> {
         let mut pred = ptr::null_mut();
         for level in (1..usize::from(self.top.load(Ordering::Relaxed))).rev() {
             // Enter at the predecessor found above unless its link here is
@@ -265,39 +360,61 @@ where
             // link older than our pin — and then at the nearest earlier one
             // whose link is not, the head last.
             let mut from = level + 1;
-            let mut next = loop {
+            let (mut bits, mut next_key) = loop {
                 // SAFETY: pinned by the caller's `with_op`; `pred` is null or
                 // was met on level `from > level`, so it has this lane.
-                let bits = cx.untracked_load(unsafe { self.word_at(pred, level) });
+                let (bits, next_key) = halves(unsafe { self.lane(pred, level) }.load());
                 if !tag::is_marked(bits) {
-                    break tag::as_ptr::<Node<V>>(bits);
+                    break (bits, next_key);
                 }
                 from += 1;
                 pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
             };
-            // SAFETY: `next` was read from this lane under the pin, from an
-            // unmarked link (its owner was in the lane then, and so was
-            // `next`) or from the frozen link of a marked node met here (the
-            // owner was in the lane at or after the pin; when it left, its
-            // link pointed at a node in the lane).  Either way `next` was in
-            // the lane at or after the pin, so it was not retired before it.
-            while !next.is_null() && unsafe { (*next).key } < key {
+            // Every node `bits` points at was read from this lane under the
+            // pin, from an unmarked link (its owner was in the lane then, and
+            // so was the node) or from the frozen link of a marked node met
+            // here (the owner was in the lane at or after the pin; when it
+            // left, its link pointed at a node in the lane).  Either way the
+            // node was in the lane at or after the pin, so it was not retired
+            // before it.
+            while next_key < key {
                 #[cfg(test)]
                 chain::HOPS.with(|h| h.set(h.get() + 1));
-                pred = next;
-                // SAFETY: as above; a node linked on a level has that lane.
-                next = tag::as_ptr(cx.untracked_load(unsafe { self.word_at(pred, level) }));
+                pred = tag::as_ptr(bits);
+                // SAFETY: a key half below `key` is not the end's, so `pred`
+                // is a node, allocated (above) and, linked on this level,
+                // taller than it.
+                (bits, next_key) = unsafe {
+                    check_key(pred, next_key);
+                    halves((*Node::lane(pred, level)).load())
+                };
             }
             preds[level] = pred;
+            let next = tag::as_ptr::<Node<V>>(bits);
+            if exit && next_key == key && !next.is_null() {
+                // SAFETY: `next` is a node, allocated (above).
+                let value = unsafe {
+                    check_key(next, key);
+                    &(*next).value
+                };
+                let (val, cnt) = cx.nbtc_load_counted(value);
+                // A dead tower sends the search on down.
+                if val != chain::DEAD {
+                    return Pos::alive(next, val, cnt);
+                }
+            }
         }
         preds[0] = pred;
+        #[cfg(test)]
+        FLOORS.with(|f| f.set(f.get() + 1));
         // SAFETY: pinned, and every hint was met on its level by this descent.
-        unsafe { self.reposition(cx, 0, Bound::at(key), preds) }
+        unsafe { self.reposition(cx, Bound::at(key), preds) }
     }
 
-    /// [`SkipList::search`] for callers that do not need the predecessors.
+    /// [`SkipList::search`], ending early, for callers that do not need the
+    /// predecessors.
     fn locate<C: Ctx>(&self, cx: &mut C, key: u64) -> Pos<V> {
-        self.search(cx, key, &mut [ptr::null_mut(); MAX_HEIGHT])
+        self.search(cx, key, &mut [ptr::null_mut(); MAX_HEIGHT], true)
     }
 
     /// Looks up `key`.
@@ -342,24 +459,25 @@ where
             if bounds.start >= bounds.end || limit == 0 {
                 return out;
             }
-            let pos = self.locate(cx, bounds.start);
+            let preds = &mut [ptr::null_mut(); MAX_HEIGHT];
+            let pos = self.search(cx, bounds.start, preds, false);
             pos.register_prev(cx);
             let mut curr = pos.curr();
             while !curr.is_null() {
                 // SAFETY: every node on the level-0 list is protected by the
                 // current pin; keys are immutable after construction.
-                let (node, link) = unsafe { (&*curr, self.word_at(curr, 0)) };
+                let node = unsafe { &*curr };
                 if node.key >= bounds.end || out.len() == limit {
                     break;
                 }
-                let (next_raw, next_cnt) = cx.nbtc_load_counted(link);
+                let (next_raw, next_cnt) = cx.nbtc_load_counted(&node.next);
                 curr = tag::as_ptr::<Node<V>>(next_raw);
                 if tag::is_marked(next_raw) {
                     // Removed and frozen: hop over it unregistered.
                     continue;
                 }
                 // Pins the link to the successor.
-                cx.add_read_with_counter(link, next_raw, next_cnt);
+                cx.add_read_with_counter(&node.next, next_raw, next_cnt);
                 let (val, val_cnt) = cx.nbtc_load_counted(&node.value);
                 if val != chain::DEAD {
                     // Proves membership, and the binding.
@@ -373,27 +491,21 @@ where
         })
     }
 
-    /// One chain traversal of `level` up to `bound`, the one rule that turns
-    /// hints into a position: from `preds[level]`, or, while that node's link
-    /// here is marked, from `preds[level + 1]`, …, the head (module docs).
+    /// One chain traversal of level 0 up to `bound`, the one rule that turns
+    /// hints into a position: from `preds[0]`, or, while that node's link is
+    /// marked, from `preds[1]`, …, the head (module docs).
     ///
     /// # Safety
     /// Pinned; every `preds[l]` is null or a node with key below `bound`
     /// that was met on level `l` under the pin.
-    unsafe fn reposition<C: Ctx>(
-        &self,
-        cx: &mut C,
-        level: usize,
-        bound: Bound,
-        preds: &Preds<V>,
-    ) -> Pos<V> {
-        let mut from = level;
+    unsafe fn reposition<C: Ctx>(&self, cx: &mut C, bound: Bound, preds: &Preds<V>) -> Pos<V> {
+        let mut from = 0;
         loop {
             let pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
             // SAFETY: the caller's contract on `preds`.
-            let start = unsafe { self.word_at(pred, level) };
-            // SAFETY: pinned, and a node linked on a level has that lane.
-            if let Some(pos) = unsafe { chain::try_find(cx, start, level, bound) } {
+            let start = unsafe { self.next(pred) };
+            // SAFETY: pinned.
+            if let Some(pos) = unsafe { chain::try_find(cx, start, bound) } {
                 return pos;
             }
             // Otherwise the pass lost an unlink race and is simply repeated.
@@ -403,11 +515,102 @@ where
         }
     }
 
+    /// One pass of Harris's find on index level `level` from `start`, the
+    /// index's [`chain::try_find`]: returns the lane before the first tower
+    /// at or past `bound` and the word seen in it, unlinking every marked
+    /// tower on the way.  `None` means the pass has to be restarted: it lost
+    /// an unlink race, or met a marked word (`start` among them).
+    ///
+    /// # Safety
+    /// Pinned; `start` is the lane on `level` of the head or of a tower met
+    /// on that level under the pin.
+    unsafe fn try_find_index(
+        level: usize,
+        start: &AtomicU128,
+        bound: Bound,
+    ) -> Option<(&AtomicU128, u128)> {
+        let (mut prev, mut word) = (start, start.load());
+        loop {
+            let (bits, key) = halves(word);
+            let curr = tag::as_ptr::<Node<V>>(bits);
+            if tag::is_marked(bits) {
+                return None;
+            }
+            if curr.is_null() {
+                return Some((prev, word));
+            }
+            // SAFETY: `curr` was in the level under the pin (as in
+            // `search`), so it is allocated and has this lane.
+            let link = unsafe {
+                check_key(curr, key);
+                &*Node::lane(curr, level)
+            };
+            let next = link.load();
+            let (next_bits, next_key) = halves(next);
+            if tag::is_marked(next_bits) {
+                // Removed: unlink it, its frozen word into `prev`.
+                let succ = pair(tag::unmarked(next_bits), next_key);
+                if !prev.cas(word, succ) {
+                    return None;
+                }
+                word = succ;
+                continue;
+            }
+            if Bound::at(key) >= bound {
+                return Some((prev, word));
+            }
+            (prev, word) = (link, next);
+        }
+    }
+
+    /// [`SkipList::try_find_index`] from the hints, by the rule of
+    /// [`SkipList::reposition`].
+    ///
+    /// # Safety
+    /// As for [`SkipList::reposition`]; `level` is at least 1.
+    unsafe fn find_index(
+        &self,
+        level: usize,
+        bound: Bound,
+        preds: &Preds<V>,
+    ) -> (&AtomicU128, u128) {
+        let mut from = level;
+        loop {
+            let pred = preds.get(from).copied().unwrap_or(ptr::null_mut());
+            // SAFETY: the caller's contract on `preds`; a node met on level
+            // `from >= level` has this lane.
+            let start = unsafe { self.lane(pred, level) };
+            // SAFETY: as above.
+            if let Some(found) = unsafe { Self::try_find_index(level, start, bound) } {
+                return found;
+            }
+            if !pred.is_null() && tag::is_marked(halves(start.load()).0) {
+                from += 1;
+            }
+        }
+    }
+
+    /// The purge of `key` on `level`: one pass from the hints through the
+    /// equal keys, unlinking every marked node (module docs).
+    ///
+    /// # Safety
+    /// As for [`SkipList::reposition`].
+    unsafe fn purge(&self, cx: &mut NonTx<'_>, key: u64, level: usize, preds: &Preds<V>) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            if level == 0 {
+                self.reposition(cx, Bound::past(key), preds);
+            } else {
+                self.find_index(level, Bound::past(key), preds);
+            }
+        }
+    }
+
     /// Links `node` on `level`.  `false` means the node is being removed and
     /// must not be linked any higher.
     ///
     /// # Safety
-    /// As for [`SkipList::reposition`]; `node` holds `key`, is taller than
+    /// As for [`SkipList::find_index`]; `node` holds `key`, is taller than
     /// `level`, linked on every level below and not yet released by its
     /// linker, which is the caller.
     unsafe fn link_level(
@@ -420,30 +623,31 @@ where
     ) -> bool {
         // SAFETY (whole body): `node` is not retired before its linker
         // releases it; the rest is the caller's contract.
-        let (value, own) = unsafe { (&(*node).value, self.word_at(node, level)) };
+        let (value, own) = unsafe { (&(*node).value, self.lane(node, level)) };
         loop {
             if cx.nbtc_load(value) == chain::DEAD {
                 return false;
             }
-            let (prev, succ) = unsafe { self.reposition(cx, level, Bound::at(key), preds) }.prev();
+            // SAFETY: the caller's contract.
+            let (prev, succ) = unsafe { self.find_index(level, Bound::at(key), preds) };
             // Point the node at its successor, unless its remover got here.
-            let cur = cx.nbtc_load(own);
-            if tag::is_marked(cur) {
+            let cur = own.load();
+            if tag::is_marked(halves(cur).0) {
                 return false;
             }
-            if cur != succ && !cx.nbtc_cas(own, cur, succ, false, false) {
+            if cur != succ && !own.cas(cur, succ) {
                 continue;
             }
             #[cfg(test)]
             pause::BEFORE_LINK.pass(key);
-            if !cx.nbtc_cas(unsafe { &*prev }, succ, tag::from_ptr(node), false, false) {
+            if !prev.cas(succ, pair(tag::from_ptr(node), key)) {
                 continue;
             }
             // Linked.  If the remover marked this lane before the link, its
             // purge may have come and gone: undo the link ourselves.
-            if tag::is_marked(cx.nbtc_load(own)) {
-                // SAFETY: the caller's contract.  A purge, as in `maintain`.
-                unsafe { self.reposition(cx, level, Bound::past(key), preds) };
+            if tag::is_marked(halves(own.load()).0) {
+                // SAFETY: the caller's contract.
+                unsafe { self.purge(cx, key, level, preds) };
                 return false;
             }
             return true;
@@ -467,28 +671,40 @@ where
     ) {
         // SAFETY (whole body): neither node is retired before this call
         // releases it.
-        let height =
-            |node: Option<*mut Node<V>>| node.map_or(0, |n| unsafe { (*n).height } as usize);
+        let height = |node: Option<*mut Node<V>>| {
+            // SAFETY: as just said.
+            node.map_or(0, |n| unsafe { (*n).height } as usize)
+        };
         let (purge_top, mut link_top) = (height(deleted), height(linked));
         if let Some(victim) = deleted {
             #[cfg(test)]
             pause::BEFORE_MARK.pass(key);
-            // Level 0 last, where an insert of the key may have helped.
-            for level in (0..purge_top).rev() {
+            for level in (1..purge_top).rev() {
                 // SAFETY: pinned, and `purge_top` is the victim's height.
-                chain::mark(cx, unsafe { self.word_at(victim, level) });
+                let lane = unsafe { self.lane(victim, level) };
+                loop {
+                    let word = lane.load();
+                    let (bits, next_key) = halves(word);
+                    if lane.cas(word, pair(tag::marked(bits), next_key)) {
+                        break;
+                    }
+                }
             }
+            // Level 0 last, where an insert of the key may have helped.
+            // SAFETY: the victim is not retired before this call releases it.
+            chain::mark(cx, unsafe { &(*victim).next });
             #[cfg(test)]
             pause::BEFORE_PURGE.pass(key);
         }
         // Bottom-up, so that a node linked on a level is linked below it.
         for level in 0..purge_top.max(link_top) {
             if level < purge_top {
-                // SAFETY: the caller's contract.  The purge: through the
-                // equal keys, unlinking every marked node (module docs).
-                unsafe { self.reposition(cx, level, Bound::past(key), preds) };
+                // SAFETY: the caller's contract.
+                unsafe { self.purge(cx, key, level, preds) };
             }
             if let Some(node) = linked.filter(|_| (1..link_top).contains(&level)) {
+                // SAFETY: the caller's contract; `node` is linked below
+                // `level`, or this loop would have stopped linking it.
                 if !unsafe { self.link_level(cx, key, node, level, preds) } {
                     link_top = 0;
                 }
@@ -497,10 +713,11 @@ where
         for (node, who) in [(linked, LINKED), (deleted, REMOVED)] {
             let Some(node) = node else { continue };
             // Whoever is done with the node last retires it.
+            // SAFETY: not retired before this call releases it.
             if unsafe { &(*node).done }.fetch_or(who, Ordering::AcqRel) | who == LINKED | REMOVED {
                 // SAFETY: in no lane and never linked again (module docs).
                 unsafe {
-                    with_height!((*node).height, H => cx.retire_now(node.cast::<Tower<V, H>>()))
+                    with_height!((*node).height, I => cx.retire_now(node.cast::<Tower<V, I>>()))
                 }
             }
         }
@@ -516,11 +733,12 @@ where
             height: height as u8,
             done: AtomicU8::new(if height == 1 { LINKED } else { 0 }),
             value: CasWord::new(bits),
+            next: CasWord::new(0),
             _val: PhantomData,
         };
-        with_height!(height, H => {
-            let lanes = std::array::from_fn(|_| CasWord::new(0));
-            cx.tnew(Tower::<V, H> { node, lanes }).cast()
+        with_height!(height, I => {
+            let index = std::array::from_fn(|_| AtomicU128::new(END));
+            cx.tnew(Tower::<V, I> { node, index }).cast()
         })
     }
 
@@ -556,14 +774,16 @@ where
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         cx.with_op(|cx| {
             let mut preds = [ptr::null_mut(); MAX_HEIGHT];
-            // Linearization + publication point: the bottom-level link.
+            // Linearization + publication point: the bottom-level link.  A
+            // search that ends early finds the key present, so the one that
+            // leads to a link went down to level 0 and filled `preds`.
             // SAFETY: `search` positions are taken under this `with_op`'s
             // pin, and `new_node` towers are fresh from `tnew`.
             let linked = unsafe {
                 chain::insert(
                     cx,
                     MemoKey::new(self, key),
-                    |cx| self.search(cx, key, &mut preds),
+                    |cx| self.search(cx, key, &mut preds, true),
                     |cx| {
                         let bits = chain::encode(cx, val);
                         self.new_node(cx, key, bits)
@@ -584,11 +804,12 @@ where
             let at = MemoKey::new(self, key);
             let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization point: the CAS of the found node's value word,
-            // or the bottom-level link of a new one.
+            // or the bottom-level link of a new one (after a full search, as
+            // in `insert`).
             // SAFETY: as in `insert`; a replace is what hands its old word
             // to `take`.
             unsafe {
-                let locate = |cx: &mut C| self.search(cx, key, &mut preds);
+                let locate = |cx: &mut C| self.search(cx, key, &mut preds, true);
                 match chain::put(cx, bits, at, locate, |cx| self.new_node(cx, key, bits)) {
                     Put::Inserted(node) => {
                         self.maintain_on_commit(cx, key, Some(node), None, preds);
@@ -605,7 +826,8 @@ where
         cx.with_op(|cx| {
             let mut preds = [ptr::null_mut(); MAX_HEIGHT];
             // Linearization point: the CAS of the value word to "dead".
-            let (removed, old) = chain::remove(cx, |cx| self.search(cx, key, &mut preds))?;
+            let locate = |cx: &mut C| self.search(cx, key, &mut preds, false);
+            let (removed, old) = chain::remove(cx, locate)?;
             self.maintain_on_commit(cx, key, None, Some(removed.curr()), preds);
             // SAFETY: the remove is what took the word out.
             Some(unsafe { chain::take(cx, old) })
@@ -617,7 +839,7 @@ where
         let mut out = Vec::new();
         // SAFETY: quiescence is the caller's contract.
         unsafe {
-            chain::walk(&self.head[0], |n: &Node<V>, live| {
+            chain::walk(&self.head, |n: &Node<V>, live| {
                 if live {
                     out.push((n.key, chain::value_of(n)));
                 }
@@ -631,13 +853,32 @@ where
         self.snapshot().len()
     }
 
+    /// The link of `node` (null: the head) on `level`: its pointer half and,
+    /// on an index level, its key half.
+    ///
+    /// # Safety
+    /// As for [`SkipList::lane`], and no operation runs concurrently.
+    unsafe fn link_quiescent(&self, node: *mut Node<V>, level: usize) -> (u64, Option<u64>) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            if level == 0 {
+                (self.next(node).load_value_spin(), None)
+            } else {
+                let (bits, key) = halves(self.lane(node, level).load());
+                (bits, Some(key))
+            }
+        }
+    }
+
     /// Quiescent structural check, for tests and stress runs.  Verifies:
     ///
     /// * every level is sorted by key, strictly among live nodes;
     /// * every node linked on an upper level is reachable on level 0 (the
     ///   level-0 addresses are collected first and a pointer is looked up in
     ///   them *before* it is followed, so a dangling index pointer is
-    ///   reported, not dereferenced) and is taller than that level.
+    ///   reported, not dereferenced) and is taller than that level;
+    /// * every index word's key half is its successor's key (`u64::MAX` at
+    ///   the end of a level), the head's included.
     ///
     /// Returns how many deleted nodes are still linked `(on level 0, on the
     /// levels above)`: once every operation has returned, its maintenance
@@ -648,26 +889,42 @@ where
         let mut leftover = (0u64, 0u64);
         for level in 0..MAX_HEIGHT {
             let mut last: Option<(u64, bool)> = None;
-            let mut bits = self.head[level].load_value_spin();
-            while !tag::as_ptr::<Node<V>>(bits).is_null() {
+            // SAFETY: quiescence is the caller's contract; the head has every
+            // level.
+            let (mut bits, mut half) = unsafe { self.link_quiescent(ptr::null_mut(), level) };
+            loop {
                 let node = tag::as_ptr::<Node<V>>(bits);
-                if level > 0 && !towers.contains_key(&(node as usize)) {
+                if level > 0 && !node.is_null() && !towers.contains_key(&(node as usize)) {
                     return Err(format!(
                         "level {level}: dangling index pointer {node:p} after key {:?}",
                         last.map(|(key, _)| key)
                     ));
                 }
-                // SAFETY: quiescence is the caller's contract, and `node` is
-                // reachable on level 0 (walked first; checked just above).
-                let (key, height, value) =
-                    unsafe { ((*node).key, (*node).height as usize, &(*node).value) };
+                // SAFETY: as above, and `node` is reachable on level 0
+                // (walked first; checked just above).
+                let key = if node.is_null() {
+                    u64::MAX
+                } else {
+                    unsafe { (*node).key }
+                };
+                if half.is_some_and(|half| half != key) {
+                    return Err(format!(
+                        "level {level}: the link after key {:?} says key {half:?}, not {key}",
+                        last.map(|(key, _)| key)
+                    ));
+                }
+                if node.is_null() {
+                    break;
+                }
+                // SAFETY: as above.
+                let (height, value) = unsafe { ((*node).height as usize, &(*node).value) };
                 if height <= level {
                     return Err(format!(
                         "level {level}: key {key} linked above its height {height}"
                     ));
                 }
                 // SAFETY: as above, and `level < height`.
-                bits = unsafe { self.word_at(node, level) }.load_value_spin();
+                (bits, half) = unsafe { self.link_quiescent(node, level) };
                 let mut live = !tag::is_marked(bits) && value.load_value_spin() != chain::DEAD;
                 if level == 0 {
                     towers.insert(node as usize, live);
@@ -682,7 +939,6 @@ where
                     }
                 }
                 last = Some((key, live));
-                bits = tag::unmarked(bits);
             }
         }
         Ok(leftover)
@@ -702,7 +958,7 @@ impl<V> Drop for SkipList<V> {
     fn drop(&mut self) {
         // Every node is reachable at level 0.
         // SAFETY: `&mut self` gives exclusive access.
-        unsafe { chain::free_all::<Node<V>>(&self.head[0]) };
+        unsafe { chain::free_all::<Node<V>>(&self.head) };
     }
 }
 
@@ -711,8 +967,11 @@ impl<V> Drop for SkipList<V> {
 #[cfg(test)]
 mod pause {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     pub(super) struct Gate {
+        /// Held by the test that armed the gate: tests of one gate take turns.
+        turn: Mutex<()>,
         pub(super) key: AtomicU64,
         pub(super) armed: AtomicBool,
         pub(super) parked: AtomicBool,
@@ -722,6 +981,7 @@ mod pause {
     impl Gate {
         const fn new() -> Self {
             Self {
+                turn: Mutex::new(()),
                 key: AtomicU64::new(0),
                 armed: AtomicBool::new(false),
                 parked: AtomicBool::new(false),
@@ -729,9 +989,15 @@ mod pause {
             }
         }
 
-        pub(super) fn arm(&self, key: u64) {
+        /// Arms the gate for `key` once the last test that armed it is done;
+        /// the turn lasts as long as the guard.
+        pub(super) fn arm(&self, key: u64) -> MutexGuard<'_, ()> {
+            let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+            self.parked.store(false, SeqCst);
+            self.resume.store(false, SeqCst);
             self.key.store(key, SeqCst);
             self.armed.store(true, SeqCst);
+            turn
         }
 
         pub(super) fn pass(&self, key: u64) {
@@ -755,17 +1021,19 @@ mod pause {
     pub(super) static BEFORE_PURGE: Gate = Gate::new();
 }
 
-// The head words read on this thread, one bit per level: for the test that
-// pins the descent's start below `top`.
+// The head index words read on this thread, one bit per level, and the
+// searches that went down to level 0: for the tests that pin the descent's
+// start below `top` and its early exit.
 #[cfg(test)]
 thread_local! {
     static HEADS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    static FLOORS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medley::{AbortReason, TxManager, TxResult};
+    use medley::{AbortReason, TxError, TxManager, TxResult};
     use std::sync::Arc;
 
     #[test]
@@ -1040,15 +1308,23 @@ mod tests {
     /// Keys of the nodes linked on `level`, in order (quiescent).
     fn keys_on_level(sl: &SkipList<u64>, level: usize) -> Vec<u64> {
         let mut keys = Vec::new();
-        let mut node = tag::as_ptr::<Node<u64>>(sl.head[level].load_value_spin());
+        // SAFETY: quiescent; the head has every level.
+        let mut node =
+            tag::as_ptr::<Node<u64>>(unsafe { sl.link_quiescent(ptr::null_mut(), level) }.0);
         while !node.is_null() {
             // SAFETY: quiescent, and linked on `level`.
             unsafe {
                 keys.push((*node).key);
-                node = tag::as_ptr(tag::unmarked(sl.word_at(node, level).load_value_spin()));
+                node = tag::as_ptr(sl.link_quiescent(node, level).0);
             }
         }
         keys
+    }
+
+    /// A tower of height at least `height` from the middle of `sl`.
+    fn tall_key(sl: &SkipList<u64>, height: usize) -> u64 {
+        let tall = keys_on_level(sl, height - 1);
+        tall[tall.len() / 2]
     }
 
     /// A search whose index hint is deleted on level 0 — here by the running
@@ -1094,7 +1370,9 @@ mod tests {
 
     /// The descent's cost: a lookup among n keys steps over a few nodes per
     /// level, index and level 0 together, and starts at the highest occupied
-    /// level — the empty head levels above it are not even read.
+    /// level — the empty head levels above it are not even read.  A hit on a
+    /// tower taller than 1, about half of them, ends in the index and runs
+    /// no level-0 traversal.
     #[test]
     fn descent_is_logarithmic_and_starts_at_top() {
         const KEYS: u64 = 1 << 14;
@@ -1109,13 +1387,19 @@ mod tests {
         assert!(top < MAX_HEIGHT, "top {top}");
         let mut rng = medley::util::FastRng::new(5);
         HEADS.set(0);
-        let before = chain::HOPS.get();
+        let (before, floors) = (chain::HOPS.get(), FLOORS.get());
         for _ in 0..GETS {
             let k = rng.next_below(KEYS);
             assert_eq!(sl.get(&mut h.nontx(), k), Some(k));
         }
         let hops = (chain::HOPS.get() - before) / GETS;
         assert!(hops <= 3 * 14, "{hops} hops per get at 2^14 keys");
+        let floors = FLOORS.get() - floors;
+        assert!(
+            (GETS - floors) * 10 >= GETS * 4,
+            "only {} of {GETS} gets ended above level 0",
+            GETS - floors
+        );
         assert_eq!(
             HEADS.get() >> top,
             0,
@@ -1147,7 +1431,7 @@ mod tests {
         let (lo, hi, above) = (key - STRIDE, key + STRIDE, key + 1);
         let val = |k: u64| (k - BASE) / STRIDE;
         let gate = &pause::BEFORE_PURGE;
-        gate.arm(key);
+        let _turn = gate.arm(key);
         std::thread::scope(|s| {
             struct Resume;
             impl Drop for Resume {
@@ -1211,7 +1495,7 @@ mod tests {
             sl.insert(&mut h.nontx(), KEY - 1_000 + k, 0);
         }
         let gate = &pause::BEFORE_LINK;
-        gate.arm(KEY);
+        let _turn = gate.arm(KEY);
         std::thread::scope(|s| {
             // Released on every way out, so a failed assertion cannot leave
             // the linker parked and the scope joining it forever.
@@ -1265,7 +1549,7 @@ mod tests {
             sl.insert(&mut h.nontx(), KEY - 32 + k, k);
         }
         let gate = &pause::BEFORE_MARK;
-        gate.arm(KEY);
+        let _turn = gate.arm(KEY);
         std::thread::scope(|s| {
             struct Resume;
             impl Drop for Resume {
@@ -1300,5 +1584,132 @@ mod tests {
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         assert_eq!(sl.get(&mut h.nontx(), KEY), Some(99));
         assert_eq!(sl.len_quiescent(), 64);
+    }
+
+    /// A get that ends in the index registers the value word it found there,
+    /// so a foreign `put` of the key before the commit fails the commit.
+    #[test]
+    fn a_get_ended_in_the_index_conflicts_with_a_foreign_put() {
+        let mgr = TxManager::new();
+        let (mut mine, mut other) = (mgr.register(), mgr.register());
+        let sl = SkipList::new();
+        for k in 0..1024 {
+            assert!(sl.insert(&mut other.nontx(), k, k));
+        }
+        let key = tall_key(&sl, 3);
+        let mut t = mine.begin();
+        let floors = FLOORS.get();
+        assert_eq!(sl.get(&mut t, key), Some(key));
+        assert_eq!(FLOORS.get(), floors, "the get went down to level 0");
+        assert_eq!(sl.put(&mut other.nontx(), key, 7), Some(key));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
+        assert_eq!(mine.run(|tx| Ok(sl.get(tx, key))), Ok(Some(7)));
+    }
+
+    /// A remover of a tall tower parked before its first mark leaves the dead
+    /// tower unmarked on every level, where a lookup of the key meets it.
+    /// Once the key is inserted again, `get` and `contains`, standalone and in
+    /// a transaction, return the new tower's value: the dead word sends them
+    /// on down.  The new tower is taken again until it is of height 1, so
+    /// that the dead one is the only tower of the key in the index.
+    #[test]
+    fn lookups_pass_a_dead_tower_in_the_index_to_the_key_s_new_one() {
+        use std::sync::atomic::Ordering::SeqCst;
+        const BASE: u64 = 0xE417_0000_0000;
+        let mgr = TxManager::new();
+        let sl = SkipList::<u64>::new();
+        let mut h = mgr.register();
+        for k in 0..256 {
+            assert!(sl.insert(&mut h.nontx(), BASE + 4 * k, k));
+        }
+        let key = tall_key(&sl, 4);
+        let gate = &pause::BEFORE_MARK;
+        let _turn = gate.arm(key);
+        std::thread::scope(|s| {
+            struct Resume;
+            impl Drop for Resume {
+                fn drop(&mut self) {
+                    pause::BEFORE_MARK.resume.store(true, SeqCst);
+                }
+            }
+            let _resume = Resume;
+            let remover = s.spawn(|| {
+                let mut h = mgr.register();
+                assert_eq!(sl.remove(&mut h.nontx(), key), Some((key - BASE) / 4));
+            });
+            while !gate.parked.load(SeqCst) {
+                assert!(!remover.is_finished(), "the remover never parked");
+                std::thread::yield_now();
+            }
+            let towers =
+                |sl: &SkipList<u64>| keys_on_level(sl, 1).iter().filter(|&&k| k == key).count();
+            for val in 1000.. {
+                assert!(val < 1064, "no tower of height 1 in 64 inserts");
+                assert!(sl.insert(&mut h.nontx(), key, val));
+                let nontx = (
+                    sl.get(&mut h.nontx(), key),
+                    sl.contains(&mut h.nontx(), key),
+                );
+                assert_eq!(nontx, (Some(val), true));
+                let txn: TxResult<_> = h.run(|tx| Ok((sl.get(tx, key), sl.contains(tx, key))));
+                assert_eq!(txn, Ok((Some(val), true)));
+                if towers(&sl) == 1 {
+                    break;
+                }
+                assert_eq!(sl.remove(&mut h.nontx(), key), Some(val));
+            }
+            drop(_resume);
+            remover.join().expect("remover panicked");
+        });
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+        assert_eq!(sl.len_quiescent(), 256);
+    }
+
+    /// After its own remove of a tall tower's key, a transaction does not
+    /// find the key, although the index still leads to the dead tower: its
+    /// own write of the value word is what the early exit reads.
+    #[test]
+    fn an_own_remove_hides_a_tall_tower_from_the_early_exit() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let sl = SkipList::new();
+        for k in 0..1024 {
+            assert!(sl.insert(&mut h.nontx(), k, k));
+        }
+        let key = tall_key(&sl, 3);
+        let res = h.run(|tx| {
+            assert_eq!(sl.remove(tx, key), Some(key));
+            assert!(keys_on_level(&sl, 2).contains(&key), "the index lost it");
+            Ok((sl.get(tx, key), sl.contains(tx, key), sl.insert(tx, key, 5)))
+        });
+        assert_eq!(res, Ok((None, false, true)));
+        assert_eq!(sl.get(&mut h.nontx(), key), Some(5));
+        assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+    }
+
+    /// The integrity check compares every index word's key half with its
+    /// successor's key, the head's words included.
+    #[test]
+    fn integrity_check_catches_a_wrong_key_half() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let sl = SkipList::new();
+        for k in 0..256 {
+            assert!(sl.insert(&mut h.nontx(), k, k));
+        }
+        let first = tag::as_ptr::<Node<u64>>(halves(sl.index[1].load()).0);
+        assert!(!first.is_null(), "no tower of height 3");
+        // SAFETY: quiescent; `first` is linked on level 2.
+        for (lane, level) in [(&sl.index[0], 1), (unsafe { sl.lane(first, 2) }, 2)] {
+            let word = lane.load();
+            let (bits, key) = halves(word);
+            assert!(lane.cas(word, pair(bits, key ^ 1)));
+            let err = sl
+                .check_integrity_quiescent()
+                .expect_err("a wrong key half");
+            assert!(err.starts_with(&format!("level {level}:")), "{err}");
+            assert!(lane.cas(pair(bits, key ^ 1), word));
+            assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
+        }
     }
 }

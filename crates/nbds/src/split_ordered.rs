@@ -302,7 +302,7 @@ where
     /// The link word of bucket `b`'s sentinel (`b > 0`).
     fn sentinel_link<C: Ctx>(&self, cx: &mut C, b: u64) -> &CasWord {
         // SAFETY: sentinels are never removed, so they live until `Drop`.
-        unsafe { &*SoNode::lane(self.bucket_sentinel(cx, b), 0) }
+        unsafe { (*self.bucket_sentinel(cx, b)).next() }
     }
 
     /// The traversal start word for hash `h` under the current directory
