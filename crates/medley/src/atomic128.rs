@@ -45,10 +45,10 @@
 //! | `ebr::Participant::unpin` | validation loads, then `local_epoch = IDLE` | load → store, which TSO never reorders; the store is `Release` for the compiler |
 //! | `Desc::begin` | `status = (serial + 1, InPrep)` (`Release`), then the loads of the execution phase | nothing needs it: no thread can reach the new incarnation before its first install CAS (locked, drains the store buffer), and a helper of the old one CASes the status word with the old serial expected, which fails against either value; `begin` pins (above) before its first load anyway |
 //! | `ThreadHandle::begin` (txMontage) | pin, then the epoch-word load that joins the read set | the pin's `SeqCst` store; the advancer's side is a locked CAS on the epoch word |
-//! | `commit_general`: install → `set_ready` → validate | descriptor CASed into every written word, status CAS, then `Desc::validate_reads` loads (write skew is excluded because each of two symmetric transactions installs before it validates) | both stores are locked (`cmpxchg16b`, `cmpxchg`); no load passes a locked instruction |
+//! | `commit_general`: install → validate → status CAS | descriptor CASed into every written word, then the owner's validation loads of `local_reads`, then the status CAS `InPrep → Committed` (write skew is excluded because each of two symmetric transactions installs before it validates) | the install is locked (`cmpxchg16b`), so no validation load passes it; load → store before the status CAS (`cmpxchg`, locked), which TSO never reorders |
 //! | `ThreadHandle::commit` read-only and single-CAS paths | no store at all before `validate_local_reads`; loads stay in program order | load → load, preserved by TSO; the single CAS is locked |
-//! | `Desc::try_finalize` | `status` (`SeqCst` load), then `obj` re-load, then status CAS, then `validate_reads` | load → load; every later load follows a locked status CAS |
-//! | `Desc::uninstall`, `abort_own`, `finalize_own` | CASes only | locked |
+//! | `Desc::try_finalize` | `status` (`SeqCst` load), then `obj` re-load, then the aborting status CAS, then the uninstall's entry loads | load → load; every later load follows a locked status CAS |
+//! | `Desc::uninstall`, `decide_own`, the owner's uninstall after a commit | CASes only | locked |
 //! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` or, on a skiplist index word (a bare [`AtomicU128`]), `AtomicU128::cas` (all locked); node payloads and a new tower's index words are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
 //! | `nbds::skiplist` late link (`link_level` vs `maintain`) | linker: link CAS at the predecessor's index word, then re-load of the node's own; remover: mark CAS on that word, then the purge's loads — one of the two must see the other | both stores are locked CASes; the retirement handoff is `done.fetch_or`, locked as well |
 //! | `nbds::skiplist` early exit | a lookup's index loads, then the counted load of the found tower's value word | load → load; the tower was published by a locked CAS |

@@ -39,12 +39,13 @@
 //! * `casobj` — [`CasWord`]: a 64-bit value augmented with a 64-bit counter;
 //!   odd counters mark an installed transaction descriptor.
 //! * `descriptor` — per-thread reusable descriptors implementing
-//!   M-compare-N-swap: read set, write set, and the `tid|serial|status` word.
+//!   M-compare-N-swap: write set and status word (`tid|serial|status`).
 //!   Descriptors follow a two-phase, *private-then-published* lifecycle:
 //!   reads and writes accumulate in plain thread-local buffers during
-//!   execution and are published (and installed) only by [`Txn::commit`], on
-//!   the general commit path — see the module docs for the layout (hot
-//!   header + lazy spill) and memory-ordering argument.
+//!   execution; only [`Txn::commit`], on the general commit path, publishes
+//!   the writes and installs the descriptor, and the owner alone validates
+//!   the reads — see the module docs for the layout (hot header + lazy
+//!   spill) and memory-ordering argument.
 //! * `atomic128` — [`AtomicU128`], a 128-bit atomic word: `lock cmpxchg16b`
 //!   to write, one aligned vector load to read (its module docs list every
 //!   place where a store must be ordered before such a load, and by what).

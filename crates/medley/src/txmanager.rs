@@ -95,8 +95,9 @@ tx_counters! {
     /// committed with zero shared-memory writes (subset of `commits`).
     ro_commits = RoCommits,
     /// Commits that took the general M-compare-N-swap path: published their
-    /// sets into the descriptor, installed it on every written word, and ran
-    /// the helpable status protocol (subset of `commits`; `commits` =
+    /// write set into the descriptor, installed it on every written word,
+    /// validated their reads and decided with one status CAS (subset of
+    /// `commits`; `commits` =
     /// `fast_commits + ro_commits + general_commits`).
     general_commits = GeneralCommits,
     /// Aborts caused by losing a conflict — another transaction's write
@@ -302,8 +303,8 @@ impl TxManager {
 ///   CAS from `(old_val, cnt)` to `(new_val, cnt + 2)`, exactly the
 ///   transition a standalone `nbtc_cas` would make;
 /// * otherwise → the entries are published into the descriptor, the
-///   descriptor is installed over each recorded pre-image, and the
-///   M-compare-N-swap status protocol runs (general path).
+///   descriptor is installed over each recorded pre-image, and the owner
+///   validates its reads and decides with one status CAS (general path).
 #[derive(Debug, Clone, Copy)]
 struct LocalWrite {
     addr: *const CasWord,
@@ -340,12 +341,9 @@ pub struct ThreadHandle {
     /// transactions (TPC-C) would otherwise pay O(write-set) per load.
     write_filter: u64,
     /// The transaction's read set, buffered in plain thread-local memory as
-    /// `(addr, value, counter)`.  Only a transaction that publishes its
-    /// descriptor (general commit path) spills these into the descriptor's
-    /// seqlock-stamped entries — and it does so before `setReady`, which is
-    /// the earliest point a helper may validate them.  Read-only and
-    /// single-CAS transactions validate this buffer directly and never pay
-    /// the per-entry atomic-store protocol.
+    /// `(addr, value, counter)`.  It is never published: every commit path,
+    /// the general one included, validates this buffer on the owner's
+    /// thread.
     local_reads: Vec<(usize, u64, u64)>,
     /// The value words the transaction's lookups found (`Ctx::remember`).
     pub(crate) memo: Memo,
@@ -507,11 +505,12 @@ impl ThreadHandle {
     ///    descriptor of another transaction is installed and survives
     ///    helping) falls back to a conflict abort, and
     ///    [`ThreadHandle::run`] retries as needed.
-    /// 3. **General** — the buffered sets are published into the
+    /// 3. **General** — the buffered writes are published into the
     ///    descriptor's seqlock-stamped entries, the descriptor is installed
-    ///    over each write's recorded pre-image, and the M-compare-N-swap
-    ///    status protocol runs (`setReady` → validate → commit/abort →
-    ///    uninstall), helpable by any thread from the first install onward.
+    ///    over each write's recorded pre-image, the owner validates its
+    ///    reads, decides with one status CAS `InPrep → Committed` and
+    ///    uninstalls.  Any thread that meets the undecided descriptor may
+    ///    abort it, which makes that CAS fail.
     pub(crate) fn commit(&mut self) -> TxResult<()> {
         debug_assert!(self.in_tx, "commit without an open transaction");
         if self.capacity_exceeded {
@@ -571,82 +570,75 @@ impl ThreadHandle {
         self.commit_general()
     }
 
-    /// The general commit path: publish, install, expose, resolve (see the
-    /// `descriptor` module docs for the lifecycle).  This is the only place
-    /// in the runtime where the descriptor becomes visible to other threads.
+    /// The general commit path: publish writes, install, decide, uninstall
+    /// (see the `descriptor` module docs for the lifecycle).  This is the
+    /// only place in the runtime where the descriptor becomes visible to
+    /// other threads.
+    ///
+    /// Every written word is held by the descriptor from its install until
+    /// the decision, and each read was unchanged from its load until its
+    /// validation load, so the transaction linearizes at its first
+    /// validation load.  Write skew stays excluded because each of two
+    /// symmetric transactions installs before it validates.
     fn commit_general(&mut self) -> TxResult<()> {
-        // Publish phase: copy the buffered sets into the descriptor's
-        // stamped entries.  Helpers may need them the moment the first
-        // install CAS lands.
-        if !self.publish_sets() {
+        // Publish the write set: a helper that aborts us needs it to
+        // uninstall the moment the first install CAS lands.
+        if !self.publish_writes() {
             self.capacity_exceeded = true;
             self.abort_with(AbortKind::Capacity);
             return Err(TxError::CapacityExceeded);
         }
-        // Install phase: CAS the descriptor over each recorded pre-image.
-        // Addresses in `local_writes` are unique, so our own descriptor can
-        // never be encountered here; a foreign descriptor is finalized and
-        // the word re-examined (non-blocking helping), and a changed
-        // pre-image is a lost conflict — installed prefixes are rolled back
-        // by the uninstall inside `abort_with`.
+        // Install: CAS the descriptor straight over each recorded pre-image.
+        // A failed CAS is a lost conflict, whatever the word holds now:
+        // counters only grow, so it can never hold the pre-image again.  A
+        // foreign descriptor met there is left to its owner — finalizing it
+        // could not save this commit, only abort that one too; the retry's
+        // loads help it if it is still there.  Installed prefixes are rolled
+        // back by the uninstall inside `abort_with`.
         let me = self.desc().as_payload();
-        for i in 0..self.local_writes.len() {
-            let w = self.local_writes[i];
+        let lost = self.local_writes.iter().any(|w| {
             // SAFETY: the word is protected by the EBR pin held since
             // `begin`.
             let obj = unsafe { &*w.addr };
-            let installed = pack(me, w.cnt.wrapping_add(1));
-            loop {
-                let (raw, val, cnt) = self.load_settled(obj);
-                if val != w.old_val || cnt != w.cnt {
-                    self.abort_with(AbortKind::Conflict);
-                    return Err(TxError::Conflict);
-                }
-                if obj.raw().cas(raw, installed) {
-                    break;
-                }
-                // The word changed between load and CAS; re-examine.
-            }
-        }
-        // Expose phase: from here on any thread can help (or abort) us.
-        let desc = self.desc();
-        if !desc.set_ready() {
-            // Another thread aborted us during the install window.
+            !obj.raw()
+                .cas(pack(w.old_val, w.cnt), pack(me, w.cnt.wrapping_add(1)))
+        });
+        if lost {
             self.abort_with(AbortKind::Conflict);
             return Err(TxError::Conflict);
         }
-        let outcome = desc.finalize_own(self.serial);
-        match outcome {
-            Status::Committed => {
-                desc.uninstall(self.serial, Status::Committed);
-                self.commit_tail(Stat::GeneralCommits);
-                Ok(())
-            }
-            _ => {
-                self.abort_with(AbortKind::Conflict);
-                Err(TxError::Conflict)
-            }
+        #[cfg(test)]
+        step::reach(&step::VALIDATE);
+        // Decide: the owner alone validates its reads.  A helper may abort
+        // us meanwhile, and then the status CAS fails.
+        if !self.validate_local_reads() || !self.desc().decide_own(self.serial, Status::Committed) {
+            self.abort_with(AbortKind::Conflict);
+            return Err(TxError::Conflict);
         }
+        // Uninstall from the owner's own buffer; a helper that got here
+        // first made these CASes fail harmlessly.
+        for w in &self.local_writes {
+            // SAFETY: as for the install.
+            let obj = unsafe { &*w.addr };
+            let _ = obj.raw().cas(
+                pack(me, w.cnt.wrapping_add(1)),
+                pack(w.new_val, w.cnt.wrapping_add(2)),
+            );
+        }
+        self.commit_tail(Stat::GeneralCommits);
+        Ok(())
     }
 
-    /// Publishes the buffered read and write sets into the descriptor's
-    /// stamped entries (lazy publication: this runs once per general-path
-    /// commit, never during execution).  Returns `false` on capacity
-    /// overflow.
-    fn publish_sets(&mut self) -> bool {
+    /// Publishes the buffered write set into the descriptor's stamped
+    /// entries (lazy publication: this runs once per general-path commit,
+    /// never during execution; the read set is never published).  Returns
+    /// `false` on capacity overflow.
+    fn publish_writes(&self) -> bool {
         let serial = self.serial;
         let desc = self.desc();
-        for &(addr, val, cnt) in &self.local_reads {
-            if !desc.push_read(serial, addr as *const CasWord, val, cnt) {
-                return false;
-            }
-        }
-        for w in &self.local_writes {
-            if !desc.push_write(serial, w.addr, w.old_val, w.cnt, w.new_val) {
-                return false;
-            }
-        }
-        true
+        self.local_writes
+            .iter()
+            .all(|w| desc.push_write(serial, w.addr, w.old_val, w.cnt, w.new_val))
     }
 
     /// Common post-commit bookkeeping: releases transactional state, tallies
@@ -813,14 +805,11 @@ impl ThreadHandle {
         // rollback (any that *were* installed are rolled back by the
         // uninstall below).
         self.local_writes.clear();
+        // Only the owner commits, so this either decides the abort or finds
+        // a helper's abort already decided.
         let desc = self.desc();
-        let st = desc.abort_own(self.serial);
-        let outcome = if st == Status::Committed {
-            Status::Committed
-        } else {
-            Status::Aborted
-        };
-        desc.uninstall(self.serial, outcome);
+        desc.decide_own(self.serial, Status::Aborted);
+        desc.uninstall(self.serial, Status::Aborted);
         // Undo tnew allocations: they were never published (speculative
         // installs have just been rolled back), so immediate free is safe.
         for (ptr, drop_fn) in self.allocs.drain(..) {
@@ -866,22 +855,21 @@ impl ThreadHandle {
     }
 
     /// Validates the locally buffered read set against current memory.  Each
-    /// entry must still hold the recorded `(value, counter)` pair.  Used by
-    /// the descriptor-free commit paths and the public opacity check; with
-    /// lazy publication this runs strictly before anything is installed, so
-    /// — unlike [`Desc::validate_reads`] — it never needs the own-descriptor
-    /// tolerance (buffered writes leave memory untouched, so a read of a
-    /// word the transaction later wrote still compares equal).
+    /// entry must still hold the recorded `(value, counter)` pair, or this
+    /// transaction's own descriptor installed over exactly that pair
+    /// (counter + 1): on the general path this runs with every write
+    /// installed, and a read of a word the transaction also writes would
+    /// otherwise abort it on every retry.  The descriptor-free paths and the
+    /// public opacity check run before any install, where buffered writes
+    /// leave memory untouched and the tolerance never applies.
     fn validate_local_reads(&self) -> bool {
-        for &(addr, val, cnt) in &self.local_reads {
+        let me = self.desc().as_payload();
+        self.local_reads.iter().all(|&(addr, val, cnt)| {
             // SAFETY: the word is protected by the EBR pin held since
-            // `begin` (same argument as `Desc::validate_reads`).
-            let obj = unsafe { &*(addr as *const CasWord) };
-            if obj.load_parts() != (val, cnt) {
-                return false;
-            }
-        }
-        true
+            // `begin`.
+            let now = unsafe { &*(addr as *const CasWord) }.load_parts();
+            now == (val, cnt) || now == (me, cnt.wrapping_add(1))
+        })
     }
 
     /// Registers post-critical ("cleanup") work to run after the transaction
@@ -981,10 +969,9 @@ impl ThreadHandle {
 
     /// Loads `obj` until it holds a real value and returns
     /// `(raw, value, counter)`.  A descriptor met on the way is finalized —
-    /// helped to its outcome, or aborted if its owner has not reached
-    /// `setReady` — and counted as a help, so neither a standalone operation
-    /// nor a commit ever waits on a stalled transaction.  Every load and CAS
-    /// of the runtime starts here.
+    /// uninstalled if decided, aborted first if not — and counted as a help,
+    /// so neither a standalone operation nor a commit ever waits on a stalled
+    /// transaction.  Every load and CAS of the runtime starts here.
     #[inline]
     fn load_settled(&mut self, obj: &CasWord) -> (u128, u64, u64) {
         loop {
@@ -1146,11 +1133,33 @@ impl Drop for ThreadHandle {
     }
 }
 
+/// Test-only hooks at the named steps of `commit_general`: a closure set on
+/// this thread runs once, when this thread's next general commit reaches
+/// the step.
+#[cfg(test)]
+mod step {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
+
+    thread_local! {
+        /// Every write installed, no read validated, the status undecided.
+        pub(super) static VALIDATE: Hook = const { Cell::new(None) };
+    }
+
+    pub(super) fn reach(step: &'static LocalKey<Hook>) {
+        if let Some(hook) = step.take() {
+            hook();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::Ctx;
-    use crate::descriptor::status_of;
+    use crate::descriptor::{pack_status, status_of};
 
     #[test]
     fn register_and_release_slots() {
@@ -1428,9 +1437,9 @@ mod tests {
     fn installed_foreign_descriptor_is_finalized_by_plain_operations() {
         // Simulate a transaction caught mid-commit: a descriptor published
         // (entry stamped) and installed in `w`, still InPrep — exactly the
-        // state a preempted owner leaves between the install and `setReady`
-        // steps of a commit.  A non-transactional CAS must abort it, write
-        // the pre-image back, and proceed — and count the help.
+        // state a preempted owner leaves between its installs and its
+        // status CAS.  A non-transactional CAS must abort it, write the
+        // pre-image back, and proceed — and count the help.
         let mgr = TxManager::new();
         let mut b = mgr.register();
         let w = CasWord::new(1);
@@ -1455,7 +1464,165 @@ mod tests {
             "the finalization must be counted as a help"
         );
         // The stalled owner's own commit attempt must now fail.
-        assert!(!stalled.set_ready());
+        assert!(!stalled.decide_own(serial, Status::Committed));
+        assert!(!stalled.status_cas(pack_status(99, serial, Status::InPrep), Status::Committed));
+    }
+
+    #[test]
+    fn failed_install_leaves_the_foreign_descriptor_to_its_owner() {
+        // `t` buffers writes of `z` and `w`; then another transaction's
+        // descriptor lands on `w` over the pre-image `t` recorded.  Helping
+        // it could not make `t`'s install succeed, so `t` loses without
+        // touching it.
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let w = CasWord::new(1);
+        let z = CasWord::new(5);
+        let mut t = h.begin();
+        assert!(t.nbtc_cas(&z, 5, 6, true, true));
+        assert!(t.nbtc_cas(&w, 1, 2, true, true));
+        let other = Desc::new(99);
+        other.begin();
+        let serial = other.serial();
+        assert!(other.push_write(serial, &w, 1, 0, 3));
+        assert!(w.raw().cas(pack(1, 0), pack(other.as_payload(), 1)));
+        assert_eq!(t.commit(), Err(TxError::Conflict));
+        assert_eq!(status_of(other.status_word()), Status::InPrep);
+        assert_eq!(w.load_parts(), (other.as_payload(), 1), "still installed");
+        assert_eq!(z.load_parts(), (5, 2), "installed prefix rolled back");
+        // Its owner decides as if nothing happened.
+        assert!(other.decide_own(serial, Status::Committed));
+        other.uninstall(serial, Status::Committed);
+        assert_eq!(w.load_parts(), (3, 2));
+        h.flush_stats();
+        assert_eq!(mgr.stats_snapshot().helps, 0);
+    }
+
+    /// Commits a transaction that reads `reads` and increments both
+    /// `writes`, with `at_validate` run at its validate step.
+    fn commit_parked_at_validate(
+        h: &mut ThreadHandle,
+        reads: &[Arc<CasWord>],
+        writes: [&Arc<CasWord>; 2],
+        at_validate: impl FnOnce() + 'static,
+    ) -> TxResult<()> {
+        let mut t = h.begin();
+        for r in reads {
+            let (v, c) = t.nbtc_load_counted(r);
+            t.add_read_with_counter(r, v, c);
+        }
+        for w in writes {
+            let v = t.nbtc_load(w);
+            assert!(t.nbtc_cas(w, v, v + 1, true, true));
+        }
+        step::VALIDATE.set(Some(Box::new(at_validate)));
+        let out = t.commit();
+        assert!(step::VALIDATE.take().is_none(), "the hook ran");
+        out
+    }
+
+    #[test]
+    fn nontx_cas_on_a_written_word_aborts_the_undecided_owner() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let mut other = mgr.register();
+        let a = Arc::new(CasWord::new(10));
+        let b = Arc::new(CasWord::new(20));
+        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+        let out = commit_parked_at_validate(&mut h, &[], [&a, &b], move || {
+            // Both words hold the owner's descriptor; the CAS on `a` aborts
+            // it, rolls both back, and then wins `a`.
+            assert_eq!(b2.try_load_value(), None, "descriptor installed");
+            assert!(other.nontx().nbtc_cas(&a2, 10, 99, true, true));
+            assert_eq!(b2.try_load_value(), Some(20));
+            other.flush_stats();
+        });
+        assert_eq!(out, Err(TxError::Conflict));
+        assert_eq!(a.try_load_value(), Some(99));
+        assert_eq!(
+            b.try_load_value(),
+            Some(20),
+            "other word back at its pre-image"
+        );
+        h.flush_stats();
+        let snap = mgr.stats_snapshot();
+        assert!(snap.helps >= 1, "the abort is a help");
+        assert_eq!((snap.general_commits, snap.conflict_aborts), (0, 1));
+    }
+
+    #[test]
+    fn foreign_read_changed_before_validation_aborts_the_owner() {
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let mut other = mgr.register();
+        let r = Arc::new(CasWord::new(1));
+        let a = Arc::new(CasWord::new(10));
+        let b = Arc::new(CasWord::new(20));
+        let r2 = Arc::clone(&r);
+        let out = commit_parked_at_validate(&mut h, &[Arc::clone(&r)], [&a, &b], move || {
+            assert!(other.nontx().nbtc_cas(&r2, 1, 2, true, true));
+        });
+        assert_eq!(out, Err(TxError::Conflict));
+        // The owner aborted itself: no written word moved, nobody helped.
+        assert_eq!(a.try_load_value(), Some(10));
+        assert_eq!(b.try_load_value(), Some(20));
+        assert_eq!(r.try_load_value(), Some(2));
+        h.flush_stats();
+        let snap = mgr.stats_snapshot();
+        assert_eq!((snap.helps, snap.conflict_aborts), (0, 1));
+    }
+
+    #[test]
+    fn reading_and_writing_both_words_commits_on_the_first_attempt() {
+        // Each read finds the owner's own descriptor over exactly the
+        // pre-image it recorded, which validation must accept.
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let a = CasWord::new(10);
+        let b = CasWord::new(20);
+        // Bounded: without the tolerance every retry aborts itself again.
+        let out = h.run_with(&RunConfig::new().max_retries(3), |t| {
+            for w in [&a, &b] {
+                let (v, c) = t.nbtc_load_counted(w);
+                t.add_read_with_counter(w, v, c);
+            }
+            assert!(t.nbtc_cas(&a, 10, 9, true, true));
+            assert!(t.nbtc_cas(&b, 20, 21, true, true));
+            Ok(())
+        });
+        assert_eq!(out, Ok(()));
+        assert_eq!(h.take_last_attempts(), 1);
+        assert_eq!(
+            (a.try_load_value(), b.try_load_value()),
+            (Some(9), Some(21))
+        );
+        h.flush_stats();
+        let snap = mgr.stats_snapshot();
+        assert_eq!((snap.general_commits, snap.aborts), (1, 0));
+    }
+
+    #[test]
+    fn ninth_read_changed_before_validation_is_a_conflict() {
+        // More reads than the descriptor ever held inline: every one of
+        // them is validated.
+        let mgr = TxManager::new();
+        let mut h = mgr.register();
+        let mut other = mgr.register();
+        let reads: Vec<Arc<CasWord>> = (0..9).map(|i| Arc::new(CasWord::new(i))).collect();
+        let a = Arc::new(CasWord::new(10));
+        let b = Arc::new(CasWord::new(20));
+        let ninth = Arc::clone(&reads[8]);
+        let out = commit_parked_at_validate(&mut h, &reads, [&a, &b], move || {
+            assert!(other.nontx().nbtc_cas(&ninth, 8, 80, true, true));
+        });
+        assert_eq!(out, Err(TxError::Conflict));
+        assert_eq!(
+            (a.try_load_value(), b.try_load_value()),
+            (Some(10), Some(20))
+        );
+        // Unchanged, the same nine reads commit.
+        let out = commit_parked_at_validate(&mut h, &reads, [&a, &b], || {});
+        assert_eq!(out, Ok(()));
     }
 
     #[test]
