@@ -21,46 +21,63 @@
 //! The payload store is sharded into **per-thread arenas**, one per
 //! `TxManager` thread slot (the manager guarantees at most one live handle
 //! per slot, so each arena has a single allocating thread).  The fast paths
-//! are lock-free:
+//! take one lock, their arena's nursery lock, on a line of its own:
 //!
-//! * **alloc** — pop the arena's Treiber free list (single popper: the
-//!   owning slot) or bump-extend a lazily allocated chunk; tag the slot and
-//!   push it on the arena's *dirty list* for its birth epoch;
-//! * **retire** — store the retirement epoch into the slot (possibly from
-//!   another thread) and push the slot on the dirty list for that epoch;
-//! * **abandon** (aborted transaction) — flag the slot; it is recycled when
-//!   its birth-epoch dirty list is consumed, or immediately if that has
-//!   already happened.
+//! * **alloc** — reuse a slot recycled out of the nursery, else pop the
+//!   arena's Treiber free list (single popper: the owning slot) or
+//!   bump-extend a lazily allocated chunk; tag the slot.  A birth tagged with
+//!   the current epoch enters the arena's **nursery**, a stale one the
+//!   arena's *dirty list* for its epoch;
+//! * **retire** (any thread) — tagged `e`, recycle the slot on the spot if
+//!   its birth is `e` and the nursery still holds that birth; else store the
+//!   tag and push the slot on the dirty list for `e`.  The tag is final (a
+//!   standalone caller retires with the epoch it re-reads after its update);
+//! * **abandon** (aborted transaction) — recycle on the spot if the nursery
+//!   still holds the birth; else flag the slot, recycled when its birth
+//!   entry is consumed (at once if that already happened).
 //!
+//! A nursery holds the births of one epoch; an owner allocating in a later
+//! epoch hands the survivors to their epoch's dirty list in one splice.
 //! Dirty lists are **epoch-indexed**: each arena keeps a small ring of
-//! intrusive lock-free lists, one per recent epoch.  [`PersistenceDomain::advance_epoch`]
-//! consumes only the lists of the epochs crossing the durability horizon, so
-//! the per-epoch write-back is `O(payloads born/retired in those epochs)`
-//! rather than `O(every slot ever allocated)`.
+//! intrusive lock-free lists, one per recent epoch.
+//! [`PersistenceDomain::advance_epoch`] consumes only the lists of the
+//! epochs crossing the durability horizon, and in place the births of the
+//! nurseries behind it (an idle owner's), so the per-epoch write-back is
+//! `O(payloads born/retired in those epochs)` rather than `O(every slot
+//! ever allocated)`.
+//!
+//! Recycling on the spot is safe only because **nothing on the hot path
+//! reads a payload slot**: readers use the index's value box, and only
+//! recovery and the drain read slots.  A slot recycled on the spot has no
+//! dirty entry, and its birth is above every horizon (recovery needs
+//! `birth < horizon <= retire`), so neither can see it.
 //!
 //! ## Epoch lifecycle of one payload slot
 //!
 //! ```text
 //!   alloc(e)                    retire(r)                advance past r
 //!   ────────►  LIVE, birth=e  ───────────►  retired(r)  ───────────────►  FREE
-//!      │        │  dirty[e%R] ◄─ birth          │  dirty[r%R] ◄─ retire     │
-//!      │        │                               │                          │
-//!      │        ▼ advance past e                ▼ advance past r           │
-//!      │     birth written back            retirement written back,        │
-//!      │     (payload durable,             slot recycled exactly once      │
-//!      │      recoverable)                 (never before it is durable)    │
-//!      │                                                                   │
-//!      ├── retire(e) before either entry is consumed → ELIDED: both ───────┤
-//!      │   entries consumed without a write-back, then recycled            │
-//!      │                                                                   │
-//!      └── abort → ABANDONED ── birth list consumed ───────────────────────┘
+//!      │        │  nursery, then            │  dirty[r%R] ◄─ retire         │
+//!      │        │  dirty[e%R] ◄─ birth      │                               │
+//!      │        ▼ advance past e            ▼ advance past r                │
+//!      │     birth written back        retirement written back,             │
+//!      │     (payload durable,         slot recycled exactly once           │
+//!      │      recoverable)             (never before it is durable)         │
+//!      │                                                                    │
+//!      ├── retire(e) or abort while still in the nursery → recycled ────────┤
+//!      │   on the spot: no dirty entry, no write-back                       │
+//!      └── abort later → ABANDONED ── birth entry consumed ─────────────────┘
 //! ```
 //!
-//! A payload born and retired in one epoch `e` is visible at no recovery
-//! horizon (recovery needs `birth < horizon <= retire`), so it costs no
-//! write-back at all — unless its birth was already written back when the
-//! retirement arrived, in which case the retirement is written back too.
-//! Under a skewed update mix most replaced payloads die this way.
+//! A payload whose retirement reaches a dirty list is written back, birth
+//! and retirement, even if both carry one epoch: the nursery has already
+//! caught every such retirement made before the owner moved on to the next
+//! epoch, which under a skewed update mix is most of them.
+//!
+//! Both drains may skip an owner overtaken by two advances between its
+//! clock read and its nursing, so it re-reads the clock after nursing and,
+//! if its epoch is behind the horizon, consumes its own nursery under the
+//! recycle lock (the repair a stale dirty-list push gets).
 //!
 //! A slot is one cache line: eight words, the free-list link sharing storage
 //! with the birth dirty link (a slot is on the free list only after both of
@@ -145,8 +162,7 @@ fn decode_id(id: PayloadId) -> (usize, usize, u64) {
 // ---------------------------------------------------------------------------
 
 /// Slot-state flags (bits of `Slot::state`).  `*_CONSUMED`: that dirty
-/// entry has been consumed by a drain — written back, unless the payload is
-/// [`ELIDED`].
+/// entry has been consumed (and written back) by a drain.
 const BIRTH_CONSUMED: u64 = 1 << 0;
 const RETIRE_CONSUMED: u64 = 1 << 1;
 /// The slot has been pushed on its arena's free list (set exactly once per
@@ -156,17 +172,29 @@ const FREED: u64 = 1 << 2;
 /// The payload belongs to an aborted transaction and was never part of any
 /// durable state; recycled when its birth dirty entry is consumed.
 const ABANDONED: u64 = 1 << 3;
-/// The payload was retired in its birth epoch before either of its dirty
-/// entries was consumed: it is visible at no recovery horizon (recovery
-/// needs `birth < horizon <= retire`), so neither entry is written back.
-/// Decided once, by whichever entry is consumed first.
-const ELIDED: u64 = 1 << 4;
 
 const KIND_BIRTH: usize = 0;
 const KIND_RETIRE: usize = 1;
+
+/// The dirty-list entry of slot (`class`, `idx`) of the given kind.
+#[inline]
+fn entry(class: usize, idx: u64, kind: usize) -> u64 {
+    (idx * CLASSES as u64 + class as u64) * 2 + kind as u64
+}
+
+/// Inverse of [`entry`]: `(class, idx, kind)`.
+#[inline]
+fn decode_entry(enc: u64) -> (usize, u64, usize) {
+    let slot = enc / 2;
+    (
+        (slot % CLASSES as u64) as usize,
+        slot / CLASSES as u64,
+        (enc % 2) as usize,
+    )
+}
 /// The free-list link of a slot is its birth dirty link: a slot is freed
 /// only after both of its dirty entries have been consumed (the recycling
-/// handoff of `ArenaStore::drain_bucket`), and only the owner's pop, which
+/// handoff of `ArenaStore::consume`), and only the owner's pop, which
 /// takes it off the free list, pushes a new birth entry.
 const FREE_LINK: usize = KIND_BIRTH;
 
@@ -225,6 +253,8 @@ struct Slot {
     /// only while the slot sits on the corresponding dirty list.  While the
     /// slot is FREED, `links[FREE_LINK]` is the next free slot instead
     /// (index + 1; 0 = end): the two uses never overlap (see [`FREE_LINK`]).
+    /// While its birth is in the nursery, `links[KIND_BIRTH]` is its
+    /// position there.
     links: [AtomicU64; 2],
 }
 
@@ -276,6 +306,39 @@ struct Chunk {
     data: Box<[AtomicU64]>,
 }
 
+/// Pops the head of a Treiber stack whose links (index + 1; 0 = end) `link`
+/// returns.  Callers keep a single popper, so the pop cannot suffer ABA.
+fn treiber_pop<'a>(head: &AtomicU64, link: impl Fn(u64) -> &'a AtomicU64) -> Option<u64> {
+    loop {
+        let h = head.load(Ordering::Acquire);
+        if h == 0 {
+            return None;
+        }
+        let next = link(h - 1).load(Ordering::Relaxed);
+        if head
+            .compare_exchange(h, next, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return Some(h - 1);
+        }
+    }
+}
+
+/// Pushes the chain from `first` to the one whose link is `last` on a
+/// Treiber stack (any thread).
+fn treiber_push(head: &AtomicU64, first: u64, last: &AtomicU64) {
+    loop {
+        let h = head.load(Ordering::Acquire);
+        last.store(h, Ordering::Relaxed);
+        if head
+            .compare_exchange_weak(h, first + 1, Ordering::Release, Ordering::Acquire)
+            .is_ok()
+        {
+            return;
+        }
+    }
+}
+
 /// The chunked slab of one size class within one arena.
 struct ClassSlab {
     chunks: Box<[OnceLock<Chunk>]>,
@@ -322,39 +385,15 @@ impl ClassSlab {
     /// Pops a free slot.  Only the owning thread calls this, so the Treiber
     /// pop has a single popper and cannot suffer ABA.
     fn pop_free(&self) -> Option<u64> {
-        loop {
-            let head = self.free_head.load(Ordering::Acquire);
-            if head == 0 {
-                return None;
-            }
-            let idx = head - 1;
-            let next = self.slot(idx).links[FREE_LINK].load(Ordering::Relaxed);
-            if self
-                .free_head
-                .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free_count.fetch_sub(1, Ordering::Relaxed);
-                return Some(idx);
-            }
-        }
+        let idx = treiber_pop(&self.free_head, |i| &self.slot(i).links[FREE_LINK])?;
+        self.free_count.fetch_sub(1, Ordering::Relaxed);
+        Some(idx)
     }
 
     /// Pushes `idx` on the free list (any thread).
     fn push_free(&self, idx: u64) {
-        let slot = self.slot(idx);
-        loop {
-            let head = self.free_head.load(Ordering::Acquire);
-            slot.links[FREE_LINK].store(head, Ordering::Relaxed);
-            if self
-                .free_head
-                .compare_exchange_weak(head, idx + 1, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free_count.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
+        treiber_push(&self.free_head, idx, &self.slot(idx).links[FREE_LINK]);
+        self.free_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Extends the class by one slot (owning thread only).
@@ -404,7 +443,6 @@ struct OvfSlab {
     chunks: Box<[OnceLock<Box<[OvfBlock]>>]>,
     len: AtomicU64,
     free_head: AtomicU64,
-    free_count: AtomicU64,
 }
 
 impl Default for OvfSlab {
@@ -413,7 +451,6 @@ impl Default for OvfSlab {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
             len: AtomicU64::new(0),
             free_head: AtomicU64::new(0),
-            free_count: AtomicU64::new(0),
         }
     }
 }
@@ -427,38 +464,11 @@ impl OvfSlab {
     }
 
     fn pop_free(&self) -> Option<u64> {
-        loop {
-            let head = self.free_head.load(Ordering::Acquire);
-            if head == 0 {
-                return None;
-            }
-            let idx = head - 1;
-            let next = self.block(idx).next.load(Ordering::Relaxed);
-            if self
-                .free_head
-                .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free_count.fetch_sub(1, Ordering::Relaxed);
-                return Some(idx);
-            }
-        }
+        treiber_pop(&self.free_head, |i| &self.block(i).next)
     }
 
     fn push_free(&self, idx: u64) {
-        let block = self.block(idx);
-        loop {
-            let head = self.free_head.load(Ordering::Acquire);
-            block.next.store(head, Ordering::Relaxed);
-            if self
-                .free_head
-                .compare_exchange_weak(head, idx + 1, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free_count.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
+        treiber_push(&self.free_head, idx, &self.block(idx).next);
     }
 
     fn bump(&self) -> u64 {
@@ -476,14 +486,34 @@ impl OvfSlab {
     }
 }
 
+/// [`Arena::held`] of a nursery that holds no birth.
+const NO_BIRTHS: u64 = u64::MAX;
+
+/// An arena's births of one epoch (the epoch is [`Arena::held`]) and the
+/// slots recycled out of them (see the module docs).
+#[derive(Default)]
+struct Nursery {
+    /// Birth entries; a slot's birth link holds its position here.
+    births: Vec<u64>,
+    /// Slot indices recycled on the spot, per class; reused first.  Under
+    /// the lock they cost no atomic, unlike the class's free list.
+    recycled: [Vec<u64>; CLASSES],
+}
+
 /// One thread slot's payload arena: one chunked slab per size class, the
-/// overflow-block slab, and the epoch ring of dirty lists shared by all
-/// classes.
+/// overflow-block slab, the epoch ring of dirty lists shared by all
+/// classes, and the nursery.
 struct Arena {
     classes: [ClassSlab; CLASSES],
     ovf: OvfSlab,
     /// Epoch-indexed dirty-list heads (encoded entry + 1; 0 = empty).
     dirty: [AtomicU64; RING],
+    /// On a line of its own: foreign retirers take this lock.
+    nursery: CachePadded<Mutex<Nursery>>,
+    /// The nursery's epoch, or [`NO_BIRTHS`]: written under its lock, read
+    /// without it by drains.  `SeqCst`: an owner stores it before re-reading
+    /// the clock, a drain loads it after advancing it; one sees the other.
+    held: AtomicU64,
 }
 
 impl Default for Arena {
@@ -492,27 +522,84 @@ impl Default for Arena {
             classes: std::array::from_fn(|c| ClassSlab::new(CLASS_DATA_WORDS[c])),
             ovf: OvfSlab::default(),
             dirty: std::array::from_fn(|_| AtomicU64::new(0)),
+            nursery: CachePadded::default(),
+            held: AtomicU64::new(NO_BIRTHS),
         }
     }
 }
 
 impl Arena {
-    /// Pushes the (class, slot, kind) dirty entry on the list of `epoch`
-    /// (any thread; lock-free Treiber push).
-    fn push_dirty(&self, epoch: u64, class: usize, idx: u64, kind: usize) {
-        let enc = (idx * CLASSES as u64 + class as u64) * 2 + kind as u64;
+    /// The dirty link of `enc`'s kind in `enc`'s slot.
+    fn link(&self, enc: u64) -> &AtomicU64 {
+        let (class, idx, kind) = decode_entry(enc);
+        &self.classes[class].slot(idx).links[kind]
+    }
+
+    /// Pushes the non-empty chain of dirty entries `encs` on the list of
+    /// `epoch` with one CAS (any thread; lock-free Treiber push).
+    fn push_dirty(&self, epoch: u64, encs: &[u64]) {
+        for pair in encs.windows(2) {
+            self.link(pair[0]).store(pair[1] + 1, Ordering::Relaxed);
+        }
         let head = &self.dirty[(epoch % RING as u64) as usize];
-        let slot = self.classes[class].slot(idx);
-        loop {
-            let h = head.load(Ordering::Acquire);
-            slot.links[kind].store(h, Ordering::Relaxed);
-            if head
-                .compare_exchange_weak(h, enc + 1, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
+        treiber_push(head, encs[0], self.link(encs[encs.len() - 1]));
+    }
+
+    /// Adds slot (`class`, `idx`), born in the current epoch, to the nursery;
+    /// returns the earlier epoch whose births it first moved to a dirty list.
+    fn nurse(&self, n: &mut Nursery, epoch: u64, class: usize, idx: u64) -> Option<u64> {
+        let held = self.held.load(Ordering::Relaxed);
+        let handed = (held != epoch && held != NO_BIRTHS).then(|| {
+            self.push_dirty(held, &n.births);
+            n.births.clear();
+            held
+        });
+        if held != epoch {
+            self.held.store(epoch, Ordering::SeqCst);
+        }
+        let link = &self.classes[class].slot(idx).links[KIND_BIRTH];
+        link.store(n.births.len() as u64, Ordering::Relaxed);
+        n.births.push(entry(class, idx, KIND_BIRTH));
+        handed
+    }
+
+    /// Recycles slot (`class`, `idx`) on the spot if the nursery `n` still
+    /// holds its birth; returns whether it did.
+    fn recycle_nursling(&self, n: &mut Nursery, class: usize, idx: u64) -> bool {
+        let enc = entry(class, idx, KIND_BIRTH);
+        let pos = self.link(enc).load(Ordering::Relaxed) as usize;
+        if n.births.get(pos) != Some(&enc) {
+            return false;
+        }
+        n.births.swap_remove(pos);
+        if let Some(&moved) = n.births.get(pos) {
+            self.link(moved).store(pos as u64, Ordering::Relaxed);
+        }
+        if n.births.is_empty() {
+            self.held.store(NO_BIRTHS, Ordering::Relaxed);
+        }
+        self.release(class, idx);
+        n.recycled[class].push(idx);
+        true
+    }
+
+    /// Returns a dead slot's overflow chain to the arena and marks the slot
+    /// unborn.  Callers hold the recycle lock, or recycle a nursery birth:
+    /// above every horizon, no recovery scan reads its chain.
+    fn release(&self, class: usize, idx: u64) {
+        let s = self.classes[class].slot(idx);
+        if class == 0 && s.vlen.load(Ordering::Relaxed) != VLEN_WORD {
+            let mut head = s.val.load(Ordering::Relaxed);
+            while head != 0 {
+                // Read the link before the push overwrites it with the
+                // free-list link (they share the `next` field).
+                let next = self.ovf.block(head - 1).next.load(Ordering::Relaxed);
+                self.ovf.push_free(head - 1);
+                head = next;
             }
         }
+        s.vlen.store(VLEN_WORD, Ordering::Relaxed);
+        s.birth.store(UNBORN, Ordering::Release);
     }
 
     /// Writes `val` into slot (`class`, `idx`)'s value storage.  Owning
@@ -631,25 +718,48 @@ impl ArenaStore {
     fn free_slot(arena: &Arena, class: usize, idx: u64) {
         let s = arena.classes[class].slot(idx);
         if s.state.fetch_or(FREED, Ordering::AcqRel) & FREED == 0 {
-            if class == 0 && s.vlen.load(Ordering::Relaxed) != VLEN_WORD {
-                let mut head = s.val.load(Ordering::Relaxed);
-                while head != 0 {
-                    // Read the link before the push overwrites it with the
-                    // free-list link (they share the `next` field).
-                    let next = arena.ovf.block(head - 1).next.load(Ordering::Relaxed);
-                    arena.ovf.push_free(head - 1);
-                    head = next;
-                }
-            }
-            s.vlen.store(VLEN_WORD, Ordering::Relaxed);
-            s.birth.store(UNBORN, Ordering::Release);
+            arena.release(class, idx);
             arena.classes[class].push_free(idx);
         }
     }
 
-    /// Consumes one epoch bucket of one arena: write back every due
-    /// birth/retirement, recycle slots whose retirement (or abandonment) is
-    /// resolved, and re-bucket entries whose tag was moved to a later epoch.
+    /// Consumes one epoch bucket of one arena ([`ArenaStore::consume`]);
+    /// returns the lines to write back.  Caller holds `recycle_lock`.
+    fn drain_bucket(&self, arena: &Arena, bucket: usize, durable: u64) -> u64 {
+        let mut entry = arena.dirty[bucket].swap(0, Ordering::AcqRel);
+        let mut flushed = 0u64;
+        while entry != 0 {
+            // Read the successor before any re-push can reuse the link.
+            let next = arena.link(entry - 1).load(Ordering::Relaxed);
+            flushed += Self::consume(arena, entry - 1, durable);
+            entry = next;
+        }
+        flushed
+    }
+
+    /// [`ArenaStore::drain_nursery`] on every nursery behind `durable`,
+    /// skipping the others without taking their lock.
+    fn drain_nurseries(&self, durable: u64) -> u64 {
+        let behind = |a: &&CachePadded<Arena>| a.held.load(Ordering::SeqCst) < durable;
+        let drain = |a: &CachePadded<Arena>| Self::drain_nursery(a, durable);
+        self.arenas.iter().filter(behind).map(drain).sum()
+    }
+
+    /// Consumes, in place, the births of `arena`'s nursery if its epoch is
+    /// before `durable`.  Caller holds `recycle_lock`.
+    fn drain_nursery(arena: &Arena, durable: u64) -> u64 {
+        let mut n = arena.nursery.lock();
+        if arena.held.load(Ordering::Relaxed) >= durable {
+            return 0;
+        }
+        arena.held.store(NO_BIRTHS, Ordering::Relaxed);
+        let consume = |enc| Self::consume(arena, enc, durable);
+        n.births.drain(..).map(consume).sum()
+    }
+
+    /// Consumes one dirty entry: writes back a due birth or retirement,
+    /// recycles the slot once its retirement (or abandonment) is resolved,
+    /// and re-buckets an entry whose tag was moved to a later epoch.
     /// Returns the number of cache lines to write back.  Caller holds
     /// `recycle_lock`.
     ///
@@ -662,96 +772,41 @@ impl ArenaStore {
     /// would splice the new list into the old one and could even close a
     /// cycle, hanging the next drain).  A retirement's bucket can be
     /// consumed before its birth's (LIFO order within one shared `e % RING`
-    /// bucket, or a birth entry stranded by a push/drain race), so the free
-    /// is a handoff: whichever of the two consumptions observes the other's
-    /// `*_CONSUMED` flag already set (the `fetch_or`s totally order them)
-    /// recycles the slot.  Only then is every reference to the slot's links
-    /// gone — which is also what lets the free list reuse the birth link.
-    fn drain_bucket(&self, arena: &Arena, bucket: usize, durable: u64) -> u64 {
-        let mut entry = arena.dirty[bucket].swap(0, Ordering::AcqRel);
-        let mut flushed = 0u64;
-        while entry != 0 {
-            let enc = entry - 1;
-            let kind = (enc % 2) as usize;
-            let combined = enc / 2;
-            let class = (combined % CLASSES as u64) as usize;
-            let idx = combined / CLASSES as u64;
-            let s = arena.classes[class].slot(idx);
-            // Read the successor before any re-push can reuse the link.
-            entry = s.links[kind].load(Ordering::Relaxed);
-            if kind == KIND_BIRTH {
-                let b = s.birth.load(Ordering::Acquire);
-                if b == UNBORN {
-                    continue; // already recycled
-                }
-                if b >= durable && s.state.load(Ordering::Relaxed) & ABANDONED == 0 {
-                    // Tag moved to a later epoch (standalone-op re-
-                    // validation): not due yet, re-bucket.
-                    arena.push_dirty(b, class, idx, KIND_BIRTH);
-                    continue;
-                }
-                let st = s.state.fetch_or(BIRTH_CONSUMED, Ordering::AcqRel);
-                if st & ABANDONED != 0 {
-                    // Never part of any durable state: recycle, no flush.
-                    // (If the abandoner saw BIRTH_CONSUMED already set it
-                    // recycled the slot itself; `free_slot` is idempotent.)
-                    Self::free_slot(arena, class, idx);
-                } else {
-                    if st & BIRTH_CONSUMED == 0 && Self::writes_back(s, st) {
-                        // A birth writes back the whole record: metadata
-                        // line, inline data area, overflow chain.
-                        flushed += birth_lines(class, s.vlen.load(Ordering::Relaxed));
-                    }
-                    if st & RETIRE_CONSUMED != 0 {
-                        // The retirement was consumed first and deferred the
-                        // recycle to us (see the handoff note above).
-                        Self::free_slot(arena, class, idx);
-                    }
-                }
-            } else {
-                let r = s.retire.load(Ordering::Acquire);
-                if r == LIVE {
-                    continue; // defensive: no pending retirement
-                }
-                if r >= durable {
-                    arena.push_dirty(r, class, idx, KIND_RETIRE);
-                    continue;
-                }
-                let st = s.state.fetch_or(RETIRE_CONSUMED, Ordering::AcqRel);
-                if st & RETIRE_CONSUMED == 0 && Self::writes_back(s, st) {
-                    // A retirement only touches the metadata line.
-                    flushed += 1;
-                }
-                // A retirement is recycled only once it is durable (so
-                // recovery can never resurrect the slot) *and* only via the
-                // handoff: if the birth entry is still pending somewhere,
-                // its consumption performs the free.
-                if st & BIRTH_CONSUMED != 0 {
-                    Self::free_slot(arena, class, idx);
-                }
-            }
+    /// bucket, or a birth entry stranded by a push/drain race, in a bucket
+    /// or in a nursery), so the free is a handoff: whichever
+    /// of the two consumptions observes the other's `*_CONSUMED` flag
+    /// already set (the `fetch_or`s totally order them) recycles the slot.
+    /// Only then is every reference to the slot's links gone — which is also
+    /// what lets the free list reuse the birth link.
+    fn consume(arena: &Arena, enc: u64, durable: u64) -> u64 {
+        let (class, idx, kind) = decode_entry(enc);
+        let s = arena.classes[class].slot(idx);
+        let tag = [&s.birth, &s.retire][kind].load(Ordering::Acquire);
+        if tag == UNBORN {
+            return 0; // already recycled (or, defensive: retirement LIVE)
         }
-        flushed
-    }
-
-    /// Whether the due dirty entry being consumed from slot `s` is written
-    /// back; `st` is the slot's state before this consumption.  The first of
-    /// the payload's two entries to be consumed decides for both: a payload
-    /// already retired in its birth epoch is [`ELIDED`].  The second entry
-    /// follows — in particular a birth written back before a same-epoch
-    /// retirement arrived (a post-commit cleanup overtaken by two advances,
-    /// drained by `repair_stale_bucket`) gets its retirement written back
-    /// too, since the durable image already holds the birth.
-    fn writes_back(s: &Slot, st: u64) -> bool {
-        if st & (BIRTH_CONSUMED | RETIRE_CONSUMED) != 0 {
-            return st & ELIDED == 0;
+        if tag >= durable && s.state.load(Ordering::Relaxed) & ABANDONED == 0 {
+            // Tag moved to a later epoch (standalone-op re-validation): not
+            // due yet, re-bucket.
+            arena.push_dirty(tag, &[enc]);
+            return 0;
         }
-        let r = s.retire.load(Ordering::Acquire);
-        if r != LIVE && r == s.birth.load(Ordering::Relaxed) {
-            s.state.fetch_or(ELIDED, Ordering::Relaxed);
-            return false;
+        let mine = BIRTH_CONSUMED << kind;
+        let st = s.state.fetch_or(mine, Ordering::AcqRel);
+        // A birth writes back the whole record, a retirement its metadata
+        // line, an abandoned payload (never durable) nothing.
+        let lines = match st & (mine | ABANDONED) {
+            0 if kind == KIND_BIRTH => birth_lines(class, s.vlen.load(Ordering::Relaxed)),
+            0 => 1,
+            _ => 0,
+        };
+        // The second consumption recycles (the handoff above), so a
+        // retirement is recycled only once durable; an abandoned birth
+        // needs no retirement (`free_slot` is idempotent).
+        if st & ((BIRTH_CONSUMED | RETIRE_CONSUMED) ^ mine | ABANDONED) != 0 {
+            Self::free_slot(arena, class, idx);
         }
-        true
+        lines
     }
 }
 
@@ -853,7 +908,11 @@ impl PersistenceDomain {
         let arena = &self.store.arenas[tid];
         let class = class_for(val);
         let slab = &arena.classes[class];
-        let idx = slab.pop_free().unwrap_or_else(|| slab.bump());
+        let mut n = arena.nursery.lock();
+        let idx = n.recycled[class]
+            .pop()
+            .or_else(|| slab.pop_free())
+            .unwrap_or_else(|| slab.bump());
         let s = slab.slot(idx);
         s.key.store(key, Ordering::Relaxed);
         arena.write_value(class, idx, val);
@@ -861,19 +920,38 @@ impl PersistenceDomain {
         s.state.store(0, Ordering::Relaxed);
         // Publishes the fields above to recovery/write-back scans.
         s.birth.store(epoch, Ordering::Release);
-        arena.push_dirty(epoch, class, idx, KIND_BIRTH);
-        self.repair_stale_bucket(tid, epoch);
+        let nursed = epoch == self.current_epoch();
+        #[cfg(test)]
+        step::reach(&step::NURSE);
+        let dirty = if nursed {
+            arena.nurse(&mut n, epoch, class, idx)
+        } else {
+            arena.push_dirty(epoch, &[entry(class, idx, KIND_BIRTH)]);
+            Some(epoch)
+        };
+        drop(n);
+        if let Some(e) = dirty {
+            self.repair_stale_bucket(tid, e);
+        }
+        if nursed && durable_end(self.current_epoch()) > epoch {
+            // Both drains since the clock read may have skipped us.
+            self.repair(|durable| ArenaStore::drain_nursery(arena, durable));
+        }
         encode_id(tid, class, idx)
     }
 
     /// Abandons a payload that belongs to an *aborted* transaction: the
     /// record was never part of any durable state (its birth epoch is more
     /// recent than every possible recovery horizon), so its slot is recycled
-    /// as soon as its birth-epoch dirty list is consumed (at once if that
-    /// already happened).
+    /// at once if the nursery still holds its birth, else as soon as its
+    /// birth-epoch dirty list is consumed (at once if that already
+    /// happened).
     pub fn abandon_payload(&self, id: PayloadId) {
         let (tid, class, idx) = decode_id(id);
         let arena = &self.store.arenas[tid];
+        if arena.recycle_nursling(&mut arena.nursery.lock(), class, idx) {
+            return;
+        }
         let s = arena.classes[class].slot(idx);
         let st = s.state.fetch_or(ABANDONED, Ordering::AcqRel);
         debug_assert_eq!(st & FREED, 0, "payload abandoned after recycle");
@@ -894,14 +972,21 @@ impl PersistenceDomain {
 
     /// Marks the payload `id` as retired in `epoch` (the key/value pair it
     /// represents has been removed or replaced).  May be called from any
-    /// thread, not only the arena owner.
+    /// thread, not only the arena owner.  `epoch` is final.  A payload born
+    /// in `epoch` whose birth the nursery still holds is recycled on the
+    /// spot (see the module docs).
     pub fn retire_payload(&self, id: PayloadId, epoch: u64) {
         let (tid, class, idx) = decode_id(id);
         let arena = &self.store.arenas[tid];
         let s = arena.classes[class].slot(idx);
+        if s.birth.load(Ordering::Relaxed) == epoch
+            && arena.recycle_nursling(&mut arena.nursery.lock(), class, idx)
+        {
+            return;
+        }
         let prev = s.retire.swap(epoch, Ordering::AcqRel);
         debug_assert_eq!(prev, LIVE, "payload retired twice");
-        arena.push_dirty(epoch, class, idx, KIND_RETIRE);
+        arena.push_dirty(epoch, &[entry(class, idx, KIND_RETIRE)]);
         self.repair_stale_bucket(tid, epoch);
     }
 
@@ -916,8 +1001,9 @@ impl PersistenceDomain {
     /// lost with the newest epochs but never resurrected.  The write-back
     /// drain re-buckets the pending dirty entry to the new epoch.
     ///
-    /// A CAS (never a blind store) so that a racing write-back — which may
-    /// have already recycled and reallocated the slot — is left untouched.
+    /// A CAS (never a blind store) so that a slot a foreign remover has
+    /// recycled on the spot is left untouched (only the caller, its owner,
+    /// can reallocate it).  Removers re-read the clock before retiring.
     pub fn retag_birth(&self, id: PayloadId, from: u64, to: u64) {
         debug_assert!(from <= to);
         let (tid, class, idx) = decode_id(id);
@@ -927,31 +1013,22 @@ impl PersistenceDomain {
             .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
     }
 
-    /// Moves the retirement tag of `id` from `from` to the later epoch `to`
-    /// (see [`PersistenceDomain::retag_birth`] for the standalone-operation
-    /// race this repairs).
-    pub fn retag_retire(&self, id: PayloadId, from: u64, to: u64) {
-        debug_assert!(from <= to);
-        let (tid, class, idx) = decode_id(id);
-        let s = self.store.arenas[tid].classes[class].slot(idx);
-        let _ = s
-            .retire
-            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
-    }
-
     /// A dirty entry was pushed for an epoch that is already persisted (a
     /// stale tag, or a push that raced the write-back of its epoch): drain
     /// that bucket now so the write-back claim stays honest.  One relaxed
     /// load on the fast path; the lock is taken only in the racy case.
     fn repair_stale_bucket(&self, tid: usize, epoch: u64) {
-        if epoch >= self.persisted_epoch.load(Ordering::Acquire) {
-            return;
+        if epoch < self.persisted_epoch.load(Ordering::Acquire) {
+            let (arena, bucket) = (&self.store.arenas[tid], (epoch % RING as u64) as usize);
+            self.repair(|durable| self.store.drain_bucket(arena, bucket, durable));
         }
-        let store = &self.store;
-        let _g = store.recycle_lock.lock();
-        let durable = self.persisted_epoch.load(Ordering::Relaxed);
-        let flushed =
-            store.drain_bucket(&store.arenas[tid], (epoch % RING as u64) as usize, durable);
+    }
+
+    /// Runs `drain` at the persisted horizon under the recycle lock and
+    /// writes back what it consumed.
+    fn repair(&self, drain: impl FnOnce(u64) -> u64) {
+        let _g = self.store.recycle_lock.lock();
+        let flushed = drain(self.persisted_epoch.load(Ordering::Relaxed));
         if flushed > 0 {
             self.nvm.flush_lines(flushed);
             self.nvm.fence();
@@ -962,8 +1039,9 @@ impl PersistenceDomain {
     /// work for every epoch that is now two behind: all payloads born or
     /// retired in those epochs are written back (one simulated cache-line
     /// flush per record, one fence per batch), and slots whose retirement is
-    /// durable are recycled.  This consumes only the dirty lists of the
-    /// crossing epochs — `O(dirty)`, not `O(all slots)`.
+    /// durable are recycled.  This consumes only the nurseries and dirty
+    /// lists of the crossing epochs — `O(dirty)`, not `O(all slots)`; a
+    /// nursery is locked only if its births are behind the new horizon.
     ///
     /// Returns the new current epoch.
     pub fn advance_epoch(&self) -> u64 {
@@ -975,7 +1053,7 @@ impl PersistenceDomain {
         let _g = store.recycle_lock.lock();
         let prev = self.persisted_epoch.load(Ordering::Relaxed);
         if durable > prev {
-            let mut flushed = 0u64;
+            let mut flushed = store.drain_nurseries(durable);
             // Each bucket needs draining at most once even if the horizon
             // jumped more than a full ring.
             let lo = if durable - prev >= RING as u64 {
@@ -1004,17 +1082,18 @@ impl PersistenceDomain {
     /// durable by advancing the epoch twice.
     ///
     /// This additionally drains *every* dirty bucket (not only the ones the
-    /// two advances crossed): a dirty entry pushed concurrently with the
-    /// drain of its own epoch can land after the bucket was consumed and
-    /// would otherwise wait for the ring to wrap.  `sync` is the quiescence
-    /// point, so it settles such stragglers immediately.
+    /// two advances crossed) and every nursery behind the horizon: an entry
+    /// pushed or nursed concurrently with the drain of its own epoch can
+    /// land after that drain passed and would otherwise wait for the ring
+    /// to wrap or the next advance.  `sync` is the quiescence point, so it
+    /// settles such stragglers immediately.
     pub fn sync(&self) {
         self.advance_epoch();
         self.advance_epoch();
         let store = &self.store;
         let _g = store.recycle_lock.lock();
         let durable = self.persisted_epoch.load(Ordering::Relaxed);
-        let mut flushed = 0u64;
+        let mut flushed = store.drain_nurseries(durable);
         for arena in store.arenas.iter() {
             for bucket in 0..RING {
                 flushed += store.drain_bucket(arena, bucket, durable);
@@ -1097,6 +1176,8 @@ impl PersistenceDomain {
         let mut free = 0usize;
         let mut allocated = 0usize;
         for arena in store.arenas.iter() {
+            let recycled = &arena.nursery.lock().recycled;
+            free += recycled.iter().map(Vec::len).sum::<usize>();
             for slab in arena.classes.iter() {
                 let len = slab.len.load(Ordering::Acquire);
                 allocated += len as usize;
@@ -1206,6 +1287,31 @@ impl Drop for EpochAdvancer {
 }
 
 #[cfg(test)]
+/// Test hooks run at fixed steps of the domain's operations: a test sets
+/// one on its thread, and the operation takes and runs it when it reaches
+/// the step.
+mod step {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
+
+    thread_local! {
+        /// `alloc_value` read the clock and holds its nursery lock, but has
+        /// not nursed the birth yet.  A hook that advances the epoch must
+        /// run on an arena whose nursery is empty, or the drain waits for
+        /// that lock.
+        pub(super) static NURSE: Hook = const { Cell::new(None) };
+    }
+
+    pub(super) fn reach(step: &'static LocalKey<Hook>) {
+        if let Some(hook) = step.take() {
+            hook();
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1243,16 +1349,138 @@ mod tests {
 
     #[test]
     fn retired_slots_are_recycled_only_when_durable() {
+        // Retired in a later epoch than its birth: the slot waits until the
+        // retirement is durable.
         let d = domain();
-        let e = d.current_epoch();
-        let id = d.alloc_payload(0, 3, 30, e);
-        d.retire_payload(id, e);
+        let id = d.alloc_payload(0, 3, 30, d.current_epoch());
+        d.advance_epoch();
+        d.retire_payload(id, d.current_epoch());
         assert_eq!(d.stats().free_slots, 0);
+        d.advance_epoch();
+        assert_eq!(d.stats().free_slots, 0, "retirement not yet durable");
         d.sync();
         assert_eq!(d.stats().free_slots, 1);
         // The recycled slot is reused by the next allocation.
         let id2 = d.alloc_payload(0, 4, 40, d.current_epoch());
         assert_eq!(id2, id);
+    }
+
+    #[test]
+    fn a_slot_retired_in_its_birth_epoch_is_free_at_once() {
+        let d = domain();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 3, 30, e);
+        d.retire_payload(id, e);
+        assert_eq!(d.stats().free_slots, 1, "recycled on the spot");
+        assert_eq!(d.stats().live_payloads, 0);
+        // The next allocation reuses it, before any advance.
+        let id2 = d.alloc_payload(0, 4, 40, e);
+        assert_eq!(id2, id);
+        assert_eq!(d.stats().free_slots, 0);
+        d.retire_payload(id2, e);
+        d.sync();
+        assert_eq!(flushes(&d), 0, "neither payload is written back");
+        assert_eq!(d.stats().allocated_slots, 1);
+        assert!(d.recover().is_empty());
+    }
+
+    #[test]
+    fn a_retirement_after_the_birth_epoch_is_not_recycled_on_the_spot() {
+        // Born in `e` and still in the nursery (the owner has not allocated
+        // since), retired by a standalone remover whose re-read saw `e + 1`:
+        // the payload belongs to the cut at horizon `e + 1`.
+        let d = domain();
+        d.sync();
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 1, 10, e);
+        d.advance_epoch();
+        d.retire_payload(id, e + 1);
+        assert_eq!(d.stats().free_slots, 0, "not recycled on the spot");
+        d.advance_epoch();
+        let (rec, horizon) = d.recover_with_horizon();
+        assert_eq!(horizon, e + 1);
+        assert_eq!(rec.get(&1), Some(&Value::U64(10)), "cut lost the payload");
+        d.advance_epoch();
+        let (rec, horizon) = d.recover_with_horizon();
+        assert_eq!(horizon, e + 2);
+        assert!(rec.is_empty());
+        assert_eq!(d.stats().free_slots, 1);
+        assert_eq!(flushes(&d), 2, "birth and retirement written back");
+    }
+
+    #[test]
+    fn an_aborted_transactions_payload_is_free_before_any_advance() {
+        use medley::{AbortReason, Ctx, TxError};
+        let d = domain();
+        let e = d.current_epoch();
+        let mut h = d.manager().register();
+        let res = h.run(|t| -> Result<(), _> {
+            let id = d.alloc_payload(t.tid(), 1, 10, t.snapshot_epoch().unwrap());
+            let d = Arc::clone(&d);
+            t.add_abort_action(move |_| d.abandon_payload(id));
+            Err(t.abort(AbortReason::Explicit))
+        });
+        assert_eq!(res, Err(TxError::Explicit));
+        let stats = d.stats();
+        assert_eq!(stats.current_epoch, e);
+        assert_eq!(
+            (stats.free_slots, stats.allocated_slots, stats.live_payloads),
+            (1, 1, 0)
+        );
+        d.sync();
+        assert_eq!(flushes(&d), 0);
+        assert!(d.recover().is_empty());
+    }
+
+    #[test]
+    fn a_foreign_same_epoch_retirement_recycles_into_the_owners_arena() {
+        let d = PersistenceDomain::new(TxManager::with_max_threads(2), NvmCostModel::ZERO);
+        let e = d.current_epoch();
+        let id = d.alloc_payload(0, 1, 10, e);
+        std::thread::scope(|s| {
+            s.spawn(|| d.retire_payload(id, e));
+        });
+        assert_eq!(d.stats().free_slots, 1);
+        assert_eq!(d.alloc_payload(0, 2, 20, e), id, "the owner reuses it");
+        d.sync();
+        assert_eq!(flushes(&d), 1, "only the second payload is written back");
+        assert_eq!(d.recover_u64(), HashMap::from([(2, 20)]));
+    }
+
+    #[test]
+    fn a_birth_overtaken_by_two_advances_is_written_back_before_alloc_returns() {
+        // The owner reads the clock as `e`, then both drains that cover `e`
+        // run before it nurses the birth, so they find its nursery empty.
+        let d = domain();
+        d.sync();
+        let e = d.current_epoch();
+        let d2 = Arc::clone(&d);
+        step::NURSE.set(Some(Box::new(move || {
+            d2.advance_epoch();
+            d2.advance_epoch();
+        })));
+        d.alloc_payload(0, 1, 10, e);
+        assert!(step::NURSE.take().is_none(), "the hook ran");
+        let (rec, horizon) = d.recover_with_horizon();
+        assert_eq!(horizon, e + 1, "the cut covers the birth");
+        assert_eq!(rec.get(&1), Some(&Value::U64(10)));
+        assert_eq!(flushes(&d), 1, "and its write-back happened");
+        d.sync();
+        assert_eq!(flushes(&d), 1, "exactly once");
+    }
+
+    #[test]
+    fn an_idle_owners_births_are_durable_after_two_advances() {
+        // The owner allocates once and never again, so it never hands its
+        // nursery on: the drain has to take the birth from there.
+        let d = PersistenceDomain::new(TxManager::with_max_threads(4), NvmCostModel::ZERO);
+        let e = d.current_epoch();
+        d.alloc_payload(3, 1, 10, e);
+        d.advance_epoch();
+        assert!(d.recover().is_empty());
+        d.advance_epoch();
+        assert_eq!(d.recover_u64().get(&1), Some(&10));
+        assert_eq!(flushes(&d), 1);
     }
 
     #[test]
@@ -1471,14 +1699,14 @@ mod tests {
             "durable after the new tag"
         );
 
-        // Same for retirements: the removal linearized in `now2`, so at a
-        // horizon between the stale tag and `now2` the payload must still be
-        // visible.
+        // Retirements need no retag: the remover re-reads the clock after
+        // its index update and retires with that epoch, `now2`, so at a
+        // horizon between its first read and `now2` the payload must still
+        // be visible.
         let stale = d.current_epoch();
         d.advance_epoch();
         let now2 = d.current_epoch();
-        d.retire_payload(id, stale);
-        d.retag_retire(id, stale, now2);
+        d.retire_payload(id, now2);
         d.advance_epoch(); // horizon crosses `stale`
         let (rec, horizon) = d.recover_with_horizon();
         assert!(horizon > stale && horizon <= now2);

@@ -8,10 +8,12 @@
 //! * a **payload store** holding the semantically significant data of each
 //!   structure (key/value pairs), each record tagged with the epoch of the
 //!   operation that created or retired it.  The store is sharded into
-//!   **per-thread arenas** (one per `TxManager` thread slot) with lock-free
-//!   allocation and retirement, and each arena keeps **epoch-indexed dirty
-//!   lists** so the periodic write-back touches only the records that
-//!   actually changed in the epochs crossing the durability horizon;
+//!   **per-thread arenas** (one per `TxManager` thread slot) whose
+//!   allocation and retirement take only the arena's own nursery lock; a
+//!   record that dies in its birth epoch is recycled on the spot, and the
+//!   rest go on **epoch-indexed dirty lists** so the periodic write-back
+//!   touches only the records that actually changed in the epochs crossing
+//!   the durability horizon;
 //! * **periodic persistence**: payloads are written back in batches at epoch
 //!   boundaries rather than eagerly, and post-crash recovery restores the
 //!   state as of the end of epoch `e − 2` — the *buffered* durable

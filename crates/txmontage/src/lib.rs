@@ -21,9 +21,16 @@
 //!   Medley's abort actions.  Each captures the domain, a payload id and at
 //!   most an epoch — three words, which Medley keeps inline — so the payload
 //!   bookkeeping of an update allocates nothing;
-//! * a payload replaced or removed in the epoch it was born in is never
-//!   written back (no recovery cut can contain it), so the write-back an
-//!   epoch costs follows the updates that outlive it;
+//! * a payload replaced or removed in the epoch it was born in is recycled
+//!   on the spot by the thread that retires it, unless its owner has
+//!   already moved on to a later epoch: no recovery cut can contain it, so
+//!   it is never written back and the drain never sees it, and the
+//!   write-back an epoch costs follows the updates that outlive it;
+//! * **payload slots are never read on the hot path**: `get`, `contains`
+//!   and `range` return the value the index keeps beside the payload id,
+//!   and only recovery and the domain's drain read payload slots.  The
+//!   on-the-spot reuse above depends on it — a reader that followed a
+//!   payload id could find the slot already holding another key;
 //! * [`Durable::recover`] rebuilds the key/value mapping as of the nbMontage
 //!   recovery point (end of epoch `e − 2`).
 //!
@@ -44,8 +51,8 @@
 //! with its epoch-participation protocol — the advancer waits for the
 //! operations of an epoch to retire before persisting it — which this
 //! simulation does not model.  The post-linearization tag race, by
-//! contrast, *is* handled: standalone operations re-validate the epoch
-//! after their update and re-tag conservatively.
+//! contrast, *is* handled: standalone operations re-read the epoch after
+//! their update, retire the old payload with it and re-tag the new one.
 //!
 //! ```
 //! use medley::TxManager;
@@ -200,32 +207,33 @@ where
             .unwrap_or_else(|| self.domain.current_epoch())
     }
 
-    /// Closes the standalone-update epoch race: a `NonTx` operation reads
-    /// the epoch once *before* its index update, so the clock may advance
-    /// before the update linearizes — the payload would then be tagged one
-    /// epoch early and claimed durable (recovered) at a horizon the
-    /// operation is not part of, losing or resurrecting it across a crash.
-    /// Transactions are immune (the MCNS commit validates the snapshot
-    /// epoch), so for standalone operations we re-read the epoch *after* the
-    /// update and, on a change, conservatively re-tag the touched payloads
-    /// with the later epoch: the operation linearized no later than the
-    /// re-read, so the new tag can delay durability by one horizon but never
-    /// claim it early.
-    fn revalidate_standalone_epoch(
-        &self,
-        tagged: u64,
-        birth: Option<PayloadId>,
-        retired: Option<PayloadId>,
-    ) {
+    /// The epoch to retire an update's replaced or removed payload with,
+    /// once its index change is done.  Closes the
+    /// standalone-update epoch race: a `NonTx` operation reads the epoch
+    /// once *before* its index update, so the clock may advance before the
+    /// update linearizes — the payload would then be tagged one epoch early
+    /// and claimed durable (recovered) at a horizon the operation is not
+    /// part of, losing or resurrecting it across a crash.  Transactions are
+    /// immune (the MCNS commit validates the snapshot epoch), so for
+    /// standalone operations the epoch is re-read *after* the update: the
+    /// retirement is tagged with it, and on a change the new payload's birth
+    /// is re-tagged to it.  The operation linearized no later than the
+    /// re-read, so the later tag can delay durability by one horizon but
+    /// never claim it early.  The retirement is made once, with its final
+    /// tag, because the domain may recycle its slot on the spot.
+    fn settle_epoch<C: Ctx>(&self, cx: &C, tagged: u64, birth: Option<PayloadId>) -> u64 {
+        if cx.is_transactional() {
+            return tagged;
+        }
+        #[cfg(test)]
+        step::reach(&step::REREAD);
         let now = self.domain.current_epoch();
         if now != tagged {
             if let Some(id) = birth {
                 self.domain.retag_birth(id, tagged, now);
             }
-            if let Some(id) = retired {
-                self.domain.retag_retire(id, tagged, now);
-            }
         }
+        now
     }
 
     /// Looks up `key`.
@@ -247,9 +255,7 @@ where
         if self.inner.insert(cx, key, (val, payload.0)) {
             let domain = Arc::clone(&self.domain);
             cx.add_abort_action(move |_| domain.abandon_payload(payload));
-            if !cx.is_transactional() {
-                self.revalidate_standalone_epoch(epoch, Some(payload), None);
-            }
+            self.settle_epoch(cx, epoch, Some(payload));
             true
         } else {
             self.domain.abandon_payload(payload);
@@ -266,15 +272,10 @@ where
         let prev = self.inner.put(cx, key, (val, payload.0));
         let domain = Arc::clone(&self.domain);
         cx.add_abort_action(move |_| domain.abandon_payload(payload));
-        let retired = prev
-            .as_ref()
-            .map(|(_, old_payload)| PayloadId(*old_payload));
-        if let Some(old) = retired {
-            let domain = Arc::clone(&self.domain);
-            cx.add_cleanup(move |_| domain.retire_payload(old, epoch));
-        }
-        if !cx.is_transactional() {
-            self.revalidate_standalone_epoch(epoch, Some(payload), retired);
+        let tag = self.settle_epoch(cx, epoch, Some(payload));
+        if let Some((_, old_payload)) = prev {
+            let (domain, old) = (Arc::clone(&self.domain), PayloadId(old_payload));
+            cx.add_cleanup(move |_| domain.retire_payload(old, tag));
         }
         prev.map(|(old_val, _)| old_val)
     }
@@ -284,12 +285,9 @@ where
         let epoch = self.op_epoch(cx);
         match self.inner.remove(cx, key) {
             Some((old_val, old_payload)) => {
-                let old = PayloadId(old_payload);
-                let domain = Arc::clone(&self.domain);
-                cx.add_cleanup(move |_| domain.retire_payload(old, epoch));
-                if !cx.is_transactional() {
-                    self.revalidate_standalone_epoch(epoch, None, Some(old));
-                }
+                let tag = self.settle_epoch(cx, epoch, None);
+                let (domain, old) = (Arc::clone(&self.domain), PayloadId(old_payload));
+                cx.add_cleanup(move |_| domain.retire_payload(old, tag));
                 Some(old_val)
             }
             None => None,
@@ -381,6 +379,29 @@ where
         limit: usize,
     ) -> Vec<(u64, V)> {
         Durable::range(self, cx, bounds, limit)
+    }
+}
+
+/// Test hooks run at fixed steps of the map's operations: a test sets one
+/// on its thread, and the operation takes and runs it when it reaches the
+/// step.
+#[cfg(test)]
+mod step {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
+
+    thread_local! {
+        /// A standalone update changed the index and has not re-read the
+        /// epoch.
+        pub(super) static REREAD: Hook = const { Cell::new(None) };
+    }
+
+    pub(super) fn reach(step: &'static LocalKey<Hook>) {
+        if let Some(hook) = step.take() {
+            hook();
+        }
     }
 }
 
@@ -686,5 +707,82 @@ mod tests {
         }
         assert_eq!(rec.len(), live);
         assert_eq!(domain.stats().live_payloads, live);
+    }
+
+    /// Runs `op` with one advance of `domain` between its index update and
+    /// its epoch re-read.
+    fn with_a_tick_before_the_reread<R>(
+        domain: &Arc<PersistenceDomain>,
+        op: impl FnOnce() -> R,
+    ) -> R {
+        let d = Arc::clone(domain);
+        step::REREAD.set(Some(Box::new(move || {
+            d.advance_epoch();
+        })));
+        let out = op();
+        assert!(step::REREAD.take().is_none(), "the hook ran");
+        out
+    }
+
+    #[test]
+    fn a_standalone_remove_overtaken_by_a_tick_retires_in_the_later_epoch() {
+        // The payload is born in `e` and the removal's index update lands
+        // in `e`, but the clock ticks before the re-read: the retirement is
+        // tagged `e + 1`, so the payload is not recycled on the spot and
+        // the owner's next payload takes a fresh slot.
+        let (mgr, domain, map) = setup();
+        let mut h = mgr.register();
+        domain.sync();
+        let e = domain.current_epoch();
+        assert!(map.insert(&mut h.nontx(), 1, 10));
+        let free = domain.stats().free_slots;
+        let removed = with_a_tick_before_the_reread(&domain, || map.remove(&mut h.nontx(), 1));
+        assert_eq!(removed, Some(10));
+        assert_eq!(domain.current_epoch(), e + 1);
+        assert_eq!(domain.stats().free_slots, free, "not recycled on the spot");
+        assert!(map.insert(&mut h.nontx(), 2, 20));
+        domain.advance_epoch();
+        let (rec, horizon) = map.recover_with_horizon();
+        assert_eq!(horizon, e + 1);
+        assert_eq!(rec, HashMap::from([(1, 10)]));
+        domain.advance_epoch();
+        let (rec, horizon) = map.recover_with_horizon();
+        assert_eq!(horizon, e + 2);
+        assert_eq!(rec, HashMap::from([(2, 20)]));
+    }
+
+    #[test]
+    fn a_standalone_replace_overtaken_by_a_tick_moves_both_tags() {
+        let (mgr, domain, map) = setup();
+        let mut h = mgr.register();
+        domain.sync();
+        let e = domain.current_epoch();
+        assert!(map.insert(&mut h.nontx(), 1, 10));
+        let old = with_a_tick_before_the_reread(&domain, || map.put(&mut h.nontx(), 1, 11));
+        assert_eq!(old, Some(10));
+        domain.advance_epoch();
+        assert_eq!(
+            map.recover_with_horizon(),
+            (HashMap::from([(1, 10)]), e + 1)
+        );
+        domain.advance_epoch();
+        assert_eq!(
+            map.recover_with_horizon(),
+            (HashMap::from([(1, 11)]), e + 2)
+        );
+        assert_eq!(domain.stats().live_payloads, 1);
+    }
+
+    #[test]
+    fn a_standalone_remove_in_the_birth_epoch_recycles_on_the_spot() {
+        let (mgr, domain, map) = setup();
+        let mut h = mgr.register();
+        domain.sync();
+        assert!(map.insert(&mut h.nontx(), 1, 10));
+        let free = domain.stats().free_slots;
+        assert_eq!(map.remove(&mut h.nontx(), 1), Some(10));
+        assert_eq!(domain.stats().free_slots, free + 1);
+        domain.sync();
+        assert!(map.recover().is_empty());
     }
 }
