@@ -22,7 +22,7 @@ pub struct TxMontageMicro<M> {
     _advancer: EpochAdvancer,
 }
 
-impl TxMontageMicro<nbds::MichaelHashMap<(u64, u64)>> {
+impl TxMontageMicro<nbds::MichaelHashMap<u64>> {
     /// Durable hash map (Fig. 7's txMontage series).
     pub fn hash_map(buckets: usize, advancer_period: Duration) -> Self {
         let mgr = TxManager::new();
@@ -37,7 +37,7 @@ impl TxMontageMicro<nbds::MichaelHashMap<(u64, u64)>> {
     }
 }
 
-impl TxMontageMicro<nbds::SkipList<(u64, u64)>> {
+impl TxMontageMicro<nbds::SkipList<u64>> {
     /// Durable skiplist (Fig. 8's txMontage series).
     pub fn skip_list(advancer_period: Duration) -> Self {
         let mgr = TxManager::new();
@@ -59,7 +59,7 @@ impl<M> TxMontageMicro<M> {
     }
 }
 
-impl<M: TxMap<(u64, u64)> + 'static> MicroSystem for TxMontageMicro<M> {
+impl<M: TxMap<u64> + 'static> MicroSystem for TxMontageMicro<M> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }

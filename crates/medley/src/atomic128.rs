@@ -52,7 +52,8 @@
 //! | `nbds::chain` / `skiplist` / `msqueue` | every store to a shared word is `nbtc_cas`/`untracked_cas`/`store_value` or, on a skiplist index word (a bare [`AtomicU128`]), `AtomicU128::cas` (all locked); node payloads and a new tower's index words are written before the publishing CAS and read through the loaded pointer | locked stores; address dependency + acquire load on the reader |
 //! | `nbds::skiplist` late link (`link_level` vs `maintain`) | linker: link CAS at the predecessor's index word, then re-load of the node's own; remover: mark CAS on that word, then the purge's loads — one of the two must see the other | both stores are locked CASes; the retirement handoff is `done.fetch_or`, locked as well |
 //! | `nbds::skiplist` early exit | a lookup's index loads, then the counted load of the found tower's value word | load → load; the tower was published by a locked CAS |
-//! | `txmontage::Durable::revalidate_standalone_epoch` | the index update, payload tagging and `retire_payload`, then the epoch re-read | the linearizing CAS, `Arena::push_dirty`'s `cmpxchg` and `retire.swap` are all locked and all precede the re-read |
+//! | `txmontage::Durable::settle_epoch` | the index update, payload tagging and `retire_payload`, then the epoch re-read | the linearizing CAS, `Arena::push_dirty`'s `cmpxchg` and `retire.swap` are all locked and all precede the re-read |
+//! | `nbds::chain::map_live` over a `txmontage` word map: value-word load → slot load → value-word re-load | the updater's CAS that takes a payload id out of the word, then (through `retire_payload`, an on-the-spot recycle and the slot's reuse by `alloc_value`) `Relaxed` stores into the slot; the reader's value-word load, `PersistenceDomain::payload_word`'s slot load, then the re-load | the word CAS is locked and precedes every store of the reuse, which also sits behind two nursery-lock acquisitions (locked); on the reader load → load, kept in order by TSO and, for the compiler, by the `Acquire` slot load — so a slot load that sees a reuse store is followed by a re-load that sees the CAS |
 //! | `PersistenceDomain::alloc_value` / `retire_payload` | `Relaxed`/`Release` stores into the slot, then the caller's index traversal | `push_dirty` ends both with a locked `cmpxchg`; the epoch they tag with was loaded *before* the stores (load → store) |
 //! | `PersistenceDomain::advance_epoch` | `persisted_epoch = durable` (`Release`), then (in `sync`) the next epoch-word load | the recycle-lock release between them is locked; `repair_stale_bucket` reads `persisted_epoch` after `push_dirty` (locked) and never raced a `CasWord` load — the push/drain straggler it leaves is settled by `sync` as before |
 //! | `kvstore::cache` occupancy | the word is written only by transactional commit CASes; `occupancy()` is a lone load | no plain store involved; tallies are `fetch_add` (locked) in post-commit cleanups |

@@ -51,6 +51,24 @@
 //!   commit; nodes and boxed values come from `tnew`, so an abort frees them,
 //!   and a replaced or removed box is `tretire`d.
 //!
+//! # The re-checked read
+//!
+//! A lookup that finds its key alive maps the value word through the
+//! caller's function and then loads the word again ([`map_live`]).  If the
+//! word still holds the same value and counter token, the mapping was of the
+//! key's binding over the whole interval between the two loads, and that
+//! pair is what the lookup registers and remembers.  If the word moved to
+//! another live value, that value is mapped and re-checked in turn; if it
+//! died, the lookup searches again.  An inline value or a box needs none of
+//! this, since the pin keeps a box readable, but a word may also name a
+//! record kept elsewhere that is reused as soon as the binding leaves the
+//! word (a `txmontage` payload id: its slot can be recycled on the spot).
+//! The unchanged pair is what proves the record was not reused during the
+//! read.  The price is one load of a line the lookup has just read.
+//! Standalone, the re-load is the read's linearization point; in a
+//! transaction the pair is validated at commit as any registered read, and
+//! a word the transaction has written re-loads as its buffered value.
+//!
 //! # The found-word memo
 //!
 //! A transaction that reads a key and then writes it would search for the
@@ -124,7 +142,7 @@ fn boxed<V>(bits: u64) -> Option<*mut V> {
 /// # Safety
 /// `bits` was read, under the current pin, from the value word of a node in
 /// a chain of `V`s.
-pub(crate) unsafe fn decode<V: 'static, R>(bits: u64, f: impl FnOnce(&V) -> R) -> R {
+unsafe fn decode<V: 'static, R>(bits: u64, f: impl FnOnce(&V) -> R) -> R {
     debug_assert_ne!(bits, DEAD);
     match boxed::<V>(bits) {
         // SAFETY: a box leaves its word only by a replace or a remove, which
@@ -492,26 +510,34 @@ impl<N: Link> Position<N, TRACKED> {
     }
 
     /// Completes a lookup of `at`: maps the value the key is bound to
-    /// through `f`, registers the outcome, present or absent, and remembers
-    /// the value word of a present key.
-    pub(crate) fn read<C: Ctx, R>(
+    /// through `f` by a re-checked read (module docs), registers the
+    /// outcome, present or absent, and remembers the value word of a present
+    /// key.  `None` if the word died during the read: the caller searches
+    /// again.
+    fn read<C: Ctx, R>(
         &self,
         cx: &mut C,
         at: MemoKey,
-        f: impl FnOnce(&N::Val) -> R,
-    ) -> Option<R>
+        f: &mut impl FnMut(&N::Val) -> R,
+    ) -> Option<Option<R>>
     where
         N::Val: 'static,
     {
-        let res = match self.hold {
-            // SAFETY: `val` was read from a node of this chain under the pin
-            // the position was taken under.
-            Hold::Alive { val, .. } => Some(unsafe { decode(val, f) }),
-            _ => None,
+        let Hold::Alive { val, cnt } = self.hold else {
+            self.register_read(cx);
+            return Some(None);
         };
-        self.register_read(cx);
-        self.remember(cx, at);
-        res
+        // SAFETY: `(val, cnt)` was read from the value word of a node of this
+        // chain under the pin the position was taken under.
+        let (res, val, cnt) = unsafe { map_live(cx, self.holder().value(), (val, cnt), f) }?;
+        // What the key was bound to at the re-load.
+        let read = Self {
+            hold: Hold::Alive { val, cnt },
+            ..*self
+        };
+        read.register_read(cx);
+        read.remember(cx, at);
+        Some(Some(res))
     }
 
     /// Files the value word of a found key in the transaction's memo, for a
@@ -532,8 +558,61 @@ impl<N: Link> Position<N, TRACKED> {
     }
 }
 
-// Updates, generic over how the position is found (`find` from a start word,
-// or the skiplist's descent through its index) and how a node is made
+/// Maps the live value that `word` held as `(val, cnt)` through `f`, then
+/// re-loads `word`: the re-checked read (module docs).  Returns the result
+/// of the mapping of the pair the word still held at its re-load, after
+/// mapping each newer live value the word moved to in between, or `None` if
+/// the word died.
+///
+/// # Safety
+/// `word` is the value word of a node in a chain of `V`s, and `(val, cnt)`
+/// a live value and its token read from it, under the current pin.
+pub(crate) unsafe fn map_live<V: 'static, R, C: Ctx>(
+    cx: &mut C,
+    word: &CasWord,
+    (mut val, mut cnt): (u64, u64),
+    f: &mut impl FnMut(&V) -> R,
+) -> Option<(R, u64, u64)> {
+    loop {
+        // SAFETY: the caller's contract, which every re-load under the same
+        // pin keeps.
+        let res = unsafe { decode(val, &mut *f) };
+        let now = cx.nbtc_load_counted(word);
+        if now == (val, cnt) {
+            return Some((res, val, cnt));
+        }
+        if now.0 == DEAD {
+            return None;
+        }
+        (val, cnt) = now;
+    }
+}
+
+// Operations, generic over how the position is found (`find` from a start
+// word, or the skiplist's descent through its index) and how a node is made
+
+/// Looks the key of `at` up and maps the value it is bound to through `f`,
+/// which may run more than once (module docs); the outcome, present or
+/// absent, is registered, and the value word of a present key remembered.
+///
+/// # Safety
+/// `locate` returns positions of the key of `at` taken under the current
+/// pin in the container of `at`.
+pub(crate) unsafe fn get<N: Link, C: Ctx, R>(
+    cx: &mut C,
+    at: MemoKey,
+    mut locate: impl FnMut(&mut C) -> Position<N, TRACKED>,
+    mut f: impl FnMut(&N::Val) -> R,
+) -> Option<R>
+where
+    N::Val: 'static,
+{
+    loop {
+        if let Some(res) = locate(cx).read(cx, at, &mut f) {
+            return res;
+        }
+    }
+}
 
 /// Inserts a node made by `make` — called once, and only when the key was
 /// seen absent — unless the key is present, in which case the failed insert
@@ -703,10 +782,10 @@ impl<K: Ord + Copy + Send + 'static, V: Send + Sync + 'static> Node<K, V> {
         at: MemoKey,
         start: &CasWord,
         key: K,
-        read: impl FnOnce(&V) -> R,
+        read: impl FnMut(&V) -> R,
     ) -> Option<R> {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { find::<TRACKED, Self, C>(cx, start, key) }.read(cx, at, read)
+        unsafe { get(cx, at, |cx| find::<TRACKED, Self, C>(cx, start, key), read) }
     }
 
     /// Inserts `key -> val` only if `key` is absent.

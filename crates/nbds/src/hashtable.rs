@@ -96,6 +96,12 @@ where
         self.bucket(key).get(cx, key)
     }
 
+    /// Looks up `key` and maps its value through `f`, which may run more
+    /// than once (see [`TxMap::get_with`](crate::TxMap::get_with)).
+    pub fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, f: impl FnMut(&V) -> R) -> Option<R> {
+        self.bucket(key).get_with(cx, key, f)
+    }
+
     /// Whether `key` is present (counted-read traversal; never clones the
     /// value).
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {

@@ -25,7 +25,11 @@
 //! links, unlinks and retires no node; a `remove` is one CAS of the same word
 //! to "dead", and the marking and unlinking of the node is cleanup.  A
 //! transaction remembers the value words its lookups found, so a `put` after
-//! a lookup of the same key does not search at all: it CASes that word.
+//! a lookup of the same key does not search at all: it CASes that word.  A
+//! lookup re-loads the value word after it has read the value and keeps the
+//! read only if the word has not moved ([`TxMap::get_with`]), so a word may
+//! also name a record kept outside the node and reused as soon as its
+//! binding is gone (`txmontage` keeps payload ids there).
 //!
 //! Every operation is generic over a [`medley::Ctx`] execution context.
 //! Called with the [`medley::Txn`] guard handed out by
@@ -53,7 +57,7 @@
 //!
 //! | container | read-only outcome | registers | falsified by | which CASes |
 //! |---|---|---|---|---|
-//! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.value` | `put`-replace, `remove` | `curr.value` (to the new value; to "dead") |
+//! | [`MichaelList`], [`MichaelHashMap`], [`SplitOrderedMap`], [`SkipList`] | key present (`get` hit, `contains` true, failed `insert`) | `curr.value`, as re-loaded after the value was read | `put`-replace, `remove` | `curr.value` (to the new value; to "dead") |
 //! | same | key absent (`get` miss, `contains` false, failed `remove`), which includes "the candidate holds the key but is dead and not yet unlinked" | `prev` | `insert`, `put`-insert | `prev` (link; before that, the unlink of a dead candidate, also `prev`) |
 //! | same | a `put` after a lookup of its key in the same transaction that found it present (`get`, `contains`, failed `insert`, an earlier `put`'s replace): no search, one CAS on the word the lookup found | nothing more: the lookup registered that same `curr.value` | `put`-replace, `remove` between the two | `curr.value`: the lookup's read fails validation, or the put's pre-image its install; a dead word sends the put to the search |
 //! | [`SkipList`] | key present, its tower met alive above level 0 (`get`, `contains`, failed `insert`; a `put` replaces there) | `curr.value`, without descending further: a key has one live tower, and a dead word never revives | `put`-replace, `remove` | `curr.value` |

@@ -70,17 +70,21 @@ where
 
     /// Looks up `key`, returning a clone of its value.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        self.get_with(cx, key, V::clone)
+    }
+
+    /// Looks up `key` and maps its value through `f`, which may run more
+    /// than once (see [`TxMap::get_with`](crate::TxMap::get_with)).
+    pub fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, f: impl FnMut(&V) -> R) -> Option<R> {
         let at = MemoKey::new(self, key);
         // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::lookup(cx, at, &self.head, key, V::clone) })
+        cx.with_op(|cx| unsafe { Node::lookup(cx, at, &self.head, key, f) })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`MichaelList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        let at = MemoKey::new(self, key);
-        // SAFETY: pinned by `with_op`; `head` starts a `Node<u64, V>` chain.
-        cx.with_op(|cx| unsafe { Node::lookup(cx, at, &self.head, key, |_: &V| ()) }.is_some())
+        self.get_with(cx, key, |_| ()).is_some()
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on

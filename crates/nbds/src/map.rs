@@ -19,8 +19,23 @@ use medley::Ctx;
 /// participate in Medley transactions (called with a [`medley::Txn`]
 /// context) or run standalone (called with a [`medley::NonTx`] context).
 pub trait TxMap<V>: Send + Sync {
+    /// Looks up `key` and maps its value through `f`.
+    ///
+    /// A lookup re-loads the value word after mapping it and keeps the
+    /// result only if the word still holds what was mapped: `f` may run
+    /// more than once, each time on a value the key was bound to, and the
+    /// result of the last run is returned.  Deliberately **required** (no
+    /// default that maps once): a wrapper that keeps a record's name in the
+    /// value word, not the record, relies on the re-check (`txmontage`'s
+    /// payload ids).
+    fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, f: impl FnMut(&V) -> R) -> Option<R>;
     /// Looks up `key`.
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V>;
+    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.get_with(cx, key, V::clone)
+    }
     /// Inserts `key -> val` only if absent; returns `true` on success.
     fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool;
     /// Inserts or replaces; returns the previous value if any.
@@ -47,19 +62,29 @@ pub trait TxMap<V>: Send + Sync {
 /// deliberately unordered — hashing destroys key order, so an ordered
 /// cursor over them would be a lie the type system should not tell.
 pub trait TxOrderedMap<V>: TxMap<V> {
-    /// Collects up to `limit` `(key, value)` pairs with keys in `bounds`,
-    /// in ascending key order.
+    /// Collects up to `limit` `(key, f(value))` pairs with keys in
+    /// `bounds`, in ascending key order, each value mapped as
+    /// [`TxMap::get_with`] maps it.
     ///
     /// Under a transactional context the cursor's linearizing loads join the
     /// read set (counted reads), so a *committed* scan is an atomic snapshot
     /// of the traversed window; standalone the walk is uninstrumented and
     /// makes no cross-key atomicity claim.
-    fn range<C: Ctx>(
+    fn range_with<C: Ctx, R>(
         &self,
         cx: &mut C,
         bounds: std::ops::Range<u64>,
         limit: usize,
-    ) -> Vec<(u64, V)>;
+        f: impl FnMut(&V) -> R,
+    ) -> Vec<(u64, R)>;
+    /// Collects up to `limit` `(key, value)` pairs with keys in `bounds`,
+    /// in ascending key order (see [`TxOrderedMap::range_with`]).
+    fn range<C: Ctx>(&self, cx: &mut C, bounds: std::ops::Range<u64>, limit: usize) -> Vec<(u64, V)>
+    where
+        V: Clone,
+    {
+        self.range_with(cx, bounds, limit, V::clone)
+    }
 }
 
 /// A FIFO queue whose operations can participate in Medley transactions or
@@ -82,8 +107,13 @@ macro_rules! forward_tx_map {
         where
             V: Clone + Send + Sync + 'static,
         {
-            fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-                crate::$map::get(self, cx, key)
+            fn get_with<C: Ctx, R>(
+                &self,
+                cx: &mut C,
+                key: u64,
+                f: impl FnMut(&V) -> R,
+            ) -> Option<R> {
+                crate::$map::get_with(self, cx, key, f)
             }
             fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
                 crate::$map::insert(self, cx, key, val)
@@ -106,13 +136,14 @@ impl<V> TxOrderedMap<V> for crate::SkipList<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    fn range<C: Ctx>(
+    fn range_with<C: Ctx, R>(
         &self,
         cx: &mut C,
         bounds: std::ops::Range<u64>,
         limit: usize,
-    ) -> Vec<(u64, V)> {
-        crate::SkipList::range(self, cx, bounds, limit)
+        f: impl FnMut(&V) -> R,
+    ) -> Vec<(u64, R)> {
+        crate::SkipList::range_with(self, cx, bounds, limit, f)
     }
 }
 

@@ -419,15 +419,21 @@ where
 
     /// Looks up `key`.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        self.get_with(cx, key, V::clone)
+    }
+
+    /// Looks up `key` and maps its value through `f`, which may run more
+    /// than once (see [`TxMap::get_with`](crate::TxMap::get_with)).
+    pub fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, f: impl FnMut(&V) -> R) -> Option<R> {
         let at = MemoKey::new(self, key);
-        cx.with_op(|cx| self.locate(cx, key).read(cx, at, V::clone))
+        // SAFETY: pinned by `with_op`; `locate` searches this list.
+        cx.with_op(|cx| unsafe { chain::get(cx, at, |cx| self.locate(cx, key), f) })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SkipList::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        let at = MemoKey::new(self, key);
-        cx.with_op(|cx| self.locate(cx, key).read(cx, at, |_| ()).is_some())
+        self.get_with(cx, key, |_| ()).is_some()
     }
 
     /// Ordered range cursor: collects up to `limit` live `(key, value)`
@@ -454,6 +460,20 @@ where
         bounds: std::ops::Range<u64>,
         limit: usize,
     ) -> Vec<(u64, V)> {
+        self.range_with(cx, bounds, limit, V::clone)
+    }
+
+    /// [`SkipList::range`], each value mapped through `f` by the re-checked
+    /// read of a lookup (see [`TxMap::get_with`](crate::TxMap::get_with)):
+    /// the pair a key registers is the one its value was mapped from, and a
+    /// word that dies during the read leaves its key out, as one found dead.
+    pub fn range_with<C: Ctx, R>(
+        &self,
+        cx: &mut C,
+        bounds: std::ops::Range<u64>,
+        limit: usize,
+        mut f: impl FnMut(&V) -> R,
+    ) -> Vec<(u64, R)> {
         cx.with_op(|cx| {
             let mut out = Vec::new();
             if bounds.start >= bounds.end || limit == 0 {
@@ -478,13 +498,18 @@ where
                 }
                 // Pins the link to the successor.
                 cx.add_read_with_counter(&node.next, next_raw, next_cnt);
-                let (val, val_cnt) = cx.nbtc_load_counted(&node.value);
-                if val != chain::DEAD {
+                let read = cx.nbtc_load_counted(&node.value);
+                if read.0 == chain::DEAD {
+                    continue;
+                }
+                // SAFETY: a live word of a node of this list, read under the
+                // current pin.
+                if let Some((v, val, cnt)) =
+                    unsafe { chain::map_live(cx, &node.value, read, &mut f) }
+                {
                     // Proves membership, and the binding.
-                    cx.add_read_with_counter(&node.value, val, val_cnt);
-                    // SAFETY: a live word of a node of this list, read
-                    // under the current pin.
-                    out.push((node.key, unsafe { chain::decode(val, V::clone) }));
+                    cx.add_read_with_counter(&node.value, val, cnt);
+                    out.push((node.key, v));
                 }
             }
             out

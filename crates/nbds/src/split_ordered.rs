@@ -431,32 +431,34 @@ where
 
     /// Looks up `key`, returning a clone of its value.
     pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        self.get_with(cx, key, V::clone)
+    }
+
+    /// Looks up `key` and maps its value through `f`, which may run more
+    /// than once (see [`TxMap::get_with`](crate::TxMap::get_with)).
+    pub fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, f: impl FnMut(&V) -> R) -> Option<R> {
         // The map, not the bucket: a key's start word moves as the table
         // grows.
         let at = MemoKey::new(self, key);
-        // SAFETY (all five operations): `on_bucket` pins and hands out a start
+        // SAFETY (all four operations): `on_bucket` pins and hands out a start
         // word of this map's `SoNode<V>` chain.  A found node is regular (odd
         // split-order key), so it has a value.
         self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, at, start, k, V::clone)
+            SoNode::lookup(cx, at, start, k, f)
         })
     }
 
     /// Whether `key` is present.  Registers the same counted linearizing
     /// load as [`SplitOrderedMap::get`] but never clones the value.
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
-        let at = MemoKey::new(self, key);
-        // SAFETY: see `get`.
-        self.on_bucket(cx, key, |cx, start, k| unsafe {
-            SoNode::lookup(cx, at, start, k, |_: &V| ()).is_some()
-        })
+        self.get_with(cx, key, |_| ()).is_some()
     }
 
     /// Inserts `key -> val` only if `key` is absent.  Returns `true` on
     /// success; on failure the value is dropped.
     pub fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         let at = MemoKey::new(self, key);
-        // SAFETY: see `get`.
+        // SAFETY: see `get_with`.
         let inserted = self.on_bucket(cx, key, |cx, start, k| unsafe {
             SoNode::insert(cx, at, start, k, val)
         });
@@ -470,7 +472,7 @@ where
     /// lookup of `key` in the same transaction, without a search).
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         let at = MemoKey::new(self, key);
-        // SAFETY: see `get`.
+        // SAFETY: see `get_with`.
         let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
             SoNode::put(cx, at, start, k, val)
         });
@@ -482,7 +484,7 @@ where
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        // SAFETY: see `get`.
+        // SAFETY: see `get_with`.
         let old = self.on_bucket(cx, key, |cx, start, k| unsafe {
             SoNode::<V>::remove(cx, start, k)
         });

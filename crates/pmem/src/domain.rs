@@ -46,11 +46,18 @@
 //! `O(payloads born/retired in those epochs)` rather than `O(every slot
 //! ever allocated)`.
 //!
-//! Recycling on the spot is safe only because **nothing on the hot path
-//! reads a payload slot**: readers use the index's value box, and only
-//! recovery and the drain read slots.  A slot recycled on the spot has no
-//! dirty entry, and its birth is above every horizon (recovery needs
-//! `birth < horizon <= retire`), so neither can see it.
+//! Recycling on the spot is safe because **a hot-path slot read is
+//! re-checked against the index word that named it**: a reader loads a
+//! payload id from an index value word, reads the slot with
+//! [`PersistenceDomain::payload_word`], and re-loads the word.  Slots are
+//! never freed while the domain lives and every field is atomic, so a read
+//! of a slot recycled under the reader is memory-safe, only stale; and a
+//! payload is retired only after its binding has left the index word, so a
+//! word that still holds the same id and counter proves the read was of the
+//! live payload.  Recovery and the drain read slots under the recycle lock.
+//! A slot recycled on the spot has no dirty entry, and its birth is above
+//! every horizon (recovery needs `birth < horizon <= retire`), so neither
+//! can see it.
 //!
 //! ## Epoch lifecycle of one payload slot
 //!
@@ -110,7 +117,8 @@ const UNBORN: u64 = u64::MAX;
 /// Identifier of a payload record (returned by
 /// [`PersistenceDomain::alloc_payload`]).  The id packs the owning thread
 /// slot and the size class into the high bits and the slot index into the
-/// low bits; treat it as opaque.
+/// low bits; treat it as opaque.  A thread slot fits in 14 bits, so an id
+/// is below 2⁵⁴: an index can keep it as an inline word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadId(pub u64);
 
@@ -208,7 +216,8 @@ const CHUNK_SHIFT: u32 = 13;
 const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 /// Maximum chunks per size class (bounds each class at 8Mi slots —
 /// comfortably above the paper's 1M-key workloads even when one thread
-/// preloads the whole store; the chunk table itself is a few KiB).
+/// preloads the whole store; the chunk table, 40 KiB, is allocated with the
+/// slab's first chunk).
 const MAX_CHUNKS: usize = 1024;
 
 /// Number of payload size classes.  Class 0 is the historical 64-byte
@@ -339,9 +348,45 @@ fn treiber_push(head: &AtomicU64, first: u64, last: &AtomicU64) {
     }
 }
 
+/// The chunk table of a slab: [`MAX_CHUNKS`] lazily allocated chunks, the
+/// table itself allocated with the first chunk, so an arena that never
+/// allocates keeps one empty `OnceLock` per slab.  A lookup makes the same
+/// two dependent loads as a table allocated up front: the table pointer,
+/// inline in the slab, then the chunk's entry.
+struct Chunks<T>(OnceLock<Box<[OnceLock<T>]>>);
+
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Self(OnceLock::new())
+    }
+}
+
+impl<T> Chunks<T> {
+    /// Chunk `i`, which has been published.
+    #[inline]
+    fn get(&self, i: usize) -> &T {
+        self.0
+            .get()
+            .and_then(|table| table[i].get())
+            .expect("published chunk")
+    }
+
+    /// Chunk `i`, made by `make` if it does not exist yet (owning thread
+    /// only).
+    fn get_or_init(&self, i: usize, make: impl FnOnce() -> T) -> &T {
+        let table = self
+            .0
+            .get_or_init(|| (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect());
+        table[i].get_or_init(make)
+    }
+}
+
 /// The chunked slab of one size class within one arena.
 struct ClassSlab {
-    chunks: Box<[OnceLock<Chunk>]>,
+    /// On lines of its own: a lookup on any thread resolves its payload's
+    /// slot through it, while the owner and the drains write the counters
+    /// below.
+    chunks: CachePadded<Chunks<Chunk>>,
     data_words: usize,
     /// Published slot count (bump-extended by the owning thread only).
     len: AtomicU64,
@@ -355,7 +400,7 @@ struct ClassSlab {
 impl ClassSlab {
     fn new(data_words: usize) -> Self {
         Self {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: CachePadded::default(),
             data_words,
             len: AtomicU64::new(0),
             free_head: AtomicU64::new(0),
@@ -365,9 +410,7 @@ impl ClassSlab {
 
     #[inline]
     fn chunk(&self, idx: u64) -> &Chunk {
-        self.chunks[(idx >> CHUNK_SHIFT) as usize]
-            .get()
-            .expect("published slot")
+        self.chunks.get((idx >> CHUNK_SHIFT) as usize)
     }
 
     #[inline]
@@ -402,7 +445,7 @@ impl ClassSlab {
         let chunk = (idx >> CHUNK_SHIFT) as usize;
         assert!(chunk < MAX_CHUNKS, "payload arena exhausted");
         let words = self.data_words;
-        self.chunks[chunk].get_or_init(|| Chunk {
+        self.chunks.get_or_init(chunk, || Chunk {
             slots: (0..CHUNK_SIZE)
                 .map(|_| Slot::default())
                 .collect::<Vec<_>>()
@@ -439,20 +482,11 @@ impl Default for OvfBlock {
 /// The per-arena overflow-block slab (same single-popper discipline as the
 /// slot free lists: popped only by the owning thread during allocation,
 /// pushed by whoever recycles the head slot under the recycle lock).
+#[derive(Default)]
 struct OvfSlab {
-    chunks: Box<[OnceLock<Box<[OvfBlock]>>]>,
+    chunks: Chunks<Box<[OvfBlock]>>,
     len: AtomicU64,
     free_head: AtomicU64,
-}
-
-impl Default for OvfSlab {
-    fn default() -> Self {
-        Self {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicU64::new(0),
-            free_head: AtomicU64::new(0),
-        }
-    }
 }
 
 impl OvfSlab {
@@ -460,7 +494,7 @@ impl OvfSlab {
     fn block(&self, idx: u64) -> &OvfBlock {
         let chunk = (idx >> CHUNK_SHIFT) as usize;
         let off = (idx & (CHUNK_SIZE as u64 - 1)) as usize;
-        &self.chunks[chunk].get().expect("published block")[off]
+        &self.chunks.get(chunk)[off]
     }
 
     fn pop_free(&self) -> Option<u64> {
@@ -475,7 +509,7 @@ impl OvfSlab {
         let idx = self.len.load(Ordering::Relaxed);
         let chunk = (idx >> CHUNK_SHIFT) as usize;
         assert!(chunk < MAX_CHUNKS, "overflow slab exhausted");
-        self.chunks[chunk].get_or_init(|| {
+        self.chunks.get_or_init(chunk, || {
             (0..CHUNK_SIZE)
                 .map(|_| OvfBlock::default())
                 .collect::<Vec<_>>()
@@ -940,6 +974,21 @@ impl PersistenceDomain {
         encode_id(tid, class, idx)
     }
 
+    /// The word value of the word payload `id`, read without a lock.
+    ///
+    /// The slot may have been retired and recycled since `id` was read, and
+    /// then the result belongs to whatever lives there now: a hot-path
+    /// caller takes `id` from an index value word and keeps the result only
+    /// if a re-load of that word after this read still holds `id` with the
+    /// same counter (module docs).  The `Acquire` load orders that re-load
+    /// after it.
+    pub fn payload_word(&self, id: PayloadId) -> u64 {
+        let (tid, class, idx) = decode_id(id);
+        debug_assert_eq!(class, 0, "a blob payload has no word");
+        let slot = self.store.arenas[tid].classes[class].slot(idx);
+        slot.val.load(Ordering::Acquire)
+    }
+
     /// Abandons a payload that belongs to an *aborted* transaction: the
     /// record was never part of any durable state (its birth epoch is more
     /// recent than every possible recovery horizon), so its slot is recycled
@@ -1363,6 +1412,29 @@ mod tests {
         // The recycled slot is reused by the next allocation.
         let id2 = d.alloc_payload(0, 4, 40, d.current_epoch());
         assert_eq!(id2, id);
+    }
+
+    #[test]
+    fn chunk_tables_are_built_by_the_first_allocation() {
+        // (thread slot, class) of every slab whose chunk table exists, and
+        // whether an overflow slab has one.
+        fn built(d: &PersistenceDomain) -> (Vec<(usize, usize)>, bool) {
+            let arenas = d.store.arenas.iter().enumerate();
+            let slabs = arenas.flat_map(|(tid, a)| {
+                let classes = a.classes.iter().enumerate();
+                classes.filter_map(move |(c, slab)| slab.chunks.0.get().map(|_| (tid, c)))
+            });
+            let ovf = d
+                .store
+                .arenas
+                .iter()
+                .any(|a| a.ovf.chunks.0.get().is_some());
+            (slabs.collect(), ovf)
+        }
+        let d = domain();
+        assert_eq!(built(&d), (vec![], false));
+        d.alloc_payload(0, 1, 10, d.current_epoch());
+        assert_eq!(built(&d), (vec![(0, 0)], false));
     }
 
     #[test]

@@ -26,11 +26,27 @@
 //!   already moved on to a later epoch: no recovery cut can contain it, so
 //!   it is never written back and the drain never sees it, and the
 //!   write-back an epoch costs follows the updates that outlive it;
-//! * **payload slots are never read on the hot path**: `get`, `contains`
-//!   and `range` return the value the index keeps beside the payload id,
-//!   and only recovery and the domain's drain read payload slots.  The
-//!   on-the-spot reuse above depends on it — a reader that followed a
-//!   payload id could find the slot already holding another key;
+//! * **a hot-path payload slot read is re-checked against the index word
+//!   that named it**: a word-valued map (`V = u64`) binds each key in its
+//!   index to the payload id alone, an inline value word, so a `put`
+//!   allocates nothing beside its payload slot.  `get` and `range` read the
+//!   value from the slot ([`pmem::PersistenceDomain::payload_word`]) inside
+//!   the index's lookup, which re-loads the value word afterwards and keeps
+//!   the value only if the word still holds the same id and counter
+//!   (`nbds`'s re-checked read, [`TxMap::get_with`]).  That is what makes
+//!   the on-the-spot reuse above safe: a payload is retired only after its
+//!   binding has left the word, so an unchanged word proves the slot was
+//!   not recycled during the read, and slots are never freed while the
+//!   domain lives, so a read of a recycled one is only stale.  `put` and
+//!   `remove` read the old value before they register its retirement,
+//!   because a standalone cleanup runs at once.  In a transaction their
+//!   index CAS is buffered, so the old payload is safe from recycling only
+//!   until a concurrent update takes the key: an attempt that lost its key
+//!   that way cannot commit, but its `put` or `remove` may return what the
+//!   recycled slot holds by then (Medley gives a body no opacity; after a
+//!   `get` of the key, `Txn::validate_reads` reports the loss).  A
+//!   [`pmem::Value`] map keeps a boxed `(value, payload id)` instead:
+//!   reading a blob from its slot would copy its bytes out on every `get`;
 //! * [`Durable::recover`] rebuilds the key/value mapping as of the nbMontage
 //!   recovery point (end of epoch `e − 2`).
 //!
@@ -94,20 +110,34 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A user value type that can flow through a [`Durable`] map: it converts
-/// to/from the payload store's [`pmem::Value`] representation.
+/// to/from the payload store's [`pmem::Value`] representation, and names
+/// what the transient index keeps for it.
 ///
 /// `u64` is the historical fixed-width value (and the default type
 /// parameter of every alias below); [`pmem::Value`] itself is the
 /// variable-length value the KV service stores.
 pub trait DurableValue: Clone + Send + Sync + 'static {
+    /// What the transient index binds a key to: at least the payload id.
+    type Kept: Clone + Send + Sync + 'static;
     /// The payload-store representation of this value.
     fn to_value(&self) -> Value;
     /// Rebuilds the value from its payload-store representation (recovery
     /// path).
     fn from_value(v: Value) -> Self;
+    /// What the index keeps for this value, stored as payload `id`.
+    fn keep(self, id: PayloadId) -> Self::Kept;
+    /// The payload an index entry names.
+    fn payload(kept: &Self::Kept) -> PayloadId;
+    /// The value of the index entry `kept`, which a lookup of the index has
+    /// just read, or which an update of the index has just taken out.
+    fn read(kept: &Self::Kept, domain: &PersistenceDomain) -> Self;
 }
 
+/// A word keeps only its payload id, an inline index word, so a `put`
+/// allocates nothing beside its payload slot; a read takes the value from
+/// the slot (crate docs).
 impl DurableValue for u64 {
+    type Kept = u64;
     fn to_value(&self) -> Value {
         Value::U64(*self)
     }
@@ -115,21 +145,42 @@ impl DurableValue for u64 {
         v.as_u64()
             .expect("u64-typed durable map recovered a blob value")
     }
+    fn keep(self, id: PayloadId) -> u64 {
+        id.0
+    }
+    fn payload(kept: &u64) -> PayloadId {
+        PayloadId(*kept)
+    }
+    fn read(kept: &u64, domain: &PersistenceDomain) -> Self {
+        domain.payload_word(PayloadId(*kept))
+    }
 }
 
+/// A blob keeps a boxed copy of itself beside its payload id: reading it
+/// from its slot would copy its bytes out on every `get`.
 impl DurableValue for Value {
+    type Kept = (Value, u64);
     fn to_value(&self) -> Value {
         self.clone()
     }
     fn from_value(v: Value) -> Self {
         v
     }
+    fn keep(self, id: PayloadId) -> (Value, u64) {
+        (self, id.0)
+    }
+    fn payload(kept: &(Value, u64)) -> PayloadId {
+        PayloadId(kept.1)
+    }
+    fn read(kept: &(Value, u64), _: &PersistenceDomain) -> Self {
+        kept.0.clone()
+    }
 }
 
 /// A persistent (buffered-durably strictly serializable) map built from a
 /// transient Medley map `M` and an nbMontage persistence domain.  The
-/// transient index stores `(V, payload id)` pairs; `V` defaults to the
-/// historical fixed-width `u64` and may be [`pmem::Value`] for
+/// transient index binds every key to [`DurableValue::Kept`]; `V` defaults
+/// to the historical fixed-width `u64` and may be [`pmem::Value`] for
 /// variable-length values.
 pub struct Durable<M, V = u64> {
     inner: M,
@@ -137,17 +188,20 @@ pub struct Durable<M, V = u64> {
     _marker: PhantomData<V>,
 }
 
+/// What the index of a [`Durable`] map of `V`s keeps.
+type Kept<V> = <V as DurableValue>::Kept;
+
 /// Persistent hash map (txMontage counterpart of the paper's Michael hash
 /// table experiments, Fig. 7).
-pub type DurableHashMap<V = u64> = Durable<MichaelHashMap<(V, u64)>, V>;
+pub type DurableHashMap<V = u64> = Durable<MichaelHashMap<Kept<V>>, V>;
 /// Persistent skiplist (txMontage counterpart of the skiplist experiments,
 /// Figs. 8–10).
-pub type DurableSkipList<V = u64> = Durable<SkipList<(V, u64)>, V>;
+pub type DurableSkipList<V = u64> = Durable<SkipList<Kept<V>>, V>;
 /// Persistent **elastic** hash map: a split-ordered-list index whose bucket
 /// directory grows on-line, wrapped with the same payload discipline as
 /// [`DurableHashMap`].  Directory doubling is transient-index infrastructure
 /// — it touches no payloads and plays no part in recovery.
-pub type DurableSplitOrderedMap<V = u64> = Durable<SplitOrderedMap<(V, u64)>, V>;
+pub type DurableSplitOrderedMap<V = u64> = Durable<SplitOrderedMap<Kept<V>>, V>;
 
 impl<V: DurableValue> DurableHashMap<V> {
     /// Creates a persistent hash map with `buckets` buckets.
@@ -173,7 +227,7 @@ impl<V: DurableValue> DurableSplitOrderedMap<V> {
 
 impl<M, V> Durable<M, V>
 where
-    M: TxMap<(V, u64)>,
+    M: TxMap<Kept<V>>,
     V: DurableValue,
 {
     /// Wraps a transient Medley map.  The domain must be bound to the same
@@ -236,12 +290,21 @@ where
         now
     }
 
-    /// Looks up `key`.
-    pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        self.inner.get(cx, key).map(|(v, _)| v)
+    /// The value of the index entry `kept`, read by a lookup: for a word,
+    /// from the payload slot `kept` names, which the lookup's re-checked
+    /// read proves was not recycled during the read.
+    fn read(&self, kept: &Kept<V>) -> V {
+        #[cfg(test)]
+        step::reach(&step::READ);
+        V::read(kept, &self.domain)
     }
 
-    /// Whether `key` is present (no payload or value is cloned).
+    /// Looks up `key`.
+    pub fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
+        self.inner.get_with(cx, key, |kept| self.read(kept))
+    }
+
+    /// Whether `key` is present (no payload or value is read).
     pub fn contains<C: Ctx>(&self, cx: &mut C, key: u64) -> bool {
         self.inner.contains(cx, key)
     }
@@ -252,7 +315,7 @@ where
         let payload = self
             .domain
             .alloc_value(cx.tid(), key, &val.to_value(), epoch);
-        if self.inner.insert(cx, key, (val, payload.0)) {
+        if self.inner.insert(cx, key, val.keep(payload)) {
             let domain = Arc::clone(&self.domain);
             cx.add_abort_action(move |_| domain.abandon_payload(payload));
             self.settle_epoch(cx, epoch, Some(payload));
@@ -263,42 +326,43 @@ where
         }
     }
 
+    /// The value of the entry `old`, which an update has just taken out of
+    /// the index, and the retirement of its payload, tagged `tag`.  The
+    /// value is read first: a standalone cleanup runs at once, and may
+    /// recycle the slot on the spot.
+    fn retire<C: Ctx>(&self, cx: &mut C, old: Kept<V>, tag: u64) -> V {
+        let val = V::read(&old, &self.domain);
+        let (domain, id) = (Arc::clone(&self.domain), V::payload(&old));
+        cx.add_cleanup(move |_| domain.retire_payload(id, tag));
+        val
+    }
+
     /// Inserts or replaces; returns the previous value if any.
     pub fn put<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> Option<V> {
         let epoch = self.op_epoch(cx);
         let payload = self
             .domain
             .alloc_value(cx.tid(), key, &val.to_value(), epoch);
-        let prev = self.inner.put(cx, key, (val, payload.0));
+        let prev = self.inner.put(cx, key, val.keep(payload));
         let domain = Arc::clone(&self.domain);
         cx.add_abort_action(move |_| domain.abandon_payload(payload));
         let tag = self.settle_epoch(cx, epoch, Some(payload));
-        if let Some((_, old_payload)) = prev {
-            let (domain, old) = (Arc::clone(&self.domain), PayloadId(old_payload));
-            cx.add_cleanup(move |_| domain.retire_payload(old, tag));
-        }
-        prev.map(|(old_val, _)| old_val)
+        prev.map(|old| self.retire(cx, old, tag))
     }
 
     /// Removes `key`; returns its value if present.
     pub fn remove<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
         let epoch = self.op_epoch(cx);
-        match self.inner.remove(cx, key) {
-            Some((old_val, old_payload)) => {
-                let tag = self.settle_epoch(cx, epoch, None);
-                let (domain, old) = (Arc::clone(&self.domain), PayloadId(old_payload));
-                cx.add_cleanup(move |_| domain.retire_payload(old, tag));
-                Some(old_val)
-            }
-            None => None,
-        }
+        let old = self.inner.remove(cx, key)?;
+        let tag = self.settle_epoch(cx, epoch, None);
+        Some(self.retire(cx, old, tag))
     }
 
     /// Ordered range cursor over the durable map (available when the
     /// transient index is ordered, i.e. for [`DurableSkipList`]).
     ///
-    /// The cursor runs entirely against the transient index — payload ids
-    /// are stripped from the collected pairs — so it inherits the index's
+    /// The cursor runs against the transient index, each value read as
+    /// [`Durable::get`] reads it, so it inherits the index's
     /// atomic-snapshot guarantee: under a transactional context the
     /// linearizing loads join the read set and a committed scan is an
     /// atomic ordered page.  Durability is untouched (a scan writes
@@ -312,13 +376,10 @@ where
         limit: usize,
     ) -> Vec<(u64, V)>
     where
-        M: TxOrderedMap<(V, u64)>,
+        M: TxOrderedMap<Kept<V>>,
     {
         self.inner
-            .range(cx, bounds, limit)
-            .into_iter()
-            .map(|(k, (v, _payload))| (k, v))
-            .collect()
+            .range_with(cx, bounds, limit, |kept| self.read(kept))
     }
 
     /// Makes all completed operations durable (nbMontage `sync`).
@@ -347,11 +408,11 @@ where
 
 impl<M, V> TxMap<V> for Durable<M, V>
 where
-    M: TxMap<(V, u64)>,
+    M: TxMap<Kept<V>>,
     V: DurableValue,
 {
-    fn get<C: Ctx>(&self, cx: &mut C, key: u64) -> Option<V> {
-        Durable::get(self, cx, key)
+    fn get_with<C: Ctx, R>(&self, cx: &mut C, key: u64, mut f: impl FnMut(&V) -> R) -> Option<R> {
+        self.inner.get_with(cx, key, |kept| f(&self.read(kept)))
     }
     fn insert<C: Ctx>(&self, cx: &mut C, key: u64, val: V) -> bool {
         Durable::insert(self, cx, key, val)
@@ -369,16 +430,18 @@ where
 
 impl<M, V> TxOrderedMap<V> for Durable<M, V>
 where
-    M: TxOrderedMap<(V, u64)>,
+    M: TxOrderedMap<Kept<V>>,
     V: DurableValue,
 {
-    fn range<C: Ctx>(
+    fn range_with<C: Ctx, R>(
         &self,
         cx: &mut C,
         bounds: std::ops::Range<u64>,
         limit: usize,
-    ) -> Vec<(u64, V)> {
-        Durable::range(self, cx, bounds, limit)
+        mut f: impl FnMut(&V) -> R,
+    ) -> Vec<(u64, R)> {
+        self.inner
+            .range_with(cx, bounds, limit, |kept| f(&self.read(kept)))
     }
 }
 
@@ -396,6 +459,9 @@ mod step {
         /// A standalone update changed the index and has not re-read the
         /// epoch.
         pub(super) static REREAD: Hook = const { Cell::new(None) };
+        /// A lookup loaded a key's index value word and has not read the
+        /// value from what it names.
+        pub(super) static READ: Hook = const { Cell::new(None) };
     }
 
     pub(super) fn reach(step: &'static LocalKey<Hook>) {
@@ -408,7 +474,7 @@ mod step {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medley::{AbortReason, TxManager, TxResult};
+    use medley::{AbortReason, ThreadHandle, TxManager, TxResult};
     use pmem::{EpochAdvancer, NvmCostModel};
 
     fn setup() -> (Arc<TxManager>, Arc<PersistenceDomain>, DurableHashMap) {
@@ -784,5 +850,124 @@ mod tests {
         assert_eq!(domain.stats().free_slots, free + 1);
         domain.sync();
         assert!(map.recover().is_empty());
+    }
+
+    /// The key a read races, and the key whose payload takes its slot.
+    const KEY: u64 = 1;
+    const SQUATTER: u64 = 100;
+    /// The squatter's value, which no read of `KEY` may return.
+    const SQUAT: u64 = 0x5A7;
+
+    /// A map made by `make` over a fresh domain and two handles, the reader
+    /// and the other, which has inserted `KEY -> 10` and its neighbours
+    /// `KEY + 1 -> 20` and `KEY + 2 -> 30` in its own arena.
+    fn racing<M: TxMap<u64>>(
+        make: impl FnOnce(Arc<PersistenceDomain>) -> Durable<M>,
+    ) -> (Arc<Durable<M>>, ThreadHandle, ThreadHandle) {
+        let mgr = TxManager::new();
+        let map = Arc::new(make(PersistenceDomain::new(
+            Arc::clone(&mgr),
+            NvmCostModel::ZERO,
+        )));
+        let (reader, mut other) = (mgr.register(), mgr.register());
+        for k in 0..3 {
+            assert!(map.insert(&mut other.nontx(), KEY + k, 10 * (k + 1)));
+        }
+        (map, reader, other)
+    }
+
+    /// Arms the read step: `other` binds `KEY` to `to` (`None`: removes
+    /// it) in the current epoch, so that its payload's slot is recycled on
+    /// the spot, and inserts `SQUATTER -> SQUAT`, whose payload takes that
+    /// slot.
+    fn recycle_under_the_read<M: TxMap<u64> + 'static>(
+        map: &Arc<Durable<M>>,
+        mut other: ThreadHandle,
+        to: Option<u64>,
+    ) {
+        let map = Arc::clone(map);
+        step::READ.set(Some(Box::new(move || {
+            let slots = map.domain().stats().allocated_slots;
+            let cx = &mut other.nontx();
+            match to {
+                Some(v) => assert_eq!(map.put(cx, KEY, v), Some(10)),
+                None => assert_eq!(map.remove(cx, KEY), Some(10)),
+            }
+            assert!(map.insert(cx, SQUATTER, SQUAT));
+            let grown = map.domain().stats().allocated_slots - slots;
+            assert_eq!(
+                grown,
+                usize::from(to.is_some()),
+                "the squatter reuses the slot"
+            );
+        })));
+    }
+
+    fn hash(domain: Arc<PersistenceDomain>) -> DurableHashMap {
+        DurableHashMap::hash_map(8, domain)
+    }
+
+    /// What the gets of `KEY` of one transaction body saw, with the slot of
+    /// the key's payload recycled during the first read; the transaction
+    /// commits.
+    fn seen_in_a_transaction(to: Option<u64>) -> Vec<Option<u64>> {
+        let (map, mut reader, other) = racing(hash);
+        recycle_under_the_read(&map, other, to);
+        let mut seen = Vec::new();
+        let res = reader.run(|t| {
+            seen.push(map.get(t, KEY));
+            Ok(())
+        });
+        assert_eq!(res, Ok(()));
+        assert!(step::READ.take().is_none(), "the hook ran");
+        seen
+    }
+
+    #[test]
+    fn a_standalone_get_never_returns_the_value_of_a_key_that_took_its_slot() {
+        let (map, mut reader, other) = racing(hash);
+        recycle_under_the_read(&map, other, Some(11));
+        assert_eq!(map.get(&mut reader.nontx(), KEY), Some(11));
+        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_eq!(map.get(&mut reader.nontx(), SQUATTER), Some(SQUAT));
+    }
+
+    #[test]
+    fn a_transactional_get_never_hands_its_body_the_value_of_a_key_that_took_its_slot() {
+        assert_eq!(seen_in_a_transaction(Some(11)), [Some(11)]);
+    }
+
+    #[test]
+    fn a_get_whose_word_dies_during_the_read_finds_the_key_absent() {
+        let (map, mut reader, other) = racing(hash);
+        recycle_under_the_read(&map, other, None);
+        assert_eq!(map.get(&mut reader.nontx(), KEY), None);
+        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_eq!(seen_in_a_transaction(None), [None]);
+    }
+
+    #[test]
+    fn a_standalone_range_never_returns_the_value_of_a_key_that_took_its_slot() {
+        let (map, mut reader, other) = racing(DurableSkipList::skip_list);
+        recycle_under_the_read(&map, other, Some(11));
+        let page = map.range(&mut reader.nontx(), 0..SQUATTER, 8);
+        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_eq!(page, [(KEY, 11), (KEY + 1, 20), (KEY + 2, 30)]);
+    }
+
+    #[test]
+    fn a_get_after_the_transactions_own_put_reads_the_own_payload() {
+        let (map, mut reader, _other) = racing(hash);
+        let mut seen = Vec::new();
+        let res = reader.run(|t| {
+            assert_eq!(map.put(t, KEY, 11), Some(10));
+            seen.push(map.get(t, KEY));
+            assert_eq!(map.put(t, KEY, 12), Some(11));
+            seen.push(map.get(t, KEY));
+            Ok(())
+        });
+        assert_eq!(res, Ok(()));
+        assert_eq!(seen, [Some(11), Some(12)]);
+        assert_eq!(map.get(&mut reader.nontx(), KEY), Some(12));
     }
 }

@@ -50,7 +50,7 @@ fn handles<M: TxMap<u64>>(mgr: &Arc<TxManager>, map: &M) -> (ThreadHandle, Threa
     (mine, other)
 }
 
-fn on_durable<M: TxMap<(u64, u64)>>(case: &impl Case, inner: M) -> Durable<M, u64> {
+fn on_durable<M: TxMap<u64>>(case: &impl Case, inner: M) -> Durable<M, u64> {
     // One manager per persistence domain, and no advancer: the epoch stands
     // still, so only the interleaving decides a commit.
     let mgr = TxManager::new();

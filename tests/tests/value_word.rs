@@ -237,10 +237,7 @@ fn handoff_all<M: TxMap<u64>, K>(make: impl Fn(&Arc<TxManager>) -> (M, K)) {
 
 /// A durable wrapper of `inner`, with a live advancer so that operations
 /// cross epochs.
-fn durable<M: TxMap<(u64, u64)>>(
-    mgr: &Arc<TxManager>,
-    inner: M,
-) -> (Durable<M, u64>, EpochAdvancer) {
+fn durable<M: TxMap<u64>>(mgr: &Arc<TxManager>, inner: M) -> (Durable<M, u64>, EpochAdvancer) {
     let domain = PersistenceDomain::new(Arc::clone(mgr), NvmCostModel::ZERO);
     let advancer = EpochAdvancer::spawn(Arc::clone(&domain), Duration::from_millis(1));
     (Durable::new(inner, domain), advancer)
@@ -352,7 +349,7 @@ fn edge_words_round_trip_on_every_map() {
 #[test]
 fn edge_words_round_trip_on_every_durable_map() {
     // One manager per persistence domain.
-    fn on<M: TxMap<(u64, u64)>>(inner: M, check: impl Fn(&Durable<M, u64>, &mut ThreadHandle)) {
+    fn on<M: TxMap<u64>>(inner: M, check: impl Fn(&Durable<M, u64>, &mut ThreadHandle)) {
         let mgr = TxManager::new();
         let (map, _advancer) = durable(&mgr, inner);
         check(&map, &mut mgr.register());
