@@ -644,10 +644,10 @@ const SCENARIOS: &[Scenario] = &[
     ("cache", run_cache, CACHE_BOUNDS),
 ];
 
-/// The series of `default`: word traffic and blob traffic at an inline-class
-/// size and an overflow-chain size (4 KiB spills class-0 durable slots),
-/// each on the transient and the durable (txMontage, live epoch advancer)
-/// backend.
+/// The series of `default`: word traffic and blob traffic at a one-block
+/// and a many-block size (a durable blob spills from its payload slot to
+/// 256-byte overflow blocks: 128 B takes one, 4 KiB seventeen), each on the
+/// transient and the durable (txMontage, live epoch advancer) backend.
 const DEFAULT_SERIES: [(&str, Option<usize>, StoreBackend); 6] = [
     ("word-transient", None, StoreBackend::Transient),
     ("word-durable", None, StoreBackend::Durable),

@@ -86,10 +86,19 @@
 //! if its epoch is behind the horizon, consumes its own nursery under the
 //! recycle lock (the repair a stale dirty-list push gets).
 //!
+//! ## Payload format
+//!
 //! A slot is one cache line: eight words, the free-list link sharing storage
 //! with the birth dirty link (a slot is on the free list only after both of
 //! its dirty entries are consumed, and leaves it before its next birth entry
-//! is pushed).
+//! is pushed).  A word value lives in the slot's `val`.  Any other value
+//! spills to a chain of 256-byte overflow blocks (a link and 248 data bytes
+//! each), which the slot's `val` heads and its `vlen` length-prefixes.  A
+//! birth writes back the slot's line plus four lines per block, a
+//! retirement the slot's line.  Slots and blocks live in two slabs of the
+//! arena, one `Slab` type: lazily allocated chunks, extended by the owner,
+//! and a free list it alone pops.  A slot recycled on the spot returns its
+//! chain with it.
 //!
 //! `persisted_epoch` is advanced only *after* the write-back of the epochs it
 //! covers, and [`PersistenceDomain::recover`] derives its horizon from
@@ -115,10 +124,10 @@ const LIVE: u64 = u64::MAX;
 const UNBORN: u64 = u64::MAX;
 
 /// Identifier of a payload record (returned by
-/// [`PersistenceDomain::alloc_payload`]).  The id packs the owning thread
-/// slot and the size class into the high bits and the slot index into the
-/// low bits; treat it as opaque.  A thread slot fits in 14 bits, so an id
-/// is below 2⁵⁴: an index can keep it as an inline word.
+/// [`PersistenceDomain::alloc_value`]).  The id packs the owning thread slot
+/// into the high bits and the slot index into the low 38 bits; treat it as
+/// opaque.  A thread slot fits in 14 bits, so an id is below 2⁵²: an index
+/// can keep it as an inline word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadId(pub u64);
 
@@ -142,27 +151,19 @@ pub struct DomainStats {
 // PayloadId encoding
 // ---------------------------------------------------------------------------
 
-/// Bits of a [`PayloadId`] holding the slot index within its size class.
+/// Bits of a [`PayloadId`] holding the slot index within its arena.
 const IDX_BITS: u32 = 38;
 const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
-/// Bits holding the size class (directly above the index).
-const CLASS_BITS: u32 = 2;
-const CLASS_MASK: u64 = (1 << CLASS_BITS) - 1;
 
 #[inline]
-fn encode_id(tid: usize, class: usize, idx: u64) -> PayloadId {
+fn encode_id(tid: usize, idx: u64) -> PayloadId {
     debug_assert!(idx <= IDX_MASK);
-    debug_assert!(class < CLASSES);
-    PayloadId(((tid as u64) << (IDX_BITS + CLASS_BITS)) | ((class as u64) << IDX_BITS) | idx)
+    PayloadId(((tid as u64) << IDX_BITS) | idx)
 }
 
 #[inline]
-fn decode_id(id: PayloadId) -> (usize, usize, u64) {
-    (
-        (id.0 >> (IDX_BITS + CLASS_BITS)) as usize,
-        ((id.0 >> IDX_BITS) & CLASS_MASK) as usize,
-        id.0 & IDX_MASK,
-    )
+fn decode_id(id: PayloadId) -> (usize, u64) {
+    ((id.0 >> IDX_BITS) as usize, id.0 & IDX_MASK)
 }
 
 // ---------------------------------------------------------------------------
@@ -184,21 +185,16 @@ const ABANDONED: u64 = 1 << 3;
 const KIND_BIRTH: usize = 0;
 const KIND_RETIRE: usize = 1;
 
-/// The dirty-list entry of slot (`class`, `idx`) of the given kind.
+/// The dirty-list entry of slot `idx` of the given kind.
 #[inline]
-fn entry(class: usize, idx: u64, kind: usize) -> u64 {
-    (idx * CLASSES as u64 + class as u64) * 2 + kind as u64
+fn entry(idx: u64, kind: usize) -> u64 {
+    idx * 2 + kind as u64
 }
 
-/// Inverse of [`entry`]: `(class, idx, kind)`.
+/// Inverse of [`entry`]: `(idx, kind)`.
 #[inline]
-fn decode_entry(enc: u64) -> (usize, u64, usize) {
-    let slot = enc / 2;
-    (
-        (slot % CLASSES as u64) as usize,
-        slot / CLASSES as u64,
-        (enc % 2) as usize,
-    )
+fn decode_entry(enc: u64) -> (u64, usize) {
+    (enc / 2, (enc % 2) as usize)
 }
 /// The free-list link of a slot is its birth dirty link: a slot is freed
 /// only after both of its dirty entries have been consumed (the recycling
@@ -212,35 +208,24 @@ const FREE_LINK: usize = KIND_BIRTH;
 const RING: usize = 8;
 
 const CHUNK_SHIFT: u32 = 13;
-/// Slots per lazily-allocated arena chunk.
+/// Elements per lazily-allocated slab chunk.
 const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
-/// Maximum chunks per size class (bounds each class at 8Mi slots —
-/// comfortably above the paper's 1M-key workloads even when one thread
-/// preloads the whole store; the chunk table, 40 KiB, is allocated with the
-/// slab's first chunk).
+/// Maximum chunks per slab (bounds each slab at 8Mi elements — comfortably
+/// above the paper's 1M-key workloads even when one thread preloads the
+/// whole store; the chunk table, 40 KiB, is allocated with the slab's first
+/// chunk).
 const MAX_CHUNKS: usize = 1024;
 
-/// Number of payload size classes.  Class 0 is the historical 64-byte
-/// "word" slot whose value lives in the slot's `val` field (and which
-/// doubles as the metadata slot of spilled oversized records); classes 1
-/// and 2 append an inline data area to each slot.
-const CLASSES: usize = 3;
-/// Inline value data words appended per slot, per class.
-const CLASS_DATA_WORDS: [usize; CLASSES] = [0, 8, 56];
-/// Inline value byte capacity per class (class 0: the `val` word).
-const CLASS_CAPS: [usize; CLASSES] = [8, 64, 448];
 /// `vlen` sentinel: the slot's value is the plain word in `val`.
 const VLEN_WORD: u64 = u64::MAX;
 /// Data words per overflow block (a 256-byte block: next link + 248 data
-/// bytes).  Values larger than the biggest inline class spill entirely to a
-/// chain of these, length-prefixed by the head slot's `vlen`.
+/// bytes).
 const OVF_DATA_WORDS: usize = 31;
 const OVF_DATA_BYTES: usize = OVF_DATA_WORDS * 8;
 
 /// One payload slot: a key/value pair, its birth/retire epochs, its state
 /// flags, and the intrusive links threading it (per kind) onto one
-/// epoch-indexed dirty list, or onto its class's free list.  Classes 1 and
-/// 2 store their value bytes in the chunk's side data area; class 0 stores a
+/// epoch-indexed dirty list, or onto its arena's free list.  The value is a
 /// word in `val` (`vlen == VLEN_WORD`) or an overflow-chain head (`val` =
 /// block index + 1, `vlen` = byte length).
 ///
@@ -253,7 +238,7 @@ struct Slot {
     /// Value byte length, or [`VLEN_WORD`] for a plain word in `val`.
     vlen: AtomicU64,
     /// Birth epoch; [`UNBORN`] while the slot is free.  Stored with
-    /// `Release` as the publication of `key`/`val`/data.
+    /// `Release` as the publication of `key`/`val` and the chain.
     birth: AtomicU64,
     /// Retirement epoch; [`LIVE`] while the payload is live.
     retire: AtomicU64,
@@ -283,53 +268,42 @@ impl Default for Slot {
     }
 }
 
-/// Picks the size class for a value: words in class 0, small/large blobs in
-/// the inline classes, oversized blobs spilled from a class-0 head slot.
-#[inline]
-fn class_for(val: &Value) -> usize {
-    match val {
-        Value::U64(_) => 0,
-        Value::Bytes(b) if b.len() <= CLASS_CAPS[1] => 1,
-        Value::Bytes(b) if b.len() <= CLASS_CAPS[2] => 2,
-        Value::Bytes(_) => 0,
+/// One 256-byte overflow block of a spilled value.
+#[derive(Default)]
+struct OvfBlock {
+    /// Next block in the chain (index + 1; 0 = end).
+    next: AtomicU64,
+    data: [AtomicU64; OVF_DATA_WORDS],
+}
+
+/// An element of a [`Slab`]: while it is free, its free link holds the next
+/// free element (index + 1; 0 = end).
+trait FreeLink: Default {
+    fn free_link(&self) -> &AtomicU64;
+}
+
+impl FreeLink for Slot {
+    /// The birth dirty link (see [`FREE_LINK`]).
+    fn free_link(&self) -> &AtomicU64 {
+        &self.links[FREE_LINK]
+    }
+}
+
+impl FreeLink for OvfBlock {
+    /// The chain link: a free block is in no chain.
+    fn free_link(&self) -> &AtomicU64 {
+        &self.next
     }
 }
 
 /// Simulated cache lines written back for one payload birth: the slot's
-/// metadata line, plus the class's inline data area, plus — for spilled
-/// records — four lines per 256-byte overflow block.
+/// line, plus four lines per 256-byte overflow block of a spilled value.
 #[inline]
-fn birth_lines(class: usize, vlen: u64) -> u64 {
-    match class {
-        0 if vlen == VLEN_WORD => 1,
-        0 => 1 + (vlen as usize).div_ceil(OVF_DATA_BYTES).max(1) as u64 * 4,
-        1 => 2,
-        _ => 8,
-    }
-}
-
-/// One lazily-allocated chunk of a size class: the slot metadata plus the
-/// class's inline value area (`data_words` words per slot).
-struct Chunk {
-    slots: Box<[Slot]>,
-    data: Box<[AtomicU64]>,
-}
-
-/// Pops the head of a Treiber stack whose links (index + 1; 0 = end) `link`
-/// returns.  Callers keep a single popper, so the pop cannot suffer ABA.
-fn treiber_pop<'a>(head: &AtomicU64, link: impl Fn(u64) -> &'a AtomicU64) -> Option<u64> {
-    loop {
-        let h = head.load(Ordering::Acquire);
-        if h == 0 {
-            return None;
-        }
-        let next = link(h - 1).load(Ordering::Relaxed);
-        if head
-            .compare_exchange(h, next, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            return Some(h - 1);
-        }
+fn birth_lines(vlen: u64) -> u64 {
+    if vlen == VLEN_WORD {
+        1
+    } else {
+        1 + (vlen as usize).div_ceil(OVF_DATA_BYTES).max(1) as u64 * 4
     }
 }
 
@@ -348,173 +322,73 @@ fn treiber_push(head: &AtomicU64, first: u64, last: &AtomicU64) {
     }
 }
 
-/// The chunk table of a slab: [`MAX_CHUNKS`] lazily allocated chunks, the
-/// table itself allocated with the first chunk, so an arena that never
-/// allocates keeps one empty `OnceLock` per slab.  A lookup makes the same
-/// two dependent loads as a table allocated up front: the table pointer,
-/// inline in the slab, then the chunk's entry.
-struct Chunks<T>(OnceLock<Box<[OnceLock<T>]>>);
+/// [`MAX_CHUNKS`] chunks of [`CHUNK_SIZE`] elements, each allocated when
+/// first needed.
+type ChunkTable<T> = OnceLock<Box<[OnceLock<Box<[T]>>]>>;
 
-impl<T> Default for Chunks<T> {
-    fn default() -> Self {
-        Self(OnceLock::new())
-    }
-}
-
-impl<T> Chunks<T> {
-    /// Chunk `i`, which has been published.
-    #[inline]
-    fn get(&self, i: usize) -> &T {
-        self.0
-            .get()
-            .and_then(|table| table[i].get())
-            .expect("published chunk")
-    }
-
-    /// Chunk `i`, made by `make` if it does not exist yet (owning thread
-    /// only).
-    fn get_or_init(&self, i: usize, make: impl FnOnce() -> T) -> &T {
-        let table = self
-            .0
-            .get_or_init(|| (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect());
-        table[i].get_or_init(make)
-    }
-}
-
-/// The chunked slab of one size class within one arena.
-struct ClassSlab {
+/// One arena's slots, or its overflow blocks: a [`ChunkTable`] extended by
+/// the owning thread only, and a Treiber free list pushed by any thread and
+/// popped only by the owner (a single popper, so the pop cannot suffer ABA).
+///
+/// The chunk table is allocated with the first chunk, so an arena that
+/// never allocates keeps one empty `OnceLock` per slab.  A lookup makes the
+/// same two dependent loads as a table allocated up front: the table
+/// pointer, inline in the slab, then the chunk's entry.
+#[derive(Default)]
+struct Slab<T> {
     /// On lines of its own: a lookup on any thread resolves its payload's
     /// slot through it, while the owner and the drains write the counters
     /// below.
-    chunks: CachePadded<Chunks<Chunk>>,
-    data_words: usize,
-    /// Published slot count (bump-extended by the owning thread only).
+    chunks: CachePadded<ChunkTable<T>>,
+    /// Published element count.
     len: AtomicU64,
-    /// Treiber free-list head (slot index + 1; 0 = empty).  Pushed by any
-    /// thread (recycler, abandoner), popped only by the owning thread —
-    /// single-popper Treiber is ABA-free.
+    /// Free-list head (index + 1; 0 = empty).
     free_head: AtomicU64,
-    free_count: AtomicU64,
 }
 
-impl ClassSlab {
-    fn new(data_words: usize) -> Self {
-        Self {
-            chunks: CachePadded::default(),
-            data_words,
-            len: AtomicU64::new(0),
-            free_head: AtomicU64::new(0),
-            free_count: AtomicU64::new(0),
-        }
-    }
-
+impl<T: FreeLink> Slab<T> {
+    /// Element `idx`, which has been published.
     #[inline]
-    fn chunk(&self, idx: u64) -> &Chunk {
-        self.chunks.get((idx >> CHUNK_SHIFT) as usize)
+    fn get(&self, idx: u64) -> &T {
+        let (chunk, off) = (idx >> CHUNK_SHIFT, idx & (CHUNK_SIZE as u64 - 1));
+        let chunk = self.chunks.get().and_then(|t| t[chunk as usize].get());
+        &chunk.expect("published chunk")[off as usize]
     }
 
-    #[inline]
-    fn slot(&self, idx: u64) -> &Slot {
-        &self.chunk(idx).slots[(idx & (CHUNK_SIZE as u64 - 1)) as usize]
-    }
-
-    /// The inline value area of slot `idx` (empty for class 0).
-    #[inline]
-    fn data(&self, idx: u64) -> &[AtomicU64] {
-        let off = (idx & (CHUNK_SIZE as u64 - 1)) as usize;
-        &self.chunk(idx).data[off * self.data_words..(off + 1) * self.data_words]
-    }
-
-    /// Pops a free slot.  Only the owning thread calls this, so the Treiber
-    /// pop has a single popper and cannot suffer ABA.
+    /// Pops a free element (owning thread only).
     fn pop_free(&self) -> Option<u64> {
-        let idx = treiber_pop(&self.free_head, |i| &self.slot(i).links[FREE_LINK])?;
-        self.free_count.fetch_sub(1, Ordering::Relaxed);
-        Some(idx)
+        loop {
+            let h = self.free_head.load(Ordering::Acquire);
+            if h == 0 {
+                return None;
+            }
+            let next = self.get(h - 1).free_link().load(Ordering::Relaxed);
+            if self
+                .free_head
+                .compare_exchange(h, next, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(h - 1);
+            }
+        }
     }
 
     /// Pushes `idx` on the free list (any thread).
     fn push_free(&self, idx: u64) {
-        treiber_push(&self.free_head, idx, &self.slot(idx).links[FREE_LINK]);
-        self.free_count.fetch_add(1, Ordering::Relaxed);
+        treiber_push(&self.free_head, idx, self.get(idx).free_link());
     }
 
-    /// Extends the class by one slot (owning thread only).
+    /// Extends the slab by one element (owning thread only).
     fn bump(&self) -> u64 {
         let idx = self.len.load(Ordering::Relaxed);
         let chunk = (idx >> CHUNK_SHIFT) as usize;
         assert!(chunk < MAX_CHUNKS, "payload arena exhausted");
-        let words = self.data_words;
-        self.chunks.get_or_init(chunk, || Chunk {
-            slots: (0..CHUNK_SIZE)
-                .map(|_| Slot::default())
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            data: (0..CHUNK_SIZE * words)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        });
+        let table = self
+            .chunks
+            .get_or_init(|| (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect());
+        table[chunk].get_or_init(|| (0..CHUNK_SIZE).map(|_| T::default()).collect());
         // Fresh slots carry `birth == UNBORN`, so publishing the length
         // before the slot is tagged cannot expose uninitialized payloads.
-        self.len.store(idx + 1, Ordering::Release);
-        idx
-    }
-}
-
-/// One 256-byte overflow block of a spilled oversized value.
-struct OvfBlock {
-    /// Next block in the chain (index + 1; 0 = end).  Doubles as the
-    /// free-list link while the block is free — the lifetimes are disjoint.
-    next: AtomicU64,
-    data: [AtomicU64; OVF_DATA_WORDS],
-}
-
-impl Default for OvfBlock {
-    fn default() -> Self {
-        Self {
-            next: AtomicU64::new(0),
-            data: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The per-arena overflow-block slab (same single-popper discipline as the
-/// slot free lists: popped only by the owning thread during allocation,
-/// pushed by whoever recycles the head slot under the recycle lock).
-#[derive(Default)]
-struct OvfSlab {
-    chunks: Chunks<Box<[OvfBlock]>>,
-    len: AtomicU64,
-    free_head: AtomicU64,
-}
-
-impl OvfSlab {
-    #[inline]
-    fn block(&self, idx: u64) -> &OvfBlock {
-        let chunk = (idx >> CHUNK_SHIFT) as usize;
-        let off = (idx & (CHUNK_SIZE as u64 - 1)) as usize;
-        &self.chunks.get(chunk)[off]
-    }
-
-    fn pop_free(&self) -> Option<u64> {
-        treiber_pop(&self.free_head, |i| &self.block(i).next)
-    }
-
-    fn push_free(&self, idx: u64) {
-        treiber_push(&self.free_head, idx, &self.block(idx).next);
-    }
-
-    fn bump(&self) -> u64 {
-        let idx = self.len.load(Ordering::Relaxed);
-        let chunk = (idx >> CHUNK_SHIFT) as usize;
-        assert!(chunk < MAX_CHUNKS, "overflow slab exhausted");
-        self.chunks.get_or_init(chunk, || {
-            (0..CHUNK_SIZE)
-                .map(|_| OvfBlock::default())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
         self.len.store(idx + 1, Ordering::Release);
         idx
     }
@@ -529,17 +403,16 @@ const NO_BIRTHS: u64 = u64::MAX;
 struct Nursery {
     /// Birth entries; a slot's birth link holds its position here.
     births: Vec<u64>,
-    /// Slot indices recycled on the spot, per class; reused first.  Under
-    /// the lock they cost no atomic, unlike the class's free list.
-    recycled: [Vec<u64>; CLASSES],
+    /// Slot indices recycled on the spot; reused first.  Under the lock they
+    /// cost no atomic, unlike the slab's free list.
+    recycled: Vec<u64>,
 }
 
-/// One thread slot's payload arena: one chunked slab per size class, the
-/// overflow-block slab, the epoch ring of dirty lists shared by all
-/// classes, and the nursery.
+/// One thread slot's payload arena: the slot slab, the overflow-block slab,
+/// the epoch ring of dirty lists, and the nursery.
 struct Arena {
-    classes: [ClassSlab; CLASSES],
-    ovf: OvfSlab,
+    slots: Slab<Slot>,
+    ovf: Slab<OvfBlock>,
     /// Epoch-indexed dirty-list heads (encoded entry + 1; 0 = empty).
     dirty: [AtomicU64; RING],
     /// On a line of its own: foreign retirers take this lock.
@@ -553,8 +426,8 @@ struct Arena {
 impl Default for Arena {
     fn default() -> Self {
         Self {
-            classes: std::array::from_fn(|c| ClassSlab::new(CLASS_DATA_WORDS[c])),
-            ovf: OvfSlab::default(),
+            slots: Slab::default(),
+            ovf: Slab::default(),
             dirty: std::array::from_fn(|_| AtomicU64::new(0)),
             nursery: CachePadded::default(),
             held: AtomicU64::new(NO_BIRTHS),
@@ -565,8 +438,8 @@ impl Default for Arena {
 impl Arena {
     /// The dirty link of `enc`'s kind in `enc`'s slot.
     fn link(&self, enc: u64) -> &AtomicU64 {
-        let (class, idx, kind) = decode_entry(enc);
-        &self.classes[class].slot(idx).links[kind]
+        let (idx, kind) = decode_entry(enc);
+        &self.slots.get(idx).links[kind]
     }
 
     /// Pushes the non-empty chain of dirty entries `encs` on the list of
@@ -579,9 +452,9 @@ impl Arena {
         treiber_push(head, encs[0], self.link(encs[encs.len() - 1]));
     }
 
-    /// Adds slot (`class`, `idx`), born in the current epoch, to the nursery;
-    /// returns the earlier epoch whose births it first moved to a dirty list.
-    fn nurse(&self, n: &mut Nursery, epoch: u64, class: usize, idx: u64) -> Option<u64> {
+    /// Adds slot `idx`, born in the current epoch, to the nursery; returns
+    /// the earlier epoch whose births it first moved to a dirty list.
+    fn nurse(&self, n: &mut Nursery, epoch: u64, idx: u64) -> Option<u64> {
         let held = self.held.load(Ordering::Relaxed);
         let handed = (held != epoch && held != NO_BIRTHS).then(|| {
             self.push_dirty(held, &n.births);
@@ -591,16 +464,16 @@ impl Arena {
         if held != epoch {
             self.held.store(epoch, Ordering::SeqCst);
         }
-        let link = &self.classes[class].slot(idx).links[KIND_BIRTH];
+        let link = &self.slots.get(idx).links[KIND_BIRTH];
         link.store(n.births.len() as u64, Ordering::Relaxed);
-        n.births.push(entry(class, idx, KIND_BIRTH));
+        n.births.push(entry(idx, KIND_BIRTH));
         handed
     }
 
-    /// Recycles slot (`class`, `idx`) on the spot if the nursery `n` still
-    /// holds its birth; returns whether it did.
-    fn recycle_nursling(&self, n: &mut Nursery, class: usize, idx: u64) -> bool {
-        let enc = entry(class, idx, KIND_BIRTH);
+    /// Recycles slot `idx` on the spot if the nursery `n` still holds its
+    /// birth; returns whether it did.
+    fn recycle_nursling(&self, n: &mut Nursery, idx: u64) -> bool {
+        let enc = entry(idx, KIND_BIRTH);
         let pos = self.link(enc).load(Ordering::Relaxed) as usize;
         if n.births.get(pos) != Some(&enc) {
             return false;
@@ -612,22 +485,22 @@ impl Arena {
         if n.births.is_empty() {
             self.held.store(NO_BIRTHS, Ordering::Relaxed);
         }
-        self.release(class, idx);
-        n.recycled[class].push(idx);
+        self.release(idx);
+        n.recycled.push(idx);
         true
     }
 
     /// Returns a dead slot's overflow chain to the arena and marks the slot
     /// unborn.  Callers hold the recycle lock, or recycle a nursery birth:
     /// above every horizon, no recovery scan reads its chain.
-    fn release(&self, class: usize, idx: u64) {
-        let s = self.classes[class].slot(idx);
-        if class == 0 && s.vlen.load(Ordering::Relaxed) != VLEN_WORD {
+    fn release(&self, idx: u64) {
+        let s = self.slots.get(idx);
+        if s.vlen.load(Ordering::Relaxed) != VLEN_WORD {
             let mut head = s.val.load(Ordering::Relaxed);
             while head != 0 {
                 // Read the link before the push overwrites it with the
                 // free-list link (they share the `next` field).
-                let next = self.ovf.block(head - 1).next.load(Ordering::Relaxed);
+                let next = self.ovf.get(head - 1).next.load(Ordering::Relaxed);
                 self.ovf.push_free(head - 1);
                 head = next;
             }
@@ -636,44 +509,15 @@ impl Arena {
         s.birth.store(UNBORN, Ordering::Release);
     }
 
-    /// Writes `val` into slot (`class`, `idx`)'s value storage.  Owning
-    /// thread only, before the `Release` publication of `birth`.
-    fn write_value(&self, class: usize, idx: u64, val: &Value) {
-        let s = self.classes[class].slot(idx);
-        match val {
-            Value::U64(v) => {
-                debug_assert_eq!(class, 0);
-                s.val.store(*v, Ordering::Relaxed);
-                s.vlen.store(VLEN_WORD, Ordering::Relaxed);
-            }
-            Value::Bytes(b) if class > 0 => {
-                debug_assert!(b.len() <= CLASS_CAPS[class]);
-                let data = self.classes[class].data(idx);
-                for (i, part) in b.chunks(8).enumerate() {
-                    let mut w = [0u8; 8];
-                    w[..part.len()].copy_from_slice(part);
-                    data[i].store(u64::from_le_bytes(w), Ordering::Relaxed);
-                }
-                s.vlen.store(b.len() as u64, Ordering::Relaxed);
-            }
-            Value::Bytes(b) => {
-                // Oversized record: the value spills to a length-prefixed
-                // overflow chain (`vlen` is the prefix, `val` the head).
-                s.val.store(self.alloc_ovf_chain(b), Ordering::Relaxed);
-                s.vlen.store(b.len() as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Builds the overflow chain for `bytes`, tail to head (so every `next`
     /// link is written before the head is published), and returns the head
-    /// block index + 1.
+    /// block index + 1.  Owning thread only.
     fn alloc_ovf_chain(&self, bytes: &[u8]) -> u64 {
         let nblocks = bytes.len().div_ceil(OVF_DATA_BYTES).max(1);
         let mut next = 0u64;
         for i in (0..nblocks).rev() {
             let idx = self.ovf.pop_free().unwrap_or_else(|| self.ovf.bump());
-            let blk = self.ovf.block(idx);
+            let blk = self.ovf.get(idx);
             let end = bytes.len().min((i + 1) * OVF_DATA_BYTES);
             for (w, part) in bytes[i * OVF_DATA_BYTES..end].chunks(8).enumerate() {
                 let mut buf = [0u8; 8];
@@ -686,42 +530,25 @@ impl Arena {
         next
     }
 
-    /// Reads the value of slot (`class`, `idx`).  Callers hold the recycle
-    /// lock (recovery scan), so the slot cannot be recycled — and its
-    /// overflow chain cannot be reclaimed — mid-read.
-    fn read_value(&self, class: usize, idx: u64) -> Value {
-        let s = self.classes[class].slot(idx);
+    /// Reads the value of slot `s`.  Callers hold the recycle lock (recovery
+    /// scan), so the slot cannot be recycled — and its overflow chain cannot
+    /// be reclaimed — mid-read.
+    fn read_value(&self, s: &Slot) -> Value {
         let vlen = s.vlen.load(Ordering::Relaxed);
         if vlen == VLEN_WORD {
             return Value::U64(s.val.load(Ordering::Relaxed));
         }
         let len = (vlen as usize).min(MAX_VALUE_BYTES);
-        let mut out = Vec::with_capacity(len);
-        if class > 0 {
-            let data = self.classes[class].data(idx);
-            'words: for w in data {
-                for byte in w.load(Ordering::Relaxed).to_le_bytes() {
-                    if out.len() == len {
-                        break 'words;
-                    }
-                    out.push(byte);
-                }
+        let mut out = Vec::with_capacity(len.div_ceil(OVF_DATA_BYTES) * OVF_DATA_BYTES);
+        let mut head = s.val.load(Ordering::Relaxed);
+        while head != 0 && out.len() < len {
+            let blk = self.ovf.get(head - 1);
+            for w in &blk.data {
+                out.extend(w.load(Ordering::Relaxed).to_le_bytes());
             }
-        } else {
-            let mut head = s.val.load(Ordering::Relaxed);
-            while head != 0 && out.len() < len {
-                let blk = self.ovf.block(head - 1);
-                'blk: for w in &blk.data {
-                    for byte in w.load(Ordering::Relaxed).to_le_bytes() {
-                        if out.len() == len {
-                            break 'blk;
-                        }
-                        out.push(byte);
-                    }
-                }
-                head = blk.next.load(Ordering::Relaxed);
-            }
+            head = blk.next.load(Ordering::Relaxed);
         }
+        out.truncate(len);
         Value::from_bytes(&out)
     }
 }
@@ -746,14 +573,14 @@ impl ArenaStore {
     }
 
     /// Recycles a slot exactly once per incarnation (the FREED flag makes a
-    /// second attempt a no-op).  A spilled record's overflow chain is
-    /// released with its head slot; every caller holds the recycle lock, so
-    /// no recovery scan can be walking the chain concurrently.
-    fn free_slot(arena: &Arena, class: usize, idx: u64) {
-        let s = arena.classes[class].slot(idx);
+    /// second attempt a no-op).  A spilled value's overflow chain is
+    /// released with its slot; every caller holds the recycle lock, so no
+    /// recovery scan can be walking the chain concurrently.
+    fn free_slot(arena: &Arena, idx: u64) {
+        let s = arena.slots.get(idx);
         if s.state.fetch_or(FREED, Ordering::AcqRel) & FREED == 0 {
-            arena.release(class, idx);
-            arena.classes[class].push_free(idx);
+            arena.release(idx);
+            arena.slots.push_free(idx);
         }
     }
 
@@ -813,8 +640,8 @@ impl ArenaStore {
     /// Only then is every reference to the slot's links gone — which is also
     /// what lets the free list reuse the birth link.
     fn consume(arena: &Arena, enc: u64, durable: u64) -> u64 {
-        let (class, idx, kind) = decode_entry(enc);
-        let s = arena.classes[class].slot(idx);
+        let (idx, kind) = decode_entry(enc);
+        let s = arena.slots.get(idx);
         let tag = [&s.birth, &s.retire][kind].load(Ordering::Acquire);
         if tag == UNBORN {
             return 0; // already recycled (or, defensive: retirement LIVE)
@@ -827,10 +654,10 @@ impl ArenaStore {
         }
         let mine = BIRTH_CONSUMED << kind;
         let st = s.state.fetch_or(mine, Ordering::AcqRel);
-        // A birth writes back the whole record, a retirement its metadata
+        // A birth writes back the whole record, a retirement its slot's
         // line, an abandoned payload (never durable) nothing.
         let lines = match st & (mine | ABANDONED) {
-            0 if kind == KIND_BIRTH => birth_lines(class, s.vlen.load(Ordering::Relaxed)),
+            0 if kind == KIND_BIRTH => birth_lines(s.vlen.load(Ordering::Relaxed)),
             0 => 1,
             _ => 0,
         };
@@ -838,7 +665,7 @@ impl ArenaStore {
         // retirement is recycled only once durable; an abandoned birth
         // needs no retirement (`free_slot` is idempotent).
         if st & ((BIRTH_CONSUMED | RETIRE_CONSUMED) ^ mine | ABANDONED) != 0 {
-            Self::free_slot(arena, class, idx);
+            Self::free_slot(arena, idx);
         }
         lines
     }
@@ -921,35 +748,32 @@ impl PersistenceDomain {
         self.mgr.current_epoch()
     }
 
-    /// Allocates a fixed-width word payload for `key -> val` — the
-    /// historical entry point, now a thin wrapper over
-    /// [`PersistenceDomain::alloc_value`].
-    pub fn alloc_payload(&self, tid: usize, key: u64, val: u64, epoch: u64) -> PayloadId {
-        self.alloc_value(tid, key, &Value::U64(val), epoch)
-    }
-
     /// Allocates a payload record for `key -> val`, tagged with `epoch`, in
     /// the arena of thread slot `tid` (the caller's `Ctx::tid()` /
     /// `ThreadHandle::tid()`; the manager guarantees the slot has a single
-    /// live owner, which is what makes the arena fast path safe).  The value
-    /// lands in the size class fitting its byte length; oversized values
-    /// spill from a class-0 head slot to a length-prefixed overflow chain.
+    /// live owner, which is what makes the arena fast path safe).  A word
+    /// value lives in the slot; any other value spills from it to a
+    /// length-prefixed overflow chain.
     pub fn alloc_value(&self, tid: usize, key: u64, val: &Value, epoch: u64) -> PayloadId {
         assert!(
             val.byte_len() <= MAX_VALUE_BYTES,
             "payload value exceeds MAX_VALUE_BYTES"
         );
         let arena = &self.store.arenas[tid];
-        let class = class_for(val);
-        let slab = &arena.classes[class];
         let mut n = arena.nursery.lock();
-        let idx = n.recycled[class]
+        let idx = n
+            .recycled
             .pop()
-            .or_else(|| slab.pop_free())
-            .unwrap_or_else(|| slab.bump());
-        let s = slab.slot(idx);
+            .or_else(|| arena.slots.pop_free())
+            .unwrap_or_else(|| arena.slots.bump());
+        let s = arena.slots.get(idx);
+        let (word, vlen) = match val {
+            Value::U64(v) => (*v, VLEN_WORD),
+            Value::Bytes(b) => (arena.alloc_ovf_chain(b), b.len() as u64),
+        };
         s.key.store(key, Ordering::Relaxed);
-        arena.write_value(class, idx, val);
+        s.val.store(word, Ordering::Relaxed);
+        s.vlen.store(vlen, Ordering::Relaxed);
         s.retire.store(LIVE, Ordering::Relaxed);
         s.state.store(0, Ordering::Relaxed);
         // Publishes the fields above to recovery/write-back scans.
@@ -958,9 +782,9 @@ impl PersistenceDomain {
         #[cfg(test)]
         step::reach(&step::NURSE);
         let dirty = if nursed {
-            arena.nurse(&mut n, epoch, class, idx)
+            arena.nurse(&mut n, epoch, idx)
         } else {
-            arena.push_dirty(epoch, &[entry(class, idx, KIND_BIRTH)]);
+            arena.push_dirty(epoch, &[entry(idx, KIND_BIRTH)]);
             Some(epoch)
         };
         drop(n);
@@ -971,7 +795,7 @@ impl PersistenceDomain {
             // Both drains since the clock read may have skipped us.
             self.repair(|durable| ArenaStore::drain_nursery(arena, durable));
         }
-        encode_id(tid, class, idx)
+        encode_id(tid, idx)
     }
 
     /// The word value of the word payload `id`, read without a lock.
@@ -983,9 +807,8 @@ impl PersistenceDomain {
     /// same counter (module docs).  The `Acquire` load orders that re-load
     /// after it.
     pub fn payload_word(&self, id: PayloadId) -> u64 {
-        let (tid, class, idx) = decode_id(id);
-        debug_assert_eq!(class, 0, "a blob payload has no word");
-        let slot = self.store.arenas[tid].classes[class].slot(idx);
+        let (tid, idx) = decode_id(id);
+        let slot = self.store.arenas[tid].slots.get(idx);
         slot.val.load(Ordering::Acquire)
     }
 
@@ -996,12 +819,12 @@ impl PersistenceDomain {
     /// birth-epoch dirty list is consumed (at once if that already
     /// happened).
     pub fn abandon_payload(&self, id: PayloadId) {
-        let (tid, class, idx) = decode_id(id);
+        let (tid, idx) = decode_id(id);
         let arena = &self.store.arenas[tid];
-        if arena.recycle_nursling(&mut arena.nursery.lock(), class, idx) {
+        if arena.recycle_nursling(&mut arena.nursery.lock(), idx) {
             return;
         }
-        let s = arena.classes[class].slot(idx);
+        let s = arena.slots.get(idx);
         let st = s.state.fetch_or(ABANDONED, Ordering::AcqRel);
         debug_assert_eq!(st & FREED, 0, "payload abandoned after recycle");
         if st & BIRTH_CONSUMED != 0 {
@@ -1015,7 +838,7 @@ impl PersistenceDomain {
             // epoch.  Cold path: this branch only runs when an abort raced
             // the durability horizon.
             let _g = self.store.recycle_lock.lock();
-            ArenaStore::free_slot(arena, class, idx);
+            ArenaStore::free_slot(arena, idx);
         }
     }
 
@@ -1025,17 +848,17 @@ impl PersistenceDomain {
     /// in `epoch` whose birth the nursery still holds is recycled on the
     /// spot (see the module docs).
     pub fn retire_payload(&self, id: PayloadId, epoch: u64) {
-        let (tid, class, idx) = decode_id(id);
+        let (tid, idx) = decode_id(id);
         let arena = &self.store.arenas[tid];
-        let s = arena.classes[class].slot(idx);
+        let s = arena.slots.get(idx);
         if s.birth.load(Ordering::Relaxed) == epoch
-            && arena.recycle_nursling(&mut arena.nursery.lock(), class, idx)
+            && arena.recycle_nursling(&mut arena.nursery.lock(), idx)
         {
             return;
         }
         let prev = s.retire.swap(epoch, Ordering::AcqRel);
         debug_assert_eq!(prev, LIVE, "payload retired twice");
-        arena.push_dirty(epoch, &[entry(class, idx, KIND_RETIRE)]);
+        arena.push_dirty(epoch, &[entry(idx, KIND_RETIRE)]);
         self.repair_stale_bucket(tid, epoch);
     }
 
@@ -1055,8 +878,8 @@ impl PersistenceDomain {
     /// can reallocate it).  Removers re-read the clock before retiring.
     pub fn retag_birth(&self, id: PayloadId, from: u64, to: u64) {
         debug_assert!(from <= to);
-        let (tid, class, idx) = decode_id(id);
-        let s = self.store.arenas[tid].classes[class].slot(idx);
+        let (tid, idx) = decode_id(id);
+        let s = self.store.arenas[tid].slots.get(idx);
         let _ = s
             .birth
             .compare_exchange(from, to, Ordering::AcqRel, Ordering::Relaxed);
@@ -1196,21 +1019,18 @@ impl PersistenceDomain {
         let horizon = self.persisted_epoch.load(Ordering::Acquire);
         let mut out = HashMap::new();
         for arena in store.arenas.iter() {
-            for (class, slab) in arena.classes.iter().enumerate() {
-                let len = slab.len.load(Ordering::Acquire);
-                for idx in 0..len {
-                    let s = slab.slot(idx);
-                    let b = s.birth.load(Ordering::Acquire);
-                    if b == UNBORN || b >= horizon {
-                        continue; // free, in-flight, or not yet durable
-                    }
-                    if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
-                        continue; // aborted transaction's payload
-                    }
-                    let r = s.retire.load(Ordering::Relaxed);
-                    if r == LIVE || r >= horizon {
-                        out.insert(s.key.load(Ordering::Relaxed), arena.read_value(class, idx));
-                    }
+            for idx in 0..arena.slots.len.load(Ordering::Acquire) {
+                let s = arena.slots.get(idx);
+                let b = s.birth.load(Ordering::Acquire);
+                if b == UNBORN || b >= horizon {
+                    continue; // free, in-flight, or not yet durable
+                }
+                if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
+                    continue; // aborted transaction's payload
+                }
+                let r = s.retire.load(Ordering::Relaxed);
+                if r == LIVE || r >= horizon {
+                    out.insert(s.key.load(Ordering::Relaxed), arena.read_value(s));
                 }
             }
         }
@@ -1225,24 +1045,23 @@ impl PersistenceDomain {
         let mut free = 0usize;
         let mut allocated = 0usize;
         for arena in store.arenas.iter() {
-            let recycled = &arena.nursery.lock().recycled;
-            free += recycled.iter().map(Vec::len).sum::<usize>();
-            for slab in arena.classes.iter() {
-                let len = slab.len.load(Ordering::Acquire);
-                allocated += len as usize;
-                free += slab.free_count.load(Ordering::Relaxed) as usize;
-                for idx in 0..len {
-                    let s = slab.slot(idx);
-                    let b = s.birth.load(Ordering::Acquire);
-                    if b == UNBORN {
-                        continue;
-                    }
-                    if s.state.load(Ordering::Relaxed) & ABANDONED != 0 {
-                        continue;
-                    }
-                    if s.retire.load(Ordering::Relaxed) == LIVE {
-                        live += 1;
-                    }
+            // The nursery lock keeps the owner from taking a slot off the
+            // free list, and the recycle lock everyone from putting one on
+            // it, so each FREED flag below is one free-list entry.
+            let n = arena.nursery.lock();
+            free += n.recycled.len();
+            let len = arena.slots.len.load(Ordering::Acquire);
+            allocated += len as usize;
+            for idx in 0..len {
+                let s = arena.slots.get(idx);
+                let st = s.state.load(Ordering::Relaxed);
+                if st & FREED != 0 {
+                    free += 1;
+                } else if s.birth.load(Ordering::Acquire) != UNBORN
+                    && st & ABANDONED == 0
+                    && s.retire.load(Ordering::Relaxed) == LIVE
+                {
+                    live += 1;
                 }
             }
         }
@@ -1372,7 +1191,7 @@ mod tests {
     fn payloads_become_durable_after_two_epochs() {
         let d = domain();
         let e = d.current_epoch();
-        d.alloc_payload(0, 1, 10, e);
+        d.alloc_value(0, 1, &Value::U64(10), e);
         // Not yet durable: recovery horizon is e - 2.
         assert!(d.recover().is_empty());
         d.advance_epoch();
@@ -1385,7 +1204,7 @@ mod tests {
     fn retirement_hides_payload_after_horizon_passes() {
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 2, 20, e);
+        let id = d.alloc_value(0, 2, &Value::U64(20), e);
         d.sync();
         assert_eq!(d.recover_u64().get(&2), Some(&20));
         let e2 = d.current_epoch();
@@ -1401,7 +1220,7 @@ mod tests {
         // Retired in a later epoch than its birth: the slot waits until the
         // retirement is durable.
         let d = domain();
-        let id = d.alloc_payload(0, 3, 30, d.current_epoch());
+        let id = d.alloc_value(0, 3, &Value::U64(30), d.current_epoch());
         d.advance_epoch();
         d.retire_payload(id, d.current_epoch());
         assert_eq!(d.stats().free_slots, 0);
@@ -1410,43 +1229,36 @@ mod tests {
         d.sync();
         assert_eq!(d.stats().free_slots, 1);
         // The recycled slot is reused by the next allocation.
-        let id2 = d.alloc_payload(0, 4, 40, d.current_epoch());
+        let id2 = d.alloc_value(0, 4, &Value::U64(40), d.current_epoch());
         assert_eq!(id2, id);
     }
 
     #[test]
     fn chunk_tables_are_built_by_the_first_allocation() {
-        // (thread slot, class) of every slab whose chunk table exists, and
+        // The thread slot of every slot slab whose chunk table exists, and
         // whether an overflow slab has one.
-        fn built(d: &PersistenceDomain) -> (Vec<(usize, usize)>, bool) {
+        fn built(d: &PersistenceDomain) -> (Vec<usize>, bool) {
             let arenas = d.store.arenas.iter().enumerate();
-            let slabs = arenas.flat_map(|(tid, a)| {
-                let classes = a.classes.iter().enumerate();
-                classes.filter_map(move |(c, slab)| slab.chunks.0.get().map(|_| (tid, c)))
-            });
-            let ovf = d
-                .store
-                .arenas
-                .iter()
-                .any(|a| a.ovf.chunks.0.get().is_some());
+            let slabs = arenas.filter_map(|(tid, a)| a.slots.chunks.get().map(|_| tid));
+            let ovf = d.store.arenas.iter().any(|a| a.ovf.chunks.get().is_some());
             (slabs.collect(), ovf)
         }
         let d = domain();
         assert_eq!(built(&d), (vec![], false));
-        d.alloc_payload(0, 1, 10, d.current_epoch());
-        assert_eq!(built(&d), (vec![(0, 0)], false));
+        d.alloc_value(0, 1, &Value::U64(10), d.current_epoch());
+        assert_eq!(built(&d), (vec![0], false));
     }
 
     #[test]
     fn a_slot_retired_in_its_birth_epoch_is_free_at_once() {
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 3, 30, e);
+        let id = d.alloc_value(0, 3, &Value::U64(30), e);
         d.retire_payload(id, e);
         assert_eq!(d.stats().free_slots, 1, "recycled on the spot");
         assert_eq!(d.stats().live_payloads, 0);
         // The next allocation reuses it, before any advance.
-        let id2 = d.alloc_payload(0, 4, 40, e);
+        let id2 = d.alloc_value(0, 4, &Value::U64(40), e);
         assert_eq!(id2, id);
         assert_eq!(d.stats().free_slots, 0);
         d.retire_payload(id2, e);
@@ -1464,7 +1276,7 @@ mod tests {
         let d = domain();
         d.sync();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 1, 10, e);
+        let id = d.alloc_value(0, 1, &Value::U64(10), e);
         d.advance_epoch();
         d.retire_payload(id, e + 1);
         assert_eq!(d.stats().free_slots, 0, "not recycled on the spot");
@@ -1487,7 +1299,7 @@ mod tests {
         let e = d.current_epoch();
         let mut h = d.manager().register();
         let res = h.run(|t| -> Result<(), _> {
-            let id = d.alloc_payload(t.tid(), 1, 10, t.snapshot_epoch().unwrap());
+            let id = d.alloc_value(t.tid(), 1, &Value::U64(10), t.snapshot_epoch().unwrap());
             let d = Arc::clone(&d);
             t.add_abort_action(move |_| d.abandon_payload(id));
             Err(t.abort(AbortReason::Explicit))
@@ -1508,12 +1320,16 @@ mod tests {
     fn a_foreign_same_epoch_retirement_recycles_into_the_owners_arena() {
         let d = PersistenceDomain::new(TxManager::with_max_threads(2), NvmCostModel::ZERO);
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 1, 10, e);
+        let id = d.alloc_value(0, 1, &Value::U64(10), e);
         std::thread::scope(|s| {
             s.spawn(|| d.retire_payload(id, e));
         });
         assert_eq!(d.stats().free_slots, 1);
-        assert_eq!(d.alloc_payload(0, 2, 20, e), id, "the owner reuses it");
+        assert_eq!(
+            d.alloc_value(0, 2, &Value::U64(20), e),
+            id,
+            "the owner reuses it"
+        );
         d.sync();
         assert_eq!(flushes(&d), 1, "only the second payload is written back");
         assert_eq!(d.recover_u64(), HashMap::from([(2, 20)]));
@@ -1531,7 +1347,7 @@ mod tests {
             d2.advance_epoch();
             d2.advance_epoch();
         })));
-        d.alloc_payload(0, 1, 10, e);
+        d.alloc_value(0, 1, &Value::U64(10), e);
         assert!(step::NURSE.take().is_none(), "the hook ran");
         let (rec, horizon) = d.recover_with_horizon();
         assert_eq!(horizon, e + 1, "the cut covers the birth");
@@ -1547,7 +1363,7 @@ mod tests {
         // nursery on: the drain has to take the birth from there.
         let d = PersistenceDomain::new(TxManager::with_max_threads(4), NvmCostModel::ZERO);
         let e = d.current_epoch();
-        d.alloc_payload(3, 1, 10, e);
+        d.alloc_value(3, 1, &Value::U64(10), e);
         d.advance_epoch();
         assert!(d.recover().is_empty());
         d.advance_epoch();
@@ -1562,7 +1378,7 @@ mod tests {
         // how many more epochs pass over it.
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 7, 70, e);
+        let id = d.alloc_value(0, 7, &Value::U64(70), e);
         d.retire_payload(id, e);
         d.sync();
         assert_eq!(d.stats().free_slots, 1);
@@ -1571,11 +1387,11 @@ mod tests {
             assert_eq!(d.stats().free_slots, 1, "slot recycled more than once");
         }
         // One allocation consumes the recycled slot...
-        let id2 = d.alloc_payload(0, 8, 80, d.current_epoch());
+        let id2 = d.alloc_value(0, 8, &Value::U64(80), d.current_epoch());
         assert_eq!(id2, id);
         assert_eq!(d.stats().free_slots, 0);
         // ...and the next one must get a fresh slot, not a duplicate.
-        let id3 = d.alloc_payload(0, 9, 90, d.current_epoch());
+        let id3 = d.alloc_value(0, 9, &Value::U64(90), d.current_epoch());
         assert_ne!(id3, id2);
     }
 
@@ -1583,7 +1399,7 @@ mod tests {
     fn abandoned_payloads_are_recycled_and_never_recovered() {
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 5, 50, e);
+        let id = d.alloc_value(0, 5, &Value::U64(50), e);
         d.abandon_payload(id);
         assert_eq!(d.stats().live_payloads, 0);
         d.sync();
@@ -1593,7 +1409,7 @@ mod tests {
         // Abandon after the birth epoch already crossed the horizon
         // (in-flight transaction overtaken by the clock).
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 6, 60, e);
+        let id = d.alloc_value(0, 6, &Value::U64(60), e);
         d.sync(); // birth write-back happens with the payload in flight
         d.abandon_payload(id);
         assert!(!d.recover().contains_key(&6));
@@ -1611,7 +1427,7 @@ mod tests {
         let d = domain();
         let e = d.current_epoch();
         for k in 0..100 {
-            d.alloc_payload(0, k, k, e);
+            d.alloc_value(0, k, &Value::U64(k), e);
         }
         let (flushes_before, _) = d.nvm().stats().snapshot();
         assert_eq!(flushes_before, 0, "no eager flushing");
@@ -1629,7 +1445,7 @@ mod tests {
         let d = domain();
         let e = d.current_epoch();
         for k in 0..10_000 {
-            d.alloc_payload(0, k, k, e);
+            d.alloc_value(0, k, &Value::U64(k), e);
         }
         d.sync();
         let (flushes_initial, _) = d.nvm().stats().snapshot();
@@ -1641,7 +1457,7 @@ mod tests {
         // A small burst: write-back is proportional to the burst only.
         let e = d.current_epoch();
         for k in 0..10 {
-            d.alloc_payload(0, 100_000 + k, k, e);
+            d.alloc_value(0, 100_000 + k, &Value::U64(k), e);
         }
         d.sync();
         let (flushes_burst, _) = d.nvm().stats().snapshot();
@@ -1654,7 +1470,7 @@ mod tests {
         let d = PersistenceDomain::new(mgr, NvmCostModel::ZERO);
         let e = d.current_epoch();
         for tid in 0..8 {
-            d.alloc_payload(tid, tid as u64, tid as u64 * 10, e);
+            d.alloc_value(tid, tid as u64, &Value::U64(tid as u64 * 10), e);
         }
         d.sync();
         let rec = d.recover_u64();
@@ -1676,7 +1492,7 @@ mod tests {
         // horizon.
         let d = domain();
         let e = d.current_epoch();
-        d.alloc_payload(0, 1, 10, e);
+        d.alloc_value(0, 1, &Value::U64(10), e);
         // The clock alone races ahead; no write-back has happened.
         d.manager().advance_epoch();
         d.manager().advance_epoch();
@@ -1717,7 +1533,7 @@ mod tests {
                 let mut k = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let e = d2.current_epoch();
-                    let id = d2.alloc_payload(0, k, e, e);
+                    let id = d2.alloc_value(0, k, &Value::U64(e), e);
                     if let Some(old) = pending.take() {
                         d2.retire_payload(old, d2.current_epoch());
                     }
@@ -1751,7 +1567,7 @@ mod tests {
         // operation is not part of.
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 1, 10, e);
+        let id = d.alloc_value(0, 1, &Value::U64(10), e);
         // The clock moves across the (conceptual) index update; the fix
         // re-tags the payload with the post-linearization epoch.
         d.advance_epoch();
@@ -1792,10 +1608,9 @@ mod tests {
     }
 
     #[test]
-    fn blob_values_roundtrip_through_all_size_classes() {
-        // One value per size class plus the boundaries: word, small inline,
-        // large inline, and overflow-chain spills of 1, many, and max-ish
-        // blocks.
+    fn blob_values_of_every_length_roundtrip() {
+        // A word (8 bytes), the lengths the old inline classes bounded, and
+        // overflow-chain spills of 1, many, and max-ish blocks.
         let lens = [0usize, 5, 8, 64, 65, 448, 449, 4096, 100_000];
         let d = domain();
         let e = d.current_epoch();
@@ -1804,6 +1619,13 @@ mod tests {
             d.alloc_value(0, k as u64, &Value::from_bytes(&bytes), e);
         }
         d.sync();
+        // The data format: a slot's line per payload, and four lines per
+        // 248 data bytes of a spilled value, at least one block.
+        let lines = |len: usize| match len {
+            8 => 1,
+            _ => 1 + 4 * len.div_ceil(248).max(1) as u64,
+        };
+        assert_eq!(flushes(&d), lens.iter().map(|&len| lines(len)).sum::<u64>());
         let rec = d.recover();
         assert_eq!(rec.len(), lens.len());
         for (k, len) in lens.iter().enumerate() {
@@ -1814,6 +1636,28 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn a_blob_retired_in_its_birth_epoch_frees_its_slot_and_chain_at_once() {
+        let d = domain();
+        let e = d.current_epoch();
+        let blob = Value::from_bytes(&[7; 64]);
+        let id = d.alloc_value(0, 1, &blob, e);
+        d.retire_payload(id, e);
+        assert_eq!(d.stats().free_slots, 1, "recycled on the spot");
+        let blocks = d.store.arenas[0].ovf.len.load(Ordering::Relaxed);
+        let id2 = d.alloc_value(0, 2, &blob, e);
+        assert_eq!(id2, id, "the slot is reused");
+        assert_eq!(
+            d.store.arenas[0].ovf.len.load(Ordering::Relaxed),
+            blocks,
+            "and so is its chain"
+        );
+        d.retire_payload(id2, e);
+        d.sync();
+        assert_eq!(flushes(&d), 0, "neither blob is written back");
+        assert!(d.recover().is_empty());
     }
 
     #[test]
@@ -1869,7 +1713,7 @@ mod tests {
     fn a_payload_retired_in_its_birth_epoch_is_never_written_back() {
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 1, 10, e);
+        let id = d.alloc_value(0, 1, &Value::U64(10), e);
         d.retire_payload(id, e);
         d.sync();
         assert_eq!(flushes(&d), 0, "born and retired in one epoch: no lines");
@@ -1878,7 +1722,7 @@ mod tests {
         // Retired one epoch after its birth: the birth line and the
         // retirement line.
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 2, 20, e);
+        let id = d.alloc_value(0, 2, &Value::U64(20), e);
         d.advance_epoch();
         d.retire_payload(id, d.current_epoch());
         d.sync();
@@ -1895,7 +1739,7 @@ mod tests {
         // reach it even though both carry the same epoch.
         let d = domain();
         let e = d.current_epoch();
-        let id = d.alloc_payload(0, 1, 10, e);
+        let id = d.alloc_value(0, 1, &Value::U64(10), e);
         d.sync();
         assert_eq!(flushes(&d), 1);
         assert_eq!(d.recover_u64().get(&1), Some(&10));
@@ -1929,7 +1773,7 @@ mod tests {
             let e = d.current_epoch();
             for _ in 0..rng.next_below(8) {
                 let key = recs.len() as u64;
-                let id = d.alloc_payload(0, key, key * 3, e);
+                let id = d.alloc_value(0, key, &Value::U64(key * 3), e);
                 if rng.next_below(8) == 0 {
                     d.abandon_payload(id);
                     recs.push(Rec {
@@ -1993,7 +1837,7 @@ mod tests {
         let mut live: Vec<PayloadId> = Vec::new();
         for k in 0..20_000u64 {
             let e = d.current_epoch();
-            let id = d.alloc_payload(0, k, k, e);
+            let id = d.alloc_value(0, k, &Value::U64(k), e);
             match rng.next_below(4) {
                 0 => d.abandon_payload(id),
                 _ => live.push(id),
@@ -2036,7 +1880,7 @@ mod tests {
                     for i in 0..PER_THREAD {
                         let e = d.current_epoch();
                         let key = ((t as u64) << 32) | i;
-                        let id = d.alloc_payload(t, key, i, e);
+                        let id = d.alloc_value(t, key, &Value::U64(i), e);
                         if i % 2 == 0 {
                             d.retire_payload(id, d.current_epoch());
                         }

@@ -7,13 +7,15 @@
 //!   coarse intervals;
 //! * a **payload store** holding the semantically significant data of each
 //!   structure (key/value pairs), each record tagged with the epoch of the
-//!   operation that created or retired it.  The store is sharded into
-//!   **per-thread arenas** (one per `TxManager` thread slot) whose
-//!   allocation and retirement take only the arena's own nursery lock; a
-//!   record that dies in its birth epoch is recycled on the spot, and the
-//!   rest go on **epoch-indexed dirty lists** so the periodic write-back
-//!   touches only the records that actually changed in the epochs crossing
-//!   the durability horizon;
+//!   operation that created or retired it.  A record is a one-line slot
+//!   holding its key and a word value; any other value spills from the slot
+//!   to a length-prefixed chain of 256-byte overflow blocks.  The store is
+//!   sharded into **per-thread arenas** (one per `TxManager` thread slot)
+//!   whose allocation and retirement take only the arena's own nursery lock;
+//!   a record that dies in its birth epoch is recycled on the spot, with its
+//!   chain, and the rest go on **epoch-indexed dirty lists** so the periodic
+//!   write-back touches only the records that actually changed in the epochs
+//!   crossing the durability horizon;
 //! * **periodic persistence**: payloads are written back in batches at epoch
 //!   boundaries rather than eagerly, and post-crash recovery restores the
 //!   state as of the end of epoch `e − 2` — the *buffered* durable
