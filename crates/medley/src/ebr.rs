@@ -54,11 +54,6 @@ pub(crate) unsafe fn drop_boxed<T>(ptr: *mut u8) {
     drop(unsafe { Box::from_raw(ptr as *mut T) });
 }
 
-// Bag entries looked at by `collect` on this thread, for the test that pins
-// a retirement's cost.
-#[cfg(test)]
-thread_local!(static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
-
 /// Shared state of the reclamation domain.
 pub struct Collector {
     global_epoch: CachePadded<AtomicU64>,
@@ -298,8 +293,7 @@ impl Participant {
         // Oldest first; everything behind the first entry that is too young
         // is younger still.
         while let Some(front) = self.bag.front() {
-            #[cfg(test)]
-            EXAMINED.with(|n| n.set(n.get() + 1));
+            crate::failpoint!("ebr::examine");
             if front.epoch + 2 > global {
                 break;
             }
@@ -427,11 +421,11 @@ mod tests {
             a.unpin();
         }
         assert_eq!(a.bag.len(), 10_000, "the stalled pin kept everything");
-        let before = EXAMINED.get();
+        let examine = crate::failpoint::arm("ebr::examine", |_| {});
         a.pin();
         a.retire(Box::new(0u64));
         a.unpin();
-        let examined = EXAMINED.get() - before;
+        let examined = examine.hits();
         assert!(
             examined <= 1,
             "one retirement looked at {examined} of 10001 bag entries"

@@ -55,6 +55,18 @@
 //! * [`util`] — cache-line padding, backoff, a poison-free mutex and a small
 //!   PRNG, shared with the rest of the workspace.
 //!
+//! ## Failpoints
+//!
+//! The tests of every crate stop or observe a thread at a named step
+//! through one facility, the hidden `failpoint` module.  A site is one
+//! statement, `failpoint!(NAME)` or `failpoint!(NAME, arg)`, whose one `u64`
+//! argument is the key or level at hand.  A test arms a hook for a name on
+//! its own thread and gets back a guard that disarms it when dropped; passes
+//! on other threads do not see it, and a pass nested inside a running hook
+//! does not run it again.  The site's expansion is `#[cfg(test)]`, evaluated
+//! where the site is, so it is compiled only into the containing crate's
+//! tests and costs nothing anywhere else.
+//!
 //! ## Example
 //!
 //! ```
@@ -100,6 +112,8 @@ mod deferred;
 mod descriptor;
 mod ebr;
 mod errors;
+#[doc(hidden)]
+pub mod failpoint;
 mod memo;
 mod txmanager;
 pub mod util;

@@ -607,8 +607,7 @@ impl ThreadHandle {
             self.abort_with(AbortKind::Conflict);
             return Err(TxError::Conflict);
         }
-        #[cfg(test)]
-        step::reach(&step::VALIDATE);
+        crate::failpoint!("txmanager::validate");
         // Decide: the owner alone validates its reads.  A helper may abort
         // us meanwhile, and then the status CAS fails.
         if !self.validate_local_reads() || !self.desc().decide_own(self.serial, Status::Committed) {
@@ -1133,28 +1132,6 @@ impl Drop for ThreadHandle {
     }
 }
 
-/// Test-only hooks at the named steps of `commit_general`: a closure set on
-/// this thread runs once, when this thread's next general commit reaches
-/// the step.
-#[cfg(test)]
-mod step {
-    use std::cell::Cell;
-    use std::thread::LocalKey;
-
-    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
-
-    thread_local! {
-        /// Every write installed, no read validated, the status undecided.
-        pub(super) static VALIDATE: Hook = const { Cell::new(None) };
-    }
-
-    pub(super) fn reach(step: &'static LocalKey<Hook>) {
-        if let Some(hook) = step.take() {
-            hook();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1504,7 +1481,7 @@ mod tests {
         h: &mut ThreadHandle,
         reads: &[Arc<CasWord>],
         writes: [&Arc<CasWord>; 2],
-        at_validate: impl FnOnce() + 'static,
+        mut at_validate: impl FnMut() + 'static,
     ) -> TxResult<()> {
         let mut t = h.begin();
         for r in reads {
@@ -1515,9 +1492,9 @@ mod tests {
             let v = t.nbtc_load(w);
             assert!(t.nbtc_cas(w, v, v + 1, true, true));
         }
-        step::VALIDATE.set(Some(Box::new(at_validate)));
+        let armed = crate::failpoint::arm("txmanager::validate", move |_| at_validate());
         let out = t.commit();
-        assert!(step::VALIDATE.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         out
     }
 

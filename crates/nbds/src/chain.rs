@@ -250,8 +250,7 @@ fn load<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord) -> (u64, u64) {
 /// CAS on the value; `lin_pt` says whether success linearizes (and
 /// publishes) the caller's operation.
 fn cas<const T: bool, C: Ctx>(cx: &mut C, w: &CasWord, old: u64, new: u64, lin_pt: bool) -> bool {
-    #[cfg(test)]
-    CASES.with(|c| c.set(c.get() + 1));
+    medley::failpoint!("chain::cas");
     if T {
         cx.nbtc_cas(w, old, new, lin_pt, lin_pt)
     } else {
@@ -300,15 +299,6 @@ pub(crate) struct Position<N, const T: bool> {
     prev_cnt: u64,
     curr: *mut N,
     hold: Hold,
-}
-
-// Nodes stepped over by `try_find` and by the skiplist's index descent, and
-// CASes attempted through this module, on this thread: for tests that bound
-// a search's length or pin a read path as one that writes nothing.
-#[cfg(test)]
-thread_local! {
-    pub(crate) static HOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    pub(crate) static CASES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One pass of Michael's `find` from `start`: stops before the first node
@@ -391,8 +381,7 @@ pub(crate) unsafe fn try_find<const T: bool, N: Link + Send + 'static, C: Ctx>(
             }
             return Some(pos);
         }
-        #[cfg(test)]
-        HOPS.with(|h| h.set(h.get() + 1));
+        medley::failpoint!("chain::hop");
         prev = link;
         curr_bits = next_bits;
         prev_cnt = next_cnt;
@@ -927,7 +916,6 @@ pub(crate) unsafe fn free_all<N: Link>(head: &CasWord) {
 
 #[cfg(test)]
 mod tests {
-    use super::{CASES, HOPS};
     use crate::{MichaelHashMap, MichaelList, SkipList, SplitOrderedMap, TxMap};
     use medley::{ThreadHandle, TxManager};
 
@@ -943,10 +931,11 @@ mod tests {
     impl Cost {
         /// Adds what `f` costs on this thread.
         fn add<R>(&mut self, f: impl FnOnce() -> R) -> R {
-            let (hops, cases) = (HOPS.get(), CASES.get());
+            let hops = medley::failpoint::arm("chain::hop", |_| {});
+            let cases = medley::failpoint::arm("chain::cas", |_| {});
             let res = f();
-            self.hops += HOPS.get() - hops;
-            self.cases += CASES.get() - cases;
+            self.hops += hops.hits();
+            self.cases += cases.hits();
             res
         }
     }

@@ -334,8 +334,7 @@ where
     #[inline]
     unsafe fn lane(&self, node: *mut Node<V>, level: usize) -> &AtomicU128 {
         if node.is_null() {
-            #[cfg(test)]
-            HEADS.with(|h| h.set(h.get() | 1 << level));
+            medley::failpoint!("skiplist::head", level as u64);
             &self.index[level - 1]
         } else {
             // SAFETY: the caller's contract; node pointers come out of link
@@ -378,8 +377,7 @@ where
             // node was in the lane at or after the pin, so it was not retired
             // before it.
             while next_key < key {
-                #[cfg(test)]
-                chain::HOPS.with(|h| h.set(h.get() + 1));
+                medley::failpoint!("chain::hop");
                 pred = tag::as_ptr(bits);
                 // SAFETY: a key half below `key` is not the end's, so `pred`
                 // is a node, allocated (above) and, linked on this level,
@@ -405,8 +403,7 @@ where
             }
         }
         preds[0] = pred;
-        #[cfg(test)]
-        FLOORS.with(|f| f.set(f.get() + 1));
+        medley::failpoint!("skiplist::floor");
         // SAFETY: pinned, and every hint was met on its level by this descent.
         unsafe { self.reposition(cx, Bound::at(key), preds) }
     }
@@ -663,8 +660,7 @@ where
             if cur != succ && !own.cas(cur, succ) {
                 continue;
             }
-            #[cfg(test)]
-            pause::BEFORE_LINK.pass(key);
+            medley::failpoint!("skiplist::before_link", key);
             if !prev.cas(succ, pair(tag::from_ptr(node), key)) {
                 continue;
             }
@@ -702,8 +698,7 @@ where
         };
         let (purge_top, mut link_top) = (height(deleted), height(linked));
         if let Some(victim) = deleted {
-            #[cfg(test)]
-            pause::BEFORE_MARK.pass(key);
+            medley::failpoint!("skiplist::before_mark", key);
             for level in (1..purge_top).rev() {
                 // SAFETY: pinned, and `purge_top` is the victim's height.
                 let lane = unsafe { self.lane(victim, level) };
@@ -718,8 +713,7 @@ where
             // Level 0 last, where an insert of the key may have helped.
             // SAFETY: the victim is not retired before this call releases it.
             chain::mark(cx, unsafe { &(*victim).next });
-            #[cfg(test)]
-            pause::BEFORE_PURGE.pass(key);
+            medley::failpoint!("skiplist::before_purge", key);
         }
         // Bottom-up, so that a node linked on a level is linked below it.
         for level in 0..purge_top.max(link_top) {
@@ -987,78 +981,10 @@ impl<V> Drop for SkipList<V> {
     }
 }
 
-/// Test-only rendezvous points: the one operation on the armed key that
-/// passes a gate parks there until told to go on.
-#[cfg(test)]
-mod pause {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    pub(super) struct Gate {
-        /// Held by the test that armed the gate: tests of one gate take turns.
-        turn: Mutex<()>,
-        pub(super) key: AtomicU64,
-        pub(super) armed: AtomicBool,
-        pub(super) parked: AtomicBool,
-        pub(super) resume: AtomicBool,
-    }
-
-    impl Gate {
-        const fn new() -> Self {
-            Self {
-                turn: Mutex::new(()),
-                key: AtomicU64::new(0),
-                armed: AtomicBool::new(false),
-                parked: AtomicBool::new(false),
-                resume: AtomicBool::new(false),
-            }
-        }
-
-        /// Arms the gate for `key` once the last test that armed it is done;
-        /// the turn lasts as long as the guard.
-        pub(super) fn arm(&self, key: u64) -> MutexGuard<'_, ()> {
-            let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
-            self.parked.store(false, SeqCst);
-            self.resume.store(false, SeqCst);
-            self.key.store(key, SeqCst);
-            self.armed.store(true, SeqCst);
-            turn
-        }
-
-        pub(super) fn pass(&self, key: u64) {
-            if key == self.key.load(SeqCst) && self.armed.swap(false, SeqCst) {
-                self.parked.store(true, SeqCst);
-                while !self.resume.load(SeqCst) {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// In `link_level`, between preparing the node's own lane and the link
-    /// CAS.
-    pub(super) static BEFORE_LINK: Gate = Gate::new();
-    /// In `maintain`, after the remove linearized and before its node is
-    /// marked on any level.
-    pub(super) static BEFORE_MARK: Gate = Gate::new();
-    /// In `maintain`, after the removed node is marked on every level and
-    /// before it is purged from any.
-    pub(super) static BEFORE_PURGE: Gate = Gate::new();
-}
-
-// The head index words read on this thread, one bit per level, and the
-// searches that went down to level 0: for the tests that pin the descent's
-// start below `top` and its early exit.
-#[cfg(test)]
-thread_local! {
-    static HEADS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    static FLOORS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medley::{AbortReason, TxError, TxManager, TxResult};
+    use medley::{failpoint, AbortReason, TxError, TxManager, TxResult};
     use std::sync::Arc;
 
     #[test]
@@ -1373,7 +1299,7 @@ mod tests {
         assert!(a > KEYS / 8 && a + 1 < KEYS, "picked {a}");
         let hops: TxResult<u64> = h.run(|tx| {
             assert_eq!(sl.remove(tx, a), Some(a));
-            let before = chain::HOPS.get();
+            let hops = medley::failpoint::arm("chain::hop", |_| {});
             assert_eq!(sl.get(tx, a + 1), Some(a + 1));
             assert_eq!(sl.get(tx, a), None);
             // Marks the dead tower's level-0 link, speculatively: the index
@@ -1381,7 +1307,7 @@ mod tests {
             assert!(sl.insert(tx, a, 7));
             assert_eq!(sl.get(tx, a + 1), Some(a + 1));
             assert_eq!(sl.get(tx, a), Some(7));
-            Ok(chain::HOPS.get() - before)
+            Ok(hops.hits())
         });
         let hops = hops.unwrap();
         assert!(
@@ -1411,26 +1337,29 @@ mod tests {
         let top = usize::from(sl.top.load(Ordering::Relaxed));
         assert!(top < MAX_HEIGHT, "top {top}");
         let mut rng = medley::util::FastRng::new(5);
-        HEADS.set(0);
-        let (before, floors) = (chain::HOPS.get(), FLOORS.get());
+        let heads = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let read = std::rc::Rc::clone(&heads);
+        let _heads = failpoint::arm("skiplist::head", move |l| read.set(read.get() | 1 << l));
+        let hops = failpoint::arm("chain::hop", |_| {});
+        let floors = failpoint::arm("skiplist::floor", |_| {});
         for _ in 0..GETS {
             let k = rng.next_below(KEYS);
             assert_eq!(sl.get(&mut h.nontx(), k), Some(k));
         }
-        let hops = (chain::HOPS.get() - before) / GETS;
+        let hops = hops.hits() / GETS;
         assert!(hops <= 3 * 14, "{hops} hops per get at 2^14 keys");
-        let floors = FLOORS.get() - floors;
+        let floors = floors.hits();
         assert!(
             (GETS - floors) * 10 >= GETS * 4,
             "only {} of {GETS} gets ended above level 0",
             GETS - floors
         );
         assert_eq!(
-            HEADS.get() >> top,
+            heads.get() >> top,
             0,
             "a head word at or above top {top} was read"
         );
-        assert_ne!(HEADS.get() & 1 << (top - 1), 0, "the descent starts at top");
+        assert_ne!(heads.get() & 1 << (top - 1), 0, "the descent starts at top");
     }
 
     /// A remover parked between marking a tall tower on every lane and
@@ -1441,8 +1370,6 @@ mod tests {
     /// which no longer helps, that would spin until the remover resumed.)
     #[test]
     fn parked_remover_of_a_tall_tower_does_not_block_its_neighbours() {
-        use std::sync::atomic::Ordering::SeqCst;
-        // Gates match on the key alone: other tests' keys stay far below.
         const BASE: u64 = 0x7A11_0000_0000;
         const STRIDE: u64 = 4;
         let mgr = TxManager::new();
@@ -1455,24 +1382,14 @@ mod tests {
         let key = tall[tall.len() / 2];
         let (lo, hi, above) = (key - STRIDE, key + STRIDE, key + 1);
         let val = |k: u64| (k - BASE) / STRIDE;
-        let gate = &pause::BEFORE_PURGE;
-        let _turn = gate.arm(key);
         std::thread::scope(|s| {
-            struct Resume;
-            impl Drop for Resume {
-                fn drop(&mut self) {
-                    pause::BEFORE_PURGE.resume.store(true, SeqCst);
-                }
-            }
-            let _resume = Resume;
-            let remover = s.spawn(|| {
+            let (park, arm_here) = failpoint::park("skiplist::before_purge", key);
+            s.spawn(|| {
+                let _armed = arm_here();
                 let mut h = mgr.register();
                 assert_eq!(sl.remove(&mut h.nontx(), key), Some(val(key)));
             });
-            while !gate.parked.load(SeqCst) {
-                assert!(!remover.is_finished(), "the remover never parked");
-                std::thread::yield_now();
-            }
+            park.wait();
             let expect = (Some(val(lo)), Some(val(hi)), false);
             let nontx = (sl.get(&mut h.nontx(), lo), sl.get(&mut h.nontx(), hi));
             assert_eq!((nontx.0, nontx.1, sl.contains(&mut h.nontx(), key)), expect);
@@ -1494,8 +1411,6 @@ mod tests {
                 assert_eq!(sl.remove(&mut h.nontx(), above), Some(1));
             }
             assert_eq!(sl.get(&mut h.nontx(), above), Some(1));
-            drop(_resume);
-            remover.join().expect("remover panicked");
         });
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         assert_eq!(sl.get(&mut h.nontx(), key), None);
@@ -1511,7 +1426,6 @@ mod tests {
     /// recycled the node's memory.)
     #[test]
     fn late_link_of_a_removed_node_is_undone() {
-        use std::sync::atomic::Ordering::SeqCst;
         const KEY: u64 = 0x5EED_0000_0000;
         let mgr = TxManager::new();
         let sl = SkipList::<u64>::new();
@@ -1519,30 +1433,18 @@ mod tests {
         for k in 0..64 {
             sl.insert(&mut h.nontx(), KEY - 1_000 + k, 0);
         }
-        let gate = &pause::BEFORE_LINK;
-        let _turn = gate.arm(KEY);
         std::thread::scope(|s| {
-            // Released on every way out, so a failed assertion cannot leave
-            // the linker parked and the scope joining it forever.
-            struct Resume;
-            impl Drop for Resume {
-                fn drop(&mut self) {
-                    pause::BEFORE_LINK.resume.store(true, SeqCst);
-                }
-            }
-            let _resume = Resume;
-            let linker = s.spawn(|| {
+            let (park, arm_here) = failpoint::park("skiplist::before_link", KEY);
+            s.spawn(|| {
+                let armed = arm_here();
                 let mut h = mgr.register();
                 // Until a tower taller than one level comes up and parks.
-                while !gate.parked.load(SeqCst) {
+                while armed.hits() == 0 {
                     sl.remove(&mut h.nontx(), KEY);
                     assert!(sl.insert(&mut h.nontx(), KEY, 1));
                 }
             });
-            while !gate.parked.load(SeqCst) {
-                assert!(!linker.is_finished(), "the linker never parked");
-                std::thread::yield_now();
-            }
+            park.wait();
             assert_eq!(sl.remove(&mut h.nontx(), KEY), Some(1));
             // Unrelated churn far below the key: epochs advance, and memory
             // that was retired meanwhile is freed and reused.
@@ -1551,8 +1453,6 @@ mod tests {
                 sl.remove(&mut h.nontx(), i % 512);
                 sl.insert(&mut h.nontx(), i % 512, i);
             }
-            drop(_resume);
-            linker.join().expect("linker panicked");
         });
         // Before any other traversal could tidy up behind the linker.
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
@@ -1565,7 +1465,6 @@ mod tests {
     /// the upper levels with the dead one until the remover's purge.
     #[test]
     fn dead_unmarked_node_is_absent_to_readers_and_replaced_by_insert() {
-        use std::sync::atomic::Ordering::SeqCst;
         const KEY: u64 = 0xDEAD_0000_0000;
         let mgr = TxManager::new();
         let sl = SkipList::<u64>::new();
@@ -1573,38 +1472,26 @@ mod tests {
         for k in 0..64 {
             sl.insert(&mut h.nontx(), KEY - 32 + k, k);
         }
-        let gate = &pause::BEFORE_MARK;
-        let _turn = gate.arm(KEY);
         std::thread::scope(|s| {
-            struct Resume;
-            impl Drop for Resume {
-                fn drop(&mut self) {
-                    pause::BEFORE_MARK.resume.store(true, SeqCst);
-                }
-            }
-            let _resume = Resume;
-            let remover = s.spawn(|| {
+            let (park, arm_here) = failpoint::park("skiplist::before_mark", KEY);
+            s.spawn(|| {
+                let _armed = arm_here();
                 let mut h = mgr.register();
                 assert_eq!(sl.remove(&mut h.nontx(), KEY), Some(32));
             });
-            while !gate.parked.load(SeqCst) {
-                assert!(!remover.is_finished(), "the remover never parked");
-                std::thread::yield_now();
-            }
-            let before = chain::CASES.get();
+            park.wait();
+            let cases = failpoint::arm("chain::cas", |_| {});
             assert_eq!(sl.get(&mut h.nontx(), KEY), None);
             assert!(!sl.contains(&mut h.nontx(), KEY));
             let seen: TxResult<_> = h.run(|tx| Ok((sl.get(tx, KEY), sl.contains(tx, KEY))));
             assert_eq!(seen, Ok((None, false)));
             let page = sl.range(&mut h.nontx(), KEY - 1..KEY + 2, 8);
             assert_eq!(page, [(KEY - 1, 31), (KEY + 1, 33)]);
-            assert_eq!(chain::CASES.get(), before, "a reader wrote");
+            assert_eq!(cases.hits(), 0, "a reader wrote");
             assert_eq!(sl.remove(&mut h.nontx(), KEY), None);
-            assert_eq!(chain::CASES.get(), before, "a failed remove wrote");
+            assert_eq!(cases.hits(), 0, "a failed remove wrote");
             assert!(sl.insert(&mut h.nontx(), KEY, 99));
             assert_eq!(sl.get(&mut h.nontx(), KEY), Some(99));
-            drop(_resume);
-            remover.join().expect("remover panicked");
         });
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         assert_eq!(sl.get(&mut h.nontx(), KEY), Some(99));
@@ -1623,9 +1510,9 @@ mod tests {
         }
         let key = tall_key(&sl, 3);
         let mut t = mine.begin();
-        let floors = FLOORS.get();
+        let floors = failpoint::arm("skiplist::floor", |_| {});
         assert_eq!(sl.get(&mut t, key), Some(key));
-        assert_eq!(FLOORS.get(), floors, "the get went down to level 0");
+        assert_eq!(floors.hits(), 0, "the get went down to level 0");
         assert_eq!(sl.put(&mut other.nontx(), key, 7), Some(key));
         assert_eq!(t.commit(), Err(TxError::Conflict));
         assert_eq!(mine.run(|tx| Ok(sl.get(tx, key))), Ok(Some(7)));
@@ -1639,7 +1526,6 @@ mod tests {
     /// that the dead one is the only tower of the key in the index.
     #[test]
     fn lookups_pass_a_dead_tower_in_the_index_to_the_key_s_new_one() {
-        use std::sync::atomic::Ordering::SeqCst;
         const BASE: u64 = 0xE417_0000_0000;
         let mgr = TxManager::new();
         let sl = SkipList::<u64>::new();
@@ -1648,24 +1534,14 @@ mod tests {
             assert!(sl.insert(&mut h.nontx(), BASE + 4 * k, k));
         }
         let key = tall_key(&sl, 4);
-        let gate = &pause::BEFORE_MARK;
-        let _turn = gate.arm(key);
         std::thread::scope(|s| {
-            struct Resume;
-            impl Drop for Resume {
-                fn drop(&mut self) {
-                    pause::BEFORE_MARK.resume.store(true, SeqCst);
-                }
-            }
-            let _resume = Resume;
-            let remover = s.spawn(|| {
+            let (park, arm_here) = failpoint::park("skiplist::before_mark", key);
+            s.spawn(|| {
+                let _armed = arm_here();
                 let mut h = mgr.register();
                 assert_eq!(sl.remove(&mut h.nontx(), key), Some((key - BASE) / 4));
             });
-            while !gate.parked.load(SeqCst) {
-                assert!(!remover.is_finished(), "the remover never parked");
-                std::thread::yield_now();
-            }
+            park.wait();
             let towers =
                 |sl: &SkipList<u64>| keys_on_level(sl, 1).iter().filter(|&&k| k == key).count();
             for val in 1000.. {
@@ -1683,8 +1559,6 @@ mod tests {
                 }
                 assert_eq!(sl.remove(&mut h.nontx(), key), Some(val));
             }
-            drop(_resume);
-            remover.join().expect("remover panicked");
         });
         assert_eq!(sl.check_integrity_quiescent(), Ok((0, 0)));
         assert_eq!(sl.len_quiescent(), 256);

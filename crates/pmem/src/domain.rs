@@ -779,8 +779,8 @@ impl PersistenceDomain {
         // Publishes the fields above to recovery/write-back scans.
         s.birth.store(epoch, Ordering::Release);
         let nursed = epoch == self.current_epoch();
-        #[cfg(test)]
-        step::reach(&step::NURSE);
+        // Under the nursery lock: a hook that drains this arena waits for it.
+        medley::failpoint!("domain::nurse", key);
         let dirty = if nursed {
             arena.nurse(&mut n, epoch, idx)
         } else {
@@ -1155,31 +1155,6 @@ impl Drop for EpochAdvancer {
 }
 
 #[cfg(test)]
-/// Test hooks run at fixed steps of the domain's operations: a test sets
-/// one on its thread, and the operation takes and runs it when it reaches
-/// the step.
-mod step {
-    use std::cell::Cell;
-    use std::thread::LocalKey;
-
-    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
-
-    thread_local! {
-        /// `alloc_value` read the clock and holds its nursery lock, but has
-        /// not nursed the birth yet.  A hook that advances the epoch must
-        /// run on an arena whose nursery is empty, or the drain waits for
-        /// that lock.
-        pub(super) static NURSE: Hook = const { Cell::new(None) };
-    }
-
-    pub(super) fn reach(step: &'static LocalKey<Hook>) {
-        if let Some(hook) = step.take() {
-            hook();
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1343,18 +1318,44 @@ mod tests {
         d.sync();
         let e = d.current_epoch();
         let d2 = Arc::clone(&d);
-        step::NURSE.set(Some(Box::new(move || {
+        let armed = medley::failpoint::arm("domain::nurse", move |_| {
             d2.advance_epoch();
             d2.advance_epoch();
-        })));
+        });
         d.alloc_value(0, 1, &Value::U64(10), e);
-        assert!(step::NURSE.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         let (rec, horizon) = d.recover_with_horizon();
         assert_eq!(horizon, e + 1, "the cut covers the birth");
         assert_eq!(rec.get(&1), Some(&Value::U64(10)));
         assert_eq!(flushes(&d), 1, "and its write-back happened");
         d.sync();
         assert_eq!(flushes(&d), 1, "exactly once");
+    }
+
+    /// A worker parked in `alloc_value` after its clock read, holding its
+    /// arena's nursery lock before the nursing, does not stop another thread
+    /// slot from allocating and retiring in the same epoch on its own arena.
+    /// What does wait for it today, and is not asserted here, is everything
+    /// that locks slot 0's nursery: `stats`; `advance_epoch` and `sync` once
+    /// their horizon reaches a birth slot 0 has nursed; and a foreign
+    /// `retire_payload` of a slot-0 payload in its birth epoch.
+    #[test]
+    fn a_worker_parked_before_nursing_does_not_stop_another_arena() {
+        let d = domain();
+        let e = d.current_epoch();
+        std::thread::scope(|s| {
+            let (park, arm_here) = medley::failpoint::park("domain::nurse", 1);
+            s.spawn(|| {
+                let _armed = arm_here();
+                d.alloc_value(0, 1, &Value::U64(10), e);
+            });
+            park.wait();
+            let old = d.alloc_value(1, 2, &Value::U64(20), e);
+            d.alloc_value(1, 2, &Value::U64(21), e);
+            d.retire_payload(old, e);
+        });
+        d.sync();
+        assert_eq!(d.recover_u64(), HashMap::from([(1, 10), (2, 21)]));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! argument of the arena store.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod domain;
 pub mod nvm;

@@ -100,7 +100,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use medley::Ctx;
 use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap, TxOrderedMap};
@@ -279,8 +279,7 @@ where
         if cx.is_transactional() {
             return tagged;
         }
-        #[cfg(test)]
-        step::reach(&step::REREAD);
+        medley::failpoint!("txmontage::reread");
         let now = self.domain.current_epoch();
         if now != tagged {
             if let Some(id) = birth {
@@ -294,8 +293,7 @@ where
     /// from the payload slot `kept` names, which the lookup's re-checked
     /// read proves was not recycled during the read.
     fn read(&self, kept: &Kept<V>) -> V {
-        #[cfg(test)]
-        step::reach(&step::READ);
+        medley::failpoint!("txmontage::read");
         V::read(kept, &self.domain)
     }
 
@@ -445,36 +443,10 @@ where
     }
 }
 
-/// Test hooks run at fixed steps of the map's operations: a test sets one
-/// on its thread, and the operation takes and runs it when it reaches the
-/// step.
-#[cfg(test)]
-mod step {
-    use std::cell::Cell;
-    use std::thread::LocalKey;
-
-    pub(super) type Hook = Cell<Option<Box<dyn FnOnce()>>>;
-
-    thread_local! {
-        /// A standalone update changed the index and has not re-read the
-        /// epoch.
-        pub(super) static REREAD: Hook = const { Cell::new(None) };
-        /// A lookup loaded a key's index value word and has not read the
-        /// value from what it names.
-        pub(super) static READ: Hook = const { Cell::new(None) };
-    }
-
-    pub(super) fn reach(step: &'static LocalKey<Hook>) {
-        if let Some(hook) = step.take() {
-            hook();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medley::{AbortReason, ThreadHandle, TxManager, TxResult};
+    use medley::{failpoint, AbortReason, ThreadHandle, TxManager, TxResult};
     use pmem::{EpochAdvancer, NvmCostModel};
 
     fn setup() -> (Arc<TxManager>, Arc<PersistenceDomain>, DurableHashMap) {
@@ -782,11 +754,11 @@ mod tests {
         op: impl FnOnce() -> R,
     ) -> R {
         let d = Arc::clone(domain);
-        step::REREAD.set(Some(Box::new(move || {
+        let armed = failpoint::arm("txmontage::reread", move |_| {
             d.advance_epoch();
-        })));
+        });
         let out = op();
-        assert!(step::REREAD.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         out
     }
 
@@ -879,14 +851,18 @@ mod tests {
     /// Arms the read step: `other` binds `KEY` to `to` (`None`: removes
     /// it) in the current epoch, so that its payload's slot is recycled on
     /// the spot, and inserts `SQUATTER -> SQUAT`, whose payload takes that
-    /// slot.
+    /// slot.  Once, at the first read.
     fn recycle_under_the_read<M: TxMap<u64> + 'static>(
         map: &Arc<Durable<M>>,
-        mut other: ThreadHandle,
+        other: ThreadHandle,
         to: Option<u64>,
-    ) {
+    ) -> failpoint::Armed {
         let map = Arc::clone(map);
-        step::READ.set(Some(Box::new(move || {
+        let mut other = Some(other);
+        failpoint::arm("txmontage::read", move |_| {
+            let Some(mut other) = other.take() else {
+                return;
+            };
             let slots = map.domain().stats().allocated_slots;
             let cx = &mut other.nontx();
             match to {
@@ -900,7 +876,7 @@ mod tests {
                 usize::from(to.is_some()),
                 "the squatter reuses the slot"
             );
-        })));
+        })
     }
 
     fn hash(domain: Arc<PersistenceDomain>) -> DurableHashMap {
@@ -912,23 +888,23 @@ mod tests {
     /// commits.
     fn seen_in_a_transaction(to: Option<u64>) -> Vec<Option<u64>> {
         let (map, mut reader, other) = racing(hash);
-        recycle_under_the_read(&map, other, to);
+        let armed = recycle_under_the_read(&map, other, to);
         let mut seen = Vec::new();
         let res = reader.run(|t| {
             seen.push(map.get(t, KEY));
             Ok(())
         });
         assert_eq!(res, Ok(()));
-        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         seen
     }
 
     #[test]
     fn a_standalone_get_never_returns_the_value_of_a_key_that_took_its_slot() {
         let (map, mut reader, other) = racing(hash);
-        recycle_under_the_read(&map, other, Some(11));
+        let armed = recycle_under_the_read(&map, other, Some(11));
         assert_eq!(map.get(&mut reader.nontx(), KEY), Some(11));
-        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         assert_eq!(map.get(&mut reader.nontx(), SQUATTER), Some(SQUAT));
     }
 
@@ -940,18 +916,18 @@ mod tests {
     #[test]
     fn a_get_whose_word_dies_during_the_read_finds_the_key_absent() {
         let (map, mut reader, other) = racing(hash);
-        recycle_under_the_read(&map, other, None);
+        let armed = recycle_under_the_read(&map, other, None);
         assert_eq!(map.get(&mut reader.nontx(), KEY), None);
-        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         assert_eq!(seen_in_a_transaction(None), [None]);
     }
 
     #[test]
     fn a_standalone_range_never_returns_the_value_of_a_key_that_took_its_slot() {
         let (map, mut reader, other) = racing(DurableSkipList::skip_list);
-        recycle_under_the_read(&map, other, Some(11));
+        let armed = recycle_under_the_read(&map, other, Some(11));
         let page = map.range(&mut reader.nontx(), 0..SQUATTER, 8);
-        assert!(step::READ.take().is_none(), "the hook ran");
+        assert_ne!(armed.hits(), 0, "the hook ran");
         assert_eq!(page, [(KEY, 11), (KEY + 1, 20), (KEY + 2, 30)]);
     }
 
