@@ -17,10 +17,11 @@
 //! bound is named on stderr and the exit status is 1, so a CI step is just
 //! the command.
 //!
-//! The mixed traffic is 50% `GET`, 20% `PUT`, 10% blind `CAS`, 10%
-//! `TRANSFER` (two picks, amount 1), 10% `MGET` of 4 keys.  There are no
-//! `DEL`s so `TRANSFER` accounts stay populated; a refused transfer
-//! (`Insufficient`) is a completed round trip, tallied apart from aborts.
+//! The mixed traffic is 50% `GETB`, 20% `PUTB`, 10% blind `CASB`, 10%
+//! `TRANSFER` (two picks, amount 1), 10% `MGETB` of 4 keys, every value a
+//! word.  There are no `DELB`s so `TRANSFER` accounts stay populated; a
+//! refused transfer (`Insufficient`) is a completed round trip, tallied
+//! apart from aborts.
 
 use bench::workload::{KeyDist, KeySampler};
 use bench::CommonArgs;
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 const INITIAL: u64 = 1_000_000;
 /// Key distribution of every scenario.
 const ZIPF: KeyDist = KeyDist::Zipfian(0.99);
-/// Keys per `MSET` when loading (well inside descriptor write capacity).
+/// Keys per `MSETB` when loading (well inside descriptor write capacity).
 const LOAD_CHUNK: usize = 512;
 /// Connections are multiplexed over at most this many client threads.
 const MAX_CLIENT_THREADS: usize = 8;
@@ -293,12 +294,12 @@ fn mixed(keys: u64) -> impl Fn(&mut FastRng, &KeySampler) -> Cmd + Clone + Sync 
     move |rng, sampler| {
         let k = sampler.sample(rng);
         match rng.next_below(100) {
-            0..=49 => Cmd::Get(k),
-            50..=69 => Cmd::Put(k, rng.next_u64() % INITIAL),
-            70..=79 => Cmd::Cas {
+            0..=49 => Cmd::GetB(k),
+            50..=69 => Cmd::PutB(k, Value::U64(rng.next_u64() % INITIAL)),
+            70..=79 => Cmd::CasB {
                 key: k,
-                expected: INITIAL,
-                desired: INITIAL,
+                expected: Value::U64(INITIAL),
+                desired: Value::U64(INITIAL),
             },
             80..=89 => {
                 let to = sampler.sample(rng);
@@ -308,7 +309,7 @@ fn mixed(keys: u64) -> impl Fn(&mut FastRng, &KeySampler) -> Cmd + Clone + Sync 
                     amount: 1,
                 }
             }
-            _ => Cmd::MGet((0..4).map(|_| sampler.sample(rng)).collect()),
+            _ => Cmd::MGetB((0..4).map(|_| sampler.sample(rng)).collect()),
         }
     }
 }
@@ -387,7 +388,7 @@ fn open_loop(offered_per_sec: f64, conns: usize, keys: u64) -> impl Fn(usize) ->
 }
 
 /// `grow` load phase: the connections split `0..keys` and pump chunked
-/// `MSET`s as fast as the server takes them, tallying acknowledged keys into
+/// `MSETB`s as fast as the server takes them, tallying acknowledged keys into
 /// windows; a connection stops when its range is loaded.  On an elastic
 /// server the early windows land while every shard's directory is still
 /// doubling, so the window series *is* the during-growth dip curve.
@@ -402,8 +403,8 @@ fn load_range(keys: u64, conns: usize) -> impl Fn(usize) -> Step + Sync {
             }
             let begin = *begin.get_or_insert_with(Instant::now);
             let end = (k + LOAD_CHUNK as u64).min(hi);
-            let chunk = (k..end).map(|key| (key, INITIAL)).collect();
-            if conn.call(Cmd::MSet(chunk), tally)?.is_some() {
+            let chunk = (k..end).map(|key| (key, Value::U64(INITIAL))).collect();
+            if conn.call(Cmd::MSetB(chunk), tally)?.is_some() {
                 let w = (begin.elapsed().as_millis() as u64 / GROW_WINDOW_MS) as usize;
                 if tally.windows.len() <= w {
                     tally.windows.resize(w + 1, 0);
@@ -454,15 +455,15 @@ fn scan_mix(keys: u64, stride: u64) -> impl Fn(usize) -> Step + Sync {
     }
 }
 
-/// `cache`: 70% `GET`, 30% `PUT`, no preload — the cache fills and evicts
+/// `cache`: 70% `GETB`, 30% `PUTB`, no preload — the cache fills and evicts
 /// under the traffic itself.
 fn cache_mix(keys: u64) -> impl Fn(usize) -> Step + Sync {
     pipelined(1, keys, |rng: &mut FastRng, sampler: &KeySampler| {
         let k = sampler.sample(rng);
         if rng.next_below(100) < 70 {
-            Cmd::Get(k)
+            Cmd::GetB(k)
         } else {
-            Cmd::Put(k, rng.next_u64() % INITIAL)
+            Cmd::PutB(k, Value::U64(rng.next_u64() % INITIAL))
         }
     })
 }
@@ -503,9 +504,10 @@ fn insist<T>(mut load: impl FnMut() -> KvResult<T>) -> T {
 /// Sets every key of `keys` to [`INITIAL`] over the wire.
 fn preload(addr: SocketAddr, keys: impl Iterator<Item = u64>) {
     let mut c = connect(addr);
-    let pairs: Vec<(u64, u64)> = keys.map(|k| (k, INITIAL)).collect();
+    let initial = INITIAL.to_le_bytes();
+    let pairs: Vec<(u64, &[u8])> = keys.map(|k| (k, &initial[..])).collect();
     for chunk in pairs.chunks(LOAD_CHUNK) {
-        insist(|| c.mset(chunk));
+        insist(|| c.mset_b(chunk));
     }
 }
 

@@ -70,7 +70,7 @@ impl CacheCounters {
 
 /// A fixed-capacity transactional second-chance cache (see the module
 /// docs).  All operations are generic over [`Ctx`], so a cache op composes
-/// into larger transactions (`MGET`/`BATCH`) exactly like a plain table op
+/// into larger transactions (`MGETB`/`BATCH`) exactly like a plain table op
 /// — but unlike plain tables, a cache op is only *correct* under a
 /// transactional context, because each op spans several structures.
 pub struct TxCache {

@@ -5,7 +5,7 @@
 //! Because the server answers in request order per connection, a client can
 //! keep `depth` requests in flight and pair responses positionally — the
 //! `kvbench` load generator drives exactly this pattern.  The one-liner
-//! methods ([`Client::get`], [`Client::transfer`], …) are `send` + `recv`
+//! methods ([`Client::get_b`], [`Client::transfer`], …) are `send` + `recv`
 //! with the response variant checked.
 
 use crate::proto::{self, ErrCode, MetricsReply, Request, Response, StatsReply, TraceReply};
@@ -101,7 +101,7 @@ impl Client {
     /// Buffers one request frame; [`Client::flush`] (or the next `recv`)
     /// puts it on the wire.  Returns the request id.
     ///
-    /// A command too large for one frame (an `MGET`/`MSET`/`BATCH` past
+    /// A command too large for one frame (an `MGETB`/`MSETB`/`BATCH` past
     /// [`proto::MAX_FRAME`]) is refused with `InvalidInput` — nothing is
     /// buffered and the pipeline stays intact; chunk the command instead.
     pub fn send(&mut self, req: &Request) -> std::io::Result<u32> {
@@ -245,62 +245,10 @@ impl Client {
         }
     }
 
-    /// Looks up `key`.
-    pub fn get(&mut self, key: u64) -> KvResult<Option<u64>> {
-        match self.cmd(Cmd::Get(key))? {
-            CmdOut::Value(v) => Ok(v),
-            _ => Err(KvError::Proto),
-        }
-    }
-
-    /// Inserts or replaces `key`; returns the previous value.
-    pub fn put(&mut self, key: u64, val: u64) -> KvResult<Option<u64>> {
-        match self.cmd(Cmd::Put(key, val))? {
-            CmdOut::Prev(v) => Ok(v),
-            _ => Err(KvError::Proto),
-        }
-    }
-
-    /// Removes `key`; returns the removed value.
-    pub fn del(&mut self, key: u64) -> KvResult<Option<u64>> {
-        match self.cmd(Cmd::Del(key))? {
-            CmdOut::Removed(v) => Ok(v),
-            _ => Err(KvError::Proto),
-        }
-    }
-
-    /// Compare-and-swap; returns `(success, post-op value)`.
-    pub fn cas(&mut self, key: u64, expected: u64, desired: u64) -> KvResult<(bool, Option<u64>)> {
-        match self.cmd(Cmd::Cas {
-            key,
-            expected,
-            desired,
-        })? {
-            CmdOut::Cas { success, current } => Ok((success, current)),
-            _ => Err(KvError::Proto),
-        }
-    }
-
     /// Membership test.
     pub fn contains(&mut self, key: u64) -> KvResult<bool> {
         match self.cmd(Cmd::Contains(key))? {
             CmdOut::Present(p) => Ok(p),
-            _ => Err(KvError::Proto),
-        }
-    }
-
-    /// Atomic multi-key read: one consistent snapshot of all `keys`.
-    pub fn mget(&mut self, keys: &[u64]) -> KvResult<Vec<Option<u64>>> {
-        match self.cmd(Cmd::MGet(keys.to_vec()))? {
-            CmdOut::Values(v) if v.len() == keys.len() => Ok(v),
-            _ => Err(KvError::Proto),
-        }
-    }
-
-    /// Atomic multi-key write: all pairs commit together.
-    pub fn mset(&mut self, pairs: &[(u64, u64)]) -> KvResult<()> {
-        match self.cmd(Cmd::MSet(pairs.to_vec()))? {
-            CmdOut::Done => Ok(()),
             _ => Err(KvError::Proto),
         }
     }
@@ -328,7 +276,7 @@ impl Client {
         }
     }
 
-    /// Looks up `key` as a byte value (blob op family).
+    /// Looks up `key`.
     pub fn get_b(&mut self, key: u64) -> KvResult<Option<Value>> {
         match self.cmd(Cmd::GetB(key))? {
             CmdOut::ValueB(v) => Ok(v),
@@ -336,9 +284,9 @@ impl Client {
         }
     }
 
-    /// Inserts or replaces `key` with a byte value; returns the previous
-    /// value.  `val` is canonicalized through [`Value::from_bytes`], so an
-    /// 8-byte input stores the same value a fixed-width `put` would.
+    /// Inserts or replaces `key`; returns the previous value.  `val` is
+    /// canonicalized through [`Value::from_bytes`], so an 8-byte input
+    /// stores a word.
     pub fn put_b(&mut self, key: u64, val: &[u8]) -> KvResult<Option<Value>> {
         match self.cmd(Cmd::PutB(key, Value::from_bytes(val)))? {
             CmdOut::PrevB(v) => Ok(v),
@@ -346,7 +294,7 @@ impl Client {
         }
     }
 
-    /// Removes `key`; returns the removed value (blob op family).
+    /// Removes `key`; returns the removed value.
     pub fn del_b(&mut self, key: u64) -> KvResult<Option<Value>> {
         match self.cmd(Cmd::DelB(key))? {
             CmdOut::RemovedB(v) => Ok(v),
@@ -371,7 +319,7 @@ impl Client {
         }
     }
 
-    /// Atomic multi-key read returning byte values.
+    /// Atomic multi-key read: one consistent snapshot of all `keys`.
     pub fn mget_b(&mut self, keys: &[u64]) -> KvResult<Vec<Option<Value>>> {
         match self.cmd(Cmd::MGetB(keys.to_vec()))? {
             CmdOut::ValuesB(v) if v.len() == keys.len() => Ok(v),
@@ -379,7 +327,7 @@ impl Client {
         }
     }
 
-    /// Atomic multi-key write of byte values: all pairs commit together.
+    /// Atomic multi-key write: all pairs commit together.
     pub fn mset_b(&mut self, pairs: &[(u64, &[u8])]) -> KvResult<()> {
         let pairs: Vec<(u64, Value)> = pairs
             .iter()

@@ -3,7 +3,7 @@
 //! Everything below PR 5 exercised Medley/txMontage composition from
 //! in-process harnesses.  This crate puts the runtime behind a socket: a
 //! thread-per-core TCP service whose *product feature* is multi-key
-//! atomicity — `TRANSFER`, `MSET`, `MGET`, and a batch-transaction IR are
+//! atomicity — `TRANSFER`, `MSETB`, `MGETB`, and a batch-transaction IR are
 //! each one Medley transaction spanning however many sharded nonblocking
 //! structures the keys hash to.
 //!
@@ -12,8 +12,8 @@
 //! * [`store`] — the sharded table namespace and command executor
 //!   ([`Store`]): Michael hash table or skiplist per shard, transient
 //!   Medley or durable txMontage backend, each command written once over
-//!   `medley::Ctx` and executed standalone (`NonTx`) when it is a read or a
-//!   blob write and transactionally (`run_with`) otherwise;
+//!   `medley::Ctx` and executed standalone (`NonTx`) when it is one
+//!   single-key read or write and transactionally (`run_with`) otherwise;
 //! * [`proto`] — the length-prefixed binary wire format and its
 //!   abort-code mapping (rustdoc there documents every frame layout);
 //! * [`server`] — the acceptor + fixed worker pool ([`Server`]); each
@@ -26,20 +26,25 @@
 //!
 //! ```
 //! use kvstore::{Client, Server, ServerConfig};
+//! use pmem::Value;
 //!
 //! let server = Server::start(&ServerConfig::default()).unwrap();
 //! let mut c = Client::connect(server.local_addr()).unwrap();
-//! c.mset(&[(1, 100), (2, 50)]).unwrap();
+//! // An 8-byte value is a word, which is what a `TRANSFER` balance is.
+//! let (a, b) = (100u64.to_le_bytes(), 50u64.to_le_bytes());
+//! c.mset_b(&[(1, &a[..]), (2, &b[..])]).unwrap();
 //! // One atomic action across two shards (distinct nonblocking maps):
 //! let (from_after, to_after) = c.transfer(1, 2, 30).unwrap();
 //! assert_eq!((from_after, to_after), (70, 80));
-//! assert_eq!(c.mget(&[1, 2]).unwrap(), vec![Some(70), Some(80)]);
+//! let after = c.mget_b(&[1, 2]).unwrap();
+//! assert_eq!(after, vec![Some(Value::U64(70)), Some(Value::U64(80))]);
 //! drop(c);
 //! server.shutdown();
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod cache;
 pub mod client;
@@ -65,6 +70,7 @@ pub use telemetry::{Telemetry, TelemetryConfig, ERROR_LABELS, OP_LABELS, PHASE_L
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmem::Value;
 
     fn start(cfg: ServerConfig) -> (Server, Client) {
         let server = Server::start(&cfg).unwrap();
@@ -72,17 +78,23 @@ mod tests {
         (server, client)
     }
 
+    /// A word as the value a read answers with.
+    fn word(v: u64) -> Option<Value> {
+        Some(Value::U64(v))
+    }
+
     #[test]
     fn end_to_end_over_loopback() {
         let (server, mut c) = start(ServerConfig::default());
-        assert_eq!(c.get(1).unwrap(), None);
-        assert_eq!(c.put(1, 10).unwrap(), None);
-        assert_eq!(c.put(1, 11).unwrap(), Some(10));
+        let le = u64::to_le_bytes;
+        assert_eq!(c.get_b(1).unwrap(), None);
+        assert_eq!(c.put_b(1, &le(10)).unwrap(), None);
+        assert_eq!(c.put_b(1, &le(11)).unwrap(), word(10));
         assert!(c.contains(1).unwrap());
-        assert_eq!(c.cas(1, 11, 12).unwrap(), (true, Some(12)));
-        assert_eq!(c.cas(1, 99, 0).unwrap(), (false, Some(12)));
-        assert_eq!(c.del(1).unwrap(), Some(12));
-        assert_eq!(c.del(1).unwrap(), None);
+        assert_eq!(c.cas_b(1, &le(11), &le(12)).unwrap(), (true, word(12)));
+        assert_eq!(c.cas_b(1, &le(99), &le(0)).unwrap(), (false, word(12)));
+        assert_eq!(c.del_b(1).unwrap(), word(12));
+        assert_eq!(c.del_b(1).unwrap(), None);
         drop(c);
         server.shutdown();
     }
@@ -92,21 +104,22 @@ mod tests {
         let (server, mut c) = start(ServerConfig::default());
         // Queue a deep pipeline without reading a single response.
         for k in 0..200u64 {
-            c.send(&Request::Cmd(Cmd::Put(k, k * 2))).unwrap();
+            c.send(&Request::Cmd(Cmd::PutB(k, Value::U64(k * 2))))
+                .unwrap();
         }
         for k in 0..200u64 {
-            c.send(&Request::Cmd(Cmd::Get(k))).unwrap();
+            c.send(&Request::Cmd(Cmd::GetB(k))).unwrap();
         }
         assert_eq!(c.in_flight(), 400);
         for _ in 0..200 {
             match c.recv().unwrap() {
-                Response::Ok(CmdOut::Prev(None)) => {}
+                Response::Ok(CmdOut::PrevB(None)) => {}
                 other => panic!("unexpected put response: {other:?}"),
             }
         }
         for k in 0..200u64 {
             match c.recv().unwrap() {
-                Response::Ok(CmdOut::Value(Some(v))) => assert_eq!(v, k * 2),
+                Response::Ok(CmdOut::ValueB(v)) => assert_eq!(v, word(k * 2)),
                 other => panic!("unexpected get response: {other:?}"),
             }
         }
@@ -117,7 +130,8 @@ mod tests {
     #[test]
     fn transfer_and_stats_over_the_wire() {
         let (server, mut c) = start(ServerConfig::default());
-        c.mset(&[(7, 100), (8, 0)]).unwrap();
+        let le = u64::to_le_bytes;
+        c.mset_b(&[(7, &le(100)[..]), (8, &le(0)[..])]).unwrap();
         assert_eq!(c.transfer(7, 8, 60).unwrap(), (40, 60));
         match c.transfer(7, 8, 1000) {
             Err(KvError::Server(ErrCode::Insufficient)) => {}
@@ -147,7 +161,8 @@ mod tests {
             ..Default::default()
         };
         let (server, mut c) = start(cfg);
-        c.mset(&[(1, 10), (2, 20)]).unwrap();
+        let le = u64::to_le_bytes;
+        c.mset_b(&[(1, &le(10)[..]), (2, &le(20)[..])]).unwrap();
         let epoch = c.sync().unwrap();
         assert!(epoch >= 1, "sync must move the durability horizon: {epoch}");
         let stats = c.stats().unwrap();
@@ -162,23 +177,16 @@ mod tests {
 
     #[test]
     fn blob_values_and_event_stats_over_the_wire() {
-        use pmem::Value;
         let (server, mut c) = start(ServerConfig::default());
         // A value big enough to span several read/write passes.
         let blob: Vec<u8> = (0..100_000usize).map(|i| (i * 31) as u8).collect();
         assert_eq!(c.put_b(5, &blob).unwrap(), None);
         assert_eq!(c.get_b(5).unwrap(), Some(Value::from_bytes(&blob)));
-        // Word interop: the blob family reads fixed-width writes and an
-        // 8-byte blob IS a word.
-        assert_eq!(c.put(6, 42).unwrap(), None);
-        assert_eq!(c.get_b(6).unwrap(), Some(Value::U64(42)));
-        assert_eq!(
-            c.put_b(6, &43u64.to_le_bytes()).unwrap(),
-            Some(Value::U64(42))
-        );
-        assert_eq!(c.get(6).unwrap(), Some(43));
-        // A fixed-width GET on a blob is refused, not truncated.
-        match c.get(5) {
+        // Word interop: an 8-byte blob IS a word.
+        assert_eq!(c.put_b(6, &42u64.to_le_bytes()).unwrap(), None);
+        assert_eq!(c.get_b(6).unwrap(), word(42));
+        // A transfer balance is a word: over a blob it is refused.
+        match c.transfer(5, 6, 1) {
             Err(KvError::Server(ErrCode::Malformed)) => {}
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -212,13 +220,15 @@ mod tests {
     #[test]
     fn transfer_credit_overflow_is_rejected() {
         let (server, mut c) = start(ServerConfig::default());
-        c.mset(&[(1, 5), (2, u64::MAX)]).unwrap();
+        let le = u64::to_le_bytes;
+        c.mset_b(&[(1, &le(5)[..]), (2, &le(u64::MAX)[..])])
+            .unwrap();
         match c.transfer(1, 2, 1) {
             Err(KvError::Server(ErrCode::Insufficient)) => {}
             other => panic!("overflowing credit must be rejected, got {other:?}"),
         }
         // Nothing changed.
-        assert_eq!(c.mget(&[1, 2]).unwrap(), vec![Some(5), Some(u64::MAX)]);
+        assert_eq!(c.mget_b(&[1, 2]).unwrap(), vec![word(5), word(u64::MAX)]);
         drop(c);
         server.shutdown();
     }
@@ -226,14 +236,15 @@ mod tests {
     #[test]
     fn oversized_client_command_errors_without_breaking_the_pipeline() {
         let (server, mut c) = start(ServerConfig::default());
-        let huge: Vec<(u64, u64)> = (0..70_000u64).map(|k| (k, k)).collect();
-        match c.mset(&huge) {
+        let word_bytes = 0u64.to_le_bytes();
+        let huge: Vec<(u64, &[u8])> = (0..70_000u64).map(|k| (k, &word_bytes[..])).collect();
+        match c.mset_b(&huge) {
             Err(KvError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
-            other => panic!("oversized MSET must be refused client-side, got {other:?}"),
+            other => panic!("oversized MSETB must be refused client-side, got {other:?}"),
         }
         // The refusal buffered nothing: the connection still works.
-        assert_eq!(c.put(1, 10).unwrap(), None);
-        assert_eq!(c.get(1).unwrap(), Some(10));
+        assert_eq!(c.put_b(1, &10u64.to_le_bytes()).unwrap(), None);
+        assert_eq!(c.get_b(1).unwrap(), word(10));
         drop(c);
         server.shutdown();
     }
@@ -242,13 +253,14 @@ mod tests {
     fn poisoned_connection_still_flushes_owed_responses() {
         use std::io::{Read, Write};
         let (server, mut c) = start(ServerConfig::default());
-        // Raw socket: one valid PUT, then an oversized length prefix.
+        // Raw socket: one valid PUTB, then an oversized length prefix.
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         let mut wire = Vec::new();
-        proto::encode_request(&mut wire, 11, &Request::Cmd(Cmd::Put(77, 7)));
+        let put = Cmd::PutB(77, Value::U64(7));
+        proto::encode_request(&mut wire, 11, &Request::Cmd(put));
         wire.extend_from_slice(&u32::MAX.to_le_bytes()); // poison
         raw.write_all(&wire).unwrap();
-        // The PUT executed and its response must arrive before the close.
+        // The PUTB executed and its response must arrive before the close.
         let mut buf = Vec::new();
         let mut chunk = [0u8; 1024];
         loop {
@@ -264,27 +276,53 @@ mod tests {
             .expect("owed response must be flushed before the close");
         let (id, resp) = proto::decode_response(frame).unwrap();
         assert_eq!(id, 11);
-        assert_eq!(resp, Response::Ok(CmdOut::Prev(None)));
+        assert_eq!(resp, Response::Ok(CmdOut::PrevB(None)));
         // The write really committed (visible through a healthy client).
-        assert_eq!(c.get(77).unwrap(), Some(7));
+        assert_eq!(c.get_b(77).unwrap(), word(7));
         drop(c);
         server.shutdown();
     }
 
     #[test]
     fn malformed_frames_get_an_error_but_keep_the_connection() {
-        use std::io::Write;
+        use std::io::{Read, Write};
         let (server, mut c) = start(ServerConfig::default());
-        // Hand-write a frame with an unknown opcode.
+        // Hand-write frames with an unknown opcode and with each retired
+        // fixed-width opcode under its old well-formed body.
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        let payload = [9u8, 0, 0, 0, 0xEE];
+        let mut bad = vec![(0xEE, Vec::new())];
+        bad.extend(proto::tests::retired_requests());
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
+        for (i, (op, body)) in bad.iter().enumerate() {
+            let mut payload = (9 + i as u32).to_le_bytes().to_vec();
+            payload.push(*op);
+            payload.extend_from_slice(body);
+            proto::write_frame(&mut wire, &payload);
+        }
+        // Then a well-formed request on the same connection.
+        proto::encode_request(&mut wire, 99, &Request::Cmd(Cmd::GetB(3)));
         raw.write_all(&wire).unwrap();
+        let mut answers = Vec::new();
+        let (mut buf, mut pos) = (Vec::new(), 0);
+        while answers.len() < bad.len() + 1 {
+            match proto::take_frame(&buf, &mut pos).unwrap() {
+                Some(frame) => answers.push(proto::decode_response(frame).unwrap()),
+                None => {
+                    let mut chunk = [0u8; 1024];
+                    let n = raw.read(&mut chunk).unwrap();
+                    assert!(n > 0, "server closed the connection");
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+            }
+        }
+        for (i, answer) in answers[..bad.len()].iter().enumerate() {
+            let want = (9 + i as u32, Response::Err(ErrCode::Malformed));
+            assert_eq!(*answer, want, "opcode {:#04x}", bad[i].0);
+        }
+        assert_eq!(answers[bad.len()], (99, Response::Ok(CmdOut::ValueB(None))));
         // The regular client still works throughout.
-        assert_eq!(c.put(3, 33).unwrap(), None);
-        assert_eq!(c.get(3).unwrap(), Some(33));
+        assert_eq!(c.put_b(3, &33u64.to_le_bytes()).unwrap(), None);
+        assert_eq!(c.get_b(3).unwrap(), word(33));
         drop(raw);
         drop(c);
         server.shutdown();

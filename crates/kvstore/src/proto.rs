@@ -25,17 +25,11 @@
 //!
 //! | opcode | name       | body |
 //! |--------|------------|------|
-//! | `0x01` | `GET`      | `key: u64` |
-//! | `0x02` | `PUT`      | `key: u64, val: u64` |
-//! | `0x03` | `DEL`      | `key: u64` |
-//! | `0x04` | `CAS`      | `key: u64, expected: u64, desired: u64` |
 //! | `0x05` | `CONTAINS` | `key: u64` |
 //! | `0x06` | `GETB`     | `key: u64` |
 //! | `0x07` | `PUTB`     | `key: u64, vlen: u32, vlen × u8` |
 //! | `0x08` | `DELB`     | `key: u64` |
 //! | `0x09` | `CASB`     | `key: u64, elen: u32, elen × u8, dlen: u32, dlen × u8` |
-//! | `0x10` | `MGET`     | `n: u32, n × key: u64` |
-//! | `0x11` | `MSET`     | `n: u32, n × (key: u64, val: u64)` |
 //! | `0x12` | `TRANSFER` | `from: u64, to: u64, amount: u64` |
 //! | `0x13` | `BATCH`    | `n: u32, n × (u8 opcode + body)` — single-key ops only |
 //! | `0x16` | `MGETB`    | `n: u32, n × key: u64` |
@@ -46,29 +40,27 @@
 //! | `0x22` | `METRICS`  | (empty) — server-side telemetry snapshot |
 //! | `0x23` | `TRACE`    | (empty) — slow-request trace ring dump |
 //!
-//! ## Value lengths and the blob op family
+//! Opcodes `0x01`–`0x04`, `0x10` and `0x11` are retired (they were a
+//! fixed-width `u64` twin of the value commands) and decode as malformed.
 //!
-//! The `*B` opcodes carry **length-prefixed byte values** (`vlen: u32` LE
-//! followed by `vlen` raw bytes).  A value may be `0..=`[`MAX_VALUE_BYTES`]
-//! (256 KiB) bytes long; decoders reject anything longer *before* allocating,
-//! even though the 1 MiB frame cap would admit it.  An exactly-8-byte value
-//! is canonically a word ([`pmem::Value::from_bytes`]), so `PUT k 5` and
-//! `PUTB k <5u64 LE>` store the *same* value and the two op families fully
-//! interoperate — a fixed-width op that reads back a non-word value reports
-//! `ERR_MALFORMED` rather than truncating it, and changes nothing.
+//! ## Values
 //!
-//! Reads (`GET`/`CONTAINS`/`GETB`) and blob writes (`PUTB`/`DELB`) run as
-//! standalone (uninstrumented `NonTx`) operations.  Everything whose reply
-//! can fail after a write (the fixed-width `PUT`/`DEL`, per the rule above)
-//! or that composes (`CAS`/`CASB`, every multi-key command) runs as one
-//! Medley transaction: `MGET`/`MGETB` is one atomic (read-only,
-//! descriptor-free) snapshot, `MSET`/`MSETB` and `TRANSFER` are
-//! failure-atomic across all their keys — and across whatever *shards*
-//! (distinct nonblocking structures) those keys hash to, which is exactly
-//! the NBTC composition the paper builds.  `BATCH` runs its command list
-//! under a single `ThreadHandle::run_with`; blob single-key ops
-//! (`GETB`/`PUTB`/`DELB`/`CASB`) are legal batch members alongside the
-//! fixed-width ones.
+//! A value travels **length-prefixed** (`vlen: u32` LE followed by `vlen`
+//! raw bytes) and may be `0..=`[`MAX_VALUE_BYTES`] (256 KiB) bytes long;
+//! decoders reject anything longer *before* allocating, even though the
+//! 1 MiB frame cap would admit it.  An exactly-8-byte value is canonically a
+//! word ([`pmem::Value::from_bytes`]), so `PUTB k <5u64 LE>` stores the word
+//! 5, which is what `TRANSFER` reads as a balance.
+//!
+//! Single-key reads and writes (`CONTAINS`/`GETB`/`PUTB`/`DELB`) run as
+//! standalone (uninstrumented `NonTx`) operations.  Whatever composes
+//! (`CASB`, every multi-key command) runs as one Medley transaction:
+//! `MGETB` is one atomic (read-only, descriptor-free) snapshot, `MSETB` and
+//! `TRANSFER` are failure-atomic across all their keys — and across whatever
+//! *shards* (distinct nonblocking structures) those keys hash to, which is
+//! exactly the NBTC composition the paper builds.  `BATCH` runs its command
+//! list under a single `ThreadHandle::run_with`; its legal members are the
+//! single-key commands (`CONTAINS`/`GETB`/`PUTB`/`DELB`/`CASB`).
 //!
 //! `SCAN lo hi limit` returns an **atomically consistent ordered page** of
 //! the half-open key window `[lo, hi)`: one read-only Medley transaction
@@ -105,21 +97,17 @@
 //! | `0x12` | `ERR_NOT_FOUND`    | `TRANSFER` named a missing account (explicit abort; nothing changed) |
 //! | `0x13` | `ERR_INSUFFICIENT` | `TRANSFER` source balance below `amount`, or the credit would overflow the destination (explicit abort; nothing changed) |
 //! | `0x14` | `ABORT_OVERLOAD`   | load-shed at admission: the server is over its backlog watermark and refused to *start* the (transactional) command — nothing was executed, no partial effects exist; safe to resend after a jittered delay |
-//! | `0x20` | `ERR_MALFORMED`    | undecodable request, oversized frame, an illegal `BATCH` member, or a fixed-width op that met a blob value (explicit abort; nothing changed) |
+//! | `0x20` | `ERR_MALFORMED`    | undecodable request (a retired or unknown opcode included), oversized frame, an illegal `BATCH` member, an over-limit value, `SCAN` on a hash-partitioned store, or a `TRANSFER` account that is not a word (nothing changed) |
 //!
 //! Non-`OK` responses carry no body beyond the opcode echo.  `OK` bodies:
 //!
 //! | opcode | body |
 //! |--------|------|
-//! | `GET`/`DEL` | `present: u8` (+ `val: u64` when 1) |
-//! | `PUT`       | `had_prev: u8` (+ `prev: u64` when 1) |
-//! | `CAS`       | `success: u8, present: u8` (+ `current: u64` when present) — `current` is the post-op value |
 //! | `CONTAINS`  | `present: u8` |
 //! | `GETB`/`DELB` | `tagged value` (below) |
 //! | `PUTB`      | `tagged value` — the previous value |
 //! | `CASB`      | `success: u8, tagged value` — post-op value |
-//! | `MGET`      | `n: u32, n × (present: u8 [+ val: u64])` |
-//! | `MSET`/`MSETB` | (empty) |
+//! | `MSETB`     | (empty) |
 //! | `TRANSFER`  | `from_after: u64, to_after: u64` |
 //! | `BATCH`     | `n: u32, n × (u8 opcode + single-op body)` |
 //! | `MGETB`     | `n: u32, n × tagged value` |
@@ -129,7 +117,7 @@
 //! | `METRICS`   | `uptime_secs: u64`, `n: u32`, `n` × per-opcode block (`opcode: u8, retries: u64, max_ns: u64`, 64 × `bucket: u64`, `e: u32`, `e` × `abort_count: u64`), `w: u32`, `w` × per-worker phase block (`p: u32`, `p` × `phase_ns: u64`) — see [`MetricsReply`] |
 //! | `TRACE`     | `evicted: u64, n: u32`, `n` × trace record (`opcode: u8, status: u8, req_id: u64, queue_ns: u64, exec_ns: u64, retries: u64`) — see [`TraceReply`] |
 //!
-//! A *tagged value* in a blob-op response is one byte of tag plus a
+//! A *tagged value* in a response is one byte of tag plus a
 //! tag-dependent body: `0` = absent (no body), `1` = word (`val: u64`),
 //! `2` = bytes (`vlen: u32, vlen × u8`, same [`MAX_VALUE_BYTES`] bound as
 //! requests).  Encoders emit the canonical form (8-byte values always travel
@@ -165,24 +153,18 @@ use obs::{LatencyHistogram, TraceRecord, BUCKETS};
 use pmem::{DomainStats, Value, MAX_VALUE_BYTES};
 
 /// Maximum payload size of one frame (1 MiB).  Large enough for a
-/// multi-thousand-key `MSET`, small enough that a corrupt length prefix
+/// multi-thousand-key `MSETB`, small enough that a corrupt length prefix
 /// cannot make a peer buffer gigabytes.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Length of the frame header (the `u32` length prefix).
 pub const FRAME_HEADER: usize = 4;
 
-pub(crate) const OP_GET: u8 = 0x01;
-pub(crate) const OP_PUT: u8 = 0x02;
-pub(crate) const OP_DEL: u8 = 0x03;
-pub(crate) const OP_CAS: u8 = 0x04;
 pub(crate) const OP_CONTAINS: u8 = 0x05;
 pub(crate) const OP_GETB: u8 = 0x06;
 pub(crate) const OP_PUTB: u8 = 0x07;
 pub(crate) const OP_DELB: u8 = 0x08;
 pub(crate) const OP_CASB: u8 = 0x09;
-pub(crate) const OP_MGET: u8 = 0x10;
-pub(crate) const OP_MSET: u8 = 0x11;
 pub(crate) const OP_TRANSFER: u8 = 0x12;
 pub(crate) const OP_BATCH: u8 = 0x13;
 pub(crate) const OP_MGETB: u8 = 0x16;
@@ -473,10 +455,6 @@ fn put_some<T>(buf: &mut Vec<u8>, v: &Option<T>, some: impl FnOnce(&mut Vec<u8>,
     }
 }
 
-fn put_opt(buf: &mut Vec<u8>, v: Option<u64>) {
-    put_some(buf, &v, |buf, v| put_u64(buf, *v));
-}
-
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -550,10 +528,6 @@ fn get_u64(cur: &mut Cursor<'_>) -> Result<u64, ProtoError> {
     cur.u64()
 }
 
-fn get_opt(cur: &mut Cursor<'_>) -> Result<Option<u64>, ProtoError> {
-    opt(cur, get_u64)
-}
-
 /// A `STATS` section (or row) that is nothing but `u64` counters: `flat!`
 /// names the fields once, in wire order, for the encoder and the decoder.
 trait Flat: Sized {
@@ -599,8 +573,8 @@ flat!(WorkerEvents {
     writev_saved
 });
 
-// Length-prefixed byte value (`vlen: u32, vlen × u8`) used by the blob-op
-// request bodies.  Words serialize as their 8 LE bytes; the decoder rebuilds
+// Length-prefixed byte value (`vlen: u32, vlen × u8`) used by the request
+// bodies.  Words serialize as their 8 LE bytes; the decoder rebuilds
 // through `Value::from_bytes`, so canonical form survives the wire.
 
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
@@ -624,7 +598,7 @@ fn get_value(cur: &mut Cursor<'_>) -> Result<Value, ProtoError> {
     Ok(Value::from_bytes(cur.bytes(len)?))
 }
 
-// Tagged optional value (`0` absent / `1` word / `2` bytes) used by blob-op
+// Tagged optional value (`0` absent / `1` word / `2` bytes) used by the
 // response bodies.
 
 fn put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
@@ -692,13 +666,7 @@ pub fn take_frame<'a>(buf: &'a [u8], consumed: &mut usize) -> Result<Option<&'a 
 
 fn cmd_opcode(cmd: &Cmd) -> u8 {
     match cmd {
-        Cmd::Get(_) => OP_GET,
-        Cmd::Put(..) => OP_PUT,
-        Cmd::Del(_) => OP_DEL,
-        Cmd::Cas { .. } => OP_CAS,
         Cmd::Contains(_) => OP_CONTAINS,
-        Cmd::MGet(_) => OP_MGET,
-        Cmd::MSet(_) => OP_MSET,
         Cmd::Transfer { .. } => OP_TRANSFER,
         Cmd::Batch(_) => OP_BATCH,
         Cmd::GetB(_) => OP_GETB,
@@ -713,27 +681,8 @@ fn cmd_opcode(cmd: &Cmd) -> u8 {
 
 fn encode_cmd_body(buf: &mut Vec<u8>, cmd: &Cmd) {
     match cmd {
-        Cmd::Get(k) | Cmd::Del(k) | Cmd::Contains(k) | Cmd::GetB(k) | Cmd::DelB(k) => {
-            put_u64(buf, *k)
-        }
-        Cmd::Put(k, v) => {
-            put_u64(buf, *k);
-            put_u64(buf, *v);
-        }
-        Cmd::Cas {
-            key,
-            expected,
-            desired,
-        } => {
-            put_u64(buf, *key);
-            put_u64(buf, *expected);
-            put_u64(buf, *desired);
-        }
-        Cmd::MGet(keys) | Cmd::MGetB(keys) => put_list(buf, keys, |buf, k| put_u64(buf, *k)),
-        Cmd::MSet(pairs) => put_list(buf, pairs, |buf, (k, v)| {
-            put_u64(buf, *k);
-            put_u64(buf, *v);
-        }),
+        Cmd::Contains(k) | Cmd::GetB(k) | Cmd::DelB(k) => put_u64(buf, *k),
+        Cmd::MGetB(keys) => put_list(buf, keys, |buf, k| put_u64(buf, *k)),
         Cmd::Transfer { from, to, amount } => {
             put_u64(buf, *from);
             put_u64(buf, *to);
@@ -778,17 +727,7 @@ fn get_entry(cur: &mut Cursor<'_>) -> Result<(u64, Value), ProtoError> {
 
 fn decode_cmd_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<Cmd, ProtoError> {
     Ok(match opcode {
-        OP_GET => Cmd::Get(cur.u64()?),
-        OP_PUT => Cmd::Put(cur.u64()?, cur.u64()?),
-        OP_DEL => Cmd::Del(cur.u64()?),
-        OP_CAS => Cmd::Cas {
-            key: cur.u64()?,
-            expected: cur.u64()?,
-            desired: cur.u64()?,
-        },
         OP_CONTAINS => Cmd::Contains(cur.u64()?),
-        OP_MGET if !nested => Cmd::MGet(list(cur, 8, get_u64)?),
-        OP_MSET if !nested => Cmd::MSet(list(cur, 16, |cur| Ok((cur.u64()?, cur.u64()?)))?),
         OP_TRANSFER if !nested => Cmd::Transfer {
             from: cur.u64()?,
             to: cur.u64()?,
@@ -832,7 +771,7 @@ pub fn encode_request(out: &mut Vec<u8>, req_id: u32, req: &Request) {
 }
 
 /// Fallible [`encode_request`]: returns `Err` (writing nothing) when the
-/// command is too large for one frame — an `MGET`/`MSET`/`BATCH` this big
+/// command is too large for one frame — an `MGETB`/`MSETB`/`BATCH` this big
 /// would be refused by the server's descriptor capacity anyway, so callers
 /// should chunk it.
 pub fn try_encode_request(out: &mut Vec<u8>, req_id: u32, req: &Request) -> Result<(), ProtoError> {
@@ -871,13 +810,8 @@ pub fn decode_request(frame: &[u8]) -> Result<(u32, Request), ProtoError> {
 
 fn out_opcode(out: &CmdOut) -> u8 {
     match out {
-        CmdOut::Value(_) => OP_GET,
-        CmdOut::Prev(_) => OP_PUT,
-        CmdOut::Removed(_) => OP_DEL,
-        CmdOut::Cas { .. } => OP_CAS,
         CmdOut::Present(_) => OP_CONTAINS,
-        CmdOut::Values(_) => OP_MGET,
-        CmdOut::Done => OP_MSET,
+        CmdOut::Done => OP_MSETB,
         CmdOut::Transferred { .. } => OP_TRANSFER,
         CmdOut::Batch(_) => OP_BATCH,
         CmdOut::ValueB(_) => OP_GETB,
@@ -891,13 +825,7 @@ fn out_opcode(out: &CmdOut) -> u8 {
 
 fn encode_out_body(buf: &mut Vec<u8>, out: &CmdOut) {
     match out {
-        CmdOut::Value(v) | CmdOut::Prev(v) | CmdOut::Removed(v) => put_opt(buf, *v),
-        CmdOut::Cas { success, current } => {
-            buf.push(u8::from(*success));
-            put_opt(buf, *current);
-        }
         CmdOut::Present(p) => buf.push(u8::from(*p)),
-        CmdOut::Values(vals) => put_list(buf, vals, |buf, v| put_opt(buf, *v)),
         CmdOut::Done => {}
         CmdOut::Transferred {
             from_after,
@@ -922,17 +850,8 @@ fn encode_out_body(buf: &mut Vec<u8>, out: &CmdOut) {
 
 fn decode_out_body(cur: &mut Cursor<'_>, opcode: u8, nested: bool) -> Result<CmdOut, ProtoError> {
     Ok(match opcode {
-        OP_GET => CmdOut::Value(get_opt(cur)?),
-        OP_PUT => CmdOut::Prev(get_opt(cur)?),
-        OP_DEL => CmdOut::Removed(get_opt(cur)?),
-        OP_CAS => CmdOut::Cas {
-            success: cur.u8()? != 0,
-            current: get_opt(cur)?,
-        },
         OP_CONTAINS => CmdOut::Present(cur.u8()? != 0),
-        OP_MGET if !nested => CmdOut::Values(list(cur, 1, get_opt)?),
-        // An `MSETB` acknowledgement is body-less, like `MSET`'s.
-        OP_MSET | OP_MSETB if !nested => CmdOut::Done,
+        OP_MSETB if !nested => CmdOut::Done,
         OP_TRANSFER if !nested => CmdOut::Transferred {
             from_after: cur.u64()?,
             to_after: cur.u64()?,
@@ -1008,7 +927,7 @@ fn encode_stats(buf: &mut Vec<u8>, s: &StatsReply) {
                 ShardKind::Elastic => 2,
                 ShardKind::Cache => 3,
             });
-            put_opt(buf, sh.items);
+            put_some(buf, &sh.items, |buf, v| put_u64(buf, *v));
             put_u64(buf, sh.buckets);
         });
     });
@@ -1055,7 +974,7 @@ fn decode_stats(cur: &mut Cursor<'_>) -> Result<StatsReply, ProtoError> {
                             3 => ShardKind::Cache,
                             _ => return Err(ProtoError),
                         },
-                        items: get_opt(cur)?,
+                        items: opt(cur, get_u64)?,
                         buckets: cur.u64()?,
                     })
                 })?,
@@ -1196,7 +1115,7 @@ pub fn request_opcode(req: &Request) -> u8 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip_request(req: Request) {
@@ -1226,29 +1145,19 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_request(Request::Cmd(Cmd::Get(42)));
-        roundtrip_request(Request::Cmd(Cmd::Put(1, 2)));
-        roundtrip_request(Request::Cmd(Cmd::Del(3)));
-        roundtrip_request(Request::Cmd(Cmd::Cas {
-            key: 4,
-            expected: 5,
-            desired: 6,
-        }));
         roundtrip_request(Request::Cmd(Cmd::Contains(8)));
-        roundtrip_request(Request::Cmd(Cmd::MGet(vec![1, 2, 3])));
-        roundtrip_request(Request::Cmd(Cmd::MSet(vec![(1, 10), (2, 20)])));
         roundtrip_request(Request::Cmd(Cmd::Transfer {
             from: 1,
             to: 2,
             amount: 3,
         }));
         roundtrip_request(Request::Cmd(Cmd::Batch(vec![
-            Cmd::Get(1),
-            Cmd::Put(2, 3),
-            Cmd::Cas {
+            Cmd::Contains(1),
+            Cmd::PutB(2, Value::U64(3)),
+            Cmd::CasB {
                 key: 4,
-                expected: 0,
-                desired: 1,
+                expected: Value::U64(0),
+                desired: Value::U64(1),
             },
         ])));
         roundtrip_request(Request::Stats);
@@ -1275,9 +1184,9 @@ mod tests {
             (1, blob.clone()),
             (2, Value::U64(20)),
         ])));
-        // Blob singles may ride inside a BATCH next to fixed-width ops.
+        // Every single-key command may ride inside a BATCH.
         roundtrip_request(Request::Cmd(Cmd::Batch(vec![
-            Cmd::Get(1),
+            Cmd::GetB(1),
             Cmd::PutB(2, blob),
             Cmd::CasB {
                 key: 4,
@@ -1314,7 +1223,7 @@ mod tests {
         roundtrip_response(
             Response::Ok(CmdOut::Batch(vec![
                 CmdOut::ValueB(Some(blob)),
-                CmdOut::Prev(None),
+                CmdOut::PrevB(None),
                 CmdOut::CasB {
                     success: true,
                     current: Some(Value::from_bytes(b"new")),
@@ -1364,24 +1273,7 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_response(Response::Ok(CmdOut::Value(Some(1))), OP_GET);
-        roundtrip_response(Response::Ok(CmdOut::Value(None)), OP_GET);
-        roundtrip_response(Response::Ok(CmdOut::Prev(Some(2))), OP_PUT);
-        roundtrip_response(Response::Ok(CmdOut::Removed(None)), OP_DEL);
-        roundtrip_response(
-            Response::Ok(CmdOut::Cas {
-                success: true,
-                current: Some(9),
-            }),
-            OP_CAS,
-        );
         roundtrip_response(Response::Ok(CmdOut::Present(false)), OP_CONTAINS);
-        roundtrip_response(
-            Response::Ok(CmdOut::Values(vec![Some(1), None, Some(3)])),
-            OP_MGET,
-        );
-        roundtrip_response(Response::Ok(CmdOut::Done), OP_MSET);
-        // Body-less too, and it used to go out under `MSET`'s opcode.
         roundtrip_response(Response::Ok(CmdOut::Done), OP_MSETB);
         roundtrip_response(
             Response::Ok(CmdOut::Transferred {
@@ -1392,8 +1284,8 @@ mod tests {
         );
         roundtrip_response(
             Response::Ok(CmdOut::Batch(vec![
-                CmdOut::Value(Some(1)),
-                CmdOut::Prev(None),
+                CmdOut::Present(true),
+                CmdOut::PrevB(None),
             ])),
             OP_BATCH,
         );
@@ -1488,8 +1380,8 @@ mod tests {
     #[test]
     fn partial_frames_and_pipelines_split_correctly() {
         let mut wire = Vec::new();
-        encode_request(&mut wire, 1, &Request::Cmd(Cmd::Get(1)));
-        encode_request(&mut wire, 2, &Request::Cmd(Cmd::Put(2, 3)));
+        encode_request(&mut wire, 1, &Request::Cmd(Cmd::GetB(1)));
+        encode_request(&mut wire, 2, &Request::Cmd(Cmd::PutB(2, Value::U64(3))));
         // Feed byte-by-byte: frames must come out exactly twice, in order.
         let mut buf = Vec::new();
         let mut got = Vec::new();
@@ -1536,6 +1428,43 @@ mod tests {
         put_u64(&mut payload, 10);
         put_u32(&mut payload, 5);
         assert!(decode_request(&payload).is_err());
+    }
+
+    /// The retired fixed-width opcodes, each with its old well-formed body.
+    pub(crate) fn retired_requests() -> [(u8, Vec<u8>); 6] {
+        let (k, v) = (3u64.to_le_bytes(), 4u64.to_le_bytes());
+        let one = 1u32.to_le_bytes();
+        [
+            (0x01, k.to_vec()),                  // GET key
+            (0x02, [k, v].concat()),             // PUT key val
+            (0x03, k.to_vec()),                  // DEL key
+            (0x04, [k, v, v].concat()),          // CAS key expected desired
+            (0x10, [&one[..], &k].concat()),     // MGET n keys
+            (0x11, [&one[..], &k, &v].concat()), // MSET n pairs
+        ]
+    }
+
+    /// The fixed-width twins of the value commands are gone from the wire:
+    /// each old opcode is refused, at top level and as a `BATCH` member.
+    #[test]
+    fn retired_opcodes_are_refused() {
+        let one = 1u32.to_le_bytes();
+        for (op, body) in retired_requests() {
+            let mut top = 7u32.to_le_bytes().to_vec();
+            top.push(op);
+            top.extend_from_slice(&body);
+            assert_eq!(decode_request(&top), Err(ProtoError), "opcode {op:#04x}");
+            let mut nested = 8u32.to_le_bytes().to_vec();
+            nested.push(OP_BATCH);
+            nested.extend_from_slice(&one);
+            nested.push(op);
+            nested.extend_from_slice(&body);
+            assert_eq!(
+                decode_request(&nested),
+                Err(ProtoError),
+                "opcode {op:#04x} in a batch"
+            );
+        }
     }
 
     #[test]
@@ -1597,7 +1526,7 @@ mod tests {
                 uptime_secs: 17,
                 ops: vec![
                     OpMetrics {
-                        opcode: OP_GET,
+                        opcode: OP_GETB,
                         hist: hist.clone(),
                         retries: 3,
                         aborts: vec![1, 0, 2, 0, 0, 0],
@@ -1622,7 +1551,7 @@ mod tests {
             Response::Trace(TraceReply {
                 records: vec![
                     TraceRecord {
-                        opcode: OP_PUT,
+                        opcode: OP_PUTB,
                         status: ST_OK,
                         req_id: 42,
                         queue_ns: 1_500,
@@ -1630,7 +1559,7 @@ mod tests {
                         retries: 2,
                     },
                     TraceRecord {
-                        opcode: OP_CAS,
+                        opcode: OP_CASB,
                         status: ST_ABORT_RETRY,
                         req_id: 43,
                         queue_ns: 900,
@@ -1674,37 +1603,6 @@ mod tests {
         let zeros = |n: usize| "00".repeat(n);
         let rows: Vec<(Request, String, Response, String)> = vec![
             (
-                Request::Cmd(Cmd::Get(0x0102_0304_0506_0708)),
-                "0d000000 04030201 01 0807060504030201".into(),
-                ok(CmdOut::Value(Some(9))),
-                "0f000000 04030201 00 01 01 0900000000000000".into(),
-            ),
-            (
-                Request::Cmd(Cmd::Put(1, 2)),
-                "15000000 04030201 02 0100000000000000 0200000000000000".into(),
-                ok(CmdOut::Prev(None)),
-                "07000000 04030201 00 02 00".into(),
-            ),
-            (
-                Request::Cmd(Cmd::Del(3)),
-                "0d000000 04030201 03 0300000000000000".into(),
-                ok(CmdOut::Removed(Some(4))),
-                "0f000000 04030201 00 03 01 0400000000000000".into(),
-            ),
-            (
-                Request::Cmd(Cmd::Cas {
-                    key: 5,
-                    expected: 6,
-                    desired: 7,
-                }),
-                "1d000000 04030201 04 0500000000000000 0600000000000000 0700000000000000".into(),
-                ok(CmdOut::Cas {
-                    success: true,
-                    current: Some(7),
-                }),
-                "10000000 04030201 00 04 01 01 0700000000000000".into(),
-            ),
-            (
                 Request::Cmd(Cmd::Contains(8)),
                 "0d000000 04030201 05 0800000000000000".into(),
                 ok(CmdOut::Present(true)),
@@ -1744,18 +1642,6 @@ mod tests {
                 "10000000 04030201 00 09 00 01 0f00000000000000".into(),
             ),
             (
-                Request::Cmd(Cmd::MGet(vec![16, 17])),
-                "19000000 04030201 10 02000000 1000000000000000 1100000000000000".into(),
-                ok(CmdOut::Values(vec![Some(18), None])),
-                "14000000 04030201 00 10 02000000 01 1200000000000000 00".into(),
-            ),
-            (
-                Request::Cmd(Cmd::MSet(vec![(19, 20)])),
-                "19000000 04030201 11 01000000 1300000000000000 1400000000000000".into(),
-                ok(CmdOut::Done),
-                "06000000 04030201 00 11".into(),
-            ),
-            (
                 Request::Cmd(transfer.clone()),
                 transfer_hex.into(),
                 ok(CmdOut::Transferred {
@@ -1764,24 +1650,24 @@ mod tests {
                 }),
                 "16000000 04030201 00 12 1800000000000000 1900000000000000".into(),
             ),
-            // A word member, a blob member, and a blob read answered by a word.
+            // A word member, a blob member, and a read answered by a word.
             (
                 Request::Cmd(Cmd::Batch(vec![
-                    Cmd::Put(26, 27),
+                    Cmd::PutB(26, Value::U64(27)),
                     Cmd::PutB(28, bytes(b"b")),
                     Cmd::GetB(29),
                 ])),
-                "31000000 04030201 13 03000000 \
-                 02 1a00000000000000 1b00000000000000 \
+                "35000000 04030201 13 03000000 \
+                 07 1a00000000000000 08000000 1b00000000000000 \
                  07 1c00000000000000 01000000 62 \
                  06 1d00000000000000"
                     .into(),
                 ok(CmdOut::Batch(vec![
-                    CmdOut::Prev(None),
+                    CmdOut::PrevB(None),
                     CmdOut::PrevB(None),
                     CmdOut::ValueB(Some(Value::U64(30))),
                 ])),
-                "18000000 04030201 00 13 03000000 02 00 07 00 06 01 1e00000000000000".into(),
+                "18000000 04030201 00 13 03000000 07 00 07 00 06 01 1e00000000000000".into(),
             ),
             (
                 Request::Cmd(Cmd::MGetB(vec![31])),
@@ -1911,7 +1797,7 @@ mod tests {
                 Response::Metrics(MetricsReply {
                     uptime_secs: 38,
                     ops: vec![OpMetrics {
-                        opcode: OP_GET,
+                        opcode: OP_GETB,
                         hist: LatencyHistogram::from_parts(counts, 5),
                         retries: 3,
                         aborts: vec![39, 40],
@@ -1920,7 +1806,7 @@ mod tests {
                 }),
                 format!(
                     "4f020000 04030201 00 22 2600000000000000 01000000 \
-                     01 0300000000000000 0500000000000000 0100000000000000 {} \
+                     06 0300000000000000 0500000000000000 0100000000000000 {} \
                      02000000 2700000000000000 2800000000000000 \
                      01000000 02000000 2900000000000000 2a00000000000000",
                     zeros(63 * 8)
@@ -1931,7 +1817,7 @@ mod tests {
                 "05000000 04030201 23".into(),
                 Response::Trace(TraceReply {
                     records: vec![TraceRecord {
-                        opcode: OP_CAS,
+                        opcode: OP_CASB,
                         status: ST_ABORT_RETRY,
                         req_id: 43,
                         queue_ns: 44,
@@ -1940,7 +1826,7 @@ mod tests {
                     }],
                     evicted: 47,
                 }),
-                "34000000 04030201 00 23 2f00000000000000 01000000 04 10 \
+                "34000000 04030201 00 23 2f00000000000000 01000000 09 10 \
                  2b00000000000000 2c00000000000000 2d00000000000000 2e00000000000000"
                     .into(),
             ),
@@ -2045,7 +1931,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let mut wire = Vec::new();
-        encode_request(&mut wire, 5, &Request::Cmd(Cmd::Get(1)));
+        encode_request(&mut wire, 5, &Request::Cmd(Cmd::GetB(1)));
         let mut consumed = 0;
         let frame = take_frame(&wire, &mut consumed).unwrap().unwrap();
         let mut bad = frame.to_vec();

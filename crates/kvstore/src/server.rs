@@ -43,7 +43,7 @@
 use crate::proto::{
     self, EventStats, LoadStats, MetricsReply, Request, Response, TraceReply, WorkerEvents,
 };
-use crate::store::{Cmd, ErrCode, Store, StoreConfig};
+use crate::store::{ErrCode, Store, StoreConfig};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::telemetry::{
     self, MetricsExporter, Telemetry, TelemetryConfig, PHASE_DECODE, PHASE_EPOLL_WAIT,
@@ -683,21 +683,7 @@ impl Conn {
                         // so a refused TRANSFER has zero partial effects,
                         // and the response is encoded in arrival order like
                         // any other, preserving pipelined req-id ordering.
-                        Request::Cmd(cmd)
-                            if shedding
-                                && matches!(
-                                    cmd,
-                                    Cmd::Cas { .. }
-                                        | Cmd::MGet(_)
-                                        | Cmd::MSet(_)
-                                        | Cmd::Transfer { .. }
-                                        | Cmd::Batch(_)
-                                        | Cmd::CasB { .. }
-                                        | Cmd::MGetB(_)
-                                        | Cmd::MSetB(_)
-                                        | Cmd::Scan { .. }
-                                ) =>
-                        {
+                        Request::Cmd(cmd) if shedding && !cmd.standalone() => {
                             load.note_shed();
                             Response::Err(ErrCode::Overload)
                         }

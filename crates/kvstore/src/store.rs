@@ -10,7 +10,7 @@
 //! command under one [`medley::ThreadHandle::run_with`] and gets
 //! multi-structure atomicity for free.  That is the paper's composition
 //! claim turned into the product feature: `TRANSFER` debits one map and
-//! credits another in a single M-compare-N-swap commit, `MGET` is one
+//! credits another in a single M-compare-N-swap commit, `MGETB` is one
 //! descriptor-free atomic snapshot across shards, a [`Cmd::Batch`] is a
 //! small transaction IR executed failure-atomically, and a [`Cmd::Scan`]
 //! walks per-shard ordered cursors inside one transaction and returns an
@@ -31,19 +31,16 @@
 //!
 //! # What runs standalone
 //!
-//! One rule: reads and blob writes run standalone; everything whose reply
-//! can fail after a write, or that composes, is a transaction.  `GET`/
-//! `CONTAINS`/`GETB`/`PUTB`/`DELB` are finished when the table operation
-//! returns, so they go through [`medley::NonTx`], which monomorphizes the
-//! instrumentation away — the service's hot path pays for transactions only
-//! when a command needs one.  A fixed-width `PUT`/`DEL` that displaces a
-//! blob has to answer [`ErrCode::Malformed`] *and leave the blob in place*,
-//! `CAS` reads and then writes, and the multi-key commands compose, so each
-//! of those is one transaction.  On [`TableKind::Cache`] every command is: a
-//! cache *op* is itself a composition (lookup + recency record, insert +
-//! eviction; see [`crate::cache::TxCache`]).  Either way a command's logic
-//! is written once, generic over [`medley::Ctx`], and runs unchanged in
-//! both modes.
+//! One rule: single-key reads and writes run standalone; whatever composes
+//! is a transaction.  `GETB`/`CONTAINS`/`PUTB`/`DELB` are finished when the
+//! table operation returns, so they go through [`medley::NonTx`], which
+//! monomorphizes the instrumentation away — the service's hot path pays for
+//! transactions only when a command needs one.  `CASB` reads and then
+//! writes, and the multi-key commands compose, so each of those is one
+//! transaction.  On [`TableKind::Cache`] every command is: a cache *op* is
+//! itself a composition (lookup + recency record, insert + eviction; see
+//! [`crate::cache::TxCache`]).  Either way a command's logic is written
+//! once, generic over [`medley::Ctx`], and runs unchanged in both modes.
 
 use crate::cache::TxCache;
 use crate::proto::{CacheStats, PartitionScheme, ShardKind, ShardStats, StatsReply, TableStats};
@@ -58,36 +55,12 @@ use txmontage::{Durable, DurableHashMap, DurableSkipList, DurableSplitOrderedMap
 /// A typed store command (the request IR; see [`crate::proto`] for the wire
 /// encoding).
 ///
-/// The fixed-width (`u64`) variants are the historical interface; the `*B`
-/// variants carry variable-length [`Value`]s.  Both families address the
-/// same tables — an 8-byte blob and a word are the *same* value (see
-/// [`pmem::value`]'s canonical form) — but a fixed-width command that
-/// encounters a longer blob value reports [`ErrCode::Malformed`] and changes
-/// nothing, because its result type cannot carry the bytes.
+/// Every value is a [`Value`]: `0..=`[`pmem::MAX_VALUE_BYTES`] bytes, where an
+/// 8-byte value is canonically a word (see [`pmem::value`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cmd {
-    /// Look up a key.
-    Get(u64),
-    /// Insert or replace a key.
-    Put(u64, u64),
-    /// Remove a key.
-    Del(u64),
-    /// Compare-and-swap a key's value (fails if absent or mismatched).
-    Cas {
-        /// Key to update.
-        key: u64,
-        /// Value the key must currently hold.
-        expected: u64,
-        /// Replacement value.
-        desired: u64,
-    },
     /// Membership test (never clones the value).
     Contains(u64),
-    /// Atomic multi-key read: one consistent (read-only transactional)
-    /// snapshot of all the keys, across shards.
-    MGet(Vec<u64>),
-    /// Atomic multi-key write: all puts commit together or not at all.
-    MSet(Vec<(u64, u64)>),
     /// Move `amount` from one account to another, failure-atomically.
     Transfer {
         /// Debited key.
@@ -99,13 +72,14 @@ pub enum Cmd {
     },
     /// A list of single-key commands run as one transaction.
     Batch(Vec<Cmd>),
-    /// Blob lookup: like [`Cmd::Get`] but the result carries any value.
+    /// Look up a key.
     GetB(u64),
-    /// Blob insert-or-replace.
+    /// Insert or replace a key.
     PutB(u64, Value),
-    /// Blob remove.
+    /// Remove a key.
     DelB(u64),
-    /// Blob compare-and-swap (byte-exact comparison).
+    /// Compare-and-swap a key's value, byte-exact (fails if absent or
+    /// mismatched).
     CasB {
         /// Key to update.
         key: u64,
@@ -114,9 +88,10 @@ pub enum Cmd {
         /// Replacement value.
         desired: Value,
     },
-    /// Blob-capable atomic multi-key read.
+    /// Atomic multi-key read: one consistent (read-only transactional)
+    /// snapshot of all the keys, across shards.
     MGetB(Vec<u64>),
-    /// Blob-capable atomic multi-key write.
+    /// Atomic multi-key write: all puts commit together or not at all.
     MSetB(Vec<(u64, Value)>),
     /// Ordered range read: up to `limit` `(key, value)` pairs with
     /// `lo <= key < hi`, ascending, as one atomic snapshot (the per-shard
@@ -139,24 +114,9 @@ pub enum Cmd {
 /// The result of a committed [`Cmd`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CmdOut {
-    /// `GET`: the value, if present.
-    Value(Option<u64>),
-    /// `PUT`: the previous value, if any.
-    Prev(Option<u64>),
-    /// `DEL`: the removed value, if any.
-    Removed(Option<u64>),
-    /// `CAS` outcome; `current` is the post-operation value.
-    Cas {
-        /// Whether the swap happened.
-        success: bool,
-        /// The key's value after the operation (`None` if absent).
-        current: Option<u64>,
-    },
     /// `CONTAINS` outcome.
     Present(bool),
-    /// `MGET`: one entry per requested key, in request order.
-    Values(Vec<Option<u64>>),
-    /// `MSET` acknowledgement.
+    /// `MSETB` acknowledgement.
     Done,
     /// `TRANSFER`: both post-transfer balances.
     Transferred {
@@ -205,9 +165,10 @@ pub enum ErrCode {
     /// because it is over its backlog watermark.  Nothing was executed, so
     /// resending (after a jittered delay) is always safe.
     Overload,
-    /// Undecodable request, illegal `BATCH` member, or a fixed-width (`u64`)
-    /// command that encountered a blob value it cannot represent and changes
-    /// nothing (use the `*B` blob commands, which handle every value).
+    /// Undecodable request (a retired or unknown opcode included), illegal
+    /// `BATCH` member, value over [`pmem::MAX_VALUE_BYTES`], `SCAN` on a
+    /// hash-partitioned store, or a `TRANSFER` account whose value is not
+    /// a word (nothing changed in any case).
     Malformed,
 }
 
@@ -473,28 +434,17 @@ impl Table {
     }
 }
 
-/// The word a fixed-width (`u64`) command reads.  Its result types cannot
-/// carry a blob, so meeting one is [`ErrCode::Malformed`] (the `*B` commands
-/// handle every value).
-fn word(v: Option<Value>) -> Result<Option<u64>, ErrCode> {
-    v.map(|v| v.as_u64().ok_or(ErrCode::Malformed)).transpose()
-}
-
-/// Narrows a blob command's result to its fixed-width twin's.
-fn narrow(out: CmdOut) -> Result<CmdOut, ErrCode> {
-    Ok(match out {
-        CmdOut::ValueB(v) => CmdOut::Value(word(v)?),
-        CmdOut::PrevB(v) => CmdOut::Prev(word(v)?),
-        CmdOut::RemovedB(v) => CmdOut::Removed(word(v)?),
-        CmdOut::CasB { success, current } => CmdOut::Cas {
-            success,
-            current: word(current)?,
-        },
-        CmdOut::ValuesB(vals) => {
-            CmdOut::Values(vals.into_iter().map(word).collect::<Result<_, _>>()?)
-        }
-        other => other,
-    })
+impl Cmd {
+    /// Whether the command is one single-key read or write, finished when
+    /// the table operation returns: such a command runs standalone (except
+    /// on cache tables) and is never shed, while every other one is a
+    /// transaction (see the module docs).
+    pub(crate) fn standalone(&self) -> bool {
+        matches!(
+            self,
+            Cmd::GetB(_) | Cmd::Contains(_) | Cmd::PutB(..) | Cmd::DelB(_)
+        )
+    }
 }
 
 /// The sharded transactional store (see the module docs).
@@ -707,8 +657,7 @@ impl Store {
     }
 
     /// One single-key command in whichever context the caller is in: the
-    /// only definition of `GET`/`PUT`/`DEL`/`CAS`/`CONTAINS`, over [`Value`].
-    /// A fixed-width command is its blob twin with the result narrowed.
+    /// only definition of `GETB`/`PUTB`/`DELB`/`CASB`/`CONTAINS`.
     fn single<C: medley::Ctx>(&self, cx: &mut C, cmd: &Cmd) -> Result<CmdOut, ErrCode> {
         match cmd {
             Cmd::GetB(k) => Ok(CmdOut::ValueB(self.table(*k).get(cx, *k))),
@@ -734,21 +683,6 @@ impl Store {
                 }
                 Ok(CmdOut::CasB { success, current })
             }
-            Cmd::Get(k) => narrow(self.single(cx, &Cmd::GetB(*k))?),
-            Cmd::Put(k, v) => narrow(self.single(cx, &Cmd::PutB(*k, Value::U64(*v)))?),
-            Cmd::Del(k) => narrow(self.single(cx, &Cmd::DelB(*k))?),
-            Cmd::Cas {
-                key,
-                expected,
-                desired,
-            } => {
-                let twin = Cmd::CasB {
-                    key: *key,
-                    expected: Value::U64(*expected),
-                    desired: Value::U64(*desired),
-                };
-                narrow(self.single(cx, &twin)?)
-            }
             // Not a single-key command, so an illegal `BATCH` member (the
             // codec refuses these on the wire; in-process callers hear it here).
             _ => Err(ErrCode::Malformed),
@@ -759,24 +693,15 @@ impl Store {
     /// commands run standalone and which as one transaction).
     pub fn exec(&self, h: &mut ThreadHandle, cmd: &Cmd) -> Result<CmdOut, ErrCode> {
         match cmd {
-            Cmd::Get(_) | Cmd::Contains(_) | Cmd::GetB(_) | Cmd::PutB(..) | Cmd::DelB(_)
-                if !self.point_tx =>
-            {
-                self.single(&mut h.nontx(), cmd)
-            }
+            _ if cmd.standalone() && !self.point_tx => self.single(&mut h.nontx(), cmd),
             Cmd::Batch(cmds) => self.tx(h, |t| {
                 let outs = cmds.iter().map(|c| self.single(t, c));
                 Ok(CmdOut::Batch(outs.collect::<Result<_, _>>()?))
             }),
-            Cmd::MGet(keys) => narrow(self.exec(h, &Cmd::MGetB(keys.clone()))?),
             Cmd::MGetB(keys) => self.tx(h, |t| {
                 let vals = keys.iter().map(|&k| self.table(k).get(t, k));
                 Ok(CmdOut::ValuesB(vals.collect()))
             }),
-            Cmd::MSet(pairs) => {
-                let pairs = pairs.iter().map(|&(k, v)| (k, Value::U64(v)));
-                self.exec(h, &Cmd::MSetB(pairs.collect()))
-            }
             Cmd::MSetB(pairs) => self.tx(h, |t| {
                 for (k, v) in pairs {
                     Self::check_len(v)?;
@@ -785,7 +710,12 @@ impl Store {
                 Ok(CmdOut::Done)
             }),
             Cmd::Transfer { from, to, amount } => self.tx(h, |t| {
-                let mut balance = |k: u64| word(self.table(k).get(t, k))?.ok_or(ErrCode::NotFound);
+                // A balance is a word; an account holding any other value
+                // is `Malformed`.
+                let mut balance = |k: u64| {
+                    let v = self.table(k).get(t, k).ok_or(ErrCode::NotFound)?;
+                    v.as_u64().ok_or(ErrCode::Malformed)
+                };
                 let (a, b) = (balance(*from)?, balance(*to)?);
                 let debited = a.checked_sub(*amount).ok_or(ErrCode::Insufficient)?;
                 let (from_after, to_after) = if from == to {
@@ -840,8 +770,8 @@ impl Store {
                     Ok(CmdOut::Page(page))
                 })
             }
-            // `PUT`/`DEL` (the narrowing can fail after the write), `CAS`/
-            // `CASB` (a read, then a write), and everything on cache tables.
+            // `CASB` (a read, then a write), and every single-key command on
+            // cache tables.
             _ => self.tx(h, |t| self.single(t, cmd)),
         }
     }
@@ -979,12 +909,20 @@ mod tests {
             };
             let (mgr, s, _adv) = store(&cfg);
             let mut h = mgr.register();
-            assert_eq!(s.exec(&mut h, &Cmd::Get(1)), Ok(CmdOut::Value(None)));
-            assert_eq!(s.exec(&mut h, &Cmd::Put(1, 10)), Ok(CmdOut::Prev(None)));
-            assert_eq!(s.exec(&mut h, &Cmd::Put(1, 11)), Ok(CmdOut::Prev(Some(10))));
-            assert_eq!(s.exec(&mut h, &Cmd::Get(1)), Ok(CmdOut::Value(Some(11))));
+            let put = |v| Cmd::PutB(1, Value::U64(v));
+            let had = |v| Ok(CmdOut::PrevB(Some(Value::U64(v))));
+            assert_eq!(s.exec(&mut h, &Cmd::GetB(1)), Ok(CmdOut::ValueB(None)));
+            assert_eq!(s.exec(&mut h, &put(10)), Ok(CmdOut::PrevB(None)));
+            assert_eq!(s.exec(&mut h, &put(11)), had(10));
+            assert_eq!(
+                s.exec(&mut h, &Cmd::GetB(1)),
+                Ok(CmdOut::ValueB(Some(Value::U64(11))))
+            );
             assert_eq!(s.exec(&mut h, &Cmd::Contains(1)), Ok(CmdOut::Present(true)));
-            assert_eq!(s.exec(&mut h, &Cmd::Del(1)), Ok(CmdOut::Removed(Some(11))));
+            assert_eq!(
+                s.exec(&mut h, &Cmd::DelB(1)),
+                Ok(CmdOut::RemovedB(Some(Value::U64(11))))
+            );
             assert_eq!(
                 s.exec(&mut h, &Cmd::Contains(1)),
                 Ok(CmdOut::Present(false))
@@ -996,38 +934,32 @@ mod tests {
     fn cas_succeeds_only_on_match() {
         let (mgr, s, _adv) = store(&StoreConfig::default());
         let mut h = mgr.register();
-        let miss = s.exec(
-            &mut h,
-            &Cmd::Cas {
-                key: 5,
-                expected: 0,
-                desired: 1,
-            },
-        );
+        let cas = |expected, desired| Cmd::CasB {
+            key: 5,
+            expected: Value::U64(expected),
+            desired: Value::U64(desired),
+        };
+        let miss = s.exec(&mut h, &cas(0, 1));
         assert_eq!(
             miss,
-            Ok(CmdOut::Cas {
+            Ok(CmdOut::CasB {
                 success: false,
                 current: None
             })
         );
-        s.exec(&mut h, &Cmd::Put(5, 50)).unwrap();
-        let hit = s.exec(
-            &mut h,
-            &Cmd::Cas {
-                key: 5,
-                expected: 50,
-                desired: 51,
-            },
-        );
+        s.exec(&mut h, &Cmd::PutB(5, Value::U64(50))).unwrap();
+        let hit = s.exec(&mut h, &cas(50, 51));
         assert_eq!(
             hit,
-            Ok(CmdOut::Cas {
+            Ok(CmdOut::CasB {
                 success: true,
-                current: Some(51)
+                current: Some(Value::U64(51))
             })
         );
-        assert_eq!(s.exec(&mut h, &Cmd::Get(5)), Ok(CmdOut::Value(Some(51))));
+        assert_eq!(
+            s.exec(&mut h, &Cmd::GetB(5)),
+            Ok(CmdOut::ValueB(Some(Value::U64(51))))
+        );
     }
 
     #[test]
@@ -1041,11 +973,11 @@ mod tests {
         };
         let (mgr, s, _adv) = store(&cfg);
         let mut h = mgr.register();
-        let pairs: Vec<(u64, u64)> = (0..32).map(|k| (k, 1000)).collect();
-        assert_eq!(s.exec(&mut h, &Cmd::MSet(pairs.clone())), Ok(CmdOut::Done));
+        let pairs: Vec<(u64, Value)> = (0..32).map(|k| (k, Value::U64(1000))).collect();
+        assert_eq!(s.exec(&mut h, &Cmd::MSetB(pairs.clone())), Ok(CmdOut::Done));
         let keys: Vec<u64> = pairs.iter().map(|(k, _)| *k).collect();
-        let got = s.exec(&mut h, &Cmd::MGet(keys)).unwrap();
-        assert_eq!(got, CmdOut::Values(vec![Some(1000); 32]));
+        let got = s.exec(&mut h, &Cmd::MGetB(keys)).unwrap();
+        assert_eq!(got, CmdOut::ValuesB(vec![Some(Value::U64(1000)); 32]));
 
         let t = s
             .exec(
@@ -1101,45 +1033,46 @@ mod tests {
         );
         assert_eq!(s.exec(&mut h, &probe(601)), Err(ErrCode::Insufficient));
         // Failed transfers and probes changed nothing.
-        let got = s.exec(&mut h, &Cmd::MGet(vec![0, 1])).unwrap();
-        assert_eq!(got, CmdOut::Values(vec![Some(600), Some(1400)]));
+        let got = s.exec(&mut h, &Cmd::MGetB(vec![0, 1])).unwrap();
+        let want = [600, 1400].map(|v| Some(Value::U64(v)));
+        assert_eq!(got, CmdOut::ValuesB(want.to_vec()));
     }
 
     #[test]
     fn batch_runs_as_one_transaction() {
         let (mgr, s, _adv) = store(&StoreConfig::default());
         let mut h = mgr.register();
-        s.exec(&mut h, &Cmd::Put(1, 10)).unwrap();
+        s.exec(&mut h, &Cmd::PutB(1, Value::U64(10))).unwrap();
         let out = s
             .exec(
                 &mut h,
                 &Cmd::Batch(vec![
-                    Cmd::Get(1),
-                    Cmd::Put(2, 20),
-                    Cmd::Cas {
+                    Cmd::GetB(1),
+                    Cmd::PutB(2, Value::U64(20)),
+                    Cmd::CasB {
                         key: 1,
-                        expected: 10,
-                        desired: 12,
+                        expected: Value::U64(10),
+                        desired: Value::U64(12),
                     },
-                    Cmd::Del(1),
+                    Cmd::DelB(1),
                 ]),
             )
             .unwrap();
         assert_eq!(
             out,
             CmdOut::Batch(vec![
-                CmdOut::Value(Some(10)),
-                CmdOut::Prev(None),
-                CmdOut::Cas {
+                CmdOut::ValueB(Some(Value::U64(10))),
+                CmdOut::PrevB(None),
+                CmdOut::CasB {
                     success: true,
-                    current: Some(12)
+                    current: Some(Value::U64(12))
                 },
-                CmdOut::Removed(Some(12)),
+                CmdOut::RemovedB(Some(Value::U64(12))),
             ])
         );
         // Multi-key commands are rejected inside a batch.
         assert_eq!(
-            s.exec(&mut h, &Cmd::Batch(vec![Cmd::MGet(vec![1])])),
+            s.exec(&mut h, &Cmd::Batch(vec![Cmd::MGetB(vec![1])])),
             Err(ErrCode::Malformed)
         );
         h.flush_stats();
@@ -1159,11 +1092,14 @@ mod tests {
         // several times over (4 shards × 256 boot buckets × factor 4).
         let n: u64 = 40_000;
         for chunk in (0..n).collect::<Vec<_>>().chunks(512) {
-            let pairs: Vec<(u64, u64)> = chunk.iter().map(|&k| (k, k + 1)).collect();
-            assert_eq!(s.exec(&mut h, &Cmd::MSet(pairs)), Ok(CmdOut::Done));
+            let pairs = chunk.iter().map(|&k| (k, Value::U64(k + 1))).collect();
+            assert_eq!(s.exec(&mut h, &Cmd::MSetB(pairs)), Ok(CmdOut::Done));
         }
         for k in [0, 1, n / 2, n - 1] {
-            assert_eq!(s.exec(&mut h, &Cmd::Get(k)), Ok(CmdOut::Value(Some(k + 1))));
+            assert_eq!(
+                s.exec(&mut h, &Cmd::GetB(k)),
+                Ok(CmdOut::ValueB(Some(Value::U64(k + 1))))
+            );
         }
         let stats = s.stats(&mut h);
         let tables = stats.tables.expect("store stats always carry tables");
@@ -1194,8 +1130,11 @@ mod tests {
         };
         let (mgr, s, _adv) = store(&cfg);
         let mut h = mgr.register();
-        s.exec(&mut h, &Cmd::MSet((0..64).map(|k| (k, k)).collect()))
-            .unwrap();
+        s.exec(
+            &mut h,
+            &Cmd::MSetB((0..64).map(|k| (k, Value::U64(k))).collect()),
+        )
+        .unwrap();
         let tables = s.stats(&mut h).tables.unwrap();
         assert_eq!(tables.grow_events, 0, "fixed tables never grow");
         assert_eq!(tables.shards.len(), 4);
@@ -1228,8 +1167,8 @@ mod tests {
         let mut h = mgr.register();
         let n: u64 = 8_192;
         for chunk in (0..n).collect::<Vec<_>>().chunks(512) {
-            let pairs: Vec<(u64, u64)> = chunk.iter().map(|&k| (k, k * 2)).collect();
-            s.exec(&mut h, &Cmd::MSet(pairs)).unwrap();
+            let pairs = chunk.iter().map(|&k| (k, Value::U64(k * 2))).collect();
+            s.exec(&mut h, &Cmd::MSetB(pairs)).unwrap();
         }
         let tables = s.stats(&mut h).tables.unwrap();
         assert!(
@@ -1258,11 +1197,7 @@ mod tests {
             Ok(CmdOut::ValueB(Some(blob.clone())))
         );
         // Word/blob interop: an exactly-8-byte blob IS the word.
-        s.exec(&mut h, &Cmd::Put(2, 42)).unwrap();
-        assert_eq!(
-            s.exec(&mut h, &Cmd::GetB(2)),
-            Ok(CmdOut::ValueB(Some(Value::U64(42))))
-        );
+        s.exec(&mut h, &Cmd::PutB(2, Value::U64(42))).unwrap();
         assert_eq!(
             s.exec(
                 &mut h,
@@ -1270,13 +1205,11 @@ mod tests {
             ),
             Ok(CmdOut::PrevB(Some(Value::U64(42))))
         );
-        assert_eq!(s.exec(&mut h, &Cmd::Get(2)), Ok(CmdOut::Value(Some(43))));
-        // Fixed-width commands cannot carry a blob: Malformed, nothing lost.
-        assert_eq!(s.exec(&mut h, &Cmd::Get(1)), Err(ErrCode::Malformed));
         assert_eq!(
-            s.exec(&mut h, &Cmd::MGet(vec![2, 1])),
-            Err(ErrCode::Malformed)
+            s.exec(&mut h, &Cmd::GetB(2)),
+            Ok(CmdOut::ValueB(Some(Value::U64(43))))
         );
+        // A transfer balance is a word: over a blob it is Malformed.
         assert_eq!(
             s.exec(
                 &mut h,
@@ -1288,15 +1221,10 @@ mod tests {
             ),
             Err(ErrCode::Malformed)
         );
-        // A fixed-width write that meets a blob cannot report what it
-        // replaced, so it must not replace it.
-        for write in [Cmd::Put(1, 9), Cmd::Del(1)] {
-            assert_eq!(s.exec(&mut h, &write), Err(ErrCode::Malformed));
-            assert_eq!(
-                s.exec(&mut h, &Cmd::GetB(1)),
-                Ok(CmdOut::ValueB(Some(blob.clone())))
-            );
-        }
+        assert_eq!(
+            s.exec(&mut h, &Cmd::GetB(1)),
+            Ok(CmdOut::ValueB(Some(blob.clone())))
+        );
         // Blob CAS is byte-exact.
         assert_eq!(
             s.exec(
@@ -1348,7 +1276,7 @@ mod tests {
                 &Cmd::Batch(vec![
                     Cmd::GetB(10),
                     Cmd::PutB(12, Value::from_bytes(b"xyz")),
-                    Cmd::Del(11),
+                    Cmd::DelB(11),
                     Cmd::DelB(10),
                 ]),
             )
@@ -1358,21 +1286,22 @@ mod tests {
             CmdOut::Batch(vec![
                 CmdOut::ValueB(Some(Value::from_bytes(b"abc"))),
                 CmdOut::PrevB(None),
-                CmdOut::Removed(Some(7)),
+                CmdOut::RemovedB(Some(Value::U64(7))),
                 CmdOut::RemovedB(Some(Value::from_bytes(b"abc"))),
             ])
         );
-        // A legacy op hitting a blob inside a batch aborts the whole batch.
-        assert_eq!(
-            s.exec(&mut h, &Cmd::Batch(vec![Cmd::Put(20, 1), Cmd::Get(12)])),
-            Err(ErrCode::Malformed)
-        );
+        // A member that fails inside a batch aborts the whole batch.
+        let oversized = Value::Bytes(vec![0u8; pmem::MAX_VALUE_BYTES + 1].into());
+        let batch = vec![
+            Cmd::PutB(20, Value::U64(1)),
+            Cmd::PutB(21, oversized.clone()),
+        ];
+        assert_eq!(s.exec(&mut h, &Cmd::Batch(batch)), Err(ErrCode::Malformed));
         assert_eq!(
             s.exec(&mut h, &Cmd::Contains(20)),
             Ok(CmdOut::Present(false))
         );
         // Over-limit values are rejected up front.
-        let oversized = Value::Bytes(vec![0u8; pmem::MAX_VALUE_BYTES + 1].into());
         assert_eq!(
             s.exec(&mut h, &Cmd::PutB(30, oversized)),
             Err(ErrCode::Malformed)
@@ -1392,7 +1321,7 @@ mod tests {
         let mut h = mgr.register();
         let blob = Value::from_bytes(&vec![9u8; 1000]);
         s.exec(&mut h, &Cmd::PutB(1, blob.clone())).unwrap();
-        s.exec(&mut h, &Cmd::Put(2, 22)).unwrap();
+        s.exec(&mut h, &Cmd::PutB(2, Value::U64(22))).unwrap();
         s.sync();
         let rec = s.recover();
         assert_eq!(rec.get(&1), Some(&blob));
@@ -1414,8 +1343,8 @@ mod tests {
             "manual epoch mode must not spawn an advancer"
         );
         let mut h = mgr.register();
-        s.exec(&mut h, &Cmd::MSet(vec![(1, 10), (2, 20), (3, 30)]))
-            .unwrap();
+        let pairs = [(1, 10), (2, 20), (3, 30)].map(|(k, v)| (k, Value::U64(v)));
+        s.exec(&mut h, &Cmd::MSetB(pairs.to_vec())).unwrap();
         assert!(s.recover().is_empty(), "nothing durable before the sync");
         let epoch = s.sync();
         assert!(epoch >= 1, "sync must move the durability horizon: {epoch}");
@@ -1423,7 +1352,7 @@ mod tests {
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.get(&2), Some(&Value::U64(20)));
         // Un-synced later writes are not in the cut.
-        s.exec(&mut h, &Cmd::Put(4, 40)).unwrap();
+        s.exec(&mut h, &Cmd::PutB(4, Value::U64(40))).unwrap();
         assert_eq!(s.recover().len(), 3);
     }
 
@@ -1519,7 +1448,7 @@ mod tests {
         let mut model = std::collections::BTreeMap::new();
         for i in 0..256u64 {
             let k = i.wrapping_mul(stride);
-            s.exec(&mut h, &Cmd::Put(k, i)).unwrap();
+            s.exec(&mut h, &Cmd::PutB(k, Value::U64(i))).unwrap();
             model.insert(k, i);
         }
         let page = |s: &Store, h: &mut ThreadHandle, lo, hi, limit| match s
@@ -1588,7 +1517,8 @@ mod tests {
         let mut h = mgr.register();
         let stride = u64::MAX / 64;
         for i in 0..64u64 {
-            s.exec(&mut h, &Cmd::Put(i * stride, i)).unwrap();
+            s.exec(&mut h, &Cmd::PutB(i * stride, Value::U64(i)))
+                .unwrap();
         }
         match s
             .exec(
@@ -1626,8 +1556,8 @@ mod tests {
             Err(ErrCode::Capacity)
         );
         assert_eq!(
-            s.exec(&mut h, &Cmd::MGet((0..64).collect())),
-            Ok(CmdOut::Values(vec![None; 64])),
+            s.exec(&mut h, &Cmd::MGetB((0..64).collect())),
+            Ok(CmdOut::ValuesB(vec![None; 64])),
             "an MSETB that cannot commit leaves no key behind"
         );
         let stats = s.stats(&mut h);
@@ -1672,12 +1602,15 @@ mod tests {
         let (mgr, s, _adv) = store(&cfg);
         let mut h = mgr.register();
         for k in 0..500u64 {
-            s.exec(&mut h, &Cmd::Put(k, k)).unwrap();
+            s.exec(&mut h, &Cmd::PutB(k, Value::U64(k))).unwrap();
         }
         // The most recent key is still cached; the first admitted is long
         // evicted (no hits so far, so eviction ran pure FIFO).
-        assert_eq!(s.exec(&mut h, &Cmd::Get(499)), Ok(CmdOut::Value(Some(499))));
-        assert_eq!(s.exec(&mut h, &Cmd::Get(0)), Ok(CmdOut::Value(None)));
+        assert_eq!(
+            s.exec(&mut h, &Cmd::GetB(499)),
+            Ok(CmdOut::ValueB(Some(Value::U64(499))))
+        );
+        assert_eq!(s.exec(&mut h, &Cmd::GetB(0)), Ok(CmdOut::ValueB(None)));
         let tables = s.stats(&mut h).tables.unwrap();
         assert_eq!(tables.partition, PartitionScheme::Hash);
         let cache = tables.cache.expect("cache stores report cache tallies");
@@ -1695,14 +1628,15 @@ mod tests {
         assert!(live <= 64, "live entries {live} exceed the capacity");
         // Multi-key and batch commands compose over cache shards too.
         assert_eq!(
-            s.exec(&mut h, &Cmd::MGet(vec![499, 0])),
-            Ok(CmdOut::Values(vec![Some(499), None]))
+            s.exec(&mut h, &Cmd::MGetB(vec![499, 0])),
+            Ok(CmdOut::ValuesB(vec![Some(Value::U64(499)), None]))
         );
+        let batch = vec![Cmd::PutB(1000, Value::U64(1)), Cmd::GetB(1000)];
         assert_eq!(
-            s.exec(&mut h, &Cmd::Batch(vec![Cmd::Put(1000, 1), Cmd::Get(1000)])),
+            s.exec(&mut h, &Cmd::Batch(batch)),
             Ok(CmdOut::Batch(vec![
-                CmdOut::Prev(None),
-                CmdOut::Value(Some(1))
+                CmdOut::PrevB(None),
+                CmdOut::ValueB(Some(Value::U64(1)))
             ]))
         );
     }

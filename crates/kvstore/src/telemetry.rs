@@ -33,18 +33,12 @@ use std::time::{Duration, Instant};
 /// The opcodes the registry tracks, in registry-index order (admin opcodes
 /// are deliberately absent: `STATS`/`METRICS`/`TRACE` must not perturb the
 /// series they report).
-pub(crate) const TRACKED_OPS: [u8; 16] = [
-    proto::OP_GET,
-    proto::OP_PUT,
-    proto::OP_DEL,
-    proto::OP_CAS,
+pub(crate) const TRACKED_OPS: [u8; 10] = [
     proto::OP_CONTAINS,
     proto::OP_GETB,
     proto::OP_PUTB,
     proto::OP_DELB,
     proto::OP_CASB,
-    proto::OP_MGET,
-    proto::OP_MSET,
     proto::OP_TRANSFER,
     proto::OP_BATCH,
     proto::OP_MGETB,
@@ -54,8 +48,7 @@ pub(crate) const TRACKED_OPS: [u8; 16] = [
 
 /// Exposition label per tracked opcode, parallel to `TRACKED_OPS`.
 pub const OP_LABELS: &[&str] = &[
-    "get", "put", "del", "cas", "contains", "get_b", "put_b", "del_b", "cas_b", "mget", "mset",
-    "transfer", "batch", "mget_b", "mset_b", "scan",
+    "contains", "get_b", "put_b", "del_b", "cas_b", "transfer", "batch", "mget_b", "mset_b", "scan",
 ];
 
 /// Abort/error-reason labels, indexed by [`ErrCode`] discriminant order
@@ -379,7 +372,7 @@ mod tests {
     #[test]
     fn metrics_reply_folds_workers_and_omits_idle_ops() {
         let tel = Telemetry::new(&TelemetryConfig::default(), 2);
-        let get = op_index(proto::OP_GET).unwrap();
+        let get = op_index(proto::OP_GETB).unwrap();
         let transfer = op_index(proto::OP_TRANSFER).unwrap();
         tel.worker(0).record_op(get, 1_000, 0);
         tel.worker(1).record_op(get, 3_000, 0);
@@ -393,7 +386,7 @@ mod tests {
         let g = reply
             .ops
             .iter()
-            .find(|o| o.opcode == proto::OP_GET)
+            .find(|o| o.opcode == proto::OP_GETB)
             .unwrap();
         assert_eq!(g.hist.total(), 2, "workers fold into one histogram");
         let t = reply
@@ -418,7 +411,7 @@ mod tests {
         );
         for i in 0..3u64 {
             tel.trace(0).push(TraceRecord {
-                opcode: proto::OP_PUT,
+                opcode: proto::OP_PUTB,
                 status: 0,
                 req_id: i,
                 queue_ns: 0,
@@ -427,7 +420,7 @@ mod tests {
             });
         }
         tel.trace(1).push(TraceRecord {
-            opcode: proto::OP_GET,
+            opcode: proto::OP_GETB,
             status: 0,
             req_id: 100,
             queue_ns: 0,
@@ -443,7 +436,7 @@ mod tests {
     fn exporter_serves_the_exposition_page() {
         let tel = Arc::new(Telemetry::new(&TelemetryConfig::default(), 1));
         tel.worker(0)
-            .record_op(op_index(proto::OP_GET).unwrap(), 5_000, 0);
+            .record_op(op_index(proto::OP_GETB).unwrap(), 5_000, 0);
         let exporter = MetricsExporter::start("127.0.0.1:0", Arc::clone(&tel)).unwrap();
         let mut stream = std::net::TcpStream::connect(exporter.local_addr()).unwrap();
         stream
@@ -453,7 +446,7 @@ mod tests {
         stream.read_to_string(&mut page).unwrap();
         assert!(page.starts_with("HTTP/1.1 200 OK"));
         assert!(page.contains("kvstore_uptime_seconds"));
-        assert!(page.contains("kvstore_op_latency_ns_bucket{op=\"get\""));
+        assert!(page.contains("kvstore_op_latency_ns_bucket{op=\"get_b\""));
         exporter.shutdown();
     }
 }

@@ -17,10 +17,10 @@
 //!
 //! A value of **exactly 8 bytes is always represented as `U64`** (little
 //! endian).  [`Value::from_bytes`] enforces this, and every decoder in the
-//! stack builds values through it.  The invariant is what makes the legacy
-//! fixed-width wire ops (`GET`/`PUT`/...) and the blob ops (`GETB`/`PUTB`/
-//! ...) interoperate: `PUT k 5` and `PUTB k <5u64 LE>` store the same value,
-//! and equality (e.g. `CASB`) never depends on which op family wrote it.
+//! stack builds values through it.  The invariant is what makes an 8-byte
+//! wire value a word: `PUTB k <5u64 LE>` stores `U64(5)`, which `kvstore`'s
+//! `TRANSFER` reads as a balance, and equality (e.g. `CASB`) never depends
+//! on how a client spelled the value.
 
 use std::sync::Arc;
 

@@ -136,8 +136,8 @@ fn one_byte_writes_and_tiny_rcvbuf_preserve_framing_and_order() {
 
 #[test]
 fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
-    // Same torture on the fixed-width family, mixing in a CAS and a
-    // TRANSFER so transactional paths cross the fragmented transport too.
+    // Same torture on word values, mixing in a CAS and a TRANSFER so
+    // transactional paths cross the fragmented transport too.
     let server = Server::start(&ServerConfig::default()).expect("start server");
     let addr = server.local_addr();
 
@@ -145,15 +145,15 @@ fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
     proto::encode_request(
         &mut wire,
         7,
-        &Request::Cmd(Cmd::MSet(vec![(1, 100), (2, 50)])),
+        &Request::Cmd(Cmd::MSetB(vec![(1, Value::U64(100)), (2, Value::U64(50))])),
     );
     proto::encode_request(
         &mut wire,
         8,
-        &Request::Cmd(Cmd::Cas {
+        &Request::Cmd(Cmd::CasB {
             key: 1,
-            expected: 100,
-            desired: 90,
+            expected: Value::U64(100),
+            desired: Value::U64(90),
         }),
     );
     proto::encode_request(
@@ -165,7 +165,7 @@ fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
             amount: 40,
         }),
     );
-    proto::encode_request(&mut wire, 10, &Request::Cmd(Cmd::MGet(vec![1, 2])));
+    proto::encode_request(&mut wire, 10, &Request::Cmd(Cmd::MGetB(vec![1, 2])));
 
     let got = dribble_roundtrip(addr, &wire, &[], 4);
     let ids: Vec<u32> = got.iter().map(|(id, _)| *id).collect();
@@ -173,9 +173,9 @@ fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
     assert_eq!(got[0].1, Response::Ok(CmdOut::Done));
     assert_eq!(
         got[1].1,
-        Response::Ok(CmdOut::Cas {
+        Response::Ok(CmdOut::CasB {
             success: true,
-            current: Some(90)
+            current: Some(Value::U64(90))
         })
     );
     assert_eq!(
@@ -187,7 +187,10 @@ fn dribbled_word_pipeline_interleaves_with_legacy_ops() {
     );
     assert_eq!(
         got[3].1,
-        Response::Ok(CmdOut::Values(vec![Some(50), Some(90)]))
+        Response::Ok(CmdOut::ValuesB(vec![
+            Some(Value::U64(50)),
+            Some(Value::U64(90))
+        ]))
     );
     server.shutdown();
 }

@@ -14,7 +14,7 @@
 //!   table section must report elastic shards, summed item counts matching
 //!   the load, grown bucket counts, and nonzero grow events.
 
-use integration_tests::StopOnDrop;
+use integration_tests::{mget_words, mset_words, StopOnDrop};
 use medley::{AbortReason, TxManager, TxResult};
 use nbds::SplitOrderedMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -182,10 +182,10 @@ fn stats_reports_elastic_growth_over_the_wire() {
     let mut c = Client::connect(addr).expect("connect");
     let pairs: Vec<(u64, u64)> = (0..KEYS).map(|k| (k, k)).collect();
     for chunk in pairs.chunks(512) {
-        c.mset(chunk).expect("load mset");
+        mset_words(&mut c, chunk).expect("load mset");
     }
     // A cross-shard atomic read still works on the grown tables.
-    let got = c.mget(&[0, 1, KEYS - 1]).expect("mget");
+    let got = mget_words(&mut c, &[0, 1, KEYS - 1]).expect("mget");
     assert_eq!(got, vec![Some(0), Some(1), Some(KEYS - 1)]);
 
     let stats = c.stats().expect("stats");

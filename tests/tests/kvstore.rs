@@ -3,7 +3,7 @@
 //!
 //! * `transfer_stress_conserves_over_loopback` — 8 pipelined client
 //!   connections hammer `TRANSFER` over a hot zipfian keyset while
-//!   read-only `MGET` audits — interleaved on those connections and
+//!   read-only `MGETB` audits — interleaved on those connections and
 //!   back-to-back on a ninth — assert the total balance is conserved *in
 //!   every atomic snapshot*, not just at the end; afterwards the exact
 //!   post-drain statistics must show real contention (`conflict_aborts >
@@ -16,8 +16,10 @@
 //!   it back over the wire.
 
 use bench::workload::KeyDist;
-use kvstore::{Client, KvError, Server, ServerConfig, StoreBackend, StoreConfig, TableKind};
+use integration_tests::{mget_words, mset_words};
+use kvstore::{Client, Cmd, KvError, Server, ServerConfig, StoreBackend, StoreConfig, TableKind};
 use medley::util::FastRng;
+use pmem::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -47,7 +49,7 @@ fn transfer_stress_conserves_over_loopback() {
     {
         let mut c = Client::connect(addr).expect("preload");
         let pairs: Vec<(u64, u64)> = (0..ACCOUNTS).map(|k| (k, INITIAL)).collect();
-        c.mset(&pairs).expect("preload mset");
+        mset_words(&mut c, &pairs).expect("preload mset");
     }
 
     /// Counts a transfer client as finished however it exits, so a panic in
@@ -62,7 +64,7 @@ fn transfer_stress_conserves_over_loopback() {
     let finished = &finished;
 
     let audits = std::thread::scope(|s| {
-        // One more client does nothing but audit: back-to-back MGETs over
+        // One more client does nothing but audit: back-to-back MGETBs over
         // all accounts for as long as transfers run, every reply of which
         // must conserve the total.
         let auditor = s.spawn(move || {
@@ -70,7 +72,7 @@ fn transfer_stress_conserves_over_loopback() {
             let keys: Vec<u64> = (0..ACCOUNTS).collect();
             let mut audits = 0u64;
             while finished.load(Ordering::Relaxed) < CONNECTIONS {
-                let vals = c.mget(&keys).expect("audit mget");
+                let vals = mget_words(&mut c, &keys).expect("audit mget");
                 let sum: u64 = vals.iter().map(|v| v.expect("account present")).sum();
                 assert_eq!(sum, ACCOUNTS * INITIAL, "audit client saw a torn state");
                 audits += 1;
@@ -85,11 +87,11 @@ fn transfer_stress_conserves_over_loopback() {
                 let mut rng = FastRng::new(0x7AA + t as u64);
                 for i in 1..=ROUNDS {
                     if i.is_multiple_of(64) {
-                        // Read-only audit: one atomic MGET snapshot across
+                        // Read-only audit: one atomic MGETB snapshot across
                         // all shards must conserve the total even while
                         // transfers are mid-flight on other connections.
                         let keys: Vec<u64> = (0..ACCOUNTS).collect();
-                        let vals = c.mget(&keys).expect("audit mget");
+                        let vals = mget_words(&mut c, &keys).expect("audit mget");
                         let sum: u64 = vals.iter().map(|v| v.expect("account present")).sum();
                         assert_eq!(sum, ACCOUNTS * INITIAL, "audit saw a torn state");
                         continue;
@@ -111,13 +113,13 @@ fn transfer_stress_conserves_over_loopback() {
         }
         auditor.join().expect("audit client panicked")
     });
-    assert!(audits > 0, "the audit client never completed an MGET");
+    assert!(audits > 0, "the audit client never completed an MGETB");
 
     // Final conservation check over the wire.
     {
         let mut c = Client::connect(addr).expect("final check");
         let keys: Vec<u64> = (0..ACCOUNTS).collect();
-        let vals = c.mget(&keys).expect("final mget");
+        let vals = mget_words(&mut c, &keys).expect("final mget");
         let sum: u64 = vals.iter().map(|v| v.expect("account present")).sum();
         assert_eq!(sum, ACCOUNTS * INITIAL, "transfers must conserve balance");
     }
@@ -172,7 +174,7 @@ fn scan_stress_conserves_over_loopback() {
     {
         let mut c = Client::connect(addr).expect("preload");
         let pairs: Vec<(u64, u64)> = (0..ACCOUNTS).map(|i| (i * stride, INITIAL)).collect();
-        c.mset(&pairs).expect("preload mset");
+        mset_words(&mut c, &pairs).expect("preload mset");
     }
 
     std::thread::scope(|s| {
@@ -258,14 +260,14 @@ fn durable_restart_recovers_sync_acked_state() {
     let mut rng = FastRng::new(42);
     for k in 0..64u64 {
         let v = rng.next_u64() >> 1;
-        c.put(k, v).expect("put");
+        c.put_b(k, &v.to_le_bytes()).expect("put");
         expected.insert(k, v);
     }
     for k in (0..64u64).step_by(3) {
-        c.del(k).expect("del");
+        c.del_b(k).expect("del");
         expected.remove(&k);
     }
-    c.mset(&[(100, 1), (101, 2), (102, 3)]).expect("mset");
+    mset_words(&mut c, &[(100, 1), (101, 2), (102, 3)]).expect("mset");
     expected.extend([(100, 1), (101, 2), (102, 3)]);
 
     // The durability cut: everything above is acknowledged durable.
@@ -275,9 +277,9 @@ fn durable_restart_recovers_sync_acked_state() {
     // Post-sync writes: acknowledged, but *not* covered by the cut (the
     // epoch clock is manual, so nothing advances past them).
     for k in 200..232u64 {
-        c.put(k, k).expect("post-sync put");
+        c.put_b(k, &k.to_le_bytes()).expect("post-sync put");
     }
-    c.del(101).expect("post-sync del");
+    c.del_b(101).expect("post-sync del");
     drop(c);
 
     // "Crash": stop the server without another sync.
@@ -298,19 +300,20 @@ fn durable_restart_recovers_sync_acked_state() {
     let mut c = Client::connect(server2.local_addr()).expect("reconnect");
     let pairs: Vec<(u64, u64)> = recovered.iter().map(|(&k, &v)| (k, v)).collect();
     for chunk in pairs.chunks(256) {
-        c.mset(chunk).expect("reload");
+        mset_words(&mut c, chunk).expect("reload");
     }
     for (&k, &v) in &expected {
-        assert_eq!(c.get(k).expect("get"), Some(v), "key {k} after restart");
+        let got = c.get_b(k).expect("get");
+        assert_eq!(got, Some(Value::U64(v)), "key {k} after restart");
     }
     assert_eq!(
-        c.get(201).expect("get"),
+        c.get_b(201).expect("get"),
         None,
         "un-synced write must be lost"
     );
     assert_eq!(
-        c.get(101).expect("get"),
-        Some(2),
+        c.get_b(101).expect("get"),
+        Some(Value::U64(2)),
         "un-synced delete must be rolled back by recovery"
     );
     drop(c);
@@ -319,7 +322,7 @@ fn durable_restart_recovers_sync_acked_state() {
 
 #[test]
 fn batch_transactions_over_the_wire_are_atomic() {
-    // A BATCH is one transaction: a concurrent reader pipelining MGETs must
+    // A BATCH is one transaction: a concurrent reader pipelining MGETBs must
     // never observe a partially applied batch (the two keys are flipped
     // together every time).
     const FLIPS: u64 = 400;
@@ -327,21 +330,21 @@ fn batch_transactions_over_the_wire_are_atomic() {
     let addr = server.local_addr();
     {
         let mut c = Client::connect(addr).expect("preload");
-        c.mset(&[(1, 0), (2, 1)]).expect("mset");
+        mset_words(&mut c, &[(1, 0), (2, 1)]).expect("mset");
     }
     std::thread::scope(|s| {
         s.spawn(move || {
             let mut c = Client::connect(addr).expect("writer");
             for i in 0..FLIPS {
                 let (a, b) = ((i + 1) % 2, i % 2);
-                c.batch(vec![kvstore::Cmd::Put(1, a), kvstore::Cmd::Put(2, b)])
-                    .expect("batch");
+                let put = |k, v| Cmd::PutB(k, Value::U64(v));
+                c.batch(vec![put(1, a), put(2, b)]).expect("batch");
             }
         });
         s.spawn(move || {
             let mut c = Client::connect(addr).expect("reader");
             for _ in 0..FLIPS {
-                let vals = c.mget(&[1, 2]).expect("mget");
+                let vals = mget_words(&mut c, &[1, 2]).expect("mget");
                 let (a, b) = (vals[0].unwrap(), vals[1].unwrap());
                 assert_eq!(a + b, 1, "snapshot split a batch: {a} + {b}");
             }
@@ -369,7 +372,7 @@ fn durable_server_with_live_advancer_recovers_prefix() {
     let mut c = Client::connect(addr).expect("connect");
     for round in 1..=200u64 {
         for k in 0..8u64 {
-            c.put(k, round).expect("put");
+            c.put_b(k, &round.to_le_bytes()).expect("put");
         }
     }
     let synced_epoch = c.sync().expect("sync");
@@ -380,7 +383,7 @@ fn durable_server_with_live_advancer_recovers_prefix() {
     for k in 0..8u64 {
         assert_eq!(
             rec.get(&k),
-            Some(&pmem::Value::U64(200)),
+            Some(&Value::U64(200)),
             "final sync must cover key {k}"
         );
     }

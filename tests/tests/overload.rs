@@ -15,6 +15,7 @@ use kvstore::{
     Client, Cmd, ErrCode, KvError, OverloadConfig, Request, Response, Server, ServerConfig,
     StoreConfig,
 };
+use pmem::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -44,10 +45,10 @@ fn shed_transfer_has_no_partial_effects() {
     let server = always_shedding_server(2);
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
-    // Preload through single-key PUTs: those are never shed (they cost
+    // Preload through single-key PUTBs: those are never shed (they cost
     // about as much as the shed response would).
     for k in 0..ACCOUNTS {
-        c.put(k, INITIAL).expect("preload put");
+        c.put_b(k, &INITIAL.to_le_bytes()).expect("preload put");
     }
 
     // Every transfer is refused at admission — before execution — so no
@@ -68,12 +69,12 @@ fn shed_transfer_has_no_partial_effects() {
         }
     }
 
-    // Audit through single-key GETs (an MGET would itself be shed): every
+    // Audit through single-key GETBs (an MGETB would itself be shed): every
     // balance is exactly the preload value.
     for k in 0..ACCOUNTS {
         assert_eq!(
-            c.get(k).expect("audit get"),
-            Some(INITIAL),
+            c.get_b(k).expect("audit get"),
+            Some(Value::U64(INITIAL)),
             "shed transfer must leave key {k} untouched"
         );
     }
@@ -84,8 +85,8 @@ fn shed_transfer_has_no_partial_effects() {
 fn typed_client_retries_overload_with_bounded_budget() {
     let server = always_shedding_server(1);
     let mut c = Client::connect(server.local_addr()).expect("connect");
-    c.put(1, 10).expect("put");
-    c.put(2, 10).expect("put");
+    c.put_b(1, &10u64.to_le_bytes()).expect("put");
+    c.put_b(2, &10u64.to_le_bytes()).expect("put");
 
     // The typed API absorbs Overload with jittered resends, but the budget
     // is bounded: against a permanently shedding server the error must
@@ -104,7 +105,7 @@ fn typed_client_retries_overload_with_bounded_budget() {
         "retry budget must bound the stall"
     );
     // The connection stays healthy for non-shed traffic afterwards.
-    assert_eq!(c.get(1).expect("get"), Some(10));
+    assert_eq!(c.get_b(1).expect("get"), Some(Value::U64(10)));
     server.shutdown();
 }
 
@@ -113,7 +114,7 @@ fn pipelined_req_ids_stay_ordered_across_shed_responses() {
     let server = always_shedding_server(1);
     let mut c = Client::connect(server.local_addr()).expect("connect");
     for k in 0..4u64 {
-        c.put(k, 5).expect("preload put");
+        c.put_b(k, &5u64.to_le_bytes()).expect("preload put");
     }
 
     // Pipeline a mix where shed (transactional) and served (single-key)
@@ -124,7 +125,7 @@ fn pipelined_req_ids_stay_ordered_across_shed_responses() {
     for i in 0..40u64 {
         match i % 4 {
             0 => {
-                c.send(&Request::Cmd(Cmd::Get(i % 4))).expect("send");
+                c.send(&Request::Cmd(Cmd::GetB(i % 4))).expect("send");
                 expected.push("ok");
             }
             1 => {
@@ -137,7 +138,7 @@ fn pipelined_req_ids_stay_ordered_across_shed_responses() {
                 expected.push("overload");
             }
             2 => {
-                c.send(&Request::Cmd(Cmd::MGet(vec![0, 1]))).expect("send");
+                c.send(&Request::Cmd(Cmd::MGetB(vec![0, 1]))).expect("send");
                 expected.push("overload");
             }
             _ => {
@@ -162,10 +163,10 @@ fn pipelined_req_ids_stay_ordered_across_shed_responses() {
 fn stats_report_shed_and_load_counters() {
     let server = always_shedding_server(1);
     let mut c = Client::connect(server.local_addr()).expect("connect");
-    c.put(1, 1).expect("put");
+    c.put_b(1, &1u64.to_le_bytes()).expect("put");
     for _ in 0..5 {
         match c
-            .call(&Request::Cmd(Cmd::MGet(vec![1])))
+            .call(&Request::Cmd(Cmd::MGetB(vec![1])))
             .expect("transport")
         {
             Response::Err(ErrCode::Overload) => {}
@@ -185,14 +186,12 @@ fn stats_report_shed_and_load_counters() {
     server.shutdown();
 }
 
-/// One hand-encoded `GET(0)` request frame (little-endian length prefix,
-/// req id, opcode, key) — the flood payload.
-fn raw_get_frame(req_id: u32) -> [u8; 17] {
-    let mut f = [0u8; 17];
-    f[..4].copy_from_slice(&13u32.to_le_bytes());
-    f[4..8].copy_from_slice(&req_id.to_le_bytes());
-    f[8] = 0x01;
-    // key 0 already zeroed.
+/// One `GETB(0)` request frame (length prefix, req id, opcode, key: 17
+/// bytes, which the flood bounds below count on) — the flood payload.
+fn getb_frame(req_id: u32) -> Vec<u8> {
+    let mut f = Vec::with_capacity(17);
+    kvstore::proto::encode_request(&mut f, req_id, &Request::Cmd(Cmd::GetB(0)));
+    assert_eq!(f.len(), 17, "the flood bounds assume 17-byte frames");
     f
 }
 
@@ -242,7 +241,7 @@ fn flooding_connection_is_bounded_and_does_not_starve_others() {
     // The frame being written and how much of it the socket took: a short
     // write keeps the tail for the next pass, or the stream loses its
     // framing and the server closes it as hostile.
-    let (mut frame, mut sent) = (raw_get_frame(req_id), 0);
+    let (mut frame, mut sent) = (getb_frame(req_id), 0);
     let mut stalled_passes = 0u32;
     let deadline = Instant::now() + Duration::from_secs(10);
     while stalled_passes < 40 && Instant::now() < deadline {
@@ -252,7 +251,7 @@ fn flooding_connection_is_bounded_and_does_not_starve_others() {
                 sent += n;
                 if sent == frame.len() {
                     req_id = req_id.wrapping_add(1);
-                    (frame, sent) = (raw_get_frame(req_id), 0);
+                    (frame, sent) = (getb_frame(req_id), 0);
                 }
                 stalled_passes = 0;
             }
@@ -290,8 +289,9 @@ fn flooding_connection_is_bounded_and_does_not_starve_others() {
     // well-behaved connection on the same worker still gets full service.
     let mut c = Client::connect(addr).expect("connect");
     for k in 0..50u64 {
-        c.put(k, k + 1).expect("put during flood");
-        assert_eq!(c.get(k).expect("get during flood"), Some(k + 1));
+        let v = k + 1;
+        c.put_b(k, &v.to_le_bytes()).expect("put during flood");
+        assert_eq!(c.get_b(k).expect("get during flood"), Some(Value::U64(v)));
     }
     assert!(
         c.transfer(1, 2, 1).is_ok(),
@@ -311,7 +311,8 @@ fn flooding_connection_is_bounded_and_does_not_starve_others() {
             break;
         }
         drained += n as u64;
-        // A `GET` response is at most 19 bytes for each 17-byte request.
+        // A `GETB` response is at most 19 bytes (key 0 holds a word) for
+        // each 17-byte request.
         if drained > 2 * accepted {
             panic!("server wrote more response bytes than the flood asked for");
         }

@@ -381,13 +381,14 @@ fn store_scan_matches_btreemap_model() {
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for _ in 0..(1 + rng.next_below(200)) {
             let (k, v) = (rng.next_u64(), rng.next_below(1_000));
-            store.exec(&mut h, &Cmd::Put(k, v)).expect("put");
+            let put = Cmd::PutB(k, pmem::Value::U64(v));
+            store.exec(&mut h, &put).expect("put");
             model.insert(k, v);
         }
         // A few removes keep the model honest about absent keys.
         let keys: Vec<u64> = model.keys().copied().collect();
         for k in keys.iter().step_by(5) {
-            store.exec(&mut h, &Cmd::Del(*k)).expect("del");
+            store.exec(&mut h, &Cmd::DelB(*k)).expect("del");
             model.remove(k);
         }
         for _ in 0..8 {

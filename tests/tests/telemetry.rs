@@ -27,7 +27,7 @@ use kvstore::{Client, Server, ServerConfig, StoreConfig, TableKind, TelemetryCon
 use medley::{ThreadHandle, TxManager};
 use nbds::{MichaelHashMap, SkipList, SplitOrderedMap, TxMap};
 use obs::{MetricsRegistry, RegistrySpec, TraceRecord, TraceRing};
-use pmem::{NvmCostModel, PersistenceDomain};
+use pmem::{NvmCostModel, PersistenceDomain, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -87,14 +87,15 @@ fn metrics_attribute_ops_and_aborts_over_loopback() {
     let server = Server::start(&cfg).expect("start server");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
+    let (v1000, v2000) = (1000u64.to_le_bytes(), 2000u64.to_le_bytes());
     for k in 0..32u64 {
-        c.put(k, 1000).expect("put");
+        c.put_b(k, &v1000).expect("put");
     }
     for k in 0..32u64 {
-        assert_eq!(c.get(k).expect("get"), Some(1000));
+        assert_eq!(c.get_b(k).expect("get"), Some(Value::U64(1000)));
     }
     for k in 0..8u64 {
-        c.cas(k, 1000, 2000).expect("cas");
+        c.cas_b(k, &v1000, &v2000).expect("cas");
     }
     for k in 0..8u64 {
         c.transfer(k, k + 8, 1).expect("transfer");
@@ -126,7 +127,7 @@ fn metrics_attribute_ops_and_aborts_over_loopback() {
         .expect("telemetry on by default")
         .render_prometheus();
     assert!(page.contains("kvstore_uptime_seconds"));
-    assert!(page.contains("kvstore_op_latency_ns_bucket{op=\"get\""));
+    assert!(page.contains("kvstore_op_latency_ns_bucket{op=\"get_b\""));
     assert!(page.contains("kvstore_op_aborts_total"));
 
     server.shutdown();
@@ -156,7 +157,7 @@ fn trace_with_zero_threshold_captures_every_request() {
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     for k in 0..COMMANDS {
-        c.put(k, k).expect("put");
+        c.put_b(k, &k.to_le_bytes()).expect("put");
     }
     // TRACE itself is an admin command and must not trace itself.
     let t = c.trace().expect("trace");
