@@ -11,9 +11,10 @@
 //! flag, `--flag=value`, a flag missing its value) prints the usage and
 //! exits with status 2.
 //!
-//! Telemetry is on by default; `--no-telemetry` disables it.
-//! `--metrics-addr HOST:PORT` additionally serves the Prometheus text
-//! exposition at `/metrics` on a dedicated thread.  `--slow-us` sets the
+//! Telemetry is on by default; `--no-telemetry` turns off its clock reads
+//! (latency histograms, phase time and slow-request traces stay empty; the
+//! counts are kept).  `--metrics-addr HOST:PORT` additionally serves the
+//! Prometheus text exposition at `/metrics` on a dedicated thread.  `--slow-us` sets the
 //! slow-request trace threshold (0 traces everything) and `--trace-cap`
 //! the per-worker ring capacity.
 //!
@@ -188,7 +189,8 @@ fn main() {
     // glance whether the run was healthy.
     if let Some(tel) = server.telemetry() {
         let m = tel.metrics_reply();
-        if let Some(top) = m.ops.iter().max_by_key(|o| o.hist.total()) {
+        let timed = m.ops.iter().filter(|o| o.hist.total() > 0);
+        if let Some(top) = timed.max_by_key(|o| o.hist.total()) {
             let (p50, p90, p99) = top.hist.percentiles_ns();
             println!(
                 "telemetry: busiest opcode 0x{:02x}: {} reqs, p50/p90/p99 = {}/{}/{} ns, {} retries",

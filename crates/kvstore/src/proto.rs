@@ -188,7 +188,9 @@ const ST_ERR_MALFORMED: u8 = 0x20;
 pub enum Request {
     /// A data command executed by the store core.
     Cmd(Cmd),
-    /// Aggregated `TxStatsSnapshot` (+ `DomainStats` in durable mode).
+    /// Aggregated `TxStatsSnapshot` (+ `DomainStats` in durable mode, the
+    /// table section, and from a server its uptime, load and event-loop
+    /// sections).
     Stats,
     /// Durability cut: everything completed before the reply is recoverable.
     Sync,

@@ -40,24 +40,22 @@
 //! the epoch advancer is stopped *after* the workers, so every committed
 //! update still has a ticking clock while requests are in flight.
 
-use crate::proto::{
-    self, EventStats, LoadStats, MetricsReply, Request, Response, TraceReply, WorkerEvents,
-};
+use crate::proto::{self, EventStats, LoadStats, Request, Response, StatsReply};
 use crate::store::{ErrCode, Store, StoreConfig};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::telemetry::{
-    self, MetricsExporter, Telemetry, TelemetryConfig, PHASE_DECODE, PHASE_EPOLL_WAIT,
-    PHASE_EXECUTE, PHASE_FLUSH,
+    self, MetricsExporter, Telemetry, TelemetryConfig, ACCEPT_RETRIES, EPOLL_WAITS,
+    EVENTS_DISPATCHED, PHASE_DECODE, PHASE_EPOLL_WAIT, PHASE_EXECUTE, PHASE_FLUSH,
+    SPURIOUS_WAKEUPS, WRITEV_SAVED,
 };
-use medley::util::CachePadded;
 use medley::{ThreadHandle, TxManager};
-use obs::TraceRecord;
+use obs::{TraceRecord, WorkerMetrics};
 use pmem::EpochAdvancer;
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -139,133 +137,6 @@ impl Default for OverloadConfig {
             conn_inflight: 64,
             shed_high: 1 << 20,
             shed_low: 256 << 10,
-        }
-    }
-}
-
-/// Shared load/admission counters, written by workers and the acceptor,
-/// reported through `STATS` (and [`Server::load_stats`]).
-struct ServerLoad {
-    shed: AtomicU64,
-    accept_retries: AtomicU64,
-    peak_backlog: AtomicU64,
-    /// Per-worker backlog bytes, one padded slot each (no false sharing on
-    /// the per-pass store).
-    backlog: Vec<CachePadded<AtomicU64>>,
-}
-
-impl ServerLoad {
-    fn new(workers: usize) -> Self {
-        Self {
-            shed: AtomicU64::new(0),
-            accept_retries: AtomicU64::new(0),
-            peak_backlog: AtomicU64::new(0),
-            backlog: (0..workers)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_accept_retry(&self) {
-        self.accept_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn set_backlog(&self, slot: usize, bytes: u64) {
-        self.backlog[slot].store(bytes, Ordering::Relaxed);
-        let total: u64 = self.backlog.iter().map(|b| b.load(Ordering::Relaxed)).sum();
-        self.peak_backlog.fetch_max(total, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> LoadStats {
-        LoadStats {
-            shed_requests: self.shed.load(Ordering::Relaxed),
-            inflight_bytes: self.backlog.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
-            peak_inflight_bytes: self.peak_backlog.load(Ordering::Relaxed),
-            accept_retries: self.accept_retries.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One worker's event-loop counters (padded slot: each worker writes only
-/// its own cache line).
-struct WorkerEventCounters {
-    epoll_waits: AtomicU64,
-    events_dispatched: AtomicU64,
-    spurious_wakeups: AtomicU64,
-    writev_saved: AtomicU64,
-}
-
-impl WorkerEventCounters {
-    fn new() -> Self {
-        Self {
-            epoll_waits: AtomicU64::new(0),
-            events_dispatched: AtomicU64::new(0),
-            spurious_wakeups: AtomicU64::new(0),
-            writev_saved: AtomicU64::new(0),
-        }
-    }
-
-    fn note_writev(&self, iovecs: usize) {
-        if iovecs > 1 {
-            self.writev_saved
-                .fetch_add((iovecs - 1) as u64, Ordering::Relaxed);
-        }
-    }
-
-    fn note_pass(&self, dispatched: u64, spurious: u64) {
-        self.epoll_waits.fetch_add(1, Ordering::Relaxed);
-        if dispatched > 0 {
-            self.events_dispatched
-                .fetch_add(dispatched, Ordering::Relaxed);
-        }
-        if spurious > 0 {
-            self.spurious_wakeups.fetch_add(spurious, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> WorkerEvents {
-        WorkerEvents {
-            epoll_waits: self.epoll_waits.load(Ordering::Relaxed),
-            events_dispatched: self.events_dispatched.load(Ordering::Relaxed),
-            spurious_wakeups: self.spurious_wakeups.load(Ordering::Relaxed),
-            writev_saved: self.writev_saved.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Event-loop counters, one padded slot per worker, reported through
-/// `STATS` (and [`Server::event_stats`]) both aggregated and per worker —
-/// the per-worker rows are how an unbalanced accept distribution or one
-/// spinning worker shows up.
-struct ServerEvents {
-    workers: Vec<CachePadded<WorkerEventCounters>>,
-}
-
-impl ServerEvents {
-    fn new(workers: usize) -> Self {
-        Self {
-            workers: (0..workers)
-                .map(|_| CachePadded::new(WorkerEventCounters::new()))
-                .collect(),
-        }
-    }
-
-    fn worker(&self, slot: usize) -> &WorkerEventCounters {
-        &self.workers[slot]
-    }
-
-    fn snapshot(&self) -> EventStats {
-        let per_worker: Vec<WorkerEvents> = self.workers.iter().map(|w| w.snapshot()).collect();
-        EventStats {
-            epoll_waits: per_worker.iter().map(|w| w.epoll_waits).sum(),
-            events_dispatched: per_worker.iter().map(|w| w.events_dispatched).sum(),
-            spurious_wakeups: per_worker.iter().map(|w| w.spurious_wakeups).sum(),
-            writev_saved: per_worker.iter().map(|w| w.writev_saved).sum(),
-            per_worker,
         }
     }
 }
@@ -539,7 +410,7 @@ impl Conn {
 
     /// Moves queued responses toward the socket with vectored writes.
     /// Returns whether bytes were written.
-    fn pump_write(&mut self, ev: &WorkerEventCounters) -> bool {
+    fn pump_write(&mut self, wm: &WorkerMetrics) -> bool {
         let mut progress = false;
         while !self.chain.is_empty() {
             let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_WRITE_IOVECS.min(8));
@@ -555,7 +426,8 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    ev.note_writev(iovs.len());
+                    // A `writev` of n buffers saves n - 1 `write` calls.
+                    wm.add(WRITEV_SAVED, iovs.len() as u64 - 1);
                     self.chain.advance(n);
                     progress = true;
                 }
@@ -625,21 +497,18 @@ impl Conn {
     /// budget and the write-buffer bound, shedding transactional commands
     /// while the worker is over its backlog watermark.  Returns whether any
     /// frame was served.
-    #[allow(clippy::too_many_arguments)]
     fn pump_execute(
         &mut self,
         store: &Store,
         h: &mut ThreadHandle,
         ov: &OverloadConfig,
         shedding: bool,
-        load: &ServerLoad,
-        events: &ServerEvents,
-        started: Instant,
-        tel: Option<&WorkerTel<'_>>,
+        wt: &WorkerTel<'_>,
     ) -> bool {
         if self.poisoned {
             return false;
         }
+        let wm = wt.tel.worker(wt.slot);
         let mut progress = false;
         let mut served = 0usize;
         // Phase tallies for this pump, flushed to the registry once at the
@@ -654,7 +523,7 @@ impl Conn {
             if served >= ov.conn_inflight || self.unflushed() >= ov.wbuf_high {
                 break;
             }
-            let t_decode = tel.map(|_| Instant::now());
+            let t_decode = wt.tel.clock();
             let frame = match proto::take_frame(&self.rbuf, &mut self.rpos) {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
@@ -672,7 +541,7 @@ impl Conn {
             match proto::decode_request(frame) {
                 Ok((req_id, req)) => {
                     let opcode = proto::request_opcode(&req);
-                    let t_exec = tel.map(|_| Instant::now());
+                    let t_exec = wt.tel.clock();
                     let resp = match &req {
                         // Shed only what is expensive: a transactional
                         // command costs a full retry loop, while a
@@ -684,7 +553,6 @@ impl Conn {
                         // and the response is encoded in arrival order like
                         // any other, preserving pipelined req-id ordering.
                         Request::Cmd(cmd) if shedding && !cmd.standalone() => {
-                            load.note_shed();
                             Response::Err(ErrCode::Overload)
                         }
                         Request::Cmd(cmd) => match store.exec(h, cmd) {
@@ -692,29 +560,29 @@ impl Conn {
                             Err(e) => Response::Err(e),
                         },
                         Request::Stats => {
-                            let mut s = store.stats(h);
-                            s.uptime_secs = started.elapsed().as_secs();
-                            s.load = Some(load.snapshot());
-                            s.events = Some(events.snapshot());
-                            Response::Stats(s)
+                            let (load, events) = wt.tel.sections();
+                            Response::Stats(StatsReply {
+                                uptime_secs: wt.tel.uptime_secs(),
+                                load: Some(load),
+                                events: Some(events),
+                                ..store.stats(h)
+                            })
                         }
                         Request::Sync => Response::Synced(store.sync()),
                         // Fold-on-read: the registry and trace rings are
-                        // only aggregated when somebody asks.  With
-                        // telemetry disabled both answer empty rather than
-                        // erroring, so probes are cheap either way.
-                        Request::Metrics => Response::Metrics(match tel {
-                            Some(wt) => wt.tel.metrics_reply(),
-                            None => MetricsReply::default(),
-                        }),
-                        Request::Trace => Response::Trace(match tel {
-                            Some(wt) => wt.tel.trace_reply(),
-                            None => TraceReply::default(),
-                        }),
+                        // only aggregated when somebody asks.
+                        Request::Metrics => Response::Metrics(wt.tel.metrics_reply()),
+                        Request::Trace => Response::Trace(wt.tel.trace_reply()),
                     };
                     self.chain
                         .encode_with(|buf| proto::encode_response(buf, req_id, opcode, &resp));
-                    if let (Some(wt), Some(t_decode), Some(t_exec)) = (tel, t_decode, t_exec) {
+                    let op = telemetry::op_index(opcode);
+                    // Counted with the clock on or off: a shed request is
+                    // an `overload` abort here, the count `STATS` reports.
+                    if let (Some(op), Response::Err(e)) = (op, &resp) {
+                        wm.record_error(op, telemetry::error_index(*e));
+                    }
+                    if let (Some(t_decode), Some(t_exec)) = (t_decode, t_exec) {
                         // Frame picked up → decoded → response encoded: the
                         // decode/execute split feeds phase accounting; the
                         // execute span is the per-opcode service time.
@@ -722,13 +590,9 @@ impl Conn {
                         decode_acc += (t_exec - t_decode).as_nanos() as u64;
                         let exec_ns = (done - t_exec).as_nanos() as u64;
                         exec_acc += exec_ns;
-                        if let Some(op) = telemetry::op_index(opcode) {
+                        if let Some(op) = op {
                             let retries = h.take_last_attempts().saturating_sub(1);
-                            let wm = wt.tel.worker(wt.slot);
                             wm.record_op(op, exec_ns, retries);
-                            if let Response::Err(e) = &resp {
-                                wm.record_error(op, telemetry::error_index(*e));
-                            }
                             if exec_ns >= wt.tel.slow_ns() {
                                 let queue_ns = self.last_read.map_or(0, |r| {
                                     t_decode.saturating_duration_since(r).as_nanos() as u64
@@ -768,28 +632,22 @@ impl Conn {
             self.rbuf.drain(..self.rpos);
             self.rpos = 0;
         }
-        if let Some(wt) = tel {
-            let wm = wt.tel.worker(wt.slot);
-            wm.add_phase_ns(PHASE_DECODE, decode_acc);
-            wm.add_phase_ns(PHASE_EXECUTE, exec_acc);
-        }
+        // Both stay 0 with the clock off, and a 0 adds nothing.
+        wm.add_phase_ns(PHASE_DECODE, decode_acc);
+        wm.add_phase_ns(PHASE_EXECUTE, exec_acc);
         progress
     }
 
-    /// [`Conn::pump_write`] wrapped in flush-phase accounting when
-    /// telemetry is on (zero clock reads when it is off).
-    fn pump_write_timed(&mut self, ev: &WorkerEventCounters, tel: Option<&WorkerTel<'_>>) -> bool {
-        match tel {
-            None => self.pump_write(ev),
-            Some(wt) => {
-                let t = Instant::now();
-                let progress = self.pump_write(ev);
-                wt.tel
-                    .worker(wt.slot)
-                    .add_phase_ns(PHASE_FLUSH, t.elapsed().as_nanos() as u64);
-                progress
-            }
+    /// [`Conn::pump_write`] wrapped in flush-phase accounting when the
+    /// clock is on (zero clock reads when it is off).
+    fn pump_write_timed(&mut self, wt: &WorkerTel<'_>) -> bool {
+        let wm = wt.tel.worker(wt.slot);
+        let t = wt.tel.clock();
+        let progress = self.pump_write(wm);
+        if let Some(t) = t {
+            wm.add_phase_ns(PHASE_FLUSH, t.elapsed().as_nanos() as u64);
         }
+        progress
     }
 
     /// Whether another execute pump could make progress right now (used to
@@ -825,10 +683,7 @@ struct WorkerShared {
     wake: Arc<WakeFd>,
     stop: Arc<AtomicBool>,
     ov: OverloadConfig,
-    load: Arc<ServerLoad>,
-    events: Arc<ServerEvents>,
-    tel: Option<Arc<Telemetry>>,
-    started: Instant,
+    tel: Arc<Telemetry>,
 }
 
 fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
@@ -838,12 +693,10 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
         wake,
         stop,
         ov,
-        load,
-        events,
         tel,
-        started,
     } = shared;
-    let wt = tel.as_deref().map(|t| WorkerTel { tel: t, slot });
+    let wt = WorkerTel { tel: &tel, slot };
+    let wm = tel.worker(slot);
     let mut h = store.manager().register();
     let epoll = Epoll::new().expect("epoll_create1 failed");
     epoll
@@ -884,14 +737,12 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
         } else {
             IDLE_POLL_MS
         };
-        let t_wait = wt.as_ref().map(|_| Instant::now());
+        let t_wait = tel.clock();
         let n = epoll.wait(&mut evbuf, timeout).unwrap_or(0);
-        if let (Some(wt), Some(t)) = (&wt, t_wait) {
+        if let Some(t) = t_wait {
             // Includes idle poll timeouts by design: the epoll_wait share
             // of a worker's time IS its idle fraction.
-            wt.tel
-                .worker(slot)
-                .add_phase_ns(PHASE_EPOLL_WAIT, t.elapsed().as_nanos() as u64);
+            wm.add_phase_ns(PHASE_EPOLL_WAIT, t.elapsed().as_nanos() as u64);
         }
 
         // Deliver readiness to the slab (the doorbell only needs draining:
@@ -917,7 +768,6 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
         let mut spurious = 0u64;
         let mut backlog = 0u64;
         work_pending = false;
-        let ev = events.worker(slot);
         for (idx, slot) in conns.iter_mut().enumerate() {
             let Some(conn) = slot.as_mut() else {
                 continue;
@@ -925,23 +775,14 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
             let bits = std::mem::take(&mut conn.ready);
             let mut moved = false;
             if bits & EPOLLOUT != 0 {
-                moved |= conn.pump_write_timed(ev, wt.as_ref());
+                moved |= conn.pump_write_timed(&wt);
             }
             if bits & (EPOLLIN | EPOLLHUP | EPOLLERR) != 0 {
                 moved |= conn.pump_read(&ov);
             }
             if bits != 0 || conn.exec_pending {
-                moved |= conn.pump_execute(
-                    &store,
-                    &mut h,
-                    &ov,
-                    shedding,
-                    &load,
-                    &events,
-                    started,
-                    wt.as_ref(),
-                );
-                moved |= conn.pump_write_timed(ev, wt.as_ref());
+                moved |= conn.pump_execute(&store, &mut h, &ov, shedding, &wt);
+                moved |= conn.pump_write_timed(&wt);
             }
             if bits != 0 && !moved {
                 spurious += 1;
@@ -970,9 +811,11 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
             }
             backlog += conn.backlog_bytes() as u64;
         }
-        ev.note_pass(dispatched, spurious);
+        wm.add(EPOLL_WAITS, 1);
+        wm.add(EVENTS_DISPATCHED, dispatched);
+        wm.add(SPURIOUS_WAKEUPS, spurious);
 
-        load.set_backlog(slot, backlog);
+        tel.load().set_backlog(slot, backlog);
         if backlog >= ov.shed_high as u64 {
             shedding = true;
         } else if backlog <= ov.shed_low as u64 && ov.shed_high > 0 {
@@ -996,7 +839,7 @@ fn worker_loop(shared: WorkerShared, drain_deadline: Duration, slot: usize) {
             }
         }
     }
-    load.set_backlog(slot, 0);
+    tel.load().set_backlog(slot, 0);
     // `h` drops here: unwind-safe stats flush for this worker slot.
 }
 
@@ -1008,9 +851,7 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
     wakes: Vec<Arc<WakeFd>>,
     store: Arc<Store>,
-    load: Arc<ServerLoad>,
-    events: Arc<ServerEvents>,
-    tel: Option<Arc<Telemetry>>,
+    tel: Arc<Telemetry>,
     exporter: Option<MetricsExporter>,
     advancer: Option<EpochAdvancer>,
 }
@@ -1030,17 +871,11 @@ impl Server {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
 
-        let load = Arc::new(ServerLoad::new(cfg.workers));
-        let events = Arc::new(ServerEvents::new(cfg.workers));
-        let tel = cfg
-            .telemetry
-            .enabled
-            .then(|| Arc::new(Telemetry::new(&cfg.telemetry, cfg.workers)));
-        let exporter = match (&tel, &cfg.telemetry.metrics_addr) {
-            (Some(t), Some(addr)) => Some(MetricsExporter::start(addr, Arc::clone(t))?),
-            _ => None,
+        let tel = Arc::new(Telemetry::new(&cfg.telemetry, cfg.workers));
+        let exporter = match &cfg.telemetry.metrics_addr {
+            Some(addr) => Some(MetricsExporter::start(addr, Arc::clone(&tel))?),
+            None => None,
         };
-        let started = Instant::now();
 
         let inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..cfg.workers)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
@@ -1059,10 +894,7 @@ impl Server {
                     wake: Arc::clone(wake),
                     stop: Arc::clone(&stop),
                     ov: cfg.overload.clone(),
-                    load: Arc::clone(&load),
-                    events: Arc::clone(&events),
-                    tel: tel.clone(),
-                    started,
+                    tel: Arc::clone(&tel),
                 };
                 let deadline = cfg.drain_deadline;
                 std::thread::spawn(move || worker_loop(shared, deadline, slot))
@@ -1071,7 +903,7 @@ impl Server {
 
         let acceptor = {
             let stop = Arc::clone(&stop);
-            let load = Arc::clone(&load);
+            let tel = Arc::clone(&tel);
             let wakes = wakes.clone();
             std::thread::spawn(move || {
                 let mut next = 0usize;
@@ -1096,9 +928,10 @@ impl Server {
                         // Back off (escalating, capped) and keep the
                         // listener — the condition clears when connections
                         // close, and tearing down turns a spike into an
-                        // outage.
+                        // outage.  Counted on the row of the worker the
+                        // next connection goes to.
                         Err(_) => {
-                            load.note_accept_retry();
+                            tel.worker(next % inboxes.len()).add(ACCEPT_RETRIES, 1);
                             backoff.wait();
                         }
                     }
@@ -1113,8 +946,6 @@ impl Server {
             workers,
             wakes,
             store,
-            load,
-            events,
             tel,
             exporter,
             advancer,
@@ -1124,20 +955,21 @@ impl Server {
     /// A point-in-time snapshot of the admission-control counters (also
     /// available remotely through `STATS`).
     pub fn load_stats(&self) -> LoadStats {
-        self.load.snapshot()
+        self.tel.sections().0
     }
 
     /// A point-in-time snapshot of the event-loop counters (also available
     /// remotely through `STATS`).
     pub fn event_stats(&self) -> EventStats {
-        self.events.snapshot()
+        self.tel.sections().1
     }
 
-    /// The telemetry state, when enabled: the metrics registry, the
-    /// slow-request rings, and the exposition renderers (also available
-    /// remotely through `METRICS`/`TRACE`).
+    /// The telemetry state: the metrics registry, the slow-request rings,
+    /// and the exposition renderers (also available remotely through
+    /// `METRICS`/`TRACE`).  Always `Some`: a server keeps its counts with
+    /// the clock off too.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tel.as_deref()
+        Some(&self.tel)
     }
 
     /// The bound address of the Prometheus exposition listener, when one
@@ -1226,21 +1058,35 @@ mod tests {
 
     #[test]
     fn server_load_tracks_backlog_and_peak() {
-        let load = ServerLoad::new(2);
+        let tel = Telemetry::new(&TelemetryConfig::default(), 2);
+        let load = tel.load();
         load.set_backlog(0, 100);
         load.set_backlog(1, 50);
-        let s = load.snapshot();
+        let s = tel.sections().0;
         assert_eq!(s.inflight_bytes, 150);
         assert_eq!(s.peak_inflight_bytes, 150);
         load.set_backlog(0, 0);
-        let s = load.snapshot();
+        let s = tel.sections().0;
         assert_eq!(s.inflight_bytes, 50);
         assert_eq!(s.peak_inflight_bytes, 150, "peak must not regress");
-        load.note_shed();
-        load.note_accept_retry();
-        let s = load.snapshot();
+        load.set_backlog(1, 200);
+        assert_eq!(tel.sections().0.peak_inflight_bytes, 200);
+        // A shed is an `overload` abort of its opcode, an accept retry a
+        // count on the row of the worker next in line.
+        let transfer = telemetry::op_index(proto::OP_TRANSFER).unwrap();
+        let overload = telemetry::error_index(ErrCode::Overload);
+        tel.worker(0).record_error(transfer, overload);
+        tel.worker(1).add(ACCEPT_RETRIES, 1);
+        let s = tel.sections().0;
         assert_eq!(s.shed_requests, 1);
         assert_eq!(s.accept_retries, 1);
+        assert_eq!(
+            tel.sections().1,
+            EventStats {
+                per_worker: vec![Default::default(); 2],
+                ..Default::default()
+            }
+        );
     }
 
     #[test]

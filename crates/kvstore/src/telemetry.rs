@@ -1,16 +1,19 @@
-//! Server-side telemetry: per-opcode latency histograms, abort-reason and
-//! retry breakdowns, event-loop phase accounting, and slow-request tracing.
+//! Server-side telemetry, the one counter set a server keeps: per-opcode
+//! latency histograms, abort-reason and retry breakdowns, event-loop phase
+//! accounting and counters, slow-request tracing, and the backlog gauge.
 //!
 //! The hot path is allocation-free: each worker owns one
 //! [`obs::WorkerMetrics`] block of relaxed atomics inside a shared
 //! [`obs::MetricsRegistry`], so recording a request is a handful of
-//! `fetch_add`s with no locks and no cross-worker cache-line contention.
-//! Aggregation happens only when somebody asks — the `METRICS` wire command
-//! and the Prometheus exposition endpoint both fold the per-worker blocks
-//! into one [`MetricsReply`]/text page on the *reader's* thread.
+//! `fetch_add`s with no locks.  Aggregation happens only when somebody
+//! asks, on the *reader's* thread; every report below is a rendering of
+//! one registry snapshot.
 //!
-//! Three consumers share this module's state:
+//! Four consumers share this module's state:
 //!
+//! * `STATS`'s load and event-loop sections ([`LoadStats`], [`EventStats`]):
+//!   the shed count is the `overload` abort column, the event-loop and
+//!   accept-retry counts are per-worker counters;
 //! * the `METRICS` wire command ([`Telemetry::metrics_reply`]) — raw
 //!   64-bucket histograms per opcode, so a client reconstructs exactly the
 //!   server's [`obs::LatencyHistogram`] and can compare its own observed
@@ -20,13 +23,20 @@
 //! * the optional `--metrics-addr` HTTP listener (`MetricsExporter`) —
 //!   Prometheus text exposition rendered by [`obs::prom`], one blocking
 //!   thread, plain `std` TCP, no dependencies.
+//!
+//! [`TelemetryConfig::enabled`] gates only the clock reads: off, the
+//! histograms, phases and traces stay empty, and every count (errors,
+//! event-loop counters, accept retries) is kept either way.
 
-use crate::proto::{self, MetricsReply, OpMetrics, TraceReply};
+use crate::proto::{
+    self, EventStats, LoadStats, MetricsReply, OpMetrics, TraceReply, WorkerEvents,
+};
 use crate::store::ErrCode;
-use obs::{MetricsRegistry, RegistrySpec, TraceRing, WorkerMetrics};
+use medley::util::CachePadded;
+use obs::{MetricsRegistry, MetricsSnapshot, RegistrySpec, TraceRing, WorkerMetrics};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,11 +83,30 @@ pub(crate) const PHASE_DECODE: usize = 1;
 pub(crate) const PHASE_EXECUTE: usize = 2;
 pub(crate) const PHASE_FLUSH: usize = 3;
 
+/// Per-worker counter labels: the four event-loop counters of
+/// [`WorkerEvents`], then the `accept(2)` failures the acceptor survived
+/// while this worker was next in line for a connection.
+pub const COUNTER_LABELS: &[&str] = &[
+    "epoll_waits",
+    "events_dispatched",
+    "spurious_wakeups",
+    "writev_saved",
+    "accept_retries",
+];
+
+/// Counter indices into [`COUNTER_LABELS`].
+pub(crate) const EPOLL_WAITS: usize = 0;
+pub(crate) const EVENTS_DISPATCHED: usize = 1;
+pub(crate) const SPURIOUS_WAKEUPS: usize = 2;
+pub(crate) const WRITEV_SAVED: usize = 3;
+pub(crate) const ACCEPT_RETRIES: usize = 4;
+
 /// The registry shape every kvstore server uses.
 const SPEC: RegistrySpec = RegistrySpec {
     ops: OP_LABELS,
     errors: ERROR_LABELS,
     phases: PHASE_LABELS,
+    counters: COUNTER_LABELS,
 };
 
 /// Metric family prefix on the exposition page (`kvstore_op_latency_ns_...`).
@@ -106,9 +135,11 @@ pub(crate) fn error_index(e: ErrCode) -> usize {
 /// [`crate::ServerConfig`]).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Collect per-request metrics at all.  Off, the per-request path adds
-    /// nothing (no clock reads, no atomics) and `METRICS`/`TRACE` answer
-    /// empty — the A/B configuration the overhead benchmark compares.
+    /// Read the clock for latency histograms, phase accounting and
+    /// slow-request traces.  Off, the per-request path reads no clock and
+    /// those three stay empty, while every count `STATS` and `METRICS`
+    /// report (errors, event-loop counters, accept retries) is still kept —
+    /// the A/B configuration the overhead benchmark compares.
     pub enabled: bool,
     /// Requests whose service time reaches this land in the slow-request
     /// ring.  `Duration::ZERO` traces every tracked request (the
@@ -133,12 +164,48 @@ impl Default for TelemetryConfig {
     }
 }
 
+/// The backlog gauge `STATS` reports: each worker's buffered bytes in both
+/// directions, stored once per pass, and the high-water mark of their sum.
+pub(crate) struct ServerLoad {
+    peak_backlog: AtomicU64,
+    /// Per-worker backlog bytes, one padded slot each (no false sharing on
+    /// the per-pass store).
+    backlog: Vec<CachePadded<AtomicU64>>,
+}
+
+impl ServerLoad {
+    fn new(workers: usize) -> Self {
+        Self {
+            peak_backlog: AtomicU64::new(0),
+            backlog: (0..workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn set_backlog(&self, slot: usize, bytes: u64) {
+        self.backlog[slot].store(bytes, Ordering::Relaxed);
+        let total = self.inflight();
+        // Every worker runs this every pass: write the shared peak only
+        // when it moves, so a steady backlog costs a load, not a locked RMW.
+        if total > self.peak_backlog.load(Ordering::Relaxed) {
+            self.peak_backlog.fetch_max(total, Ordering::Relaxed);
+        }
+    }
+
+    fn inflight(&self) -> u64 {
+        self.backlog.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+}
+
 /// Shared telemetry state: the metrics registry, the per-worker slow-request
-/// rings, and the server's start instant (uptime).
+/// rings, the backlog gauge, and the server's start instant (uptime).
 pub struct Telemetry {
     registry: MetricsRegistry,
     traces: Vec<TraceRing>,
+    load: ServerLoad,
     slow_ns: u64,
+    timed: bool,
     started: Instant,
 }
 
@@ -149,9 +216,23 @@ impl Telemetry {
             traces: (0..workers)
                 .map(|_| TraceRing::new(cfg.trace_capacity))
                 .collect(),
+            load: ServerLoad::new(workers),
             slow_ns: cfg.slow_threshold.as_nanos().min(u64::MAX as u128) as u64,
+            timed: cfg.enabled,
             started: Instant::now(),
         }
+    }
+
+    /// The current instant when the clock is on (`None`, without reading
+    /// it, when [`TelemetryConfig::enabled`] is off).
+    #[inline]
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
+    }
+
+    /// The backlog gauge.
+    pub(crate) fn load(&self) -> &ServerLoad {
+        &self.load
     }
 
     /// The shared metrics registry (per-worker write blocks + snapshots).
@@ -180,6 +261,21 @@ impl Telemetry {
     /// Whole seconds since the server started.
     pub fn uptime_secs(&self) -> u64 {
         self.started.elapsed().as_secs()
+    }
+
+    /// The `STATS` load and event-loop sections, read off one registry
+    /// snapshot.  The shed count is the `overload` abort column: only the
+    /// shed branch answers `Overload`.
+    pub(crate) fn sections(&self) -> (LoadStats, EventStats) {
+        let snap = self.registry.snapshot();
+        let overload = error_index(ErrCode::Overload);
+        let load = LoadStats {
+            shed_requests: snap.ops.iter().map(|o| o.errors[overload]).sum(),
+            inflight_bytes: self.load.inflight(),
+            peak_inflight_bytes: self.load.peak_backlog.load(Ordering::Relaxed),
+            accept_retries: snap.counter_total(ACCEPT_RETRIES),
+        };
+        (load, events_of(&snap))
     }
 
     /// Folds the per-worker blocks into the `METRICS` wire reply.  Inactive
@@ -223,6 +319,26 @@ impl Telemetry {
             self.started.elapsed().as_secs_f64(),
             PROM_PREFIX,
         )
+    }
+}
+
+/// The `STATS` event-loop section: per-worker counter rows and their sums.
+fn events_of(snap: &MetricsSnapshot) -> EventStats {
+    EventStats {
+        epoll_waits: snap.counter_total(EPOLL_WAITS),
+        events_dispatched: snap.counter_total(EVENTS_DISPATCHED),
+        spurious_wakeups: snap.counter_total(SPURIOUS_WAKEUPS),
+        writev_saved: snap.counter_total(WRITEV_SAVED),
+        per_worker: snap
+            .counters
+            .iter()
+            .map(|c| WorkerEvents {
+                epoll_waits: c[EPOLL_WAITS],
+                events_dispatched: c[EVENTS_DISPATCHED],
+                spurious_wakeups: c[SPURIOUS_WAKEUPS],
+                writev_saved: c[WRITEV_SAVED],
+            })
+            .collect(),
     }
 }
 
@@ -367,6 +483,16 @@ mod tests {
         ] {
             assert_eq!(ERROR_LABELS[error_index(e)], want);
         }
+        for (c, want) in [
+            (EPOLL_WAITS, "epoll_waits"),
+            (EVENTS_DISPATCHED, "events_dispatched"),
+            (SPURIOUS_WAKEUPS, "spurious_wakeups"),
+            (WRITEV_SAVED, "writev_saved"),
+            (ACCEPT_RETRIES, "accept_retries"),
+        ] {
+            assert_eq!(COUNTER_LABELS[c], want);
+        }
+        assert_eq!(COUNTER_LABELS.len(), 5);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! `le`-labelled bucket family (the raw log buckets, for scrapers that
 //! aggregate server-side) and as pre-computed quantile gauges (for humans
 //! and smoke tests).  Inactive operations are omitted — a scrape reflects
-//! the traffic the server actually saw.
+//! the traffic the server actually saw.  Per-worker phase time and
+//! per-worker counters are emitted for every worker, zeros included.
 
 use crate::registry::{MetricsSnapshot, RegistrySpec};
 use std::fmt::Write as _;
@@ -98,17 +99,21 @@ pub fn render(
         }
     }
 
-    let _ = writeln!(out, "# TYPE {prefix}_worker_phase_ns_total counter");
-    for (w, phases) in snap.phase_ns.iter().enumerate() {
-        for (p, &ns) in phases.iter().enumerate() {
-            let phase = spec.phases[p];
-            let _ = writeln!(
-                out,
-                "{prefix}_worker_phase_ns_total{{worker=\"{w}\",phase=\"{phase}\"}} {ns}"
-            );
+    let family = format!("{prefix}_worker_phase_ns_total");
+    per_worker(&mut out, &family, "phase", spec.phases, &snap.phase_ns);
+    let family = format!("{prefix}_worker_events_total");
+    per_worker(&mut out, &family, "event", spec.counters, &snap.counters);
+    out
+}
+
+/// One counter family with a sample per worker × label, zeros included.
+fn per_worker(out: &mut String, family: &str, key: &str, labels: &[&str], rows: &[Vec<u64>]) {
+    let _ = writeln!(out, "# TYPE {family} counter");
+    for (w, row) in rows.iter().enumerate() {
+        for (label, n) in labels.iter().zip(row) {
+            let _ = writeln!(out, "{family}{{worker=\"{w}\",{key}=\"{label}\"}} {n}");
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -120,6 +125,7 @@ mod tests {
         ops: &["get", "put"],
         errors: &["retry"],
         phases: &["wait"],
+        counters: &["wakes"],
     };
 
     #[test]
@@ -129,6 +135,7 @@ mod tests {
         reg.worker(0).record_op(0, 9_000, 0);
         reg.worker(0).record_error(0, 0);
         reg.worker(0).add_phase_ns(0, 12_345);
+        reg.worker(0).add(0, 6);
         let text = render(reg.spec(), &reg.snapshot(), 4.5, "kv");
 
         assert!(text.contains("kv_uptime_seconds 4.500"));
@@ -138,6 +145,8 @@ mod tests {
         assert!(text.contains("kv_op_aborts_total{op=\"get\",reason=\"retry\"} 1"));
         assert!(text.contains("kv_op_retries_total{op=\"get\"} 3"));
         assert!(text.contains("kv_worker_phase_ns_total{worker=\"0\",phase=\"wait\"} 12345"));
+        assert!(text.contains("# TYPE kv_worker_events_total counter"));
+        assert!(text.contains("kv_worker_events_total{worker=\"0\",event=\"wakes\"} 6"));
         // Inactive op omitted entirely.
         assert!(!text.contains("op=\"put\""));
     }

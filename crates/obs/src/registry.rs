@@ -1,20 +1,21 @@
 //! Per-worker, allocation-free metrics registry.
 //!
 //! The registry is built once at server start: every per-operation
-//! histogram, abort-reason counter, retry counter, and phase accumulator
-//! is a pre-sized atomic slot.  Recording on the request path is a
-//! relaxed fetch-add into a fixed index — no allocation, no lock, no
-//! contended cache line between workers (each worker owns its
-//! [`WorkerMetrics`] block).  Aggregation (the cold path: a `METRICS`
-//! request or a scrape) sums across workers into plain
+//! histogram, abort-reason counter, retry counter, phase accumulator and
+//! per-worker counter is a pre-sized atomic slot.  Recording on the
+//! request path is a relaxed fetch-add into a fixed index — no
+//! allocation, no lock, no contended cache line between workers (each
+//! worker owns its [`WorkerMetrics`] block).  Aggregation (the cold path:
+//! a `METRICS` request or a scrape) sums across workers into plain
 //! [`LatencyHistogram`]s and counter vectors.
 
 use crate::hist::{LatencyHistogram, BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The label tables a registry is laid out over.  The embedding service
-/// supplies its operation, abort-reason, and event-loop phase names;
-/// indices into these slices are the only identifiers the hot path uses.
+/// supplies its operation, abort-reason, event-loop phase and per-worker
+/// counter names; indices into these slices are the only identifiers the
+/// hot path uses.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistrySpec {
     /// Operation labels (one latency histogram + retry counter each).
@@ -23,6 +24,27 @@ pub struct RegistrySpec {
     pub errors: &'static [&'static str],
     /// Event-loop phase labels (one ns accumulator per worker × phase).
     pub phases: &'static [&'static str],
+    /// Monotone counter labels (one count per worker × counter).
+    pub counters: &'static [&'static str],
+}
+
+/// `n` zeroed slots.
+fn zeroed(n: usize) -> Box<[AtomicU64]> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Adds `n` to `slot`, skipping the read-modify-write when there is
+/// nothing to add.
+#[inline]
+fn add_to(slot: &AtomicU64, n: u64) {
+    if n > 0 {
+        slot.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Every slot's current value, in order.
+fn load_all(slots: &[AtomicU64]) -> Vec<u64> {
+    slots.iter().map(|s| s.load(Ordering::Relaxed)).collect()
 }
 
 /// A histogram whose buckets are relaxed atomics, recordable from the
@@ -35,7 +57,7 @@ struct AtomicHistogram {
 impl AtomicHistogram {
     fn new() -> Self {
         Self {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            counts: zeroed(BUCKETS),
             max_ns: AtomicU64::new(0),
         }
     }
@@ -68,6 +90,7 @@ pub struct WorkerMetrics {
     op_errors: Box<[AtomicU64]>,      // ops × errors, row-major by op
     op_retries: Box<[AtomicU64]>,     // ops
     phase_ns: Box<[AtomicU64]>,       // phases
+    counters: Box<[AtomicU64]>,       // counters
     n_errors: usize,
 }
 
@@ -77,11 +100,10 @@ impl WorkerMetrics {
             op_hists: (0..spec.ops.len())
                 .map(|_| AtomicHistogram::new())
                 .collect(),
-            op_errors: (0..spec.ops.len() * spec.errors.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            op_retries: (0..spec.ops.len()).map(|_| AtomicU64::new(0)).collect(),
-            phase_ns: (0..spec.phases.len()).map(|_| AtomicU64::new(0)).collect(),
+            op_errors: zeroed(spec.ops.len() * spec.errors.len()),
+            op_retries: zeroed(spec.ops.len()),
+            phase_ns: zeroed(spec.phases.len()),
+            counters: zeroed(spec.counters.len()),
             n_errors: spec.errors.len(),
         }
     }
@@ -91,9 +113,7 @@ impl WorkerMetrics {
     #[inline]
     pub fn record_op(&self, op: usize, latency_ns: u64, retries: u64) {
         self.op_hists[op].record_ns(latency_ns);
-        if retries > 0 {
-            self.op_retries[op].fetch_add(retries, Ordering::Relaxed);
-        }
+        add_to(&self.op_retries[op], retries);
     }
 
     /// Counts one aborted/failed request of operation `op` with reason
@@ -108,9 +128,14 @@ impl WorkerMetrics {
     /// per event-loop pass and flush once, so this is not per-request.
     #[inline]
     pub fn add_phase_ns(&self, phase: usize, ns: u64) {
-        if ns > 0 {
-            self.phase_ns[phase].fetch_add(ns, Ordering::Relaxed);
-        }
+        add_to(&self.phase_ns[phase], ns);
+    }
+
+    /// Adds `n` to counter `counter` (indices into
+    /// [`RegistrySpec::counters`]).
+    #[inline]
+    pub fn add(&self, counter: usize, n: u64) {
+        add_to(&self.counters[counter], n);
     }
 }
 
@@ -143,6 +168,15 @@ pub struct MetricsSnapshot {
     /// `phase_ns[worker][phase]` nanoseconds, indexed like
     /// [`RegistrySpec::phases`].
     pub phase_ns: Vec<Vec<u64>>,
+    /// `counters[worker][counter]`, indexed like [`RegistrySpec::counters`].
+    pub counters: Vec<Vec<u64>>,
+}
+
+impl MetricsSnapshot {
+    /// Counter `counter` summed over the workers.
+    pub fn counter_total(&self, counter: usize) -> u64 {
+        self.counters.iter().map(|w| w[counter]).sum()
+    }
 }
 
 /// The registry: one [`WorkerMetrics`] block per worker, aggregated on
@@ -202,17 +236,11 @@ impl MetricsRegistry {
                 }
             })
             .collect();
-        let phase_ns = self
-            .workers
-            .iter()
-            .map(|w| {
-                w.phase_ns
-                    .iter()
-                    .map(|p| p.load(Ordering::Relaxed))
-                    .collect()
-            })
-            .collect();
-        MetricsSnapshot { ops, phase_ns }
+        MetricsSnapshot {
+            ops,
+            phase_ns: self.workers.iter().map(|w| load_all(&w.phase_ns)).collect(),
+            counters: self.workers.iter().map(|w| load_all(&w.counters)).collect(),
+        }
     }
 }
 
@@ -224,6 +252,7 @@ mod tests {
         ops: &["get", "put", "transfer"],
         errors: &["retry", "capacity"],
         phases: &["wait", "exec"],
+        counters: &["waits", "retries"],
     };
 
     #[test]
@@ -236,6 +265,10 @@ mod tests {
         reg.worker(1).record_error(0, 1);
         reg.worker(0).add_phase_ns(1, 500);
         reg.worker(1).add_phase_ns(0, 700);
+        reg.worker(0).add(0, 3);
+        reg.worker(1).add(0, 4);
+        reg.worker(1).add(1, 0);
+        reg.worker(1).add(1, 1);
 
         let snap = reg.snapshot();
         assert_eq!(snap.ops[0].hist.total(), 2);
@@ -248,6 +281,8 @@ mod tests {
         assert_eq!(snap.ops[2].hist.total(), 1);
         assert_eq!(snap.ops[2].retries, 1);
         assert_eq!(snap.phase_ns, vec![vec![0, 500], vec![700, 0]]);
+        assert_eq!(snap.counters, vec![vec![3, 0], vec![4, 1]]);
+        assert_eq!(snap.counter_total(0), 7);
     }
 
     #[test]

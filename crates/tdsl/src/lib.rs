@@ -16,7 +16,7 @@
 //! workloads of the paper's Figs. 8–9.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use medley::util::sync::Mutex;
 use std::collections::btree_map::BTreeMap;

@@ -15,7 +15,7 @@
 //!   at a configurable (scaled-down) size.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod keys;

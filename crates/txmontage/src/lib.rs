@@ -66,9 +66,13 @@
 //! yet fail or abort, abandoning the payload).  Real nbMontage closes this
 //! with its epoch-participation protocol — the advancer waits for the
 //! operations of an epoch to retire before persisting it — which this
-//! simulation does not model.  The post-linearization tag race, by
-//! contrast, *is* handled: standalone operations re-read the epoch after
-//! their update, retire the old payload with it and re-tag the new one.
+//! simulation does not model.  The post-linearization tag race is only
+//! narrowed: standalone operations re-read the epoch after their update,
+//! retire the old payload with it and re-tag the new one, but two advances
+//! between the index update and that re-read leave the old and the new
+//! payload both live to a recovery at the new horizon.  That window is
+//! still open (ROADMAP direction 3, "standalone births"); it was seen once
+//! as a key that went backwards after recovery.
 //!
 //! ```
 //! use medley::TxManager;

@@ -13,7 +13,7 @@
 
 use kvstore::{
     Client, Cmd, ErrCode, KvError, OverloadConfig, Request, Response, Server, ServerConfig,
-    StoreConfig,
+    StoreConfig, ERROR_LABELS,
 };
 use pmem::Value;
 use std::io::{Read, Write};
@@ -22,7 +22,12 @@ use std::time::{Duration, Instant};
 
 /// A server whose every transactional command is shed deterministically.
 fn always_shedding_server(workers: usize) -> Server {
-    let cfg = ServerConfig {
+    Server::start(&always_shedding(workers)).expect("start always-shedding server")
+}
+
+/// The configuration of [`always_shedding_server`].
+fn always_shedding(workers: usize) -> ServerConfig {
+    ServerConfig {
         workers,
         store: StoreConfig {
             shards: 2,
@@ -34,8 +39,7 @@ fn always_shedding_server(workers: usize) -> Server {
             ..Default::default()
         },
         ..Default::default()
-    };
-    Server::start(&cfg).expect("start always-shedding server")
+    }
 }
 
 #[test]
@@ -161,29 +165,43 @@ fn pipelined_req_ids_stay_ordered_across_shed_responses() {
 
 #[test]
 fn stats_report_shed_and_load_counters() {
-    let server = always_shedding_server(1);
-    let mut c = Client::connect(server.local_addr()).expect("connect");
-    c.put_b(1, &1u64.to_le_bytes()).expect("put");
-    for _ in 0..5 {
-        match c
-            .call(&Request::Cmd(Cmd::MGetB(vec![1])))
-            .expect("transport")
-        {
-            Response::Err(ErrCode::Overload) => {}
-            other => panic!("expected shed, got {other:?}"),
+    let overload = ERROR_LABELS
+        .iter()
+        .position(|&l| l == "overload")
+        .expect("an overload abort reason");
+    for enabled in [true, false] {
+        let mut cfg = always_shedding(1);
+        cfg.telemetry.enabled = enabled;
+        let server = Server::start(&cfg).expect("start always-shedding server");
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        c.put_b(1, &1u64.to_le_bytes()).expect("put");
+        for _ in 0..5 {
+            match c
+                .call(&Request::Cmd(Cmd::MGetB(vec![1])))
+                .expect("transport")
+            {
+                Response::Err(ErrCode::Overload) => {}
+                other => panic!("expected shed, got {other:?}"),
+            }
         }
+        // STATS is admin traffic: answered even while shedding, and it
+        // carries the load section only a live server (not a bare store)
+        // can fill.
+        let stats = c.stats().expect("stats");
+        let load = stats
+            .load
+            .expect("server stats must carry the load section");
+        assert!(load.shed_requests >= 5, "sheds: {}", load.shed_requests);
+        assert_eq!(load.accept_retries, 0);
+        // STATS and METRICS read one counter set: the shed count is the
+        // `overload` abort column, with the clock on or off.
+        let metrics = c.metrics().expect("metrics");
+        let aborted: u64 = metrics.ops.iter().map(|o| o.aborts[overload]).sum();
+        assert_eq!(load.shed_requests, aborted, "telemetry {enabled}");
+        // The in-process view agrees with the wire view.
+        assert!(server.load_stats().shed_requests >= load.shed_requests);
+        server.shutdown();
     }
-    // STATS is admin traffic: answered even while shedding, and it carries
-    // the load section only a live server (not a bare store) can fill.
-    let stats = c.stats().expect("stats");
-    let load = stats
-        .load
-        .expect("server stats must carry the load section");
-    assert!(load.shed_requests >= 5, "sheds: {}", load.shed_requests);
-    assert_eq!(load.accept_retries, 0);
-    // The in-process view agrees with the wire view.
-    assert!(server.load_stats().shed_requests >= load.shed_requests);
-    server.shutdown();
 }
 
 /// One `GETB(0)` request frame (length prefix, req id, opcode, key: 17

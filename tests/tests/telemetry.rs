@@ -9,9 +9,12 @@
 //!   server with `slow_threshold = 0` traces every tracked request, so the
 //!   ring's record/eviction counts are exactly determined by the command
 //!   count and capacity.
+//! * `prometheus_page_shows_the_event_loop_counters` — the exposition page
+//!   and `Server::event_stats` (the `STATS` event-loop section) render the
+//!   same registry counters, with the clock on and off.
 //! * `telemetry_hot_path_does_not_allocate` — a counting global allocator
 //!   wraps the whole test binary; recording latencies, errors, phase time,
-//!   and steady-state trace pushes must not allocate at all.  The count is
+//!   counters and steady-state trace pushes must not allocate at all.  The count is
 //!   per thread, so the server tests running beside it on another core do
 //!   not show up in it.
 //! * `replace_*`, `insert_*`, `remove_*`, `durable_*` — the same allocator
@@ -177,11 +180,61 @@ fn trace_with_zero_threshold_captures_every_request() {
 }
 
 #[test]
+fn prometheus_page_shows_the_event_loop_counters() {
+    for enabled in [true, false] {
+        let cfg = ServerConfig {
+            workers: 2,
+            telemetry: TelemetryConfig {
+                enabled,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let server = Server::start(&cfg).expect("start server");
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        for k in 0..64u64 {
+            c.put_b(k, &k.to_le_bytes()).expect("put");
+        }
+        let tel = server
+            .telemetry()
+            .expect("a server always keeps its counts");
+        // Idle workers still count a wait per poll timeout: take a page
+        // between two equal readings, so it shows exactly those values.
+        let (events, page) = loop {
+            let before = server.event_stats();
+            let page = tel.render_prometheus();
+            if server.event_stats() == before {
+                break (before, page);
+            }
+        };
+        assert!(events.epoll_waits > 0 && events.events_dispatched > 0);
+        assert_eq!(events.per_worker.len(), cfg.workers);
+        for (w, row) in events.per_worker.iter().enumerate() {
+            for (event, n) in [
+                ("epoll_waits", row.epoll_waits),
+                ("events_dispatched", row.events_dispatched),
+                ("spurious_wakeups", row.spurious_wakeups),
+                ("writev_saved", row.writev_saved),
+                ("accept_retries", 0),
+            ] {
+                let sample = format!(
+                    "kvstore_worker_events_total{{worker=\"{w}\",event=\"{event}\"}} {n}\n"
+                );
+                assert!(page.contains(&sample), "telemetry {enabled}: no {sample:?}");
+            }
+        }
+        drop(c);
+        server.shutdown();
+    }
+}
+
+#[test]
 fn telemetry_hot_path_does_not_allocate() {
     const SPEC: RegistrySpec = RegistrySpec {
         ops: &["get", "put"],
         errors: &["retry", "not_found"],
         phases: &["decode", "execute"],
+        counters: &["epoll_waits", "writev_saved"],
     };
     let registry = MetricsRegistry::new(SPEC, 2);
     let ring = TraceRing::new(8);
@@ -205,6 +258,7 @@ fn telemetry_hot_path_does_not_allocate() {
         w.record_op((i % 2) as usize, 100 + i, i % 3);
         w.record_error((i % 2) as usize, (i % 2) as usize);
         w.add_phase_ns((i % 2) as usize, 50);
+        w.add((i % 2) as usize, 1);
         ring.push(rec);
     }
     let after = allocations();
